@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks for the hot kernels of hub labeling:
 //! PPSD distance queries (the tiered merge-join kernels against the
-//! streaming seed join, across the flat / compressed / hot-hub-cached
-//! backends), the pruned-Dijkstra SPT kernel, the PLaNT Dijkstra kernel
-//! and the label cleaning pass.
+//! streaming seed join, across the pointer / flat / compressed backends),
+//! the pruned-Dijkstra SPT kernel, the PLaNT Dijkstra kernel and the label
+//! cleaning pass.
 //!
 //! Query pairs come from a splitmix64 stream: the previous LCG derived
 //! `v` from `i >> 8`, which correlates the two endpoints (low-entropy
@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use chl_core::cleaning::clean_labels;
 use chl_core::flat::FlatIndex;
-use chl_core::kernel::{self, HotHubCached};
+use chl_core::kernel;
 use chl_core::labels::{join_sorted_iters, LabelEntry, RootLabelHash};
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
@@ -56,13 +56,11 @@ fn query_kernels(c: &mut Criterion) {
     let runs: Vec<&[LabelEntry]> = (0..n).map(|v| flat.labels_of(v)).collect();
     let pairs = query_pairs(n, 42);
 
-    // The compressed backend streams varint-decoded runs from a saved file;
-    // the cached backend answers top-k hubs from the HotHubCache first.
+    // The compressed backend streams varint-decoded runs from a saved file.
     let compressed_path = std::env::temp_dir().join("chl_bench_kernels_compressed.chl");
     save_with(&flat, &compressed_path, &SaveOptions::compressed())
         .expect("saving the compressed bench index");
     let compressed = MmapIndex::open(&compressed_path).expect("mapping the compressed bench index");
-    let cached = HotHubCached::new(FlatIndex::from_index(&index), 16);
 
     let mut group = c.benchmark_group("query");
     // Raw slice kernels: same runs, different join tier.
@@ -101,14 +99,6 @@ fn query_kernels(c: &mut Criterion) {
             black_box(kernel::join_gallop(runs[u as usize], runs[v as usize]))
         })
     });
-    group.bench_function(format!("simd_join_{}", kernel::simd_backend()), |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (u, v) = pairs[i & (PAIRS - 1)];
-            i += 1;
-            black_box(kernel::join_simd(runs[u as usize], runs[v as usize]))
-        })
-    });
     group.bench_function("adaptive_join", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -140,14 +130,6 @@ fn query_kernels(c: &mut Criterion) {
             let (u, v) = pairs[i & (PAIRS - 1)];
             i += 1;
             black_box(compressed.distance(u, v))
-        })
-    });
-    group.bench_function("cached_flat_query_k16", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (u, v) = pairs[i & (PAIRS - 1)];
-            i += 1;
-            black_box(cached.distance(u, v))
         })
     });
     group.bench_function("hash_join_coverage", |b| {

@@ -1,15 +1,15 @@
-//! One-off tuning harness for the query kernel tiers and the hot-hub cache:
-//! measures each join tier and the cached query against the seed scalar on
-//! several graph shapes and cache sizes.
+//! Tuning harness for the query kernel tiers: measures each join tier and
+//! the `join_adaptive` selector against the seed iterator join on several
+//! graph shapes — the sweep the selector's thresholds were read off.
 //!
-//! Run with: `cargo run --release -p chl-bench --example hot_hub_tuning`
+//! Run with: `cargo run --release -p chl-bench --example join_tier_sweep`
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
 use chl_core::flat::FlatIndex;
-use chl_core::kernel::{self, HotHubCache};
+use chl_core::kernel;
 use chl_core::labels::{join_sorted_iters, LabelEntry};
 use chl_graph::csr::CsrGraph;
 use chl_graph::generators::{barabasi_albert, grid_network, GridOptions};
@@ -54,7 +54,7 @@ fn measure(name: &str, g: &CsrGraph) {
         sum = sum.wrapping_add(black_box(flat.query(u, v)));
     }
     let plain_ns = t.elapsed().as_nanos() as f64 / pairs.len() as f64;
-    println!("plain flat query: {plain_ns:.1} ns/query (sum {sum})");
+    println!("flat query: {plain_ns:.1} ns/query (sum {sum})");
 
     type JoinFn = dyn Fn(&[LabelEntry], &[LabelEntry]) -> Option<(u32, u64)>;
     let view = flat.as_view();
@@ -78,25 +78,7 @@ fn measure(name: &str, g: &CsrGraph) {
     time_join("scalar", &kernel::join_scalar);
     time_join("branchless", &kernel::join_branchless);
     time_join("gallop", &kernel::join_gallop);
-    time_join("simd", &kernel::join_simd);
     time_join("adaptive", &kernel::join_adaptive);
-
-    for k in [4u32, 8, 16, 32] {
-        let cache = HotHubCache::build(&flat.as_index_view(), k);
-        let iview = flat.as_index_view();
-        let t = Instant::now();
-        let mut csum = 0u64;
-        for &(u, v) in &pairs {
-            csum = csum.wrapping_add(black_box(iview.query_cached(&cache, u, v)));
-        }
-        let cached_ns = t.elapsed().as_nanos() as f64 / pairs.len() as f64;
-        assert_eq!(sum, csum, "cached answers must match");
-        println!(
-            "  cached k={k:<3} {cached_ns:.1} ns/query ({:+.1}% vs plain), {} KiB",
-            100.0 * (cached_ns - plain_ns) / plain_ns,
-            cache.memory_bytes() / 1024
-        );
-    }
 }
 
 fn main() {

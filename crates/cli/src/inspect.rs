@@ -158,7 +158,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     // Run-length percentiles tell you which join tier the query kernel will
     // spend its time in (short similar runs -> scalar/branchless, heavy skew
-    // -> galloping) and how much a --hot-hubs prefix can cover.
+    // -> galloping).
     let sizes: Vec<usize> = match index.shard() {
         Some(spec) => spec
             .owned

@@ -199,9 +199,7 @@ pub fn run_topk(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The two serving backends, same pair as `chl query` (no hot-hub cache:
-/// these verbs are batch-shaped, and the cache only accelerates point
-/// queries).
+/// The two serving backends, same pair as `chl query`.
 enum Backend {
     Owned(FlatIndex),
     Mapped(MmapIndex),

@@ -25,7 +25,6 @@
 use std::time::{Duration, Instant};
 
 use chl_core::flat::FlatIndex;
-use chl_core::kernel::HotHubCached;
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_graph::types::{VertexId, INFINITY};
@@ -49,18 +48,11 @@ options:
   --random N          generate N uniform random pairs
   --seed N            seed for --random                           [42]
   --threads N         worker threads for batch queries       [all cores]
-  --mmap              serve zero-copy from the OS page cache (v2 files)
-  --hot-hubs K        cache the K top-ranked hubs' distance rows and
-                      consult them before the merge join           [off]";
+  --mmap              serve zero-copy from the OS page cache (v2 files)";
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
-    let opts = Opts::parse(
-        args,
-        &["workload", "random", "seed", "threads", "hot-hubs"],
-        &["mmap"],
-    )?;
+    let opts = Opts::parse(args, &["workload", "random", "seed", "threads"], &["mmap"])?;
     let index_path = opts.positional(0, "index file argument")?.to_string();
-    let hot_hubs: u32 = opts.parsed_or("hot-hubs", 0)?;
     let backend: Backend = if opts.switch("mmap") {
         Backend::Mapped(
             MmapIndex::open(&index_path)
@@ -71,8 +63,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             FlatIndex::load(&index_path)
                 .map_err(|e| format!("cannot load index {index_path}: {e}"))?,
         )
-    }
-    .with_hot_hubs(hot_hubs);
+    };
     let index: &dyn DistanceOracle = backend.oracle();
     let n = index.num_vertices();
 
@@ -147,30 +138,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 enum Backend {
     Owned(FlatIndex),
     Mapped(MmapIndex),
-    CachedOwned(HotHubCached<FlatIndex>),
-    CachedMapped(HotHubCached<MmapIndex>),
 }
 
 impl Backend {
-    /// Wraps the backend in a [`HotHubCached`] when `k > 0`; `k == 0` is
-    /// the documented "off" value and leaves the backend untouched.
-    fn with_hot_hubs(self, k: u32) -> Backend {
-        if k == 0 {
-            return self;
-        }
-        match self {
-            Backend::Owned(index) => Backend::CachedOwned(HotHubCached::new(index, k)),
-            Backend::Mapped(index) => Backend::CachedMapped(HotHubCached::new(index, k)),
-            cached => cached,
-        }
-    }
-
     fn oracle(&self) -> &dyn DistanceOracle {
         match self {
             Backend::Owned(index) => index,
             Backend::Mapped(index) => index,
-            Backend::CachedOwned(index) => index,
-            Backend::CachedMapped(index) => index,
         }
     }
 
@@ -178,8 +152,6 @@ impl Backend {
         match self {
             Backend::Owned(_) => "owned (copy-load)",
             Backend::Mapped(m) => mapped_name(m),
-            Backend::CachedOwned(_) => "owned (copy-load) + hot-hub cache",
-            Backend::CachedMapped(_) => "mmap + hot-hub cache",
         }
     }
 }

@@ -20,7 +20,7 @@ use crate::CliError;
 
 pub const USAGE: &str = "\
 usage: chl serve <index.chl> [--addr HOST:PORT] [--threads N] [--mmap]
-                 [--hot-hubs K] [--shard]
+                 [--shard]
 
 Serves point-to-point shortest-distance queries from a saved index over
 TCP until a client sends a SHUTDOWN frame. Connections speaking the
@@ -34,19 +34,12 @@ options:
   --threads N         connection worker threads                      [4]
   --max-frame BYTES   largest accepted request frame            [1 MiB]
   --mmap              serve zero-copy from the OS page cache (v2 files)
-  --hot-hubs K        cache the K top-ranked hubs' distance rows and
-                      consult them before the merge join; the cache is
-                      rebuilt atomically on RELOAD                 [off]
   --shard             required to serve a .chl v3 shard file; the server
                       answers NOT_THIS_SHARD for unowned vertices and is
                       meant to sit behind 'chl route'";
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
-    let opts = Opts::parse(
-        args,
-        &["addr", "threads", "max-frame", "hot-hubs"],
-        &["mmap", "shard"],
-    )?;
+    let opts = Opts::parse(args, &["addr", "threads", "max-frame"], &["mmap", "shard"])?;
     let index_path = opts.positional(0, "index file argument")?.to_string();
     opts.reject_extra_positionals(1)?;
     let addr = opts.value("addr").unwrap_or("127.0.0.1:7557").to_string();
@@ -54,15 +47,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let options = ServeOptions {
         threads: opts.parsed_or("threads", defaults.threads)?,
         max_frame: opts.parsed_or("max-frame", defaults.max_frame)?,
-        ..defaults
     };
     if opts.value("threads").is_some() && options.threads == 0 {
         return Err("--threads must be at least 1".into());
     }
 
-    let hot_hubs: u32 = opts.parsed_or("hot-hubs", 0)?;
     let shared = Arc::new(
-        SharedIndex::open_with(&index_path, opts.switch("mmap"), hot_hubs)
+        SharedIndex::open(&index_path, opts.switch("mmap"))
             .map_err(|e| format!("cannot load index {index_path}: {e}"))?,
     );
     let snapshot = shared.snapshot();
@@ -99,13 +90,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         snapshot.total_labels(),
         snapshot.backend_name()
     );
-    if snapshot.hot_hubs() > 0 {
-        println!(
-            "hot-hub cache: {} hubs, {} bytes",
-            snapshot.hot_hubs(),
-            snapshot.cache_bytes()
-        );
-    }
     drop(snapshot);
 
     let server = Server::bind(addr.as_str(), shared, options)

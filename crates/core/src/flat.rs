@@ -37,7 +37,7 @@ use chl_graph::types::{Distance, VertexId};
 use chl_ranking::Ranking;
 
 use crate::index::HubLabelIndex;
-use crate::kernel::{self, HotHubCache};
+use crate::kernel;
 use crate::labels::{join_sorted_iters, LabelEntry, LabelSet};
 use crate::oracle::DistanceOracle;
 use crate::persist::{self, PersistError, SaveOptions, ShardSpec};
@@ -64,7 +64,7 @@ pub trait LabelStorage<'a>: Copy + Sync {
     /// The same run as a plain contiguous slice, when this storage keeps
     /// entries decoded in memory; `None` for streaming encodings. This is
     /// what routes slice-backed storages into the tiered
-    /// branchless/gallop/SIMD join ([`crate::kernel::join_adaptive`]) while
+    /// scalar/branchless/gallop join ([`crate::kernel::join_adaptive`]) while
     /// streaming decoders keep the iterator kernel.
     #[inline]
     fn raw_run(&self, _v: usize, _lo: usize, _hi: usize) -> Option<&'a [LabelEntry]> {
@@ -324,7 +324,7 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     }
 
     /// The merge join behind [`Self::query`] / [`Self::query_with_hub`]:
-    /// slice-backed storages take the tiered branchless/gallop/SIMD kernel,
+    /// slice-backed storages take the tiered scalar/branchless/gallop kernel,
     /// streaming storages keep the iterator join. Both runs must be in
     /// range.
     #[inline]
@@ -407,32 +407,6 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
             .map(|(hub_pos, d)| (self.vertex_at(hub_pos), d))
     }
 
-    /// [`Self::query`] with a [`HotHubCache`] answering the head of the
-    /// join: the cached hub positions (`hub < k`) are folded in via two
-    /// array loads per hub, and only the run tails (`hub >= k`) go through
-    /// the merge join. Returns exactly what [`Self::query`] returns — the
-    /// cache rows store absent labels as `INFINITY`, which the saturating
-    /// min-reduction absorbs — and falls back to the plain query when the
-    /// cache was built for a different vertex count.
-    pub fn query_cached(&self, cache: &HotHubCache, u: VertexId, v: VertexId) -> Distance {
-        let (Some(lu), Some(lv)) = (self.label_run(u), self.label_run(v)) else {
-            return chl_graph::types::INFINITY;
-        };
-        if u == v {
-            return 0;
-        }
-        if cache.num_vertices() != self.num_vertices() {
-            return self.query(u, v);
-        }
-        let head = cache.min_over_hot(u, v);
-        let k = cache.top_k();
-        let tail = match (self.raw_run_of(u), self.raw_run_of(v)) {
-            (Some(ra), Some(rb)) => kernel::join_adaptive(tail_from(ra, k), tail_from(rb, k)),
-            _ => join_sorted_iters(lu.skip_while(|e| e.hub < k), lv.skip_while(|e| e.hub < k)),
-        };
-        head.min(tail.map(|(_, d)| d).unwrap_or(chl_graph::types::INFINITY))
-    }
-
     /// Total number of labels stored.
     pub fn total_labels(&self) -> usize {
         *self.offsets.last().unwrap_or(&0) as usize
@@ -472,14 +446,6 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
             + self.store.storage_bytes()
             + std::mem::size_of_val(self.order)
     }
-}
-
-/// The `hub >= k` suffix of a hub-sorted run — the part a top-`k`
-/// [`HotHubCache`] does not cover.
-#[inline]
-fn tail_from(run: &[LabelEntry], k: u32) -> &[LabelEntry] {
-    run.get(run.partition_point(|e| e.hub < k)..)
-        .unwrap_or_default()
 }
 
 impl<'a> FlatView<'a> {
@@ -707,17 +673,6 @@ impl<'a> IndexView<'a> {
         match &self.storage {
             StorageView::Flat(view) => view.query(u, v),
             StorageView::Compressed(view) => view.query(u, v),
-        }
-    }
-
-    /// [`LabelView::query_cached`] behind the runtime encoding dispatch:
-    /// the cache answers hub positions `< k`, the merge join only the run
-    /// tails. Answers match [`Self::query`] exactly.
-    #[inline]
-    pub fn query_cached(&self, cache: &HotHubCache, u: VertexId, v: VertexId) -> Distance {
-        match &self.storage {
-            StorageView::Flat(view) => view.query_cached(cache, u, v),
-            StorageView::Compressed(view) => view.query_cached(cache, u, v),
         }
     }
 

@@ -1,4 +1,4 @@
-//! Tiered PPSD merge-join kernels and the hot-hub distance cache.
+//! Tiered PPSD merge-join kernels.
 //!
 //! Every distance query in the workspace reduces to one operation: given the
 //! hub-sorted label runs of `u` and `v`, find the minimum
@@ -18,11 +18,6 @@
 //!   of the shorter one; selected when the runs' lengths differ by
 //!   [`GALLOP_FACTOR`] or more (hub vertices carry runs orders of magnitude
 //!   longer than leaf vertices).
-//! * [`join_simd`] — `std::arch` block compare of hub ids (SSE2/AVX2 on
-//!   x86_64, NEON on aarch64; AVX2 behind a memoized runtime probe, the
-//!   rest statically guaranteed by the target), with the distance
-//!   min-reduction kept in the shared scalar accumulator so tie-breaking
-//!   stays bit-identical to the reference join.
 //! * [`join_adaptive`] — the tier selector [`crate::flat::LabelView`] calls
 //!   for every decoded (slice-backed) storage; streaming compressed runs
 //!   keep the iterator kernel.
@@ -31,19 +26,11 @@
 //! `Option`, same hub on ties (the first, i.e. highest-ranked, hub achieving
 //! the minimal sum), same `Distance::MAX` saturation — a property pinned
 //! down by the differential proptests in `tests/proptest_kernels.rs`.
-//!
-//! [`HotHubCache`] is the query-side complement: hub labelings concentrate
-//! query hits on the few best-ranked hubs, so a read-mostly cache of the
-//! top-`k` hubs' full distance rows answers the head of the join with two
-//! array loads per hub and leaves only the tail (`hub >= k`) to the merge
-//! join. [`HotHubCached`] wraps any slice-viewable oracle with one.
 
 use chl_graph::types::{Distance, VertexId, INFINITY};
 
-use crate::flat::{FlatIndex, IndexView, LabelStorage, LabelView, StorageView};
+use crate::flat::{LabelStorage, LabelView};
 use crate::labels::LabelEntry;
-use crate::mapped::MmapIndex;
-use crate::oracle::DistanceOracle;
 
 /// Length ratio at which [`join_adaptive`] switches from block scanning to
 /// galloping: the longer run must be at least this many times the shorter.
@@ -55,9 +42,10 @@ use crate::oracle::DistanceOracle;
 /// O(short · log long).
 pub const GALLOP_FACTOR: usize = 16;
 
-/// Minimum longer-run length for the SIMD tier; below this the scalar
-/// branchless loop wins (vector setup cost dominates 1–2 block iterations).
-const SIMD_MIN: usize = 16;
+/// Minimum longer-run length for the branchy [`join_scalar`] tier; below
+/// it both runs sit in a cache line or two, there are no misses for
+/// speculation to hide, and [`join_branchless`] wins by never mispredicting.
+const SCALAR_MIN: usize = 16;
 
 /// The running best of a merge join: first (highest-ranked) hub achieving
 /// the strictly minimal `d(u,h) + d(v,h)` seen so far.
@@ -103,8 +91,8 @@ impl Best {
     }
 }
 
-/// The branchless two-pointer core, continuing from an already-accumulated
-/// [`Best`] — shared by [`join_branchless`] and every SIMD tail.
+/// The branchless two-pointer core of [`join_branchless`], folding hits
+/// into a caller-supplied [`Best`].
 #[inline(always)]
 fn join_branchless_into(a: &[LabelEntry], b: &[LabelEntry], best: &mut Best) {
     let (mut i, mut j) = (0usize, 0usize);
@@ -141,7 +129,7 @@ pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Dista
 /// speculate several iterations ahead and overlap the label-run cache
 /// misses, which the data-dependent conditional-move advance of
 /// [`join_branchless`] serializes into a latency chain (measured in
-/// `crates/bench/examples/hot_hub_tuning.rs`).
+/// `crates/bench/examples/join_tier_sweep.rs`).
 #[inline]
 pub fn join_scalar(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
     crate::labels::join_sorted_iters(a.iter().copied(), b.iter().copied())
@@ -194,62 +182,6 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
     best.into_option()
 }
 
-/// SIMD merge join: hub ids of the longer run are compared in blocks
-/// against a broadcast of the shorter run's current hub; the distance
-/// min-reduction runs through the shared scalar accumulator so ordering
-/// and saturation semantics match the reference join exactly. Falls back
-/// to [`join_branchless`] on targets without a vector unit.
-pub fn join_simd(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    join_simd_impl(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    if x86::avx2_available() {
-        // SAFETY: the memoized runtime probe just confirmed AVX2 on this
-        // CPU, which is `join_avx2`'s only requirement.
-        unsafe { x86::join_avx2(a, b) }
-    } else {
-        // SAFETY: SSE2 is part of the x86_64 baseline — every CPU this
-        // `cfg(target_arch = "x86_64")` code can run on has it.
-        unsafe { x86::join_sse2(a, b) }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    arm::join_neon(a, b)
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-#[inline]
-fn join_simd_impl(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    join_branchless(a, b)
-}
-
-/// Name of the SIMD backend [`join_simd`] dispatches to on this machine,
-/// for diagnostics and bench labels.
-pub fn simd_backend() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x86::avx2_available() {
-            "avx2"
-        } else {
-            "sse2"
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        "neon"
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        "scalar"
-    }
-}
-
 /// The tier selector: the merge join [`crate::flat::LabelView`] (and, via
 /// [`crate::labels::join_sorted_slices`], the pointer-per-vertex
 /// [`crate::labels::LabelSet`]) runs for every slice-backed storage.
@@ -258,12 +190,7 @@ pub fn simd_backend() -> &'static str {
 /// runs take the branchless scan (its conditional-move loop beats branch
 /// mispredictions when everything is cache-resident), and medium-and-up
 /// similar-length runs keep the branchy scalar join, whose speculation
-/// overlaps the label-run cache misses. The SIMD block probe stays opt-in
-/// ([`join_simd`]): measured on serving-sized runs it trails the scalar
-/// tiers (gather/unpack setup outweighs the compare throughput at label-run
-/// lengths), so wiring it into the default path would regress the hot path
-/// it exists to speed up — revisit if label runs grow past a few hundred
-/// entries.
+/// overlaps the label-run cache misses.
 #[inline]
 pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
     let (s, l) = if a.len() <= b.len() {
@@ -277,452 +204,10 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
     if l >= s.saturating_mul(GALLOP_FACTOR) {
         return join_gallop(a, b);
     }
-    if l < SIMD_MIN {
+    if l < SCALAR_MIN {
         return join_branchless(a, b);
     }
     join_scalar(a, b)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! x86_64 block-compare joins. SSE2 is part of the x86_64 baseline, so
-    //! `join_sse2` needs no detection; AVX2 goes through a memoized
-    //! `is_x86_feature_detected!` probe.
-
-    use std::arch::x86_64::{
-        __m128i, _mm256_castsi256_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32,
-        _mm256_i32gather_epi32, _mm256_movemask_ps, _mm256_set1_epi32, _mm256_setr_epi32,
-        _mm256_xor_si256, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_cmplt_epi32, _mm_loadu_si128,
-        _mm_movemask_ps, _mm_set1_epi32, _mm_unpacklo_epi32, _mm_unpacklo_epi64, _mm_xor_si128,
-    };
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    use super::{join_branchless_into, Best};
-    use crate::labels::LabelEntry;
-    use chl_graph::types::Distance;
-
-    /// Memoized AVX2 probe: 0 = not probed, 1 = absent, 2 = present.
-    static AVX2: AtomicU8 = AtomicU8::new(0);
-
-    /// `true` when this CPU supports AVX2 (probed once, then cached).
-    #[inline]
-    pub(super) fn avx2_available() -> bool {
-        // ORDERING: the cached value is a pure function of the CPU — every
-        // racing probe computes and stores the same byte, and no other
-        // memory is published through it, so Relaxed suffices.
-        match AVX2.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let yes = std::arch::is_x86_feature_detected!("avx2");
-                // ORDERING: idempotent memoization of the probe above; all
-                // writers store the identical value.
-                AVX2.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-                yes
-            }
-        }
-    }
-
-    /// Packs the hub ids of the four consecutive 16-byte [`LabelEntry`]
-    /// records at `p` into one vector, lane `k` = hub of entry `k`.
-    ///
-    /// # Safety
-    ///
-    /// `p` must point at four readable, initialized `LabelEntry` records
-    /// (64 bytes).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    unsafe fn hubs4(p: *const LabelEntry) -> __m128i {
-        // SAFETY: the caller guarantees 64 readable bytes at `p`; the loads
-        // are explicitly unaligned, and every bit pattern is a valid i32x4.
-        unsafe {
-            let e0 = _mm_loadu_si128(p.cast::<__m128i>());
-            let e1 = _mm_loadu_si128(p.add(1).cast::<__m128i>());
-            let e2 = _mm_loadu_si128(p.add(2).cast::<__m128i>());
-            let e3 = _mm_loadu_si128(p.add(3).cast::<__m128i>());
-            // Lane 0 of each entry vector is its hub (offset 0 in the
-            // `#[repr(C)]` layout): interleave down to [h0, h1, h2, h3].
-            let lo = _mm_unpacklo_epi32(e0, e1);
-            let hi = _mm_unpacklo_epi32(e2, e3);
-            _mm_unpacklo_epi64(lo, hi)
-        }
-    }
-
-    /// SSE2 block-compare join. The shorter run drives; the longer run's
-    /// hubs are scanned four at a time. SSE2 is part of the x86_64 baseline,
-    /// so despite the `#[target_feature]` attribute (which is what lets the
-    /// intrinsics be called without `unsafe`) this is a safe function:
-    /// callers need no runtime detection.
-    #[target_feature(enable = "sse2")]
-    pub(super) fn join_sse2(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        // Hub ids are unsigned but SSE2 only compares signed lanes: XOR
-        // both sides with the sign bit to turn u32 order into i32 order.
-        let sign = _mm_set1_epi32(i32::MIN);
-        while i < small.len() && j + 4 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 4 <= large.len()` holds by the loop condition,
-            // so four entries starting at index j are readable.
-            let hubs = unsafe { hubs4(large.as_ptr().add(j)) };
-            let probe = _mm_set1_epi32(x.hub as i32);
-            let lt = _mm_cmplt_epi32(_mm_xor_si128(hubs, sign), _mm_xor_si128(probe, sign));
-            let ltm = (_mm_movemask_ps(_mm_castsi128_ps(lt)) as u32) & 0xF;
-            if ltm == 0xF {
-                // The whole block sits below the probe hub: skip it and
-                // retry the same probe against the next block.
-                j += 4;
-                continue;
-            }
-            let eqm =
-                (_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hubs, probe))) as u32) & 0xF;
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..4 set, so
-                // k <= j + 3 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                // Sorted block: lanes below the probe form a prefix.
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        // Whatever the vector loop could not cover (tail of either run)
-        // continues through the scalar core with the accumulated best.
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
-
-    /// AVX2 block-compare join: eight hubs per step, gathered straight out
-    /// of the 16-byte entry stride.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 (check [`avx2_available`] first).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn join_avx2(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        let sign = _mm256_set1_epi32(i32::MIN);
-        // Word offsets of the hub field in eight consecutive 16-byte
-        // entries (stride 4 u32 words), for a scale-4 gather.
-        let idx = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
-        while i < small.len() && j + 8 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 8 <= large.len()` by the loop condition, so the
-            // eight gathered u32 words (offsets 0..=28 from entry j, scale
-            // 4) all fall inside the slice; any bit pattern is valid.
-            let hubs =
-                unsafe { _mm256_i32gather_epi32::<4>(large.as_ptr().add(j).cast::<i32>(), idx) };
-            let probe = _mm256_set1_epi32(x.hub as i32);
-            // AVX2 has no cmplt: hub < probe is probe > hub, sign-biased.
-            let lt =
-                _mm256_cmpgt_epi32(_mm256_xor_si256(probe, sign), _mm256_xor_si256(hubs, sign));
-            let ltm = (_mm256_movemask_ps(_mm256_castsi256_ps(lt)) as u32) & 0xFF;
-            if ltm == 0xFF {
-                j += 8;
-                continue;
-            }
-            let eqm = (_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(hubs, probe)))
-                as u32)
-                & 0xFF;
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..8 set, so
-                // k <= j + 7 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arm {
-    //! aarch64 NEON block-compare join. NEON is part of the aarch64
-    //! baseline, so no runtime detection is needed.
-
-    use std::arch::aarch64::{
-        uint32x4_t, vaddvq_u32, vandq_u32, vceqq_u32, vcltq_u32, vdupq_n_u32, vld1q_u32, vld4q_u32,
-    };
-
-    use super::{join_branchless_into, Best};
-    use crate::labels::LabelEntry;
-    use chl_graph::types::Distance;
-
-    /// Lane weights turning an all-ones/all-zeros compare vector into a
-    /// 4-bit mask via horizontal add.
-    const MASK_WEIGHTS: [u32; 4] = [1, 2, 4, 8];
-
-    /// Packs the hub ids of the four consecutive 16-byte [`LabelEntry`]
-    /// records at `p` into one vector, lane `k` = hub of entry `k`.
-    ///
-    /// # Safety
-    ///
-    /// `p` must point at four readable, initialized `LabelEntry` records
-    /// (64 bytes).
-    #[inline]
-    unsafe fn hubs4(p: *const LabelEntry) -> uint32x4_t {
-        // SAFETY: the caller guarantees 64 readable bytes (16 u32 words) at
-        // `p`; vld4q_u32 de-interleaves with stride 4, so field .0 collects
-        // word 0 of each entry — the hub (offset 0 in `#[repr(C)]`).
-        unsafe { vld4q_u32(p.cast::<u32>()).0 }
-    }
-
-    /// Collapses a per-lane all-ones/all-zeros vector into a 4-bit mask.
-    #[inline]
-    fn mask4(v: uint32x4_t) -> u32 {
-        // SAFETY: MASK_WEIGHTS is a 4-element array, so the load reads
-        // exactly 16 valid bytes; the arithmetic intrinsics have no
-        // requirements beyond NEON, which is baseline on aarch64.
-        unsafe { vaddvq_u32(vandq_u32(v, vld1q_u32(MASK_WEIGHTS.as_ptr()))) }
-    }
-
-    /// NEON block-compare join: same structure as the SSE2 variant, with
-    /// native unsigned lane compares.
-    pub(super) fn join_neon(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-        let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let mut best = Best::new();
-        let mut i = 0usize;
-        let mut j = 0usize;
-        while i < small.len() && j + 4 <= large.len() {
-            // SAFETY: `i < small.len()` holds by the loop condition.
-            let x = unsafe { *small.get_unchecked(i) };
-            // SAFETY: `j + 4 <= large.len()` holds by the loop condition,
-            // so four entries starting at index j are readable.
-            let hubs = unsafe { hubs4(large.as_ptr().add(j)) };
-            // SAFETY: pure register arithmetic; NEON is statically
-            // guaranteed on aarch64.
-            let (ltm, eqm) = unsafe {
-                let probe = vdupq_n_u32(x.hub);
-                (mask4(vcltq_u32(hubs, probe)), mask4(vceqq_u32(hubs, probe)))
-            };
-            if ltm == 0xF {
-                j += 4;
-                continue;
-            }
-            if eqm != 0 {
-                let k = j + eqm.trailing_zeros() as usize;
-                // SAFETY: eqm only has bits 0..4 set, so
-                // k <= j + 3 < large.len().
-                let y = unsafe { *large.get_unchecked(k) };
-                best.update(x.hub, x.dist.saturating_add(y.dist));
-                j = k + 1;
-            } else {
-                j += ltm.trailing_ones() as usize;
-            }
-            i += 1;
-        }
-        join_branchless_into(
-            small.get(i..).unwrap_or_default(),
-            large.get(j..).unwrap_or_default(),
-            &mut best,
-        );
-        best.into_option()
-    }
-}
-
-/// Read-mostly cache of the top-`k` highest-ranked hubs' full distance
-/// rows: `stripe(v)[h] = d(v, h)` for every vertex `v` labeled with hub
-/// position `h < k`, `INFINITY` where the label is absent.
-///
-/// Hub labelings concentrate query traffic on the best-ranked hubs — the
-/// rank-0 hub appears in almost every label set — so the head of most merge
-/// joins (hubs `< k`) can be answered with `2k` array loads and a running
-/// min, no merging at all. The tail (`hubs >= k`) still goes through
-/// [`join_adaptive`]; [`LabelView::query_cached`] combines the two.
-///
-/// Storage is **vertex-major**: vertex `v`'s `k` cached distances are one
-/// contiguous stripe, so a query touches two cache-line-sized stripes
-/// instead of gathering one element from each of `k` hub rows spread
-/// across `8·k·n` bytes (the hub-major layout missed cache on every load).
-///
-/// The cache costs `8 · k · n` bytes and is immutable after build: serving
-/// tiers rebuild it on hot reload (see `chl serve`), which is what keeps it
-/// coherent with the index snapshot it was built from.
-#[derive(Debug, Clone)]
-pub struct HotHubCache {
-    /// Hub rank positions `0..k` are cached.
-    k: u32,
-    /// Stripe count (the index's global vertex count).
-    n: usize,
-    /// `n` stripes of `k` distances each, vertex-major.
-    stripes: Box<[Distance]>,
-}
-
-impl HotHubCache {
-    /// Builds the cache for the top-`k` hub positions of `view` (clamped to
-    /// the vertex count: an index cannot have more hubs than vertices).
-    pub fn build(view: &IndexView<'_>, k: u32) -> HotHubCache {
-        match &view.storage {
-            StorageView::Flat(v) => HotHubCache::build_from(v, k),
-            StorageView::Compressed(v) => HotHubCache::build_from(v, k),
-        }
-    }
-
-    /// Builds the cache from any storage-generic label view: one pass over
-    /// each vertex's run prefix (runs are hub-sorted, so the `hub < k`
-    /// prefix is all that is ever read).
-    pub fn build_from<'a, S: LabelStorage<'a>>(view: &LabelView<'a, S>, k: u32) -> HotHubCache {
-        let n = view.num_vertices();
-        let k = (k as u64).min(n as u64) as u32;
-        let mut stripes = vec![INFINITY; k as usize * n].into_boxed_slice();
-        for v in 0..n as VertexId {
-            let Some(run) = view.label_run(v) else {
-                continue;
-            };
-            for e in run {
-                if e.hub >= k {
-                    break;
-                }
-                if let Some(slot) = stripes.get_mut(v as usize * k as usize + e.hub as usize) {
-                    *slot = e.dist;
-                }
-            }
-        }
-        HotHubCache { k, n, stripes }
-    }
-
-    /// Number of hub positions cached (after clamping).
-    pub fn top_k(&self) -> u32 {
-        self.k
-    }
-
-    /// Vertex count the stripes were built for.
-    pub fn num_vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Heap bytes held by the distance stripes.
-    pub fn memory_bytes(&self) -> usize {
-        self.stripes.len() * std::mem::size_of::<Distance>()
-    }
-
-    /// Cached distance from `v` to hub position `h`, `INFINITY` when the
-    /// label is absent or either id is out of range.
-    #[inline]
-    pub fn hub_distance(&self, h: u32, v: VertexId) -> Distance {
-        if h >= self.k {
-            return INFINITY;
-        }
-        self.stripes
-            .get(v as usize * self.k as usize + h as usize)
-            .copied()
-            .unwrap_or(INFINITY)
-    }
-
-    /// Minimum `d(u,h) + d(v,h)` over the cached hubs, `INFINITY` when no
-    /// cached hub covers the pair (absent labels are stored as `INFINITY`,
-    /// which the saturating add absorbs). Out-of-range ids are `INFINITY`.
-    #[inline]
-    pub fn min_over_hot(&self, u: VertexId, v: VertexId) -> Distance {
-        let (u, v) = (u as usize, v as usize);
-        let k = self.k as usize;
-        if u >= self.n || v >= self.n || k == 0 {
-            return INFINITY;
-        }
-        // SAFETY: `u < n`, `v < n` were checked above and the stripes
-        // buffer holds exactly `n * k` elements, so both ranges
-        // `[x*k, x*k + k)` are in bounds.
-        let (su, sv) = unsafe {
-            (
-                self.stripes.get_unchecked(u * k..u * k + k),
-                self.stripes.get_unchecked(v * k..v * k + k),
-            )
-        };
-        let mut bestv = INFINITY;
-        for (du, dv) in su.iter().zip(sv) {
-            let total = du.saturating_add(*dv);
-            bestv = if total < bestv { total } else { bestv };
-        }
-        bestv
-    }
-}
-
-/// Anything that can lend out a borrowed, runtime-dispatched [`IndexView`]
-/// — the hook [`HotHubCached`] uses to build its cache and route queries.
-pub trait ViewSource: Sync {
-    /// A borrowed view of the underlying index.
-    fn index_view(&self) -> IndexView<'_>;
-}
-
-impl ViewSource for FlatIndex {
-    fn index_view(&self) -> IndexView<'_> {
-        self.as_index_view()
-    }
-}
-
-impl ViewSource for MmapIndex {
-    fn index_view(&self) -> IndexView<'_> {
-        self.view()
-    }
-}
-
-/// A [`DistanceOracle`] adapter that consults a [`HotHubCache`] before the
-/// merge join: `chl query --hot-hubs k` wraps its backend in one, and the
-/// serving tier embeds the same cache in its reloadable snapshot.
-pub struct HotHubCached<O> {
-    inner: O,
-    cache: HotHubCache,
-}
-
-impl<O: ViewSource> HotHubCached<O> {
-    /// Builds the top-`k` cache from `inner`'s current view and wraps it.
-    pub fn new(inner: O, k: u32) -> HotHubCached<O> {
-        let cache = HotHubCache::build(&inner.index_view(), k);
-        HotHubCached { inner, cache }
-    }
-
-    /// The cache being consulted.
-    pub fn cache(&self) -> &HotHubCache {
-        &self.cache
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwraps, dropping the cache.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: ViewSource + DistanceOracle> DistanceOracle for HotHubCached<O> {
-    fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.inner.index_view().query_cached(&self.cache, u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.inner.num_vertices()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes() + self.cache.memory_bytes()
-    }
 }
 
 /// Hub-side pivoted evaluation of an S×T distance block, row-major —
@@ -738,6 +223,8 @@ impl<O: ViewSource + DistanceOracle> DistanceOracle for HotHubCached<O> {
 /// same `INFINITY` for disconnected/out-of-range cells, and the same
 /// `s == t → 0` self-distance rule (which on a shard file applies to
 /// foreign vertices too, matching the shard-blind point query).
+///
+/// [`DistanceOracle::matrix`]: crate::oracle::DistanceOracle::matrix
 pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
     view: &LabelView<'a, S>,
     sources: &[VertexId],
@@ -815,7 +302,6 @@ mod tests {
         let want = reference(a, b);
         assert_eq!(join_branchless(a, b), want, "branchless");
         assert_eq!(join_gallop(a, b), want, "gallop");
-        assert_eq!(join_simd(a, b), want, "simd ({})", simd_backend());
         assert_eq!(join_adaptive(a, b), want, "adaptive");
         assert_eq!(join_sorted_slices(a, b), want, "join_sorted_slices front");
         // Symmetric in the distance (the hub is too — same common set).
@@ -874,8 +360,8 @@ mod tests {
 
     #[test]
     fn block_boundary_lengths_are_covered() {
-        // Exercise vector-loop tails at every small length around the 4- and
-        // 8-lane block sizes.
+        // Every small length pair on both sides of the branchless/scalar
+        // switch at 16.
         for la in 0..=17usize {
             for lb in 0..=17usize {
                 let a: Vec<LabelEntry> = (0..la)
@@ -896,54 +382,5 @@ mod tests {
         // 64 >= 16 * 1: gallop tier; result still matches.
         assert_eq!(join_adaptive(&short, &long), reference(&short, &long));
         assert_eq!(join_gallop(&short, &long), reference(&short, &long));
-    }
-
-    #[test]
-    fn hot_hub_cache_matches_plain_queries() {
-        use crate::index::HubLabelIndex;
-        use chl_ranking::Ranking;
-
-        // Path 0 - 1 - 2, ranking 1 > 0 > 2 (the flat.rs tiny index).
-        let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        let index = HubLabelIndex::from_triples(
-            vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
-            ranking,
-        );
-        let flat = FlatIndex::from_index(&index);
-        for k in [0u32, 1, 2, 3, 16] {
-            let cached = HotHubCached::new(flat.clone(), k);
-            assert_eq!(cached.cache().top_k(), k.min(3));
-            for u in 0..5 {
-                for v in 0..5 {
-                    assert_eq!(cached.distance(u, v), flat.query(u, v), "k={k} ({u},{v})");
-                }
-            }
-        }
-        let cached = HotHubCached::new(flat.clone(), 2);
-        assert!(cached.memory_bytes() > flat.memory_bytes());
-        assert_eq!(cached.num_vertices(), 3);
-        assert_eq!(cached.inner().num_vertices(), 3);
-        assert_eq!(cached.into_inner().num_vertices(), 3);
-    }
-
-    #[test]
-    fn cache_rows_hold_distances_for_present_labels_only() {
-        use crate::index::HubLabelIndex;
-        use chl_ranking::Ranking;
-
-        let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        let index = HubLabelIndex::from_triples(
-            vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
-            ranking,
-        );
-        let flat = FlatIndex::from_index(&index);
-        let cache = HotHubCache::build(&flat.as_index_view(), 1);
-        // Hub position 0 is vertex 1: d = 1, 0, 1 along the path.
-        assert_eq!(cache.min_over_hot(0, 2), 2);
-        assert_eq!(cache.min_over_hot(1, 2), 1);
-        // Out-of-range ids never panic.
-        assert_eq!(cache.min_over_hot(7, 0), INFINITY);
-        assert_eq!(cache.min_over_hot(0, 7), INFINITY);
-        assert_eq!(cache.memory_bytes(), 3 * 8);
     }
 }

@@ -101,8 +101,8 @@
 //! lifecycle from the shell (`chl query --mmap` for the zero-copy path).
 
 // The unsafe surface of this crate lives in persist.rs/mapped.rs (byte
-// reinterpretation and mmap) and kernel.rs (SIMD intrinsics and
-// bounds-elided loads), and every unsafe operation must sit in an explicit
+// reinterpretation and mmap) and kernel.rs (two bounds-elided loads in the
+// branchless join), and every unsafe operation must sit in an explicit
 // `unsafe {}` block with its own `// SAFETY:` argument — even inside
 // `unsafe fn`s (enforced by `chl-lint check`).
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -135,7 +135,6 @@ pub use config::LabelingConfig;
 pub use error::LabelingError;
 pub use flat::{FlatIndex, FlatView, IndexView, LabelStorage, LabelView};
 pub use index::{HubLabelIndex, LabelingResult};
-pub use kernel::{HotHubCache, HotHubCached};
 pub use labels::{LabelEntry, LabelSet};
 pub use mapped::MmapIndex;
 pub use oracle::DistanceOracle;

@@ -36,7 +36,7 @@ use chl_graph::types::{Distance, VertexId};
 
 use crate::flat::IndexView;
 use crate::oracle::DistanceOracle;
-use crate::persist::{self, AlignedBytes, PersistError, ShardSpec};
+use crate::persist::{self, AlignedBytes, LayoutV2, PersistError, ShardSpec};
 
 /// A `.chl` v2/v3 index served zero-copy from a file mapping (or, as a
 /// fallback, from one aligned buffered read of the file).
@@ -60,13 +60,9 @@ use crate::persist::{self, AlignedBytes, PersistError, ShardSpec};
 #[derive(Debug)]
 pub struct MmapIndex {
     backing: Backing,
-    num_vertices: usize,
-    num_entries: usize,
-    version: u32,
-    compressed: bool,
-    /// Whether the file carries a path section (per-entry parent records),
-    /// cached at open like the other layout parameters.
-    paths: bool,
+    /// The section layout `open` validated `backing` against; every view
+    /// is assembled from these ranges.
+    layout: LayoutV2,
     /// Owned copy of the shard section, cached at open so per-query shard
     /// membership checks never re-walk the mapped bytes' layout.
     shard: Option<ShardSpec>,
@@ -118,59 +114,41 @@ impl MmapIndex {
     /// [`PersistError::NotZeroCopy`].
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let backing = open_backing(path.as_ref())?;
-        let version = persist::parse_header(backing.as_slice())?.version;
-        let view = persist::open_view(backing.as_slice())?;
-        let (num_vertices, num_entries) = (view.num_vertices(), view.total_labels());
-        let compressed = view.is_compressed();
-        let paths = view.has_path_data();
-        let shard = view.shard().map(|s| s.to_spec());
+        let layout = persist::validate_layout(backing.as_slice())?;
+        let shard = persist::assemble_view(backing.as_slice(), &layout)
+            .shard()
+            .map(|s| s.to_spec());
         Ok(MmapIndex {
             backing,
-            num_vertices,
-            num_entries,
-            version,
-            compressed,
-            paths,
+            layout,
             shard,
         })
     }
 
     /// The borrowed query kernel over the mapped bytes. Cheap enough to call
-    /// per query: reconstructing the view is a few pointer casts, with all
-    /// validation already paid at [`MmapIndex::open`]. Flat files serve a
-    /// [`FlatView`](crate::flat::FlatView) arm, compressed files a
+    /// per query: assembling the view is a few slice cuts and pointer casts
+    /// over the layout [`MmapIndex::open`] validated and kept. Flat files
+    /// serve a [`FlatView`](crate::flat::FlatView) arm, compressed files a
     /// streaming [`CompressedView`](crate::flat::CompressedView) arm — the
     /// query kernel is the same either way.
     #[inline]
     pub fn view(&self) -> IndexView<'_> {
-        // SAFETY: open() ran open_view over this exact backing with these
-        // parameters; the backing is immutable for self's lifetime (modulo
-        // the documented external-mutation caveat) and keeps its 8-byte
-        // base alignment (mmap is page-aligned, AlignedBytes by
-        // construction).
-        unsafe {
-            persist::view_assuming_valid(
-                self.backing.as_slice(),
-                self.num_vertices,
-                self.num_entries,
-                self.version,
-                self.compressed,
-                self.paths,
-                self.shard.is_some(),
-            )
-        }
+        // The backing is immutable for self's lifetime (modulo the
+        // documented external-mutation caveat) and keeps its 8-byte base
+        // alignment: mmap is page-aligned, AlignedBytes by construction.
+        persist::assemble_view(self.backing.as_slice(), &self.layout)
     }
 
     /// `true` when the file carries a path section, i.e.
     /// [`crate::paths::PathOracle::path`] can answer through this index.
     pub fn has_path_data(&self) -> bool {
-        self.paths
+        self.layout.paths.is_some()
     }
 
     /// `true` when the file's entries section is delta+varint compressed —
     /// queries stream-decode instead of reinterpreting records in place.
     pub fn is_compressed(&self) -> bool {
-        self.compressed
+        self.layout.compressed.is_some()
     }
 
     /// The shard identity cached at open, when the file is one QDOL shard
@@ -196,12 +174,12 @@ impl MmapIndex {
 
     /// Number of vertices covered by the index.
     pub fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.layout.n
     }
 
     /// Total number of labels stored.
     pub fn total_labels(&self) -> usize {
-        self.num_entries
+        self.layout.m
     }
 
     /// Size of the backing file image in bytes — what the mapping can fault
@@ -217,7 +195,7 @@ impl DistanceOracle for MmapIndex {
     }
 
     fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.layout.n
     }
 
     /// For a mapped index the whole file image backs queries (the kernel
@@ -236,6 +214,8 @@ mod tests {
     use super::*;
     use crate::flat::FlatIndex;
     use crate::index::HubLabelIndex;
+    use crate::paths::PathOracle;
+    use crate::persist::SaveOptions;
     use chl_graph::types::INFINITY;
     use chl_ranking::Ranking;
 
@@ -257,41 +237,74 @@ mod tests {
 
     #[test]
     fn mapped_index_answers_identically_to_owned() {
-        let flat = tiny_flat();
         let path = temp_path("parity");
-        flat.save(&path).unwrap();
-
-        let mapped = MmapIndex::open(&path).unwrap();
-        assert_eq!(mapped.num_vertices(), flat.num_vertices());
-        assert_eq!(mapped.total_labels(), flat.total_labels());
-        assert_eq!(
-            mapped.file_len(),
-            std::fs::metadata(&path).unwrap().len() as usize
-        );
-        for u in 0..5 {
-            for v in 0..5 {
-                assert_eq!(mapped.view().query(u, v), flat.query(u, v), "({u}, {v})");
-                assert_eq!(mapped.distance(u, v), flat.query(u, v));
-                assert_eq!(
-                    mapped.view().query_with_hub(u, v),
-                    flat.query_with_hub(u, v)
-                );
+        // Every layout the stored section ranges can describe: compressed x
+        // path section x shard section.
+        for combo in 0..8u32 {
+            let (compressed, paths, sharded) = (combo & 1 != 0, combo & 2 != 0, combo & 4 != 0);
+            let mut flat = tiny_flat();
+            if paths {
+                // One parent per entry: self for distance 0, else vertex 1,
+                // the only neighbor of both path ends.
+                flat = flat.with_parents(vec![1, 0, 1, 1, 2]).unwrap();
             }
+            if sharded {
+                let spec = ShardSpec {
+                    shard_id: 0,
+                    shard_count: 3,
+                    zeta: 2,
+                    owned: vec![0, 1],
+                };
+                flat = flat.restrict_to_shard(spec).unwrap();
+            }
+            let options = SaveOptions {
+                compress: compressed,
+                ..SaveOptions::default()
+            };
+            flat.save_with(&path, &options).unwrap();
+
+            let mapped = MmapIndex::open(&path).unwrap();
+            assert_eq!(mapped.num_vertices(), flat.num_vertices());
+            assert_eq!(mapped.total_labels(), flat.total_labels());
+            assert_eq!(mapped.is_compressed(), compressed);
+            assert_eq!(mapped.has_path_data(), paths);
+            assert_eq!(mapped.shard(), flat.shard());
+            assert_eq!(
+                mapped.file_len(),
+                std::fs::metadata(&path).unwrap().len() as usize
+            );
+            for u in 0..5 {
+                for v in 0..5 {
+                    let tag = format!("combo {combo} ({u}, {v})");
+                    assert_eq!(mapped.view().query(u, v), flat.query(u, v), "{tag}");
+                    assert_eq!(mapped.distance(u, v), flat.query(u, v), "{tag}");
+                    assert_eq!(
+                        mapped.view().query_with_hub(u, v),
+                        flat.query_with_hub(u, v),
+                        "{tag}"
+                    );
+                    assert_eq!(
+                        mapped.view().try_query(u, v),
+                        flat.as_index_view().try_query(u, v),
+                        "{tag}"
+                    );
+                    assert_eq!(mapped.view().path(u, v), flat.path(u, v), "{tag}");
+                }
+            }
+            // Out-of-range stays data, not a panic, through the mapped path too.
+            assert_eq!(mapped.distance(99, 99), INFINITY);
+
+            let oracle: &dyn DistanceOracle = &mapped;
+            assert_eq!(oracle.distances(&[(0, 1), (1, 0)]), vec![1, 1]);
+            assert!(oracle.memory_bytes() > 0);
+
+            // With the feature on (and a Unix host) this is a real mapping;
+            // either way the backend answered identically above.
+            #[cfg(all(feature = "mmap", unix))]
+            assert!(mapped.is_mapped());
+            #[cfg(not(feature = "mmap"))]
+            assert!(!mapped.is_mapped());
         }
-        // Out-of-range stays data, not a panic, through the mapped path too.
-        assert_eq!(mapped.distance(99, 99), INFINITY);
-
-        let oracle: &dyn DistanceOracle = &mapped;
-        assert_eq!(oracle.distances(&[(0, 2), (1, 2)]), vec![2, 1]);
-        assert!(oracle.memory_bytes() > 0);
-
-        // With the feature on (and a Unix host) this is a real mapping;
-        // either way the backend answered identically above.
-        #[cfg(all(feature = "mmap", unix))]
-        assert!(mapped.is_mapped());
-        #[cfg(not(feature = "mmap"))]
-        assert!(!mapped.is_mapped());
-
         std::fs::remove_file(&path).unwrap();
     }
 

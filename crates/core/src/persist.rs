@@ -891,7 +891,7 @@ fn expected_payload_len_v2(n: u64, m: u64) -> Option<usize> {
 
 /// Byte ranges of the compressed entries section's two halves.
 #[derive(Debug, Clone)]
-struct CompressedLayout {
+pub(crate) struct CompressedLayout {
     /// The per-vertex skip table: `(n + 1)` u64 byte offsets into the blob.
     skip: Range<usize>,
     /// The encoded blob's data bytes, excluding tail padding.
@@ -900,7 +900,7 @@ struct CompressedLayout {
 
 /// Byte ranges of the v3 path section (per-entry parent records).
 #[derive(Debug, Clone)]
-struct PathsLayout {
+pub(crate) struct PathsLayout {
     /// The `m` u32 parent records, excluding the prelude and tail padding.
     data: Range<usize>,
     /// Everything `crc_paths` covers: the parents array plus tail padding
@@ -924,9 +924,9 @@ struct ShardLayout {
 /// [`SECTION_ALIGN`], so a section start in an 8-byte-aligned buffer is
 /// itself 8-byte aligned.
 #[derive(Debug, Clone)]
-struct LayoutV2 {
-    n: usize,
-    m: usize,
+pub(crate) struct LayoutV2 {
+    pub(crate) n: usize,
+    pub(crate) m: usize,
     /// Ranking data bytes (`n * 4`), excluding tail padding.
     ranking_data: Range<usize>,
     /// Full ranking section including tail padding.
@@ -937,9 +937,9 @@ struct LayoutV2 {
     entries: Range<usize>,
     /// Sub-layout of the entries section when [`FLAG_COMPRESSED_ENTRIES`]
     /// is set.
-    compressed: Option<CompressedLayout>,
+    pub(crate) compressed: Option<CompressedLayout>,
     /// The path section when [`FLAG_PATHS`] is set (v3 only).
-    paths: Option<PathsLayout>,
+    pub(crate) paths: Option<PathsLayout>,
     /// The trailing shard section when [`FLAG_SHARDED`] is set (v3 only).
     shard: Option<ShardLayout>,
 }
@@ -1967,22 +1967,66 @@ fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
     }
 }
 
-/// Validates `.chl` v2/v3 bytes of **either entries encoding** and returns
-/// a borrowed [`IndexView`] served straight from `data`: flat files
-/// reinterpret their sections in place exactly like [`view_bytes`], while
-/// compressed files borrow the skip table and encoded blob and stream-decode
-/// the two label runs each query touches. A v3 shard file's identity and
-/// owned set are exposed through [`IndexView::shard`]. Validation is the
-/// same battery the copying loader runs (length, per-section checksums,
-/// padding, semantic invariants — including a full decode pass over every
-/// compressed run); the only transient allocation is the permutation-check
-/// scratch.
-///
-/// Requirements beyond [`from_bytes`]: the buffer's base address must be
-/// 8-byte aligned (use [`AlignedBytes`] or an mmap, both of which guarantee
-/// it) and the host little-endian; otherwise [`PersistError::Unviewable`] is
-/// returned. v1 files report [`PersistError::NotZeroCopy`].
-pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
+/// The sections of a v2/v3 buffer reinterpreted in place: what the
+/// validation pass reads and what [`assemble_view`] welds into a view.
+#[cfg(target_endian = "little")]
+struct Sections<'a> {
+    order: &'a [VertexId],
+    offsets: &'a [u64],
+    entries: EntriesSection<'a>,
+    parents: Option<&'a [u32]>,
+    shard: Option<ShardView<'a>>,
+}
+
+#[cfg(target_endian = "little")]
+enum EntriesSection<'a> {
+    Flat(&'a [LabelEntry]),
+    Compressed { skip: &'a [u64], blob: &'a [u8] },
+}
+
+/// Cuts and casts every section `layout` describes out of `data`. Sound for
+/// any 8-byte-aligned `data` as long as `layout` came from [`layout_v2`]
+/// (the only constructor), whose ranges start on section boundaries and
+/// span whole records; out-of-bounds ranges panic rather than misread.
+#[cfg(target_endian = "little")]
+fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
+    assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
+    let shard = layout.shard.as_ref().map(|s| {
+        let mut cur = Cursor::new(data);
+        cur.seek(s.data.start);
+        let shard_id = cur.get_u32();
+        let shard_count = cur.get_u32();
+        let zeta = cur.get_u32();
+        // The fourth prelude word, owned_count, is implied by the array.
+        ShardView {
+            shard_id,
+            shard_count,
+            zeta,
+            owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
+        }
+    });
+    Sections {
+        order: cast_u32s(&data[layout.ranking_data.clone()]),
+        offsets: cast_u64s(&data[layout.offsets.clone()]),
+        entries: match &layout.compressed {
+            None => EntriesSection::Flat(cast_entries(&data[layout.entries.clone()])),
+            Some(c) => EntriesSection::Compressed {
+                skip: cast_u64s(&data[c.skip.clone()]),
+                blob: &data[c.blob_data.clone()],
+            },
+        },
+        parents: layout
+            .paths
+            .as_ref()
+            .map(|p| cast_u32s(&data[p.data.clone()])),
+        shard,
+    }
+}
+
+/// Runs the whole [`open_view`] battery over `data` and returns the section
+/// layout it validated. `MmapIndex` keeps that layout so per-query views
+/// are one [`assemble_view`] over ranges already known good.
+pub(crate) fn validate_layout(data: &[u8]) -> Result<LayoutV2, PersistError> {
     let header = parse_header(data)?;
     if header.version == VERSION_V1 {
         return Err(PersistError::NotZeroCopy {
@@ -2012,61 +2056,83 @@ pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
             data,
         )?;
         check_sections_v2(data, &header, &layout)?;
-        let order = cast_u32s(&data[layout.ranking_data.clone()]);
-        let offsets = cast_u64s(&data[layout.offsets.clone()]);
-        check_permutation(order)?;
-        validate_offsets(layout.n, offsets, header.num_entries)?;
-        let parents = layout
-            .paths
-            .as_ref()
-            .map(|p| cast_u32s(&data[p.data.clone()]));
-        let shard = match &layout.shard {
-            None => None,
-            Some(s) => {
-                let mut cur = Cursor::new(data);
-                cur.seek(s.data.start);
-                let shard_id = cur.get_u32();
-                let shard_count = cur.get_u32();
-                let zeta = cur.get_u32();
-                cur.take(4); // owned_count, implied by the array length
-                let owned = cast_u32s(&data[s.data.start + 16..s.data.end]);
-                validate_shard_meta(shard_id, shard_count, zeta, owned, header.num_vertices)?;
-                check_shard_consistency(owned, offsets)?;
-                Some(ShardView {
-                    shard_id,
-                    shard_count,
-                    zeta,
-                    owned,
-                })
-            }
-        };
-        let view = match &layout.compressed {
-            None => {
-                let entries = cast_entries(&data[layout.entries.clone()]);
-                validate_hub_sort(layout.n, offsets, entries)?;
-                if let Some(parents) = parents {
-                    validate_parents(layout.n, offsets, entries, parents)?;
+        let s = cast_sections(data, &layout);
+        check_permutation(s.order)?;
+        validate_offsets(layout.n, s.offsets, header.num_entries)?;
+        if let Some(shard) = &s.shard {
+            validate_shard_meta(
+                shard.shard_id,
+                shard.shard_count,
+                shard.zeta,
+                shard.owned,
+                header.num_vertices,
+            )?;
+            check_shard_consistency(shard.owned, s.offsets)?;
+        }
+        match s.entries {
+            EntriesSection::Flat(entries) => {
+                validate_hub_sort(layout.n, s.offsets, entries)?;
+                if let Some(parents) = s.parents {
+                    validate_parents(layout.n, s.offsets, entries, parents)?;
                 }
-                IndexView::flat(FlatView::from_validated_parts(order, offsets, entries))
             }
-            Some(c) => {
-                let skip = cast_u64s(&data[c.skip.clone()]);
-                let blob = &data[c.blob_data.clone()];
-                validate_compressed_entries(skip, blob, offsets, parents, None)?;
-                IndexView::compressed(CompressedView::from_validated_compressed_parts(
-                    order, offsets, skip, blob,
-                ))
+            EntriesSection::Compressed { skip, blob } => {
+                validate_compressed_entries(skip, blob, s.offsets, s.parents, None)?;
             }
+        }
+        Ok(layout)
+    }
+}
+
+/// Assembles the borrowed view over `data` from a layout that
+/// [`validate_layout`] returned **for this same buffer** — a handful of
+/// slice cuts and pointer casts, no check repeated.
+pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &LayoutV2) -> IndexView<'a> {
+    #[cfg(target_endian = "little")]
+    {
+        let s = cast_sections(data, layout);
+        let view = match s.entries {
+            EntriesSection::Flat(entries) => {
+                IndexView::flat(FlatView::from_validated_parts(s.order, s.offsets, entries))
+            }
+            EntriesSection::Compressed { skip, blob } => IndexView::compressed(
+                CompressedView::from_validated_compressed_parts(s.order, s.offsets, skip, blob),
+            ),
         };
-        let view = match parents {
+        let view = match s.parents {
             Some(parents) => view.with_parents(parents),
             None => view,
         };
-        Ok(match shard {
-            Some(s) => view.with_shard(s),
+        match s.shard {
+            Some(shard) => view.with_shard(shard),
             None => view,
-        })
+        }
     }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let _ = (data, layout);
+        unreachable!("validate_layout never accepts a buffer on a big-endian host");
+    }
+}
+
+/// Validates `.chl` v2/v3 bytes of **either entries encoding** and returns
+/// a borrowed [`IndexView`] served straight from `data`: flat files
+/// reinterpret their sections in place exactly like [`view_bytes`], while
+/// compressed files borrow the skip table and encoded blob and stream-decode
+/// the two label runs each query touches. A v3 shard file's identity and
+/// owned set are exposed through [`IndexView::shard`]. Validation is the
+/// same battery the copying loader runs (length, per-section checksums,
+/// padding, semantic invariants — including a full decode pass over every
+/// compressed run); the only transient allocation is the permutation-check
+/// scratch.
+///
+/// Requirements beyond [`from_bytes`]: the buffer's base address must be
+/// 8-byte aligned (use [`AlignedBytes`] or an mmap, both of which guarantee
+/// it) and the host little-endian; otherwise [`PersistError::Unviewable`] is
+/// returned. v1 files report [`PersistError::NotZeroCopy`].
+pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
+    let layout = validate_layout(data)?;
+    Ok(assemble_view(data, &layout))
 }
 
 /// Validates `.chl` v2/v3 bytes and returns a [`FlatView`] whose ranking,
@@ -2091,80 +2157,6 @@ pub fn view_bytes(data: &[u8]) -> Result<FlatView<'_>, PersistError> {
             reason: "entries section is delta+varint compressed; serve it through \
                      open_view / MmapIndex or load it with the copying reader",
         }),
-    }
-}
-
-/// Rebuilds the view over a buffer that [`open_view`] has already fully
-/// validated, skipping every check. Used by `MmapIndex` to hand out views
-/// per query without re-walking the file.
-///
-/// # Safety
-///
-/// `data` must be byte-identical to a buffer `open_view` previously
-/// accepted with these exact `n`/`m`/`version`/`compressed`/`paths`/
-/// `sharded` parameters, with the same 8-byte-aligned base-address
-/// guarantee still holding.
-pub(crate) unsafe fn view_assuming_valid(
-    data: &[u8],
-    n: usize,
-    m: usize,
-    version: u32,
-    compressed: bool,
-    paths: bool,
-    sharded: bool,
-) -> IndexView<'_> {
-    #[cfg(target_endian = "little")]
-    {
-        let layout = layout_v2(
-            n as u64, m as u64, version, compressed, paths, sharded, data,
-        )
-        .expect("dimensions were validated at open time");
-        let order = cast_u32s(&data[layout.ranking_data.clone()]);
-        let offsets = cast_u64s(&data[layout.offsets.clone()]);
-        let parents = layout
-            .paths
-            .as_ref()
-            .map(|p| cast_u32s(&data[p.data.clone()]));
-        let shard = layout.shard.as_ref().map(|s| {
-            let mut cur = Cursor::new(data);
-            cur.seek(s.data.start);
-            let shard_id = cur.get_u32();
-            let shard_count = cur.get_u32();
-            let zeta = cur.get_u32();
-            cur.take(4); // owned_count, implied by the array length
-            ShardView {
-                shard_id,
-                shard_count,
-                zeta,
-                owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
-            }
-        });
-        let view = match &layout.compressed {
-            None => {
-                let entries = cast_entries(&data[layout.entries.clone()]);
-                IndexView::flat(FlatView::from_validated_parts(order, offsets, entries))
-            }
-            Some(c) => {
-                let skip = cast_u64s(&data[c.skip.clone()]);
-                let blob = &data[c.blob_data.clone()];
-                IndexView::compressed(CompressedView::from_validated_compressed_parts(
-                    order, offsets, skip, blob,
-                ))
-            }
-        };
-        let view = match parents {
-            Some(parents) => view.with_parents(parents),
-            None => view,
-        };
-        match shard {
-            Some(s) => view.with_shard(s),
-            None => view,
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        let _ = (data, n, m, version, compressed, paths, sharded);
-        unreachable!("open_view never validates a buffer on a big-endian host");
     }
 }
 

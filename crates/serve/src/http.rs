@@ -8,6 +8,7 @@
 //!
 //! ```text
 //! GET /distance?s=0&t=42   200 "17\n" | 200 "unreachable\n" | 400 (bad/missing ids)
+//!                          | 421 (shard server, vertex owned by another shard)
 //! GET /info                200 one "key value" line per field
 //! GET /healthz             200 "ok\n"
 //! ```
@@ -23,7 +24,7 @@ use std::net::TcpStream;
 use chl_graph::types::{VertexId, INFINITY};
 
 use crate::index::SharedIndex;
-use crate::server::ServerState;
+use crate::server::{not_this_shard_message, ServerState};
 
 /// Cap on the request head (request line + headers).
 const MAX_HEAD: usize = 8 * 1024;
@@ -102,6 +103,13 @@ pub(crate) fn serve_http(
                 let body = format!("vertex id {bad} out of range for {n} vertices\n");
                 return respond(&mut stream, 400, &body);
             }
+            // Shard honesty, as on the binary paths: a foreign vertex's
+            // label run is stored empty, so answering would say
+            // "unreachable" for a pair another shard can reach.
+            if let Some(id) = snapshot.foreign_endpoint(s, t) {
+                let body = format!("{}\n", not_this_shard_message(id, snapshot.shard()));
+                return respond(&mut stream, 421, &body);
+            }
             let d = snapshot.oracle().distance(s, t);
             let body = if d == INFINITY {
                 "unreachable\n".to_string()
@@ -137,6 +145,7 @@ fn respond(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        421 => "Misdirected Request",
         431 => "Request Header Fields Too Large",
         _ => "Error",
     };

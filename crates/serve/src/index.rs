@@ -17,7 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chl_core::flat::FlatIndex;
-use chl_core::kernel::HotHubCache;
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::paths::{PathError, PathOracle};
@@ -36,62 +35,29 @@ enum Backend {
     Mapped(MmapIndex),
 }
 
-/// One fully validated, immutable index serving generation: a load backend
-/// plus an optional top-`k` [`HotHubCache`] built from the same snapshot.
-///
-/// Both backends answer through the same [`DistanceOracle`] surface — the
-/// generation itself implements the trait, consulting the cache first when
-/// one is configured. Because the cache is part of the generation, a
-/// `RELOAD` swap atomically replaces index *and* cache together: a stale
-/// cache can never outlive the snapshot it was built from.
+/// One fully validated, immutable index serving generation. Both load
+/// backends answer through the same [`DistanceOracle`] surface, which the
+/// generation itself implements.
 #[derive(Debug)]
 pub struct LoadedIndex {
     backend: Backend,
-    cache: Option<HotHubCache>,
 }
 
 impl LoadedIndex {
-    /// Opens and fully validates `path` with the requested backend, no
-    /// hot-hub cache.
+    /// Opens and fully validates `path` with the requested backend.
     pub fn open(path: &Path, mmap: bool) -> Result<Self, PersistError> {
-        LoadedIndex::open_with(path, mmap, 0)
-    }
-
-    /// Opens `path` and, when `hot_hubs > 0`, builds the top-`hot_hubs`
-    /// distance-row cache from the freshly validated index.
-    pub fn open_with(path: &Path, mmap: bool, hot_hubs: u32) -> Result<Self, PersistError> {
         let backend = if mmap {
             MmapIndex::open(path).map(Backend::Mapped)?
         } else {
             FlatIndex::load(path).map(Backend::Owned)?
         };
-        let cache = (hot_hubs > 0).then(|| HotHubCache::build(&backend.view(), hot_hubs));
-        Ok(LoadedIndex { backend, cache })
-    }
-
-    /// Wraps an owned index built in-process (tests, embedded serving).
-    pub fn from_owned(index: FlatIndex, hot_hubs: u32) -> Self {
-        let cache = (hot_hubs > 0).then(|| HotHubCache::build(&index.as_index_view(), hot_hubs));
-        LoadedIndex {
-            backend: Backend::Owned(index),
-            cache,
-        }
+        Ok(LoadedIndex { backend })
     }
 
     /// The query surface of this generation (the generation itself: the
-    /// cache-aware [`DistanceOracle`] impl below).
+    /// [`DistanceOracle`] impl below).
     pub fn oracle(&self) -> &dyn DistanceOracle {
         self
-    }
-
-    /// The hot-hub cache `k` this generation serves with (0 = no cache).
-    pub fn hot_hubs(&self) -> u32 {
-        self.cache.as_ref().map_or(0, HotHubCache::top_k)
-    }
-
-    /// Heap bytes held by the hot-hub cache rows (0 = no cache).
-    pub fn cache_bytes(&self) -> usize {
-        self.cache.as_ref().map_or(0, HotHubCache::memory_bytes)
     }
 
     /// Vertices covered (valid ids are `0..n`).
@@ -195,10 +161,7 @@ impl Backend {
 
 impl DistanceOracle for LoadedIndex {
     fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        match &self.cache {
-            Some(cache) => self.backend.view().query_cached(cache, u, v),
-            None => self.backend.view().query(u, v),
-        }
+        self.backend.view().query(u, v)
     }
 
     fn num_vertices(&self) -> usize {
@@ -206,16 +169,13 @@ impl DistanceOracle for LoadedIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        let backend = match &self.backend {
+        match &self.backend {
             Backend::Owned(index) => index.memory_bytes(),
             Backend::Mapped(index) => index.memory_bytes(),
-        };
-        backend + self.cache_bytes()
+        }
     }
 
-    /// Distance blocks go through the hub-pivoted kernel on the view — the
-    /// hot-hub cache only accelerates point queries, and answers are
-    /// byte-identical either way (the matrix contract).
+    /// Distance blocks go through the hub-pivoted kernel on the view.
     fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {
         self.backend.view().matrix(sources, targets)
     }
@@ -226,7 +186,6 @@ impl DistanceOracle for LoadedIndex {
 pub struct SharedIndex {
     path: PathBuf,
     mmap: bool,
-    hot_hubs: u32,
     current: parking_lot::RwLock<Arc<LoadedIndex>>,
     generation: AtomicU64,
 }
@@ -234,38 +193,14 @@ pub struct SharedIndex {
 impl SharedIndex {
     /// Opens `path` with the requested backend as generation 0.
     pub fn open<P: AsRef<Path>>(path: P, mmap: bool) -> Result<Self, PersistError> {
-        SharedIndex::open_with(path, mmap, 0)
-    }
-
-    /// Opens `path` with the requested backend and hot-hub cache size as
-    /// generation 0; every reload rebuilds the cache from the fresh file.
-    pub fn open_with<P: AsRef<Path>>(
-        path: P,
-        mmap: bool,
-        hot_hubs: u32,
-    ) -> Result<Self, PersistError> {
         let path = path.as_ref().to_path_buf();
-        let loaded = LoadedIndex::open_with(&path, mmap, hot_hubs)?;
+        let loaded = LoadedIndex::open(&path, mmap)?;
         Ok(SharedIndex {
             path,
             mmap,
-            hot_hubs,
             current: parking_lot::RwLock::new(Arc::new(loaded)),
             generation: AtomicU64::new(0),
         })
-    }
-
-    /// Wraps an already loaded index (tests, in-process serving). Reload
-    /// still goes through `path`, preserving the generation's hot-hub
-    /// cache configuration.
-    pub fn from_loaded<P: AsRef<Path>>(path: P, mmap: bool, loaded: LoadedIndex) -> Self {
-        SharedIndex {
-            path: path.as_ref().to_path_buf(),
-            mmap,
-            hot_hubs: loaded.hot_hubs(),
-            current: parking_lot::RwLock::new(Arc::new(loaded)),
-            generation: AtomicU64::new(0),
-        }
     }
 
     /// The index file reloads re-read.
@@ -299,15 +234,9 @@ impl SharedIndex {
     /// typed error is returned. In-flight snapshots are unaffected either
     /// way: they hold their own `Arc` until their batch completes.
     pub fn reload(&self) -> Result<u64, PersistError> {
-        // Load outside the write lock: validation (and the hot-hub cache
-        // rebuild) is the expensive part and must not stall readers. The
-        // cache travels inside the generation, so the swap below replaces
-        // both together — the RELOAD coherence guarantee.
-        let fresh = Arc::new(LoadedIndex::open_with(
-            &self.path,
-            self.mmap,
-            self.hot_hubs,
-        )?);
+        // Load outside the write lock: validation is the expensive part
+        // and must not stall readers.
+        let fresh = Arc::new(LoadedIndex::open(&self.path, self.mmap)?);
         let mut current = self.current.write();
         *current = fresh;
         // ORDERING: monotonic stats counter; the swap above is what readers
@@ -374,36 +303,6 @@ mod tests {
             assert_eq!(shared.info().generation, 1);
             assert_eq!(shared.info().num_vertices, 3);
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn hot_hub_cache_matches_plain_answers_and_survives_reload() {
-        let flat = tiny_flat();
-        let path = temp_path("hot-hubs");
-        flat.save(&path).unwrap();
-        for mmap in [false, true] {
-            let shared = SharedIndex::open_with(&path, mmap, 2).unwrap();
-            let snap = shared.snapshot();
-            assert_eq!(snap.hot_hubs(), 2);
-            assert!(snap.cache_bytes() > 0);
-            for u in 0..4 {
-                for v in 0..4 {
-                    assert_eq!(snap.oracle().distance(u, v), flat.query(u, v), "({u},{v})");
-                }
-            }
-            // A reload rebuilds the cache with the configured k: the fresh
-            // generation answers identically and still reports the cache.
-            assert_eq!(shared.reload().unwrap(), 1);
-            let snap = shared.snapshot();
-            assert_eq!(snap.hot_hubs(), 2);
-            assert_eq!(snap.oracle().distance(0, 2), 2);
-        }
-        // In-process construction keeps the cache configuration too.
-        let shared = SharedIndex::from_loaded(&path, false, LoadedIndex::from_owned(flat, 3));
-        assert_eq!(shared.snapshot().hot_hubs(), 3);
-        shared.reload().unwrap();
-        assert_eq!(shared.snapshot().hot_hubs(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 

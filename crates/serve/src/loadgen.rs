@@ -139,9 +139,8 @@ impl BenchSummary {
     }
 
     /// Renders the same figures as [`render`](Self::render) as a single
-    /// JSON object on one line, for `chl bench-serve --json` and the
-    /// snapshot script (`scripts/bench_snapshot.sh`). Latencies are in
-    /// microseconds, matching the text report.
+    /// JSON object on one line, for `chl bench-serve --json`. Latencies
+    /// are in microseconds, matching the text report.
     pub fn render_json(&self) -> String {
         let us = |d: Duration| d.as_secs_f64() * 1e6;
         format!(

@@ -53,6 +53,9 @@ const READ_POLL: Duration = Duration::from_millis(50);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Per-read chunk size: large enough to swallow a deep pipeline in one read.
 const READ_CHUNK: usize = 64 * 1024;
+/// Cap on pairs per [`DistanceOracle::distances`] call; larger coalesced
+/// batches are answered in chunks of this size.
+const MAX_BATCH: usize = 1 << 16;
 
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
@@ -62,9 +65,6 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Cap on one frame's payload length in bytes.
     pub max_frame: u32,
-    /// Cap on pairs per [`DistanceOracle::distances`] call; larger coalesced
-    /// batches are answered in chunks of this size.
-    pub max_batch: usize,
 }
 
 impl Default for ServeOptions {
@@ -72,7 +72,6 @@ impl Default for ServeOptions {
         ServeOptions {
             threads: 4,
             max_frame: DEFAULT_MAX_FRAME,
-            max_batch: 1 << 16,
         }
     }
 }
@@ -252,7 +251,6 @@ impl Server {
             opts: ServeOptions {
                 threads: opts.threads.max(1),
                 max_frame: opts.max_frame,
-                max_batch: opts.max_batch.max(1),
             },
             state: Arc::new(ServerState {
                 shutdown: AtomicBool::new(false),
@@ -517,7 +515,7 @@ fn process_frames(
                         _ => break,
                     }
                 }
-                answer_query_run(&run, shared, opts, state, out);
+                answer_query_run(&run, shared, state, out);
             }
             Ok(Request::Path(u, v)) => {
                 answer_path(u, v, shared, opts, state, out);
@@ -572,7 +570,7 @@ enum FrameError {
 }
 
 /// Answers one coalesced run of QUERY frames: every answerable frame's pairs
-/// go into one batched `distances` call (chunked at `max_batch`); frames
+/// go into one batched `distances` call (chunked at [`MAX_BATCH`]); frames
 /// naming an out-of-range id — or, on a shard file, an id owned by another
 /// shard — answer a typed error frame instead, without failing their
 /// neighbors. Range is checked before ownership, so out-of-range frames get
@@ -580,7 +578,6 @@ enum FrameError {
 fn answer_query_run(
     run: &[Vec<(VertexId, VertexId)>],
     shared: &SharedIndex,
-    opts: &ServeOptions,
     state: &ServerState,
     out: &mut Vec<u8>,
 ) {
@@ -590,7 +587,6 @@ fn answer_query_run(
     let snapshot = shared.snapshot();
     let oracle = snapshot.oracle();
     let n = oracle.num_vertices();
-    let shard = snapshot.shard();
 
     // Frame dispositions: Ok(range into the batch) or the typed failure.
     let mut batch: Vec<(VertexId, VertexId)> = Vec::new();
@@ -604,28 +600,19 @@ fn answer_query_run(
             frames.push(Err(FrameError::OutOfRange(id)));
             continue;
         }
-        if let Some(spec) = shard {
-            // Every id is in range here, so ownership is the only question.
-            let foreign = pairs.iter().find_map(|&(u, v)| {
-                if !spec.owns(u) {
-                    Some(u)
-                } else if !spec.owns(v) {
-                    Some(v)
-                } else {
-                    None
-                }
-            });
-            if let Some(id) = foreign {
-                frames.push(Err(FrameError::Foreign(id)));
-                continue;
-            }
+        let foreign = pairs
+            .iter()
+            .find_map(|&(u, v)| snapshot.foreign_endpoint(u, v));
+        if let Some(id) = foreign {
+            frames.push(Err(FrameError::Foreign(id)));
+            continue;
         }
         let start = batch.len();
         batch.extend_from_slice(pairs);
         frames.push(Ok(start..batch.len()));
     }
 
-    let answers = batched_distances(oracle, &batch, opts.max_batch, state);
+    let answers = batched_distances(oracle, &batch, state);
     ServeStats::raise_max(&state.stats.max_coalesced, run.len() as u64);
     ServeStats::add(&state.stats.queries, batch.len() as u64);
 
@@ -635,30 +622,9 @@ fn answer_query_run(
                 let ds = answers.get(range).unwrap_or_default();
                 encode_response(&Response::Distances(ds.to_vec()), out);
             }
-            Err(FrameError::OutOfRange(id)) => {
-                ServeStats::add(&state.stats.error_frames, 1);
-                encode_response(
-                    &Response::Error {
-                        code: ErrorCode::VertexOutOfRange,
-                        detail: id as u64,
-                        message: format!("vertex id {id} out of range for {n} vertices"),
-                    },
-                    out,
-                );
-            }
+            Err(FrameError::OutOfRange(id)) => out_of_range_frame(id, n, state, out),
             Err(FrameError::Foreign(id)) => {
-                ServeStats::add(&state.stats.error_frames, 1);
-                let (sid, cnt) = shard.map(|s| (s.shard_id, s.shard_count)).unwrap_or((0, 0));
-                encode_response(
-                    &Response::Error {
-                        code: ErrorCode::NotThisShard,
-                        detail: id as u64,
-                        message: format!(
-                            "vertex id {id} is owned by another shard (this is shard {sid} of {cnt})"
-                        ),
-                    },
-                    out,
-                );
+                not_this_shard_frame(id, snapshot.shard(), state, out);
             }
         }
     }
@@ -683,17 +649,36 @@ fn error_frame(
     );
 }
 
+fn out_of_range_frame(id: VertexId, n: usize, state: &ServerState, out: &mut Vec<u8>) {
+    error_frame(
+        ErrorCode::VertexOutOfRange,
+        id as u64,
+        format!("vertex id {id} out of range for {n} vertices"),
+        state,
+        out,
+    );
+}
+
+/// The NOT_THIS_SHARD refusal text, shared by the binary error frame and
+/// the HTTP adapter's 421 body.
+pub(crate) fn not_this_shard_message(
+    id: VertexId,
+    shard: Option<&chl_core::persist::ShardSpec>,
+) -> String {
+    let (sid, cnt) = shard.map(|s| (s.shard_id, s.shard_count)).unwrap_or((0, 0));
+    format!("vertex id {id} is owned by another shard (this is shard {sid} of {cnt})")
+}
+
 fn not_this_shard_frame(
     id: VertexId,
     shard: Option<&chl_core::persist::ShardSpec>,
     state: &ServerState,
     out: &mut Vec<u8>,
 ) {
-    let (sid, cnt) = shard.map(|s| (s.shard_id, s.shard_count)).unwrap_or((0, 0));
     error_frame(
         ErrorCode::NotThisShard,
         id as u64,
-        format!("vertex id {id} is owned by another shard (this is shard {sid} of {cnt})"),
+        not_this_shard_message(id, shard),
         state,
         out,
     );
@@ -715,13 +700,7 @@ fn answer_path(
     let snapshot = shared.snapshot();
     let n = snapshot.num_vertices();
     if let Some(id) = [u, v].into_iter().find(|&id| id as usize >= n) {
-        return error_frame(
-            ErrorCode::VertexOutOfRange,
-            id as u64,
-            format!("vertex id {id} out of range for {n} vertices"),
-            state,
-            out,
-        );
+        return out_of_range_frame(id, n, state, out);
     }
     if let Some(id) = snapshot.foreign_endpoint(u, v) {
         return not_this_shard_frame(id, snapshot.shard(), state, out);
@@ -773,18 +752,11 @@ fn answer_matrix(
     let oracle = snapshot.oracle();
     let n = oracle.num_vertices();
     if let Some(&id) = sources.iter().chain(targets).find(|&&id| id as usize >= n) {
-        return error_frame(
-            ErrorCode::VertexOutOfRange,
-            id as u64,
-            format!("vertex id {id} out of range for {n} vertices"),
-            state,
-            out,
-        );
+        return out_of_range_frame(id, n, state, out);
     }
-    if let Some(spec) = snapshot.shard() {
-        if let Some(&id) = sources.iter().chain(targets).find(|&&id| !spec.owns(id)) {
-            return not_this_shard_frame(id, snapshot.shard(), state, out);
-        }
+    let mut ids = sources.iter().chain(targets);
+    if let Some(id) = ids.find_map(|&id| snapshot.foreign_endpoint(id, id)) {
+        return not_this_shard_frame(id, snapshot.shard(), state, out);
     }
     let cells = sources.len() * targets.len();
     let payload = 1 + 4 + 8 * cells;
@@ -805,18 +777,17 @@ fn answer_matrix(
     encode_response(&Response::Matrix(oracle.matrix(sources, targets)), out);
 }
 
-/// One `distances` call per `max_batch` pairs, counted in the stats.
+/// One `distances` call per [`MAX_BATCH`] pairs, counted in the stats.
 fn batched_distances(
     oracle: &dyn DistanceOracle,
     pairs: &[(VertexId, VertexId)],
-    max_batch: usize,
     state: &ServerState,
 ) -> Vec<Distance> {
     if pairs.is_empty() {
         return Vec::new();
     }
     let mut answers = Vec::with_capacity(pairs.len());
-    for chunk in pairs.chunks(max_batch.max(1)) {
+    for chunk in pairs.chunks(MAX_BATCH) {
         ServeStats::add(&state.stats.batch_calls, 1);
         answers.extend(oracle.distances(chunk));
     }
@@ -831,7 +802,6 @@ mod tests {
     fn options_default_and_clamp() {
         let opts = ServeOptions::default();
         assert!(opts.threads >= 1);
-        assert!(opts.max_batch >= 1);
         assert_eq!(opts.max_frame, DEFAULT_MAX_FRAME);
     }
 

@@ -7,6 +7,7 @@
 //! and the degradation contract when a backend dies mid-serve: typed
 //! SHARD_UNAVAILABLE frames, never a hang or a panic.
 
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -374,6 +375,35 @@ fn a_shard_served_directly_answers_not_this_shard_for_foreign_vertices() {
         }
         other => panic!("expected NOT_THIS_SHARD, got {other:?}"),
     }
+    // The HTTP adapter on the same port refuses the same pair typed (421,
+    // body = the NOT_THIS_SHARD frame's message) instead of reading the
+    // foreign vertex's empty label run as "200 unreachable".
+    let http_get = |target: &str| -> String {
+        let mut stream = std::net::TcpStream::connect(cluster.backends[0].handle().addr()).unwrap();
+        stream
+            .write_all(format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
+            .unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        reply
+    };
+    let reply = http_get(&format!("/distance?s={owned}&t={foreign}"));
+    assert!(
+        reply.starts_with("HTTP/1.1 421 Misdirected Request"),
+        "{reply}"
+    );
+    assert!(
+        reply.ends_with(&format!(
+            "vertex id {foreign} is owned by another shard (this is shard 0 of {SHARDS})\n"
+        )),
+        "{reply}"
+    );
+    let reply = http_get(&format!("/distance?s={owned}&t={both_owned}"));
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert!(
+        reply.ends_with(&format!("\n{}\n", cluster.flat.query(owned, both_owned))),
+        "{reply}"
+    );
     // Range still outranks ownership: an out-of-range id on a shard answers
     // the same error a whole-index server would.
     match direct.query(owned, n + 5) {

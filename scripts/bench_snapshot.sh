@@ -1,26 +1,24 @@
 #!/usr/bin/env bash
-# Refreshes the checked-in benchmark snapshots:
+# Refreshes the checked-in kernel benchmark snapshot:
 #
 #   BENCH_kernels.json  - the criterion kernels group (query join tiers,
 #                         SPT kernels, cleaning), machine-readable via the
 #                         CHL_BENCH_JSON hook in the criterion shim.
-#   BENCH_serve.json    - chl bench-serve --json against an ephemeral
-#                         chl serve, with and without --hot-hubs.
+#
+# Serving numbers live in the perf ledger (ledger/, BENCHMARK.json).
 #
 # Usage: scripts/bench_snapshot.sh [out_dir]
 #
-# Numbers are wall-clock means on whatever machine runs this; the snapshots
-# exist to make perf regressions reviewable, not to be portable.
+# Numbers are wall-clock means on whatever machine runs this; the snapshot
+# exists to make perf regressions reviewable, not to be portable.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT_DIR="${1:-.}"
-CHL=target/release/chl
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 echo "== building (release, target-cpu=native) =="
-RUSTFLAGS="-C target-cpu=native" cargo build --release -p chl-cli
 RUSTFLAGS="-C target-cpu=native" cargo bench -p chl-bench --bench kernels --no-run
 
 echo "== kernels bench =="
@@ -35,47 +33,5 @@ CHL_BENCH_JSON="$KERNELS_JSONL" RUSTFLAGS="-C target-cpu=native" \
 } | tr -d '\n' >"$OUT_DIR/BENCH_kernels.json"
 echo >>"$OUT_DIR/BENCH_kernels.json"
 
-echo "== serve bench =="
-# Scale-free graph sized so the hot-hub stripes (k=32: ~500 KiB) stay
-# L2-resident — the regime the cache is for; crates/bench/examples/
-# hot_hub_tuning.rs has the sweep that picked this configuration.
-GRAPH="$WORK/g.bin"
-INDEX="$WORK/idx.chl"
-"$CHL" gen ba --vertices 2000 --edges-per-vertex 4 --out "$GRAPH" --seed 7
-"$CHL" build "$GRAPH" --out "$INDEX"
-
-# One serve+bench round; prints the bench-serve JSON object on stdout.
-serve_round() {
-    local hot_hubs="$1" serve_log="$WORK/serve_$1.log"
-    if [ "$hot_hubs" -gt 0 ]; then
-        "$CHL" serve "$INDEX" --addr 127.0.0.1:0 --hot-hubs "$hot_hubs" \
-            >"$serve_log" 2>&1 &
-    else
-        "$CHL" serve "$INDEX" --addr 127.0.0.1:0 >"$serve_log" 2>&1 &
-    fi
-    local serve_pid=$!
-    local addr=""
-    for _ in $(seq 1 50); do
-        addr="$(sed -n 's/^listening on //p' "$serve_log")"
-        [ -n "$addr" ] && break
-        sleep 0.1
-    done
-    if [ -z "$addr" ]; then
-        echo "chl serve never reported its address:" >&2
-        cat "$serve_log" >&2
-        kill "$serve_pid" 2>/dev/null || true
-        return 1
-    fi
-    "$CHL" bench-serve "$addr" --connections 4 --duration-ms 3000 \
-        --pipeline 8 --batch 64 --json --shutdown
-    wait "$serve_pid"
-}
-
-PLAIN_JSON="$(serve_round 0)"
-CACHED_JSON="$(serve_round 32)"
-
-printf '{"snapshot":"serve","host_arch":"%s","plain":%s,"hot_hubs_32":%s}\n' \
-    "$(uname -m)" "$PLAIN_JSON" "$CACHED_JSON" >"$OUT_DIR/BENCH_serve.json"
-
-echo "== snapshots written =="
-ls -l "$OUT_DIR/BENCH_kernels.json" "$OUT_DIR/BENCH_serve.json"
+echo "== snapshot written =="
+ls -l "$OUT_DIR/BENCH_kernels.json"
