@@ -33,9 +33,7 @@ frames, never a hang.
 
 options:
   --addr HOST:PORT        listen address (port 0 picks one) [127.0.0.1:7558]
-  --threads N             connection worker threads; every shard server
-                          needs at least as many (--threads), or its
-                          extra router connections starve            [4]
+  --threads N             connection worker threads                    [4]
   --max-frame BYTES       largest accepted request frame           [1 MiB]
   --backend-timeout-ms N  per-backend read/write timeout            [5000]";
 

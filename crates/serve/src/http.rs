@@ -23,8 +23,9 @@ use std::net::TcpStream;
 
 use chl_graph::types::{VertexId, INFINITY};
 
+use crate::engine::{out_of_range_message, would_block, State};
 use crate::index::SharedIndex;
-use crate::server::{not_this_shard_message, ServerState};
+use crate::server::{admit, not_this_shard_message, Refusal};
 
 /// Cap on the request head (request line + headers).
 const MAX_HEAD: usize = 8 * 1024;
@@ -35,7 +36,7 @@ pub(crate) fn serve_http(
     mut stream: TcpStream,
     head_start: &[u8],
     shared: &SharedIndex,
-    state: &ServerState,
+    state: &State,
 ) -> std::io::Result<()> {
     let mut head = head_start.to_vec();
     let mut chunk = [0u8; 1024];
@@ -46,12 +47,7 @@ pub(crate) fn serve_http(
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()), // client left mid-request
             Ok(n) => head.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if would_block(&e) => {
                 if state.is_shutdown() {
                     return Ok(());
                 }
@@ -97,18 +93,20 @@ pub(crate) fn serve_http(
                 _ => return respond(&mut stream, 400, "need numeric query parameters s and t\n"),
             };
             let snapshot = shared.snapshot();
-            let n = snapshot.num_vertices();
-            if s as usize >= n || t as usize >= n {
-                let bad = if (s as usize) < n { t } else { s };
-                let body = format!("vertex id {bad} out of range for {n} vertices\n");
-                return respond(&mut stream, 400, &body);
-            }
-            // Shard honesty, as on the binary paths: a foreign vertex's
-            // label run is stored empty, so answering would say
-            // "unreachable" for a pair another shard can reach.
-            if let Some(id) = snapshot.foreign_endpoint(s, t) {
-                let body = format!("{}\n", not_this_shard_message(id, snapshot.shard()));
-                return respond(&mut stream, 421, &body);
+            // The binary paths' admission rule. Shard honesty matters here
+            // too: a foreign vertex's label run is stored empty, so answering
+            // would say "unreachable" for a pair another shard can reach.
+            match admit(&snapshot, [s, t].into_iter()) {
+                Ok(()) => {}
+                Err(Refusal::OutOfRange(id)) => {
+                    let n = snapshot.num_vertices();
+                    let body = format!("{}\n", out_of_range_message(id, n));
+                    return respond(&mut stream, 400, &body);
+                }
+                Err(Refusal::Foreign(id)) => {
+                    let body = format!("{}\n", not_this_shard_message(id, snapshot.shard()));
+                    return respond(&mut stream, 421, &body);
+                }
             }
             let d = snapshot.oracle().distance(s, t);
             let body = if d == INFINITY {

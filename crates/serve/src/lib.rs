@@ -3,7 +3,7 @@
 //! The rest of the workspace builds and persists hub labelings; this crate
 //! keeps one loaded and answers queries over TCP until told to stop —
 //! turning the one-shot `chl query` process launch into a measurable
-//! service. Four pieces:
+//! service. The pieces:
 //!
 //! * [`protocol`] — the length-prefixed binary wire format (typed error
 //!   frames, pipelining-friendly in-order responses) plus the preamble that
@@ -13,13 +13,18 @@
 //!   behind `RwLock<Arc<..>>`, with validate-then-swap reloads that never
 //!   drop in-flight requests and never replace a serving index with a
 //!   corrupt file.
-//! * [`server`] — acceptor + worker pool; each worker coalesces the QUERY
-//!   frames a connection pipelined into one batched
-//!   [`DistanceOracle::distances`] call over the current snapshot.
-//! * [`router`] — the `chl route` scatter-gather tier in front of a cluster
-//!   of shard servers (one `.chl` v3 shard file each): same client protocol
-//!   on both sides, per-query QDOL placement, typed per-frame degradation
-//!   when a backend dies.
+//! * [`engine`] — the one connection engine under both tiers: blocking
+//!   acceptor → queue → worker pool, preamble sniff, frame drain, coalescing
+//!   of pipelined QUERY frames into one run, in-order responses, shutdown
+//!   latch and the shared counters, driven through the [`engine::Service`]
+//!   trait.
+//! * [`server`] — the local-oracle service (`chl serve`): each coalesced run
+//!   becomes one batched [`DistanceOracle::distances`] call over the current
+//!   snapshot.
+//! * [`router`] — the scatter-gather service (`chl route`) in front of a
+//!   cluster of shard servers (one `.chl` v3 shard file each): same client
+//!   protocol on both sides, per-query QDOL placement, typed per-frame
+//!   degradation when a backend dies.
 //! * [`client`] / [`loadgen`] — a blocking protocol client and the
 //!   `chl bench-serve` engine reporting throughput and p50/p99/p999.
 //!
@@ -41,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
+pub mod engine;
 pub mod http;
 pub mod index;
 pub mod loadgen;

@@ -35,31 +35,25 @@
 //! generation); RELOAD fans out to every shard in shard order and reports
 //! the first failure (reloads are not atomic across shards); SHUTDOWN stops
 //! the router only, never the backends.
+//!
+//! Sockets, framing and shutdown live in the [`engine`](crate::engine);
+//! [`Router`], [`RouterHandle`] and [`SpawnedRouter`] are its generic types
+//! over [`RouteService`].
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::io::Write;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 use chl_graph::types::{Distance, VertexId};
 use chl_query::QdolShardMap;
 
 use crate::client::{Client, ClientError};
-use crate::protocol::{
-    decode_request, encode_response, ErrorCode, FrameBuffer, Request, Response, ServerInfo,
-    WireError, DEFAULT_MAX_FRAME, MAGIC,
+use crate::engine::{
+    endpoints, first_out_of_range, Counter, Counters, Engine, Handle, Reply, Service, Spawned,
+    State,
 };
-
-/// How often the nonblocking acceptor polls for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Read timeout on client connections; each expiry re-checks shutdown.
-const READ_POLL: Duration = Duration::from_millis(50);
-/// Upper bound on one blocked client write before the connection is dead.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Per-read chunk size, matching the shard servers.
-const READ_CHUNK: usize = 64 * 1024;
+use crate::protocol::{ErrorCode, Response, ServerInfo, DEFAULT_MAX_FRAME};
 
 /// Tunables for one router instance.
 #[derive(Debug, Clone)]
@@ -247,22 +241,8 @@ impl ClusterView {
     }
 }
 
-/// Monotonic routing counters; same relaxed-statistics discipline as
-/// [`crate::server::ServeStats`].
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    connections: AtomicU64,
-    http_requests: AtomicU64,
-    frames: AtomicU64,
-    queries: AtomicU64,
-    forwarded_frames: AtomicU64,
-    fanout_frames: AtomicU64,
-    shard_errors: AtomicU64,
-    error_frames: AtomicU64,
-    reloads: AtomicU64,
-}
-
-/// One coherent-enough copy of the router counters.
+/// One coherent-enough copy of the router counters: individually exact,
+/// mutually unordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterStatsSnapshot {
     /// Client connections accepted.
@@ -286,119 +266,24 @@ pub struct RouterStatsSnapshot {
     pub reloads: u64,
 }
 
-impl RouterStats {
-    fn add(counter: &AtomicU64, n: u64) {
-        // ORDERING: independent monotonic statistics counter; nothing
-        // synchronizes through it.
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Copies every counter. Individually exact; mutually unordered.
-    pub fn snapshot(&self) -> RouterStatsSnapshot {
-        // ORDERING: statistics reads; see `add`.
-        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        RouterStatsSnapshot {
-            connections: get(&self.connections),
-            http_requests: get(&self.http_requests),
-            frames: get(&self.frames),
-            queries: get(&self.queries),
-            forwarded_frames: get(&self.forwarded_frames),
-            fanout_frames: get(&self.fanout_frames),
-            shard_errors: get(&self.shard_errors),
-            error_frames: get(&self.error_frames),
-            reloads: get(&self.reloads),
-        }
-    }
-}
-
-/// State shared by the acceptor, workers, and external handles.
+/// The [`Service`] behind `chl route`: every answer is placed on, fetched
+/// from and merged across the cluster's shard servers.
 #[derive(Debug)]
-pub struct RouterState {
-    shutdown: AtomicBool,
-    stats: RouterStats,
-}
-
-impl RouterState {
-    /// `true` once shutdown was requested (protocol frame or handle).
-    pub fn is_shutdown(&self) -> bool {
-        // ORDERING: latch flag; a stale read costs one poll interval.
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    fn request_shutdown(&self) {
-        // ORDERING: see is_shutdown — monotonic latch, no data published.
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-}
-
-/// A cloneable remote control for a bound router: shutdown + stats.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-}
-
-impl RouterHandle {
-    /// The address the router actually listens on (resolves `:0` binds).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Requests a graceful stop of the router (backends keep running).
-    pub fn signal_shutdown(&self) {
-        self.state.request_shutdown();
-    }
-
-    /// `true` once shutdown was requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.is_shutdown()
-    }
-
-    /// Current routing counters.
-    pub fn stats(&self) -> RouterStatsSnapshot {
-        self.state.stats.snapshot()
-    }
+pub struct RouteService {
+    cluster: Arc<ClusterView>,
+    max_frame: u32,
+    backend_timeout: Duration,
+    forwarded_frames: Counter,
+    fanout_frames: Counter,
+    shard_errors: Counter,
 }
 
 /// A bound-but-not-yet-running router.
-#[derive(Debug)]
-pub struct Router {
-    listener: TcpListener,
-    cluster: Arc<ClusterView>,
-    opts: RouterOptions,
-    state: Arc<RouterState>,
-    addr: SocketAddr,
-}
-
+pub type Router = Engine<RouteService>;
+/// A cloneable remote control for a bound router: shutdown + stats.
+pub type RouterHandle = Handle<RouteService>;
 /// A router running on its own thread, as spawned by [`Router::spawn`].
-#[derive(Debug)]
-pub struct SpawnedRouter {
-    handle: RouterHandle,
-    join: std::thread::JoinHandle<std::io::Result<()>>,
-}
-
-impl SpawnedRouter {
-    /// The remote control (addr, shutdown, stats).
-    pub fn handle(&self) -> &RouterHandle {
-        &self.handle
-    }
-
-    /// Signals shutdown and waits for the routing thread to exit, returning
-    /// the final counters.
-    pub fn shutdown(self) -> std::io::Result<RouterStatsSnapshot> {
-        self.handle.signal_shutdown();
-        self.join()
-    }
-
-    /// Waits for the router to exit on its own (e.g. a protocol SHUTDOWN
-    /// frame), returning the final counters.
-    pub fn join(self) -> std::io::Result<RouterStatsSnapshot> {
-        match self.join.join() {
-            Ok(result) => result.map(|()| self.handle.stats()),
-            Err(_) => Err(std::io::Error::other("router thread panicked")),
-        }
-    }
-}
+pub type SpawnedRouter = Spawned<RouteService>;
 
 impl Router {
     /// Binds `addr` (use port 0 for an ephemeral port) in front of a
@@ -408,138 +293,24 @@ impl Router {
         cluster: ClusterView,
         opts: RouterOptions,
     ) -> std::io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        Ok(Router {
-            listener,
+        let service = RouteService {
             cluster: Arc::new(cluster),
-            opts: RouterOptions {
-                threads: opts.threads.max(1),
-                max_frame: opts.max_frame,
-                backend_timeout: opts.backend_timeout,
-            },
-            state: Arc::new(RouterState {
-                shutdown: AtomicBool::new(false),
-                stats: RouterStats::default(),
-            }),
-            addr,
-        })
-    }
-
-    /// The bound address (resolves `:0` to the ephemeral port picked).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// A remote control usable from other threads while [`Router::run`]
-    /// blocks this one.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            addr: self.addr,
-            state: Arc::clone(&self.state),
-        }
-    }
-
-    /// Runs acceptor + workers on the calling thread until shutdown is
-    /// requested, then drains and joins the workers.
-    pub fn run(self) -> std::io::Result<()> {
-        let Router {
-            listener,
-            cluster,
-            opts,
-            state,
-            addr: _,
-        } = self;
-        listener.set_nonblocking(true)?;
-
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(opts.threads);
-        for i in 0..opts.threads {
-            let rx = Arc::clone(&rx);
-            let cluster = Arc::clone(&cluster);
-            let state = Arc::clone(&state);
-            let opts = opts.clone();
-            let worker = std::thread::Builder::new()
-                .name(format!("chl-route-{i}"))
-                .spawn(move || worker_loop(&rx, &cluster, &opts, &state))?;
-            workers.push(worker);
-        }
-
-        while !state.is_shutdown() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    RouterStats::add(&state.stats.connections, 1);
-                    if tx.send(stream).is_err() {
-                        break; // all workers gone (cannot happen before shutdown)
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Transient accept failure: back off instead of dying.
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-
-        drop(tx);
-        for worker in workers {
-            if worker.join().is_err() {
-                return Err(std::io::Error::other("route worker panicked"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Moves the router onto a background thread; the returned handle
-    /// controls and observes it.
-    pub fn spawn(self) -> std::io::Result<SpawnedRouter> {
-        let handle = self.handle();
-        let join = std::thread::Builder::new()
-            .name("chl-route-accept".to_string())
-            .spawn(move || self.run())?;
-        Ok(SpawnedRouter { handle, join })
-    }
-}
-
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-) {
-    // Each worker owns its backend connections: no cross-worker locking on
-    // the hot path, and a backend failure on one worker never poisons the
-    // others' connections.
-    let mut pool = BackendPool::new(cluster, opts.backend_timeout);
-    loop {
-        let next = {
-            let guard = match rx.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard.recv_timeout(READ_POLL)
+            max_frame: opts.max_frame,
+            backend_timeout: opts.backend_timeout,
+            forwarded_frames: Counter::default(),
+            fanout_frames: Counter::default(),
+            shard_errors: Counter::default(),
         };
-        match next {
-            Ok(stream) => {
-                let _ = route_connection(stream, &mut pool, cluster, opts, state);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if state.is_shutdown() {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
+        Engine::new(addr, service, opts.threads, opts.max_frame)
     }
 }
 
-/// One worker's lazily connected backend clients, indexed by shard id.
-struct BackendPool<'a> {
-    cluster: &'a ClusterView,
+/// One worker's lazily connected backend clients, indexed by shard id. Each
+/// worker owns its own: no cross-worker locking on the hot path, and a
+/// backend failure on one worker never poisons the others' connections.
+#[derive(Debug)]
+pub struct BackendPool {
+    cluster: Arc<ClusterView>,
     conns: Vec<Option<Client>>,
     timeout: Duration,
 }
@@ -556,15 +327,7 @@ enum BackendFailure {
     },
 }
 
-impl<'a> BackendPool<'a> {
-    fn new(cluster: &'a ClusterView, timeout: Duration) -> Self {
-        BackendPool {
-            conns: (0..cluster.shard_count()).map(|_| None).collect(),
-            cluster,
-            timeout,
-        }
-    }
-
+impl BackendPool {
     fn take_or_connect(&mut self, shard: usize) -> Option<Client> {
         if let Some(Some(conn)) = self.conns.get_mut(shard).map(Option::take) {
             return Some(conn);
@@ -587,31 +350,25 @@ impl<'a> BackendPool<'a> {
             let Some(mut conn) = self.take_or_connect(shard) else {
                 continue;
             };
-            match f(&mut conn) {
-                Ok(value) => {
-                    if let Some(slot) = self.conns.get_mut(shard) {
-                        *slot = Some(conn);
-                    }
-                    return Ok(value);
-                }
+            let result = match f(&mut conn) {
+                Ok(value) => Ok(value),
                 Err(ClientError::Server {
                     code,
                     detail,
                     message,
-                }) => {
-                    if let Some(slot) = self.conns.get_mut(shard) {
-                        *slot = Some(conn);
-                    }
-                    return Err(BackendFailure::Server {
-                        code,
-                        detail,
-                        message,
-                    });
-                }
+                }) => Err(BackendFailure::Server {
+                    code,
+                    detail,
+                    message,
+                }),
                 // Io / Wire / UnexpectedResponse: the connection can no
                 // longer be trusted — drop it and retry on a fresh one.
-                Err(_) => {}
+                Err(_) => continue,
+            };
+            if let Some(slot) = self.conns.get_mut(shard) {
+                *slot = Some(conn);
             }
+            return result;
         }
         Err(BackendFailure::Unavailable)
     }
@@ -640,195 +397,6 @@ fn backend_failure_response(shard: usize, failure: &BackendFailure) -> Response 
     }
 }
 
-/// Outcome of processing one flush of client frames.
-enum Disposition {
-    /// Keep reading from this connection.
-    Continue,
-    /// Close and stop the router (SHUTDOWN frame acknowledged). Backends
-    /// keep running — stopping them is their operator's call.
-    ShutdownRouter,
-}
-
-fn route_connection(
-    mut stream: TcpStream,
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-
-    // Preamble: 4 bytes decide binary protocol vs the status page.
-    let mut head = Vec::with_capacity(4);
-    let mut chunk = vec![0u8; READ_CHUNK];
-    while head.len() < 4 {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // silent connect-and-close
-            Ok(n) => head.extend_from_slice(chunk.get(..n).unwrap_or_default()),
-            Err(e) if would_block(&e) => {
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    if head.get(..4) != Some(MAGIC.as_slice()) {
-        RouterStats::add(&state.stats.http_requests, 1);
-        return route_status_page(stream, cluster);
-    }
-
-    let mut fb = FrameBuffer::new(opts.max_frame);
-    fb.extend(head.get(4..).unwrap_or_default());
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    loop {
-        loop {
-            match fb.next_payload() {
-                Ok(Some(payload)) => payloads.push(payload),
-                Ok(None) => break,
-                Err(wire) => {
-                    // Oversized declared length: answer typed, then close.
-                    let mut out = Vec::new();
-                    if !payloads.is_empty() {
-                        route_frames(&payloads, pool, cluster, opts, state, &mut out);
-                        payloads.clear();
-                    }
-                    encode_response(&wire_error_response(&wire), &mut out);
-                    RouterStats::add(&state.stats.error_frames, 1);
-                    let _ = stream.write_all(&out);
-                    return Ok(());
-                }
-            }
-        }
-        if !payloads.is_empty() {
-            let mut out = Vec::new();
-            let disposition = route_frames(&payloads, pool, cluster, opts, state, &mut out);
-            payloads.clear();
-            stream.write_all(&out)?;
-            match disposition {
-                Disposition::Continue => {}
-                Disposition::ShutdownRouter => {
-                    state.request_shutdown();
-                    return Ok(());
-                }
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => fb.extend(chunk.get(..n).unwrap_or_default()),
-            Err(e) if would_block(&e) => {
-                if state.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-fn wire_error_response(wire: &WireError) -> Response {
-    let code = match wire {
-        WireError::Oversized { .. } => ErrorCode::Oversized,
-        WireError::UnknownOpcode(_) => ErrorCode::UnknownOpcode,
-        WireError::Truncated | WireError::TrailingBytes => ErrorCode::Malformed,
-    };
-    Response::Error {
-        code,
-        detail: 0,
-        message: wire.to_string(),
-    }
-}
-
-/// Minimal plain-text status for non-protocol (curl) connections; the real
-/// HTTP query adapter lives on the shard servers.
-fn route_status_page(mut stream: TcpStream, cluster: &ClusterView) -> std::io::Result<()> {
-    let body = format!(
-        "chl route: {} shards over {} vertices (zeta {})\n",
-        cluster.shard_count(),
-        cluster.num_vertices(),
-        cluster.map().zeta()
-    );
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())
-}
-
-/// Answers every frame of one flush in order, coalescing contiguous QUERY
-/// runs so each backend sees one pipelined write per run.
-fn route_frames(
-    payloads: &[Vec<u8>],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-    out: &mut Vec<u8>,
-) -> Disposition {
-    RouterStats::add(&state.stats.frames, payloads.len() as u64);
-    let mut iter = payloads.iter().peekable();
-    while let Some(payload) = iter.next() {
-        match decode_request(payload) {
-            Ok(Request::Query(first)) => {
-                let mut run: Vec<Vec<(VertexId, VertexId)>> = vec![first];
-                while let Some(next) = iter.peek() {
-                    match decode_request(next) {
-                        Ok(Request::Query(pairs)) => {
-                            run.push(pairs);
-                            iter.next();
-                        }
-                        _ => break,
-                    }
-                }
-                route_query_run(&run, pool, cluster, state, out);
-            }
-            Ok(Request::Path(u, v)) => {
-                route_path(u, v, pool, cluster, state, out);
-            }
-            Ok(Request::Matrix { sources, targets }) => {
-                route_matrix(&sources, &targets, pool, cluster, opts, state, out);
-            }
-            Ok(Request::Info) => {
-                let resp = aggregate_info(pool, cluster);
-                if matches!(resp, Response::Error { .. }) {
-                    RouterStats::add(&state.stats.error_frames, 1);
-                }
-                encode_response(&resp, out);
-            }
-            Ok(Request::Reload) => {
-                let resp = fan_out_reload(pool, cluster);
-                match resp {
-                    Response::Ok { .. } => RouterStats::add(&state.stats.reloads, 1),
-                    _ => RouterStats::add(&state.stats.error_frames, 1),
-                }
-                encode_response(&resp, out);
-            }
-            Ok(Request::Shutdown) => {
-                // The router has no reload generation of its own; 0 here.
-                encode_response(&Response::Ok { generation: 0 }, out);
-                return Disposition::ShutdownRouter;
-            }
-            Err(wire) => {
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&wire_error_response(&wire), out);
-            }
-        }
-    }
-    Disposition::Continue
-}
-
 /// What one [`ShardGroup`] came back as: distances, or an error frame to
 /// surface for the whole client frame.
 type GroupOutcome = Result<Vec<Distance>, Response>;
@@ -838,373 +406,348 @@ struct ShardGroup {
     shard: usize,
     positions: Vec<usize>,
     pairs: Vec<(VertexId, VertexId)>,
+    /// Filled by the scatter phase; still `None` after it means the backend
+    /// conversation desynced.
+    outcome: Option<GroupOutcome>,
 }
 
 /// Disposition of one QUERY frame in a run.
 enum FrameDisp {
-    /// Decided by the router itself (out-of-range, or an empty frame).
-    Local(Response),
-    /// Placed on backends; groups are ordered by first pair appearance.
+    /// Refused by the router itself: an id outside `0..n`.
+    OutOfRange(VertexId),
+    /// Placed on backends; groups are ordered by first pair appearance (an
+    /// empty frame has none and answers empty).
     Placed {
         groups: Vec<ShardGroup>,
         num_pairs: usize,
     },
 }
 
-/// Places a run of QUERY frames on owning shards, pipelines each shard's
-/// sub-frames in one conversation, and merges every frame's answers back
-/// into request order. Error semantics per frame:
-///
-/// * out-of-range id → the exact `VertexOutOfRange` frame a whole-index
-///   server sends (router-local, never forwarded);
-/// * owning backend unreachable after a reconnect attempt →
-///   [`ErrorCode::ShardUnavailable`] with the shard id in `detail`; only the
-///   frames placed on that shard fail;
-/// * backend answered a typed error → forwarded with the shard prefixed to
-///   the message.
-fn route_query_run(
-    run: &[Vec<(VertexId, VertexId)>],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    state: &RouterState,
-    out: &mut Vec<u8>,
-) {
-    let map = cluster.map();
-    let n = map.num_vertices();
+impl Service for RouteService {
+    const NAME: &'static str = "route";
+    type Worker = BackendPool;
+    type Stats = RouterStatsSnapshot;
 
-    let mut disps: Vec<FrameDisp> = Vec::with_capacity(run.len());
-    // Per-shard worklist of (frame index, group index), in pipeline order.
-    let mut per_shard: Vec<Vec<(usize, usize)>> = vec![Vec::new(); map.shard_count()];
-    for (fi, pairs) in run.iter().enumerate() {
-        // Same scan order and message as a whole-index server, so clients
-        // cannot tell the router from a single process on bad input.
-        let bad = pairs
-            .iter()
-            .find(|&&(u, v)| u as usize >= n || v as usize >= n)
-            .map(|&(u, v)| if (u as usize) < n { v } else { u });
-        if let Some(id) = bad {
-            disps.push(FrameDisp::Local(Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            }));
-            continue;
-        }
-        if pairs.is_empty() {
-            disps.push(FrameDisp::Local(Response::Distances(Vec::new())));
-            continue;
-        }
-        let mut groups: Vec<ShardGroup> = Vec::new();
-        for (pi, &(u, v)) in pairs.iter().enumerate() {
-            let shard = map.shard_for_query(u, v);
-            match groups.iter_mut().find(|g| g.shard == shard) {
-                Some(group) => {
-                    group.positions.push(pi);
-                    group.pairs.push((u, v));
-                }
-                None => groups.push(ShardGroup {
-                    shard,
-                    positions: vec![pi],
-                    pairs: vec![(u, v)],
-                }),
-            }
-        }
-        RouterStats::add(&state.stats.forwarded_frames, 1);
-        RouterStats::add(&state.stats.queries, pairs.len() as u64);
-        if groups.len() > 1 {
-            RouterStats::add(&state.stats.fanout_frames, 1);
-        }
-        for (gi, group) in groups.iter().enumerate() {
-            if let Some(work) = per_shard.get_mut(group.shard) {
-                work.push((fi, gi));
-            }
-        }
-        disps.push(FrameDisp::Placed {
-            groups,
-            num_pairs: pairs.len(),
-        });
-    }
-
-    // Scatter: one pipelined conversation per shard with work.
-    let mut outcomes: Vec<Vec<Option<GroupOutcome>>> = disps
-        .iter()
-        .map(|d| match d {
-            FrameDisp::Local(_) => Vec::new(),
-            FrameDisp::Placed { groups, .. } => (0..groups.len()).map(|_| None).collect(),
-        })
-        .collect();
-    for (shard, work) in per_shard.iter().enumerate() {
-        if work.is_empty() {
-            continue;
-        }
-        let frames: Vec<Vec<(VertexId, VertexId)>> = work
-            .iter()
-            .filter_map(|&(fi, gi)| match disps.get(fi) {
-                Some(FrameDisp::Placed { groups, .. }) => groups.get(gi).map(|g| g.pairs.clone()),
-                _ => None,
-            })
-            .collect();
-        let result = pool.call(shard, |client| client.pipeline(&frames));
-        match result {
-            Ok(answers) if answers.len() == frames.len() => {
-                for (&(fi, gi), answer) in work.iter().zip(answers) {
-                    let entry = match answer {
-                        Ok(ds) => Ok(ds),
-                        Err((code, detail)) => {
-                            RouterStats::add(&state.stats.shard_errors, 1);
-                            Err(Response::Error {
-                                code,
-                                detail,
-                                message: format!("shard {shard}: {code}"),
-                            })
-                        }
-                    };
-                    if let Some(slot) = outcomes.get_mut(fi).and_then(|o| o.get_mut(gi)) {
-                        *slot = Some(entry);
-                    }
-                }
-            }
-            // A response-count mismatch means the conversation desynced;
-            // treat it like a dead backend for these frames.
-            Ok(_) => {
-                RouterStats::add(&state.stats.shard_errors, work.len() as u64);
-                for &(fi, gi) in work {
-                    if let Some(slot) = outcomes.get_mut(fi).and_then(|o| o.get_mut(gi)) {
-                        *slot = Some(Err(shard_unavailable_response(shard)));
-                    }
-                }
-            }
-            Err(failure) => {
-                RouterStats::add(&state.stats.shard_errors, work.len() as u64);
-                let resp = backend_failure_response(shard, &failure);
-                for &(fi, gi) in work {
-                    if let Some(slot) = outcomes.get_mut(fi).and_then(|o| o.get_mut(gi)) {
-                        *slot = Some(Err(resp.clone()));
-                    }
-                }
-            }
+    fn worker(&self) -> BackendPool {
+        BackendPool {
+            conns: (0..self.cluster.shard_count()).map(|_| None).collect(),
+            cluster: Arc::clone(&self.cluster),
+            timeout: self.backend_timeout,
         }
     }
 
-    // Gather: emit one response per frame, in request order.
-    for (disp, frame_outcomes) in disps.into_iter().zip(outcomes) {
-        match disp {
-            FrameDisp::Local(resp) => {
-                if matches!(resp, Response::Error { .. }) {
-                    RouterStats::add(&state.stats.error_frames, 1);
-                }
-                encode_response(&resp, out);
+    /// Places a run of QUERY frames on owning shards, pipelines each shard's
+    /// sub-frames in one conversation, and merges every frame's answers back
+    /// into request order. Error semantics per frame:
+    ///
+    /// * out-of-range id → the exact `VertexOutOfRange` frame a whole-index
+    ///   server sends (router-local, never forwarded);
+    /// * owning backend unreachable after a reconnect attempt →
+    ///   [`ErrorCode::ShardUnavailable`] with the shard id in `detail`; only
+    ///   the frames placed on that shard fail;
+    /// * backend answered a typed error → forwarded with the shard prefixed
+    ///   to the message.
+    fn query_run(
+        &self,
+        pool: &mut BackendPool,
+        run: &[Vec<(VertexId, VertexId)>],
+        reply: &mut Reply<'_>,
+    ) {
+        let map = self.cluster.map();
+        let n = map.num_vertices();
+
+        let mut disps: Vec<FrameDisp> = Vec::with_capacity(run.len());
+        // Per-shard worklist of (frame index, group index), in pipeline order.
+        let mut per_shard: Vec<Vec<(usize, usize)>> = vec![Vec::new(); map.shard_count()];
+        for (fi, pairs) in run.iter().enumerate() {
+            if let Some(id) = first_out_of_range(endpoints(pairs), n) {
+                disps.push(FrameDisp::OutOfRange(id));
+                continue;
             }
-            FrameDisp::Placed { groups, num_pairs } => {
-                let mut distances = vec![0u64; num_pairs];
-                let mut failure: Option<Response> = None;
-                for (group, outcome) in groups.iter().zip(frame_outcomes) {
-                    match outcome {
-                        Some(Ok(ds)) if ds.len() == group.positions.len() => {
-                            for (&pos, &d) in group.positions.iter().zip(&ds) {
-                                if let Some(slot) = distances.get_mut(pos) {
-                                    *slot = d;
-                                }
+            let mut groups: Vec<ShardGroup> = Vec::new();
+            for (pi, &(u, v)) in pairs.iter().enumerate() {
+                let shard = map.shard_for_query(u, v);
+                match groups.iter_mut().find(|g| g.shard == shard) {
+                    Some(group) => {
+                        group.positions.push(pi);
+                        group.pairs.push((u, v));
+                    }
+                    None => groups.push(ShardGroup {
+                        shard,
+                        positions: vec![pi],
+                        pairs: vec![(u, v)],
+                        outcome: None,
+                    }),
+                }
+            }
+            // An empty frame places nothing: it answers empty, uncounted.
+            if !groups.is_empty() {
+                self.forwarded_frames.add(1);
+                reply.stats.queries.add(pairs.len() as u64);
+            }
+            if groups.len() > 1 {
+                self.fanout_frames.add(1);
+            }
+            for (gi, group) in groups.iter().enumerate() {
+                if let Some(work) = per_shard.get_mut(group.shard) {
+                    work.push((fi, gi));
+                }
+            }
+            disps.push(FrameDisp::Placed {
+                groups,
+                num_pairs: pairs.len(),
+            });
+        }
+
+        // Scatter: one pipelined conversation per shard with work.
+        for (shard, work) in per_shard.iter().enumerate() {
+            if work.is_empty() {
+                continue;
+            }
+            let frames: Vec<Vec<(VertexId, VertexId)>> = work
+                .iter()
+                .filter_map(|&(fi, gi)| match disps.get(fi) {
+                    Some(FrameDisp::Placed { groups, .. }) => {
+                        groups.get(gi).map(|g| g.pairs.clone())
+                    }
+                    _ => None,
+                })
+                .collect();
+            let outcomes: Vec<GroupOutcome> = match pool.call(shard, |c| c.pipeline(&frames)) {
+                Ok(answers) if answers.len() == frames.len() => answers
+                    .into_iter()
+                    .map(|answer| {
+                        answer.map_err(|(code, detail)| Response::Error {
+                            code,
+                            detail,
+                            message: format!("shard {shard}: {code}"),
+                        })
+                    })
+                    .collect(),
+                // A response-count mismatch means the conversation desynced;
+                // treat it like a dead backend for these frames.
+                Ok(_) => vec![Err(shard_unavailable_response(shard)); work.len()],
+                Err(failure) => vec![Err(backend_failure_response(shard, &failure)); work.len()],
+            };
+            let failed = outcomes.iter().filter(|o| o.is_err()).count();
+            self.shard_errors.add(failed as u64);
+            for (&(fi, gi), outcome) in work.iter().zip(outcomes) {
+                if let Some(FrameDisp::Placed { groups, .. }) = disps.get_mut(fi) {
+                    if let Some(group) = groups.get_mut(gi) {
+                        group.outcome = Some(outcome);
+                    }
+                }
+            }
+        }
+
+        // Gather: emit one response per frame, in request order.
+        for disp in disps {
+            let (groups, num_pairs) = match disp {
+                FrameDisp::OutOfRange(id) => {
+                    reply.out_of_range(id, n);
+                    continue;
+                }
+                FrameDisp::Placed { groups, num_pairs } => (groups, num_pairs),
+            };
+            let mut distances = vec![0u64; num_pairs];
+            let mut failure: Option<Response> = None;
+            for group in groups {
+                match group.outcome {
+                    Some(Ok(ds)) if ds.len() == group.positions.len() => {
+                        for (&pos, &d) in group.positions.iter().zip(&ds) {
+                            if let Some(slot) = distances.get_mut(pos) {
+                                *slot = d;
                             }
                         }
-                        Some(Err(resp)) => {
-                            failure.get_or_insert(resp);
-                        }
-                        // Wrong count or an unfilled slot: desynced backend.
-                        _ => {
-                            failure.get_or_insert(shard_unavailable_response(group.shard));
-                        }
                     }
-                }
-                match failure {
-                    Some(resp) => {
-                        RouterStats::add(&state.stats.error_frames, 1);
-                        encode_response(&resp, out);
+                    Some(Err(resp)) => {
+                        failure.get_or_insert(resp);
                     }
-                    None => encode_response(&Response::Distances(distances), out),
+                    // Wrong count or an unfilled slot: desynced backend.
+                    _ => {
+                        failure.get_or_insert(shard_unavailable_response(group.shard));
+                    }
                 }
             }
+            reply.send(&failure.unwrap_or(Response::Distances(distances)));
+        }
+    }
+
+    /// Routes one PATH frame to the shard owning the pair (QDOL guarantees
+    /// one exists) and relays the answer; a dead owning shard is a typed
+    /// [`ErrorCode::ShardUnavailable`].
+    fn path(&self, pool: &mut BackendPool, u: VertexId, v: VertexId, reply: &mut Reply<'_>) {
+        let map = self.cluster.map();
+        let n = map.num_vertices();
+        if let Some(id) = first_out_of_range([u, v], n) {
+            return reply.out_of_range(id, n);
+        }
+        self.forwarded_frames.add(1);
+        reply.stats.queries.add(1);
+        let shard = map.shard_for_query(u, v);
+        match pool.call(shard, |client| client.path(u, v)) {
+            Ok(vertices) => reply.send(&Response::Path(vertices)),
+            Err(failure) => self.shard_failure(&backend_failure_response(shard, &failure), reply),
+        }
+    }
+
+    /// Routes one MATRIX frame: every cell is placed on the shard owning its
+    /// pair, each shard with work answers one sub-matrix over the (sorted,
+    /// deduplicated) sources and targets of its cells, and the cells are
+    /// merged back into the client's row-major block. All ids a shard
+    /// receives are owned by it — each appears in some cell placed there, and
+    /// QDOL ownership is per-vertex — so the extra cells a sub-matrix
+    /// computes are answerable waste, never `NotThisShard`. Any needed shard
+    /// being dead fails the whole frame (a partial matrix has no wire
+    /// representation).
+    fn matrix(
+        &self,
+        pool: &mut BackendPool,
+        sources: &[VertexId],
+        targets: &[VertexId],
+        reply: &mut Reply<'_>,
+    ) {
+        let map = self.cluster.map();
+        let n = map.num_vertices();
+        if let Some(id) = first_out_of_range(sources.iter().chain(targets).copied(), n) {
+            return reply.out_of_range(id, n);
+        }
+        let cells = sources.len() * targets.len();
+        if reply.matrix_exceeds_cap(cells, self.max_frame) {
+            return;
+        }
+        self.forwarded_frames.add(1);
+        reply.stats.queries.add(cells as u64);
+        if cells == 0 {
+            return reply.send(&Response::Matrix(Vec::new()));
+        }
+
+        // Place every cell, collecting each shard's id sets.
+        let mut shard_of_cell: Vec<usize> = Vec::with_capacity(cells);
+        let mut sub_sources: Vec<Vec<VertexId>> = vec![Vec::new(); map.shard_count()];
+        let mut sub_targets: Vec<Vec<VertexId>> = vec![Vec::new(); map.shard_count()];
+        for &s in sources {
+            for &t in targets {
+                let shard = map.shard_for_query(s, t);
+                shard_of_cell.push(shard);
+                if let (Some(ss), Some(ts)) =
+                    (sub_sources.get_mut(shard), sub_targets.get_mut(shard))
+                {
+                    ss.push(s);
+                    ts.push(t);
+                }
+            }
+        }
+        for ids in sub_sources.iter_mut().chain(sub_targets.iter_mut()) {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        let needed: Vec<usize> = (0..map.shard_count())
+            .filter(|&s| !sub_sources.get(s).is_none_or(Vec::is_empty))
+            .collect();
+        if needed.len() > 1 {
+            self.fanout_frames.add(1);
+        }
+
+        // Scatter: one sub-matrix conversation per shard with work.
+        let mut blocks: Vec<Option<Vec<Distance>>> = vec![None; map.shard_count()];
+        for &shard in &needed {
+            let (Some(ss), Some(ts)) = (sub_sources.get(shard), sub_targets.get(shard)) else {
+                continue;
+            };
+            match pool.call(shard, |client| client.matrix(ss, ts)) {
+                Ok(block) if block.len() == ss.len() * ts.len() => {
+                    if let Some(slot) = blocks.get_mut(shard) {
+                        *slot = Some(block);
+                    }
+                }
+                // Wrong cell count: desynced backend, same as dead.
+                Ok(_) => return self.shard_failure(&shard_unavailable_response(shard), reply),
+                Err(failure) => {
+                    return self.shard_failure(&backend_failure_response(shard, &failure), reply);
+                }
+            }
+        }
+
+        // Gather: pull each client cell out of its shard's sub-block.
+        let mut merged: Vec<Distance> = Vec::with_capacity(cells);
+        for (ci, &shard) in shard_of_cell.iter().enumerate() {
+            let (s, t) = (
+                sources.get(ci / targets.len()).copied().unwrap_or_default(),
+                targets.get(ci % targets.len()).copied().unwrap_or_default(),
+            );
+            let cell = blocks
+                .get(shard)
+                .and_then(|b| b.as_ref())
+                .and_then(|block| {
+                    let ss = sub_sources.get(shard)?;
+                    let ts = sub_targets.get(shard)?;
+                    let row = ss.binary_search(&s).ok()?;
+                    let col = ts.binary_search(&t).ok()?;
+                    block.get(row * ts.len() + col).copied()
+                });
+            match cell {
+                Some(d) => merged.push(d),
+                // Unreachable by construction; treat as a desynced backend
+                // rather than risking a wrong-length response.
+                None => return self.shard_failure(&shard_unavailable_response(shard), reply),
+            }
+        }
+        reply.send(&Response::Matrix(merged));
+    }
+
+    fn info(&self, pool: &mut BackendPool) -> Response {
+        aggregate_info(pool, &self.cluster)
+    }
+
+    fn reload(&self, pool: &mut BackendPool) -> Response {
+        fan_out_reload(pool, &self.cluster)
+    }
+
+    /// Stops the router only — stopping backends is their operator's call —
+    /// and the router has no reload generation of its own; 0 here.
+    fn shutdown(&self) -> Response {
+        Response::Ok { generation: 0 }
+    }
+
+    /// Minimal plain-text status for non-protocol (curl) connections; the
+    /// real HTTP query adapter lives on the shard servers.
+    fn http(&self, mut stream: TcpStream, _head: &[u8], _state: &State) -> std::io::Result<()> {
+        let body = format!(
+            "chl route: {} shards over {} vertices (zeta {})\n",
+            self.cluster.shard_count(),
+            self.cluster.num_vertices(),
+            self.cluster.map().zeta()
+        );
+        let response = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        stream.write_all(response.as_bytes())
+    }
+
+    fn stats(&self, shared: &Counters) -> RouterStatsSnapshot {
+        RouterStatsSnapshot {
+            connections: shared.connections.get(),
+            http_requests: shared.http_requests.get(),
+            frames: shared.frames.get(),
+            queries: shared.queries.get(),
+            forwarded_frames: self.forwarded_frames.get(),
+            fanout_frames: self.fanout_frames.get(),
+            shard_errors: self.shard_errors.get(),
+            error_frames: shared.error_frames.get(),
+            reloads: shared.reloads.get(),
         }
     }
 }
 
-/// Routes one PATH frame to the shard owning the pair (QDOL guarantees one
-/// exists) and relays the answer. Out-of-range ids are rejected locally with
-/// the exact frame a whole-index server sends; a dead owning shard is a
-/// typed [`ErrorCode::ShardUnavailable`].
-fn route_path(
-    u: VertexId,
-    v: VertexId,
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    state: &RouterState,
-    out: &mut Vec<u8>,
-) {
-    let map = cluster.map();
-    let n = map.num_vertices();
-    if let Some(id) = [u, v].into_iter().find(|&id| id as usize >= n) {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            },
-            out,
-        );
-        return;
+impl RouteService {
+    /// Surfaces a backend failure as the whole frame's answer.
+    fn shard_failure(&self, answer: &Response, reply: &mut Reply<'_>) {
+        self.shard_errors.add(1);
+        reply.send(answer);
     }
-    RouterStats::add(&state.stats.forwarded_frames, 1);
-    RouterStats::add(&state.stats.queries, 1);
-    let shard = map.shard_for_query(u, v);
-    match pool.call(shard, |client| client.path(u, v)) {
-        Ok(vertices) => encode_response(&Response::Path(vertices), out),
-        Err(failure) => {
-            RouterStats::add(&state.stats.shard_errors, 1);
-            RouterStats::add(&state.stats.error_frames, 1);
-            encode_response(&backend_failure_response(shard, &failure), out);
-        }
-    }
-}
-
-/// Routes one MATRIX frame: every cell is placed on the shard owning its
-/// pair, each shard with work answers one sub-matrix over the (sorted,
-/// deduplicated) sources and targets of its cells, and the cells are merged
-/// back into the client's row-major block. All ids a shard receives are
-/// owned by it — each appears in some cell placed there, and QDOL ownership
-/// is per-vertex — so the extra cells a sub-matrix computes are answerable
-/// waste, never `NotThisShard`. Any needed shard being dead fails the whole
-/// frame (a partial matrix has no wire representation).
-fn route_matrix(
-    sources: &[VertexId],
-    targets: &[VertexId],
-    pool: &mut BackendPool<'_>,
-    cluster: &ClusterView,
-    opts: &RouterOptions,
-    state: &RouterState,
-    out: &mut Vec<u8>,
-) {
-    let map = cluster.map();
-    let n = map.num_vertices();
-    if let Some(&id) = sources.iter().chain(targets).find(|&&id| id as usize >= n) {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::VertexOutOfRange,
-                detail: id as u64,
-                message: format!("vertex id {id} out of range for {n} vertices"),
-            },
-            out,
-        );
-        return;
-    }
-    let cells = sources.len() * targets.len();
-    let payload = 1 + 4 + 8 * cells;
-    if payload > opts.max_frame as usize {
-        RouterStats::add(&state.stats.error_frames, 1);
-        encode_response(
-            &Response::Error {
-                code: ErrorCode::Oversized,
-                detail: cells as u64,
-                message: format!(
-                    "matrix of {cells} cells exceeds the {}-byte frame cap",
-                    opts.max_frame
-                ),
-            },
-            out,
-        );
-        return;
-    }
-    RouterStats::add(&state.stats.forwarded_frames, 1);
-    RouterStats::add(&state.stats.queries, cells as u64);
-    if cells == 0 {
-        encode_response(&Response::Matrix(Vec::new()), out);
-        return;
-    }
-
-    // Place every cell, collecting each shard's id sets.
-    let mut shard_of_cell: Vec<usize> = Vec::with_capacity(cells);
-    let mut sub_sources: Vec<Vec<VertexId>> = vec![Vec::new(); map.shard_count()];
-    let mut sub_targets: Vec<Vec<VertexId>> = vec![Vec::new(); map.shard_count()];
-    for &s in sources {
-        for &t in targets {
-            let shard = map.shard_for_query(s, t);
-            shard_of_cell.push(shard);
-            if let (Some(ss), Some(ts)) = (sub_sources.get_mut(shard), sub_targets.get_mut(shard)) {
-                ss.push(s);
-                ts.push(t);
-            }
-        }
-    }
-    for ids in sub_sources.iter_mut().chain(sub_targets.iter_mut()) {
-        ids.sort_unstable();
-        ids.dedup();
-    }
-    let needed: Vec<usize> = (0..map.shard_count())
-        .filter(|&s| !sub_sources.get(s).is_none_or(Vec::is_empty))
-        .collect();
-    if needed.len() > 1 {
-        RouterStats::add(&state.stats.fanout_frames, 1);
-    }
-
-    // Scatter: one sub-matrix conversation per shard with work.
-    let mut blocks: Vec<Option<Vec<Distance>>> = vec![None; map.shard_count()];
-    for &shard in &needed {
-        let (Some(ss), Some(ts)) = (sub_sources.get(shard), sub_targets.get(shard)) else {
-            continue;
-        };
-        match pool.call(shard, |client| client.matrix(ss, ts)) {
-            Ok(block) if block.len() == ss.len() * ts.len() => {
-                if let Some(slot) = blocks.get_mut(shard) {
-                    *slot = Some(block);
-                }
-            }
-            // Wrong cell count: desynced backend, same as dead.
-            Ok(_) => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&shard_unavailable_response(shard), out);
-                return;
-            }
-            Err(failure) => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&backend_failure_response(shard, &failure), out);
-                return;
-            }
-        }
-    }
-
-    // Gather: pull each client cell out of its shard's sub-block.
-    let mut merged: Vec<Distance> = Vec::with_capacity(cells);
-    for (ci, &shard) in shard_of_cell.iter().enumerate() {
-        let (s, t) = (
-            sources.get(ci / targets.len()).copied().unwrap_or_default(),
-            targets.get(ci % targets.len()).copied().unwrap_or_default(),
-        );
-        let cell = blocks
-            .get(shard)
-            .and_then(|b| b.as_ref())
-            .and_then(|block| {
-                let ss = sub_sources.get(shard)?;
-                let ts = sub_targets.get(shard)?;
-                let row = ss.binary_search(&s).ok()?;
-                let col = ts.binary_search(&t).ok()?;
-                block.get(row * ts.len() + col).copied()
-            });
-        match cell {
-            Some(d) => merged.push(d),
-            // Unreachable by construction; treat as a desynced backend
-            // rather than risking a wrong-length response.
-            None => {
-                RouterStats::add(&state.stats.shard_errors, 1);
-                RouterStats::add(&state.stats.error_frames, 1);
-                encode_response(&shard_unavailable_response(shard), out);
-                return;
-            }
-        }
-    }
-    encode_response(&Response::Matrix(merged), out);
 }
 
 /// Aggregates the cluster into one unsharded-looking INFO answer: global
@@ -1213,7 +756,7 @@ fn route_matrix(
 /// deduplicated index size), and the minimum backend generation (the most
 /// conservative view of how reloaded the cluster is). Flags report what
 /// holds on **every** shard.
-fn aggregate_info(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response {
+fn aggregate_info(pool: &mut BackendPool, cluster: &ClusterView) -> Response {
     let mut total_labels = 0u64;
     let mut generation = u64::MAX;
     let mut compressed = true;
@@ -1246,7 +789,7 @@ fn aggregate_info(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response
 /// Fans RELOAD out to every shard in shard order and reports the minimum
 /// resulting generation. Not atomic: a mid-sequence failure leaves earlier
 /// shards reloaded, and the error frame names the first shard that failed.
-fn fan_out_reload(pool: &mut BackendPool<'_>, cluster: &ClusterView) -> Response {
+fn fan_out_reload(pool: &mut BackendPool, cluster: &ClusterView) -> Response {
     let mut generation = u64::MAX;
     for shard in 0..cluster.shard_count() {
         match pool.call(shard, |client| client.reload()) {

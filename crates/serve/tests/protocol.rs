@@ -537,3 +537,110 @@ fn protocol_shutdown_frame_stops_the_server_gracefully() {
     assert!(stats.queries >= 1);
     std::fs::remove_file(path).ok();
 }
+
+#[test]
+fn shutdown_acknowledged_beside_an_oversized_frame_still_stops_the_server() {
+    let opts = ServeOptions {
+        max_frame: 64,
+        ..ServeOptions::default()
+    };
+    let (server, _flat, path) = start_server("shutdown-oversized", opts);
+    let mut client = connect(&server);
+
+    // One flush: a SHUTDOWN frame, then a header declaring far over the cap.
+    let mut wire = Vec::new();
+    encode_request(&Request::Shutdown, &mut wire);
+    wire.extend_from_slice(&1_000_000u32.to_le_bytes());
+    client.send_raw(&wire).expect("send");
+    match client.read_response().expect("shutdown ack") {
+        Response::Ok { .. } => {}
+        other => panic!("expected OK, got {other:?}"),
+    }
+    match client.read_response().expect("error frame before close") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    // The acknowledged SHUTDOWN is honoured: run() exits on its own.
+    let stats = server.join().expect("server exits");
+    assert_eq!(stats.error_frames, 1);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn a_fresh_connection_is_answered_without_waiting_out_an_accept_poll() {
+    let (server, flat, path) = start_server("fresh-rtt", ServeOptions::default());
+    let addr = server.handle().addr();
+    let mut rtts: Vec<Duration> = (0..41)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            let mut client = Client::connect(addr).expect("connect");
+            assert_eq!(client.query(0, 9).expect("query"), flat.query(0, 9));
+            started.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "connect + one query has median {median:?} (all: {rtts:?})"
+    );
+    let stats = server.shutdown().expect("shutdown");
+    // The shutdown wake connection is not a served connection.
+    assert_eq!(stats.connections, 41);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn an_idle_server_bound_to_the_unspecified_address_shuts_down_promptly() {
+    let flat = build_index(7);
+    let path = temp_path("wildcard");
+    flat.save(&path).expect("save index");
+    let shared = Arc::new(SharedIndex::open(&path, false).expect("open index"));
+    let server = Server::bind("0.0.0.0:0", shared, ServeOptions::default())
+        .expect("bind wildcard")
+        .spawn()
+        .expect("spawn server");
+    assert!(server.handle().addr().ip().is_unspecified());
+
+    // No client ever connects: only the self-connect can end the accept.
+    let started = std::time::Instant::now();
+    let stats = server.shutdown().expect("shutdown");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "idle shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.connections, 0);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn an_idle_connection_does_not_pin_the_only_worker() {
+    let opts = ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    };
+    let (server, flat, path) = start_server("idle-handback", opts);
+
+    // The first client holds the single worker (answered, then silent).
+    let mut idle = connect(&server);
+    assert_eq!(idle.query(0, 1).expect("query"), flat.query(0, 1));
+
+    // A second client is still answered, within a second.
+    let started = std::time::Instant::now();
+    let mut second = connect(&server);
+    assert_eq!(second.query(3, 17).expect("query"), flat.query(3, 17));
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "second client waited {:?}",
+        started.elapsed()
+    );
+    // The parked connection was handed back, not dropped: it still serves.
+    assert_eq!(idle.query(5, 5).expect("query"), flat.query(5, 5));
+
+    drop(idle);
+    drop(second);
+    let stats = server.shutdown().expect("shutdown");
+    assert_eq!(stats.connections, 2);
+    std::fs::remove_file(path).ok();
+}

@@ -20,7 +20,7 @@ use chl_core::pll::sequential_pll;
 use chl_graph::generators::{grid_network, GridOptions};
 use chl_query::QdolShardMap;
 use chl_ranking::degree_ranking;
-use chl_serve::protocol::OP_QUERY;
+use chl_serve::protocol::{encode_request, Request, OP_QUERY};
 use chl_serve::{
     Client, ClientError, ClusterView, ErrorCode, Router, RouterOptions, ServeOptions, Server,
     SharedIndex, SpawnedRouter, SpawnedServer,
@@ -62,6 +62,10 @@ struct Cluster {
 const SHARDS: usize = 3;
 
 fn start_cluster(tag: &str, router_opts: RouterOptions) -> Cluster {
+    start_cluster_with(tag, ServeOptions::default(), router_opts)
+}
+
+fn start_cluster_with(tag: &str, shard_opts: ServeOptions, router_opts: RouterOptions) -> Cluster {
     let flat = build_index(7);
     let map = QdolShardMap::new(SHARDS, flat.num_vertices());
     let mut paths = Vec::new();
@@ -75,8 +79,7 @@ fn start_cluster(tag: &str, router_opts: RouterOptions) -> Cluster {
             .save_with(&path, &SaveOptions::default())
             .expect("save shard");
         let shared = Arc::new(SharedIndex::open(&path, false).expect("open shard"));
-        let server =
-            Server::bind("127.0.0.1:0", shared, ServeOptions::default()).expect("bind shard");
+        let server = Server::bind("127.0.0.1:0", shared, shard_opts.clone()).expect("bind shard");
         backends.push(server.spawn().expect("spawn shard server"));
         paths.push(path);
     }
@@ -591,4 +594,77 @@ fn a_dead_backend_degrades_to_typed_shard_unavailable_not_a_hang() {
     for path in &cluster.paths {
         std::fs::remove_file(path).ok();
     }
+}
+
+#[test]
+fn shutdown_beside_an_oversized_frame_stops_the_router_and_no_backend() {
+    let opts = RouterOptions {
+        max_frame: 64,
+        ..RouterOptions::default()
+    };
+    let cluster = start_cluster("shutdown-oversized", opts);
+    let mut client = connect(cluster.router.handle().addr());
+
+    // One flush: a SHUTDOWN frame, then a header declaring far over the cap.
+    let mut wire = Vec::new();
+    encode_request(&Request::Shutdown, &mut wire);
+    wire.extend_from_slice(&1_000_000u32.to_le_bytes());
+    client.send_raw(&wire).expect("send");
+    match client.read_response().expect("shutdown ack") {
+        chl_serve::Response::Ok { generation } => assert_eq!(generation, 0),
+        other => panic!("expected OK, got {other:?}"),
+    }
+    match client.read_response().expect("error frame before close") {
+        chl_serve::Response::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    // The acknowledged SHUTDOWN is honoured: the router exits on its own...
+    cluster.router.join().expect("router exits");
+    // ...and every backend keeps serving.
+    for (shard_id, backend) in cluster.backends.iter().enumerate() {
+        assert!(!backend.handle().is_shutdown());
+        let info = connect(backend.handle().addr()).info().expect("info");
+        assert_eq!(info.shard, Some((shard_id as u32, SHARDS as u32)));
+    }
+
+    for backend in cluster.backends {
+        backend.shutdown().expect("backend shutdown");
+    }
+    cluster.oracle.shutdown().expect("oracle shutdown");
+    for path in &cluster.paths {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
+fn single_worker_shards_answer_every_router_worker() {
+    // Two router workers each keep their own connection to every shard, but
+    // each shard server has ONE worker: the second router worker's batch is
+    // answered only if the first one's idle connection is handed back.
+    let shard_opts = ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    };
+    let router_opts = RouterOptions {
+        threads: 2,
+        backend_timeout: Duration::from_secs(1),
+        ..RouterOptions::default()
+    };
+    let cluster = start_cluster_with("narrow-shards", shard_opts, router_opts);
+    let mut oracle = connect(cluster.oracle.handle().addr());
+    let n = cluster.flat.num_vertices() as u32;
+    let frames: Vec<Vec<(u32, u32)>> = (0..n).map(|u| (0..n).map(|v| (u, v)).collect()).collect();
+    let expected = oracle.pipeline(&frames).expect("oracle pipeline");
+
+    // Both clients stay connected, so each pins one router worker — and
+    // through it one connection per shard.
+    let mut first = connect(cluster.router.handle().addr());
+    assert_eq!(first.pipeline(&frames).expect("first client"), expected);
+    let mut second = connect(cluster.router.handle().addr());
+    assert_eq!(second.pipeline(&frames).expect("second client"), expected);
+    assert_eq!(first.pipeline(&frames).expect("first client"), expected);
+
+    drop((first, second, oracle));
+    assert_eq!(cluster.router.handle().stats().shard_errors, 0);
+    cluster.teardown();
 }
