@@ -18,7 +18,6 @@ use chl_core::oracle::DistanceOracle;
 use chl_core::pll::sequential_pll;
 use chl_datasets::{load, DatasetId, Scale};
 use chl_query::workload::random_pairs;
-use rayon::ThreadPoolBuilder;
 
 fn batch_query_scaling(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
@@ -28,15 +27,11 @@ fn batch_query_scaling(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batch_distances");
     for threads in [1usize, 2, 4, 8] {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
         group.bench_function(format!("flat/{threads}_threads"), |b| {
-            b.iter(|| pool.install(|| black_box(flat.distances(&pairs))))
+            b.iter(|| rayon::with_threads(threads, || black_box(flat.distances(&pairs))))
         });
         group.bench_function(format!("pointer/{threads}_threads"), |b| {
-            b.iter(|| pool.install(|| black_box(index.distances(&pairs))))
+            b.iter(|| rayon::with_threads(threads, || black_box(index.distances(&pairs))))
         });
     }
     group.finish();

@@ -137,13 +137,9 @@ pub fn run_matrix(args: &[String]) -> Result<(), CliError> {
     if opts.value("threads").is_some() && threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| format!("cannot build thread pool: {e}"))?;
 
     let start = Instant::now();
-    let block = pool.install(|| oracle.matrix(&sources, &targets));
+    let block = rayon::with_threads(threads, || oracle.matrix(&sources, &targets));
     let elapsed = start.elapsed();
     for row in block.chunks(targets.len()) {
         let cells: Vec<String> = row.iter().map(|&d| render_distance(d)).collect();

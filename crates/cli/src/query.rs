@@ -6,9 +6,9 @@
 //! one distance per line.
 //!
 //! Batch throughput goes through [`DistanceOracle::distances`], which fans
-//! the workload out across a rayon pool sized by `--threads` (defaulting to
-//! all cores / `RAYON_NUM_THREADS`). The output is byte-identical at every
-//! thread count: chunks are contiguous and reassembled in order.
+//! the workload out across `--threads` worker threads (defaulting to
+//! `RAYON_NUM_THREADS`, else all cores). The output is byte-identical at
+//! every thread count: chunks are contiguous and reassembled in order.
 //!
 //! Every query pair is validated against the index's vertex count before the
 //! batch runs. Workload files are validated while line numbers are still
@@ -124,11 +124,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         return Err("the workload contains no query pairs".into());
     }
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .map_err(|e| format!("cannot build thread pool: {e}"))?;
-    run_batch(index, backend.name(), &workload, &pool);
+    rayon::with_threads(threads, || run_batch(index, backend.name(), &workload));
     Ok(())
 }
 
@@ -198,16 +194,12 @@ pub(crate) fn check_vertex(v: VertexId, n: usize) -> Result<(), CliError> {
 /// strided sample while throughput comes from whole-batch timing.
 const MAX_LATENCY_SAMPLES: usize = 1_000_000;
 
-fn run_batch(
-    index: &dyn DistanceOracle,
-    backend: &str,
-    workload: &QueryWorkload,
-    pool: &rayon::ThreadPool,
-) {
+/// Runs under the `--threads` count set by the caller's `with_threads`.
+fn run_batch(index: &dyn DistanceOracle, backend: &str, workload: &QueryWorkload) {
     // Warm-up pass: fault the index in and collect answer statistics, so the
     // timed passes below measure steady-state serving. This is the same
     // parallel batch path the timed pass uses.
-    let answers = pool.install(|| index.distances(&workload.pairs));
+    let answers = index.distances(&workload.pairs);
     let mut reachable = 0usize;
     let mut distance_sum = 0u64;
     for &d in &answers {
@@ -220,7 +212,7 @@ fn run_batch(
     // Throughput pass: one clock read around the whole parallel batch, so
     // timer overhead does not dilute the queries/s figure.
     let batch_start = Instant::now();
-    let timed = pool.install(|| index.distances(&workload.pairs));
+    let timed = index.distances(&workload.pairs);
     let batch_time = batch_start.elapsed();
     debug_assert_eq!(timed, answers, "batch answers must be deterministic");
     std::hint::black_box(&timed);
@@ -239,7 +231,7 @@ fn run_batch(
 
     println!("queries:        {total}");
     println!("backend:        {backend}");
-    println!("threads:        {}", pool.current_num_threads());
+    println!("threads:        {}", rayon::current_num_threads());
     println!(
         "reachable:      {reachable} ({:.1}%)",
         100.0 * reachable as f64 / total as f64

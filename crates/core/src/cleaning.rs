@@ -9,8 +9,6 @@
 //!
 //! Cleaning therefore never needs the graph — only the labeling itself.
 
-use rayon::prelude::*;
-
 use chl_graph::types::VertexId;
 use chl_ranking::Ranking;
 
@@ -24,24 +22,20 @@ use crate::labels::{LabelEntry, LabelSet};
 /// output sets, so it parallelizes over vertices without any locking and is
 /// independent of the order in which redundancies are discovered (canonical
 /// labels are never redundant, hence never deleted, hence every redundancy
-/// witness used by a query survives the pass). It runs on the ambient rayon
-/// pool; callers with a thread budget (the LCC/GLL constructors honoring
-/// `LabelingConfig::num_threads`) wrap the call in `ThreadPool::install`.
+/// witness used by a query survives the pass). It runs at the ambient
+/// `rayon::current_num_threads`; callers with a thread budget (the LCC
+/// constructor honoring `LabelingConfig::num_threads`) wrap the call in
+/// `rayon::with_threads`.
 pub fn clean_labels(labels: &[LabelSet], ranking: &Ranking) -> (Vec<LabelSet>, usize) {
-    let cleaned: Vec<LabelSet> = labels
-        .par_iter()
-        .enumerate()
-        .map(|(v, set)| {
-            let v = v as VertexId;
-            let kept: Vec<LabelEntry> = set
-                .entries()
-                .iter()
-                .copied()
-                .filter(|e| !is_redundant(v, *e, labels, ranking))
-                .collect();
-            LabelSet::from_entries(kept)
-        })
-        .collect();
+    let cleaned: Vec<LabelSet> = rayon::map(labels.len(), |v| {
+        let kept: Vec<LabelEntry> = labels[v]
+            .entries()
+            .iter()
+            .copied()
+            .filter(|e| !is_redundant(v as VertexId, *e, labels, ranking))
+            .collect();
+        LabelSet::from_entries(kept)
+    });
     let before: usize = labels.iter().map(LabelSet::len).sum();
     let after: usize = cleaned.iter().map(LabelSet::len).sum();
     (cleaned, before - after)
@@ -66,16 +60,15 @@ pub fn is_redundant(
 /// Counts redundant labels without removing them (used by diagnostics and by
 /// the DGLL superstep accounting, which needs the per-vertex verdicts).
 pub fn count_redundant(labels: &[LabelSet], ranking: &Ranking) -> usize {
-    labels
-        .par_iter()
-        .enumerate()
-        .map(|(v, set)| {
-            set.entries()
-                .iter()
-                .filter(|e| is_redundant(v as VertexId, **e, labels, ranking))
-                .count()
-        })
-        .sum()
+    rayon::map(labels.len(), |v| {
+        labels[v]
+            .entries()
+            .iter()
+            .filter(|e| is_redundant(v as VertexId, **e, labels, ranking))
+            .count()
+    })
+    .into_iter()
+    .sum()
 }
 
 #[cfg(test)]

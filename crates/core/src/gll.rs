@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
@@ -73,14 +72,6 @@ pub fn gll_from_state(
     let mut construction_time = Duration::ZERO;
     let mut cleaning_time = Duration::ZERO;
     let mut labels_generated_total = 0usize;
-
-    // The cleaning/commit phases below are rayon-parallel; pin them to the
-    // configured thread count so `--threads 1` caps the whole build, not
-    // just the construction scope.
-    let clean_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
 
     // ORDERING: read between supersteps, after the worker scope has joined —
     // the join is the synchronization point, so Relaxed is enough here.
@@ -145,49 +136,45 @@ pub fn gll_from_state(
         let local_entries = local.drain_all();
         labels_generated_total += local_entries.iter().map(Vec::len).sum::<usize>();
 
-        clean_pool.install(|| {
+        // The cleaning/commit passes are parallel; pin them to the
+        // configured thread count so `--threads 1` caps the whole build, not
+        // just the construction scope.
+        rayon::with_threads(threads, || {
             // Combined view of each vertex's labels (global ∪ local), needed
             // both as L_v and as L_h by the cleaning queries.
-            let combined: Vec<LabelSet> = global
-                .par_iter()
-                .zip(local_entries.par_iter())
-                .map(|(global_set, local_raw)| {
-                    let mut set = global_set.clone();
-                    set.merge(&LabelSet::from_entries(local_raw.clone()));
-                    set
-                })
-                .collect();
+            let combined: Vec<LabelSet> = rayon::map(n, |v| {
+                let mut set = global[v].clone();
+                set.merge(&LabelSet::from_entries(local_entries[v].clone()));
+                set
+            });
 
-            let survivors: Vec<Vec<LabelEntry>> = local_entries
-                .par_iter()
-                .enumerate()
-                .map(|(v, raw)| {
-                    raw.iter()
-                        .copied()
-                        .filter(|e| {
-                            let hub_vertex = ranking.vertex_at(e.hub);
-                            if hub_vertex == v as u32 {
-                                return true;
-                            }
-                            !combined[v].is_redundant_label(
-                                e.hub,
-                                e.dist,
-                                &combined[hub_vertex as usize],
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
+            let survivors: Vec<Vec<LabelEntry>> = rayon::map(n, |v| {
+                local_entries[v]
+                    .iter()
+                    .copied()
+                    .filter(|e| {
+                        let hub_vertex = ranking.vertex_at(e.hub);
+                        if hub_vertex == v as u32 {
+                            return true;
+                        }
+                        !combined[v].is_redundant_label(
+                            e.hub,
+                            e.dist,
+                            &combined[hub_vertex as usize],
+                        )
+                    })
+                    .collect()
+            });
 
-            // Commit survivors to the global table.
-            global
-                .par_iter_mut()
-                .zip(survivors.into_par_iter())
-                .for_each(|(global_set, kept)| {
-                    if !kept.is_empty() {
-                        global_set.merge(&LabelSet::from_entries(kept));
-                    }
-                });
+            // Commit survivors to the global table: each vertex's kept
+            // entries are moved, not copied, into its global set.
+            let mut commits: Vec<(&mut LabelSet, Vec<LabelEntry>)> =
+                global.iter_mut().zip(survivors).collect();
+            rayon::for_each_mut(&mut commits, |_, (global_set, kept)| {
+                if !kept.is_empty() {
+                    global_set.merge(&LabelSet::from_entries(std::mem::take(kept)));
+                }
+            });
         });
         cleaning_time += clean_start.elapsed();
     }

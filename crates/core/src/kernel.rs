@@ -217,7 +217,7 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
 /// `(hub, column, distance)` triples; each source row then walks its own
 /// run and relaxes only the pool slice of each hub it actually carries —
 /// `O(|L(s)| + hits)` per row rather than `O(Σ_t(|L(s)| + |L(t)|))`. Rows
-/// fan out across the rayon pool.
+/// are computed in parallel (`rayon::map`).
 ///
 /// Answers are exactly [`LabelView::query`] per cell: same saturating adds,
 /// same `INFINITY` for disconnected/out-of-range cells, and the same
@@ -230,8 +230,6 @@ pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
     sources: &[VertexId],
     targets: &[VertexId],
 ) -> Vec<Distance> {
-    use rayon::prelude::*;
-
     let n = view.num_vertices();
     let cols = targets.len();
     // Pool every target label once: (hub position, column, distance),
@@ -245,36 +243,36 @@ pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
     }
     pool.sort_unstable_by_key(|&(h, j, _)| (h, j));
 
-    let rows: Vec<Vec<Distance>> = sources
-        .par_iter()
-        .map(|&s| {
-            let mut row = vec![INFINITY; cols];
-            if let Some(run) = view.label_run(s) {
-                for e in run {
-                    let lo = pool.partition_point(|&(h, _, _)| h < e.hub);
-                    for &(h, j, d) in pool.iter().skip(lo) {
-                        if h != e.hub {
-                            break;
-                        }
-                        let cand = e.dist.saturating_add(d);
-                        if let Some(cell) = row.get_mut(j as usize) {
-                            if cand < *cell {
-                                *cell = cand;
-                            }
+    let rows: Vec<Vec<Distance>> = rayon::map(sources.len(), |i| {
+        let mut row = vec![INFINITY; cols];
+        let Some(&s) = sources.get(i) else {
+            return row;
+        };
+        if let Some(run) = view.label_run(s) {
+            for e in run {
+                let lo = pool.partition_point(|&(h, _, _)| h < e.hub);
+                for &(h, j, d) in pool.iter().skip(lo) {
+                    if h != e.hub {
+                        break;
+                    }
+                    let cand = e.dist.saturating_add(d);
+                    if let Some(cell) = row.get_mut(j as usize) {
+                        if cand < *cell {
+                            *cell = cand;
                         }
                     }
                 }
             }
-            if (s as usize) < n {
-                for (cell, &t) in row.iter_mut().zip(targets) {
-                    if t == s {
-                        *cell = 0;
-                    }
+        }
+        if (s as usize) < n {
+            for (cell, &t) in row.iter_mut().zip(targets) {
+                if t == s {
+                    *cell = 0;
                 }
             }
-            row
-        })
-        .collect();
+        }
+        row
+    });
     let mut out = Vec::with_capacity(sources.len() * cols);
     for row in rows {
         out.extend(row);

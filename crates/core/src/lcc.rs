@@ -79,16 +79,12 @@ pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig)
     let construction_time = start.elapsed();
 
     // Phase LCC-II: sort the label sets and delete every redundant label.
-    // The rayon-parallel cleaning pass is pinned to the configured thread
-    // count so `--threads` caps the whole build, not just phase I.
+    // The parallel cleaning pass is pinned to the configured thread count
+    // so `--threads` caps the whole build, not just phase I.
     let constructed = table.into_label_sets();
     let labels_before: usize = constructed.iter().map(|s| s.len()).sum();
     let clean_start = Instant::now();
-    let clean_pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    let (cleaned, _removed) = clean_pool.install(|| clean_labels(&constructed, ranking));
+    let (cleaned, _removed) = rayon::with_threads(threads, || clean_labels(&constructed, ranking));
     let cleaning_time = clean_start.elapsed();
 
     let index = HubLabelIndex::new(cleaned, ranking.clone())

@@ -9,8 +9,6 @@
 //! swap storage layouts and serving modes freely; batch evaluation and
 //! memory accounting come with the trait.
 
-use rayon::prelude::*;
-
 use chl_graph::types::{Distance, VertexId, INFINITY};
 
 use crate::index::HubLabelIndex;
@@ -27,8 +25,8 @@ use crate::index::HubLabelIndex;
 /// them as data, not as programmer error.
 ///
 /// Oracles are `Sync`: an index answers queries from many threads at once,
-/// which is what lets [`Self::distances`] fan a batch out across the rayon
-/// pool by default.
+/// which is what lets [`Self::distances`] fan a batch out across threads by
+/// default.
 pub trait DistanceOracle: Sync {
     /// Exact shortest-path distance between `u` and `v`, [`INFINITY`] when
     /// they are not connected or either id is out of range.
@@ -42,16 +40,16 @@ pub trait DistanceOracle: Sync {
     fn memory_bytes(&self) -> usize;
 
     /// Evaluates a batch of queries, mapping [`Self::distance`] over `pairs`
-    /// in parallel chunks on the current rayon pool. `distances(pairs)[i]`
+    /// in parallel chunks (`rayon::map`). `distances(pairs)[i]`
     /// always equals `distance(pairs[i].0, pairs[i].1)` — output order and
     /// values are independent of the thread count (property-tested for every
     /// implementation in this workspace). Engines with cheaper batch paths
     /// may override it, but must preserve that contract.
     fn distances(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Distance> {
-        pairs
-            .par_iter()
-            .map(|&(u, v)| self.distance(u, v))
-            .collect()
+        rayon::map(pairs.len(), |i| {
+            let (u, v) = pairs[i];
+            self.distance(u, v)
+        })
     }
 
     /// `true` when `u` and `v` are in the same connected component (`false`
@@ -227,11 +225,7 @@ mod tests {
         let pairs: Vec<(u32, u32)> = (0..64).map(|i| (i % 4, (i * 7) % 5)).collect();
         let sequential: Vec<_> = pairs.iter().map(|&(u, v)| idx.query(u, v)).collect();
         for threads in [1, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            let parallel = pool.install(|| DistanceOracle::distances(&idx, &pairs));
+            let parallel = rayon::with_threads(threads, || DistanceOracle::distances(&idx, &pairs));
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }

@@ -16,8 +16,6 @@
 //! parent chain — the unpacker enforces that per step, so corrupt or
 //! mismatched parent data yields [`PathError::Corrupt`], never a hang.
 
-use rayon::prelude::*;
-
 use chl_graph::csr::CsrGraph;
 use chl_graph::types::{dist_add, VertexId};
 
@@ -238,8 +236,8 @@ impl PathOracle for MmapIndex {
 /// parent is the first CSR-order neighbor `w` of `v` with
 /// `dist(w, h) + weight(v, w) == d` — a vertex one edge along a shortest
 /// path toward the hub, which canonicality guarantees also carries `h`.
-/// Zero-distance entries are self-parented. Runs the per-vertex derivation
-/// across the rayon pool.
+/// Zero-distance entries are self-parented. The per-vertex derivation runs
+/// in parallel (`rayon::map`).
 ///
 /// Fails with [`PathError::Corrupt`] when `graph` does not match the index
 /// (wrong vertex count, or no neighbor witnesses an entry).
@@ -252,37 +250,35 @@ pub fn compute_parents(graph: &CsrGraph, index: &FlatIndex) -> Result<Vec<u32>, 
         )));
     }
     let view = index.as_view();
-    let per_vertex: Vec<Result<Vec<u32>, PathError>> = (0..n as VertexId)
-        .into_par_iter()
-        .map(|v| {
-            let run = view.labels_of(v);
-            let mut parents = Vec::with_capacity(run.len());
-            for e in run {
-                if e.dist == 0 {
-                    parents.push(v);
-                    continue;
-                }
-                let parent = graph
-                    .neighbors(v)
-                    .find(|&(w, wt)| {
-                        view.entry_of(w, e.hub)
-                            .is_some_and(|(_, (_, dw))| dist_add(dw, wt) == e.dist)
-                    })
-                    .map(|(w, _)| w);
-                match parent {
-                    Some(w) => parents.push(w),
-                    None => {
-                        return Err(PathError::Corrupt(format!(
-                            "no neighbor of vertex {v} witnesses its label (hub position {}, \
-                             distance {}); was the index built from this graph?",
-                            e.hub, e.dist
-                        )))
-                    }
+    let per_vertex: Vec<Result<Vec<u32>, PathError>> = rayon::map(n, |v| {
+        let v = v as VertexId;
+        let run = view.labels_of(v);
+        let mut parents = Vec::with_capacity(run.len());
+        for e in run {
+            if e.dist == 0 {
+                parents.push(v);
+                continue;
+            }
+            let parent = graph
+                .neighbors(v)
+                .find(|&(w, wt)| {
+                    view.entry_of(w, e.hub)
+                        .is_some_and(|(_, (_, dw))| dist_add(dw, wt) == e.dist)
+                })
+                .map(|(w, _)| w);
+            match parent {
+                Some(w) => parents.push(w),
+                None => {
+                    return Err(PathError::Corrupt(format!(
+                        "no neighbor of vertex {v} witnesses its label (hub position {}, \
+                         distance {}); was the index built from this graph?",
+                        e.hub, e.dist
+                    )))
                 }
             }
-            Ok(parents)
-        })
-        .collect();
+        }
+        Ok(parents)
+    });
     let mut parents = Vec::with_capacity(index.total_labels());
     for chunk in per_vertex {
         parents.extend(chunk?);

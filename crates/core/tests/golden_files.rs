@@ -59,6 +59,21 @@ fn build_golden() -> FlatIndex {
     FlatIndex::from_index(&sequential_pll(&g, &ranking).index)
 }
 
+/// The corpus with per-entry parent records, derived at 1, 2 and 8
+/// threads: the parallel derivation must not depend on the thread count.
+fn golden_with_paths() -> FlatIndex {
+    let derive = |threads| {
+        rayon::with_threads(threads, || {
+            attach_parents(&golden_graph(), build_golden()).expect("corpus graph matches its index")
+        })
+    };
+    let with_paths = derive(1);
+    for threads in [2, 8] {
+        assert_eq!(derive(threads), with_paths, "parents at {threads} threads");
+    }
+    with_paths
+}
+
 /// The pinned QDOL shard layout for 3 shards over the 16-vertex corpus:
 /// shard pairs (0,1), (0,2), (1,2) over partitions {0..6}, {6..12},
 /// {12..16}. Must match `QdolShardMap::new(3, 16)` — see the module docs.
@@ -167,8 +182,7 @@ fn regen(dir: &Path) {
     std::fs::write(dir.join("golden.distances.txt"), distance_table(&golden)).unwrap();
     // The path-section fixtures: the same corpus with per-entry parent
     // records, in both entry encodings, plus its pinned walk table.
-    let with_paths =
-        attach_parents(&golden_graph(), golden).expect("corpus graph matches its index");
+    let with_paths = golden_with_paths();
     std::fs::write(dir.join("golden.v3-paths.chl"), with_paths.to_bytes()).unwrap();
     std::fs::write(
         dir.join("golden.v3-paths-compressed.chl"),
@@ -394,6 +408,11 @@ fn path_fixtures_answer_the_pinned_walk_table() {
         "re-serializing the compressed paths fixture must be byte-identical"
     );
     assert_eq!(flat, comp, "one index in two coats");
+    assert_eq!(
+        golden_with_paths().to_bytes(),
+        flat_bytes,
+        "deriving the parents again reproduces the paths fixture"
+    );
 
     // Every loader answers the pinned walks exactly: copy-load, borrowed
     // views over both encodings, and both mmap shapes. The distance table
@@ -412,12 +431,16 @@ fn path_fixtures_answer_the_pinned_walk_table() {
     let all: Vec<u32> = (0..n).collect();
     let pinned_block: Vec<u64> = table.iter().flatten().copied().collect();
     use chl_core::oracle::DistanceOracle;
-    assert_eq!(flat.matrix(&all, &all), pinned_block, "pivoted matrix pin");
-    assert_eq!(
-        mapped_comp.matrix(&all, &all),
-        pinned_block,
-        "mmap pivoted matrix pin"
-    );
+    for threads in [1, 2, 8] {
+        rayon::with_threads(threads, || {
+            assert_eq!(flat.matrix(&all, &all), pinned_block, "pivoted matrix pin");
+            assert_eq!(
+                mapped_comp.matrix(&all, &all),
+                pinned_block,
+                "mmap pivoted matrix pin"
+            );
+        });
+    }
 
     for &((u, v), ref expect) in &walks {
         assert_eq!(&flat.path(u, v).unwrap(), expect, "copy-load ({u}, {v})");

@@ -5,6 +5,8 @@
 //!
 //! The properties:
 //!
+//! - the parallel parent derivation (`attach_parents`) yields the same
+//!   index at 1, 2 and 8 threads;
 //! - every reconstructed path is a **contiguous edge walk** of the source
 //!   graph whose weight sum is exactly `distance(u, v)` — exactly what
 //!   Dijkstra reports — with `Ok(None)` on disconnected and out-of-range
@@ -30,6 +32,7 @@ use chl_core::oracle::DistanceOracle;
 use chl_core::paths::{attach_parents, PathError, PathOracle};
 use chl_core::persist::{self, AlignedBytes, SaveOptions, ShardSpec};
 use chl_core::pll::sequential_pll;
+use chl_core::HubLabelIndex;
 use chl_graph::sssp::dijkstra;
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_graph::{CsrGraph, GraphBuilder};
@@ -141,11 +144,7 @@ fn assert_batch_ops_match_brute_force<O: DistanceOracle>(
         .flat_map(|&s| targets.iter().map(move |&t| oracle.distance(s, t)))
         .collect();
     for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("test pool");
-        let block = pool.install(|| oracle.matrix(sources, targets));
+        let block = rayon::with_threads(threads, || oracle.matrix(sources, targets));
         prop_assert_eq!(&block, &brute, "{} matrix at {} threads", tag, threads);
     }
     if let Some(&source) = sources.first() {
@@ -187,6 +186,24 @@ fn assert_batch_ops_match_brute_force<O: DistanceOracle>(
     Ok(())
 }
 
+/// `attach_parents` at 1, 2 and 8 threads: every count must derive the
+/// same parents. Returns the single-thread result.
+fn attach_parents_at_every_thread_count(
+    g: &CsrGraph,
+    index: &HubLabelIndex,
+) -> Result<FlatIndex, TestCaseError> {
+    let derive = |threads| {
+        rayon::with_threads(threads, || {
+            attach_parents(g, FlatIndex::from_index(index)).expect("graph matches")
+        })
+    };
+    let flat = derive(1);
+    for threads in [2usize, 8] {
+        prop_assert_eq!(&derive(threads), &flat, "parents at {} threads", threads);
+    }
+    Ok(flat)
+}
+
 fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!(
         "chl-proptest-paths-{}-{:?}-{tag}.chl",
@@ -209,7 +226,7 @@ proptest! {
     ) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let flat = attach_parents(&g, FlatIndex::from_index(&index)).expect("graph matches");
+        let flat = attach_parents_at_every_thread_count(&g, &index)?;
         let n = g.num_vertices() as u32;
         let truth = ground_truth(&g);
         let weights = edge_weights(&g);
@@ -295,7 +312,7 @@ proptest! {
     fn sharded_backends_are_shard_honest(g in arb_graph(), stride in 2u32..4) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let flat = attach_parents(&g, FlatIndex::from_index(&index)).expect("graph matches");
+        let flat = attach_parents_at_every_thread_count(&g, &index)?;
         let n = g.num_vertices() as u32;
 
         let spec = ShardSpec {

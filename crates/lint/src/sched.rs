@@ -11,8 +11,9 @@
 //! races such as "flag published before the value it guards" — which are
 //! observable under sequential consistency already. Weak-memory
 //! reorderings (visible only under relaxed hardware models) are *not*
-//! modeled; the rayon shim's single-word protocols are chosen so they do
-//! not depend on any (see `shims/rayon/tests/interleavings.rs`).
+//! modeled; the rayon shim's one atomic, its chunk-claiming cursor,
+//! publishes no data, so it does not depend on any (see
+//! `shims/rayon/tests/interleavings.rs`).
 //!
 //! Worlds are plain `Clone` structs, so exploring is allocation-cheap and
 //! fully deterministic: a reported schedule (a `Vec` of thread ids) replays

@@ -18,7 +18,6 @@ use chl_core::persist::ShardSpec;
 use chl_core::HubLabelIndex;
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId};
-use rayon::prelude::*;
 
 use crate::report::QueryModeReport;
 use crate::workload::QueryWorkload;
@@ -267,18 +266,15 @@ impl QueryEngine for QdolEngine {
         }
 
         let start = Instant::now();
-        let per_node_times: Vec<Duration> = buckets
-            .par_iter()
-            .map(|bucket| {
-                let node_start = Instant::now();
-                let mut acc = 0u64;
-                for &(u, v) in bucket {
-                    acc = acc.wrapping_add(self.local_answer(u, v));
-                }
-                std::hint::black_box(acc);
-                node_start.elapsed()
-            })
-            .collect();
+        let per_node_times: Vec<Duration> = rayon::map(buckets.len(), |node| {
+            let node_start = Instant::now();
+            let mut acc = 0u64;
+            for &(u, v) in &buckets[node] {
+                acc = acc.wrapping_add(self.local_answer(u, v));
+            }
+            std::hint::black_box(acc);
+            node_start.elapsed()
+        });
         let measured = start.elapsed();
 
         let slowest = per_node_times

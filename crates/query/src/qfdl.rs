@@ -15,7 +15,6 @@ use chl_core::labels::LabelSet;
 use chl_core::oracle::DistanceOracle;
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId, INFINITY};
-use rayon::prelude::*;
 
 use crate::report::QueryModeReport;
 use crate::workload::QueryWorkload;
@@ -112,19 +111,16 @@ impl QueryEngine for QfdlEngine {
         // contention a dedicated-node cluster would not see — per-node
         // compute is an upper bound, not an isolated measurement.
         let start = Instant::now();
-        let per_node_times: Vec<Duration> = self
-            .partitions
-            .par_iter()
-            .map(|partition| {
-                let node_start = Instant::now();
-                let mut acc = 0u64;
-                for &(u, v) in &workload.pairs {
-                    acc = acc.wrapping_add(Self::local_answer(partition, u, v));
-                }
-                std::hint::black_box(acc);
-                node_start.elapsed()
-            })
-            .collect();
+        let per_node_times: Vec<Duration> = rayon::map(self.partitions.len(), |node| {
+            let partition = &self.partitions[node];
+            let node_start = Instant::now();
+            let mut acc = 0u64;
+            for &(u, v) in &workload.pairs {
+                acc = acc.wrapping_add(Self::local_answer(partition, u, v));
+            }
+            std::hint::black_box(acc);
+            node_start.elapsed()
+        });
         let measured = start.elapsed();
 
         let slowest = per_node_times

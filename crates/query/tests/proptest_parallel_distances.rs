@@ -77,11 +77,7 @@ proptest! {
             prop_assert_eq!(oracle.distance(n, n), INFINITY, "{}: query({}, {})", name, n, n);
             prop_assert_eq!(oracle.distance(0, n), INFINITY, "{}: query(0, {})", name, n);
             for threads in [1usize, 2, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                let parallel = pool.install(|| oracle.distances(&pairs));
+                let parallel = rayon::with_threads(threads, || oracle.distances(&pairs));
                 prop_assert_eq!(
                     &parallel,
                     &sequential,

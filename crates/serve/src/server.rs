@@ -3,7 +3,7 @@
 //!
 //! [`OracleService`] answers every request from a [`SharedIndex`] snapshot:
 //! each coalesced run of QUERY frames becomes a **single** batched
-//! [`DistanceOracle::distances`] call (which fans out on the rayon pool),
+//! [`DistanceOracle::distances`] call (which fans out with `rayon::map`),
 //! PATH and MATRIX frames go through the generation's parent records and
 //! the hub-pivoted block kernel. Range is always checked before shard
 //! ownership, so out-of-range ids get byte-identical answers from a shard
@@ -37,8 +37,9 @@ const MAX_BATCH: usize = 1 << 16;
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections (the batched query fan-out
-    /// additionally uses the process-wide rayon pool). At least 1.
+    /// Worker threads handling connections (each batched query fan-out
+    /// additionally spawns `rayon::current_num_threads()` threads). At
+    /// least 1.
     pub threads: usize,
     /// Cap on one frame's payload length in bytes.
     pub max_frame: u32,

@@ -1,858 +1,249 @@
-//! Parallel shim for `rayon`: the `par_iter` / `par_iter_mut` /
-//! `into_par_iter` surface backed by a real chunked execution layer on
-//! scoped `std::thread`s.
+//! Parallel shim standing in for `rayon`: four functions over one chunked
+//! execution core on scoped `std::thread`s.
 //!
-//! Every parallel iterator bottoms out in a [`Producer`]: a splittable,
-//! exactly-sized description of the work. Execution splits the producer into
-//! contiguous chunks (several per worker), spawns one scoped thread per
-//! worker, and lets workers claim chunks dynamically off a shared atomic
-//! cursor — cheap load balancing without a work-stealing deque. Results are
-//! reassembled in chunk order, so **order-preserving drivers are
-//! deterministic**: `collect` over `map`/`zip`/`enumerate` produces exactly
-//! the sequence the equivalent sequential iterator would, at any thread
-//! count. `for_each` visits each chunk's items in order but chunks run
-//! concurrently, so cross-chunk side-effect ordering is unspecified (as in
-//! real rayon). Reductions
-//! (`sum`, `min`, `max`, `count`) combine per-chunk partials, so they are
-//! thread-count-independent only for associative, commutative operations —
-//! true for every reduction in this workspace (integer sums and counts), but
-//! a floating-point `sum` would see chunk-boundary rounding differences.
+//! * [`map`] computes `f(i)` for every `i < len` and returns the results in
+//!   index order;
+//! * [`for_each_mut`] calls `f(i, &mut items[i])` for every element;
+//! * [`with_threads`] runs a closure with a thread count in force;
+//! * [`current_num_threads`] reports the count a call would use now.
+//!
+//! Both parallel functions cut their input into contiguous, near-equal
+//! chunks (several per worker), spawn one scoped thread per worker and let
+//! the workers claim chunks dynamically off a shared atomic cursor — cheap
+//! load balancing without a work-stealing deque. Results are reassembled in
+//! chunk order, so [`map`] returns exactly what the sequential loop would,
+//! at any thread count. [`for_each_mut`] visits each chunk in order, but
+//! chunks run concurrently.
 //!
 //! Thread count resolution, most specific first:
-//! 1. the innermost enclosing [`ThreadPool::install`] scope on this thread,
-//! 2. the global pool built via [`ThreadPoolBuilder::build_global`],
-//! 3. the `RAYON_NUM_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 1. the innermost enclosing [`with_threads`] scope on this thread,
+//! 2. the `RAYON_NUM_THREADS` environment variable,
+//! 3. [`std::thread::available_parallelism`].
 //!
-//! With a resolved count of 1 everything runs inline on the calling thread —
-//! no spawns, no allocation beyond the sequential path. Parallelism applies
-//! to the **outermost** parallel call only: a nested `par_iter` inside a
-//! worker runs inline on that worker, which keeps a `--threads t` /
-//! `RAYON_NUM_THREADS=1` cap airtight and rules out multiplicative thread
-//! blow-up (real rayon achieves the same by scheduling nested work onto the
-//! already-running pool).
+//! With a resolved count of 1 everything runs inline on the calling thread
+//! — no spawns. Parallelism applies to the **outermost** parallel call
+//! only: a nested call inside a worker runs inline on that worker, which
+//! keeps a `--threads t` / `RAYON_NUM_THREADS=1` cap airtight and rules out
+//! multiplicative thread blow-up.
 
-use std::marker::PhantomData;
+#![forbid(unsafe_code)]
+
+use std::cell::Cell;
+use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-// ---------------------------------------------------------------------------
-// Thread-count configuration
-// ---------------------------------------------------------------------------
-
-/// Packed global pool state: the low bits hold the resolved thread count
-/// (0 = not resolved yet), [`BUILT_BIT`] records that an explicit
-/// `build_global` happened. Packing both into **one** atomic word makes the
-/// historical "built flag visible before the thread count" race
-/// unrepresentable: any load observes flag and count together. The old
-/// two-atomic protocol (`GLOBAL_BUILT.swap` then `GLOBAL_THREADS.store`)
-/// had an observable built-but-zero window, reproduced by the model in
-/// `tests/interleavings.rs`.
-static GLOBAL_STATE: AtomicUsize = AtomicUsize::new(0);
-
-/// High bit of [`GLOBAL_STATE`]: set once `build_global` succeeded.
-const BUILT_BIT: usize = 1 << (usize::BITS - 1);
-/// Low bits of [`GLOBAL_STATE`]: the resolved thread count.
-const COUNT_MASK: usize = BUILT_BIT - 1;
-
-thread_local! {
-    /// Thread count forced by an enclosing `ThreadPool::install` (0 = none).
-    static INSTALLED_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-fn default_threads() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
-/// The number of threads parallel operations started on this thread will use.
-pub fn current_num_threads() -> usize {
-    let installed = INSTALLED_THREADS.with(|c| c.get());
-    if installed != 0 {
-        return installed;
-    }
-    // ORDERING: Relaxed is sufficient for every access to GLOBAL_STATE —
-    // the count and the built flag travel together in the single packed
-    // word, so there is no second location whose visibility would need an
-    // acquire/release edge. Proven race-free over all ≤3-thread
-    // interleavings in tests/interleavings.rs.
-    let state = GLOBAL_STATE.load(Ordering::Relaxed);
-    if state & COUNT_MASK != 0 {
-        return state & COUNT_MASK;
-    }
-    // Cache the environment default, but never clobber a concurrent
-    // `build_global`: whoever installs a nonzero count first wins, everyone
-    // reads that value.
-    let resolved = default_threads().min(COUNT_MASK);
-    // ORDERING: single-word protocol, see above.
-    match GLOBAL_STATE.compare_exchange(0, resolved, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => resolved,
-        Err(stored) => stored & COUNT_MASK,
-    }
-}
-
-/// Error returned when the global pool is configured twice.
-#[derive(Debug)]
-pub struct ThreadPoolBuildError {
-    message: &'static str,
-}
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.message)
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Builder for thread pools, mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// Creates a builder with the default (auto-detected) thread count.
-    pub fn new() -> Self {
-        ThreadPoolBuilder::default()
-    }
-
-    /// Sets the number of worker threads; 0 keeps the default resolution
-    /// (`RAYON_NUM_THREADS`, then available parallelism).
-    pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = num_threads;
-        self
-    }
-
-    fn resolve(&self) -> usize {
-        if self.num_threads > 0 {
-            self.num_threads
-        } else {
-            default_threads()
-        }
-    }
-
-    /// Builds a scoped pool handle; run work under it with
-    /// [`ThreadPool::install`].
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool {
-            threads: self.resolve(),
-        })
-    }
-
-    /// Sets the process-wide default thread count. Errors if the global pool
-    /// was already built, like the real rayon.
-    ///
-    /// Publishing count-plus-built-flag as one CAS means a concurrent
-    /// [`current_num_threads`] can never observe "built but count still 0";
-    /// an env-default cached earlier by a reader is overridden, exactly as
-    /// the previous (racy) two-atomic protocol intended.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let resolved = self.resolve().clamp(1, COUNT_MASK);
-        // ORDERING: single-word protocol — flag and count are published by
-        // the same atomic CAS, so Relaxed cannot reorder them apart. See
-        // tests/interleavings.rs.
-        let mut observed = GLOBAL_STATE.load(Ordering::Relaxed);
-        loop {
-            if observed & BUILT_BIT != 0 {
-                return Err(ThreadPoolBuildError {
-                    message: "the global thread pool has already been initialized",
-                });
-            }
-            // ORDERING: single-word protocol, see above.
-            match GLOBAL_STATE.compare_exchange(
-                observed,
-                resolved | BUILT_BIT,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(now) => observed = now,
-            }
-        }
-    }
-}
-
-/// A handle fixing the thread count for the work run under [`Self::install`].
-///
-/// Unlike the real rayon this does not own long-lived workers — threads are
-/// scoped to each parallel call — but `install` has the same meaning: the
-/// parallel operations invoked inside the closure use this pool's size.
-#[derive(Debug)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `op` with this pool's thread count as the current default.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        INSTALLED_THREADS.with(|c| {
-            let previous = c.replace(self.threads);
-            // Restore on unwind too, so a panicking closure does not leak the
-            // override into unrelated work on this thread.
-            struct Restore<'a>(&'a std::cell::Cell<usize>, usize);
-            impl Drop for Restore<'_> {
-                fn drop(&mut self) {
-                    self.0.set(self.1);
-                }
-            }
-            let _restore = Restore(c, previous);
-            op()
-        })
-    }
-
-    /// This pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Producers: splittable descriptions of parallel work
-// ---------------------------------------------------------------------------
-
-/// A splittable, exactly-sized source of items — the engine's view of a
-/// parallel iterator. Splitting is always by *contiguous position*, which is
-/// what makes order-preserving reassembly (and thus determinism) possible.
-pub trait Producer: Sized + Send {
-    /// Item produced.
-    type Item: Send;
-    /// Sequential iterator over one chunk.
-    type IntoIter: Iterator<Item = Self::Item>;
-
-    /// Exact number of items.
-    fn len(&self) -> usize;
-
-    /// `true` when no items remain.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Splits into the first `index` items and the rest.
-    fn split_at(self, index: usize) -> (Self, Self);
-
-    /// Lowers this chunk onto a sequential iterator.
-    fn into_iter(self) -> Self::IntoIter;
-}
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread;
 
 /// How many chunks each worker gets on average: >1 so a skewed chunk (e.g.
 /// one hot bucket of a query workload) does not serialize the whole batch.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// Splits `producer` into `parts` contiguous, near-equal chunks, in order
-/// (in-order binary recursion). Halving matters for producers whose split
-/// copies data — `VecIter::split_at` moves the tail into a fresh allocation,
-/// so k sequential front-splits would copy O(n·k) elements while halving
-/// copies O(n·log k). Requires `parts <= producer.len()` so no chunk is
-/// empty.
-fn split_evenly<P: Producer>(producer: P, parts: usize, out: &mut Vec<P>) {
-    if parts <= 1 {
-        out.push(producer);
-        return;
-    }
-    let len = producer.len();
-    let left_parts = parts / 2;
-    let right_parts = parts - left_parts;
-    // Proportional share, clamped so both subtrees keep one item per part.
-    let left_len = (len * left_parts / parts).clamp(left_parts, len - right_parts);
-    let (left, right) = producer.split_at(left_len);
-    split_evenly(left, left_parts, out);
-    split_evenly(right, right_parts, out);
+thread_local! {
+    /// Thread count forced by an enclosing [`with_threads`] (0 = none).
+    static SCOPED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The execution core: runs `work` over contiguous chunks of `producer` on
-/// the current thread count, returning the per-chunk results **in chunk
-/// order**. Workers claim chunks dynamically; a panic in any chunk propagates
-/// to the caller once all workers have stopped.
-fn execute<P, R>(producer: P, work: impl Fn(P::IntoIter) -> R + Sync) -> Vec<R>
-where
-    P: Producer,
-    R: Send,
-{
-    let len = producer.len();
-    let threads = current_num_threads().min(len).max(1);
-    if threads == 1 {
-        return vec![work(producer.into_iter())];
+/// `RAYON_NUM_THREADS`, else available parallelism. Resolved on first use
+/// rather than at startup, so a process may still set the variable before
+/// its first parallel call, then cached for the life of the process.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|s| s.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// The number of threads a parallel call started on this thread will use.
+pub fn current_num_threads() -> usize {
+    match SCOPED.with(Cell::get) {
+        0 => default_threads(),
+        n => n,
+    }
+}
+
+/// Runs `op` with `threads` as the current thread count; 0 means the default
+/// resolution (`RAYON_NUM_THREADS`, then available parallelism). The
+/// previous count is restored when `op` returns or unwinds.
+pub fn with_threads<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED.with(|c| c.replace(threads)));
+    op()
+}
+
+/// `[f(0), f(1), …, f(len - 1)]`, computed in parallel chunks.
+pub fn map<R: Send>(len: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let mut parts = execute(
+        len,
+        |parts| chunks(len, parts).collect(),
+        |range: Range<usize>| range.map(&f).collect::<Vec<R>>(),
+    );
+    // The inline path's single part is the output as is. Otherwise the
+    // caller allocates the output, so a long-lived result never sits in
+    // memory a short-lived worker thread allocated.
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(len);
+    for part in parts {
+        out.extend(part);
+    }
+    out
+}
+
+/// Calls `f(i, &mut items[i])` for every element, in parallel chunks.
+pub fn for_each_mut<T: Send>(items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+    let len = items.len();
+    let mut rest = items;
+    execute(
+        len,
+        |parts| {
+            chunks(len, parts)
+                .map(|range| {
+                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                    rest = tail;
+                    (range.start, head)
+                })
+                .collect()
+        },
+        |(start, chunk): (usize, &mut [T])| {
+            for (i, item) in chunk.iter_mut().enumerate() {
+                f(start + i, item);
+            }
+        },
+    );
+}
+
+/// `0..len` cut into `parts` contiguous ranges, in order, whose lengths
+/// differ by at most one (none is empty while `parts <= len`).
+fn chunks(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..parts).map(move |c| c * len / parts..(c + 1) * len / parts)
+}
+
+/// The execution core: `split(k)` cuts the input into `k` chunks, `work`
+/// runs on each, and the per-chunk results come back **in chunk order**.
+/// Workers claim chunks dynamically while the caller waits; a panic in any
+/// chunk is re-raised in the caller, with its own payload, once every
+/// worker has stopped.
+fn execute<C: Send, R: Send>(
+    len: usize,
+    split: impl FnOnce(usize) -> Vec<C>,
+    work: impl Fn(C) -> R + Sync,
+) -> Vec<R> {
+    let threads = current_num_threads().min(len);
+    if threads <= 1 {
+        return split(1).into_iter().map(work).collect();
     }
 
-    let chunk_count = (threads * CHUNKS_PER_THREAD).min(len);
-    let mut chunks = Vec::with_capacity(chunk_count);
-    split_evenly(producer, chunk_count, &mut chunks);
-
-    let tasks: Vec<Mutex<Option<P>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..tasks.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<C>>> = split((threads * CHUNKS_PER_THREAD).min(len))
+        .into_iter()
+        .map(|chunk| Mutex::new(Some(chunk)))
+        .collect();
     let cursor = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Fresh OS threads would otherwise re-resolve the global
-                // default, letting a nested par_iter escape an enclosing
-                // `install` / `RAYON_NUM_THREADS` cap and multiply threads.
-                // Nested parallel calls therefore run inline on the worker.
-                INSTALLED_THREADS.with(|c| c.set(1));
-                loop {
-                    // ORDERING: the fetch_add's read-modify-write atomicity
-                    // alone makes claimed indices unique; the chunk payloads
-                    // themselves are handed over through the Mutex slots,
-                    // whose lock/unlock pairs provide the acquire/release
-                    // edges. Exactly-once claiming is proven over all
-                    // ≤3-thread interleavings in tests/interleavings.rs.
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = tasks.get(i) else { break };
-                    // A poisoned slot means another worker panicked; stop
-                    // quietly — the scope join propagates that panic.
-                    let Some(chunk) = slot.lock().ok().and_then(|mut s| s.take()) else {
-                        break;
-                    };
-                    let r = work(chunk.into_iter());
-                    if let Some(Ok(mut out)) = results.get(i).map(Mutex::lock) {
-                        *out = Some(r);
+    let mut claimed: Vec<(usize, R)> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    // Fresh OS threads would otherwise re-resolve the
+                    // default, letting a nested call escape an enclosing
+                    // `with_threads` / `RAYON_NUM_THREADS` cap and multiply
+                    // threads. Nested calls therefore run inline here.
+                    SCOPED.with(|c| c.set(1));
+                    let mut done = Vec::new();
+                    loop {
+                        // ORDERING: the cursor increment's read-modify-write
+                        // atomicity alone makes claimed indices unique; the
+                        // chunks themselves are handed over through the
+                        // Mutex slots, whose lock/unlock pairs provide the
+                        // acquire/release edges, and the results through
+                        // the join. Exactly-once claiming is proven over all
+                        // ≤3-thread interleavings in tests/interleavings.rs.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else { break };
+                        // No lock is held while `work` runs, so a slot is
+                        // never poisoned; the take cannot come up empty
+                        // because each index is claimed once.
+                        let chunk = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                        if let Some(chunk) = chunk {
+                            done.push((i, work(chunk)));
+                        }
                     }
-                }
-            });
+                    done
+                })
+            })
+            .collect();
+        // Join every worker before re-raising, so a panic surfaces only
+        // after all of them have stopped.
+        let mut claimed = Vec::with_capacity(slots.len());
+        let mut panic = None;
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => claimed.extend(done),
+                Err(payload) => panic = panic.or(Some(payload)),
+            }
         }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        claimed
     });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every chunk produced a result")
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// ParallelIterator: the adaptor surface
-// ---------------------------------------------------------------------------
-
-/// The adaptors and drivers available on every parallel iterator. All
-/// combining drivers preserve the sequential order of items.
-pub trait ParallelIterator: Producer {
-    /// Applies `f` to every item.
-    fn map<R, F>(self, f: F) -> Map<Self, F, R>
-    where
-        F: Fn(Self::Item) -> R + Sync + Send,
-        R: Send,
-    {
-        Map {
-            base: self,
-            f: Arc::new(f),
-            _result: PhantomData,
-        }
-    }
-
-    /// Pairs items positionally with `other`, stopping at the shorter side.
-    fn zip<B: Producer>(self, other: B) -> Zip<Self, B> {
-        Zip { a: self, b: other }
-    }
-
-    /// Attaches each item's sequential position.
-    fn enumerate(self) -> Enumerate<Self> {
-        Enumerate {
-            base: self,
-            offset: 0,
-        }
-    }
-
-    /// Consumes every item in parallel.
-    fn for_each<F>(self, f: F)
-    where
-        F: Fn(Self::Item) + Sync + Send,
-    {
-        execute(self, |iter| iter.for_each(&f));
-    }
-
-    /// Collects into `C`, preserving sequential order.
-    fn collect<C: FromParallelIterator<Self::Item>>(self) -> C {
-        C::from_par_iter(self)
-    }
-
-    /// Sums the items (chunk-wise partial sums, then a sum of partials).
-    fn sum<S>(self) -> S
-    where
-        S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
-    {
-        execute(self, |iter| iter.sum::<S>()).into_iter().sum()
-    }
-
-    /// Counts the items.
-    fn count(self) -> usize {
-        execute(self, |iter| iter.count()).into_iter().sum()
-    }
-
-    /// Minimum item, `None` when empty.
-    fn min(self) -> Option<Self::Item>
-    where
-        Self::Item: Ord,
-    {
-        execute(self, |iter| iter.min()).into_iter().flatten().min()
-    }
-
-    /// Maximum item, `None` when empty.
-    fn max(self) -> Option<Self::Item>
-    where
-        Self::Item: Ord,
-    {
-        execute(self, |iter| iter.max()).into_iter().flatten().max()
-    }
-}
-
-impl<P: Producer> ParallelIterator for P {}
-
-/// Types constructible from a parallel iterator (order-preserving).
-pub trait FromParallelIterator<T: Send>: Sized {
-    /// Builds the collection from `par`.
-    fn from_par_iter<P: ParallelIterator<Item = T>>(par: P) -> Self;
-}
-
-impl<T: Send> FromParallelIterator<T> for Vec<T> {
-    fn from_par_iter<P: ParallelIterator<Item = T>>(par: P) -> Self {
-        let total = par.len();
-        let mut parts = execute(par, |iter| iter.collect::<Vec<T>>());
-        if parts.len() == 1 {
-            return parts.pop().expect("one part");
-        }
-        let mut out = Vec::with_capacity(total);
-        for part in parts {
-            out.extend(part);
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptors
-// ---------------------------------------------------------------------------
-
-/// Parallel `map`. The closure is shared across chunks through an `Arc`, so
-/// splitting never clones user state.
-pub struct Map<P, F, R> {
-    base: P,
-    f: Arc<F>,
-    _result: PhantomData<fn() -> R>,
-}
-
-impl<P, F, R> Producer for Map<P, F, R>
-where
-    P: Producer,
-    F: Fn(P::Item) -> R + Sync + Send,
-    R: Send,
-{
-    type Item = R;
-    type IntoIter = MapIter<P::IntoIter, F>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (left, right) = self.base.split_at(index);
-        (
-            Map {
-                base: left,
-                f: Arc::clone(&self.f),
-                _result: PhantomData,
-            },
-            Map {
-                base: right,
-                f: self.f,
-                _result: PhantomData,
-            },
-        )
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        MapIter {
-            base: self.base.into_iter(),
-            f: self.f,
-        }
-    }
-}
-
-/// Sequential side of [`Map`].
-pub struct MapIter<I, F> {
-    base: I,
-    f: Arc<F>,
-}
-
-impl<I, F, R> Iterator for MapIter<I, F>
-where
-    I: Iterator,
-    F: Fn(I::Item) -> R,
-{
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
-        self.base.next().map(|item| (self.f)(item))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.base.size_hint()
-    }
-}
-
-/// Parallel `zip`: both sides split at the same positions.
-pub struct Zip<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: Producer, B: Producer> Producer for Zip<A, B> {
-    type Item = (A::Item, B::Item);
-    type IntoIter = std::iter::Zip<A::IntoIter, B::IntoIter>;
-
-    fn len(&self) -> usize {
-        self.a.len().min(self.b.len())
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (al, ar) = self.a.split_at(index);
-        let (bl, br) = self.b.split_at(index);
-        (Zip { a: al, b: bl }, Zip { a: ar, b: br })
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.a.into_iter().zip(self.b.into_iter())
-    }
-}
-
-/// Parallel `enumerate`: the right half of a split starts at `offset + mid`,
-/// so indices are globally correct on every chunk.
-pub struct Enumerate<P> {
-    base: P,
-    offset: usize,
-}
-
-impl<P: Producer> Producer for Enumerate<P> {
-    type Item = (usize, P::Item);
-    type IntoIter = EnumerateIter<P::IntoIter>;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (left, right) = self.base.split_at(index);
-        (
-            Enumerate {
-                base: left,
-                offset: self.offset,
-            },
-            Enumerate {
-                base: right,
-                offset: self.offset + index,
-            },
-        )
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        EnumerateIter {
-            base: self.base.into_iter(),
-            index: self.offset,
-        }
-    }
-}
-
-/// Sequential side of [`Enumerate`].
-pub struct EnumerateIter<I> {
-    base: I,
-    index: usize,
-}
-
-impl<I: Iterator> Iterator for EnumerateIter<I> {
-    type Item = (usize, I::Item);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.base.next()?;
-        let index = self.index;
-        self.index += 1;
-        Some((index, item))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.base.size_hint()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sources
-// ---------------------------------------------------------------------------
-
-/// Parallel iterator over `&[T]`.
-pub struct SliceIter<'data, T> {
-    slice: &'data [T],
-}
-
-impl<'data, T: Sync + 'data> Producer for SliceIter<'data, T> {
-    type Item = &'data T;
-    type IntoIter = std::slice::Iter<'data, T>;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (left, right) = self.slice.split_at(index);
-        (SliceIter { slice: left }, SliceIter { slice: right })
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.slice.iter()
-    }
-}
-
-/// Parallel iterator over `&mut [T]`.
-pub struct SliceIterMut<'data, T> {
-    slice: &'data mut [T],
-}
-
-impl<'data, T: Send + 'data> Producer for SliceIterMut<'data, T> {
-    type Item = &'data mut T;
-    type IntoIter = std::slice::IterMut<'data, T>;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (left, right) = self.slice.split_at_mut(index);
-        (SliceIterMut { slice: left }, SliceIterMut { slice: right })
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.slice.iter_mut()
-    }
-}
-
-/// Parallel iterator over an owned `Vec<T>`.
-pub struct VecIter<T> {
-    vec: Vec<T>,
-}
-
-impl<T: Send> Producer for VecIter<T> {
-    type Item = T;
-    type IntoIter = std::vec::IntoIter<T>;
-
-    fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let mut left = self.vec;
-        let right = left.split_off(index);
-        (VecIter { vec: left }, VecIter { vec: right })
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.vec.into_iter()
-    }
-}
-
-/// Parallel iterator over an integer range.
-pub struct RangeIter<T> {
-    range: std::ops::Range<T>,
-}
-
-macro_rules! impl_range_producer {
-    ($ty:ty) => {
-        impl Producer for RangeIter<$ty> {
-            type Item = $ty;
-            type IntoIter = std::ops::Range<$ty>;
-
-            fn len(&self) -> usize {
-                self.range.end.saturating_sub(self.range.start) as usize
-            }
-
-            fn split_at(self, index: usize) -> (Self, Self) {
-                let mid = self.range.start + index as $ty;
-                (
-                    RangeIter {
-                        range: self.range.start..mid,
-                    },
-                    RangeIter {
-                        range: mid..self.range.end,
-                    },
-                )
-            }
-
-            fn into_iter(self) -> Self::IntoIter {
-                self.range
-            }
-        }
-    };
-}
-
-impl_range_producer!(usize);
-impl_range_producer!(u32);
-
-// ---------------------------------------------------------------------------
-// Prelude: conversion traits
-// ---------------------------------------------------------------------------
-
-pub mod prelude {
-    pub use crate::{FromParallelIterator, ParallelIterator};
-
-    use crate::{RangeIter, SliceIter, SliceIterMut, VecIter};
-
-    /// `par_iter()` on shared slices and vectors.
-    pub trait IntoParallelRefIterator<'data> {
-        /// Parallel iterator type.
-        type Iter: crate::ParallelIterator;
-        /// Returns a parallel iterator over references.
-        fn par_iter(&'data self) -> Self::Iter;
-    }
-
-    /// `par_iter_mut()` on mutable slices and vectors.
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// Parallel iterator type.
-        type Iter: crate::ParallelIterator;
-        /// Returns a parallel iterator over mutable references.
-        fn par_iter_mut(&'data mut self) -> Self::Iter;
-    }
-
-    /// `into_par_iter()` on owned collections and ranges.
-    pub trait IntoParallelIterator {
-        /// Parallel iterator type.
-        type Iter: crate::ParallelIterator;
-        /// Consumes `self`, returning a parallel iterator.
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-        type Iter = SliceIter<'data, T>;
-        fn par_iter(&'data self) -> Self::Iter {
-            SliceIter { slice: self }
-        }
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-        type Iter = SliceIter<'data, T>;
-        fn par_iter(&'data self) -> Self::Iter {
-            SliceIter { slice: self }
-        }
-    }
-
-    impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-        type Iter = SliceIterMut<'data, T>;
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            SliceIterMut { slice: self }
-        }
-    }
-
-    impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-        type Iter = SliceIterMut<'data, T>;
-        fn par_iter_mut(&'data mut self) -> Self::Iter {
-            SliceIterMut { slice: self }
-        }
-    }
-
-    impl<T: Send> IntoParallelIterator for Vec<T> {
-        type Iter = VecIter<T>;
-        fn into_par_iter(self) -> Self::Iter {
-            VecIter { vec: self }
-        }
-    }
-
-    impl IntoParallelIterator for std::ops::Range<usize> {
-        type Iter = RangeIter<usize>;
-        fn into_par_iter(self) -> Self::Iter {
-            RangeIter { range: self }
-        }
-    }
-
-    impl IntoParallelIterator for std::ops::Range<u32> {
-        type Iter = RangeIter<u32>;
-        fn into_par_iter(self) -> Self::Iter {
-            RangeIter { range: self }
-        }
-    }
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
     use super::*;
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Duration;
 
     #[test]
-    fn par_iter_behaves_like_iter() {
-        let v = vec![1, 2, 3];
-        let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6]);
+    fn map_and_for_each_mut_behave_like_iter() {
+        assert_eq!(map(3, |i| i * 2), vec![0, 2, 4]);
+        assert_eq!(map(0, |i| i), Vec::<usize>::new());
         let mut w = vec![1, 2];
-        w.par_iter_mut()
-            .zip(vec![10, 20].into_par_iter())
-            .for_each(|(a, b)| *a += b);
+        for_each_mut(&mut w, |i, x| *x += 10 * (i + 1));
         assert_eq!(w, vec![11, 22]);
+        for_each_mut(&mut [] as &mut [u8], |_, _| unreachable!("no items"));
     }
 
     #[test]
     fn collect_preserves_order_at_every_thread_count() {
-        let input: Vec<u64> = (0..10_000).collect();
-        let expected: Vec<u64> = input.iter().map(|x| x * x).collect();
+        let expected: Vec<u64> = (0..10_000u64).map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 17] {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let got: Vec<u64> = pool.install(|| input.par_iter().map(|&x| x * x).collect());
+            let got = with_threads(threads, || map(10_000, |i| (i * i) as u64));
             assert_eq!(got, expected, "threads={threads}");
         }
     }
 
     #[test]
     fn enumerate_indices_are_global_across_chunks() {
-        let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        let v = vec![7u32; 5000];
-        let idx: Vec<usize> = pool.install(|| v.par_iter().enumerate().map(|(i, _)| i).collect());
+        let mut idx = vec![0usize; 5000];
+        with_threads(8, || for_each_mut(&mut idx, |i, x| *x = i));
         assert_eq!(idx, (0..5000).collect::<Vec<_>>());
     }
 
     #[test]
     fn zip_mutation_covers_every_element_exactly_once() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        // The GLL commit's shape: one side borrowed mutably, the other
+        // moved in, zipped sequentially and consumed in parallel.
         let mut a = vec![0u64; 4097];
-        let b: Vec<u64> = (0..4097).collect();
-        pool.install(|| {
-            a.par_iter_mut()
-                .zip(b.into_par_iter())
-                .for_each(|(x, y)| *x += y + 1)
+        let mut pairs: Vec<(&mut u64, u64)> = a.iter_mut().zip(0..4097).collect();
+        with_threads(4, || {
+            for_each_mut(&mut pairs, |_, (x, y)| **x += std::mem::take(y) + 1)
         });
         assert!(a.iter().enumerate().all(|(i, &x)| x == i as u64 + 1));
-    }
-
-    #[test]
-    fn sum_count_min_max_match_sequential() {
-        let v: Vec<usize> = (1..=1000).collect();
-        let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        pool.install(|| {
-            assert_eq!(v.par_iter().map(|&x| x).sum::<usize>(), 500_500);
-            assert_eq!(v.par_iter().count(), 1000);
-            assert_eq!(v.par_iter().min(), Some(&1));
-            assert_eq!(v.par_iter().max(), Some(&1000));
-            assert_eq!((0usize..0).into_par_iter().min(), None);
-        });
-    }
-
-    #[test]
-    fn ranges_are_parallel_iterators() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let squares: Vec<usize> =
-            pool.install(|| (0usize..100).into_par_iter().map(|i| i * i).collect());
-        assert_eq!(squares[99], 9801);
-        let from_u32: Vec<u32> = (5u32..10).into_par_iter().collect();
-        assert_eq!(from_u32, vec![5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -862,43 +253,31 @@ mod tests {
         // unlike a wall-clock bound it cannot flake on a loaded CI host. The
         // short sleep keeps early workers from draining all chunks before
         // the later ones have spawned.
-        let pool = ThreadPoolBuilder::new().num_threads(8).build().unwrap();
-        let ids: Vec<std::thread::ThreadId> = pool.install(|| {
-            (0usize..8)
-                .into_par_iter()
-                .map(|_| {
-                    std::thread::sleep(Duration::from_millis(25));
-                    std::thread::current().id()
-                })
-                .collect()
+        let ids = with_threads(8, || {
+            map(8, |_| {
+                thread::sleep(Duration::from_millis(25));
+                thread::current().id()
+            })
         });
-        let caller = std::thread::current().id();
         let distinct: HashSet<_> = ids.into_iter().collect();
         assert!(distinct.len() > 1, "expected more than one worker thread");
         assert!(
-            !distinct.contains(&caller),
+            !distinct.contains(&thread::current().id()),
             "work ran on the calling thread"
         );
     }
 
     #[test]
     fn nested_parallel_calls_run_inline_on_their_worker() {
-        // Workers pin their thread-local count to 1, so a nested par_iter
-        // must not spawn further threads (and cannot escape a --threads /
+        // Workers pin their thread-local count to 1, so a nested call must
+        // not spawn further threads (and cannot escape a --threads /
         // RAYON_NUM_THREADS cap through fresh OS threads).
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let nested: Vec<Vec<std::thread::ThreadId>> = pool.install(|| {
-            (0usize..4)
-                .into_par_iter()
-                .map(|_| {
-                    std::thread::sleep(Duration::from_millis(10));
-                    assert_eq!(current_num_threads(), 1);
-                    (0usize..16)
-                        .into_par_iter()
-                        .map(|_| std::thread::current().id())
-                        .collect()
-                })
-                .collect()
+        let nested = with_threads(4, || {
+            map(4, |_| {
+                thread::sleep(Duration::from_millis(10));
+                assert_eq!(current_num_threads(), 1);
+                map(16, |_| thread::current().id())
+            })
         });
         for ids in nested {
             let distinct: HashSet<_> = ids.into_iter().collect();
@@ -909,41 +288,50 @@ mod tests {
     #[test]
     fn install_is_scoped_and_restored() {
         let outer = current_num_threads();
-        let pool = ThreadPoolBuilder::new().num_threads(5).build().unwrap();
-        pool.install(|| {
+        with_threads(5, || {
             assert_eq!(current_num_threads(), 5);
-            let inner = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-            inner.install(|| assert_eq!(current_num_threads(), 2));
+            with_threads(2, || assert_eq!(current_num_threads(), 2));
             assert_eq!(current_num_threads(), 5);
+            with_threads(0, || assert_eq!(current_num_threads(), default_threads()));
         });
         assert_eq!(current_num_threads(), outer);
-        assert_eq!(pool.current_num_threads(), 5);
     }
 
     #[test]
     fn single_thread_pool_runs_inline() {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        let caller = std::thread::current().id();
-        let ids: Vec<_> = pool.install(|| {
-            (0usize..64)
-                .into_par_iter()
-                .map(|_| std::thread::current().id())
-                .collect()
-        });
+        let caller = thread::current().id();
+        let ids = with_threads(1, || map(64, |_| thread::current().id()));
         assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]
-    fn zip_truncates_to_the_shorter_side() {
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
-        let a = vec![1u32; 100];
-        let pairs: Vec<(u32, u32)> = pool.install(|| {
-            a.par_iter()
-                .map(|&x| x)
-                .zip((0u32..37).into_par_iter())
-                .collect()
+    fn panics_reach_the_caller_with_their_payload() {
+        let payload = |r: thread::Result<()>| {
+            r.expect_err("the panic must reach the caller")
+                .downcast_ref::<&str>()
+                .copied()
+        };
+        let mapped = catch_unwind(|| {
+            with_threads(4, || {
+                map(1000, |i| assert!(i != 617, "boom in map"));
+            })
         });
-        assert_eq!(pairs.len(), 37);
-        assert_eq!(pairs[36], (1, 36));
+        assert_eq!(payload(mapped), Some("boom in map"));
+        let mut items = vec![0u32; 1000];
+        let mutated = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                for_each_mut(&mut items, |i, _| assert!(i != 383, "boom in for_each_mut"))
+            })
+        }));
+        assert_eq!(payload(mutated), Some("boom in for_each_mut"));
+    }
+
+    #[test]
+    fn thread_count_is_restored_after_a_panicking_scope() {
+        with_threads(3, || {
+            let unwound = catch_unwind(|| with_threads(5, || panic!("inside the scope")));
+            assert!(unwound.is_err());
+            assert_eq!(current_num_threads(), 3);
+        });
     }
 }

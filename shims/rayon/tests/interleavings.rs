@@ -1,18 +1,14 @@
-//! Deterministic-scheduler proofs for the shim's lock-free protocols.
+//! Deterministic-scheduler proofs for the shim's concurrency.
 //!
-//! Each concurrent algorithm in `src/lib.rs` that justifies a
-//! `Ordering::Relaxed` with "proven in tests/interleavings.rs" is modeled
-//! here as a [`World`] state machine — one `step` per atomic action — and
-//! driven through **every** sequentially consistent interleaving by
-//! [`chl_lint::sched`]. Three kinds of assertion appear:
-//!
-//! 1. `find_violation(...) == None` + `!truncated`: the protocol is
-//!    race-free over all schedules of the modeled thread count (≤3).
-//! 2. `find_violation(...).is_some()`: the harness *finds* the historical
-//!    bug in the pre-fix protocol, so the green assertions above are known
-//!    to have teeth (a regression test for the checker itself).
-//! 3. Real-code tests exercising the actual `ThreadPoolBuilder` /
-//!    `ThreadPool` implementations on OS threads.
+//! The one `Ordering::Relaxed` in `src/lib.rs` (the chunk-claiming cursor)
+//! and the thread-local `with_threads` override are modeled here as
+//! [`World`] state machines — one `step` per atomic action — and driven
+//! through **every** sequentially consistent interleaving by
+//! [`chl_lint::sched`]: `find_violation(...) == None` plus `!truncated`
+//! means the protocol is race-free over all schedules of the modeled thread
+//! count (≤3). That the explorer finds a race when there is one is pinned
+//! by `chl_lint::sched`'s own `explorer_finds_the_lost_update`. A real-code
+//! test then runs the actual `with_threads` on OS threads.
 
 use chl_lint::sched::{explore, find_violation, World};
 
@@ -32,9 +28,10 @@ enum WorkerPc {
 }
 
 /// Models the worker loop of `execute`: each worker repeatedly fetch_adds a
-/// shared cursor and, when the index is in range, takes that task. The
-/// fetch_add and the slot-take are separate atomic actions, exactly as in
-/// the real code (where the slot hand-off is a `Mutex` lock).
+/// shared cursor and, when the index is in range, takes that chunk out of
+/// its slot. The fetch_add and the slot-take are separate atomic actions,
+/// exactly as in the real code, where the take runs under the slot's
+/// `Mutex` and the worker's results travel back through its `JoinHandle`.
 #[derive(Clone)]
 struct ChunkClaim {
     cursor: usize,
@@ -111,237 +108,10 @@ fn chunk_claiming_is_exactly_once_under_all_schedules() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 2: the historical two-atomic global-pool init (the bug)
+// Model 2: `with_threads` isolation (thread-local overrides)
 // ---------------------------------------------------------------------------
 
-/// The pre-fix protocol: `build_global` did `GLOBAL_BUILT.swap(true)` and
-/// *then* `GLOBAL_THREADS.store(n)` — two separate atomic actions — while a
-/// reader checked the flag first and trusted the count it then loaded.
-#[derive(Clone)]
-struct TwoAtomicInit {
-    built: bool,
-    threads: usize,
-    /// 0 = swap flag, 1 = store count, 2 = done.
-    builder_pc: u8,
-    /// 0 = load flag, 1 = load count, 2 = done.
-    reader_pc: u8,
-    observed: Option<usize>,
-}
-
-impl TwoAtomicInit {
-    fn new() -> Self {
-        TwoAtomicInit {
-            built: false,
-            threads: 0,
-            builder_pc: 0,
-            reader_pc: 0,
-            observed: None,
-        }
-    }
-}
-
-impl World for TwoAtomicInit {
-    fn thread_count(&self) -> usize {
-        2
-    }
-
-    fn is_runnable(&self, tid: usize) -> bool {
-        if tid == 0 {
-            self.builder_pc != 2
-        } else {
-            self.reader_pc != 2
-        }
-    }
-
-    fn step(&mut self, tid: usize) {
-        if tid == 0 {
-            match self.builder_pc {
-                0 => {
-                    self.built = true;
-                    self.builder_pc = 1;
-                }
-                _ => {
-                    self.threads = 7;
-                    self.builder_pc = 2;
-                }
-            }
-        } else {
-            match self.reader_pc {
-                0 => {
-                    // Reader trusts the flag: if built, the count must be
-                    // valid. (If not built it would fall back to the env
-                    // default — irrelevant to the race.)
-                    self.reader_pc = if self.built { 1 } else { 2 };
-                }
-                _ => {
-                    self.observed = Some(self.threads);
-                    self.reader_pc = 2;
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn harness_finds_the_built_but_zero_window_in_the_old_protocol() {
-    let schedule = find_violation(&TwoAtomicInit::new(), |w| w.observed == Some(0));
-    let schedule = schedule.expect("the two-atomic protocol must expose built-but-zero");
-    // Replay the reported schedule: it must reproduce the bad observation.
-    let mut world = TwoAtomicInit::new();
-    for &tid in &schedule {
-        world.step(tid);
-    }
-    assert_eq!(world.observed, Some(0), "replay of {schedule:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Model 3: the packed single-word init (the fix)
-// ---------------------------------------------------------------------------
-
-/// Model-scale constants mirroring `GLOBAL_STATE`'s layout.
-const M_BUILT: usize = 1 << 8;
-const M_MASK: usize = M_BUILT - 1;
-
-/// Per-thread state in [`PackedInit`]: two builders and one reader.
-#[derive(Clone, Copy, PartialEq)]
-enum InitPc {
-    /// About to load the packed word.
-    Load,
-    /// Holds an observed value; about to CAS (builder) or CAS-cache-default
-    /// (reader).
-    Cas(usize),
-    Done,
-}
-
-/// Faithful model of the fixed protocol: `build_global` retries
-/// `compare_exchange(observed, count | BUILT)` until it wins or sees the
-/// flag; `current_num_threads` returns a nonzero count or tries to cache
-/// the env default with `compare_exchange(0, default)`.
-#[derive(Clone)]
-struct PackedInit {
-    state: usize,
-    pc: [InitPc; 3],
-    builder_ok: [Option<bool>; 2],
-    observed: Option<usize>,
-}
-
-impl PackedInit {
-    /// Builder `tid` (0 or 1) publishes this count.
-    fn builder_count(tid: usize) -> usize {
-        [3, 5][tid]
-    }
-    const READER_DEFAULT: usize = 2;
-
-    fn new() -> Self {
-        PackedInit {
-            state: 0,
-            pc: [InitPc::Load; 3],
-            builder_ok: [None; 2],
-            observed: None,
-        }
-    }
-}
-
-impl World for PackedInit {
-    fn thread_count(&self) -> usize {
-        3
-    }
-
-    fn is_runnable(&self, tid: usize) -> bool {
-        self.pc[tid] != InitPc::Done
-    }
-
-    fn step(&mut self, tid: usize) {
-        match (tid, self.pc[tid]) {
-            // Builders 0 and 1.
-            (b @ (0 | 1), InitPc::Load) => {
-                self.pc[b] = InitPc::Cas(self.state);
-            }
-            (b @ (0 | 1), InitPc::Cas(observed)) => {
-                if observed & M_BUILT != 0 {
-                    self.builder_ok[b] = Some(false);
-                    self.pc[b] = InitPc::Done;
-                } else if self.state == observed {
-                    self.state = Self::builder_count(b) | M_BUILT;
-                    self.builder_ok[b] = Some(true);
-                    self.pc[b] = InitPc::Done;
-                } else {
-                    // CAS failure returns the current value; retry with it.
-                    self.pc[b] = InitPc::Cas(self.state);
-                }
-            }
-            // Reader.
-            (2, InitPc::Load) => {
-                if self.state & M_MASK != 0 {
-                    self.observed = Some(self.state & M_MASK);
-                    self.pc[2] = InitPc::Done;
-                } else {
-                    self.pc[2] = InitPc::Cas(0);
-                }
-            }
-            (2, InitPc::Cas(_)) => {
-                // compare_exchange(0, default): cache the env default only
-                // if nothing else was published meanwhile.
-                if self.state == 0 {
-                    self.state = Self::READER_DEFAULT;
-                    self.observed = Some(Self::READER_DEFAULT);
-                } else {
-                    self.observed = Some(self.state & M_MASK);
-                }
-                self.pc[2] = InitPc::Done;
-            }
-            _ => unreachable!("explorer never steps a finished thread"),
-        }
-    }
-}
-
-#[test]
-fn packed_init_has_no_bad_state_under_any_schedule() {
-    let initial = PackedInit::new();
-
-    // Exhaustive, and the model genuinely branches.
-    let result = explore(&initial, &mut |_, _| {});
-    assert!(!result.truncated);
-    assert!(result.schedules > 1);
-
-    let done = |w: &PackedInit| w.pc.iter().all(|&pc| pc == InitPc::Done);
-    assert_eq!(
-        find_violation(&initial, |w| done(w) && w.observed == Some(0)),
-        None,
-        "a reader must never observe a zero thread count"
-    );
-    assert_eq!(
-        find_violation(&initial, |w| done(w)
-            && w.builder_ok == [Some(true), Some(true)]),
-        None,
-        "both builders succeeding would be a double global init"
-    );
-    assert_eq!(
-        find_violation(&initial, |w| done(w)
-            && w.builder_ok == [Some(false), Some(false)]),
-        None,
-        "one builder must always win"
-    );
-    assert_eq!(
-        find_violation(&initial, |w| {
-            // The winner's count is what the word ends up holding.
-            let winner = match w.builder_ok {
-                [Some(true), _] => PackedInit::builder_count(0),
-                [_, Some(true)] => PackedInit::builder_count(1),
-                _ => return false,
-            };
-            done(w) && w.state != (winner | M_BUILT)
-        }),
-        None,
-        "the published count and the built flag arrive together"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Model 4: `ThreadPool::install` isolation (thread-local overrides)
-// ---------------------------------------------------------------------------
-
-/// Two threads install different pool sizes; the override lives in a
+/// Two threads run `with_threads` with different counts; the override lives in a
 /// thread-local, so each must observe its own value regardless of schedule.
 #[derive(Clone)]
 struct InstallIsolation {
@@ -393,38 +163,18 @@ fn install_overrides_never_leak_across_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-code tests: the actual implementation on OS threads
+// Real-code test: the actual implementation on OS threads
 // ---------------------------------------------------------------------------
-
-#[test]
-fn build_global_wins_once_and_errors_after() {
-    // This is the only test in the workspace that calls build_global, so
-    // the process-global state is ours alone.
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(3)
-        .build_global()
-        .expect("first build_global succeeds");
-    assert_eq!(rayon::current_num_threads(), 3);
-    let err = rayon::ThreadPoolBuilder::new()
-        .num_threads(5)
-        .build_global()
-        .expect_err("second build_global must fail");
-    assert!(err.to_string().contains("already been initialized"));
-    // The losing call must not have clobbered the published count.
-    assert_eq!(rayon::current_num_threads(), 3);
-}
 
 #[test]
 fn concurrent_installs_stay_isolated() {
     std::thread::scope(|scope| {
         for threads in [2usize, 4, 8] {
             scope.spawn(move || {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("build");
                 for _ in 0..100 {
-                    pool.install(|| assert_eq!(rayon::current_num_threads(), threads));
+                    rayon::with_threads(threads, || {
+                        assert_eq!(rayon::current_num_threads(), threads)
+                    });
                 }
             });
         }
