@@ -770,30 +770,38 @@ impl<'a> IndexView<'a> {
     /// Copies the view into an owned [`FlatIndex`], decoding if compressed
     /// and preserving the shard identity if present.
     pub fn to_owned_index(&self) -> FlatIndex {
-        let index = match &self.storage {
-            StorageView::Flat(view) => FlatIndex::from_view(*view),
-            StorageView::Compressed(view) => {
-                let ranking = Ranking::from_order(view.order().to_vec(), view.num_vertices())
-                    .expect("views only exist over validated permutations");
+        self.to_owned_with(None)
+    }
+
+    /// The one view-to-owned conversion. `decoded` is a compressed view's
+    /// entries when the caller already decoded them (the copying loader's
+    /// validation pass does), so the blob is walked once; with `None` they
+    /// are decoded here. Flat views copy their entries and ignore it.
+    pub(crate) fn to_owned_with(self, decoded: Option<Vec<LabelEntry>>) -> FlatIndex {
+        let entries = match (&self.storage, decoded) {
+            (StorageView::Flat(view), _) => view.entries().to_vec(),
+            (StorageView::Compressed(_), Some(entries)) => entries,
+            (StorageView::Compressed(view), None) => {
                 let mut entries = Vec::with_capacity(view.total_labels());
                 for v in 0..view.num_vertices() as VertexId {
                     entries.extend(view.label_run(v).expect("v in range"));
                 }
-                let index =
-                    FlatIndex::from_validated_parts(view.offsets().to_vec(), entries, ranking);
-                match view.parents() {
-                    Some(p) => index.with_validated_parents(p.to_vec()),
-                    None => index,
-                }
+                entries
             }
         };
-        let mut index = index;
-        // The shard section was validated when this view was built and the
-        // index above is a copy of the same storage, so the cross-section
-        // invariant already holds — re-attach the identity directly instead
-        // of routing through the fallible `with_shard`.
-        index.shard = self.shard.as_ref().map(|s| s.to_spec());
-        index
+        debug_assert_eq!(entries.len(), self.total_labels());
+        // Every part was validated when this view was built and the index
+        // is a copy of the same storage, so the cross-section invariants
+        // already hold — attach parents and shard identity directly instead
+        // of routing through the fallible `with_parents` / `with_shard`.
+        FlatIndex {
+            offsets: self.offsets().to_vec(),
+            entries,
+            ranking: Ranking::from_order(self.order().to_vec(), self.num_vertices())
+                .expect("views only exist over validated permutations"),
+            shard: self.shard.as_ref().map(|s| s.to_spec()),
+            parents: self.parents().map(<[u32]>::to_vec),
+        }
     }
 }
 
@@ -883,15 +891,7 @@ impl FlatIndex {
     /// [`FlatIndex::as_view`]); the only allocation a zero-copy load path
     /// performs when a caller explicitly asks for ownership.
     pub fn from_view(view: FlatView<'_>) -> Self {
-        let ranking = Ranking::from_order(view.order().to_vec(), view.num_vertices())
-            .expect("views only exist over validated permutations");
-        FlatIndex {
-            offsets: view.offsets().to_vec(),
-            entries: view.entries().to_vec(),
-            ranking,
-            shard: None,
-            parents: view.parents().map(<[u32]>::to_vec),
-        }
+        IndexView::flat(view).to_owned_index()
     }
 
     /// Borrows the index as the ownership-agnostic query kernel. All query
@@ -1119,7 +1119,7 @@ impl FlatIndex {
         persist::to_bytes(self)
     }
 
-    /// Serializes the index into `.chl` v2 bytes with explicit
+    /// Serializes the index into `.chl` v3 bytes with explicit
     /// [`SaveOptions`] — `compress: true` writes the entries section
     /// delta+varint encoded (see [`crate::persist`]).
     pub fn to_bytes_with(&self, options: &SaveOptions) -> Vec<u8> {

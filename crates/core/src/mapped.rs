@@ -4,9 +4,9 @@
 //! [`MmapIndex`] is the third member of the serving-layout family (after the
 //! owned [`FlatIndex`](crate::flat::FlatIndex) and the borrowed
 //! [`FlatView`](crate::flat::FlatView)): it owns a read-only mapping of the
-//! index file, validates it **once** at open — the same battery the copying
-//! loader runs — and then hands out [`IndexView`]s borrowed directly from
-//! the mapped bytes. Nothing
+//! index file, validates it **once** at open — with the one validator every
+//! v2/v3 loader runs — and then hands out [`IndexView`]s borrowed directly
+//! from the mapped bytes. Nothing
 //! is deserialized and no heap copy of the payload is ever made: the kernel
 //! pages label data in on demand, cold-serve cost is one validation scan
 //! instead of scan + allocate + rebuild, and several processes serving the
@@ -45,7 +45,7 @@ use crate::persist::{self, AlignedBytes, LayoutV2, PersistError, ShardSpec};
 /// use chl_core::mapped::MmapIndex;
 /// use chl_core::oracle::DistanceOracle;
 ///
-/// let index = MmapIndex::open("graph.chl").expect("valid v2 index file");
+/// let index = MmapIndex::open("graph.chl").expect("valid v3 index file");
 /// let oracle: &dyn DistanceOracle = &index;
 /// println!("dist = {}", oracle.distance(0, 42));
 /// ```
@@ -105,16 +105,16 @@ fn open_backing(path: &Path) -> Result<Backing, PersistError> {
 }
 
 impl MmapIndex {
-    /// Opens and fully validates a `.chl` v2 file for zero-copy serving.
+    /// Opens and fully validates a `.chl` v2/v3 file for zero-copy serving.
     ///
-    /// Validation is identical to the copying loader's (length, per-section
-    /// checksums, padding, semantic invariants) and runs exactly once;
+    /// Validation is the same function the copying loader runs (length,
+    /// per-section checksums, padding, semantic invariants) and runs once;
     /// subsequent [`MmapIndex::view`] calls are a pointer cast. Every
     /// corruption mode is a typed [`PersistError`]; v1 files report
     /// [`PersistError::NotZeroCopy`].
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let backing = open_backing(path.as_ref())?;
-        let layout = persist::validate_layout(backing.as_slice())?;
+        let layout = persist::validate_layout(backing.as_slice(), None)?;
         let shard = persist::assemble_view(backing.as_slice(), &layout)
             .shard()
             .map(|s| s.to_spec());
@@ -259,7 +259,6 @@ mod tests {
             }
             let options = SaveOptions {
                 compress: compressed,
-                ..SaveOptions::default()
             };
             flat.save_with(&path, &options).unwrap();
 

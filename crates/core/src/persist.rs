@@ -94,12 +94,11 @@
 //! [`crate::paths`]), so a hostile parents array yields a typed error, never
 //! a hang or a panic.
 //!
-//! ## Version 2 layout (legacy, readable and writable)
+//! ## Version 2 layout (legacy, read-only)
 //!
 //! Identical to v3 without the `crc_shard`/`crc_header` words (40-byte
 //! header) and without the shard section; the flags word knows only bit 0.
-//! v2 files keep loading byte-identically through every path, and
-//! [`SaveOptions::v2`] still writes them for old readers.
+//! v2 files keep loading through every path; nothing writes them any more.
 //!
 //! ## Compressed entries section (flags bit 0)
 //!
@@ -154,10 +153,17 @@
 //! load (copying) but cannot back a zero-copy view
 //! ([`PersistError::NotZeroCopy`]); there is no in-place migration — an
 //! index is cheap to rebuild from its graph, so old files are regenerated,
-//! not converted. Writers emit v3 by default ([`to_bytes`] / [`save`]);
-//! [`SaveOptions::v2`] selects the v2 layout for old readers (refused for
-//! sharded indexes, which v2 cannot express) and [`to_bytes_v1`] remains for
-//! compatibility tests and old tooling.
+//! not converted. The writer emits only v3 ([`to_bytes`] / [`save`]); v2 is
+//! an input format, and [`to_bytes_v1`] remains for compatibility tests and
+//! old tooling.
+//!
+//! ## One load path
+//!
+//! Every v2/v3 loader runs the same validator over the same bytes: the
+//! borrowed [`open_view`] and `MmapIndex` serve the validated buffer in
+//! place, and the copying [`from_bytes`] / [`load`] copy that validated view
+//! into a [`FlatIndex`] (a compressed file's entries are decoded once, by
+//! the validation pass itself). Only v1 has a reader of its own.
 //!
 //! ## Corruption detection
 //!
@@ -189,7 +195,7 @@ pub const MAGIC: &[u8; 4] = b"CHLI";
 /// Current format version. Bumped on any layout change.
 pub const VERSION: u32 = 3;
 /// The previous aligned format version (no header CRC, no shard section),
-/// still both readable and writable ([`SaveOptions::v2`]).
+/// still readable on every load path but no longer written.
 pub const VERSION_V2: u32 = 2;
 /// The legacy packed format version, still readable via the copying path.
 pub const VERSION_V1: u32 = 1;
@@ -237,58 +243,23 @@ fn flags_known(version: u32) -> u32 {
     }
 }
 
-/// Writer knobs for [`to_bytes_with`] / [`save_with`]. The default writes
-/// the flat v3 layout; `compress` switches the entries section to the
-/// delta+varint encoding behind [`FLAG_COMPRESSED_ENTRIES`], and `version`
-/// selects the v2 layout for compatibility with older readers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Writer knobs for [`to_bytes_with`] / [`save_with`]. The writer always
+/// emits v3; the default writes flat entries, and `compress` switches the
+/// entries section to the delta+varint encoding behind
+/// [`FLAG_COMPRESSED_ENTRIES`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveOptions {
     /// Delta-encode hub positions and varint-encode distances in the
     /// entries section. Several-fold smaller files; queries through the
     /// zero-copy paths stream-decode the two runs they touch instead of
     /// reinterpreting them in place.
     pub compress: bool,
-    /// Format version to emit: [`VERSION`] (the default) or [`VERSION_V2`].
-    /// Any other value falls back to [`VERSION`]. A sharded index always
-    /// serializes as v3 — v2 cannot express the shard section.
-    pub version: u32,
-}
-
-impl Default for SaveOptions {
-    fn default() -> Self {
-        SaveOptions {
-            compress: false,
-            version: VERSION,
-        }
-    }
 }
 
 impl SaveOptions {
     /// Options selecting the compressed entries encoding.
     pub fn compressed() -> Self {
-        SaveOptions {
-            compress: true,
-            ..SaveOptions::default()
-        }
-    }
-
-    /// Options selecting the legacy v2 layout (flat entries).
-    pub fn v2() -> Self {
-        SaveOptions {
-            compress: false,
-            version: VERSION_V2,
-        }
-    }
-
-    /// The version this writer will actually emit for `index`: indexes that
-    /// need a v3-only section (shard identity, path parents) force v3,
-    /// anything but an explicit [`VERSION_V2`] is v3.
-    fn effective_version(&self, needs_v3: bool) -> u32 {
-        if needs_v3 || self.version != VERSION_V2 {
-            VERSION
-        } else {
-            VERSION_V2
-        }
+        SaveOptions { compress: true }
     }
 }
 
@@ -545,11 +516,13 @@ pub enum PersistError {
         /// Absolute file offset of the offending byte.
         offset: usize,
     },
-    /// The bytes are a valid-looking v2 file but cannot back a zero-copy
+    /// The bytes are a valid-looking v2/v3 file but cannot back a zero-copy
     /// view in this process: the buffer's base address is not 8-byte
-    /// aligned, or the host is big-endian (v2 sections are reinterpreted in
-    /// place as little-endian words). Load through [`from_bytes`] instead,
-    /// or hand [`view_bytes`] an [`AlignedBytes`] / mmap-backed buffer.
+    /// aligned, or the host is big-endian (sections are reinterpreted in
+    /// place as little-endian words). A misaligned buffer loads through
+    /// [`from_bytes`] (which stages it aligned) or views from an
+    /// [`AlignedBytes`] / mmap-backed buffer; a big-endian host loads no
+    /// v2/v3 file on any path.
     Unviewable {
         /// What the buffer or host lacks.
         reason: &'static str,
@@ -960,8 +933,8 @@ fn layout_v2(
 ) -> Result<LayoutV2, PersistError> {
     // In v3 the header passed its CRC before we got here, so impossible
     // dimensions are provably the writer's doing; in v2 they could just as
-    // well be header corruption (no CRC covers them), which the v2 load
-    // paths fold into the message.
+    // well be header corruption (no CRC covers them), which
+    // `validate_layout` folds into the message.
     let header_len = if version == VERSION_V2 {
         HEADER_LEN_V2
     } else {
@@ -1312,30 +1285,17 @@ fn validate_hub_sort(
     Ok(())
 }
 
-/// The CSR invariants of the flat encoding in one call. The copying loaders
-/// call the two halves around [`Ranking`] construction (which already
-/// validates the permutation), so the order array is only scanned once.
-fn validate_csr(
-    n: usize,
-    offsets: &[u64],
-    entries: &[LabelEntry],
-    m64: u64,
-) -> Result<(), PersistError> {
-    validate_offsets(n, offsets, m64)?;
-    validate_hub_sort(n, offsets, entries)
-}
-
 /// Validates a compressed entries section against already-validated CSR
 /// offsets: the skip table starts at 0, rises monotonically and ends at the
 /// blob length; every vertex's run decodes to exactly its declared label
 /// count with canonical varints, strictly increasing in-range hubs, and
 /// consumes exactly its skip-table byte span. When `sink` is given the
-/// decoded entries are appended to it (the copying loader); the view path
-/// validates without materializing anything. When `parents` is given (the
-/// zero-copy path of a file with a path section), each decoded entry is
-/// checked against its parent record in the same streaming pass — the
-/// entries concatenate in vertex order, so the running entry counter is the
-/// record's global index.
+/// decoded entries are appended to it (the copying loader keeps them, so
+/// the blob is decoded once); the view path validates without
+/// materializing anything. When `parents` is given (a file with a path
+/// section), each decoded entry is checked against its parent record in the
+/// same streaming pass — the entries concatenate in vertex order, so the
+/// running entry counter is the record's global index.
 fn validate_compressed_entries(
     skip: &[u64],
     blob: &[u8],
@@ -1365,6 +1325,11 @@ fn validate_compressed_entries(
             skip[n],
             blob.len()
         )));
+    }
+    if let Some(sink) = sink.as_deref_mut() {
+        // offsets[n] is the validated entry count, which layout_v2 bounded
+        // by the blob length.
+        sink.reserve_exact(offsets[n] as usize);
     }
     let mut entry_index = 0usize;
     for v in 0..n {
@@ -1446,49 +1411,30 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
     (skip, blob)
 }
 
-/// Serializes `index` into the `.chl` byte format under `options`:
+/// Serializes `index` into the `.chl` v3 byte format under `options`:
 /// flat 16-byte entry records by default, the delta+varint compressed
-/// entries section (flags bit 0) when `options.compress` is set, the v3
-/// layout (header CRC, optional shard section) unless `options.version`
-/// selects v2. An index carrying a [`ShardSpec`] always serializes as v3.
+/// entries section (flags bit 0) when `options.compress` is set.
 pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     let n = index.num_vertices();
     let m = index.total_labels();
     let shard = index.shard();
     let parents = index.parents();
-    let version = options.effective_version(shard.is_some() || parents.is_some());
-    let header_len = if version == VERSION_V2 {
-        HEADER_LEN_V2
-    } else {
-        HEADER_LEN_V3
-    };
     // Encoding up front makes the exact output size computable either way,
     // so the buffer never reallocates mid-write.
     let encoded = options
         .compress
         .then(|| encode_entries(index.offsets(), index.entries()));
-    let shard_len = shard.map_or(0, |s| {
-        pad_to_align(16 + s.owned.len() as u64 * 4).expect("index fits in memory") as usize
-    });
-    let paths_len = parents.map_or(0, |p| {
-        pad_to_align(8 + p.len() as u64 * 4).expect("index fits in memory") as usize
-    });
-    let capacity = match &encoded {
-        Some((skip, blob)) => {
-            let prefix =
-                pad_to_align((n as u64) * 4).expect("index fits in memory") as usize + (n + 1) * 8;
-            let entries_len = skip.len() * 8
-                + pad_to_align(blob.len() as u64).expect("index fits in memory") as usize;
-            header_len + prefix + entries_len + paths_len + shard_len
-        }
-        None => {
-            header_len
-                + expected_payload_len_v2(n as u64, m as u64)
-                    .expect("in-memory index fits in memory")
-                + paths_len
-                + shard_len
-        }
+    let padded = |len: usize| pad_to_align(len as u64).expect("index fits in memory") as usize;
+    let entries_len = match &encoded {
+        Some((skip, blob)) => skip.len() * 8 + padded(blob.len()),
+        None => m * ENTRY_LEN_V2,
     };
+    let capacity = HEADER_LEN_V3
+        + padded(n * 4)
+        + (n + 1) * 8
+        + entries_len
+        + parents.map_or(0, |p| padded(8 + p.len() * 4))
+        + shard.map_or(0, |s| padded(16 + s.owned.len() * 4));
     let mut buf = Vec::with_capacity(capacity);
 
     let mut flags = if options.compress {
@@ -1503,13 +1449,12 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
         flags |= FLAG_PATHS;
     }
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(n as u64).to_le_bytes());
     buf.extend_from_slice(&(m as u64).to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
-    // CRC placeholders: three section CRCs (v2), plus crc_shard and
-    // crc_header in v3.
-    buf.resize(header_len, 0);
+    // CRC placeholders: three section CRCs, crc_shard and crc_header.
+    buf.resize(HEADER_LEN_V3, 0);
 
     let ranking_start = buf.len();
     for &v in index.ranking().order() {
@@ -1567,27 +1512,25 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
 
     // Each section is checksummed independently — a writer streaming
     // sections to disk can finalize each CRC as the section completes. The
-    // v3 header CRC goes last: it covers the section CRCs themselves.
+    // header CRC goes last: it covers the section CRCs themselves.
     let crc_ranking = crc32(&buf[ranking_start..offsets_start]);
     let crc_offsets = crc32(&buf[offsets_start..entries_start]);
     let crc_entries = crc32(&buf[entries_start..paths_start]);
+    let crc_shard = if shard.is_some() {
+        crc32(&buf[shard_start..])
+    } else {
+        0
+    };
     buf[28..32].copy_from_slice(&crc_ranking.to_le_bytes());
     buf[32..36].copy_from_slice(&crc_offsets.to_le_bytes());
     buf[36..40].copy_from_slice(&crc_entries.to_le_bytes());
+    buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
     if parents.is_some() {
         let crc_paths = crc32(&buf[paths_start + 8..shard_start]);
         buf[paths_start..paths_start + 4].copy_from_slice(&crc_paths.to_le_bytes());
     }
-    if version != VERSION_V2 {
-        let crc_shard = if shard.is_some() {
-            crc32(&buf[shard_start..])
-        } else {
-            0
-        };
-        buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
-        let crc_header = crc32(&buf[..HEADER_LEN_V3 - 4]);
-        buf[44..48].copy_from_slice(&crc_header.to_le_bytes());
-    }
+    let crc_header = crc32(&buf[..HEADER_LEN_V3 - 4]);
+    buf[44..48].copy_from_slice(&crc_header.to_le_bytes());
     buf
 }
 
@@ -1737,14 +1680,24 @@ pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
 /// Deserializes an index from `.chl` bytes, accepting the current v3
 /// layout and legacy v1/v2 files. This is the **copying** path: every
 /// section lands in a fresh allocation. For serving without the copy, see
-/// [`view_bytes`].
+/// [`open_view`].
+///
+/// v2/v3 bytes go through the validator every zero-copy loader runs and
+/// the validated view is copied out; a buffer that is not 8-byte aligned
+/// is first staged in an [`AlignedBytes`]. A compressed file's entries are
+/// kept from the validation pass, so the blob is decoded once.
 pub fn from_bytes(data: &[u8]) -> Result<FlatIndex, PersistError> {
     let header = parse_header(data)?;
-    match header.version {
-        VERSION_V1 => from_bytes_v1(data, &header),
-        VERSION_V2 => from_bytes_v2(data, &header).map_err(add_v2_header_caveat),
-        _ => from_bytes_v2(data, &header),
+    if header.version == VERSION_V1 {
+        return from_bytes_v1(data, &header);
     }
+    if !is_view_aligned(data) {
+        return from_bytes(&AlignedBytes::from_slice(data));
+    }
+    let mut decoded = Vec::new();
+    let layout = validate_layout(data, Some(&mut decoded))?;
+    let decoded = layout.compressed.is_some().then_some(decoded);
+    Ok(assemble_view(data, &layout).to_owned_with(decoded))
 }
 
 /// Folds the v2 header-trust gap into payload-shaped errors: a v2 header
@@ -1816,116 +1769,21 @@ fn from_bytes_v1(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistE
     }
     let ranking = Ranking::from_order(order, n)
         .map_err(|e| PersistError::Malformed(format!("ranking section: {e}")))?;
-    validate_csr(n, &offsets, &entries, m64)?;
+    validate_offsets(n, &offsets, m64)?;
+    validate_hub_sort(n, &offsets, &entries)?;
     Ok(FlatIndex::from_validated_parts(offsets, entries, ranking))
-}
-
-/// Reads the shard section into an owned, validated [`ShardSpec`].
-fn read_shard_spec(data: &[u8], s: &ShardLayout, n: u64) -> Result<ShardSpec, PersistError> {
-    let mut cur = Cursor::new(data);
-    cur.seek(s.data.start);
-    let shard_id = cur.get_u32();
-    let shard_count = cur.get_u32();
-    let zeta = cur.get_u32();
-    let owned_count = cur.get_u32() as usize;
-    let owned: Vec<VertexId> = (0..owned_count).map(|_| cur.get_u32()).collect();
-    validate_shard_meta(shard_id, shard_count, zeta, &owned, n)?;
-    Ok(ShardSpec {
-        shard_id,
-        shard_count,
-        zeta,
-        owned,
-    })
-}
-
-fn from_bytes_v2(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistError> {
-    let layout = layout_v2(
-        header.num_vertices,
-        header.num_entries,
-        header.version,
-        header.is_compressed(),
-        header.is_paths(),
-        header.is_sharded(),
-        data,
-    )?;
-    check_sections_v2(data, header, &layout)?;
-
-    let mut cur = Cursor::new(data);
-    cur.seek(layout.ranking_data.start);
-    let order: Vec<VertexId> = (0..layout.n).map(|_| cur.get_u32()).collect();
-    cur.seek(layout.offsets.start);
-    let offsets: Vec<u64> = (0..=layout.n).map(|_| cur.get_u64()).collect();
-    let ranking = Ranking::from_order(order, layout.n)
-        .map_err(|e| PersistError::Malformed(format!("ranking section: {e}")))?;
-    validate_offsets(layout.n, &offsets, header.num_entries)?;
-    let shard = match &layout.shard {
-        None => None,
-        Some(s) => {
-            let spec = read_shard_spec(data, s, header.num_vertices)?;
-            check_shard_consistency(&spec.owned, &offsets)?;
-            Some(spec)
-        }
-    };
-    let entries = match &layout.compressed {
-        None => {
-            cur.seek(layout.entries.start);
-            let mut entries = Vec::with_capacity(layout.m);
-            for _ in 0..layout.m {
-                let hub = cur.get_u32();
-                cur.take(4); // reserved, checked zero above
-                let dist = cur.get_u64();
-                entries.push(LabelEntry::new(hub, dist));
-            }
-            validate_hub_sort(layout.n, &offsets, &entries)?;
-            entries
-        }
-        Some(c) => {
-            // This is the decode-on-load path: validation and
-            // materialization into the flat in-memory layout in one pass.
-            cur.seek(c.skip.start);
-            let skip: Vec<u64> = (0..=layout.n).map(|_| cur.get_u64()).collect();
-            let mut entries = Vec::with_capacity(layout.m);
-            validate_compressed_entries(
-                &skip,
-                &data[c.blob_data.clone()],
-                &offsets,
-                None,
-                Some(&mut entries),
-            )?;
-            entries
-        }
-    };
-    let parents = match &layout.paths {
-        None => None,
-        Some(p) => {
-            let mut cur = Cursor::new(data);
-            cur.seek(p.data.start);
-            let parents: Vec<u32> = (0..layout.m).map(|_| cur.get_u32()).collect();
-            validate_parents(layout.n, &offsets, &entries, &parents)?;
-            Some(parents)
-        }
-    };
-    let index = FlatIndex::from_validated_parts(offsets, entries, ranking);
-    let index = match parents {
-        Some(parents) => index.with_validated_parents(parents),
-        None => index,
-    };
-    Ok(match shard {
-        Some(spec) => index.with_shard(spec)?,
-        None => index,
-    })
 }
 
 // --- Zero-copy views -----------------------------------------------------
 //
-// On little-endian hosts a validated v2 buffer is reinterpreted in place:
+// On little-endian hosts a validated v2/v3 buffer is reinterpreted in place:
 // the ranking section becomes `&[u32]`, the offsets section `&[u64]` and the
 // entries section `&[LabelEntry]` (whose #[repr(C)] layout matches the
 // 16-byte record exactly). Alignment holds because every section offset is a
 // multiple of 8 and the caller's buffer base is checked to be 8-byte
 // aligned; every bit pattern of the underlying integers is a valid value, so
 // the casts cannot manufacture invalid data — semantic validation happens on
-// the cast slices afterwards, exactly as for the copying path.
+// the cast slices afterwards, and the copying loader copies the same view.
 
 /// `true` when `data`'s base address allows in-place reinterpretation of
 /// 8-byte-aligned sections.
@@ -1991,20 +1849,6 @@ enum EntriesSection<'a> {
 #[cfg(target_endian = "little")]
 fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
     assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
-    let shard = layout.shard.as_ref().map(|s| {
-        let mut cur = Cursor::new(data);
-        cur.seek(s.data.start);
-        let shard_id = cur.get_u32();
-        let shard_count = cur.get_u32();
-        let zeta = cur.get_u32();
-        // The fourth prelude word, owned_count, is implied by the array.
-        ShardView {
-            shard_id,
-            shard_count,
-            zeta,
-            owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
-        }
-    });
     Sections {
         order: cast_u32s(&data[layout.ranking_data.clone()]),
         offsets: cast_u64s(&data[layout.offsets.clone()]),
@@ -2019,14 +1863,35 @@ fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
             .paths
             .as_ref()
             .map(|p| cast_u32s(&data[p.data.clone()])),
-        shard,
+        shard: layout.shard.as_ref().map(|s| cast_shard(data, s)),
     }
 }
 
-/// Runs the whole [`open_view`] battery over `data` and returns the section
-/// layout it validated. `MmapIndex` keeps that layout so per-query views
-/// are one [`assemble_view`] over ranges already known good.
-pub(crate) fn validate_layout(data: &[u8]) -> Result<LayoutV2, PersistError> {
+/// Casts the shard section out of `data`: the identity words plus the owned
+/// array in place. The fourth prelude word, owned_count, is implied by the
+/// array. Same soundness contract as [`cast_sections`].
+#[cfg(target_endian = "little")]
+fn cast_shard<'a>(data: &'a [u8], s: &ShardLayout) -> ShardView<'a> {
+    let mut cur = Cursor::new(data);
+    cur.seek(s.data.start);
+    ShardView {
+        shard_id: cur.get_u32(),
+        shard_count: cur.get_u32(),
+        zeta: cur.get_u32(),
+        owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
+    }
+}
+
+/// Runs the whole [`open_view`] battery over `data` — the one validator of
+/// v2/v3 bytes behind every loader — and returns the section layout it
+/// validated. `MmapIndex` keeps that layout so per-query views are one
+/// [`assemble_view`] over ranges already known good. When `sink` is given,
+/// a compressed file's decoded entries are appended to it (the copying
+/// loader keeps them instead of decoding the blob a second time).
+pub(crate) fn validate_layout(
+    data: &[u8],
+    sink: Option<&mut Vec<LabelEntry>>,
+) -> Result<LayoutV2, PersistError> {
     let header = parse_header(data)?;
     if header.version == VERSION_V1 {
         return Err(PersistError::NotZeroCopy {
@@ -2040,13 +1905,14 @@ pub(crate) fn validate_layout(data: &[u8]) -> Result<LayoutV2, PersistError> {
     }
     #[cfg(not(target_endian = "little"))]
     {
+        let _ = sink;
         return Err(PersistError::Unviewable {
             reason: "host is big-endian",
         });
     }
     #[cfg(target_endian = "little")]
     {
-        let layout = layout_v2(
+        let checked = layout_v2(
             header.num_vertices,
             header.num_entries,
             header.version,
@@ -2054,33 +1920,40 @@ pub(crate) fn validate_layout(data: &[u8]) -> Result<LayoutV2, PersistError> {
             header.is_paths(),
             header.is_sharded(),
             data,
-        )?;
-        check_sections_v2(data, &header, &layout)?;
-        let s = cast_sections(data, &layout);
-        check_permutation(s.order)?;
-        validate_offsets(layout.n, s.offsets, header.num_entries)?;
-        if let Some(shard) = &s.shard {
-            validate_shard_meta(
-                shard.shard_id,
-                shard.shard_count,
-                shard.zeta,
-                shard.owned,
-                header.num_vertices,
-            )?;
-            check_shard_consistency(shard.owned, s.offsets)?;
-        }
-        match s.entries {
-            EntriesSection::Flat(entries) => {
-                validate_hub_sort(layout.n, s.offsets, entries)?;
-                if let Some(parents) = s.parents {
-                    validate_parents(layout.n, s.offsets, entries, parents)?;
+        )
+        .and_then(|layout| {
+            check_sections_v2(data, &header, &layout)?;
+            let s = cast_sections(data, &layout);
+            check_permutation(s.order)?;
+            validate_offsets(layout.n, s.offsets, header.num_entries)?;
+            if let Some(shard) = &s.shard {
+                validate_shard_meta(
+                    shard.shard_id,
+                    shard.shard_count,
+                    shard.zeta,
+                    shard.owned,
+                    header.num_vertices,
+                )?;
+                check_shard_consistency(shard.owned, s.offsets)?;
+            }
+            match s.entries {
+                EntriesSection::Flat(entries) => {
+                    validate_hub_sort(layout.n, s.offsets, entries)?;
+                    if let Some(parents) = s.parents {
+                        validate_parents(layout.n, s.offsets, entries, parents)?;
+                    }
+                }
+                EntriesSection::Compressed { skip, blob } => {
+                    validate_compressed_entries(skip, blob, s.offsets, s.parents, sink)?;
                 }
             }
-            EntriesSection::Compressed { skip, blob } => {
-                validate_compressed_entries(skip, blob, s.offsets, s.parents, None)?;
-            }
+            Ok(layout)
+        });
+        if header.version == VERSION_V2 {
+            checked.map_err(add_v2_header_caveat)
+        } else {
+            checked
         }
-        Ok(layout)
     }
 }
 
@@ -2121,17 +1994,17 @@ pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &LayoutV2) -> IndexView<
 /// compressed files borrow the skip table and encoded blob and stream-decode
 /// the two label runs each query touches. A v3 shard file's identity and
 /// owned set are exposed through [`IndexView::shard`]. Validation is the
-/// same battery the copying loader runs (length, per-section checksums,
-/// padding, semantic invariants — including a full decode pass over every
-/// compressed run); the only transient allocation is the permutation-check
-/// scratch.
+/// one battery every v2/v3 loader runs, the copying loader included
+/// (length, per-section checksums, padding, semantic invariants — including
+/// a full decode pass over every compressed run); the only transient
+/// allocation is the permutation-check scratch.
 ///
 /// Requirements beyond [`from_bytes`]: the buffer's base address must be
 /// 8-byte aligned (use [`AlignedBytes`] or an mmap, both of which guarantee
 /// it) and the host little-endian; otherwise [`PersistError::Unviewable`] is
 /// returned. v1 files report [`PersistError::NotZeroCopy`].
 pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
-    let layout = validate_layout(data)?;
+    let layout = validate_layout(data, None)?;
     Ok(assemble_view(data, &layout))
 }
 
@@ -2250,9 +2123,8 @@ pub fn save<P: AsRef<Path>>(index: &FlatIndex, path: P) -> Result<(), PersistErr
     save_with(index, path, &SaveOptions::default())
 }
 
-/// Writes `index` to `path` in the `.chl` format under explicit
-/// [`SaveOptions`] (`compress: true` for the delta+varint entries section,
-/// `version` for the legacy v2 layout).
+/// Writes `index` to `path` in the `.chl` v3 format under explicit
+/// [`SaveOptions`] (`compress: true` for the delta+varint entries section).
 pub fn save_with<P: AsRef<Path>>(
     index: &FlatIndex,
     path: P,
@@ -2262,11 +2134,11 @@ pub fn save_with<P: AsRef<Path>>(
     Ok(())
 }
 
-/// Reads an index from a `.chl` file written by [`save`] (either version),
-/// through the copying path.
+/// Reads an index from a `.chl` file of any version through the copying
+/// path ([`from_bytes`]). The file is read into an [`AlignedBytes`], so a
+/// v2/v3 file is validated in place with no staging copy.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<FlatIndex, PersistError> {
-    let data = fs::read(path)?;
-    from_bytes(&data)
+    from_bytes(&read_aligned(path)?)
 }
 
 /// Reads a `.chl` file's shard identity without decoding its labels:
@@ -2274,9 +2146,10 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<FlatIndex, PersistError> {
 /// v3 shard file. Reads (but does not decode or checksum) the label
 /// payload — the shard section trails it and compressed files are only
 /// self-describing with the skip table in hand — so this costs one file
-/// read, not a full validation pass.
+/// read, not a full validation pass. The identity is cut out through the
+/// same layout and cast the view uses.
 pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, PersistError> {
-    let data = fs::read(path)?;
+    let data = read_aligned(path)?;
     let header = parse_header(&data)?;
     if !header.is_sharded() {
         return Ok(None);
@@ -2303,7 +2176,16 @@ pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, Per
             computed,
         });
     }
-    read_shard_spec(&data, s, header.num_vertices).map(Some)
+    #[cfg(not(target_endian = "little"))]
+    return Err(PersistError::Unviewable {
+        reason: "host is big-endian",
+    });
+    #[cfg(target_endian = "little")]
+    {
+        let spec = cast_shard(&data, s).to_spec();
+        spec.validate(header.num_vertices)?;
+        Ok(Some(spec))
+    }
 }
 
 /// Reads and validates just the header of a `.chl` file.
@@ -2325,6 +2207,9 @@ pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> 
 mod tests {
     use super::*;
     use crate::index::HubLabelIndex;
+
+    /// The frozen v2 golden fixture: v2 is an input format, nothing writes it.
+    const V2_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v2-flat.chl");
 
     fn tiny_flat() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
@@ -2445,9 +2330,7 @@ mod tests {
         let flat = tiny_flat().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
         assert!(flat.has_path_data());
 
-        // A path section is v3-only, so the writer upgrades even an explicit
-        // v2 request.
-        let bytes = to_bytes_with(&flat, &SaveOptions::v2());
+        let bytes = to_bytes(&flat);
         let header = parse_header(&bytes).unwrap();
         assert_eq!(header.version, VERSION);
         assert!(header.is_paths());
@@ -2457,7 +2340,7 @@ mod tests {
         let back = from_bytes(&bytes).unwrap();
         assert_eq!(back.parents(), flat.parents());
         assert_eq!(back, flat);
-        assert_eq!(to_bytes_with(&back, &SaveOptions::v2()), bytes);
+        assert_eq!(to_bytes(&back), bytes);
 
         // Zero-copy opens see the same parents, flat and compressed alike.
         let aligned = AlignedBytes::from_slice(&bytes);
@@ -2573,11 +2456,10 @@ mod tests {
         assert_eq!(header.crc_header, crc32(&bytes[..HEADER_LEN_V3 - 4]));
         assert!(!header.is_sharded());
 
-        let v2 = to_bytes_with(&flat, &SaveOptions::v2());
-        let header = parse_header(&v2).unwrap();
+        let header = parse_header(V2_FLAT).unwrap();
         assert_eq!(header.version, VERSION_V2);
         assert_eq!(header.header_len(), HEADER_LEN_V2);
-        assert_eq!(header.expected_file_len(), Some(v2.len()));
+        assert_eq!(header.expected_file_len(), Some(V2_FLAT.len()));
         assert_eq!(header.crc_header, 0);
 
         let v1 = to_bytes_v1(&flat);
@@ -2652,8 +2534,9 @@ mod tests {
             view_bytes(misaligned),
             Err(PersistError::Unviewable { .. })
         ));
-        // The copying loader does not care about alignment.
-        assert!(from_bytes(misaligned).is_ok());
+        // The copying loader does not care about alignment: it stages the
+        // bytes aligned and loads exactly what the aligned buffer loads.
+        assert_eq!(from_bytes(misaligned).unwrap(), from_bytes(&bytes).unwrap());
     }
 
     #[test]
@@ -3285,10 +3168,6 @@ mod tests {
             Err(PersistError::Unviewable { .. })
         ));
 
-        // A sharded index cannot be written as v2 — the writer upgrades.
-        let forced_v2 = to_bytes_with(&flat, &SaveOptions::v2());
-        assert_eq!(parse_header(&forced_v2).unwrap().version, VERSION);
-
         // Compressed + sharded composes.
         let comp = to_bytes_with(&flat, &SaveOptions::compressed());
         let h = parse_header(&comp).unwrap();
@@ -3402,18 +3281,28 @@ mod tests {
 
     #[test]
     fn v2_header_corruption_reports_the_caveat() {
-        // Write a genuine v2 file (no header CRC), corrupt a header byte:
-        // the error is still typed, and its message points at the v2 gap.
-        let bytes = to_bytes_with(&tiny_flat(), &SaveOptions::v2());
-        assert_eq!(parse_header(&bytes).unwrap().version, VERSION_V2);
-        let mut bad = bytes.clone();
+        // Corrupt a header byte of a genuine v2 file (no header CRC): every
+        // loader returns the same typed error, and its message points at the
+        // v2 gap.
+        assert_eq!(parse_header(V2_FLAT).unwrap().version, VERSION_V2);
+        let mut bad = AlignedBytes::from_slice(V2_FLAT);
         bad[8] ^= 0x01; // n's low byte
-        let err = from_bytes(&bad).unwrap_err();
+        let copied = from_bytes(&bad).unwrap_err().to_string();
         assert!(
-            err.to_string().contains("v2 headers carry no checksum"),
-            "unexpected: {err}"
+            copied.contains("v2 headers carry no checksum"),
+            "unexpected: {copied}"
         );
+        assert_eq!(open_view(&bad).unwrap_err().to_string(), copied);
+        let path = std::env::temp_dir().join(format!(
+            "chl-persist-v2-caveat-test-{}-{:?}.chl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, &*bad).unwrap();
+        let mapped = crate::mapped::MmapIndex::open(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(mapped.to_string(), copied);
         // Uncorrupted v2 still loads cleanly.
-        assert_eq!(from_bytes(&bytes).unwrap(), tiny_flat());
+        assert!(from_bytes(V2_FLAT).is_ok());
     }
 }

@@ -6,10 +6,10 @@
 //! must reproduce its bytes exactly — so any accidental format drift in a
 //! future PR fails here before it ships.
 //!
-//! Compat policy: v1 and v2 are frozen. The checked-in v1/v2 byte streams
-//! never change, keep loading forever, and `SaveOptions::v2` keeps
-//! reproducing them bit-for-bit; new capabilities (header CRC, shard
-//! section) exist only in v3.
+//! Compat policy: v1 and v2 are frozen inputs. The checked-in v1/v2 byte
+//! streams never change and keep loading forever; the writer emits only v3,
+//! so a loaded v2 fixture re-serializes to exactly its v3 sibling's bytes.
+//! New capabilities (header CRC, shard section) exist only in v3.
 //!
 //! The shard fixtures pin the QDOL layout for 3 shards over 16 vertices
 //! (ζ = 3, contiguous chunks of 6). The owned sets hard-coded here are
@@ -18,7 +18,8 @@
 //! which keeps this crate free of a dev-dependency cycle while tying the
 //! fixtures to the code that produces real shard files.
 //!
-//! Regenerating (only when the format changes *on purpose*):
+//! Regenerating (only when the format changes *on purpose*) rewrites the v3
+//! fixtures and the pinned tables; the v1/v2 inputs are left untouched:
 //!
 //! ```text
 //! CHL_REGEN_FIXTURES=1 cargo test -p chl-core --test golden_files
@@ -153,20 +154,6 @@ fn path_table(index: &FlatIndex) -> String {
 fn regen(dir: &Path) {
     let golden = build_golden();
     std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(dir.join("golden.v1.chl"), persist::to_bytes_v1(&golden)).unwrap();
-    std::fs::write(
-        dir.join("golden.v2-flat.chl"),
-        golden.to_bytes_with(&SaveOptions::v2()),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("golden.v2-compressed.chl"),
-        golden.to_bytes_with(&SaveOptions {
-            compress: true,
-            version: persist::VERSION_V2,
-        }),
-    )
-    .unwrap();
     std::fs::write(dir.join("golden.v3-flat.chl"), golden.to_bytes()).unwrap();
     std::fs::write(
         dir.join("golden.v3-compressed.chl"),
@@ -272,7 +259,7 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     );
 
     // v2 flat: copy-load, zero-copy view and mmap. The frozen v2 stream
-    // keeps loading and `SaveOptions::v2` keeps reproducing it.
+    // keeps loading, and the writer turns it into the v3 fixture.
     let flat_path = dir.join("golden.v2-flat.chl");
     let flat_bytes = std::fs::read(&flat_path).unwrap();
     let flat = FlatIndex::from_bytes(&flat_bytes).expect("v2-flat fixture loads");
@@ -284,9 +271,9 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     assert!(!mapped.is_compressed());
     assert_answers(&table, "v2-flat mmap", |u, v| mapped.view().query(u, v));
     assert_eq!(
-        flat.to_bytes_with(&SaveOptions::v2()),
-        flat_bytes,
-        "re-serializing the loaded v2-flat fixture must be byte-identical"
+        flat.to_bytes(),
+        std::fs::read(dir.join("golden.v3-flat.chl")).unwrap(),
+        "the loaded v2-flat fixture must re-serialize to the v3-flat fixture"
     );
 
     // v2 compressed: decode-on-load, streaming view and mmap.
@@ -304,12 +291,9 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
         mapped.view().query(u, v)
     });
     assert_eq!(
-        comp.to_bytes_with(&SaveOptions {
-            compress: true,
-            version: persist::VERSION_V2,
-        }),
-        comp_bytes,
-        "re-serializing the loaded v2-compressed fixture must be byte-identical"
+        comp.to_bytes_with(&SaveOptions::compressed()),
+        std::fs::read(dir.join("golden.v3-compressed.chl")).unwrap(),
+        "the loaded v2-compressed fixture must re-serialize to the v3-compressed fixture"
     );
 
     // v3 flat: the default writer's output, with the header CRC.

@@ -28,10 +28,10 @@ use crate::protocol::ServerInfo;
 /// The two load backends a generation can serve from.
 #[derive(Debug)]
 enum Backend {
-    /// Copy-loaded, heap-owned index (works for v1 and v2 files).
+    /// Copy-loaded, heap-owned index (any format version).
     Owned(FlatIndex),
-    /// Zero-copy mapped index (v2 files; buffered fallback off-Unix or with
-    /// the `mmap` feature disabled).
+    /// Zero-copy mapped index (v2/v3 files; buffered fallback off-Unix or
+    /// with the `mmap` feature disabled).
     Mapped(MmapIndex),
 }
 
