@@ -33,7 +33,9 @@ frames, never a hang.
 
 options:
   --addr HOST:PORT        listen address (port 0 picks one) [127.0.0.1:7558]
-  --threads N             connection worker threads                    [4]
+  --threads N             worker threads; each answers its connections'
+                          frames inline, so N bounds all compute threads
+                          and one connection uses one core             [4]
   --max-frame BYTES       largest accepted request frame           [1 MiB]
   --backend-timeout-ms N  per-backend read/write timeout            [5000]";
 

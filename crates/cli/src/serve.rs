@@ -31,7 +31,9 @@ the index file and hot-swaps it without dropping in-flight requests.
 
 options:
   --addr HOST:PORT    listen address (port 0 picks one) [127.0.0.1:7557]
-  --threads N         connection worker threads                      [4]
+  --threads N         worker threads; each answers its connections'
+                      frames inline, so N bounds all compute threads
+                      and one connection uses one core               [4]
   --max-frame BYTES   largest accepted request frame            [1 MiB]
   --mmap              serve zero-copy from the OS page cache (v2 files)
   --shard             required to serve a .chl v3 shard file; the server

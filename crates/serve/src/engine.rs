@@ -21,6 +21,14 @@
 //! declared length is answered typed and then closes the connection: the
 //! stream cannot be re-synchronized.
 //!
+//! The worker pool is the parallelism. Each worker runs its whole loop under
+//! `rayon::with_threads(1, …)`, so a run's `distances`, a MATRIX frame's rows
+//! and an HTTP query are answered inline on the worker that holds the
+//! connection: `threads` workers are every compute thread the engine starts,
+//! and no call pays a thread spawn. The price is that one connection's frames
+//! use one core; a client that wants every core opens at least `threads`
+//! connections.
+//!
 //! Two rules keep the edges honest:
 //!
 //! * **Shutdown wake.** `accept` blocks (a polling acceptor made every fresh
@@ -549,14 +557,18 @@ impl<S: Service> Engine<S> {
     }
 }
 
+/// One worker's whole life, pinned to one parallel thread (the worker pool is
+/// the parallelism, see the module doc).
 fn worker_loop<S: Service>(service: &S, max_frame: u32, state: &State) {
-    let mut worker = service.worker();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    while let Some(conn) = state.next_conn() {
-        // Connection-level IO errors (abrupt client disconnects, resets)
-        // end that connection only, never the worker.
-        let _ = serve(conn, service, &mut worker, max_frame, state, &mut chunk);
-    }
+    rayon::with_threads(1, || {
+        let mut worker = service.worker();
+        let mut chunk = vec![0u8; READ_CHUNK];
+        while let Some(conn) = state.next_conn() {
+            // Connection-level IO errors (abrupt client disconnects, resets)
+            // end that connection only, never the worker.
+            let _ = serve(conn, service, &mut worker, max_frame, state, &mut chunk);
+        }
+    });
 }
 
 /// Outcome of processing one flush of frames.
@@ -686,4 +698,119 @@ fn process_frames<S: Service>(
         }
     }
     Disposition::Continue
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::DEFAULT_MAX_FRAME;
+    use std::thread::{self, ThreadId};
+
+    /// What one parallel call made from inside a service method saw.
+    #[derive(Debug)]
+    struct Seen {
+        worker: ThreadId,
+        threads: usize,
+        map_ran_on: Vec<ThreadId>,
+    }
+
+    /// Answers zeros and records, for every QUERY run and MATRIX frame,
+    /// where a 64-item `rayon::map` made from inside the method ran.
+    #[derive(Debug, Default)]
+    struct Probe {
+        seen: Mutex<Vec<Seen>>,
+    }
+
+    impl Probe {
+        fn record(&self) {
+            let seen = Seen {
+                worker: thread::current().id(),
+                threads: rayon::current_num_threads(),
+                map_ran_on: rayon::map(64, |_| thread::current().id()),
+            };
+            self.seen.lock().expect("no probe panics").push(seen);
+        }
+    }
+
+    impl Service for Probe {
+        const NAME: &'static str = "probe";
+        type Worker = ();
+        type Stats = ();
+
+        fn worker(&self) {}
+
+        fn query_run(&self, _: &mut (), run: &[Vec<(VertexId, VertexId)>], reply: &mut Reply<'_>) {
+            self.record();
+            for pairs in run {
+                reply.send(&Response::Distances(vec![0; pairs.len()]));
+            }
+        }
+
+        fn path(&self, _: &mut (), _: VertexId, _: VertexId, reply: &mut Reply<'_>) {
+            reply.send(&Response::Path(Vec::new()));
+        }
+
+        fn matrix(
+            &self,
+            _: &mut (),
+            sources: &[VertexId],
+            targets: &[VertexId],
+            reply: &mut Reply<'_>,
+        ) {
+            self.record();
+            reply.send(&Response::Matrix(vec![0; sources.len() * targets.len()]));
+        }
+
+        fn info(&self, _: &mut ()) -> Response {
+            self.shutdown()
+        }
+
+        fn reload(&self, _: &mut ()) -> Response {
+            self.shutdown()
+        }
+
+        fn shutdown(&self) -> Response {
+            Response::Ok { generation: 0 }
+        }
+
+        fn http(&self, _: TcpStream, _: &[u8], _: &State) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn stats(&self, _: &Counters) {}
+    }
+
+    #[test]
+    fn parallel_calls_inside_a_worker_run_inline_on_it() {
+        let engine = Engine::new("127.0.0.1:0", Probe::default(), 2, DEFAULT_MAX_FRAME)
+            .expect("bind an ephemeral port");
+        let spawned = engine.spawn().expect("spawn the engine");
+        let handle = spawned.handle().clone();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client
+            .set_timeout(Some(Duration::from_secs(10)))
+            .expect("set the client timeout");
+
+        let frames = vec![vec![(0, 1); 8]; 4];
+        let answers = client.pipeline(&frames).expect("pipelined QUERY frames");
+        assert!(answers.iter().all(|a| a.as_ref() == Ok(&vec![0; 8])));
+        let block = client.matrix(&[0, 1, 2], &[3, 4]).expect("MATRIX frame");
+        assert_eq!(block, vec![0; 6]);
+        drop(client);
+        spawned.shutdown().expect("shutdown");
+
+        let seen = handle.service.seen.lock().expect("no probe panics");
+        assert!(
+            seen.len() >= 2,
+            "one QUERY run and one MATRIX frame: {seen:?}"
+        );
+        for call in seen.iter() {
+            assert_eq!(call.threads, 1, "a worker's calls must see one thread");
+            assert!(
+                call.map_ran_on.iter().all(|&id| id == call.worker),
+                "a parallel call left its worker thread: {call:?}"
+            );
+        }
+    }
 }

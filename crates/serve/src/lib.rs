@@ -14,10 +14,11 @@
 //!   drop in-flight requests and never replace a serving index with a
 //!   corrupt file.
 //! * [`engine`] — the one connection engine under both tiers: blocking
-//!   acceptor → queue → worker pool, preamble sniff, frame drain, coalescing
-//!   of pipelined QUERY frames into one run, in-order responses, shutdown
-//!   latch and the shared counters, driven through the [`engine::Service`]
-//!   trait.
+//!   acceptor → queue → worker pool (each worker answers inline on its own
+//!   thread: the pool is the parallelism), preamble sniff, frame drain,
+//!   coalescing of pipelined QUERY frames into one run, in-order responses,
+//!   shutdown latch and the shared counters, driven through the
+//!   [`engine::Service`] trait.
 //! * [`server`] — the local-oracle service (`chl serve`): each coalesced run
 //!   becomes one batched [`DistanceOracle::distances`] call over the current
 //!   snapshot.

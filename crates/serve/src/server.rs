@@ -3,12 +3,13 @@
 //!
 //! [`OracleService`] answers every request from a [`SharedIndex`] snapshot:
 //! each coalesced run of QUERY frames becomes a **single** batched
-//! [`DistanceOracle::distances`] call (which fans out with `rayon::map`),
-//! PATH and MATRIX frames go through the generation's parent records and
-//! the hub-pivoted block kernel. Range is always checked before shard
-//! ownership, so out-of-range ids get byte-identical answers from a shard
-//! and from a whole-index server. Reload never stops anything: handlers
-//! answer each batch from the snapshot they took for it.
+//! [`DistanceOracle::distances`](chl_core::oracle::DistanceOracle::distances)
+//! call, PATH and MATRIX frames go through the generation's parent records
+//! and the hub-pivoted block kernel — all inline on the engine worker that
+//! read the frames (the worker pool is the parallelism). Range is always
+//! checked before shard ownership, so out-of-range ids get byte-identical
+//! answers from a shard and from a whole-index server. Reload never stops
+//! anything: handlers answer each batch from the snapshot they took for it.
 //!
 //! Sockets, framing, batching boundaries and shutdown live in the engine;
 //! [`Server`], [`ServerHandle`] and [`SpawnedServer`] are its generic types
@@ -17,10 +18,9 @@
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
-use chl_core::oracle::DistanceOracle;
 use chl_core::paths::PathError;
 use chl_core::persist::ShardSpec;
-use chl_graph::types::{Distance, VertexId};
+use chl_graph::types::VertexId;
 
 use crate::engine::{
     endpoints, first_out_of_range, Counter, Counters, Engine, Handle, Reply, Service, Spawned,
@@ -30,16 +30,12 @@ use crate::http;
 use crate::index::{LoadedIndex, SharedIndex};
 use crate::protocol::{ErrorCode, Response, DEFAULT_MAX_FRAME};
 
-/// Cap on pairs per [`DistanceOracle::distances`] call; larger coalesced
-/// batches are answered in chunks of this size.
-const MAX_BATCH: usize = 1 << 16;
-
 /// Tunables for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections (each batched query fan-out
-    /// additionally spawns `rayon::current_num_threads()` threads). At
-    /// least 1.
+    /// Worker threads handling connections, at least 1. Each worker answers
+    /// its frames inline, so these are all the compute threads serving
+    /// takes; one connection's frames use one core.
     pub threads: usize,
     /// Cap on one frame's payload length in bytes.
     pub max_frame: u32,
@@ -165,10 +161,10 @@ impl Service for OracleService {
 
     fn worker(&self) {}
 
-    /// Every answerable frame's pairs go into one batched `distances` call
-    /// (chunked at `MAX_BATCH`); frames naming an out-of-range id — or, on
-    /// a shard file, an id owned by another shard — answer a typed error
-    /// frame instead, without failing their neighbors.
+    /// Every answerable frame's pairs go into one batched `distances` call;
+    /// frames naming an out-of-range id — or, on a shard file, an id owned
+    /// by another shard — answer a typed error frame instead, without
+    /// failing their neighbors.
     fn query_run(&self, _: &mut (), run: &[Vec<(VertexId, VertexId)>], reply: &mut Reply<'_>) {
         // One snapshot for the whole run: a concurrent reload never changes
         // answers mid-batch, and in-flight batches keep the old generation
@@ -187,7 +183,13 @@ impl Service for OracleService {
             }));
         }
 
-        let answers = self.batched_distances(snapshot.oracle(), &batch);
+        // A run whose frames were all refused makes no call.
+        let answers = if batch.is_empty() {
+            Vec::new()
+        } else {
+            self.batch_calls.add(1);
+            snapshot.oracle().distances(&batch)
+        };
         self.max_coalesced.raise_max(run.len() as u64);
         reply.stats.queries.add(batch.len() as u64);
 
@@ -288,22 +290,6 @@ impl Service for OracleService {
 
     fn stats(&self, shared: &Counters) -> StatsSnapshot {
         StatsSnapshot::read(shared, &self.batch_calls, &self.max_coalesced)
-    }
-}
-
-impl OracleService {
-    /// One `distances` call per [`MAX_BATCH`] pairs, counted in the stats.
-    fn batched_distances(
-        &self,
-        oracle: &dyn DistanceOracle,
-        pairs: &[(VertexId, VertexId)],
-    ) -> Vec<Distance> {
-        let mut answers = Vec::with_capacity(pairs.len());
-        for chunk in pairs.chunks(MAX_BATCH) {
-            self.batch_calls.add(1);
-            answers.extend(oracle.distances(chunk));
-        }
-        answers
     }
 }
 
