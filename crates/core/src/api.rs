@@ -376,7 +376,9 @@ impl<'g> ChlBuilder<'g> {
         self
     }
 
-    /// Sets the Hybrid switching threshold `Ψ_th`.
+    /// Sets the Hybrid switching factor: Hybrid stops PLaNTing once Ψ
+    /// exceeds this factor times the average label size built so far
+    /// (default 1.0; see [`LabelingConfig::psi_threshold`]).
     pub fn psi_threshold(mut self, psi: f64) -> Self {
         self.config.psi_threshold = psi;
         self

@@ -13,10 +13,14 @@ pub struct LabelingConfig {
     /// phase ends once the local table holds more than `α · n` labels. The
     /// paper settles on `α = 4` (Figure 5).
     pub alpha: f64,
-    /// Hybrid switching threshold `Ψ_th`: once the running ratio of vertices
-    /// explored per label generated exceeds this value, the Hybrid
+    /// Hybrid switching factor, relative to the labeling built so far: once
+    /// the windowed ratio Ψ of vertices explored per label generated exceeds
+    /// `psi_threshold × L̄` (`L̄` = labels PLaNTed so far / `n`), the Hybrid
     /// constructor stops PLaNTing trees and switches to pruned construction.
-    /// The paper uses 100 for scale-free and 500 for road networks (Figure 6).
+    /// Dimensionless, default 1.0: a pruned tree's label probe costs about
+    /// `L̄`, so PLaNT stops paying once it explores more than that per label.
+    /// The paper's absolute `Ψ_th` (Figure 6) lives on in
+    /// `DistributedConfig`, where PLaNT saves communication instead.
     pub psi_threshold: f64,
     /// Number of SPTs over which Ψ is averaged before the Hybrid switch
     /// decision is made.
@@ -33,7 +37,7 @@ impl Default for LabelingConfig {
         LabelingConfig {
             num_threads: 0,
             alpha: 4.0,
-            psi_threshold: 100.0,
+            psi_threshold: 1.0,
             psi_window: 64,
             early_termination: true,
             common_hubs: 16,
@@ -65,7 +69,8 @@ impl LabelingConfig {
         self
     }
 
-    /// Builder-style helper: sets the Hybrid switching threshold `Ψ_th`.
+    /// Builder-style helper: sets the Hybrid switching factor (see
+    /// [`LabelingConfig::psi_threshold`]).
     pub fn with_psi_threshold(mut self, psi: f64) -> Self {
         self.psi_threshold = psi;
         self
@@ -125,11 +130,11 @@ mod tests {
     fn builders_set_fields() {
         let c = LabelingConfig::default()
             .with_alpha(8.0)
-            .with_psi_threshold(500.0)
+            .with_psi_threshold(0.5)
             .with_common_hubs(32)
             .with_threads(2);
         assert_eq!(c.alpha, 8.0);
-        assert_eq!(c.psi_threshold, 500.0);
+        assert_eq!(c.psi_threshold, 0.5);
         assert_eq!(c.common_hubs, 32);
         assert_eq!(c.num_threads, 2);
     }

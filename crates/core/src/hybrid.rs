@@ -7,7 +7,17 @@
 //! them is nearly free and avoids both pruning queries and (in the
 //! distributed case) label traffic; SPTs rooted at unimportant vertices
 //! generate almost no labels, so pruned construction is far cheaper for them.
-//! The switch point is driven by a moving average of Ψ crossing `Ψ_th`.
+//!
+//! The switch point is relative, not the paper's absolute `Ψ_th`: Hybrid
+//! stops PLaNTing once a moving average of Ψ exceeds
+//! `psi_threshold × L̄`, where `L̄` is the labels PLaNTed so far divided by
+//! `n`. A pruned tree pays about one label-set probe per vertex it visits,
+//! and a probe costs on the order of `L̄`, so the break-even Ψ grows with the
+//! labeling instead of being one constant for every graph family (Figure 6
+//! shows no single `Ψ_th` suits both road and scale-free graphs). With the
+//! default factor 1.0, scale-free graphs switch after a few hundred trees,
+//! while road grids never reach it and are PLaNTed whole — the fastest
+//! construction there.
 //!
 //! The same structure pays off on a single node: the first GLL superstep
 //! normally generates far more than `α·n` labels because no global labels
@@ -49,7 +59,7 @@ pub(crate) fn shared_hybrid_impl(
     let n = g.num_vertices();
     let threads = config.effective_threads().max(1);
 
-    // ---- Phase 1: PLaNT roots in rank order until Ψ exceeds the threshold ----
+    // ---- Phase 1: PLaNT roots in rank order until Ψ outgrows the labels ----
     let table = ConcurrentLabelTable::new(n);
     let next_root = AtomicU32::new(0);
     let stop = AtomicBool::new(false);
@@ -93,7 +103,7 @@ pub(crate) fn shared_hybrid_impl(
                     let switch = {
                         let mut window = psi_state.lock().expect("psi window lock");
                         window.observe(record.vertices_explored, record.labels_generated);
-                        window.average() > config.psi_threshold
+                        window.average() > config.psi_threshold * window.average_label_size(n)
                     };
                     local_records.push(record);
                     if switch {
@@ -153,13 +163,15 @@ pub(crate) fn shared_hybrid_impl(
     result
 }
 
-/// Moving average of Ψ over the most recent SPTs.
+/// Moving average of Ψ over the most recent SPTs, beside the running total
+/// of labels every observed SPT generated.
 struct PsiWindow {
     capacity: usize,
     explored: Vec<usize>,
     labels: Vec<usize>,
     cursor: usize,
     filled: usize,
+    total_labels: usize,
 }
 
 impl PsiWindow {
@@ -171,6 +183,7 @@ impl PsiWindow {
             labels: vec![0; capacity],
             cursor: 0,
             filled: 0,
+            total_labels: 0,
         }
     }
 
@@ -179,6 +192,12 @@ impl PsiWindow {
         self.labels[self.cursor] = labels;
         self.cursor = (self.cursor + 1) % self.capacity;
         self.filled = (self.filled + 1).min(self.capacity);
+        self.total_labels += labels;
+    }
+
+    /// `L̄`: labels generated so far per vertex of an `n`-vertex graph.
+    fn average_label_size(&self, n: usize) -> f64 {
+        self.total_labels as f64 / n as f64
     }
 
     /// Ψ averaged over the window: total explored / total labels.
@@ -221,11 +240,11 @@ mod tests {
         let canonical = sequential_pll(&g, &ranking).index;
         let mut config = LabelingConfig::default()
             .with_threads(4)
-            .with_psi_threshold(5.0);
+            .with_psi_threshold(0.25);
         config.psi_window = 8;
         let result = shared_hybrid(&g, &ranking, &config);
         assert_eq!(canonical, result.index);
-        // A low threshold with a small window must actually trigger the switch.
+        // A low factor with a small window must actually trigger the switch.
         assert!(result.stats.planted_trees < 200);
         assert!(result.stats.planted_trees > 0);
     }
@@ -236,7 +255,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let config = LabelingConfig::default()
             .with_threads(2)
-            .with_psi_threshold(1e12);
+            .with_psi_threshold(f64::INFINITY);
         let result = shared_hybrid(&g, &ranking, &config);
         assert_eq!(result.stats.planted_trees, 50);
         assert_eq!(result.index, sequential_pll(&g, &ranking).index);
@@ -260,17 +279,57 @@ mod tests {
             },
             1,
         );
+        // A factor far below the grid's Ψ/L̄ forces a switch, so both phases
+        // run on a road-like graph.
         let mut config = LabelingConfig::default()
             .with_threads(4)
-            .with_psi_threshold(3.0);
+            .with_psi_threshold(0.05);
         config.psi_window = 10;
         let result = shared_hybrid(&g, &ranking, &config);
+        assert!(result.stats.planted_trees < 100);
         for src in [0u32, 45, 99] {
             let d = dijkstra(&g, src);
             for v in 0..100u32 {
                 assert_eq!(result.index.query(src, v), d[v as usize], "src={src} v={v}");
             }
         }
+    }
+
+    #[test]
+    fn hybrid_switch_tracks_label_size() {
+        // Scale-free: Ψ outgrows the average label size after a few percent
+        // of the roots, so the default factor switches early.
+        let g = barabasi_albert(2000, 4, 7);
+        let ranking = degree_ranking(&g);
+        let result = shared_hybrid(&g, &ranking, &LabelingConfig::default().with_threads(2));
+        assert_eq!(result.index, sequential_pll(&g, &ranking).index);
+        let planted = result.stats.planted_trees;
+        assert!((64..=300).contains(&planted), "planted {planted} of 2000");
+
+        // Road-like: Ψ stays well below the average label size, so every
+        // tree is PLaNTed.
+        let g = grid_network(
+            &GridOptions {
+                rows: 40,
+                cols: 40,
+                max_weight: 1000,
+                removal_fraction: 0.08,
+                shortcut_edges: 20,
+            },
+            7,
+        );
+        let ranking = chl_ranking::betweenness_ranking(
+            &g,
+            &chl_ranking::BetweennessOptions {
+                samples: 48,
+                degree_tiebreak: true,
+            },
+            7,
+        );
+        let result = shared_hybrid(&g, &ranking, &LabelingConfig::default().with_threads(2));
+        assert_eq!(result.index, sequential_pll(&g, &ranking).index);
+        assert_eq!(result.stats.planted_trees, g.num_vertices());
+        assert_eq!(result.stats.supersteps, 0);
     }
 
     #[test]
@@ -281,9 +340,15 @@ mod tests {
         w.observe(10, 1);
         w.observe(10, 1);
         assert!((w.average() - 30.0 / 12.0).abs() < 1e-9);
+        assert_eq!(w.average_label_size(4), 3.0);
         w.observe(100, 0);
         w.observe(100, 0);
         w.observe(100, 0);
         assert!(w.average().is_infinite());
+        // The label total keeps every SPT ever observed, not just the window.
+        assert_eq!(w.average_label_size(4), 3.0);
+        w.observe(5, 6);
+        assert_eq!(w.average_label_size(4), 4.5);
+        assert!((w.average() - 205.0 / 6.0).abs() < 1e-9);
     }
 }

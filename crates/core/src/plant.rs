@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
-use crate::labels::{LabelEntry, LabelSet, RootLabelHash};
+use crate::labels::{LabelEntry, LabelSet};
 use crate::stats::{ConstructionStats, SptRecord};
 use crate::table::ConcurrentLabelTable;
 
@@ -130,6 +130,10 @@ pub struct PlantScratch {
     ancestor: Vec<VertexId>,
     touched: Vec<VertexId>,
     queue: DistanceQueue,
+    /// `root_common[h]`: the root's distance to common hub `h` (a rank
+    /// position below the usable `η`), [`INFINITY`] when the root carries no
+    /// label for it.
+    root_common: Vec<Distance>,
 }
 
 impl PlantScratch {
@@ -140,6 +144,7 @@ impl PlantScratch {
             ancestor: (0..n as VertexId).collect(),
             touched: Vec::new(),
             queue: DistanceQueue::new(),
+            root_common: Vec::new(),
         }
     }
 
@@ -151,6 +156,14 @@ impl PlantScratch {
         self.touched.clear();
         self.queue.clear();
     }
+}
+
+/// The entries of a hub-sorted label set whose hub ranks below `eta`.
+fn common_prefix(labels: &LabelSet, eta: usize) -> impl Iterator<Item = &LabelEntry> {
+    labels
+        .entries()
+        .iter()
+        .take_while(move |e| (e.hub as usize) < eta)
 }
 
 /// Runs one PLaNTed SPT from `root` (Algorithm 3).
@@ -171,21 +184,17 @@ pub fn plant_dijkstra(
     scratch.reset();
     let root_pos = ranking.position(root);
 
-    // Root-side hash of common labels, restricted to hubs more important than
-    // the root (the only hubs for which pruning is provably safe).
-    let usable_eta = common.eta().min(root_pos);
-    let root_common_hash = if usable_eta > 0 {
-        Some(RootLabelHash::from_entries(
-            common
-                .labels_of(root)
-                .entries()
-                .iter()
-                .copied()
-                .filter(|e| e.hub < usable_eta),
-        ))
-    } else {
-        None
-    };
+    // The root's common labels as a dense array, restricted to hubs more
+    // important than the root (the only hubs for which pruning is provably
+    // safe).
+    let usable_eta = common.eta().min(root_pos) as usize;
+    if usable_eta > 0 {
+        scratch.root_common.clear();
+        scratch.root_common.resize(usable_eta, INFINITY);
+        for e in common_prefix(common.labels_of(root), usable_eta) {
+            scratch.root_common[e.hub as usize] = e.dist;
+        }
+    }
 
     let mut tree = PlantedTree {
         root_position: root_pos,
@@ -219,17 +228,11 @@ pub fn plant_dijkstra(
         let most_important = ranking.more_important_of(v, anc);
 
         // Optional distance-query pruning against the Common Label Table.
-        if let Some(hash) = &root_common_hash {
-            let v_common = common.labels_of(v);
-            let filtered: Vec<LabelEntry> = v_common
-                .entries()
-                .iter()
-                .copied()
-                .filter(|e| e.hub < usable_eta)
-                .collect();
-            if !filtered.is_empty() && hash.covers(&filtered, d) {
-                continue;
-            }
+        if usable_eta > 0
+            && common_prefix(common.labels_of(v), usable_eta)
+                .any(|e| e.dist.saturating_add(scratch.root_common[e.hub as usize]) <= d)
+        {
+            continue;
         }
 
         let produces_label = !ranking.is_more_important(most_important, root);

@@ -47,7 +47,9 @@ pub struct ConstructionStats {
     pub total_time: Duration,
     /// Number of worker threads used.
     pub threads: usize,
-    /// Per-SPT records, ordered by root rank position.
+    /// Per-SPT records in the order the constructor appended them: per-thread
+    /// completion order for PLaNT, GLL and Hybrid, so not sorted by root.
+    /// The `*_per_spt` accessors sort by root rank position.
     pub spt_records: Vec<SptRecord>,
     /// Labels present before any cleaning ran.
     pub labels_before_cleaning: usize,

@@ -89,7 +89,7 @@ proptest! {
     #[test]
     fn hybrid_is_canonical((g, ranking) in arb_graph_and_ranking()) {
         let reference = brute_force_chl(&g, &ranking);
-        let mut cfg = config(3).with_psi_threshold(2.0);
+        let mut cfg = config(3).with_psi_threshold(0.05);
         cfg.psi_window = 4;
         let built = shared_hybrid(&g, &ranking, &cfg).index;
         prop_assert_eq!(built, reference);

@@ -121,7 +121,7 @@ fn hybrid_switch_points_do_not_change_the_labeling() {
         .build()
         .unwrap()
         .index;
-    for psi in [1.0, 10.0, 1000.0] {
+    for psi in [0.05, 1.0, 10.0, 1000.0] {
         let hybrid = builder
             .clone()
             .algorithm(Algorithm::Hybrid)
