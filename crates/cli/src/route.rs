@@ -11,6 +11,13 @@
 //! Like `chl serve`, the line `listening on ADDR` is printed and flushed
 //! before the first accept so scripts can scrape an ephemeral port.
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::io::Write;
 use std::time::Duration;
 

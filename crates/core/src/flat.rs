@@ -31,6 +31,13 @@
 //! query identically (asserted by the persistence proptests and the golden
 //! fixture corpus).
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use serde::{Deserialize, Serialize};
 
 use chl_graph::types::{Distance, VertexId};
@@ -89,6 +96,10 @@ impl<'a> LabelStorage<'a> for RawStore<'a> {
     type Cursor = std::iter::Copied<std::slice::Iter<'a, LabelEntry>>;
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lo/hi come from a monotone offsets array validated at construction or open"
+    )]
     fn run(&self, _v: usize, lo: usize, hi: usize) -> Self::Cursor {
         self.entries[lo..hi].iter().copied()
     }
@@ -143,6 +154,11 @@ impl<'a> LabelStorage<'a> for CompressedStore<'a> {
     type Cursor = DecodeCursor<'a>;
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "skip is validated monotone with skip[n] == blob.len() at open; v < n is \
+                  range-checked by the caller"
+    )]
     fn run(&self, v: usize, lo: usize, hi: usize) -> Self::Cursor {
         let bytes = &self.blob[self.skip[v] as usize..self.skip[v + 1] as usize];
         DecodeCursor::new(bytes, hi - lo)
@@ -292,6 +308,10 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     ///
     /// Panics when `pos >= num_vertices()`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic on pos >= n; validated hubs are rank positions < n"
+    )]
     pub fn vertex_at(&self, pos: u32) -> VertexId {
         self.order[pos as usize]
     }
@@ -422,6 +442,10 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     }
 
     /// Maximum label-set size over all vertices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields exactly-2-element slices by construction"
+    )]
     pub fn max_label_size(&self) -> usize {
         self.offsets
             .windows(2)
@@ -473,6 +497,10 @@ impl<'a> FlatView<'a> {
     /// Panics when `v >= num_vertices()`; use [`Self::try_labels_of`] for
     /// ids that may come from untrusted input.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic on v >= n; lo..hi come from validated monotone offsets"
+    )]
     pub fn labels_of(&self, v: VertexId) -> &'a [LabelEntry] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
@@ -481,6 +509,10 @@ impl<'a> FlatView<'a> {
 
     /// Label slice of vertex `v`, or `None` when `v` is out of range.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lo/hi come from a monotone offsets array validated at construction or open"
+    )]
     pub fn try_labels_of(&self, v: VertexId) -> Option<&'a [LabelEntry]> {
         let lo = *self.offsets.get(v as usize)? as usize;
         let hi = *self.offsets.get(v as usize + 1)? as usize;
@@ -777,6 +809,10 @@ impl<'a> IndexView<'a> {
     /// entries when the caller already decoded them (the copying loader's
     /// validation pass does), so the blob is walked once; with `None` they
     /// are decoded here. Flat views copy their entries and ignore it.
+    #[expect(
+        clippy::expect_used,
+        reason = "v iterates 0..n of this view, and views only exist over validated permutations"
+    )]
     pub(crate) fn to_owned_with(self, decoded: Option<Vec<LabelEntry>>) -> FlatIndex {
         let entries = match (&self.storage, decoded) {
             (StorageView::Flat(view), _) => view.entries().to_vec(),
@@ -986,6 +1022,11 @@ impl FlatIndex {
     /// Dimensions (`num_vertices`, ranking) are preserved, so the union of
     /// the shards produced for a covering partition reproduces this index
     /// exactly — the invariant `chl build --shards` relies on.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "parents holds one record per entry (enforced at attach and load) and lo/hi \
+                  come from the same validated monotone offsets as the entries slice"
+    )]
     pub fn restrict_to_shard(&self, spec: ShardSpec) -> Result<FlatIndex, PersistError> {
         let n = self.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);

@@ -27,6 +27,13 @@
 //! the minimal sum), same `Distance::MAX` saturation — a property pinned
 //! down by the differential proptests in `tests/proptest_kernels.rs`.
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use chl_graph::types::{Distance, VertexId, INFINITY};
 
 use crate::flat::{LabelStorage, LabelView};

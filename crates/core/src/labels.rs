@@ -8,6 +8,13 @@
 //! automatically sorted most-important-first, which lets merge-join queries
 //! stop at the first (highest-ranked) common hub when only coverage matters.
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
@@ -200,6 +207,11 @@ impl LabelSet {
     /// Merges another sorted label set into this one (used when committing a
     /// local table into the global table). Duplicate hubs keep the smaller
     /// distance.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "two-pointer merge: i and j stay below their lengths inside the loop, and the \
+                  tail slices start at loop-exit values <= len"
+    )]
     pub fn merge(&mut self, other: &LabelSet) {
         if other.is_empty() {
             return;
@@ -243,6 +255,10 @@ impl LabelSet {
     /// redundant, i.e. whether a *more important* common hub of `self` and
     /// `hub_labels` (the label set of the hub itself) certifies a distance no
     /// longer than `dist`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "two-pointer merge: the loop condition keeps i and j below their lengths"
+    )]
     pub fn is_redundant_label(&self, hub: u32, dist: Distance, hub_labels: &LabelSet) -> bool {
         let (mut i, mut j) = (0, 0);
         while i < self.entries.len() && j < hub_labels.entries.len() {

@@ -104,8 +104,11 @@
 // reinterpretation and mmap) and kernel.rs (two bounds-elided loads in the
 // branchless join), and every unsafe operation must sit in an explicit
 // `unsafe {}` block with its own `// SAFETY:` argument — even inside
-// `unsafe fn`s (enforced by `chl-lint check`).
+// `unsafe fn`s — and every `unsafe fn` documents its `# Safety` contract
+// (clippy, with `check-private-items` in clippy.toml). The panic-surface
+// lints are denied at the top of each hot-path module.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod api;
 pub mod canonical;

@@ -30,6 +30,13 @@
 //! ([`MmapIndex::shard`]) and its views answer
 //! [`IndexView::try_query`] shard-honestly.
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::path::Path;
 
 use chl_graph::types::{Distance, VertexId};

@@ -178,6 +178,13 @@
 //! strictly hub-sorted with in-range hub positions. Every failure is a typed
 //! [`PersistError`]; no input, however mangled, panics the loader.
 
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
+
 use std::fmt;
 use std::fs;
 use std::ops::Range;
@@ -368,6 +375,10 @@ fn validate_shard_meta(
 /// The cross-section shard invariant: a vertex the shard does not own must
 /// have an empty label run, so the union of all shards' entries is exactly
 /// the unsharded index (no double counting, no smuggled labels).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the offsets array holds exactly n + 1 entries and v < n is the loop bound"
+)]
 pub(crate) fn check_shard_consistency(
     owned: &[VertexId],
     offsets: &[u64],
@@ -396,6 +407,11 @@ pub(crate) fn check_shard_consistency(
 /// must move). The strictly-decreasing-distance property that guarantees
 /// unpacking terminates is enforced per query (see [`crate::paths`]) so the
 /// loader stays O(m).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offsets are monotone and end at entries.len() (checked by the offsets battery, or \
+              a FlatIndex invariant), and parents.len() == entries.len() is checked first"
+)]
 pub(crate) fn validate_parents(
     n: usize,
     offsets: &[u64],
@@ -751,6 +767,11 @@ impl FileHeader {
 
 /// `CRC_TABLES[s][b]` is the CRC register after byte `b` followed by `s`
 /// zero bytes, so byte `i` of a 16-byte block is looked up in table `15 - i`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const table build: s < 16 and i < 256 are the loop bounds, the dimensions of the \
+              tables being filled"
+)]
 const fn crc32_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
@@ -774,6 +795,11 @@ const fn crc32_tables() -> [[u32; 256]; 16] {
 static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// CRC-32 (IEEE) of `data`, the checksum the `.chl` header stores.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8-derived index (< 256) into a 256-entry table; CRC_TABLES[0] is a constant \
+              index into 16 tables"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     let (blocks, tail) = data.as_chunks::<16>();
     let mut c = u32::MAX;
@@ -944,6 +970,12 @@ pub(crate) struct LayoutV2 {
 /// the encoded blob length is read from the last skip-table slot — and so
 /// is the shard section via its owned count, which is why this takes the
 /// whole buffer rather than just its length.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "data.len() >= fixed was checked just above and fixed >= skip_len >= 8, so \
+              data[fixed - 8..fixed] is exactly 8 bytes"
+)]
 fn layout_v2(
     n64: u64,
     m64: u64,
@@ -1123,6 +1155,15 @@ fn layout_v2(
 /// section tail padding and the reserved word inside each entry record — is
 /// zero. This is the whole-payload integrity check of v2/v3, done one
 /// section at a time.
+#[expect(
+    clippy::unreachable,
+    reason = "v2/v3 headers always parse per-section checksums (parse_header builds them so)"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "section ranges come from the LayoutV2 that layout_v2 checked against data.len(), \
+              and chunks_exact(16) yields 16-byte chunks"
+)]
 fn check_sections_v2(
     data: &[u8],
     header: &FileHeader,
@@ -1233,6 +1274,10 @@ fn check_sections_v2(
 }
 
 /// Checks that `order` lists every vertex in `0..order.len()` exactly once.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "vi < n is checked just above, and seen was allocated with n entries"
+)]
 fn check_permutation(order: &[VertexId]) -> Result<(), PersistError> {
     let n = order.len();
     let mut seen = vec![false; n];
@@ -1255,6 +1300,11 @@ fn check_permutation(order: &[VertexId]) -> Result<(), PersistError> {
 
 /// The offsets-array invariants shared by every load path and encoding:
 /// start at 0, rise monotonically, end at `m`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the offsets array holds exactly n + 1 entries (the v1 reader builds it so and \
+              layout_v2 cuts the section so), and windows(2) yields 2-element slices"
+)]
 fn validate_offsets(n: usize, offsets: &[u64], m64: u64) -> Result<(), PersistError> {
     debug_assert_eq!(offsets.len(), n + 1);
     if offsets[0] != 0 {
@@ -1281,6 +1331,10 @@ fn validate_offsets(n: usize, offsets: &[u64], m64: u64) -> Result<(), PersistEr
 /// The per-entry invariants of the flat encoding: every vertex's entries
 /// strictly hub-sorted with in-range hub positions. (The compressed decoder
 /// enforces the same invariants inline while it decodes.)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "runs after validate_offsets: n + 1 monotone offsets ending at entries.len()"
+)]
 fn validate_hub_sort(
     n: usize,
     offsets: &[u64],
@@ -1318,6 +1372,12 @@ fn validate_hub_sort(
 /// section), each decoded entry is checked against its parent record in the
 /// same streaming pass — the entries concatenate in vertex order, so the
 /// running entry counter is the record's global index.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "skip and offsets hold n + 1 entries (layout_v2 cuts them so), windows(2) yields \
+              2-element slices, and skip is checked monotone and ending at blob.len() before any \
+              run is cut"
+)]
 fn validate_compressed_entries(
     skip: &[u64],
     blob: &[u8],
@@ -1410,6 +1470,10 @@ pub fn to_bytes(index: &FlatIndex) -> Vec<u8> {
 /// Delta+varint encodes every label run, returning the per-vertex skip
 /// table (`skip[v]` = byte offset of vertex `v`'s run; `skip[n]` = blob
 /// length) and the encoded blob.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "offsets of an in-memory FlatIndex: n + 1 monotone entries ending at entries.len()"
+)]
 fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>) {
     let n = offsets.len() - 1;
     let mut skip = Vec::with_capacity(n + 1);
@@ -1436,6 +1500,16 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
 /// Serializes `index` into the `.chl` v3 byte format under `options`:
 /// flat 16-byte entry records by default, the delta+varint compressed
 /// entries section (flags bit 0) when `options.compress` is set.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "writer-side slicing of a buffer this function sized and filled: the header is \
+              HEADER_LEN_V3 bytes and every section start was recorded as it was written"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "sizes derive from vectors already resident in memory; overflow would mean the index \
+              itself could not exist"
+)]
 pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     let n = index.num_vertices();
     let m = index.total_labels();
@@ -1559,6 +1633,15 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
 /// Serializes `index` into the legacy v1 packed format. Kept for
 /// compatibility tests and for producing files older readers understand; new
 /// files should use [`to_bytes`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the buffer starts with the HEADER_LEN_V1-byte header this function wrote"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "sizes derive from vectors already resident in memory; overflow would mean the index \
+              itself could not exist"
+)]
 pub fn to_bytes_v1(index: &FlatIndex) -> Vec<u8> {
     let n = index.num_vertices();
     let m = index.total_labels();
@@ -1604,16 +1687,29 @@ impl<'a> Cursor<'a> {
         self.pos = pos;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "Cursor only reads inside the header length parse_header checked or a section \
+                  range layout_v2 checked"
+    )]
     fn take(&mut self, len: usize) -> &'a [u8] {
         let s = &self.data[self.pos..self.pos + len];
         self.pos += len;
         s
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "take returned exactly 4 bytes, so the fixed-size try_into cannot fail"
+    )]
     fn get_u32(&mut self) -> u32 {
         u32::from_le_bytes(self.take(4).try_into().expect("length checked"))
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "take returned exactly 8 bytes, so the fixed-size try_into cannot fail"
+    )]
     fn get_u64(&mut self) -> u64 {
         u64::from_le_bytes(self.take(8).try_into().expect("length checked"))
     }
@@ -1622,6 +1718,14 @@ impl<'a> Cursor<'a> {
 /// Parses just the fixed header, validating magic, version, flags and (on
 /// v3) the header CRC, but not the payload. `data` must hold the full
 /// header for its version.
+#[expect(
+    clippy::expect_used,
+    reason = "take(4) returned exactly 4 bytes, so the fixed-size try_into cannot fail"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "data.len() >= HEADER_LEN_V3 was checked above for every v3 header"
+)]
 pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
     if data.len() < 8 {
         return Err(PersistError::Truncated {
@@ -1742,6 +1846,14 @@ fn add_v2_header_caveat(e: PersistError) -> PersistError {
     }
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "parse_header builds a whole-payload checksum for every v1 header"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "data.len() == HEADER_LEN_V1 + payload_len was checked just above"
+)]
 fn from_bytes_v1(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistError> {
     let n64 = header.num_vertices;
     let m64 = header.num_entries;
@@ -1869,6 +1981,10 @@ enum EntriesSection<'a> {
 /// (the only constructor), whose ranges start on section boundaries and
 /// span whole records; out-of-bounds ranges panic rather than misread.
 #[cfg(target_endian = "little")]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "section ranges come from the LayoutV2 that layout_v2 checked against data.len()"
+)]
 fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
     assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
     Sections {
@@ -1893,6 +2009,10 @@ fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
 /// array in place. The fourth prelude word, owned_count, is implied by the
 /// array. Same soundness contract as [`cast_sections`].
 #[cfg(target_endian = "little")]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the shard range comes from the LayoutV2 that layout_v2 checked against data.len()"
+)]
 fn cast_shard<'a>(data: &'a [u8], s: &ShardLayout) -> ShardView<'a> {
     let mut cur = Cursor::new(data);
     cur.seek(s.data.start);
@@ -2170,6 +2290,10 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<FlatIndex, PersistError> {
 /// self-describing with the skip table in hand — so this costs one file
 /// read, not a full validation pass. The identity is cut out through the
 /// same layout and cast the view uses.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the shard range comes from the LayoutV2 that layout_v2 checked against data.len()"
+)]
 pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, PersistError> {
     let data = read_aligned(path)?;
     let header = parse_header(&data)?;
@@ -2211,6 +2335,10 @@ pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, Per
 }
 
 /// Reads and validates just the header of a `.chl` file.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "read < buf.len() is the loop condition, so both slices are in bounds"
+)]
 pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> {
     use std::io::Read;
     let mut file = fs::File::open(path)?;

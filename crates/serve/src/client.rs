@@ -180,7 +180,10 @@ impl Client {
     /// Sends every frame in one write (triggering server-side coalescing),
     /// then reads one response per frame, in order. Each response is either
     /// that frame's distances or that frame's typed server error.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "one Result per frame inside the transport Result; an alias would hide that"
+    )]
     pub fn pipeline(
         &mut self,
         frames: &[Vec<(VertexId, VertexId)>],

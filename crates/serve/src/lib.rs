@@ -45,6 +45,12 @@
 //! [`DistanceOracle::distances`]: chl_core::oracle::DistanceOracle::distances
 
 #![forbid(unsafe_code)]
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod client;
 pub mod engine;

@@ -3,6 +3,8 @@
 //! graph snapshot format uses. No reference counting — `Bytes` owns its
 //! buffer and tracks a read cursor.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Deref;
 
 /// Read-side cursor trait (subset of `bytes::Buf`).

@@ -4,6 +4,8 @@
 //! iteration). No statistics, plots or comparisons — just honest timings so
 //! `cargo bench` compiles and runs without the real crate.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::time::{Duration, Instant};
 

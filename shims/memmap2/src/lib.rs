@@ -14,7 +14,17 @@
 //! constructor used here, `unsafe Mmap::map(&File)`, and the `Deref<Target =
 //! [u8]>` view match its API.
 
+// Every unsafe operation sits in its own `unsafe {}` block with a
+// `// SAFETY:` argument, and every `unsafe fn` documents its `# Safety`
+// contract.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::fs::File;
 use std::io;

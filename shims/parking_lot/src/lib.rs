@@ -3,6 +3,8 @@
 //! returns the value directly. Poisoning cannot be observed here because a
 //! panicking worker aborts the surrounding construction anyway.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{self, TryLockError};
 
 /// Non-poisoning mutex with parking_lot's API shape.

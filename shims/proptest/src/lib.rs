@@ -5,6 +5,8 @@
 //! case index, so failures are reproducible; there is no shrinking — the
 //! failing case index is reported instead.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 use rand_chacha::rand_core::SeedableRng;

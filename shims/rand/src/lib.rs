@@ -3,6 +3,8 @@
 //! (`choose`, `shuffle`). Uniform range sampling uses rejection sampling so
 //! distributions are unbiased, though not bit-compatible with the real crate.
 
+#![forbid(unsafe_code)]
+
 /// Core RNG interface: a source of uniformly distributed 64-bit words.
 pub trait RngCore {
     /// Next 32 random bits.

@@ -4,6 +4,8 @@
 //! solid, but not the real ChaCha cipher stream (nothing here is
 //! cryptographic; the workspace only generates synthetic datasets).
 
+#![forbid(unsafe_code)]
+
 pub mod rand_core {
     //! Re-exports matching `rand_chacha::rand_core`.
     pub use rand::{RngCore, SeedableRng};

@@ -27,6 +27,12 @@
 //! multiplicative thread blow-up.
 
 #![forbid(unsafe_code)]
+// Serving hot path: no panics outside tests. Exemptions are reasoned
+// `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![deny(clippy::indexing_slicing, clippy::allow_attributes)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -215,7 +221,7 @@ mod tests {
         let mut w = vec![1, 2];
         for_each_mut(&mut w, |i, x| *x += 10 * (i + 1));
         assert_eq!(w, vec![11, 22]);
-        for_each_mut(&mut [] as &mut [u8], |_, _| unreachable!("no items"));
+        for_each_mut(&mut [] as &mut [u8], |_, _| panic!("no items"));
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! The one `Ordering::Relaxed` in `src/lib.rs` (the chunk-claiming cursor)
 //! and the thread-local `with_threads` override are modeled here as
 //! [`World`] state machines — one `step` per atomic action — and driven
-//! through **every** sequentially consistent interleaving by
-//! [`chl_lint::sched`]: `find_violation(...) == None` plus `!truncated`
+//! through **every** sequentially consistent interleaving by the
+//! [`sched`] explorer: `find_violation(...) == None` plus `!truncated`
 //! means the protocol is race-free over all schedules of the modeled thread
 //! count (≤3). That the explorer finds a race when there is one is pinned
-//! by `chl_lint::sched`'s own `explorer_finds_the_lost_update`. A real-code
-//! test then runs the actual `with_threads` on OS threads.
+//! by its own `explorer_finds_the_lost_update`. A real-code test then runs
+//! the actual `with_threads` on OS threads.
 
-use chl_lint::sched::{explore, find_violation, World};
+mod sched;
+
+use sched::{explore, find_violation, World};
 
 // ---------------------------------------------------------------------------
 // Model 1: dynamic chunk claiming off a shared cursor (`execute`)

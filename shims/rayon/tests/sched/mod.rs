@@ -12,8 +12,8 @@
 //! observable under sequential consistency already. Weak-memory
 //! reorderings (visible only under relaxed hardware models) are *not*
 //! modeled; the rayon shim's one atomic, its chunk-claiming cursor,
-//! publishes no data, so it does not depend on any (see
-//! `shims/rayon/tests/interleavings.rs`).
+//! publishes no data, so it does not depend on any (see the models in
+//! `interleavings.rs`, this module's only user).
 //!
 //! Worlds are plain `Clone` structs, so exploring is allocation-cheap and
 //! fully deterministic: a reported schedule (a `Vec` of thread ids) replays
@@ -104,7 +104,7 @@ pub fn find_violation<W: World>(initial: &W, bad: impl Fn(&W) -> bool) -> Option
     found
 }
 
-#[cfg(test)]
+/// The explorer's own proofs: it finds a known race and passes its fix.
 mod tests {
     use super::*;
 

@@ -2,6 +2,8 @@
 //! `Deserialize` on its data types to keep them wire-ready, but never invokes
 //! an actual serializer, so blanket marker impls are sufficient.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 /// Marker stand-in for `serde::Serialize`.

@@ -2,6 +2,8 @@
 //! markers (no serialization format is ever produced), and the `serde` shim's
 //! traits are blanket-implemented, so the derives expand to nothing.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 #[proc_macro_derive(Serialize)]
