@@ -75,14 +75,6 @@ fn query_kernels(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function("scalar_join", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (u, v) = pairs[i & (PAIRS - 1)];
-            i += 1;
-            black_box(kernel::join_scalar(runs[u as usize], runs[v as usize]))
-        })
-    });
     group.bench_function("branchless_join", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -168,9 +160,6 @@ fn query_kernels(c: &mut Criterion) {
                 short.iter().copied(),
             ))
         })
-    });
-    skew.bench_function("scalar_join", |b| {
-        b.iter(|| black_box(kernel::join_scalar(&long, &short)))
     });
     skew.bench_function("branchless_join", |b| {
         b.iter(|| black_box(kernel::join_branchless(&long, &short)))

@@ -157,7 +157,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     );
 
     // Run-length percentiles tell you which join tier the query kernel will
-    // spend its time in (short similar runs -> scalar/branchless, heavy skew
+    // spend its time in (similar-length runs -> branchless scan, heavy skew
     // -> galloping).
     let sizes: Vec<usize> = match index.shard() {
         Some(spec) => spec

@@ -384,12 +384,6 @@ impl<'g> ChlBuilder<'g> {
         self
     }
 
-    /// Sets the Common Label Table size `η`.
-    pub fn common_hubs(mut self, eta: usize) -> Self {
-        self.config.common_hubs = eta;
-        self
-    }
-
     /// The algorithm currently selected.
     pub fn selected_algorithm(&self) -> Algorithm {
         self.algorithm

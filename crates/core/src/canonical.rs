@@ -41,7 +41,7 @@ pub fn shortest_path_maxima(g: &CsrGraph, ranking: &Ranking, source: VertexId) -
     }
 
     // Plain Dijkstra first: exact distances, unaffected by tie-breaking.
-    let mut queue = DistanceQueue::with_capacity(n);
+    let mut queue = DistanceQueue::new();
     dist[source as usize] = 0;
     queue.push(0, source);
     let mut settle_order: Vec<VertexId> = Vec::with_capacity(n);

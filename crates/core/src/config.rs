@@ -27,9 +27,6 @@ pub struct LabelingConfig {
     pub psi_window: usize,
     /// Enable PLaNT's early-termination optimization (§5.2).
     pub early_termination: bool,
-    /// Number of top-ranked hubs whose labels form the Common Label Table
-    /// (`η` in §5.3). Used by PLaNT-with-pruning and the distributed hybrid.
-    pub common_hubs: usize,
 }
 
 impl Default for LabelingConfig {
@@ -40,7 +37,6 @@ impl Default for LabelingConfig {
             psi_threshold: 1.0,
             psi_window: 64,
             early_termination: true,
-            common_hubs: 16,
         }
     }
 }
@@ -76,12 +72,6 @@ impl LabelingConfig {
         self
     }
 
-    /// Builder-style helper: sets the Common Label Table size `η`.
-    pub fn with_common_hubs(mut self, eta: usize) -> Self {
-        self.common_hubs = eta;
-        self
-    }
-
     /// Validates the configuration, returning a human-readable complaint for
     /// out-of-range values.
     pub fn validate(&self) -> Result<(), crate::error::LabelingError> {
@@ -114,7 +104,6 @@ mod tests {
     fn default_matches_paper_settings() {
         let c = LabelingConfig::default();
         assert_eq!(c.alpha, 4.0);
-        assert_eq!(c.common_hubs, 16);
         assert!(c.early_termination);
         assert!(c.validate().is_ok());
     }
@@ -131,11 +120,9 @@ mod tests {
         let c = LabelingConfig::default()
             .with_alpha(8.0)
             .with_psi_threshold(0.5)
-            .with_common_hubs(32)
             .with_threads(2);
         assert_eq!(c.alpha, 8.0);
         assert_eq!(c.psi_threshold, 0.5);
-        assert_eq!(c.common_hubs, 32);
         assert_eq!(c.num_threads, 2);
     }
 

@@ -71,7 +71,7 @@ pub trait LabelStorage<'a>: Copy + Sync {
     /// The same run as a plain contiguous slice, when this storage keeps
     /// entries decoded in memory; `None` for streaming encodings. This is
     /// what routes slice-backed storages into the tiered
-    /// scalar/branchless/gallop join ([`crate::kernel::join_adaptive`]) while
+    /// branchless/gallop join ([`crate::kernel::join_adaptive`]) while
     /// streaming decoders keep the iterator kernel.
     #[inline]
     fn raw_run(&self, _v: usize, _lo: usize, _hi: usize) -> Option<&'a [LabelEntry]> {
@@ -344,7 +344,7 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     }
 
     /// The merge join behind [`Self::query`] / [`Self::query_with_hub`]:
-    /// slice-backed storages take the tiered scalar/branchless/gallop kernel,
+    /// slice-backed storages take the tiered branchless/gallop kernel,
     /// streaming storages keep the iterator join. Both runs must be in
     /// range.
     #[inline]

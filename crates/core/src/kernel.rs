@@ -11,9 +11,6 @@
 //! * [`join_branchless`] — two-pointer scan with conditional-move advance
 //!   and a branchless best-accumulator: no per-step `Option` matching, no
 //!   data-dependent branches in the loop body.
-//! * [`join_scalar`] — the seed's branchy two-pointer loop over slices;
-//!   still the fastest tier for medium similar-length runs, where branch
-//!   speculation overlaps the label-run cache misses.
 //! * [`join_gallop`] — exponential search of the longer run for each entry
 //!   of the shorter one; selected when the runs' lengths differ by
 //!   [`GALLOP_FACTOR`] or more (hub vertices carry runs orders of magnitude
@@ -48,11 +45,6 @@ use crate::labels::LabelEntry;
 /// pairs are common and galloping turns them from O(long) into
 /// O(short · log long).
 pub const GALLOP_FACTOR: usize = 16;
-
-/// Minimum longer-run length for the branchy [`join_scalar`] tier; below
-/// it both runs sit in a cache line or two, there are no misses for
-/// speculation to hide, and [`join_branchless`] wins by never mispredicting.
-const SCALAR_MIN: usize = 16;
 
 /// The running best of a merge join: first (highest-ranked) hub achieving
 /// the strictly minimal `d(u,h) + d(v,h)` seen so far.
@@ -130,18 +122,6 @@ pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Dista
     best.into_option()
 }
 
-/// Branchy two-pointer merge join over slices — the seed algorithm, kept as
-/// its own tier. On medium, similar-length runs this stays the fastest
-/// variant under a memory-bound serving profile: the branches let the CPU
-/// speculate several iterations ahead and overlap the label-run cache
-/// misses, which the data-dependent conditional-move advance of
-/// [`join_branchless`] serializes into a latency chain (measured in
-/// `crates/bench/examples/join_tier_sweep.rs`).
-#[inline]
-pub fn join_scalar(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    crate::labels::join_sorted_iters(a.iter().copied(), b.iter().copied())
-}
-
 /// Galloping (exponential-search) merge join for length-skewed runs: each
 /// entry of the shorter run probes the longer one with a doubling search
 /// followed by a binary search of the bracketed window, so the cost is
@@ -193,11 +173,9 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
 /// [`crate::labels::join_sorted_slices`], the pointer-per-vertex
 /// [`crate::labels::LabelSet`]) runs for every slice-backed storage.
 ///
-/// Selection uses only the two lengths: heavily skewed pairs gallop, short
-/// runs take the branchless scan (its conditional-move loop beats branch
-/// mispredictions when everything is cache-resident), and medium-and-up
-/// similar-length runs keep the branchy scalar join, whose speculation
-/// overlaps the label-run cache misses.
+/// Selection uses only the two lengths: heavily skewed pairs gallop, every
+/// other pair takes the branchless scan, whose conditional-move loop never
+/// mispredicts a hub comparison.
 #[inline]
 pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
     let (s, l) = if a.len() <= b.len() {
@@ -211,10 +189,7 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
     if l >= s.saturating_mul(GALLOP_FACTOR) {
         return join_gallop(a, b);
     }
-    if l < SCALAR_MIN {
-        return join_branchless(a, b);
-    }
-    join_scalar(a, b)
+    join_branchless(a, b)
 }
 
 /// Hub-side pivoted evaluation of an S×T distance block, row-major —
@@ -365,8 +340,8 @@ mod tests {
 
     #[test]
     fn block_boundary_lengths_are_covered() {
-        // Every small length pair on both sides of the branchless/scalar
-        // switch at 16.
+        // Every small length pair on both sides of the gallop switch at a
+        // 16x length ratio.
         for la in 0..=17usize {
             for lb in 0..=17usize {
                 let a: Vec<LabelEntry> = (0..la)

@@ -67,7 +67,7 @@ pub struct LabelSet {
 /// storage) and [`crate::flat::FlatIndex`] (contiguous CSR storage): both
 /// hold their entries sorted ascending by hub rank position, so the same
 /// join serves either layout. Slice inputs route through the tiered
-/// scalar/branchless/gallop kernels of [`crate::kernel`] (selected by run
+/// branchless/gallop kernels of [`crate::kernel`] (selected by run
 /// length); [`join_sorted_iters`] remains the streaming reference the tiers
 /// are differentially tested against, and the kernel streaming label
 /// decoders still use.

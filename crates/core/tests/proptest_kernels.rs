@@ -1,5 +1,5 @@
 //! Differential property tests for the tiered merge-join kernels: every
-//! tier (branchless, scalar, gallop, adaptive) must return exactly what the
+//! tier (branchless, gallop, adaptive) must return exactly what the
 //! streaming reference join returns on adversarial run shapes — empty and
 //! singleton runs, disjoint hub sets, saturating `Distance::MAX` sums, tie
 //! distances, 1:1000 length skew — and every storage backend (flat,
@@ -64,7 +64,6 @@ fn build_runs(items: &[RunItem]) -> (Vec<LabelEntry>, Vec<LabelEntry>) {
 /// Asserts every kernel tier against the streaming reference on one pair.
 fn assert_tiers_match(a: &[LabelEntry], b: &[LabelEntry]) -> Result<(), TestCaseError> {
     let expect = join_sorted_iters(a.iter().copied(), b.iter().copied());
-    prop_assert_eq!(kernel::join_scalar(a, b), expect, "scalar");
     prop_assert_eq!(kernel::join_branchless(a, b), expect, "branchless");
     prop_assert_eq!(kernel::join_gallop(a, b), expect, "gallop");
     prop_assert_eq!(kernel::join_adaptive(a, b), expect, "adaptive");

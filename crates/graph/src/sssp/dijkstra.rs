@@ -36,7 +36,7 @@ pub fn dijkstra_with_parents(g: &CsrGraph, source: VertexId) -> Vec<SptNode> {
     }
     assert!((source as usize) < n, "source vertex {source} out of range");
 
-    let mut queue = DistanceQueue::with_capacity(n);
+    let mut queue = DistanceQueue::new();
     nodes[source as usize].distance = 0;
     queue.push(0, source);
 
@@ -66,7 +66,7 @@ pub fn dijkstra_targets(g: &CsrGraph, source: VertexId, targets: &[VertexId]) ->
     if n == 0 {
         return targets.iter().map(|_| INFINITY).collect();
     }
-    let mut queue = DistanceQueue::with_capacity(n);
+    let mut queue = DistanceQueue::new();
     dist[source as usize] = 0;
     queue.push(0, source);
     while let Some((d, v)) = queue.pop() {

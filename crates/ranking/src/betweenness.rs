@@ -70,7 +70,7 @@ pub fn approx_betweenness(g: &CsrGraph, opts: &BetweennessOptions, seed: u64) ->
 
         // Weighted Brandes: Dijkstra keeping shortest-path counts and
         // predecessor lists.
-        let mut queue = DistanceQueue::with_capacity(n);
+        let mut queue = DistanceQueue::new();
         dist[s as usize] = 0;
         sigma[s as usize] = 1.0;
         queue.push(0, s);
