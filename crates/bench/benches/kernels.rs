@@ -15,7 +15,7 @@ use std::hint::black_box;
 use chl_core::cleaning::clean_labels;
 use chl_core::flat::FlatIndex;
 use chl_core::kernel;
-use chl_core::labels::{join_sorted_iters, LabelEntry, RootLabelHash};
+use chl_core::labels::{join_sorted_iters, LabelEntry};
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::persist::{save_with, SaveOptions};
@@ -122,14 +122,6 @@ fn query_kernels(c: &mut Criterion) {
             let (u, v) = pairs[i & (PAIRS - 1)];
             i += 1;
             black_box(compressed.distance(u, v))
-        })
-    });
-    group.bench_function("hash_join_coverage", |b| {
-        let root_hash = RootLabelHash::from_entries(index.labels_of(0).entries().iter().copied());
-        let mut state = 42u64;
-        b.iter(|| {
-            let v = (splitmix64(&mut state) as u32) % n;
-            black_box(root_hash.covers(index.labels_of(v).entries(), 1_000))
         })
     });
     group.finish();

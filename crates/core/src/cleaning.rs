@@ -1,74 +1,166 @@
 //! Label cleaning: detection and removal of redundant labels.
 //!
-//! The optimistic parallel construction phases (LCC-I, each GLL superstep)
-//! may generate labels that are not part of the Canonical Hub Labeling.
-//! Because the constructed labeling *respects the hierarchy* (guaranteed by
-//! the rank queries), Lemma 2 of the paper shows every redundant label
-//! `(h, d(v,h)) ∈ L_v` is exposed by a single PPSD-style query between `v`
-//! and `h`: some more important common hub certifies a distance `<= d(v,h)`.
+//! The optimistic parallel construction phases (LCC-I, each GLL and DGLL
+//! superstep) may generate labels that are not part of the Canonical Hub
+//! Labeling. Because the constructed labeling *respects the hierarchy*
+//! (guaranteed by the rank queries), Lemma 2 of the paper shows every
+//! redundant label `(h, d(v,h)) ∈ L_v` is exposed by a single PPSD-style
+//! query between `v` and `h`: some more important common hub certifies a
+//! distance `<= d(v,h)`.
 //!
-//! Cleaning therefore never needs the graph — only the labeling itself.
+//! Cleaning therefore never needs the graph — only the labeling itself. One
+//! kernel, [`clean_superstep`], serves every constructor. A superstep's
+//! labels come from a contiguous range of roots, so it transposes them by
+//! hub with a counting sort. For each hub `h` it loads the hub vertex's
+//! labels ranked above `h` into a dense [`HubDistances`] probe, then checks
+//! each label `(v, h, d)` by scanning `v`'s labels against it. This is the
+//! paper's `DQ_Clean` without its merge walk. Survivors come out in
+//! ascending hub order, and every in-flight hub ranks below every committed
+//! one, so committing them is an append. GLL and DGLL call the kernel once
+//! per superstep; LCC ([`clean_labels`]) treats the whole labeling as one
+//! superstep.
 
-use chl_graph::types::VertexId;
+use std::ops::Range;
+
+use chl_graph::types::{Distance, VertexId};
 use chl_ranking::Ranking;
 
-use crate::labels::{LabelEntry, LabelSet};
+use crate::labels::{HubDistances, LabelEntry, LabelSet};
+use crate::table::LabelRuns;
 
-/// Removes every redundant label from `labels` (one sorted [`LabelSet`] per
+/// Removes every redundant label from `labels` (one [`LabelSet`] per
 /// vertex), returning the cleaned per-vertex sets and the number of labels
 /// deleted.
 ///
-/// The pass reads the *input* labeling for all queries and writes fresh
-/// output sets, so it parallelizes over vertices without any locking and is
-/// independent of the order in which redundancies are discovered (canonical
-/// labels are never redundant, hence never deleted, hence every redundancy
-/// witness used by a query survives the pass). It runs at the ambient
-/// `rayon::current_num_threads`; callers with a thread budget (the LCC
-/// constructor honoring `LabelingConfig::num_threads`) wrap the call in
-/// `rayon::with_threads`.
+/// The whole labeling is one superstep for [`clean_superstep`]: every query
+/// reads the *input* labeling, so the verdicts do not depend on the order in
+/// which redundancies are found (canonical labels are never redundant, hence
+/// never deleted, hence every redundancy witness survives the pass). It
+/// runs at the ambient `rayon::current_num_threads`; callers with a thread
+/// budget (the LCC constructor honoring `LabelingConfig::num_threads`) wrap
+/// the call in `rayon::with_threads`.
 pub fn clean_labels(labels: &[LabelSet], ranking: &Ranking) -> (Vec<LabelSet>, usize) {
-    let cleaned: Vec<LabelSet> = rayon::map(labels.len(), |v| {
-        let kept: Vec<LabelEntry> = labels[v]
-            .entries()
-            .iter()
-            .copied()
-            .filter(|e| !is_redundant(v as VertexId, *e, labels, ranking))
-            .collect();
-        LabelSet::from_entries(kept)
-    });
     let before: usize = labels.iter().map(LabelSet::len).sum();
-    let after: usize = cleaned.iter().map(LabelSet::len).sum();
-    (cleaned, before - after)
+    let kept = clean_superstep(labels, labels, 0..labels.len() as u32, ranking);
+    let mut cleaned = vec![LabelSet::new(); labels.len()];
+    let removed = before - kept.len();
+    commit(&mut cleaned, kept);
+    (cleaned, removed)
 }
 
-/// The paper's `DQ_Clean`: is the label `entry` of vertex `v` redundant with
-/// respect to the labeling `labels`?
-pub fn is_redundant(
-    v: VertexId,
-    entry: LabelEntry,
-    labels: &[LabelSet],
+/// Cleans one superstep: decides every label `in_flight` holds and returns
+/// the survivors as `(vertex, label)` pairs in ascending hub order
+/// (ascending vertex within a hub).
+///
+/// * `labels` reads every label of a vertex the queries may use: committed
+///   and in flight alike.
+/// * `in_flight` reads the superstep's labels, whose hubs all lie in `hubs`
+///   and rank below every committed hub.
+///
+/// A label `(v, h, d)` is redundant when `v` is not `h`'s own vertex and
+/// some hub ranked above `h` joins `v`'s and the hub vertex's labels within
+/// `d`. Hubs run in parallel chunks of about equal label count, one
+/// [`HubDistances`] per chunk, at the ambient `rayon::current_num_threads`.
+pub fn clean_superstep<L, F>(
+    labels: &L,
+    in_flight: &F,
+    hubs: Range<u32>,
     ranking: &Ranking,
-) -> bool {
-    let hub_vertex = ranking.vertex_at(entry.hub);
-    if hub_vertex == v {
-        // A vertex's self label is never redundant.
-        return false;
-    }
-    labels[v as usize].is_redundant_label(entry.hub, entry.dist, &labels[hub_vertex as usize])
+) -> Vec<(VertexId, LabelEntry)>
+where
+    L: LabelRuns + ?Sized,
+    F: LabelRuns + ?Sized,
+{
+    let by_hub = ByHub::transpose(in_flight, hubs, ranking.len());
+    let total = by_hub.labels.len();
+    let parts = (rayon::current_num_threads() * 4).clamp(1, by_hub.offsets.len());
+    // Chunk c starts at the first hub whose labels begin at or past
+    // c/parts of the total; the last one ends at the last hub.
+    let mut starts: Vec<usize> = (0..parts)
+        .map(|c| by_hub.offsets.partition_point(|&o| o < c * total / parts))
+        .collect();
+    starts.push(by_hub.hubs.len());
+    let chunks = rayon::map(parts, |c| {
+        let mut probe = HubDistances::new(by_hub.hubs.end as usize);
+        let mut kept = Vec::new();
+        for i in starts[c]..starts[c + 1] {
+            let hub = by_hub.hubs.start + i as u32;
+            let hub_vertex = ranking.vertex_at(hub);
+            let bucket = &by_hub.labels[by_hub.offsets[i]..by_hub.offsets[i + 1]];
+            // A bucket of only the self label has nothing to check.
+            if bucket.iter().any(|&(v, _)| v != hub_vertex) {
+                labels.any_run(hub_vertex, |run| {
+                    probe.load(run, hub);
+                    false
+                });
+            }
+            for &(v, d) in bucket {
+                // A vertex's self label is never redundant.
+                if v == hub_vertex || !labels.any_run(v, |run| probe.covers(run, d)) {
+                    kept.push((v, LabelEntry::new(hub, d)));
+                }
+            }
+            probe.clear();
+        }
+        kept
+    });
+    chunks.concat()
 }
 
-/// Counts redundant labels without removing them (used by diagnostics and by
-/// the DGLL superstep accounting, which needs the per-vertex verdicts).
-pub fn count_redundant(labels: &[LabelSet], ranking: &Ranking) -> usize {
-    rayon::map(labels.len(), |v| {
-        labels[v]
-            .entries()
-            .iter()
-            .filter(|e| is_redundant(v as VertexId, **e, labels, ranking))
-            .count()
-    })
-    .into_iter()
-    .sum()
+/// Appends survivors in ascending hub order to sets whose hubs all rank
+/// above theirs, keeping every set sorted.
+pub(crate) fn commit(sets: &mut [LabelSet], kept: Vec<(VertexId, LabelEntry)>) {
+    for (v, e) in kept {
+        sets[v as usize].push(e);
+    }
+}
+
+/// A superstep's labels transposed by hub: hub `hubs.start + i` owns
+/// `labels[offsets[i]..offsets[i + 1]]`, as `(vertex, distance)` pairs in
+/// ascending vertex order.
+struct ByHub {
+    hubs: Range<u32>,
+    offsets: Vec<usize>,
+    labels: Vec<(VertexId, Distance)>,
+}
+
+impl ByHub {
+    /// Counting sort of `in_flight`'s labels over vertices `0..n` by hub.
+    fn transpose<F: LabelRuns + ?Sized>(in_flight: &F, hubs: Range<u32>, n: usize) -> Self {
+        let slot = |e: &LabelEntry| {
+            debug_assert!(hubs.contains(&e.hub), "hub {} outside {hubs:?}", e.hub);
+            (e.hub - hubs.start) as usize
+        };
+        let mut offsets = vec![0usize; hubs.len() + 1];
+        for v in 0..n as VertexId {
+            in_flight.any_run(v, |run| {
+                for e in run {
+                    offsets[slot(e) + 1] += 1;
+                }
+                false
+            });
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut labels = vec![(0, 0); offsets[hubs.len()]];
+        for v in 0..n as VertexId {
+            in_flight.any_run(v, |run| {
+                for e in run {
+                    let at = &mut cursor[slot(e)];
+                    labels[*at] = (v, e.dist);
+                    *at += 1;
+                }
+                false
+            });
+        }
+        ByHub {
+            hubs,
+            offsets,
+            labels,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -129,15 +221,36 @@ mod tests {
             ranking.clone(),
         );
         let sets = idx.into_label_sets();
-        let redundant_entry = LabelEntry::new(ranking.position(0), 2);
-        assert!(is_redundant(2, redundant_entry, &sets, &ranking));
-        assert_eq!(count_redundant(&sets, &ranking), 1);
         let (cleaned, removed) = clean_labels(&sets, &ranking);
         assert_eq!(removed, 1);
         assert!(!cleaned[2].contains_hub(ranking.position(0)));
         // Queries remain exact after cleaning.
         let cleaned_idx = HubLabelIndex::new(cleaned, ranking).unwrap();
         assert_eq!(cleaned_idx.query(0, 2), 2);
+    }
+
+    #[test]
+    fn dq_clean_needs_a_more_important_common_hub() {
+        // Identity ranking. Vertex 1 holds {h0: 4, h3: d}; hub vertex 3
+        // holds {h0: 2, h3: 0}. Hub 0 ranks above 3 and certifies
+        // d(1,0) + d(3,0) = 6, so (1, h3, 6) is redundant and (1, h3, 5)
+        // is not. Hub 3 itself always joins the pair; it must not count.
+        let ranking = chl_ranking::Ranking::identity(4);
+        let labeling = |d: u64, witness: bool| {
+            let own = if witness {
+                vec![LabelEntry::new(0, 4), LabelEntry::new(3, d)]
+            } else {
+                vec![LabelEntry::new(3, d)]
+            };
+            let hub = vec![LabelEntry::new(0, 2), LabelEntry::new(3, 0)];
+            vec![vec![], own, vec![], hub]
+        };
+        let survivors = |labels: Vec<Vec<LabelEntry>>| {
+            clean_superstep(&labels[..], &labels[..], 0..4, &ranking)
+        };
+        assert!(!survivors(labeling(6, true)).contains(&(1, LabelEntry::new(3, 6))));
+        assert!(survivors(labeling(5, true)).contains(&(1, LabelEntry::new(3, 5))));
+        assert!(survivors(labeling(6, false)).contains(&(1, LabelEntry::new(3, 6))));
     }
 
     #[test]

@@ -12,7 +12,14 @@
 //! Compared to LCC this bounds the label sets each cleaning query walks and
 //! drastically reduces locking during pruning queries — the two effects the
 //! paper credits for GLL's speedup over LCC (Figure 7).
+//!
+//! A superstep's roots are a contiguous range of rank positions, all ranked
+//! below every committed hub. Cleaning is [`clean_superstep`] over the
+//! global and local tables read as one, and committing appends the
+//! survivors to the global sets in hub order: no combined copy of the
+//! labeling, no merge.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -20,6 +27,7 @@ use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 use parking_lot::Mutex;
 
+use crate::cleaning::{clean_superstep, commit};
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
 use crate::labels::{LabelEntry, LabelSet};
@@ -77,6 +85,8 @@ pub fn gll_from_state(
     // the join is the synchronization point, so Relaxed is enough here.
     while (next_root.load(Ordering::Relaxed) as usize) < n {
         stats.supersteps += 1;
+        // ORDERING: read between supersteps, like the loop condition.
+        let first_root = next_root.load(Ordering::Relaxed);
         let local = ConcurrentLabelTable::new(n);
         let superstep_labels = AtomicUsize::new(0);
         let records = Mutex::new(Vec::new());
@@ -136,45 +146,15 @@ pub fn gll_from_state(
         let local_entries = local.drain_all();
         labels_generated_total += local_entries.iter().map(Vec::len).sum::<usize>();
 
-        // The cleaning/commit passes are parallel; pin them to the
-        // configured thread count so `--threads 1` caps the whole build, not
-        // just the construction scope.
+        // The roots claimed this superstep; every claim below `n` ran.
+        // ORDERING: read after the worker scope joined, like the loop
+        // condition.
+        let hubs = first_root..next_root.load(Ordering::Relaxed).min(n as u32);
+        // The cleaning pass is parallel; pin it to the configured thread
+        // count so `--threads 1` caps the whole build, not just the
+        // construction scope.
         rayon::with_threads(threads, || {
-            // Combined view of each vertex's labels (global ∪ local), needed
-            // both as L_v and as L_h by the cleaning queries.
-            let combined: Vec<LabelSet> = rayon::map(n, |v| {
-                let mut set = global[v].clone();
-                set.merge(&LabelSet::from_entries(local_entries[v].clone()));
-                set
-            });
-
-            let survivors: Vec<Vec<LabelEntry>> = rayon::map(n, |v| {
-                local_entries[v]
-                    .iter()
-                    .copied()
-                    .filter(|e| {
-                        let hub_vertex = ranking.vertex_at(e.hub);
-                        if hub_vertex == v as u32 {
-                            return true;
-                        }
-                        !combined[v].is_redundant_label(
-                            e.hub,
-                            e.dist,
-                            &combined[hub_vertex as usize],
-                        )
-                    })
-                    .collect()
-            });
-
-            // Commit survivors to the global table: each vertex's kept
-            // entries are moved, not copied, into its global set.
-            let mut commits: Vec<(&mut LabelSet, Vec<LabelEntry>)> =
-                global.iter_mut().zip(survivors).collect();
-            rayon::for_each_mut(&mut commits, |_, (global_set, kept)| {
-                if !kept.is_empty() {
-                    global_set.merge(&LabelSet::from_entries(std::mem::take(kept)));
-                }
-            });
+            clean_and_commit(&mut global, &local_entries, hubs, ranking);
         });
         cleaning_time += clean_start.elapsed();
     }
@@ -187,6 +167,19 @@ pub fn gll_from_state(
     stats.labels_before_cleaning = labels_generated_total;
     stats.labels_after_cleaning = index.total_labels();
     LabelingResult { index, stats }
+}
+
+/// The end of a superstep: cleans the local labels (hubs `hubs`) against
+/// the global and local tables read as one, then appends the survivors to
+/// the global sets, whose hubs all rank above them.
+fn clean_and_commit(
+    global: &mut [LabelSet],
+    local: &[Vec<LabelEntry>],
+    hubs: Range<u32>,
+    ranking: &Ranking,
+) {
+    let kept = clean_superstep(&(&*global, local), local, hubs, ranking);
+    commit(global, kept);
 }
 
 #[cfg(test)]
@@ -263,6 +256,75 @@ mod tests {
         );
         assert_eq!(result.stats.spt_records.len(), 60);
         assert!(result.stats.supersteps >= 1);
+    }
+
+    /// `(hub, dist)` pairs as a label run.
+    fn run(entries: &[(u32, u64)]) -> Vec<LabelEntry> {
+        entries
+            .iter()
+            .map(|&(h, d)| LabelEntry::new(h, d))
+            .collect()
+    }
+
+    /// A global table of hub-sorted sets.
+    fn sets(runs: &[&[(u32, u64)]]) -> Vec<LabelSet> {
+        runs.iter()
+            .map(|r| LabelSet::from_entries(run(r)))
+            .collect()
+    }
+
+    #[test]
+    fn superstep_clean_drops_redundant_local_labels() {
+        // Identity ranking: hub h is vertex h. Hubs 0 and 1 are committed,
+        // the superstep ran roots 2..5.
+        let ranking = Ranking::identity(5);
+
+        // Both witness entries local: (4, hub 3, 2) is covered through
+        // hub 2, with 4 -> 2 and 3 -> 2 both found in this superstep. The
+        // local runs are unsorted, as worker threads leave them.
+        let mut global = sets(&[&[(0, 0)], &[(0, 5), (1, 0)], &[], &[], &[]]);
+        let local = vec![
+            vec![],
+            vec![],
+            run(&[(2, 0)]),
+            run(&[(3, 0), (2, 1)]),
+            run(&[(3, 2), (4, 0), (2, 1)]),
+        ];
+        clean_and_commit(&mut global, &local, 2..5, &ranking);
+        assert_eq!(global[4], LabelSet::from_entries(run(&[(2, 1), (4, 0)])));
+        // The canonical local labels survive, appended after the committed
+        // ones: 3 -> 2 has no hub above 2 to cover it.
+        assert_eq!(global[3], LabelSet::from_entries(run(&[(2, 1), (3, 0)])));
+        assert_eq!(global[1], LabelSet::from_entries(run(&[(0, 5), (1, 0)])));
+
+        // One witness entry global, the other local: vertex 4's entry for
+        // hub 2 sits in the committed table, hub vertex 3's in the local
+        // one. The kernel reads the two layers as one labeling, so
+        // (4, hub 3, 2) is still dropped.
+        let mut global = sets(&[&[], &[], &[], &[], &[(2, 1)]]);
+        let local = vec![
+            vec![],
+            vec![],
+            run(&[(2, 0)]),
+            run(&[(2, 1), (3, 0)]),
+            run(&[(3, 2), (4, 0)]),
+        ];
+        clean_and_commit(&mut global, &local, 2..5, &ranking);
+        assert!(!global[4].contains_hub(3));
+        assert!(global[4].contains_hub(4));
+
+        // A witness one longer, (4 -> 2) + (3 -> 2) = 3 > 2, leaves the
+        // label canonical: it survives.
+        let mut global = sets(&[&[], &[], &[], &[], &[(2, 1)]]);
+        let local = vec![
+            vec![],
+            vec![],
+            run(&[(2, 0)]),
+            run(&[(2, 2), (3, 0)]),
+            run(&[(3, 2), (4, 0)]),
+        ];
+        clean_and_commit(&mut global, &local, 2..5, &ranking);
+        assert_eq!(global[4].distance_to_hub(3), Some(2));
     }
 
     #[test]

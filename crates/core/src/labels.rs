@@ -15,8 +15,6 @@
 #![deny(clippy::indexing_slicing, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use chl_graph::types::{Distance, INFINITY};
@@ -250,42 +248,6 @@ impl LabelSet {
         self.query_join(other).map(|(_, d)| d).unwrap_or(INFINITY)
     }
 
-    /// The paper's cleaning query `DQ_Clean` (Algorithm 2, lines 12-16):
-    /// decides whether the label `(hub, dist)` held by this set's owner is
-    /// redundant, i.e. whether a *more important* common hub of `self` and
-    /// `hub_labels` (the label set of the hub itself) certifies a distance no
-    /// longer than `dist`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "two-pointer merge: the loop condition keeps i and j below their lengths"
-    )]
-    pub fn is_redundant_label(&self, hub: u32, dist: Distance, hub_labels: &LabelSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < hub_labels.entries.len() {
-            let a = self.entries[i];
-            let b = hub_labels.entries[j];
-            if a.hub < b.hub {
-                i += 1;
-            } else if b.hub < a.hub {
-                j += 1;
-            } else {
-                // Common hub, in increasing rank-position order (most
-                // important first).
-                if a.hub >= hub {
-                    // Reached the hub itself (or anything less important):
-                    // nothing more important covers the pair within `dist`.
-                    return false;
-                }
-                if a.dist.saturating_add(b.dist) <= dist {
-                    return true;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-        false
-    }
-
     /// Approximate heap footprint of this label set in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<LabelEntry>()
@@ -305,53 +267,64 @@ impl LabelSet {
     }
 }
 
-/// Hash-join view of a root's label set used by construction-time pruning
-/// queries (Algorithm 1 builds `LR = hash(L_h)` once per SPT).
-#[derive(Debug, Clone, Default)]
-pub struct RootLabelHash {
-    map: HashMap<u32, Distance>,
+/// Dense hub → distance scratch under every construction-time pruning and
+/// cleaning query: one slot per hub rank position, [`INFINITY`] where
+/// unset, plus the list of slots that are set, so a reset touches only
+/// those.
+///
+/// Algorithm 1 of the paper builds `LR = hash(L_h)` once per SPT; this is
+/// Pruned Landmark Labeling's per-root array (Akiba, Iwata, Yoshida,
+/// SIGMOD 2013) in its place. A probe is one indexed load, where a hash map
+/// pays a hash and a compare per entry.
+#[derive(Debug, Clone)]
+pub struct HubDistances {
+    dist: Vec<Distance>,
+    set: Vec<u32>,
 }
 
-impl RootLabelHash {
-    /// Builds the hash from any iterator of label entries; duplicate hubs
-    /// keep the smaller distance.
-    pub fn from_entries<I: IntoIterator<Item = LabelEntry>>(entries: I) -> Self {
-        let mut map = HashMap::new();
-        for e in entries {
-            map.entry(e.hub)
-                .and_modify(|d: &mut Distance| *d = (*d).min(e.dist))
-                .or_insert(e.dist);
+impl HubDistances {
+    /// Scratch for hub rank positions `0..len`, every slot unset.
+    pub fn new(len: usize) -> Self {
+        HubDistances {
+            dist: vec![INFINITY; len],
+            set: Vec::new(),
         }
-        RootLabelHash { map }
     }
 
-    /// Number of hubs in the hash.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when the hash is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Distance from the root to `hub`, if the root is labeled with it.
-    pub fn distance_to_hub(&self, hub: u32) -> Option<Distance> {
-        self.map.get(&hub).copied()
-    }
-
-    /// The construction-time distance query `DQ` of Algorithm 1: `true` when
-    /// some hub common to the root (this hash) and `labels` certifies a
-    /// distance `<= delta`.
-    pub fn covers(&self, labels: &[LabelEntry], delta: Distance) -> bool {
-        for e in labels {
-            if let Some(root_d) = self.map.get(&e.hub) {
-                if e.dist.saturating_add(*root_d) <= delta {
-                    return true;
+    /// Loads the entries of `run` (in any order) whose hub ranks below
+    /// `bound`; a hub loaded twice keeps the smaller distance. Hubs outside
+    /// the table are skipped.
+    pub fn load(&mut self, run: &[LabelEntry], bound: u32) {
+        for e in run.iter().filter(|e| e.hub < bound) {
+            if let Some(slot) = self.dist.get_mut(e.hub as usize) {
+                if *slot == INFINITY {
+                    self.set.push(e.hub);
                 }
+                *slot = (*slot).min(e.dist);
             }
         }
-        false
+    }
+
+    /// The distance query `DQ`: `true` when some entry of `run` meets a
+    /// loaded hub within `d`, i.e. `e.dist + dist[e.hub] <= d`. Sums
+    /// saturate at [`INFINITY`], so for any `d` below it an unset hub never
+    /// covers.
+    pub fn covers(&self, run: &[LabelEntry], d: Distance) -> bool {
+        run.iter().any(|e| {
+            self.dist
+                .get(e.hub as usize)
+                .is_some_and(|&r| e.dist.saturating_add(r) <= d)
+        })
+    }
+
+    /// Unsets every loaded slot.
+    pub fn clear(&mut self) {
+        for &hub in &self.set {
+            if let Some(slot) = self.dist.get_mut(hub as usize) {
+                *slot = INFINITY;
+            }
+        }
+        self.set.clear();
     }
 }
 
@@ -446,33 +419,27 @@ mod tests {
     }
 
     #[test]
-    fn redundant_label_detection_follows_dq_clean() {
-        // Owner v has labels {h0: 4, h3: 6}; hub 3's own labels are {h0: 2, h3: 0}.
-        let v = set(&[(0, 4), (3, 6)]);
-        let h3 = set(&[(0, 2), (3, 0)]);
-        // Common hub 0 has rank above 3 and d(v,0)+d(3,0) = 6 <= 6: redundant.
-        assert!(v.is_redundant_label(3, 6, &h3));
-        // With a strictly smaller claimed distance the higher hub no longer covers it.
-        assert!(!v.is_redundant_label(3, 5, &h3));
-        // The hub itself always covers the label; must NOT count as redundancy.
-        let v2 = set(&[(3, 6)]);
-        assert!(!v2.is_redundant_label(3, 6, &h3));
-    }
-
-    #[test]
-    fn root_hash_covers_matches_brute_force() {
-        let root = RootLabelHash::from_entries(vec![
-            LabelEntry::new(0, 2),
+    fn hub_distances_load_cover_and_clear() {
+        let mut probe = HubDistances::new(8);
+        let root = [
             LabelEntry::new(4, 5),
-            LabelEntry::new(4, 3),
-        ]);
-        assert_eq!(root.len(), 2);
-        assert_eq!(root.distance_to_hub(4), Some(3));
+            LabelEntry::new(0, 2),
+            LabelEntry::new(4, 3), // repeated hub: the smaller distance wins
+            LabelEntry::new(6, 0), // at the bound: not loaded
+            LabelEntry::new(9, 0), // outside the table: skipped
+        ];
+        probe.load(&root, 6);
         let labels = [LabelEntry::new(0, 7), LabelEntry::new(9, 0)];
-        assert!(root.covers(&labels, 9));
-        assert!(!root.covers(&labels, 8));
-        assert!(!RootLabelHash::default().covers(&labels, 100));
-        assert!(RootLabelHash::default().is_empty());
+        assert!(probe.covers(&labels, 9));
+        assert!(!probe.covers(&labels, 8));
+        assert!(probe.covers(&[LabelEntry::new(4, 1)], 4));
+        assert!(!probe.covers(&[LabelEntry::new(6, 0)], 100));
+        // Unset hubs never cover, even where the sum saturates.
+        assert!(!probe.covers(&[LabelEntry::new(1, 0)], INFINITY - 1));
+        assert!(!probe.covers(&[LabelEntry::new(0, INFINITY - 1)], INFINITY - 1));
+        probe.clear();
+        assert!(!probe.covers(&labels, 100));
+        assert!(!HubDistances::new(0).covers(&labels, 100));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
 use crate::index::{HubLabelIndex, LabelingResult};
-use crate::labels::{LabelEntry, LabelSet};
+use crate::labels::{HubDistances, LabelEntry, LabelSet};
 use crate::stats::{ConstructionStats, SptRecord};
 use crate::table::ConcurrentLabelTable;
 
@@ -130,10 +130,8 @@ pub struct PlantScratch {
     ancestor: Vec<VertexId>,
     touched: Vec<VertexId>,
     queue: DistanceQueue,
-    /// `root_common[h]`: the root's distance to common hub `h` (a rank
-    /// position below the usable `η`), [`INFINITY`] when the root carries no
-    /// label for it.
-    root_common: Vec<Distance>,
+    /// The root's common labels below the usable `η`, by hub.
+    root_common: HubDistances,
 }
 
 impl PlantScratch {
@@ -144,7 +142,7 @@ impl PlantScratch {
             ancestor: (0..n as VertexId).collect(),
             touched: Vec::new(),
             queue: DistanceQueue::new(),
-            root_common: Vec::new(),
+            root_common: HubDistances::new(n),
         }
     }
 
@@ -155,15 +153,8 @@ impl PlantScratch {
         }
         self.touched.clear();
         self.queue.clear();
+        self.root_common.clear();
     }
-}
-
-/// The entries of a hub-sorted label set whose hub ranks below `eta`.
-fn common_prefix(labels: &LabelSet, eta: usize) -> impl Iterator<Item = &LabelEntry> {
-    labels
-        .entries()
-        .iter()
-        .take_while(move |e| (e.hub as usize) < eta)
 }
 
 /// Runs one PLaNTed SPT from `root` (Algorithm 3).
@@ -187,13 +178,11 @@ pub fn plant_dijkstra(
     // The root's common labels as a dense array, restricted to hubs more
     // important than the root (the only hubs for which pruning is provably
     // safe).
-    let usable_eta = common.eta().min(root_pos) as usize;
+    let usable_eta = common.eta().min(root_pos);
     if usable_eta > 0 {
-        scratch.root_common.clear();
-        scratch.root_common.resize(usable_eta, INFINITY);
-        for e in common_prefix(common.labels_of(root), usable_eta) {
-            scratch.root_common[e.hub as usize] = e.dist;
-        }
+        scratch
+            .root_common
+            .load(common.labels_of(root).entries(), usable_eta);
     }
 
     let mut tree = PlantedTree {
@@ -228,10 +217,7 @@ pub fn plant_dijkstra(
         let most_important = ranking.more_important_of(v, anc);
 
         // Optional distance-query pruning against the Common Label Table.
-        if usable_eta > 0
-            && common_prefix(common.labels_of(v), usable_eta)
-                .any(|e| e.dist.saturating_add(scratch.root_common[e.hub as usize]) <= d)
-        {
+        if usable_eta > 0 && scratch.root_common.covers(common.labels_of(v).entries(), d) {
             continue;
         }
 

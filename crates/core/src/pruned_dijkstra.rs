@@ -1,8 +1,9 @@
 //! Pruned Dijkstra with Rank Queries — Algorithm 1 of the paper.
 //!
 //! This is the per-root kernel shared by every *pruning-based* constructor
-//! (sequential PLL, paraPLL, LCC, GLL). Given the current labels, it grows a
-//! shortest-path tree from a root `h` and, for every vertex `v` it settles:
+//! (sequential PLL, paraPLL, LCC, GLL, the DGLL nodes and Hybrid's tail).
+//! Given the current labels, it grows a shortest-path tree from a root `h`
+//! and, for every vertex `v` it settles:
 //!
 //! 1. **Rank query** (optional): if `v` is more important than `h`, prune the
 //!    tree at `v` and do not label `v`. This is the addition that makes the
@@ -10,13 +11,22 @@
 //! 2. **Distance query**: if some hub common to `h` and `v` already certifies
 //!    a distance `<= δ_v`, prune at `v` without labeling it.
 //! 3. Otherwise add `(h, δ_v)` to `v`'s labels and relax `v`'s edges.
+//!
+//! The distance query departs from Algorithm 1 on purpose. The paper hashes
+//! the root's labels once per tree (`LR = hash(L_h)`) and probes the hash
+//! with every label of `v`. Here the root's labels are loaded into a dense
+//! [`HubDistances`] array indexed by hub rank position, as Pruned Landmark
+//! Labeling does (Akiba, Iwata, Yoshida, SIGMOD 2013). `v`'s labels are
+//! scanned where they are stored ([`crate::table::LabelRuns::any_run`]),
+//! never copied, so each probe is one indexed load and the answers are the
+//! same.
 
 use chl_graph::sssp::heap::DistanceQueue;
 use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
-use crate::labels::{LabelEntry, RootLabelHash};
+use crate::labels::{HubDistances, LabelEntry};
 use crate::stats::SptRecord;
 use crate::table::LabelAccess;
 
@@ -28,7 +38,8 @@ pub struct DijkstraScratch {
     dist: Vec<Distance>,
     touched: Vec<VertexId>,
     queue: DistanceQueue,
-    label_buf: Vec<LabelEntry>,
+    /// The current root's labels, by hub.
+    root_labels: HubDistances,
 }
 
 impl DijkstraScratch {
@@ -38,7 +49,7 @@ impl DijkstraScratch {
             dist: vec![INFINITY; n],
             touched: Vec::new(),
             queue: DistanceQueue::new(),
-            label_buf: Vec::new(),
+            root_labels: HubDistances::new(n),
         }
     }
 
@@ -48,7 +59,7 @@ impl DijkstraScratch {
         }
         self.touched.clear();
         self.queue.clear();
-        self.label_buf.clear();
+        self.root_labels.clear();
     }
 }
 
@@ -88,20 +99,12 @@ pub fn pruned_dijkstra<L: LabelAccess>(
     scratch.reset();
     let root_pos = ranking.position(root);
 
-    // LR = hash(L_h): the root's current labels, hashed once per SPT.
-    scratch.label_buf.clear();
-    labels.collect_labels(root, &mut scratch.label_buf);
-    let root_hash = if opts.max_pruning_hub == u32::MAX {
-        RootLabelHash::from_entries(scratch.label_buf.iter().copied())
-    } else {
-        RootLabelHash::from_entries(
-            scratch
-                .label_buf
-                .iter()
-                .copied()
-                .filter(|e| e.hub < opts.max_pruning_hub),
-        )
-    };
+    // The root's current labels below the pruning bound, loaded once per
+    // SPT (Algorithm 1's `LR = hash(L_h)`, as a dense array).
+    labels.any_run(root, |run| {
+        scratch.root_labels.load(run, opts.max_pruning_hub);
+        false
+    });
 
     let mut record = SptRecord {
         root_position: root_pos,
@@ -125,23 +128,12 @@ pub fn pruned_dijkstra<L: LabelAccess>(
             continue;
         }
 
-        // Distance query against the labels v has accumulated so far.
+        // Distance query against the labels v has accumulated so far,
+        // scanned in place. Hubs at or past the pruning bound were never
+        // loaded, so they cannot cover.
         if v != root {
-            scratch.label_buf.clear();
-            labels.collect_labels(v, &mut scratch.label_buf);
             distance_queries += 1;
-            let covered = if opts.max_pruning_hub == u32::MAX {
-                root_hash.covers(&scratch.label_buf, d)
-            } else {
-                let filtered: Vec<LabelEntry> = scratch
-                    .label_buf
-                    .iter()
-                    .copied()
-                    .filter(|e| e.hub < opts.max_pruning_hub)
-                    .collect();
-                root_hash.covers(&filtered, d)
-            };
-            if covered {
+            if labels.any_run(v, |run| scratch.root_labels.covers(run, d)) {
                 continue;
             }
         }

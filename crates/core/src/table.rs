@@ -11,9 +11,11 @@
 //!   therefore read without any locking — this is GLL's main trick for
 //!   cutting lock traffic (§4.2).
 //!
-//! The [`LabelAccess`] trait abstracts over "where do I read labels from /
-//! append labels to" so the pruned-Dijkstra kernel can serve PLL, paraPLL,
-//! LCC and GLL unchanged.
+//! The [`LabelRuns`] trait reads a vertex's labels where they are stored —
+//! one run per layer, a locked slot scanned under its lock, nothing copied
+//! — and [`LabelAccess`] adds the append, so the pruned-Dijkstra kernel
+//! serves PLL, paraPLL, LCC and GLL unchanged and the cleaning kernel reads
+//! committed and in-flight labels alike.
 
 use parking_lot::Mutex;
 
@@ -21,12 +23,36 @@ use chl_graph::types::VertexId;
 
 use crate::labels::{LabelEntry, LabelSet};
 
+/// Read access to per-vertex labels, visited in the runs they are stored in.
+pub trait LabelRuns: Sync {
+    /// Calls `f` on each stored run of `v`'s current labels until a call
+    /// returns `true`, and returns whether one did. Runs need not be sorted.
+    fn any_run(&self, v: VertexId, f: impl FnMut(&[LabelEntry]) -> bool) -> bool;
+}
+
 /// How a construction kernel reads and writes labels.
-pub trait LabelAccess: Sync {
-    /// Appends the current labels of `v` to `out` (order unspecified).
-    fn collect_labels(&self, v: VertexId, out: &mut Vec<LabelEntry>);
+pub trait LabelAccess: LabelRuns {
     /// Records a freshly generated label for `v`.
     fn append(&self, v: VertexId, entry: LabelEntry);
+}
+
+impl LabelRuns for [LabelSet] {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        f(self[v as usize].entries())
+    }
+}
+
+impl LabelRuns for [Vec<LabelEntry>] {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        f(&self[v as usize])
+    }
+}
+
+/// Two layers read as one: the first's runs, then the second's.
+impl<A: LabelRuns + ?Sized, B: LabelRuns + ?Sized> LabelRuns for (&A, &B) {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        self.0.any_run(v, &mut f) || self.1.any_run(v, f)
+    }
 }
 
 /// A per-vertex label table safe for concurrent appends and reads.
@@ -51,11 +77,6 @@ impl ConcurrentLabelTable {
     /// Appends a label to `v`.
     pub fn append(&self, v: VertexId, entry: LabelEntry) {
         self.slots[v as usize].lock().push(entry);
-    }
-
-    /// Copies the labels of `v` into `out`.
-    pub fn collect_into(&self, v: VertexId, out: &mut Vec<LabelEntry>) {
-        out.extend_from_slice(&self.slots[v as usize].lock());
     }
 
     /// Returns a snapshot of the labels of `v`.
@@ -90,10 +111,13 @@ impl ConcurrentLabelTable {
     }
 }
 
-impl LabelAccess for ConcurrentLabelTable {
-    fn collect_labels(&self, v: VertexId, out: &mut Vec<LabelEntry>) {
-        self.collect_into(v, out);
+impl LabelRuns for ConcurrentLabelTable {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        f(&self.slots[v as usize].lock())
     }
+}
+
+impl LabelAccess for ConcurrentLabelTable {
     fn append(&self, v: VertexId, entry: LabelEntry) {
         ConcurrentLabelTable::append(self, v, entry);
     }
@@ -109,11 +133,13 @@ pub struct GllTables<'a> {
     pub local: &'a ConcurrentLabelTable,
 }
 
-impl LabelAccess for GllTables<'_> {
-    fn collect_labels(&self, v: VertexId, out: &mut Vec<LabelEntry>) {
-        out.extend_from_slice(self.global[v as usize].entries());
-        self.local.collect_into(v, out);
+impl LabelRuns for GllTables<'_> {
+    fn any_run(&self, v: VertexId, f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        (self.global, self.local).any_run(v, f)
     }
+}
+
+impl LabelAccess for GllTables<'_> {
     fn append(&self, v: VertexId, entry: LabelEntry) {
         self.local.append(v, entry);
     }
@@ -181,9 +207,16 @@ mod tests {
             local: &local,
         };
 
-        let mut out = Vec::new();
-        tables.collect_labels(0, &mut out);
-        assert_eq!(out.len(), 2);
+        let mut runs = Vec::new();
+        tables.any_run(0, |run| {
+            runs.push(run.to_vec());
+            false
+        });
+        assert_eq!(
+            runs,
+            vec![vec![LabelEntry::new(0, 1)], vec![LabelEntry::new(5, 9)]]
+        );
+        assert!(tables.any_run(0, |run| run.iter().any(|e| e.hub == 5)));
 
         tables.append(1, LabelEntry::new(2, 2));
         assert_eq!(local.len_of(1), 1);

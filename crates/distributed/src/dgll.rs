@@ -13,6 +13,11 @@
 //!    labels stay distributed at all times, which is how the cluster's
 //!    collective memory is harnessed.
 //!
+//! The cleaning queries run through `chl_core`'s one cleaning kernel,
+//! [`clean_superstep`], over every partition plus the superstep's broadcast
+//! labels read as one labeling. The superstep's hubs rank below every
+//! committed hub, so a survivor is appended to its owner's set.
+//!
 //! Superstep sizes grow geometrically by `β`, matching the paper's
 //! observation that label volume per SPT drops exponentially with rank.
 
@@ -21,15 +26,17 @@ use std::time::Instant;
 use chl_cluster::{
     RunMetrics, SimulatedCluster, SuperstepMetrics, SuperstepSchedule, TaskPartition,
 };
+use chl_core::cleaning::clean_superstep;
 use chl_core::labels::{LabelEntry, LabelSet};
 use chl_core::plant::CommonLabelTable;
 use chl_core::pruned_dijkstra::DijkstraScratch;
-use chl_core::table::ConcurrentLabelTable;
+use chl_core::table::{ConcurrentLabelTable, LabelRuns};
+use chl_graph::types::VertexId;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
 use crate::config::DistributedConfig;
-use crate::node::{commit_entries, construct_positions, run_nodes, wire_bytes, NodeView};
+use crate::node::{construct_positions, run_nodes, wire_bytes, NodeView};
 use crate::result::DistributedLabeling;
 
 /// Runs DGLL on the simulated cluster.
@@ -70,7 +77,11 @@ pub fn distributed_gll(
 /// One DGLL superstep over rank positions `[range.0, range.1)`: pruned
 /// construction on every node, label broadcast, bit-vector cleaning and
 /// commit. Shared with the Hybrid algorithm's post-switch phase.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one superstep threads the whole run state (graph, ranking, cluster, config, \
+              partition, range, label partitions, common table); a struct would only rename it"
+)]
 pub(crate) fn dgll_superstep(
     g: &CsrGraph,
     ranking: &Ranking,
@@ -111,7 +122,9 @@ pub(crate) fn dgll_superstep(
     });
 
     let mut superstep = SuperstepMetrics::default();
-    let mut per_node_new: Vec<Vec<Vec<LabelEntry>>> = Vec::with_capacity(q);
+    // Broadcast labels, per vertex across nodes: each hub is one node's
+    // root, so no hub repeats.
+    let mut in_flight: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
     for ((records, entries), busy) in outputs {
         let generated: usize = records.iter().map(|r| r.labels_generated).sum();
         superstep.labels_generated += generated;
@@ -120,67 +133,44 @@ pub(crate) fn dgll_superstep(
         // non-redundant — that is exactly the traffic the paper complains
         // about).
         cluster.comm().record_broadcast(wire_bytes(generated));
-        per_node_new.push(entries);
+        for (v, mut raw) in entries.into_iter().enumerate() {
+            in_flight[v].append(&mut raw);
+        }
     }
 
     // --- Cleaning phase ---
     // Every node evaluates the cleaning queries over the union of committed
     // labels and the broadcast superstep labels; verdict bit-vectors are
     // combined with an all-reduce.
-    let combined = combined_view(own_partitions, &per_node_new, n);
     cluster
         .comm()
         .record_allreduce(superstep.labels_generated.div_ceil(8).max(1));
-
-    for (node, entries) in per_node_new.into_iter().enumerate() {
-        let mut kept: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-        for (v, raw) in entries.into_iter().enumerate() {
-            for e in raw {
-                let hub_vertex = ranking.vertex_at(e.hub);
-                let redundant = hub_vertex != v as u32
-                    && combined[v].is_redundant_label(
-                        e.hub,
-                        e.dist,
-                        &combined[hub_vertex as usize],
-                    );
-                if redundant {
-                    superstep.labels_deleted += 1;
-                } else {
-                    if e.hub < common.eta() {
-                        common.insert(v as u32, e);
-                    }
-                    kept[v].push(e);
-                }
-            }
+    let in_flight_total: usize = in_flight.iter().map(Vec::len).sum();
+    let kept = clean_superstep(
+        &(&AllPartitions(own_partitions), &in_flight[..]),
+        &in_flight[..],
+        range.0..range.1,
+        ranking,
+    );
+    superstep.labels_deleted += in_flight_total - kept.len();
+    for (v, e) in kept {
+        if e.hub < common.eta() {
+            common.insert(v, e);
         }
-        commit_entries(&mut own_partitions[node], kept);
+        own_partitions[partition.owner_of(e.hub)][v as usize].push(e);
     }
 
     superstep.comm = cluster.comm().take();
     superstep
 }
 
-/// Union of all committed partitions plus all in-flight superstep labels,
-/// per vertex — the labeling the cleaning queries run against.
-fn combined_view(
-    own_partitions: &[Vec<LabelSet>],
-    per_node_new: &[Vec<Vec<LabelEntry>>],
-    n: usize,
-) -> Vec<LabelSet> {
-    let mut combined: Vec<LabelSet> = vec![LabelSet::new(); n];
-    for partition in own_partitions {
-        for (v, set) in partition.iter().enumerate() {
-            combined[v].merge(set);
-        }
+/// Every node's committed labels of a vertex, one run per node.
+struct AllPartitions<'a>(&'a [Vec<LabelSet>]);
+
+impl LabelRuns for AllPartitions<'_> {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        self.0.iter().any(|own| f(own[v as usize].entries()))
     }
-    for entries in per_node_new {
-        for (v, raw) in entries.iter().enumerate() {
-            if !raw.is_empty() {
-                combined[v].merge(&LabelSet::from_entries(raw.clone()));
-            }
-        }
-    }
-    combined
 }
 
 /// Fills in the final run-level metrics shared by DGLL, PLaNT and Hybrid.

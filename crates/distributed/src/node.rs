@@ -11,7 +11,7 @@ use chl_core::labels::{LabelEntry, LabelSet};
 use chl_core::plant::CommonLabelTable;
 use chl_core::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use chl_core::stats::SptRecord;
-use chl_core::table::{ConcurrentLabelTable, LabelAccess};
+use chl_core::table::{ConcurrentLabelTable, LabelAccess, LabelRuns};
 use chl_graph::types::VertexId;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
@@ -29,18 +29,21 @@ pub struct NodeView<'a> {
     pub local: &'a ConcurrentLabelTable,
 }
 
-impl LabelAccess for NodeView<'_> {
-    fn collect_labels(&self, v: VertexId, out: &mut Vec<LabelEntry>) {
-        out.extend_from_slice(self.own[v as usize].entries());
-        if !self.replicated.is_empty() {
-            out.extend_from_slice(self.replicated[v as usize].entries());
-        }
-        if let Some(common) = self.common {
-            out.extend_from_slice(common.labels_of(v).entries());
-        }
-        self.local.collect_into(v, out);
+impl LabelRuns for NodeView<'_> {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        f(self.own[v as usize].entries())
+            || self
+                .replicated
+                .get(v as usize)
+                .is_some_and(|set| f(set.entries()))
+            || self
+                .common
+                .is_some_and(|common| f(common.labels_of(v).entries()))
+            || self.local.any_run(v, f)
     }
+}
 
+impl LabelAccess for NodeView<'_> {
     fn append(&self, v: VertexId, entry: LabelEntry) {
         self.local.append(v, entry);
     }
@@ -49,7 +52,6 @@ impl LabelAccess for NodeView<'_> {
 /// Runs pruned Dijkstra (Algorithm 1) from every root position in
 /// `positions`, reading labels through `view` and appending new labels to the
 /// view's local table. Returns one record per SPT.
-#[allow(clippy::too_many_arguments)]
 pub fn construct_positions(
     g: &CsrGraph,
     ranking: &Ranking,
@@ -124,9 +126,12 @@ mod tests {
             common: Some(&common),
             local: &local,
         };
-        let mut out = Vec::new();
-        view.collect_labels(0, &mut out);
-        assert_eq!(out.len(), 4);
+        let mut hubs = Vec::new();
+        view.any_run(0, |run| {
+            hubs.extend(run.iter().map(|e| e.hub));
+            false
+        });
+        assert_eq!(hubs, vec![0, 1, 2, 3]);
 
         view.append(1, LabelEntry::new(9, 9));
         assert_eq!(local.len_of(1), 1);

@@ -242,8 +242,8 @@ mod tests {
 
     #[test]
     fn zip_mutation_covers_every_element_exactly_once() {
-        // The GLL commit's shape: one side borrowed mutably, the other
-        // moved in, zipped sequentially and consumed in parallel.
+        // One side borrowed mutably, the other moved in, zipped
+        // sequentially and consumed in parallel.
         let mut a = vec![0u64; 4097];
         let mut pairs: Vec<(&mut u64, u64)> = a.iter_mut().zip(0..4097).collect();
         with_threads(4, || {
