@@ -3,10 +3,11 @@
 //! (same generators, topology seed 7, two threads) and asserts every labeling
 //! is identical — the sweep the default factor was read off.
 //!
-//! For each Hybrid run it prints the trees PLaNTed before the switch and the
-//! peak windowed Ψ/L̄ over them: Ψ averaged over the last `psi_window` trees
-//! in rank order, over the labels PLaNTed so far per vertex. A factor below
-//! a graph's peak switches; one above it PLaNTs every tree.
+//! Every build prints its cleaning time and supersteps. For each Hybrid run
+//! it also prints the trees PLaNTed before the switch and the peak windowed
+//! Ψ/L̄ over them: Ψ averaged over the last `psi_window` trees in rank
+//! order, over the labels PLaNTed so far per vertex. A factor below a
+//! graph's peak switches; one above it PLaNTs every tree.
 //!
 //! Run with: `cargo run --release -p chl-bench --example hybrid_switch_sweep`
 
@@ -23,7 +24,7 @@ use chl_ranking::{betweenness_ranking, degree_ranking, BetweennessOptions, Ranki
 const SEED: u64 = 7;
 const THREADS: usize = 2;
 const REPS: usize = 3;
-const FACTORS: [f64; 4] = [0.25, 0.5, 1.0, 2.0];
+const FACTORS: [f64; 4] = [0.03, 0.1, 0.25, 1.0];
 
 /// Best of `REPS` builds: the build time when the box leaves it alone.
 fn build(
@@ -47,6 +48,16 @@ fn build(
         }
     }
     best.expect("REPS > 0")
+}
+
+/// A build's time, the cleaning time within it and its supersteps.
+fn phases(result: &LabelingResult, t: Duration) -> String {
+    format!(
+        "{:>7.3} s   clean {:>6.3} s   supersteps {:>3}",
+        t.as_secs_f64(),
+        result.stats.cleaning_time.as_secs_f64(),
+        result.stats.supersteps
+    )
 }
 
 /// Peak of windowed Ψ over `L̄` across the PLaNTed trees, replayed in rank
@@ -80,8 +91,8 @@ fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
         "== {name}: {n} vertices, {:.1} labels per vertex ==",
         reference.index.total_labels() as f64 / n as f64
     );
-    println!("  LCC                 {:>8.3} s", lcc_t.as_secs_f64());
-    println!("  GLL                 {:>8.3} s", gll_t.as_secs_f64());
+    println!("  LCC          {}", phases(&reference, lcc_t));
+    println!("  GLL          {}", phases(&gll, gll_t));
     for factor in FACTORS {
         let config = config.clone().with_psi_threshold(factor);
         let (hybrid, t) = build(g, ranking, Algorithm::Hybrid, &config);
@@ -94,9 +105,8 @@ fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
         let peak =
             peak_psi_over_label_size(&hybrid.stats.spt_records[..planted], config.psi_window, n);
         println!(
-            "  Hybrid x{factor:<4}        {:>8.3} s   planted {planted:>6} / {n}   \
-             peak windowed psi/L {peak:.2}",
-            t.as_secs_f64()
+            "  Hybrid x{factor:<4} {}   planted {planted:>6} / {n}   peak windowed psi/L {peak:.2}",
+            phases(&hybrid, t)
         );
     }
 }

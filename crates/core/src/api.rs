@@ -378,7 +378,7 @@ impl<'g> ChlBuilder<'g> {
 
     /// Sets the Hybrid switching factor: Hybrid stops PLaNTing once Ψ
     /// exceeds this factor times the average label size built so far
-    /// (default 1.0; see [`LabelingConfig::psi_threshold`]).
+    /// (default 0.03; see [`LabelingConfig::psi_threshold`]).
     pub fn psi_threshold(mut self, psi: f64) -> Self {
         self.config.psi_threshold = psi;
         self

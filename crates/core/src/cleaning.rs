@@ -53,7 +53,11 @@ pub fn clean_labels(labels: &[LabelSet], ranking: &Ranking) -> (Vec<LabelSet>, u
 /// (ascending vertex within a hub).
 ///
 /// * `labels` reads every label of a vertex the queries may use: committed
-///   and in flight alike.
+///   and in flight alike. It must hold every label through which an
+///   `in_flight` label can be redundant. A caller may leave out committed
+///   hubs that every tree of the superstep consulted while pruning: GLL
+///   reads its global table only from `hubs.start` on. DGLL's nodes prune
+///   with their own partition alone, so DGLL reads every partition whole.
 /// * `in_flight` reads the superstep's labels, whose hubs all lie in `hubs`
 ///   and rank below every committed hub.
 ///

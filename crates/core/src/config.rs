@@ -17,10 +17,13 @@ pub struct LabelingConfig {
     /// the windowed ratio Ψ of vertices explored per label generated exceeds
     /// `psi_threshold × L̄` (`L̄` = labels PLaNTed so far / `n`), the Hybrid
     /// constructor stops PLaNTing trees and switches to pruned construction.
-    /// Dimensionless, default 1.0: a pruned tree's label probe costs about
-    /// `L̄`, so PLaNT stops paying once it explores more than that per label.
-    /// The paper's absolute `Ψ_th` (Figure 6) lives on in
-    /// `DistributedConfig`, where PLaNT saves communication instead.
+    /// Dimensionless, default 0.03: a pruned tree's label probe costs about
+    /// `L̄`, and GLL's clean reads only each superstep's own hubs, so pruned
+    /// construction beats PLaNT early on road grids too. At 0.03 every
+    /// graph of `chl-bench`'s `hybrid_switch_sweep` example switches as
+    /// soon as the window is full. The paper's absolute `Ψ_th` (Figure 6)
+    /// lives on in `DistributedConfig`, where PLaNT saves communication
+    /// instead.
     pub psi_threshold: f64,
     /// Number of SPTs over which Ψ is averaged before the Hybrid switch
     /// decision is made.
@@ -34,7 +37,7 @@ impl Default for LabelingConfig {
         LabelingConfig {
             num_threads: 0,
             alpha: 4.0,
-            psi_threshold: 1.0,
+            psi_threshold: 0.03,
             psi_window: 64,
             early_termination: true,
         }

@@ -13,11 +13,19 @@
 //! drastically reduces locking during pruning queries — the two effects the
 //! paper credits for GLL's speedup over LCC (Figure 7).
 //!
-//! A superstep's roots are a contiguous range of rank positions, all ranked
-//! below every committed hub. Cleaning is [`clean_superstep`] over the
-//! global and local tables read as one, and committing appends the
-//! survivors to the global sets in hub order: no combined copy of the
-//! labeling, no merge.
+//! A superstep's roots are a contiguous range of rank positions `[w, p)`.
+//! Cleaning is [`clean_superstep`] over the global and local tables read as
+//! one, and committing appends the survivors to the global sets in hub
+//! order: no combined copy of the labeling, no merge.
+//!
+//! The clean reads each global set only from hub `w` on ([`FromHub`]).
+//! This is Pruned Landmark Labeling's invariant (Akiba, Iwata, Yoshida,
+//! SIGMOD 2013): every hub below `w` was committed before the superstep
+//! began, so every pruning query of the superstep already consulted it,
+//! and no local label can be redundant through it. A witness can only be a
+//! hub in `[w, p)`, in either table: Hybrid seeds the global table with
+//! trees PLaNTed past its resume point, which can sit inside the first
+//! superstep's range.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -33,7 +41,7 @@ use crate::index::{HubLabelIndex, LabelingResult};
 use crate::labels::{LabelEntry, LabelSet};
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use crate::stats::ConstructionStats;
-use crate::table::{ConcurrentLabelTable, GllTables};
+use crate::table::{ConcurrentLabelTable, FromHub, GllTables};
 
 /// Runs GLL and returns the Canonical Hub Labeling.
 ///
@@ -170,15 +178,19 @@ pub fn gll_from_state(
 }
 
 /// The end of a superstep: cleans the local labels (hubs `hubs`) against
-/// the global and local tables read as one, then appends the survivors to
-/// the global sets, whose hubs all rank above them.
+/// the global table from `hubs.start` on (see the module doc) and the whole
+/// local table, read as one, then appends the survivors to the global sets.
 fn clean_and_commit(
     global: &mut [LabelSet],
     local: &[Vec<LabelEntry>],
     hubs: Range<u32>,
     ranking: &Ranking,
 ) {
-    let kept = clean_superstep(&(&*global, local), local, hubs, ranking);
+    let committed = FromHub {
+        sets: global,
+        floor: hubs.start,
+    };
+    let kept = clean_superstep(&(&committed, local), local, hubs, ranking);
     commit(global, kept);
 }
 

@@ -14,10 +14,16 @@
 //! `n`. A pruned tree pays about one label-set probe per vertex it visits,
 //! and a probe costs on the order of `L̄`, so the break-even Ψ grows with the
 //! labeling instead of being one constant for every graph family (Figure 6
-//! shows no single `Ψ_th` suits both road and scale-free graphs). With the
-//! default factor 1.0, scale-free graphs switch after a few hundred trees,
-//! while road grids never reach it and are PLaNTed whole — the fastest
-//! construction there.
+//! shows no single `Ψ_th` suits both road and scale-free graphs). The default
+//! factor is 0.03. Once the first `psi_window` trees are in, windowed Ψ/L̄
+//! already reads 0.06–0.10 on the benchmark's road grids and about 0.3 on
+//! its scale-free graphs, so both families switch as soon as the window is
+//! full. PLaNTing a grid whole was the fastest construction only while
+//! GLL's cleaning re-read every committed hub; now that it reads only the
+//! superstep's own hubs, GLL's trees are the cheaper way to finish a grid
+//! too. A factor near a graph's Ψ/L̄ makes the switch point depend on which
+//! thread finishes first (at 0.1 the 80×80 grid switched after 69 trees in
+//! one run and 353 in the next); labels are the same at any switch point.
 //!
 //! The same structure pays off on a single node: the first GLL superstep
 //! normally generates far more than `α·n` labels because no global labels
@@ -306,8 +312,8 @@ mod tests {
         let planted = result.stats.planted_trees;
         assert!((64..=300).contains(&planted), "planted {planted} of 2000");
 
-        // Road-like: Ψ stays well below the average label size, so every
-        // tree is PLaNTed.
+        // Road-like: Ψ/L̄ peaks near 0.1, above the default factor, so the
+        // grid switches once the window is full and GLL finishes it.
         let g = grid_network(
             &GridOptions {
                 rows: 40,
@@ -326,10 +332,16 @@ mod tests {
             },
             7,
         );
-        let result = shared_hybrid(&g, &ranking, &LabelingConfig::default().with_threads(2));
+        let config = LabelingConfig::default().with_threads(2);
+        let result = shared_hybrid(&g, &ranking, &config);
         assert_eq!(result.index, sequential_pll(&g, &ranking).index);
-        assert_eq!(result.stats.planted_trees, g.num_vertices());
-        assert_eq!(result.stats.supersteps, 0);
+        let planted = result.stats.planted_trees;
+        let n = g.num_vertices();
+        assert!(
+            (config.psi_window..=n / 4).contains(&planted),
+            "planted {planted} of {n}"
+        );
+        assert!(result.stats.supersteps >= 1);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! one run per layer, a locked slot scanned under its lock, nothing copied
 //! — and [`LabelAccess`] adds the append, so the pruned-Dijkstra kernel
 //! serves PLL, paraPLL, LCC and GLL unchanged and the cleaning kernel reads
-//! committed and in-flight labels alike.
+//! committed and in-flight labels alike. [`FromHub`] reads committed sets
+//! from one hub on, the part of them a GLL superstep's clean needs.
 
 use parking_lot::Mutex;
 
@@ -45,6 +46,29 @@ impl LabelRuns for [LabelSet] {
 impl LabelRuns for [Vec<LabelEntry>] {
     fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
         f(&self[v as usize])
+    }
+}
+
+/// Hub-sorted sets read from hub `floor` on: each run starts at the first
+/// entry whose hub is at least `floor`.
+pub struct FromHub<'a> {
+    /// One hub-sorted set per vertex.
+    pub sets: &'a [LabelSet],
+    /// The smallest hub rank position read.
+    pub floor: u32,
+}
+
+impl LabelRuns for FromHub<'_> {
+    fn any_run(&self, v: VertexId, mut f: impl FnMut(&[LabelEntry]) -> bool) -> bool {
+        let entries = self.sets[v as usize].entries();
+        // Most sets end below the floor, and their last entry says so
+        // without a binary search through the rest.
+        match entries.last() {
+            Some(last) if last.hub >= self.floor => {
+                f(&entries[entries.partition_point(|e| e.hub < self.floor)..])
+            }
+            _ => false,
+        }
     }
 }
 
@@ -192,6 +216,27 @@ mod tests {
             }
         });
         assert_eq!(t.total_labels(), 400);
+    }
+
+    #[test]
+    fn from_hub_skips_hubs_below_the_floor() {
+        let sets = vec![LabelSet::from_entries(vec![
+            LabelEntry::new(0, 1),
+            LabelEntry::new(3, 2),
+            LabelEntry::new(5, 3),
+        ])];
+        let read = |floor| {
+            let mut hubs = Vec::new();
+            FromHub { sets: &sets, floor }.any_run(0, |run| {
+                hubs.extend(run.iter().map(|e| e.hub));
+                false
+            });
+            hubs
+        };
+        assert_eq!(read(0), vec![0, 3, 5]);
+        assert_eq!(read(3), vec![3, 5]);
+        assert_eq!(read(4), vec![5]);
+        assert_eq!(read(6), Vec::<u32>::new());
     }
 
     #[test]

@@ -146,6 +146,10 @@ pub(crate) fn dgll_superstep(
         .comm()
         .record_allreduce(superstep.labels_generated.div_ceil(8).max(1));
     let in_flight_total: usize = in_flight.iter().map(Vec::len).sum();
+    // Every partition is read in full, not from `range.0` on as GLL reads
+    // its global table: a node pruned only with its own partition and the
+    // common table, so a witness hub below `range.0` that another node owns
+    // was never consulted, and the labels it covers are still here.
     let kept = clean_superstep(
         &(&AllPartitions(own_partitions), &in_flight[..]),
         &in_flight[..],
@@ -288,6 +292,48 @@ mod tests {
         assert!(comm.allreduces as usize >= d.metrics.supersteps.len());
         // DGLL produces redundant labels that cleaning removes.
         assert!(d.metrics.labels_generated() >= d.assemble().total_labels());
+    }
+
+    #[test]
+    fn clean_removes_labels_covered_by_another_nodes_earlier_hub() {
+        // Triangle 0-1-2 under the identity ranking, with the edge 1-2 as
+        // long as the path through hub 0. Superstep 0..1 commits hub 0 on
+        // node 0. In superstep 1..3 node 1 grows hub 1's tree: it cannot
+        // see hub 0's labels, so it reaches vertex 2 over the edge and
+        // labels it (2, hub 1, 2), which hub 0 covers: 1 + 1 <= 2. Only a
+        // clean that reads committed hubs below the superstep removes it.
+        let mut b = chl_graph::GraphBuilder::new_undirected();
+        b.add_edge(0, 1, 1);
+        b.add_edge(0, 2, 1);
+        b.add_edge(1, 2, 2);
+        let g = b.build().unwrap();
+        let ranking = Ranking::identity(3);
+        let cluster = cluster(2);
+        let config = DistributedConfig {
+            common_hubs: 0,
+            ..config()
+        };
+        let partition = TaskPartition::new(2, 3);
+        let mut own = vec![vec![LabelSet::new(); 3]; 2];
+        let mut common = CommonLabelTable::with_eta(3, 0);
+        for range in [(0, 1), (1, 3)] {
+            let step = dgll_superstep(
+                &g,
+                &ranking,
+                &cluster,
+                &config,
+                &partition,
+                range,
+                &mut own,
+                &mut common,
+            );
+            if range.0 == 1 {
+                assert_eq!(step.labels_deleted, 1);
+            }
+        }
+        assert!(!own[1][2].contains_hub(1));
+        let d = DistributedLabeling::new(own, ranking.clone(), RunMetrics::new("DGLL", 2));
+        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
     }
 
     #[test]
