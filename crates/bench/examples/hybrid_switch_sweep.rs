@@ -61,10 +61,8 @@ fn phases(result: &LabelingResult, t: Duration) -> String {
 }
 
 /// Peak of windowed Ψ over `L̄` across the PLaNTed trees, replayed in rank
-/// order.
-fn peak_psi_over_label_size(planted: &[SptRecord], window: usize, n: usize) -> f64 {
-    let mut records = planted.to_vec();
-    records.sort_unstable_by_key(|r| r.root_position);
+/// order (`records` ascend by root position).
+fn peak_psi_over_label_size(records: &[SptRecord], window: usize, n: usize) -> f64 {
     let mut total_labels = 0usize;
     let mut peak = 0.0f64;
     for (i, r) in records.iter().enumerate() {
@@ -101,7 +99,8 @@ fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
             "{name}: Hybrid at factor {factor} differs from LCC"
         );
         let planted = hybrid.stats.planted_trees;
-        // Hybrid lists the PLaNTed trees' records first.
+        // Hybrid's records ascend by root position, so the PLaNTed trees
+        // come first, already in rank order.
         let peak =
             peak_psi_over_label_size(&hybrid.stats.spt_records[..planted], config.psi_window, n);
         println!(

@@ -6,8 +6,9 @@ use serde::{Deserialize, Serialize};
 /// the paper's notation where one exists.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LabelingConfig {
-    /// Number of worker threads (`p` in the paper). `0` means "use all
-    /// available parallelism".
+    /// Number of worker threads (`p` in the paper). `0` means the `rayon`
+    /// shim's current count: the innermost `rayon::with_threads`, else
+    /// `RAYON_NUM_THREADS`, else all available parallelism.
     pub num_threads: usize,
     /// GLL synchronization threshold `α`: a superstep's label construction
     /// phase ends once the local table holds more than `α · n` labels. The
@@ -45,14 +46,12 @@ impl Default for LabelingConfig {
 }
 
 impl LabelingConfig {
-    /// Resolves `num_threads == 0` to the machine's available parallelism.
+    /// Resolves `num_threads == 0` to `rayon::current_num_threads()`, the
+    /// count every other parallel call of the process uses.
     pub fn effective_threads(&self) -> usize {
-        if self.num_threads > 0 {
-            self.num_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+        match self.num_threads {
+            0 => rayon::current_num_threads(),
+            n => n,
         }
     }
 

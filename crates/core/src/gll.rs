@@ -13,33 +13,34 @@
 //! drastically reduces locking during pruning queries — the two effects the
 //! paper credits for GLL's speedup over LCC (Figure 7).
 //!
-//! A superstep's roots are a contiguous range of rank positions `[w, p)`.
-//! Cleaning is [`clean_superstep`] over the global and local tables read as
-//! one, and committing appends the survivors to the global sets in hub
-//! order: no combined copy of the labeling, no merge.
+//! A superstep is one pass of the root scheduler with the `α·n` cutoff as
+//! its stop rule, so its roots are a contiguous range of rank positions
+//! `[w, p)`. Cleaning is [`clean_superstep`] over the global and local
+//! tables read as one, and committing appends the survivors to the global
+//! sets in hub order: no combined copy of the labeling, no merge.
 //!
 //! The clean reads each global set only from hub `w` on ([`FromHub`]).
 //! This is Pruned Landmark Labeling's invariant (Akiba, Iwata, Yoshida,
 //! SIGMOD 2013): every hub below `w` was committed before the superstep
 //! began, so every pruning query of the superstep already consulted it,
 //! and no local label can be redundant through it. A witness can only be a
-//! hub in `[w, p)`, in either table: Hybrid seeds the global table with
-//! trees PLaNTed past its resume point, which can sit inside the first
-//! superstep's range.
+//! hub in `[w, p)`. The clean looks for it in both tables, so it stays exact
+//! for a global table seeded with hubs at or above `w`; Hybrid's seed is not
+//! one, as every tree it PLaNTs lies below the position GLL resumes at.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::cleaning::{clean_superstep, commit};
 use crate::config::LabelingConfig;
-use crate::index::{HubLabelIndex, LabelingResult};
+use crate::index::LabelingResult;
 use crate::labels::{LabelEntry, LabelSet};
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
+use crate::schedule;
 use crate::stats::ConstructionStats;
 use crate::table::{ConcurrentLabelTable, FromHub, GllTables};
 
@@ -55,126 +56,84 @@ pub fn gll(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> Labeling
 }
 
 pub(crate) fn gll_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> LabelingResult {
-    let n = g.num_vertices();
-    gll_from_state(g, ranking, config, vec![LabelSet::new(); n], 0)
+    let start = Instant::now();
+    let mut stats = ConstructionStats::new("GLL");
+    stats.supersteps = 0;
+    let empty = vec![LabelSet::new(); g.num_vertices()];
+    let global = gll_from_state(g, ranking, config, empty, 0, &mut stats);
+    LabelingResult::finish(global, ranking, stats, start)
 }
 
-/// Runs GLL starting from pre-existing committed labels (`initial_global`,
-/// one set per vertex) and from rank position `start_position` onwards.
+/// Runs GLL supersteps over the roots from rank position `start_position`
+/// on, on top of the committed labels `global` (one set per vertex), and
+/// returns the completed global table. Sets `stats.threads`; each
+/// superstep adds its records, queries, phase times and generated labels.
 ///
-/// This is the continuation entry point used by the Hybrid constructors: the
-/// PLaNT phase produces canonical labels for the most important roots, which
-/// become GLL's initial global table, and pruned construction resumes at the
-/// first un-PLaNTed root.
-pub fn gll_from_state(
+/// Hybrid continues here after PLaNTing the most important roots, whose
+/// canonical labels become the initial global table.
+pub(crate) fn gll_from_state(
     g: &CsrGraph,
     ranking: &Ranking,
     config: &LabelingConfig,
-    initial_global: Vec<LabelSet>,
+    mut global: Vec<LabelSet>,
     start_position: u32,
-) -> LabelingResult {
-    let start = Instant::now();
+    stats: &mut ConstructionStats,
+) -> Vec<LabelSet> {
     let n = g.num_vertices();
-    let threads = config.effective_threads().max(1);
-    let mut stats = ConstructionStats::new("GLL");
+    debug_assert_eq!(global.len(), n);
+    let threads = config.effective_threads();
     stats.threads = threads;
-    stats.supersteps = 0;
-
-    debug_assert_eq!(initial_global.len(), n);
-    let mut global: Vec<LabelSet> = initial_global;
-    let next_root = AtomicU32::new(start_position);
     let superstep_threshold = (config.alpha.max(1.0) * n as f64) as usize;
+    // Rank and distance queries, both on by default.
+    let opts = PruneOptions::default();
+    // Both live across supersteps: `drain_all` empties the local table.
+    let local = ConcurrentLabelTable::new(n);
+    let mut scratch: Vec<_> = (0..threads).map(|_| DijkstraScratch::new(n)).collect();
 
-    let mut construction_time = Duration::ZERO;
-    let mut cleaning_time = Duration::ZERO;
-    let mut labels_generated_total = 0usize;
-
-    // ORDERING: read between supersteps, after the worker scope has joined —
-    // the join is the synchronization point, so Relaxed is enough here.
-    while (next_root.load(Ordering::Relaxed) as usize) < n {
+    let mut first_root = start_position;
+    while (first_root as usize) < n {
         stats.supersteps += 1;
-        // ORDERING: read between supersteps, like the loop condition.
-        let first_root = next_root.load(Ordering::Relaxed);
-        let local = ConcurrentLabelTable::new(n);
-        let superstep_labels = AtomicUsize::new(0);
-        let records = Mutex::new(Vec::new());
-        let queries = Mutex::new(0usize);
 
         // --- Label construction until the local table exceeds α·n labels ---
         let phase_start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut scratch = DijkstraScratch::new(n);
-                    let tables = GllTables {
-                        global: &global,
-                        local: &local,
-                    };
-                    let opts = PruneOptions {
-                        rank_query: true,
-                        ..Default::default()
-                    };
-                    let mut local_records = Vec::new();
-                    let mut local_queries = 0usize;
-                    loop {
-                        // ORDERING: advisory superstep cutoff — a slightly
-                        // stale read only shifts where a worker stops, never
-                        // correctness; Relaxed suffices.
-                        if superstep_labels.load(Ordering::Relaxed) > superstep_threshold {
-                            break;
-                        }
-                        // ORDERING: root claiming — the fetch_add's RMW
-                        // atomicity alone makes positions unique; label data
-                        // is published via the table's own locks and the
-                        // scope join, not through this counter.
-                        let pos = next_root.fetch_add(1, Ordering::Relaxed);
-                        if pos as usize >= n {
-                            break;
-                        }
-                        let root = ranking.vertex_at(pos);
-                        let (record, q) =
-                            pruned_dijkstra(g, ranking, root, &tables, opts, &mut scratch);
-                        // ORDERING: advisory counter feeding the cutoff
-                        // above; no other memory is published through it.
-                        superstep_labels.fetch_add(record.labels_generated, Ordering::Relaxed);
-                        local_records.push(record);
-                        local_queries += q;
-                    }
-                    records.lock().extend(local_records);
-                    *queries.lock() += local_queries;
-                });
-            }
-        });
-        construction_time += phase_start.elapsed();
-        stats.spt_records.extend(records.into_inner());
-        stats.distance_queries += queries.into_inner();
+        let superstep_labels = AtomicUsize::new(0);
+        let tables = GllTables {
+            global: &global,
+            local: &local,
+        };
+        let pass = schedule::run(
+            &mut scratch,
+            first_root..n as u32,
+            |record| {
+                let labels = record.labels_generated;
+                // ORDERING: advisory counter feeding the superstep cutoff; a
+                // stale sum only shifts where the workers stop, and no other
+                // memory is published through it.
+                superstep_labels.fetch_add(labels, Ordering::Relaxed) + labels > superstep_threshold
+            },
+            |scratch, pos| {
+                pruned_dijkstra(g, ranking, ranking.vertex_at(pos), &tables, opts, scratch)
+            },
+        );
+        stats.construction_time += phase_start.elapsed();
+        stats.spt_records.extend(pass.records);
+        stats.distance_queries += pass.queries;
 
         // --- Interleaved cleaning of the local table only ---
         let clean_start = Instant::now();
         let local_entries = local.drain_all();
-        labels_generated_total += local_entries.iter().map(Vec::len).sum::<usize>();
-
-        // The roots claimed this superstep; every claim below `n` ran.
-        // ORDERING: read after the worker scope joined, like the loop
-        // condition.
-        let hubs = first_root..next_root.load(Ordering::Relaxed).min(n as u32);
+        stats.labels_before_cleaning += local_entries.iter().map(Vec::len).sum::<usize>();
         // The cleaning pass is parallel; pin it to the configured thread
         // count so `--threads 1` caps the whole build, not just the
-        // construction scope.
+        // construction.
+        let hubs = first_root..pass.end;
         rayon::with_threads(threads, || {
             clean_and_commit(&mut global, &local_entries, hubs, ranking);
         });
-        cleaning_time += clean_start.elapsed();
+        stats.cleaning_time += clean_start.elapsed();
+        first_root = pass.end;
     }
-
-    let index = HubLabelIndex::new(global, ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    stats.construction_time = construction_time;
-    stats.cleaning_time = cleaning_time;
-    stats.total_time = start.elapsed();
-    stats.labels_before_cleaning = labels_generated_total;
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+    global
 }
 
 /// The end of a superstep: cleans the local labels (hubs `hubs`) against

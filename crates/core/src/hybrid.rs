@@ -25,23 +25,26 @@
 //! thread finishes first (at 0.1 the 80×80 grid switched after 69 trees in
 //! one run and 353 in the next); labels are the same at any switch point.
 //!
+//! Both phases run on the root scheduler. The PLaNT phase is one pass whose
+//! stop rule feeds every finished tree to the Ψ window; trees already
+//! claimed when it fires still finish, so the pass's end is the first root
+//! not PLaNTed, and GLL's supersteps resume there.
+//!
 //! The same structure pays off on a single node: the first GLL superstep
 //! normally generates far more than `α·n` labels because no global labels
 //! exist yet to prune with (§7.2) — PLaNTing that prefix removes the problem,
 //! which is exactly the fix the paper suggests for shared memory.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Mutex as StdMutex;
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
+use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
 use crate::gll::gll_from_state;
 use crate::index::LabelingResult;
-use crate::labels::{LabelEntry, LabelSet};
-use crate::plant::{plant_dijkstra, CommonLabelTable, PlantScratch};
+use crate::plant::plant_trees;
 use crate::stats::ConstructionStats;
 use crate::table::ConcurrentLabelTable;
 
@@ -63,110 +66,35 @@ pub(crate) fn shared_hybrid_impl(
 ) -> LabelingResult {
     let start = Instant::now();
     let n = g.num_vertices();
-    let threads = config.effective_threads().max(1);
+    let mut stats = ConstructionStats::new("Hybrid(PLaNT+GLL)");
+    stats.supersteps = 0;
 
     // ---- Phase 1: PLaNT roots in rank order until Ψ outgrows the labels ----
     let table = ConcurrentLabelTable::new(n);
-    let next_root = AtomicU32::new(0);
-    let stop = AtomicBool::new(false);
-    let records = StdMutex::new(Vec::new());
-    let psi_state = StdMutex::new(PsiWindow::new(config.psi_window));
-    let common = CommonLabelTable::empty(n);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = PlantScratch::new(n);
-                let mut local_records = Vec::new();
-                loop {
-                    // ORDERING: advisory stop flag — a missed update only
-                    // costs one extra tree before the worker re-checks;
-                    // Relaxed suffices.
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // ORDERING: root claiming — the fetch_add's RMW
-                    // atomicity alone makes positions unique; labels are
-                    // published via the common table's locks and the scope
-                    // join.
-                    let pos = next_root.fetch_add(1, Ordering::Relaxed);
-                    if pos as usize >= n {
-                        break;
-                    }
-                    let root = ranking.vertex_at(pos);
-                    let tree = plant_dijkstra(
-                        g,
-                        ranking,
-                        root,
-                        config.early_termination,
-                        &common,
-                        &mut scratch,
-                    );
-                    for &(v, d) in &tree.labels {
-                        table.append(v, LabelEntry::new(pos, d));
-                    }
-                    let record = tree.record();
-                    let switch = {
-                        let mut window = psi_state.lock().expect("psi window lock");
-                        window.observe(record.vertices_explored, record.labels_generated);
-                        window.average() > config.psi_threshold * window.average_label_size(n)
-                    };
-                    local_records.push(record);
-                    if switch {
-                        // ORDERING: advisory stop flag, see the load above.
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                records.lock().expect("records lock").extend(local_records);
-            });
-        }
+    let window = Mutex::new(PsiWindow::new(config.psi_window));
+    let planted = plant_trees(g, ranking, config, &table, |record| {
+        let mut window = window.lock();
+        window.observe(record.vertices_explored, record.labels_generated);
+        window.average() > config.psi_threshold * window.average_label_size(n)
     });
-
-    let planted_records = records.into_inner().expect("records lock poisoned");
-    let planted_trees = planted_records.len();
-    let plant_time = start.elapsed();
-
-    // Labels PLaNTed so far are canonical and complete for their roots: they
-    // seed GLL's global table directly, no cleaning required.
-    let global: Vec<LabelSet> = table.into_label_sets();
+    stats.planted_trees = planted.records.len();
+    stats.labels_before_cleaning = planted.records.iter().map(|r| r.labels_generated).sum();
+    stats.spt_records = planted.records;
+    stats.construction_time = start.elapsed();
 
     // ---- Phase 2: pruned GLL supersteps over the remaining roots ----
-    // The claimed-but-unprocessed positions are bounded by `planted_trees`
-    // having consumed positions 0..k where k = number of processed roots;
-    // because the stop flag can fire while several claims are in flight we
-    // recover the exact resume point as the number of processed SPTs (each
-    // claimed position below it was processed — threads never skip a claim).
-    let resume_from = {
-        // Positions are claimed contiguously; a position is processed unless a
-        // thread observed `stop` before running it. The safe resume point is
-        // the smallest unprocessed position.
-        let mut processed = vec![false; n];
-        for r in &planted_records {
-            processed[r.root_position as usize] = true;
-        }
-        processed.iter().position(|&p| !p).unwrap_or(n)
-    } as u32;
-
-    let planted_labels: usize = planted_records.iter().map(|r| r.labels_generated).sum();
-    let mut result = gll_from_state(g, ranking, config, global, resume_from);
-
-    let mut stats = ConstructionStats::new("Hybrid(PLaNT+GLL)");
-    stats.threads = threads;
-    stats.planted_trees = planted_trees;
-    stats.supersteps = result.stats.supersteps;
-    stats.spt_records = planted_records;
-    stats
-        .spt_records
-        .extend(result.stats.spt_records.iter().copied());
-    stats.distance_queries = result.stats.distance_queries;
-    stats.construction_time = plant_time + result.stats.construction_time;
-    stats.cleaning_time = result.stats.cleaning_time;
-    stats.labels_before_cleaning = planted_labels + result.stats.labels_before_cleaning;
-    stats.labels_after_cleaning = result.index.total_labels();
-    stats.total_time = start.elapsed();
-    result.stats = stats;
-    result
+    // Labels PLaNTed so far are canonical and complete for their roots: they
+    // seed GLL's global table directly, no cleaning required. Every root
+    // below the pass's end was PLaNTed, so GLL resumes there.
+    let global = gll_from_state(
+        g,
+        ranking,
+        config,
+        table.into_label_sets(),
+        planted.end,
+        &mut stats,
+    );
+    LabelingResult::finish(global, ranking, stats, start)
 }
 
 /// Moving average of Ψ over the most recent SPTs, beside the running total

@@ -1,6 +1,8 @@
 //! The queryable hub-label index: every vertex's label set plus the ranking
 //! that gives hubs their meaning.
 
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 
 use chl_graph::types::{Distance, VertexId};
@@ -25,6 +27,23 @@ pub struct LabelingResult {
     pub index: HubLabelIndex,
     /// Instrumentation collected while constructing it.
     pub stats: ConstructionStats,
+}
+
+impl LabelingResult {
+    /// A constructor's final label sets as a result: `stats` gets the total
+    /// time since `start` and the label count after cleaning.
+    pub(crate) fn finish(
+        labels: Vec<LabelSet>,
+        ranking: &Ranking,
+        mut stats: ConstructionStats,
+        start: Instant,
+    ) -> Self {
+        let index = HubLabelIndex::new(labels, ranking.clone())
+            .expect("constructor produced one label set per vertex");
+        stats.labels_after_cleaning = index.total_labels();
+        stats.total_time = start.elapsed();
+        LabelingResult { index, stats }
+    }
 }
 
 impl HubLabelIndex {

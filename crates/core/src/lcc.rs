@@ -1,8 +1,9 @@
 //! LCC — Label Construction and Cleaning (Algorithm 2 of the paper).
 //!
 //! LCC treats the simultaneous construction of many SPTs as an *optimistic*
-//! parallelization of PLL: worker threads claim roots in rank order and run
-//! pruned Dijkstra **with rank queries** concurrently. Rank queries guarantee
+//! parallelization of PLL: worker threads claim roots in rank order from the
+//! root scheduler and run pruned Dijkstra **with rank queries**
+//! concurrently. Rank queries guarantee
 //! two invariants the later cleaning pass depends on:
 //!
 //! * a vertex is only ever labeled by hubs at least as important as itself,
@@ -12,19 +13,17 @@
 //! The optimistic phase may still insert labels that are not canonical; a
 //! single cleaning pass (Lemma 2) removes exactly those, leaving the CHL.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::cleaning::clean_labels;
 use crate::config::LabelingConfig;
-use crate::index::{HubLabelIndex, LabelingResult};
-use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
+use crate::index::LabelingResult;
+use crate::pll::pruned_trees;
+use crate::pruned_dijkstra::PruneOptions;
 use crate::stats::ConstructionStats;
-use crate::table::ConcurrentLabelTable;
 
 /// Runs the two-phase LCC algorithm and returns the Canonical Hub Labeling.
 ///
@@ -39,66 +38,25 @@ pub fn lcc(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> Labeling
 
 pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> LabelingResult {
     let start = Instant::now();
-    let n = g.num_vertices();
-    let threads = config.effective_threads().max(1);
-    let table = ConcurrentLabelTable::new(n);
-    let next_root = AtomicU32::new(0);
-    let records = Mutex::new(Vec::with_capacity(n));
-    let query_count = Mutex::new(0usize);
+    let threads = config.effective_threads();
+    let mut stats = ConstructionStats::new("LCC");
+    stats.threads = threads;
 
-    // Phase LCC-I: optimistic parallel label construction with rank queries.
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = DijkstraScratch::new(n);
-                let opts = PruneOptions {
-                    rank_query: true,
-                    ..Default::default()
-                };
-                let mut local_records = Vec::new();
-                let mut local_queries = 0usize;
-                loop {
-                    // ORDERING: root claiming — the fetch_add's RMW
-                    // atomicity alone makes positions unique; results are
-                    // published via the records mutex and the scope join.
-                    let pos = next_root.fetch_add(1, Ordering::Relaxed);
-                    if pos as usize >= n {
-                        break;
-                    }
-                    let root = ranking.vertex_at(pos);
-                    let (record, queries) =
-                        pruned_dijkstra(g, ranking, root, &table, opts, &mut scratch);
-                    local_records.push(record);
-                    local_queries += queries;
-                }
-                records.lock().extend(local_records);
-                *query_count.lock() += local_queries;
-            });
-        }
-    });
-    let construction_time = start.elapsed();
+    // Phase LCC-I: optimistic parallel label construction with rank queries
+    // (on by default).
+    let (constructed, pass) = pruned_trees(g, ranking, threads, PruneOptions::default());
+    stats.spt_records = pass.records;
+    stats.distance_queries = pass.queries;
+    stats.construction_time = start.elapsed();
 
     // Phase LCC-II: sort the label sets and delete every redundant label.
     // The parallel cleaning pass is pinned to the configured thread count
     // so `--threads` caps the whole build, not just phase I.
-    let constructed = table.into_label_sets();
-    let labels_before: usize = constructed.iter().map(|s| s.len()).sum();
+    stats.labels_before_cleaning = constructed.iter().map(|s| s.len()).sum();
     let clean_start = Instant::now();
     let (cleaned, _removed) = rayon::with_threads(threads, || clean_labels(&constructed, ranking));
-    let cleaning_time = clean_start.elapsed();
-
-    let index = HubLabelIndex::new(cleaned, ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    let mut stats = ConstructionStats::new("LCC");
-    stats.threads = threads;
-    stats.spt_records = records.into_inner();
-    stats.distance_queries = query_count.into_inner();
-    stats.construction_time = construction_time;
-    stats.cleaning_time = cleaning_time;
-    stats.total_time = start.elapsed();
-    stats.labels_before_cleaning = labels_before;
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+    stats.cleaning_time = clean_start.elapsed();
+    LabelingResult::finish(cleaned, ranking, stats, start)
 }
 
 #[cfg(test)]

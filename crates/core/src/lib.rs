@@ -56,6 +56,10 @@
 //! | `Plant` | [`plant::plant_labeling`] | §5.2, Alg. 3 | yes | embarrassingly parallel, no pruning queries ⇒ CHL |
 //! | `Hybrid` | [`hybrid::shared_hybrid`] | §5.2.1 (shared-memory variant) | yes | PLaNT for the label-heavy prefix, GLL for the tail |
 //!
+//! Every one of them is a composition of tree kernel × tables × stop rule ×
+//! clean over one crate-private root scheduler (`schedule.rs`), which claims
+//! root positions in rank order on the `rayon` shim's workers.
+//!
 //! The per-module free functions remain as thin, panicking wrappers over the
 //! corresponding [`api::Labeler`] so pre-builder call sites keep compiling;
 //! new code should use the builder, which reports invalid input as
@@ -130,6 +134,7 @@ pub mod persist;
 pub mod plant;
 pub mod pll;
 pub mod pruned_dijkstra;
+mod schedule;
 pub mod stats;
 pub mod table;
 

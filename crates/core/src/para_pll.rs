@@ -1,7 +1,8 @@
 //! Shared-memory paraPLL (Qiu et al.) — the paper's `SparaPLL` baseline.
 //!
-//! Worker threads repeatedly pop the most important unprocessed vertex from a
-//! shared counter and run pruned Dijkstra from it, *without* rank queries.
+//! Worker threads claim roots in rank order from the root scheduler and run
+//! pruned Dijkstra from each, *without* rank queries: PLL's composition on
+//! more than one thread, with no clean.
 //! Because several SPTs are in flight concurrently, a tree rooted at a less
 //! important vertex may label vertices that a still-running more important
 //! tree would have covered; the resulting labeling satisfies the cover
@@ -9,18 +10,13 @@
 //! redundant labels and its size grows with the number of threads — exactly
 //! the behaviour the paper criticizes in §3 and Table 3 / Figure 9.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
-
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
-use crate::index::{HubLabelIndex, LabelingResult};
-use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
-use crate::stats::ConstructionStats;
-use crate::table::ConcurrentLabelTable;
+use crate::index::LabelingResult;
+use crate::pll::pruned_labeling;
+use crate::pruned_dijkstra::PruneOptions;
 
 /// Runs shared-memory paraPLL with `config.num_threads` workers.
 ///
@@ -33,61 +29,18 @@ pub fn spara_pll(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> La
         .unwrap_or_else(|e| panic!("spara_pll: {e}"))
 }
 
+/// PLL's pruned trees on `config`'s thread count, still without rank
+/// queries and without a clean.
 pub(crate) fn spara_pll_impl(
     g: &CsrGraph,
     ranking: &Ranking,
     config: &LabelingConfig,
 ) -> LabelingResult {
-    let start = Instant::now();
-    let n = g.num_vertices();
-    let threads = config.effective_threads().max(1);
-    let table = ConcurrentLabelTable::new(n);
-    let next_root = AtomicU32::new(0);
-    let records = Mutex::new(Vec::with_capacity(n));
-    let query_count = Mutex::new(0usize);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = DijkstraScratch::new(n);
-                let opts = PruneOptions {
-                    rank_query: false,
-                    ..Default::default()
-                };
-                let mut local_records = Vec::new();
-                let mut local_queries = 0usize;
-                loop {
-                    // ORDERING: root claiming — the fetch_add's RMW
-                    // atomicity alone makes positions unique; results are
-                    // published via the records mutex and the scope join.
-                    let pos = next_root.fetch_add(1, Ordering::Relaxed);
-                    if pos as usize >= n {
-                        break;
-                    }
-                    let root = ranking.vertex_at(pos);
-                    let (record, queries) =
-                        pruned_dijkstra(g, ranking, root, &table, opts, &mut scratch);
-                    local_records.push(record);
-                    local_queries += queries;
-                }
-                records.lock().extend(local_records);
-                *query_count.lock() += local_queries;
-            });
-        }
-    });
-
-    let mut stats = ConstructionStats::new("SparaPLL");
-    stats.threads = threads;
-    stats.spt_records = records.into_inner();
-    stats.distance_queries = query_count.into_inner();
-    stats.construction_time = start.elapsed();
-    stats.total_time = start.elapsed();
-
-    let index = HubLabelIndex::new(table.into_label_sets(), ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    stats.labels_before_cleaning = index.total_labels();
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+    let opts = PruneOptions {
+        rank_query: false,
+        ..Default::default()
+    };
+    pruned_labeling(g, ranking, config.effective_threads(), opts, "SparaPLL")
 }
 
 #[cfg(test)]

@@ -22,20 +22,22 @@
 //!   `η` most important hubs are available (the *Common Label Table*),
 //!   distance queries against them can prune the traversal without risking
 //!   redundant labels.
+//!
+//! [`plant_labeling`] PLaNTs every root in one pass of the root scheduler;
+//! Hybrid runs the same pass (`plant_trees`) with its Ψ stop rule.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 use chl_graph::sssp::heap::DistanceQueue;
 use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
-use parking_lot::Mutex;
 
 use crate::config::LabelingConfig;
-use crate::index::{HubLabelIndex, LabelingResult};
+use crate::index::LabelingResult;
 use crate::labels::{HubDistances, LabelEntry, LabelSet};
-use crate::stats::{ConstructionStats, SptRecord};
+use crate::schedule::{self, Pass};
+use crate::stats::SptRecord;
 use crate::table::ConcurrentLabelTable;
 
 /// Labels of the `η` most important hubs, replicated everywhere (§5.3). Both
@@ -278,63 +280,43 @@ pub(crate) fn plant_labeling_impl(
     config: &LabelingConfig,
 ) -> LabelingResult {
     let start = Instant::now();
+    let table = ConcurrentLabelTable::new(g.num_vertices());
+    let pass = plant_trees(g, ranking, config, &table, |_| false);
+    let threads = config.effective_threads();
+    let mut result = pass.uncleaned("PLaNT", threads, table.into_label_sets(), ranking, start);
+    result.stats.planted_trees = g.num_vertices();
+    result
+}
+
+/// PLaNTs roots in rank order from position 0 on `config`'s thread count,
+/// appending each tree's labels to `table`, until `stop` ends the pass (see
+/// [`schedule::run`]): PLaNT runs every root, Hybrid stops at its Ψ switch.
+pub(crate) fn plant_trees(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    config: &LabelingConfig,
+    table: &ConcurrentLabelTable,
+    stop: impl Fn(&SptRecord) -> bool + Sync,
+) -> Pass {
     let n = g.num_vertices();
-    let threads = config.effective_threads().max(1);
-    let table = ConcurrentLabelTable::new(n);
-    let next_root = AtomicU32::new(0);
-    let records = Mutex::new(Vec::with_capacity(n));
     let common = CommonLabelTable::empty(n);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = PlantScratch::new(n);
-                let mut local_records = Vec::new();
-                loop {
-                    // ORDERING: root claiming — the fetch_add's RMW
-                    // atomicity alone makes positions unique; labels are
-                    // published via the common table's locks and the scope
-                    // join.
-                    let pos = next_root.fetch_add(1, Ordering::Relaxed);
-                    if pos as usize >= n {
-                        break;
-                    }
-                    let root = ranking.vertex_at(pos);
-                    let tree = plant_dijkstra(
-                        g,
-                        ranking,
-                        root,
-                        config.early_termination,
-                        &common,
-                        &mut scratch,
-                    );
-                    for &(v, d) in &tree.labels {
-                        table.append(v, LabelEntry::new(pos, d));
-                    }
-                    local_records.push(tree.record());
-                }
-                records.lock().extend(local_records);
-            });
+    let mut scratch: Vec<_> = (0..config.effective_threads())
+        .map(|_| PlantScratch::new(n))
+        .collect();
+    schedule::run(&mut scratch, 0..n as u32, stop, |scratch, pos| {
+        let root = ranking.vertex_at(pos);
+        let tree = plant_dijkstra(g, ranking, root, config.early_termination, &common, scratch);
+        for &(v, d) in &tree.labels {
+            table.append(v, LabelEntry::new(pos, d));
         }
-    });
-
-    let mut stats = ConstructionStats::new("PLaNT");
-    stats.threads = threads;
-    stats.spt_records = records.into_inner();
-    stats.planted_trees = n;
-    stats.construction_time = start.elapsed();
-    stats.total_time = start.elapsed();
-
-    let index = HubLabelIndex::new(table.into_label_sets(), ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    stats.labels_before_cleaning = index.total_labels();
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+        (tree.record(), 0)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::HubLabelIndex;
     use crate::pll::sequential_pll;
     use chl_graph::generators::{barabasi_albert, erdos_renyi, grid_network, GridOptions};
     use chl_graph::GraphBuilder;

@@ -1,14 +1,19 @@
 //! Sequential Pruned Landmark Labeling (Akiba et al.), the paper's `seqPLL`
 //! baseline and the reference constructor of the Canonical Hub Labeling.
+//!
+//! PLL is the pruned kernel on the root scheduler at one thread, where the
+//! `rayon` shim runs it inline and in rank order. SparaPLL and LCC run the
+//! same construction (`pruned_trees`) on more threads.
 
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
-use crate::index::{HubLabelIndex, LabelingResult};
+use crate::index::LabelingResult;
+use crate::labels::LabelSet;
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
-use crate::stats::ConstructionStats;
+use crate::schedule::{self, Pass};
 use crate::table::ConcurrentLabelTable;
 
 /// Builds the CHL sequentially: one pruned SPT per vertex, in decreasing rank
@@ -26,13 +31,6 @@ pub fn sequential_pll(g: &CsrGraph, ranking: &Ranking) -> LabelingResult {
 }
 
 pub(crate) fn sequential_pll_impl(g: &CsrGraph, ranking: &Ranking) -> LabelingResult {
-    let start = Instant::now();
-    let n = g.num_vertices();
-    let table = ConcurrentLabelTable::new(n);
-    let mut scratch = DijkstraScratch::new(n);
-    let mut stats = ConstructionStats::new("seqPLL");
-    stats.threads = 1;
-
     // The rank query is redundant for the sequential schedule (every more
     // important vertex already has its SPT and prunes via the distance
     // query), but harmless; we keep the distance-query-only configuration to
@@ -41,20 +39,7 @@ pub(crate) fn sequential_pll_impl(g: &CsrGraph, ranking: &Ranking) -> LabelingRe
         rank_query: false,
         ..Default::default()
     };
-    for pos in 0..n as u32 {
-        let root = ranking.vertex_at(pos);
-        let (record, queries) = pruned_dijkstra(g, ranking, root, &table, opts, &mut scratch);
-        stats.spt_records.push(record);
-        stats.distance_queries += queries;
-    }
-
-    stats.construction_time = start.elapsed();
-    stats.total_time = start.elapsed();
-    let index = HubLabelIndex::new(table.into_label_sets(), ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    stats.labels_before_cleaning = index.total_labels();
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+    pruned_labeling(g, ranking, 1, opts, "seqPLL")
 }
 
 /// Variant of sequential PLL whose distance queries may only use hubs with
@@ -67,33 +52,47 @@ pub fn pll_with_restricted_pruning(
     ranking: &Ranking,
     max_pruning_hub: u32,
 ) -> LabelingResult {
-    let start = Instant::now();
-    let n = g.num_vertices();
-    let table = ConcurrentLabelTable::new(n);
-    let mut scratch = DijkstraScratch::new(n);
-    let mut stats = ConstructionStats::new("seqPLL-restricted");
-    stats.threads = 1;
-
     // With distance pruning weakened the rank query becomes essential,
     // otherwise label counts degenerate to |V|^2 even for x = 0.
     let opts = PruneOptions {
         rank_query: true,
         max_pruning_hub,
     };
-    for pos in 0..n as u32 {
-        let root = ranking.vertex_at(pos);
-        let (record, queries) = pruned_dijkstra(g, ranking, root, &table, opts, &mut scratch);
-        stats.spt_records.push(record);
-        stats.distance_queries += queries;
-    }
+    pruned_labeling(g, ranking, 1, opts, "seqPLL-restricted")
+}
 
-    stats.construction_time = start.elapsed();
-    stats.total_time = start.elapsed();
-    let index = HubLabelIndex::new(table.into_label_sets(), ranking.clone())
-        .expect("constructor produced one label set per vertex");
-    stats.labels_before_cleaning = index.total_labels();
-    stats.labels_after_cleaning = index.total_labels();
-    LabelingResult { index, stats }
+/// PLL and SparaPLL: [`pruned_trees`] with no clean.
+pub(crate) fn pruned_labeling(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    threads: usize,
+    opts: PruneOptions,
+    algorithm: &str,
+) -> LabelingResult {
+    let start = Instant::now();
+    let (labels, pass) = pruned_trees(g, ranking, threads, opts);
+    pass.uncleaned(algorithm, threads, labels, ranking, start)
+}
+
+/// One pruned tree per root, every root, on `threads` workers sharing one
+/// label table: the construction of PLL, SparaPLL and LCC. At one thread the
+/// trees run in rank order on the caller.
+pub(crate) fn pruned_trees(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    threads: usize,
+    opts: PruneOptions,
+) -> (Vec<LabelSet>, Pass) {
+    let n = g.num_vertices();
+    let table = ConcurrentLabelTable::new(n);
+    let mut scratch: Vec<_> = (0..threads).map(|_| DijkstraScratch::new(n)).collect();
+    let pass = schedule::run(
+        &mut scratch,
+        0..n as u32,
+        |_| false,
+        |scratch, pos| pruned_dijkstra(g, ranking, ranking.vertex_at(pos), &table, opts, scratch),
+    );
+    (table.into_label_sets(), pass)
 }
 
 #[cfg(test)]

@@ -47,9 +47,11 @@ pub struct ConstructionStats {
     pub total_time: Duration,
     /// Number of worker threads used.
     pub threads: usize,
-    /// Per-SPT records in the order the constructor appended them: per-thread
-    /// completion order for PLaNT, GLL and Hybrid, so not sorted by root.
-    /// The `*_per_spt` accessors sort by root rank position.
+    /// Per-SPT records, one per tree, ascending by root rank position at any
+    /// thread count: every shared-memory constructor's root scheduler
+    /// returns them sorted. Hybrid's PLaNTed trees come first, since their
+    /// positions are lower than any its GLL supersteps grow. The `*_per_spt`
+    /// accessors still sort, for records assembled by hand.
     pub spt_records: Vec<SptRecord>,
     /// Labels present before any cleaning ran.
     pub labels_before_cleaning: usize,

@@ -177,7 +177,7 @@ impl LabelRuns for AllPartitions<'_> {
     }
 }
 
-/// Fills in the final run-level metrics shared by DGLL, PLaNT and Hybrid.
+/// Fills in the final run-level metrics of every distributed constructor.
 pub(crate) fn finalize_metrics(
     metrics: &mut RunMetrics,
     cluster: &SimulatedCluster,

@@ -18,13 +18,15 @@
 use std::time::Instant;
 
 use chl_cluster::{RunMetrics, SimulatedCluster, SuperstepMetrics, TaskPartition};
-use chl_core::labels::LabelSet;
+use chl_core::labels::{LabelEntry, LabelSet};
+use chl_core::plant::CommonLabelTable;
 use chl_core::pruned_dijkstra::DijkstraScratch;
 use chl_core::table::ConcurrentLabelTable;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
 use crate::config::DistributedConfig;
+use crate::dgll::finalize_metrics;
 use crate::node::{commit_entries, construct_positions, run_nodes, wire_bytes, NodeView};
 use crate::result::DistributedLabeling;
 
@@ -53,17 +55,12 @@ pub fn distributed_parapll(
     let mut from = 0usize;
     while from < n {
         let to = (from + step).min(n);
-        let range: Vec<(usize, Vec<u32>)> = (0..q)
-            .map(|node| {
-                (
-                    node,
-                    partition.positions_of_in_range(node, from as u32, to as u32),
-                )
-            })
+        let positions: Vec<Vec<u32>> = (0..q)
+            .map(|node| partition.positions_of_in_range(node, from as u32, to as u32))
             .collect();
 
         let outputs = run_nodes(cluster, config.execution, |node| {
-            let positions = &range[node.node_id].1;
+            let positions = &positions[node.node_id];
             let local = ConcurrentLabelTable::new(n);
             let view = NodeView {
                 own: &full_tables[node.node_id],
@@ -79,13 +76,12 @@ pub fn distributed_parapll(
 
         // Synchronization: every node broadcasts the labels it generated.
         let mut superstep = SuperstepMetrics::default();
-        let mut per_node_new: Vec<Vec<Vec<chl_core::labels::LabelEntry>>> = Vec::with_capacity(q);
-        for (node, ((records, entries), busy)) in outputs.into_iter().enumerate() {
+        let mut per_node_new: Vec<Vec<Vec<LabelEntry>>> = Vec::with_capacity(q);
+        for ((records, entries), busy) in outputs {
             let generated: usize = records.iter().map(|r| r.labels_generated).sum();
             superstep.labels_generated += generated;
             superstep.per_node_compute.push(busy);
             cluster.comm().record_broadcast(wire_bytes(generated));
-            let _ = node;
             per_node_new.push(entries);
         }
         superstep.comm = cluster.comm().take();
@@ -103,20 +99,11 @@ pub fn distributed_parapll(
         from = to;
     }
 
-    metrics.wall_time = start.elapsed();
-    metrics.labels_per_node = full_tables
-        .iter()
-        .map(|t| t.iter().map(LabelSet::len).sum())
-        .collect();
-    metrics.peak_node_label_bytes = full_tables
-        .iter()
-        .map(|t| t.iter().map(LabelSet::memory_bytes).sum())
-        .max()
-        .unwrap_or(0);
-    metrics.out_of_memory = metrics.peak_node_label_bytes > cluster.spec().memory_per_node_bytes;
-
     // DparaPLL replicates storage: the result's partitions are the full
-    // tables so per-node memory accounting reflects the replication.
+    // tables so per-node memory accounting reflects the replication. No
+    // common table exists.
+    let no_common = CommonLabelTable::default();
+    finalize_metrics(&mut metrics, cluster, &full_tables, &no_common, start);
     DistributedLabeling::new(full_tables, ranking.clone(), metrics)
 }
 

@@ -9,14 +9,14 @@
 use std::time::Instant;
 
 use chl_cluster::{RunMetrics, SimulatedCluster, SuperstepMetrics, TaskPartition};
-use chl_core::labels::{LabelEntry, LabelSet};
-use chl_core::plant::{plant_dijkstra, CommonLabelTable, PlantScratch};
+use chl_core::labels::LabelSet;
+use chl_core::plant::CommonLabelTable;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
 use crate::config::DistributedConfig;
 use crate::dgll::finalize_metrics;
-use crate::node::run_nodes;
+use crate::node::{plant_positions, run_nodes};
 use crate::result::DistributedLabeling;
 
 /// Runs distributed PLaNT on the simulated cluster.
@@ -30,34 +30,21 @@ pub fn distributed_plant(
     let n = g.num_vertices();
     let q = cluster.nodes();
     let partition = TaskPartition::new(q, n);
-    let empty_common = CommonLabelTable::empty(n);
+    // PLaNT prunes with no common labels.
+    let common = CommonLabelTable::empty(n);
 
     let positions: Vec<Vec<u32>> = (0..q)
         .map(|node| partition.positions_of(node).collect())
         .collect();
 
     let outputs = run_nodes(cluster, config.execution, |node| {
-        let mut scratch = PlantScratch::new(n);
-        let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-        let mut explored = 0usize;
-        let mut generated = 0usize;
-        for &pos in &positions[node.node_id] {
-            let root = ranking.vertex_at(pos);
-            let tree = plant_dijkstra(
-                g,
-                ranking,
-                root,
-                config.early_termination,
-                &empty_common,
-                &mut scratch,
-            );
-            explored += tree.vertices_explored;
-            generated += tree.labels.len();
-            for &(v, d) in &tree.labels {
-                labels[v as usize].push(LabelEntry::new(pos, d));
-            }
-        }
-        (labels, explored, generated)
+        plant_positions(
+            g,
+            ranking,
+            &positions[node.node_id],
+            config.early_termination,
+            &common,
+        )
     });
 
     let mut metrics = RunMetrics::new("PLaNT", q);
@@ -72,7 +59,6 @@ pub fn distributed_plant(
     superstep.comm = cluster.comm().take();
     metrics.supersteps.push(superstep);
 
-    let common = CommonLabelTable::empty(n);
     finalize_metrics(&mut metrics, cluster, &own_partitions, &common, start);
     DistributedLabeling::new(own_partitions, ranking.clone(), metrics)
 }

@@ -17,14 +17,14 @@ use std::time::Instant;
 use chl_cluster::{
     RunMetrics, SimulatedCluster, SuperstepMetrics, SuperstepSchedule, TaskPartition,
 };
-use chl_core::labels::{LabelEntry, LabelSet};
-use chl_core::plant::{plant_dijkstra, CommonLabelTable, PlantScratch};
+use chl_core::labels::LabelSet;
+use chl_core::plant::CommonLabelTable;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
 use crate::config::DistributedConfig;
 use crate::dgll::{dgll_superstep, finalize_metrics};
-use crate::node::{commit_entries, run_nodes, wire_bytes};
+use crate::node::{commit_entries, plant_positions, run_nodes, wire_bytes};
 use crate::result::DistributedLabeling;
 
 /// Runs the Hybrid PLaNT + DGLL constructor on the simulated cluster.
@@ -67,37 +67,21 @@ pub fn distributed_hybrid(
         let positions: Vec<Vec<u32>> = (0..q)
             .map(|node| partition.positions_of_in_range(node, from, to))
             .collect();
-        let own_ref: &[Vec<LabelSet>] = &own_partitions;
-        let common_ref: &CommonLabelTable = &common;
-        let _ = own_ref; // nodes do not consult other labels while PLaNTing
         let outputs = run_nodes(cluster, config.execution, |node| {
-            let mut scratch = PlantScratch::new(n);
-            let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
-            let mut explored = 0usize;
-            for &pos in &positions[node.node_id] {
-                let root = ranking.vertex_at(pos);
-                let tree = plant_dijkstra(
-                    g,
-                    ranking,
-                    root,
-                    config.early_termination,
-                    common_ref,
-                    &mut scratch,
-                );
-                explored += tree.vertices_explored;
-                for &(v, d) in &tree.labels {
-                    labels[v as usize].push(LabelEntry::new(pos, d));
-                }
-            }
-            (labels, explored)
+            plant_positions(
+                g,
+                ranking,
+                &positions[node.node_id],
+                config.early_termination,
+                &common,
+            )
         });
 
         let mut superstep = SuperstepMetrics::default();
         let mut explored_total = 0usize;
-        for (node, ((labels, explored), busy)) in outputs.into_iter().enumerate() {
+        for (node, ((labels, explored, generated), busy)) in outputs.into_iter().enumerate() {
             superstep.per_node_compute.push(busy);
             explored_total += explored;
-            let generated: usize = labels.iter().map(Vec::len).sum();
             superstep.labels_generated += generated;
 
             // Labels of top-η hubs are broadcast into the Common Label Table;

@@ -8,7 +8,7 @@
 //! exactly — and only — what a real cluster node would see.
 
 use chl_core::labels::{LabelEntry, LabelSet};
-use chl_core::plant::CommonLabelTable;
+use chl_core::plant::{plant_dijkstra, CommonLabelTable, PlantScratch};
 use chl_core::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use chl_core::stats::SptRecord;
 use chl_core::table::{ConcurrentLabelTable, LabelAccess, LabelRuns};
@@ -72,6 +72,32 @@ pub fn construct_positions(
             record
         })
         .collect()
+}
+
+/// PLaNTs (Algorithm 3) every root position in `positions`, pruning with
+/// `common`, and returns the labels per vertex with the vertices explored
+/// and the labels generated.
+pub fn plant_positions(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    positions: &[u32],
+    early_termination: bool,
+    common: &CommonLabelTable,
+) -> (Vec<Vec<LabelEntry>>, usize, usize) {
+    let n = g.num_vertices();
+    let mut scratch = PlantScratch::new(n);
+    let mut labels: Vec<Vec<LabelEntry>> = vec![Vec::new(); n];
+    let (mut explored, mut generated) = (0, 0);
+    for &pos in positions {
+        let root = ranking.vertex_at(pos);
+        let tree = plant_dijkstra(g, ranking, root, early_termination, common, &mut scratch);
+        explored += tree.vertices_explored;
+        generated += tree.labels.len();
+        for &(v, d) in &tree.labels {
+            labels[v as usize].push(LabelEntry::new(pos, d));
+        }
+    }
+    (labels, explored, generated)
 }
 
 /// Merges raw label entries (as drained from a local table) into a node's

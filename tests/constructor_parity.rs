@@ -42,17 +42,26 @@ fn all_canonical_constructors_agree_on_both_topologies() {
             .expect("construction succeeds")
             .index;
 
+        let every_root: Vec<u32> = (0..graph.num_vertices() as u32).collect();
         for algo in Algorithm::CANONICAL {
             let built = builder
                 .clone()
                 .algorithm(algo)
                 .build()
-                .unwrap_or_else(|e| panic!("{algo} on {name}: {e}"))
-                .index;
+                .unwrap_or_else(|e| panic!("{algo} on {name}: {e}"));
             assert_eq!(
-                built, reference,
+                built.index, reference,
                 "{algo} must produce the identical canonical labeling on {name}"
             );
+            // One record per root, ascending by root position: Hybrid's
+            // PLaNTed trees come first, then its GLL supersteps'.
+            let roots: Vec<u32> = built
+                .stats
+                .spt_records
+                .iter()
+                .map(|r| r.root_position)
+                .collect();
+            assert_eq!(roots, every_root, "{algo} SPT records on {name}");
         }
         // The reference itself is the true CHL.
         assert!(
