@@ -50,7 +50,7 @@ use crate::index::LabelingResult;
 /// | `Lcc` | Label Construction and Cleaning | §4.1, Alg. 2 | yes |
 /// | `Gll` | Global-Local Labeling | §4.2 | yes |
 /// | `Plant` | PLaNT (prune labels, not trees) | §5.2, Alg. 3 | yes |
-/// | `Hybrid` | PLaNT prefix + GLL tail | §5.2.1 | yes |
+/// | `Hybrid` | PLaNT prefix + pruned tail | §5.2.1 | yes |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Sequential Pruned Landmark Labeling, the reference constructor.
@@ -314,7 +314,7 @@ declare_labeler!(
 );
 
 declare_labeler!(
-    /// [`Labeler`] running the shared-memory Hybrid (PLaNT prefix + GLL tail).
+    /// [`Labeler`] running the shared-memory Hybrid (PLaNT prefix + pruned tail).
     HybridLabeler,
     Hybrid,
     |g, r, c| crate::hybrid::shared_hybrid_impl(g, r, c)

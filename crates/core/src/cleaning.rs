@@ -1,24 +1,33 @@
 //! Label cleaning: detection and removal of redundant labels.
 //!
-//! The optimistic parallel construction phases (LCC-I, each GLL and DGLL
-//! superstep) may generate labels that are not part of the Canonical Hub
-//! Labeling. Because the constructed labeling *respects the hierarchy*
-//! (guaranteed by the rank queries), Lemma 2 of the paper shows every
-//! redundant label `(h, d(v,h)) ∈ L_v` is exposed by a single PPSD-style
-//! query between `v` and `h`: some more important common hub certifies a
-//! distance `<= d(v,h)`.
+//! The optimistic parallel construction phases (LCC-I, Hybrid's pruned
+//! tail, each GLL and DGLL superstep) may generate labels that are not part
+//! of the Canonical Hub Labeling. Because the constructed labeling
+//! *respects the hierarchy* (guaranteed by the rank queries), Lemma 2 of
+//! the paper shows every redundant label `(h, d(v,h)) ∈ L_v` is exposed by
+//! a single PPSD-style query between `v` and `h`: some more important
+//! common hub certifies a distance `<= d(v,h)`.
 //!
-//! Cleaning therefore never needs the graph — only the labeling itself. One
-//! kernel, [`clean_superstep`], serves every constructor. A superstep's
-//! labels come from a contiguous range of roots, so it transposes them by
-//! hub with a counting sort. For each hub `h` it loads the hub vertex's
-//! labels ranked above `h` into a dense [`HubDistances`] probe, then checks
-//! each label `(v, h, d)` by scanning `v`'s labels against it. This is the
-//! paper's `DQ_Clean` without its merge walk. Survivors come out in
-//! ascending hub order, and every in-flight hub ranks below every committed
-//! one, so committing them is an append. GLL and DGLL call the kernel once
-//! per superstep; LCC ([`clean_labels`]) treats the whole labeling as one
-//! superstep.
+//! Cleaning therefore never needs the graph — only the labeling itself.
+//! Two kernels decide it.
+//!
+//! `clean_window` serves a pass whose trees all ran on the root scheduler
+//! (LCC, Hybrid's tail). The scheduler recorded each tree's floor, below
+//! which every tree had finished when it started, so a label can only be
+//! redundant through the few hubs between its tree's floor and its hub
+//! (Pruned Landmark Labeling's invariant). The kernel walks each vertex's
+//! sorted set once and checks only those entries.
+//!
+//! [`clean_superstep`] checks a label against every hub ranked above it,
+//! for callers that know no floor. A superstep's labels come from a
+//! contiguous range of roots, so it transposes them by hub with a counting
+//! sort. For each hub `h` it loads the hub vertex's labels ranked above `h`
+//! into a dense [`HubDistances`] probe, then checks each label `(v, h, d)`
+//! by scanning `v`'s labels against it. This is the paper's `DQ_Clean`
+//! without its merge walk. Survivors come out in ascending hub order, and
+//! every in-flight hub ranks below every committed one, so committing them
+//! is an append. GLL and DGLL call it once per superstep, and
+//! [`clean_labels`] treats a whole labeling as one superstep.
 
 use std::ops::Range;
 
@@ -37,8 +46,9 @@ use crate::table::LabelRuns;
 /// which redundancies are found (canonical labels are never redundant, hence
 /// never deleted, hence every redundancy witness survives the pass). It
 /// runs at the ambient `rayon::current_num_threads`; callers with a thread
-/// budget (the LCC constructor honoring `LabelingConfig::num_threads`) wrap
-/// the call in `rayon::with_threads`.
+/// budget wrap the call in `rayon::with_threads`. It needs no floors, so it
+/// cleans any hierarchy-respecting labeling, and it is the reference
+/// `clean_window` is tested against.
 pub fn clean_labels(labels: &[LabelSet], ranking: &Ranking) -> (Vec<LabelSet>, usize) {
     let before: usize = labels.iter().map(LabelSet::len).sum();
     let kept = clean_superstep(labels, labels, 0..labels.len() as u32, ranking);
@@ -111,6 +121,67 @@ where
     chunks.concat()
 }
 
+/// Removes the redundant labels of one pass of concurrent pruned trees
+/// from `sets` (one hub-sorted [`LabelSet`] per vertex), returning how many
+/// it removed. The pass grew the trees of positions `first..` and
+/// `floors[p - first]` is tree `p`'s floor ([`crate::schedule`]): every
+/// tree below it had finished when tree `p` started, so every pruning
+/// query of `p` consulted those hubs, and a label of hub `p` can only be
+/// redundant through a hub in `[floor, p)`.
+///
+/// Each vertex's set is walked once. A label `(v, p, d)` whose window is
+/// not empty is checked against the entries of `v` right before it whose
+/// hubs lie in the window, each with one binary search in the hub vertex's
+/// set. Labels of hubs below `first` and self labels are never checked.
+/// All verdicts read the input labeling, as [`clean_labels`]' do, so the
+/// same labels go: the checks run in parallel chunks of vertices at the
+/// ambient `rayon::current_num_threads`, and the few redundant labels are
+/// removed afterwards.
+pub(crate) fn clean_window(
+    sets: &mut [LabelSet],
+    first: u32,
+    floors: &[u32],
+    ranking: &Ranking,
+) -> usize {
+    let labels: &[LabelSet] = sets;
+    let n = labels.len();
+    let parts = (rayon::current_num_threads() * 4).clamp(1, n.max(1));
+    let redundant = rayon::map(parts, |c| {
+        let mut found = Vec::new();
+        for v in c * n / parts..(c + 1) * n / parts {
+            let entries = labels[v].entries();
+            let from = entries.partition_point(|e| e.hub < first);
+            for (i, e) in entries.iter().enumerate().skip(from) {
+                let floor = floors[(e.hub - first) as usize];
+                let hub_vertex = ranking.vertex_at(e.hub) as usize;
+                // An empty window, or a self label: nothing to check.
+                if floor == e.hub || hub_vertex == v {
+                    continue;
+                }
+                let hub_entries = labels[hub_vertex].entries();
+                let witnessed = entries[..i]
+                    .iter()
+                    .rev()
+                    .take_while(|w| w.hub >= floor)
+                    .any(|w| {
+                        hub_entries
+                            .binary_search_by_key(&w.hub, |x| x.hub)
+                            .is_ok_and(|j| w.dist.saturating_add(hub_entries[j].dist) <= e.dist)
+                    });
+                if witnessed {
+                    found.push((v, e.hub));
+                }
+            }
+        }
+        found
+    });
+    let mut removed = 0;
+    for (v, hub) in redundant.into_iter().flatten() {
+        removed += usize::from(sets[v].remove_hub(hub));
+    }
+    removed
+}
+
 /// Appends survivors in ascending hub order to sets whose hubs all rank
 /// above theirs, keeping every set sorted.
 pub(crate) fn commit(sets: &mut [LabelSet], kept: Vec<(VertexId, LabelEntry)>) {
@@ -172,9 +243,10 @@ mod tests {
     use super::*;
     use crate::index::HubLabelIndex;
     use crate::para_pll::spara_pll;
-    use crate::pll::sequential_pll;
+    use crate::pll::{pruned_trees, sequential_pll};
+    use crate::pruned_dijkstra::PruneOptions;
     use crate::LabelingConfig;
-    use chl_graph::generators::{barabasi_albert, erdos_renyi};
+    use chl_graph::generators::{barabasi_albert, erdos_renyi, grid_network, GridOptions};
     use chl_graph::sssp::dijkstra;
     use chl_ranking::degree_ranking;
 
@@ -255,6 +327,115 @@ mod tests {
         assert!(!survivors(labeling(6, true)).contains(&(1, LabelEntry::new(3, 6))));
         assert!(survivors(labeling(5, true)).contains(&(1, LabelEntry::new(3, 5))));
         assert!(survivors(labeling(6, false)).contains(&(1, LabelEntry::new(3, 6))));
+    }
+
+    /// `(hub, dist)` pairs as a hub-sorted set.
+    fn set(entries: &[(u32, u64)]) -> LabelSet {
+        LabelSet::from_entries(
+            entries
+                .iter()
+                .map(|&(h, d)| LabelEntry::new(h, d))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn window_clean_checks_only_hubs_in_each_trees_window() {
+        // Identity ranking: hub h is vertex h. The pass grew trees 2..5;
+        // tree 3 started while tree 2 ran (floor 2), tree 4 after both had
+        // finished (floor 4).
+        let ranking = chl_ranking::Ranking::identity(5);
+        let floors = [2, 2, 4];
+        let clean = |mut sets: Vec<LabelSet>| {
+            let removed = clean_window(&mut sets, 2, &floors, &ranking);
+            (sets, removed)
+        };
+
+        // A witness inside the window drops the label: (4, hub 3, 2) is
+        // covered through hub 2, 1 + 1 <= 2.
+        let sets = vec![
+            set(&[(0, 0)]),
+            set(&[(1, 0)]),
+            set(&[(2, 0)]),
+            set(&[(2, 1), (3, 0)]),
+            set(&[(2, 1), (3, 2), (4, 0)]),
+        ];
+        let (cleaned, removed) = clean(sets.clone());
+        assert_eq!(removed, 1);
+        assert_eq!(cleaned[4], set(&[(2, 1), (4, 0)]));
+        assert_eq!(cleaned[..4], sets[..4]);
+        assert_eq!(clean_labels(&sets, &ranking).0, cleaned);
+
+        // A witness one longer keeps it: 1 + 2 > 2.
+        let mut longer = sets.clone();
+        longer[3] = set(&[(2, 2), (3, 0)]);
+        assert_eq!(clean(longer.clone()), (longer, 0));
+
+        // Self labels are untouched, even where a zero-length witness in
+        // the window would cover one: vertex 3's (hub 3, 0) against its own
+        // (hub 2, 0).
+        let zero = vec![
+            set(&[(0, 0)]),
+            set(&[(1, 0)]),
+            set(&[(2, 0)]),
+            set(&[(2, 0), (3, 0)]),
+            set(&[(4, 0)]),
+        ];
+        assert_eq!(clean(zero.clone()), (zero, 0));
+
+        // Hubs below the pass's first position are untouched: (4, hub 1, 2)
+        // is covered through hub 0, 1 + 1 <= 2, but hub 1 is no tree of
+        // the pass. Nor is a witness below a tree's floor consulted: had
+        // tree 3 started after tree 2 finished (floor 3), (4, hub 3, 2)
+        // would stay though hub 2 covers it.
+        let outside = vec![
+            set(&[(0, 0)]),
+            set(&[(0, 1), (1, 0)]),
+            set(&[(2, 0)]),
+            set(&[(2, 1), (3, 0)]),
+            set(&[(0, 1), (1, 2), (2, 1), (3, 2), (4, 0)]),
+        ];
+        let mut kept = outside.clone();
+        assert_eq!(clean_window(&mut kept, 2, &[2, 3, 4], &ranking), 0);
+        assert_eq!(kept, outside);
+        assert_eq!(clean(outside).1, 1, "with floor 2, hub 2 is consulted");
+    }
+
+    #[test]
+    fn window_clean_matches_the_full_clean_on_real_passes() {
+        // More threads than cores, so many trees overlap and windows are
+        // wide. Both cleans read the same uncleaned labeling; the window
+        // clean must keep exactly the labels the full clean keeps, and both
+        // must leave PLL's labeling.
+        for seed in 1..=4 {
+            let grid = grid_network(
+                &GridOptions {
+                    rows: 12,
+                    cols: 12,
+                    max_weight: 1000,
+                    ..GridOptions::default()
+                },
+                seed,
+            );
+            let ba = barabasi_albert(300, 3, seed);
+            for (name, g) in [("grid", &grid), ("barabasi-albert", &ba)] {
+                let ranking = degree_ranking(g);
+                let reference = sequential_pll(g, &ranking).index.into_label_sets();
+                for threads in [6, 8] {
+                    let (uncleaned, pass) =
+                        pruned_trees(g, &ranking, threads, PruneOptions::default());
+                    let (full, removed) = clean_labels(&uncleaned, &ranking);
+                    let mut windowed = uncleaned;
+                    let removed_windowed = rayon::with_threads(threads, || {
+                        clean_window(&mut windowed, 0, &pass.floors, &ranking)
+                    });
+                    let at = format!("{name} seed {seed} at {threads} threads");
+                    assert_eq!(windowed, full, "{at}");
+                    assert_eq!(removed_windowed, removed, "{at}");
+                    assert_eq!(windowed, reference, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

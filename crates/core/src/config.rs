@@ -19,8 +19,8 @@ pub struct LabelingConfig {
     /// `psi_threshold × L̄` (`L̄` = labels PLaNTed so far / `n`), the Hybrid
     /// constructor stops PLaNTing trees and switches to pruned construction.
     /// Dimensionless, default 0.03: a pruned tree's label probe costs about
-    /// `L̄`, and GLL's clean reads only each superstep's own hubs, so pruned
-    /// construction beats PLaNT early on road grids too. At 0.03 every
+    /// `L̄`, and the tail's clean checks only each tree's window of hubs,
+    /// so pruned construction beats PLaNT early on road grids too. At 0.03 every
     /// graph of `chl-bench`'s `hybrid_switch_sweep` example switches as
     /// soon as the window is full. The paper's absolute `Ψ_th` (Figure 6)
     /// lives on in `DistributedConfig`, where PLaNT saves communication

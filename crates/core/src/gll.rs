@@ -24,9 +24,15 @@
 //! SIGMOD 2013): every hub below `w` was committed before the superstep
 //! began, so every pruning query of the superstep already consulted it,
 //! and no local label can be redundant through it. A witness can only be a
-//! hub in `[w, p)`. The clean looks for it in both tables, so it stays exact
-//! for a global table seeded with hubs at or above `w`; Hybrid's seed is not
-//! one, as every tree it PLaNTs lies below the position GLL resumes at.
+//! hub in `[w, p)`. The clean looks for it in both tables, as the kernel
+//! reads them as one labeling; the global table holds no hub at or above
+//! `w` today, since every tree's labels are committed at the end of its
+//! own superstep.
+//!
+//! GLL is the paper's constructor and stays one. Hybrid and LCC finish
+//! with one pass of pruned trees and a per-tree window clean instead
+//! (`cleaning::clean_window`), which at two threads beats GLL's
+//! supersteps.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,40 +63,20 @@ pub fn gll(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> Labeling
 
 pub(crate) fn gll_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> LabelingResult {
     let start = Instant::now();
-    let mut stats = ConstructionStats::new("GLL");
-    stats.supersteps = 0;
-    let empty = vec![LabelSet::new(); g.num_vertices()];
-    let global = gll_from_state(g, ranking, config, empty, 0, &mut stats);
-    LabelingResult::finish(global, ranking, stats, start)
-}
-
-/// Runs GLL supersteps over the roots from rank position `start_position`
-/// on, on top of the committed labels `global` (one set per vertex), and
-/// returns the completed global table. Sets `stats.threads`; each
-/// superstep adds its records, queries, phase times and generated labels.
-///
-/// Hybrid continues here after PLaNTing the most important roots, whose
-/// canonical labels become the initial global table.
-pub(crate) fn gll_from_state(
-    g: &CsrGraph,
-    ranking: &Ranking,
-    config: &LabelingConfig,
-    mut global: Vec<LabelSet>,
-    start_position: u32,
-    stats: &mut ConstructionStats,
-) -> Vec<LabelSet> {
     let n = g.num_vertices();
-    debug_assert_eq!(global.len(), n);
     let threads = config.effective_threads();
+    let mut stats = ConstructionStats::new("GLL");
     stats.threads = threads;
+    stats.supersteps = 0;
     let superstep_threshold = (config.alpha.max(1.0) * n as f64) as usize;
     // Rank and distance queries, both on by default.
     let opts = PruneOptions::default();
+    let mut global = vec![LabelSet::new(); n];
     // Both live across supersteps: `drain_all` empties the local table.
     let local = ConcurrentLabelTable::new(n);
     let mut scratch: Vec<_> = (0..threads).map(|_| DijkstraScratch::new(n)).collect();
 
-    let mut first_root = start_position;
+    let mut first_root = 0;
     while (first_root as usize) < n {
         stats.supersteps += 1;
 
@@ -133,7 +119,7 @@ pub(crate) fn gll_from_state(
         stats.cleaning_time += clean_start.elapsed();
         first_root = pass.end;
     }
-    global
+    LabelingResult::finish(global, ranking, stats, start)
 }
 
 /// The end of a superstep: cleans the local labels (hubs `hubs`) against

@@ -1,5 +1,5 @@
 //! Shared-memory Hybrid constructor: PLaNT the label-heavy prefix, finish
-//! with GLL-style pruned construction (§5.2.1 adapted to a single node).
+//! with one pass of pruned trees (§5.2.1 adapted to a single node).
 //!
 //! The paper motivates the hybrid with two empirical observations (Figures 2
 //! and 3): SPTs rooted at the most important vertices generate the bulk of
@@ -18,22 +18,27 @@
 //! factor is 0.03. Once the first `psi_window` trees are in, windowed Ψ/L̄
 //! already reads 0.06–0.10 on the benchmark's road grids and about 0.3 on
 //! its scale-free graphs, so both families switch as soon as the window is
-//! full. PLaNTing a grid whole was the fastest construction only while
-//! GLL's cleaning re-read every committed hub; now that it reads only the
-//! superstep's own hubs, GLL's trees are the cheaper way to finish a grid
-//! too. A factor near a graph's Ψ/L̄ makes the switch point depend on which
-//! thread finishes first (at 0.1 the 80×80 grid switched after 69 trees in
-//! one run and 353 in the next); labels are the same at any switch point.
+//! full. PLaNTing a grid whole was the fastest construction only while the
+//! pruned constructors' cleaning re-read every hub; now that it reads only
+//! a few, pruned trees are the cheaper way to finish a grid too. A factor
+//! near a graph's Ψ/L̄ makes the switch point depend on which thread
+//! finishes first (at 0.1 the 80×80 grid switched after 69 trees in one
+//! run and 353 in the next); labels are the same at any switch point.
 //!
-//! Both phases run on the root scheduler. The PLaNT phase is one pass whose
-//! stop rule feeds every finished tree to the Ψ window; trees already
-//! claimed when it fires still finish, so the pass's end is the first root
-//! not PLaNTed, and GLL's supersteps resume there.
+//! Both phases run on the root scheduler over one label table. The PLaNT
+//! phase is one pass whose stop rule feeds every finished tree to the Ψ
+//! window; trees already claimed when it fires still finish, so the pass's
+//! end is the first root not PLaNTed. The tail is one pass of pruned trees
+//! with rank queries from there on, LCC's construction, pruning against the
+//! PLaNTed labels in the same table. PLaNTed labels are canonical, and the
+//! tail's redundant ones are removed by `clean_window`: every tail tree
+//! started after all PLaNTed trees had finished, so its window never
+//! reaches below the switch point.
 //!
-//! The same structure pays off on a single node: the first GLL superstep
-//! normally generates far more than `α·n` labels because no global labels
-//! exist yet to prune with (§7.2) — PLaNTing that prefix removes the problem,
-//! which is exactly the fix the paper suggests for shared memory.
+//! The same structure pays off on a single node: the first pruned trees
+//! normally generate far more labels than they keep because no labels
+//! exist yet to prune with (§7.2) — PLaNTing that prefix removes the
+//! problem, which is exactly the fix the paper suggests for shared memory.
 
 use std::time::Instant;
 
@@ -41,10 +46,12 @@ use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 use parking_lot::Mutex;
 
+use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
-use crate::gll::gll_from_state;
 use crate::index::LabelingResult;
 use crate::plant::plant_trees;
+use crate::pll::pruned_pass;
+use crate::pruned_dijkstra::PruneOptions;
 use crate::stats::ConstructionStats;
 use crate::table::ConcurrentLabelTable;
 
@@ -66,8 +73,9 @@ pub(crate) fn shared_hybrid_impl(
 ) -> LabelingResult {
     let start = Instant::now();
     let n = g.num_vertices();
-    let mut stats = ConstructionStats::new("Hybrid(PLaNT+GLL)");
-    stats.supersteps = 0;
+    let threads = config.effective_threads();
+    let mut stats = ConstructionStats::new("Hybrid(PLaNT+LCC)");
+    stats.threads = threads;
 
     // ---- Phase 1: PLaNT roots in rank order until Ψ outgrows the labels ----
     let table = ConcurrentLabelTable::new(n);
@@ -78,23 +86,34 @@ pub(crate) fn shared_hybrid_impl(
         window.average() > config.psi_threshold * window.average_label_size(n)
     });
     stats.planted_trees = planted.records.len();
-    stats.labels_before_cleaning = planted.records.iter().map(|r| r.labels_generated).sum();
-    stats.spt_records = planted.records;
-    stats.construction_time = start.elapsed();
 
-    // ---- Phase 2: pruned GLL supersteps over the remaining roots ----
-    // Labels PLaNTed so far are canonical and complete for their roots: they
-    // seed GLL's global table directly, no cleaning required. Every root
-    // below the pass's end was PLaNTed, so GLL resumes there.
-    let global = gll_from_state(
+    // ---- Phase 2: one pass of pruned trees over the remaining roots ----
+    // Every root below the PLaNT pass's end was PLaNTed; the tail resumes
+    // there, pruning with the PLaNTed labels. Each of the two passes ends
+    // at a barrier, so each counts as one superstep.
+    let tail = pruned_pass(
         g,
         ranking,
-        config,
-        table.into_label_sets(),
+        &table,
         planted.end,
-        &mut stats,
+        threads,
+        PruneOptions::default(),
     );
-    LabelingResult::finish(global, ranking, stats, start)
+    stats.supersteps = 1 + usize::from(planted.end < n as u32);
+    stats.distance_queries = tail.queries;
+    stats.spt_records = planted.records;
+    stats.spt_records.extend(tail.records);
+    stats.labels_before_cleaning = stats.total_labels_generated();
+    let mut labels = rayon::with_threads(threads, || table.into_label_sets());
+    stats.construction_time = start.elapsed();
+
+    // PLaNTed labels are canonical; the tail's are cleaned in their windows.
+    let clean_start = Instant::now();
+    rayon::with_threads(threads, || {
+        clean_window(&mut labels, planted.end, &tail.floors, ranking)
+    });
+    stats.cleaning_time = clean_start.elapsed();
+    LabelingResult::finish(labels, ranking, stats, start)
 }
 
 /// Moving average of Ψ over the most recent SPTs, beside the running total
@@ -241,7 +260,7 @@ mod tests {
         assert!((64..=300).contains(&planted), "planted {planted} of 2000");
 
         // Road-like: Ψ/L̄ peaks near 0.1, above the default factor, so the
-        // grid switches once the window is full and GLL finishes it.
+        // grid switches once the window is full and pruned trees finish it.
         let g = grid_network(
             &GridOptions {
                 rows: 40,

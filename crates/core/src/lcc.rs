@@ -12,13 +12,19 @@
 //!
 //! The optimistic phase may still insert labels that are not canonical; a
 //! single cleaning pass (Lemma 2) removes exactly those, leaving the CHL.
+//! The root scheduler records each tree's floor, the first root still
+//! unfinished when the tree started, and every root below it was consulted
+//! by the tree's pruning queries. So a label can only be redundant through
+//! a hub between its tree's floor and its hub: `clean_window` checks only
+//! those, a window of a few hubs at two threads, and none at one thread,
+//! where LCC is PLL plus a clean that finds nothing to check.
 
 use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
-use crate::cleaning::clean_labels;
+use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
 use crate::index::LabelingResult;
 use crate::pll::pruned_trees;
@@ -44,19 +50,22 @@ pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig)
 
     // Phase LCC-I: optimistic parallel label construction with rank queries
     // (on by default).
-    let (constructed, pass) = pruned_trees(g, ranking, threads, PruneOptions::default());
+    let (mut labels, pass) = pruned_trees(g, ranking, threads, PruneOptions::default());
     stats.spt_records = pass.records;
     stats.distance_queries = pass.queries;
     stats.construction_time = start.elapsed();
 
-    // Phase LCC-II: sort the label sets and delete every redundant label.
-    // The parallel cleaning pass is pinned to the configured thread count
-    // so `--threads` caps the whole build, not just phase I.
-    stats.labels_before_cleaning = constructed.iter().map(|s| s.len()).sum();
+    // Phase LCC-II: delete every redundant label, checking each against the
+    // hubs of its tree's window. The parallel check is pinned to the
+    // configured thread count so `--threads` caps the whole build, not just
+    // phase I.
+    stats.labels_before_cleaning = labels.iter().map(|s| s.len()).sum();
     let clean_start = Instant::now();
-    let (cleaned, _removed) = rayon::with_threads(threads, || clean_labels(&constructed, ranking));
+    rayon::with_threads(threads, || {
+        clean_window(&mut labels, 0, &pass.floors, ranking)
+    });
     stats.cleaning_time = clean_start.elapsed();
-    LabelingResult::finish(cleaned, ranking, stats, start)
+    LabelingResult::finish(labels, ranking, stats, start)
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@
 //! | `Lcc` | [`lcc::lcc`] | §4.1, Alg. 2 | yes | construction + full cleaning ⇒ CHL |
 //! | `Gll` | [`gll::gll`] | §4.2 | yes | superstep global/local tables ⇒ CHL, cheaper cleaning |
 //! | `Plant` | [`plant::plant_labeling`] | §5.2, Alg. 3 | yes | embarrassingly parallel, no pruning queries ⇒ CHL |
-//! | `Hybrid` | [`hybrid::shared_hybrid`] | §5.2.1 (shared-memory variant) | yes | PLaNT for the label-heavy prefix, GLL for the tail |
+//! | `Hybrid` | [`hybrid::shared_hybrid`] | §5.2.1 (shared-memory variant) | yes | PLaNT for the label-heavy prefix, one pass of pruned trees for the tail |
 //!
 //! Every one of them is a composition of tree kernel × tables × stop rule ×
 //! clean over one crate-private root scheduler (`schedule.rs`), which claims

@@ -3,7 +3,8 @@
 //!
 //! PLL is the pruned kernel on the root scheduler at one thread, where the
 //! `rayon` shim runs it inline and in rank order. SparaPLL and LCC run the
-//! same construction (`pruned_trees`) on more threads.
+//! same construction (`pruned_trees`) on more threads, and Hybrid's tail
+//! runs it from its switch point (`pruned_pass`).
 
 use std::time::Instant;
 
@@ -83,16 +84,33 @@ pub(crate) fn pruned_trees(
     threads: usize,
     opts: PruneOptions,
 ) -> (Vec<LabelSet>, Pass) {
+    let table = ConcurrentLabelTable::new(g.num_vertices());
+    let pass = pruned_pass(g, ranking, &table, 0, threads, opts);
+    (
+        rayon::with_threads(threads, || table.into_label_sets()),
+        pass,
+    )
+}
+
+/// One pruned tree per root from rank position `first` on, on `threads`
+/// workers reading and writing `table`: [`pruned_trees`], and Hybrid's tail
+/// over the labels its PLaNT phase left in `table`.
+pub(crate) fn pruned_pass(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    table: &ConcurrentLabelTable,
+    first: u32,
+    threads: usize,
+    opts: PruneOptions,
+) -> Pass {
     let n = g.num_vertices();
-    let table = ConcurrentLabelTable::new(n);
     let mut scratch: Vec<_> = (0..threads).map(|_| DijkstraScratch::new(n)).collect();
-    let pass = schedule::run(
+    schedule::run(
         &mut scratch,
-        0..n as u32,
+        first..n as u32,
         |_| false,
-        |scratch, pos| pruned_dijkstra(g, ranking, ranking.vertex_at(pos), &table, opts, scratch),
-    );
-    (table.into_label_sets(), pass)
+        |scratch, pos| pruned_dijkstra(g, ranking, ranking.vertex_at(pos), table, opts, scratch),
+    )
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub struct ConstructionStats {
     /// Per-SPT records, one per tree, ascending by root rank position at any
     /// thread count: every shared-memory constructor's root scheduler
     /// returns them sorted. Hybrid's PLaNTed trees come first, since their
-    /// positions are lower than any its GLL supersteps grow. The `*_per_spt`
+    /// positions are lower than any its pruned tail grows. The `*_per_spt`
     /// accessors still sort, for records assembled by hand.
     pub spt_records: Vec<SptRecord>,
     /// Labels present before any cleaning ran.
@@ -58,7 +58,8 @@ pub struct ConstructionStats {
     /// Labels remaining after cleaning (equals the index's total).
     pub labels_after_cleaning: usize,
     /// Number of construction/cleaning supersteps executed (GLL/DGLL); 1 for
-    /// single-pass algorithms.
+    /// single-pass algorithms, and for Hybrid one per pass (its PLaNT pass,
+    /// then its pruned tail if it switched).
     pub supersteps: usize,
     /// For hybrid constructors: how many SPTs were PLaNTed before switching
     /// to pruned construction.

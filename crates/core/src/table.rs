@@ -126,12 +126,12 @@ impl ConcurrentLabelTable {
             .collect()
     }
 
-    /// Consumes the table into sorted per-vertex [`LabelSet`]s.
+    /// Consumes the table into sorted per-vertex [`LabelSet`]s, sorting the
+    /// vertices in parallel at the ambient `rayon::current_num_threads`.
     pub fn into_label_sets(self) -> Vec<LabelSet> {
-        self.slots
-            .into_iter()
-            .map(|s| LabelSet::from_entries(s.into_inner()))
-            .collect()
+        rayon::map(self.slots.len(), |v| {
+            LabelSet::from_entries(std::mem::take(&mut *self.slots[v].lock()))
+        })
     }
 }
 

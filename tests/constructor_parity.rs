@@ -54,7 +54,7 @@ fn all_canonical_constructors_agree_on_both_topologies() {
                 "{algo} must produce the identical canonical labeling on {name}"
             );
             // One record per root, ascending by root position: Hybrid's
-            // PLaNTed trees come first, then its GLL supersteps'.
+            // PLaNTed trees come first, then its pruned tail's.
             let roots: Vec<u32> = built
                 .stats
                 .spt_records
