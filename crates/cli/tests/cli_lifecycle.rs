@@ -394,6 +394,29 @@ fn compressed_build_inspects_and_serves_identically_to_flat() {
     assert!(stdout.contains("compressed entries:"), "stdout: {stdout}");
     assert!(stdout.contains("bytes encoded vs"), "stdout: {stdout}");
 
+    // The encoded size is the entries section alone: parent records after
+    // it (--paths) must not count toward it.
+    let encoded = |stdout: &str| {
+        let (_, tail) = stdout.split_once("compressed entries: ").unwrap();
+        tail.split_once(" bytes encoded").unwrap().0.to_string()
+    };
+    let paths_path = dir.join("g-compressed-paths.chl");
+    let paths_stdout = run_ok(chl().args([
+        "build",
+        graph_path.to_str().unwrap(),
+        "--out",
+        paths_path.to_str().unwrap(),
+        "--algorithm",
+        "hybrid",
+        "--ranking",
+        "degree",
+        "--threads",
+        "2",
+        "--compress",
+        "--paths",
+    ]));
+    assert_eq!(encoded(&paths_stdout), encoded(&stdout), "{paths_stdout}");
+
     // Delta+varint entries must actually be smaller than the flat records.
     let flat_len = std::fs::metadata(&flat_path).unwrap().len();
     let compressed_len = std::fs::metadata(&compressed_path).unwrap().len();

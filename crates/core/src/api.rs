@@ -3,7 +3,7 @@
 //!
 //! The paper's central observation is that PLL, LCC, GLL, PLaNT and the
 //! Hybrid all produce the *same* canonical hub labeling (and SparaPLL a
-//! query-equivalent superset), so callers should never be coupled to a
+//! query-equivalent, non-canonical one), so callers should never be coupled to a
 //! specific constructor. This module provides that seam:
 //!
 //! * [`Algorithm`] — a value-level name for each constructor;
@@ -46,7 +46,7 @@ use crate::index::LabelingResult;
 /// | Variant | Constructor | Paper section | Canonical output? |
 /// |---|---|---|---|
 /// | `Pll` | sequential PLL (Akiba et al.) | §1 baseline | yes |
-/// | `SParaPll` | shared-memory paraPLL (Qiu et al.) | §3 baseline | no (query-equivalent superset) |
+/// | `SParaPll` | shared-memory paraPLL (Qiu et al.) | §3 baseline | no (query-equivalent) |
 /// | `Lcc` | Label Construction and Cleaning | §4.1, Alg. 2 | yes |
 /// | `Gll` | Global-Local Labeling | §4.2 | yes |
 /// | `Plant` | PLaNT (prune labels, not trees) | §5.2, Alg. 3 | yes |
@@ -122,7 +122,7 @@ impl Algorithm {
     }
 
     /// `true` when the constructor outputs the canonical hub labeling;
-    /// `SParaPll` instead outputs a query-equivalent superset.
+    /// `SParaPll` instead outputs a query-equivalent labeling.
     pub fn is_canonical(self) -> bool {
         !matches!(self, Algorithm::SParaPll)
     }

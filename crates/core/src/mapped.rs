@@ -43,7 +43,7 @@ use chl_graph::types::{Distance, VertexId};
 
 use crate::flat::IndexView;
 use crate::oracle::DistanceOracle;
-use crate::persist::{self, AlignedBytes, LayoutV2, PersistError, ShardSpec};
+use crate::persist::{self, AlignedBytes, Layout, PersistError, ShardSpec};
 
 /// A `.chl` v2/v3 index served zero-copy from a file mapping (or, as a
 /// fallback, from one aligned buffered read of the file).
@@ -60,16 +60,18 @@ use crate::persist::{self, AlignedBytes, LayoutV2, PersistError, ShardSpec};
 /// ## File stability
 ///
 /// The open is safe Rust, but a memory map observes external changes to its
-/// file: another process truncating or rewriting the index while it serves
-/// can crash queries (`SIGBUS`) or change answers. Treat published `.chl`
-/// files as immutable — replace them by rename, never in place. The
-/// buffered fallback has no such coupling.
+/// file: another process truncating or rewriting the index in place while
+/// it serves can crash queries (`SIGBUS`) or change answers. Treat published
+/// `.chl` files as immutable and replace them by rename, never in place.
+/// [`persist::save`] does exactly that (and so `chl build --out`), so a
+/// mapping of the old file keeps serving the old bytes. The buffered
+/// fallback has no such coupling.
 #[derive(Debug)]
 pub struct MmapIndex {
     backing: Backing,
-    /// The section layout `open` validated `backing` against; every view
-    /// is assembled from these ranges.
-    layout: LayoutV2,
+    /// The section table `open` validated `backing` against; every view
+    /// is assembled from its rows. Boxed: the table outweighs the rest.
+    layout: Box<Layout>,
     /// Owned copy of the shard section, cached at open so per-query shard
     /// membership checks never re-walk the mapped bytes' layout.
     shard: Option<ShardSpec>,
@@ -127,7 +129,7 @@ impl MmapIndex {
             .map(|s| s.to_spec());
         Ok(MmapIndex {
             backing,
-            layout,
+            layout: Box::new(layout),
             shard,
         })
     }
@@ -155,7 +157,7 @@ impl MmapIndex {
     /// `true` when the file's entries section is delta+varint compressed —
     /// queries stream-decode instead of reinterpreting records in place.
     pub fn is_compressed(&self) -> bool {
-        self.layout.compressed.is_some()
+        self.layout.compressed
     }
 
     /// The shard identity cached at open, when the file is one QDOL shard

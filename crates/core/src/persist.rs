@@ -157,6 +157,16 @@
 //! an input format, and [`to_bytes_v1`] remains for compatibility tests and
 //! old tooling.
 //!
+//! ## One section table
+//!
+//! A private planner, `plan`, alone decides the v2/v3 section order, the
+//! 8-byte padding and where each CRC is stored. From the header and the
+//! file's two self-describing words (the compressed blob length in the skip
+//! table's last slot, the shard's owned count) it returns one row per
+//! section: the span its CRC covers, its array, its CRC word and the bytes
+//! besides padding that must be zero. The writer fills and seals the rows,
+//! the validator walks them, the zero-copy casts cut their arrays out.
+//!
 //! ## One load path
 //!
 //! Every v2/v3 loader runs the same validator over the same bytes: the
@@ -673,6 +683,10 @@ pub struct FileHeader {
     pub crc_shard: u32,
     /// v3: CRC-32 of header bytes 0..44 (`0` for pre-v3 versions).
     pub crc_header: u32,
+    /// Compressed files: the encoded blob length stored in the skip table's
+    /// last slot, when the parsed bytes reach it ([`load_header`] reads it
+    /// from the file). `None` for flat files.
+    pub blob_len: Option<u64>,
 }
 
 impl FileHeader {
@@ -707,47 +721,67 @@ impl FileHeader {
     /// table), sharded files carry a self-describing owned set, and hostile
     /// dimensions can overflow.
     pub fn expected_file_len(&self) -> Option<usize> {
-        if self.is_compressed() || self.is_sharded() {
-            return None;
+        let (n, m) = (self.num_vertices, self.num_entries);
+        match self.version {
+            VERSION_V1 => expected_payload_len_v1(n, m)?.checked_add(HEADER_LEN_V1),
+            _ if self.is_compressed() => None,
+            _ => self.plan_known(None).map(|layout| layout.len),
         }
-        let payload = match self.version {
-            VERSION_V1 => expected_payload_len_v1(self.num_vertices, self.num_entries)?,
-            _ => expected_payload_len_v2(self.num_vertices, self.num_entries)?,
-        };
-        let paths = if self.is_paths() {
-            usize::try_from(pad_to_align(
-                8u64.checked_add(self.num_entries.checked_mul(4)?)?,
-            )?)
-            .ok()?
-        } else {
-            0
-        };
-        payload.checked_add(self.header_len())?.checked_add(paths)
     }
 
-    /// On-disk size of the entries section in bytes, derived from the header
-    /// and the actual file length: the storage queries really touch. For
-    /// flat encodings this is `m` times the record size; for compressed
-    /// files it is everything between the offsets section and the optional
-    /// shard section (skip table, blob and padding). Saturating — hostile
-    /// headers must not wrap.
-    pub fn entries_section_len(&self, file_len: u64) -> u64 {
-        let n = self.num_vertices;
-        let m = self.num_entries;
+    /// On-disk size of the entries section in bytes: the storage queries
+    /// really touch. For v1 this is `m` times the record size; for v2/v3 it
+    /// is the entries row of the layout, compressed files laid out from
+    /// [`FileHeader::blob_len`], and 0 when that is unknown or the header's
+    /// dimensions are impossible. `_file_len` is no longer needed and stays
+    /// for existing callers.
+    pub fn entries_section_len(&self, _file_len: u64) -> u64 {
         match self.version {
-            VERSION_V1 => m.saturating_mul(ENTRY_LEN_V1 as u64),
-            _ if self.is_compressed() => {
-                let before_entries = (self.header_len() as u64)
-                    .saturating_add(pad_to_align(n.saturating_mul(4)).unwrap_or(u64::MAX))
-                    .saturating_add(n.saturating_add(1).saturating_mul(8));
-                // A sharded or path-carrying file's entries section ends
-                // where the next section begins; without loading those
-                // sections the best header-only answer is the span up to end
-                // of file, which is exact for plain compressed files.
-                file_len.saturating_sub(before_entries)
-            }
-            _ => m.saturating_mul(ENTRY_LEN_V2 as u64),
+            VERSION_V1 => self.num_entries.saturating_mul(ENTRY_LEN_V1 as u64),
+            // The owned count does not move the entries section.
+            _ => self
+                .plan_known(Some(0))
+                .map_or(0, |layout| layout.entries.span.len() as u64),
         }
+    }
+
+    /// Lays out this header's v2/v3 file; see [`plan`].
+    fn plan(
+        &self,
+        word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
+    ) -> Result<Layout, PersistError> {
+        let (n, m) = (self.num_vertices, self.num_entries);
+        plan(self.version, n, m, self.flags, word)
+    }
+
+    /// The layout with [`Self::blob_len`] and `owned` for the file's own
+    /// words; `None` when one is unknown or the dimensions are impossible.
+    fn plan_known(&self, owned: Option<u64>) -> Option<Layout> {
+        let known = |section| match section {
+            Section::Shard => owned,
+            _ => self.blob_len,
+        };
+        let unread = |at: Range<usize>| PersistError::Truncated {
+            expected: at.end,
+            found: 0,
+        };
+        self.plan(|section, at| known(section).ok_or_else(|| unread(at)))
+            .ok()
+    }
+
+    /// The compressed blob length, read through `read` from the skip-table
+    /// slot the layout places it in; `None` when the read fails.
+    fn read_blob_len(
+        &self,
+        mut read: impl FnMut(Range<usize>) -> Result<u64, PersistError>,
+    ) -> Option<u64> {
+        let mut blob_len = None;
+        // The owned count comes after the blob, so any value serves.
+        let _ = self.plan(|section, at| match section {
+            Section::Shard => Ok(0),
+            _ => read(at).inspect(|&len| blob_len = Some(len)),
+        });
+        blob_len
     }
 
     /// In-memory size of the decoded entries in bytes (`m * 16`), the
@@ -823,12 +857,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Rounds `len` up to the next multiple of [`SECTION_ALIGN`], `None` on
-/// overflow.
-fn pad_to_align(len: u64) -> Option<u64> {
-    len.checked_next_multiple_of(SECTION_ALIGN as u64)
-}
-
 // --- LEB128 varints (the compressed entries encoding) --------------------
 
 /// Appends `x` to `buf` as a canonical (minimal-length) little-endian
@@ -901,149 +929,152 @@ fn expected_payload_len_v1(n: u64, m: u64) -> Option<usize> {
     usize::try_from(total).ok()
 }
 
-/// v2 payload size (all sections padded) implied by the header dimensions.
-fn expected_payload_len_v2(n: u64, m: u64) -> Option<usize> {
-    let ranking = pad_to_align(n.checked_mul(4)?)?;
-    let offsets = n.checked_add(1)?.checked_mul(8)?;
-    let entries = m.checked_mul(ENTRY_LEN_V2 as u64)?;
-    let total = ranking.checked_add(offsets)?.checked_add(entries)?;
-    usize::try_from(total).ok()
-}
+// --- The section table ----------------------------------------------------
+//
+// `plan` alone decides where a v2/v3 section starts, how far it is padded
+// and where its checksum is stored. The writer fills and seals its rows,
+// the validator walks them, the casts cut their arrays out.
 
-/// Byte ranges of the compressed entries section's two halves.
+/// One section of a v2/v3 file, as [`plan`] lays it out.
 #[derive(Debug, Clone)]
-pub(crate) struct CompressedLayout {
-    /// The per-vertex skip table: `(n + 1)` u64 byte offsets into the blob.
-    skip: Range<usize>,
-    /// The encoded blob's data bytes, excluding tail padding.
-    blob_data: Range<usize>,
-}
-
-/// Byte ranges of the v3 path section (per-entry parent records).
-#[derive(Debug, Clone)]
-pub(crate) struct PathsLayout {
-    /// The `m` u32 parent records, excluding the prelude and tail padding.
+pub(crate) struct Row {
+    section: Section,
+    /// What the CRC covers: from a section boundary through the padding.
+    span: Range<usize>,
+    /// The section's array. Before it in `span` sits a fixed prelude (the
+    /// skip table, the shard identity), after it zero padding.
     data: Range<usize>,
-    /// Everything `crc_paths` covers: the parents array plus tail padding
-    /// (the 8-byte prelude itself is excluded — it holds the CRC).
-    payload: Range<usize>,
-    /// Whole section including the prelude; starts at the section boundary.
-    section: Range<usize>,
+    /// Where the CRC is stored: a header word or the path prelude's first.
+    crc: Range<usize>,
+    /// Bytes besides the padding that must be zero.
+    zeros: Zeros,
 }
 
-/// Byte ranges of the trailing v3 shard section.
-#[derive(Debug, Clone)]
-struct ShardLayout {
-    /// The 16-byte prelude plus the owned array, excluding tail padding.
-    data: Range<usize>,
-    /// Whole shard section including tail padding; `crc_shard` covers this.
-    section: Range<usize>,
+/// The record-level zero checks of a [`Row`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Zeros {
+    None,
+    /// Bytes 4..8 of every 16-byte entry record: `LabelEntry`'s padding.
+    EntryWords,
+    /// The bytes between the CRC word and the span: the path prelude's
+    /// reserved word.
+    Reserved,
 }
 
-/// Absolute byte ranges of the sections within a v2/v3 file of validated
-/// length. Section starts and lengths are all multiples of
-/// [`SECTION_ALIGN`], so a section start in an 8-byte-aligned buffer is
-/// itself 8-byte aligned.
+impl Row {
+    /// The section starting at `at` with its array at `data`, zero-padded
+    /// to the alignment. The match is where each section keeps its CRC: a
+    /// header word, or the path section's 8-byte prelude just before `at`.
+    fn new(section: Section, at: usize, data: Range<usize>) -> Option<Row> {
+        let span = at..data.end.checked_next_multiple_of(SECTION_ALIGN)?;
+        let (crc, zeros) = match section {
+            Section::Ranking => (28, Zeros::None),
+            Section::Offsets => (32, Zeros::None),
+            Section::Entries => (36, Zeros::None),
+            Section::Paths => (at - 8, Zeros::Reserved),
+            Section::Shard => (40, Zeros::None),
+        };
+        let crc = crc..crc + 4;
+        Some(Row {
+            section,
+            span,
+            data,
+            crc,
+            zeros,
+        })
+    }
+
+    /// The fixed prelude inside the span, before the array.
+    fn prelude(&self) -> Range<usize> {
+        self.span.start..self.data.start
+    }
+}
+
+/// The section table of one v2/v3 file. Every section starts on a multiple
+/// of [`SECTION_ALIGN`], so in an 8-byte-aligned buffer it is aligned too.
 #[derive(Debug, Clone)]
-pub(crate) struct LayoutV2 {
+pub(crate) struct Layout {
     pub(crate) n: usize,
     pub(crate) m: usize,
-    /// Ranking data bytes (`n * 4`), excluding tail padding.
-    ranking_data: Range<usize>,
-    /// Full ranking section including tail padding.
-    ranking_section: Range<usize>,
-    offsets: Range<usize>,
-    /// The whole entries section — `m * 16` records when flat, skip table +
-    /// blob + padding when compressed. `crc_entries` covers exactly this.
-    entries: Range<usize>,
-    /// Sub-layout of the entries section when [`FLAG_COMPRESSED_ENTRIES`]
-    /// is set.
-    pub(crate) compressed: Option<CompressedLayout>,
-    /// The path section when [`FLAG_PATHS`] is set (v3 only).
-    pub(crate) paths: Option<PathsLayout>,
-    /// The trailing shard section when [`FLAG_SHARDED`] is set (v3 only).
-    shard: Option<ShardLayout>,
+    version: u32,
+    pub(crate) compressed: bool,
+    ranking: Row,
+    offsets: Row,
+    entries: Row,
+    pub(crate) paths: Option<Row>,
+    shard: Option<Row>,
+    /// The file length, header included.
+    len: usize,
 }
 
-/// Computes the v2/v3 section layout from header dimensions and checks the
-/// buffer length matches exactly. Compressed files are self-describing —
-/// the encoded blob length is read from the last skip-table slot — and so
-/// is the shard section via its owned count, which is why this takes the
-/// whole buffer rather than just its length.
-#[expect(
-    clippy::indexing_slicing,
-    clippy::expect_used,
-    reason = "data.len() >= fixed was checked just above and fixed >= skip_len >= 8, so \
-              data[fixed - 8..fixed] is exactly 8 bytes"
-)]
-fn layout_v2(
+impl Layout {
+    /// Every section, in file order.
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        [&self.ranking, &self.offsets, &self.entries]
+            .into_iter()
+            .chain(self.paths.as_ref())
+            .chain(self.shard.as_ref())
+    }
+}
+
+/// Lays out a v2/v3 file from its header fields. Two sections size
+/// themselves: `word` is asked for the compressed entries' blob length (the
+/// skip table's last slot) and the shard's owned count (the shard prelude's
+/// last word), with the bytes each is stored in, once the sections before
+/// them are placed. A v3 header passed its CRC before this runs, so
+/// impossible dimensions are the writer's doing
+/// ([`PersistError::HeaderMalformed`]); in v2 they may be header corruption
+/// ([`PersistError::Malformed`], which `validate_layout` annotates).
+fn plan(
+    version: u32,
     n64: u64,
     m64: u64,
-    version: u32,
-    compressed: bool,
-    paths: bool,
-    sharded: bool,
-    data: &[u8],
-) -> Result<LayoutV2, PersistError> {
-    // In v3 the header passed its CRC before we got here, so impossible
-    // dimensions are provably the writer's doing; in v2 they could just as
-    // well be header corruption (no CRC covers them), which
-    // `validate_layout` folds into the message.
-    let header_len = if version == VERSION_V2 {
-        HEADER_LEN_V2
+    flags: u32,
+    mut word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
+) -> Result<Layout, PersistError> {
+    let v2 = version == VERSION_V2;
+    let dims_err = if v2 {
+        PersistError::Malformed
     } else {
-        HEADER_LEN_V3
-    };
-    let dims_err = move |msg: String| {
-        if version == VERSION_V2 {
-            PersistError::Malformed(msg)
-        } else {
-            PersistError::HeaderMalformed(msg)
-        }
+        PersistError::HeaderMalformed
     };
     if n64 > VertexId::MAX as u64 {
         return Err(dims_err(format!(
             "{n64} vertices exceeds the u32 vertex id space"
         )));
     }
-    let overflow = move || {
+    let overflow = || {
         dims_err(format!(
             "declared dimensions (n = {n64}, m = {m64}) overflow the addressable size"
         ))
     };
-    let data_len = data.len();
-    let ranking_len =
-        pad_to_align(n64.checked_mul(4).ok_or_else(overflow)?).ok_or_else(overflow)?;
-    let offsets_len = n64
-        .checked_add(1)
-        .and_then(|x| x.checked_mul(8))
-        .ok_or_else(overflow)?;
-    let prefix = (header_len as u64)
-        .checked_add(ranking_len)
-        .and_then(|x| x.checked_add(offsets_len))
-        .and_then(|x| usize::try_from(x).ok())
-        .ok_or_else(overflow)?;
+    let add = |at: usize, len: Option<u64>| {
+        len.and_then(|len| at.checked_add(usize::try_from(len).ok()?))
+            .ok_or_else(overflow)
+    };
+    let cut = |section, at, data| Row::new(section, at, data).ok_or_else(overflow);
 
-    let (entries_end, compressed_layout) = if compressed {
-        // Fixed prefix first: header, ranking, offsets, skip table. Only
-        // once those fit can the blob length be read out of the skip table.
-        let skip_len = offsets_len as usize;
-        let fixed = prefix.checked_add(skip_len).ok_or_else(overflow)?;
-        if data_len < fixed {
-            return Err(PersistError::Truncated {
-                expected: fixed,
-                found: data_len,
-            });
+    let at = if v2 { HEADER_LEN_V2 } else { HEADER_LEN_V3 };
+    let ranking = cut(Section::Ranking, at, at..add(at, Some(n64 * 4))?)?;
+    let at = ranking.span.end;
+    let offsets = cut(Section::Offsets, at, at..add(at, Some((n64 + 1) * 8))?)?;
+    let at = offsets.span.end;
+    let compressed = flags & FLAG_COMPRESSED_ENTRIES != 0;
+    let entries = if compressed {
+        // The skip table, whose last slot holds the blob length, then the
+        // blob.
+        let start = add(at, Some((n64 + 1) * 8))?;
+        let blob_len = word(Section::Entries, start - 8..start)?;
+        if blob_len
+            .checked_next_multiple_of(SECTION_ALIGN as u64)
+            .is_none()
+        {
+            return Err(PersistError::Malformed(format!(
+                "declared encoded blob length {blob_len} overflows the addressable size"
+            )));
         }
-        let blob_len = u64::from_le_bytes(data[fixed - 8..fixed].try_into().expect("8 bytes"));
-        let blob_padded = pad_to_align(blob_len)
-            .and_then(|x| usize::try_from(x).ok())
-            .ok_or_else(|| {
-                PersistError::Malformed(format!(
-                    "declared encoded blob length {blob_len} overflows the addressable size"
-                ))
-            })?;
-        let entries_end = fixed.checked_add(blob_padded).ok_or_else(overflow)?;
+        let blob = start..add(start, Some(blob_len))?;
+        let entries = cut(Section::Entries, at, blob)?;
         // The flat arm bounds m against the file length via `m * 16`; the
         // compressed equivalent is that every encoded entry costs at least
         // two bytes (a one-byte hub-gap varint plus a one-byte distance
@@ -1054,223 +1085,159 @@ fn layout_v2(
                 "declared entry count {m64} cannot fit in a {blob_len}-byte encoded blob"
             )));
         }
-        let layout = CompressedLayout {
-            skip: prefix..fixed,
-            blob_data: fixed..fixed + blob_len as usize,
-        };
-        (entries_end, Some(layout))
+        entries
     } else {
-        let entries_len = m64
-            .checked_mul(ENTRY_LEN_V2 as u64)
-            .and_then(|x| usize::try_from(x).ok())
-            .ok_or_else(overflow)?;
-        (prefix.checked_add(entries_len).ok_or_else(overflow)?, None)
-    };
-
-    // The path section follows the entries: an 8-byte CRC prelude plus one
-    // u32 parent per label entry, padded to the section alignment.
-    let (paths_end, paths_layout) = if paths {
-        let data_start = entries_end.checked_add(8).ok_or_else(overflow)?;
-        let data_end = m64
-            .checked_mul(4)
-            .and_then(|x| u64::try_from(data_start).ok()?.checked_add(x))
-            .ok_or_else(overflow)?;
-        let section_end = pad_to_align(data_end)
-            .and_then(|x| usize::try_from(x).ok())
-            .ok_or_else(overflow)?;
-        let data_end = data_end as usize;
-        let layout = PathsLayout {
-            data: data_start..data_end,
-            payload: data_start..section_end,
-            section: entries_end..section_end,
-        };
-        (section_end, Some(layout))
-    } else {
-        (entries_end, None)
-    };
-
-    // The shard section trails the entries (and path section, when present)
-    // and is self-describing via its owned count, read once the fixed
-    // 16-byte prelude is known to fit.
-    let (expected, shard_layout) = if sharded {
-        let fixed = paths_end.checked_add(16).ok_or_else(overflow)?;
-        if data_len < fixed {
-            return Err(PersistError::Truncated {
-                expected: fixed,
-                found: data_len,
-            });
+        let end = add(at, m64.checked_mul(ENTRY_LEN_V2 as u64))?;
+        let zeros = Zeros::EntryWords;
+        Row {
+            zeros,
+            ..cut(Section::Entries, at, at..end)?
         }
-        let owned_count = match data.get(fixed - 4..fixed) {
-            Some(&[a, b, c, d]) => u32::from_le_bytes([a, b, c, d]) as usize,
-            // Unreachable: `data_len >= fixed` was just checked.
-            _ => return Err(overflow()),
-        };
-        let data_end = owned_count
-            .checked_mul(4)
-            .and_then(|x| fixed.checked_add(x))
-            .ok_or_else(overflow)?;
-        let section_end = pad_to_align(data_end as u64)
-            .and_then(|x| usize::try_from(x).ok())
-            .ok_or_else(overflow)?;
-        let layout = ShardLayout {
-            data: paths_end..data_end,
-            section: paths_end..section_end,
-        };
-        (section_end, Some(layout))
-    } else {
-        (paths_end, None)
     };
-    if data_len < expected {
-        return Err(PersistError::Truncated {
-            expected,
-            found: data_len,
-        });
-    }
-    if data_len > expected {
-        return Err(PersistError::TrailingBytes {
-            extra: data_len - expected,
-        });
-    }
-    let n = n64 as usize;
-    let m = m64 as usize;
-    let ranking_start = header_len;
-    let ranking_data_end = ranking_start + n * 4;
-    let ranking_end = ranking_start + ranking_len as usize;
-    let offsets_end = ranking_end + (n + 1) * 8;
-    debug_assert_eq!(offsets_end, prefix);
-    Ok(LayoutV2 {
-        n,
-        m,
-        ranking_data: ranking_start..ranking_data_end,
-        ranking_section: ranking_start..ranking_end,
-        offsets: ranking_end..offsets_end,
-        entries: offsets_end..entries_end,
-        compressed: compressed_layout,
-        paths: paths_layout,
-        shard: shard_layout,
-    })
-}
-
-/// Verifies the per-section checksums and that every padding byte —
-/// section tail padding and the reserved word inside each entry record — is
-/// zero. This is the whole-payload integrity check of v2/v3, done one
-/// section at a time.
-#[expect(
-    clippy::unreachable,
-    reason = "v2/v3 headers always parse per-section checksums (parse_header builds them so)"
-)]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "section ranges come from the LayoutV2 that layout_v2 checked against data.len(), \
-              and chunks_exact(16) yields 16-byte chunks"
-)]
-fn check_sections_v2(
-    data: &[u8],
-    header: &FileHeader,
-    layout: &LayoutV2,
-) -> Result<(), PersistError> {
-    let Checksums::PerSection {
+    let mut at = entries.span.end;
+    let paths = if flags & FLAG_PATHS != 0 {
+        // After an 8-byte prelude (crc_paths, a reserved word): one u32
+        // parent per label entry.
+        let start = add(at, Some(8))?;
+        let paths = cut(
+            Section::Paths,
+            start,
+            start..add(start, m64.checked_mul(4))?,
+        )?;
+        at = paths.span.end;
+        Some(paths)
+    } else {
+        None
+    };
+    let shard = if flags & FLAG_SHARDED != 0 {
+        // After a 16-byte prelude (shard_id, shard_count, zeta,
+        // owned_count): the owned vertex ids.
+        let start = add(at, Some(16))?;
+        let owned = word(Section::Shard, start - 4..start)?;
+        let shard = cut(Section::Shard, at, start..add(start, owned.checked_mul(4))?)?;
+        at = shard.span.end;
+        Some(shard)
+    } else {
+        None
+    };
+    Ok(Layout {
+        n: n64 as usize,
+        m: m64 as usize,
+        version,
+        compressed,
         ranking,
         offsets,
         entries,
-    } = header.checksums
-    else {
-        unreachable!("v2/v3 headers always parse per-section checksums");
-    };
-    if let Some(p) = &layout.paths {
-        // The section's CRC lives in its own prelude (the fixed v3 header
-        // has no room for a fourth section CRC without a version bump).
-        let mut cur = Cursor::new(data);
-        cur.seek(p.section.start);
-        let stored = cur.get_u32();
-        let computed = crc32(&data[p.payload.clone()]);
-        if computed != stored {
-            return Err(PersistError::SectionChecksumMismatch {
-                section: Section::Paths,
-                stored,
-                computed,
-            });
-        }
-        let reserved = &data[p.section.start + 4..p.section.start + 8];
-        if let Some(i) = reserved.iter().position(|&b| b != 0) {
-            return Err(PersistError::NonZeroPadding {
-                offset: p.section.start + 4 + i,
-            });
-        }
-        let padding = data.get(p.data.end..p.payload.end).unwrap_or(&[]);
-        if let Some(i) = padding.iter().position(|&b| b != 0) {
-            return Err(PersistError::NonZeroPadding {
-                offset: p.data.end + i,
-            });
-        }
-    }
-    if let Some(s) = &layout.shard {
-        let computed = crc32(&data[s.section.clone()]);
-        if computed != header.crc_shard {
-            return Err(PersistError::SectionChecksumMismatch {
-                section: Section::Shard,
-                stored: header.crc_shard,
-                computed,
-            });
-        }
-        let padding = data.get(s.data.end..s.section.end).unwrap_or(&[]);
-        if let Some(i) = padding.iter().position(|&b| b != 0) {
-            return Err(PersistError::NonZeroPadding {
-                offset: s.data.end + i,
-            });
-        }
-    }
-    for (section, range, stored) in [
-        (Section::Ranking, &layout.ranking_section, ranking),
-        (Section::Offsets, &layout.offsets, offsets),
-        (Section::Entries, &layout.entries, entries),
-    ] {
-        let computed = crc32(&data[range.clone()]);
-        if computed != stored {
-            return Err(PersistError::SectionChecksumMismatch {
-                section,
-                stored,
-                computed,
-            });
-        }
-    }
-    if let Some(i) = data[layout.ranking_data.end..layout.ranking_section.end]
-        .iter()
-        .position(|&b| b != 0)
-    {
-        return Err(PersistError::NonZeroPadding {
-            offset: layout.ranking_data.end + i,
+        paths,
+        shard,
+        len: at,
+    })
+}
+
+/// Lays out `data` as a v2/v3 file, reading its self-describing words in
+/// place, and checks that its length is exactly the planned one.
+fn plan_file(header: &FileHeader, data: &[u8]) -> Result<Layout, PersistError> {
+    let layout = header.plan(|_, at| file_word(data, at))?;
+    if data.len() < layout.len {
+        return Err(PersistError::Truncated {
+            expected: layout.len,
+            found: data.len(),
         });
     }
-    match &layout.compressed {
-        None => {
-            // Bytes 4..8 of every 16-byte entry record mirror LabelEntry's
-            // struct padding and must be zero, so serialization stays
-            // deterministic and a forged record cannot smuggle data the
-            // view cannot see.
-            let entry_bytes = &data[layout.entries.clone()];
-            for (rec, chunk) in entry_bytes.chunks_exact(ENTRY_LEN_V2).enumerate() {
-                if let Some(i) = chunk[4..8].iter().position(|&b| b != 0) {
-                    return Err(PersistError::NonZeroPadding {
-                        offset: layout.entries.start + rec * ENTRY_LEN_V2 + 4 + i,
-                    });
+    if data.len() > layout.len {
+        return Err(PersistError::TrailingBytes {
+            extra: data.len() - layout.len,
+        });
+    }
+    Ok(layout)
+}
+
+/// The little-endian word stored at `at`, or [`PersistError::Truncated`]
+/// when `data` ends before it.
+fn file_word(data: &[u8], at: Range<usize>) -> Result<u64, PersistError> {
+    let bytes = data.get(at.clone()).ok_or(PersistError::Truncated {
+        expected: at.end,
+        found: data.len(),
+    })?;
+    Ok(bytes.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b)))
+}
+
+/// The whole-payload integrity check of v2/v3, one section at a time in
+/// file order: every CRC first, then every byte a row says must be zero.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows of the Layout plan_file checked against data.len(); 16-byte chunks"
+)]
+fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
+    layout.rows().try_for_each(|row| check_crc(data, row))?;
+    for row in layout.rows() {
+        match row.zeros {
+            Zeros::None => {}
+            Zeros::Reserved => zero_bytes(data, row.crc.end..row.span.start)?,
+            // Keeps serialization deterministic: a forged record cannot
+            // smuggle data the view cannot see.
+            Zeros::EntryWords => {
+                let mut records = data[row.data.clone()].chunks_exact(ENTRY_LEN_V2);
+                if let Some(i) = records.position(|r| r[4..8] != [0; 4]) {
+                    let at = row.data.start + i * ENTRY_LEN_V2;
+                    zero_bytes(data, at + 4..at + 8)?;
                 }
             }
         }
-        Some(c) => {
-            // The encoded blob's tail padding must be zero (the skip table
-            // is 8-byte sized by construction and carries no padding).
-            if let Some(i) = data[c.blob_data.end..layout.entries.end]
-                .iter()
-                .position(|&b| b != 0)
-            {
-                return Err(PersistError::NonZeroPadding {
-                    offset: c.blob_data.end + i,
-                });
-            }
-        }
+        zero_bytes(data, row.data.end..row.span.end)?;
     }
     Ok(())
+}
+
+/// Compares the CRC stored for `row` with the CRC of its span.
+fn check_crc(data: &[u8], row: &Row) -> Result<(), PersistError> {
+    let stored = file_word(data, row.crc.clone())? as u32;
+    let computed = crc32(data.get(row.span.clone()).unwrap_or_default());
+    if computed != stored {
+        return Err(PersistError::SectionChecksumMismatch {
+            section: row.section,
+            stored,
+            computed,
+        });
+    }
+    Ok(())
+}
+
+/// [`PersistError::NonZeroPadding`] at the first non-zero byte in `range`.
+fn zero_bytes(data: &[u8], range: Range<usize>) -> Result<(), PersistError> {
+    let bytes = data.get(range.clone()).unwrap_or_default();
+    match bytes.iter().position(|&b| b != 0) {
+        Some(i) => Err(PersistError::NonZeroPadding {
+            offset: range.start + i,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Stores every section's CRC where its row says and then, in v3, the
+/// header CRC, which covers them: the one writer of checksums.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rows of the Layout planned for this buffer's length"
+)]
+fn seal(buf: &mut [u8], layout: &Layout) {
+    for row in layout.rows() {
+        let crc = crc32(&buf[row.span.clone()]);
+        buf[row.crc.clone()].copy_from_slice(&crc.to_le_bytes());
+    }
+    if layout.version == VERSION {
+        seal_header(buf);
+    }
+}
+
+/// Stores the v3 header CRC, the CRC of header bytes 0..44.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass at least the HEADER_LEN_V3-byte header"
+)]
+fn seal_header(buf: &mut [u8]) {
+    let crc = crc32(&buf[..HEADER_LEN_V3 - 4]);
+    buf[HEADER_LEN_V3 - 4..HEADER_LEN_V3].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Checks that `order` lists every vertex in `0..order.len()` exactly once.
@@ -1303,7 +1270,7 @@ fn check_permutation(order: &[VertexId]) -> Result<(), PersistError> {
 #[expect(
     clippy::indexing_slicing,
     reason = "the offsets array holds exactly n + 1 entries (the v1 reader builds it so and \
-              layout_v2 cuts the section so), and windows(2) yields 2-element slices"
+              plan cuts the section so), and windows(2) yields 2-element slices"
 )]
 fn validate_offsets(n: usize, offsets: &[u64], m64: u64) -> Result<(), PersistError> {
     debug_assert_eq!(offsets.len(), n + 1);
@@ -1362,8 +1329,8 @@ fn validate_hub_sort(
 }
 
 /// Validates a compressed entries section against already-validated CSR
-/// offsets: the skip table starts at 0, rises monotonically and ends at the
-/// blob length; every vertex's run decodes to exactly its declared label
+/// offsets: the skip table starts at 0 and rises monotonically (it ends at
+/// the blob length, which `plan` read from it); every vertex's run decodes to exactly its declared label
 /// count with canonical varints, strictly increasing in-range hubs, and
 /// consumes exactly its skip-table byte span. When `sink` is given the
 /// decoded entries are appended to it (the copying loader keeps them, so
@@ -1374,9 +1341,9 @@ fn validate_hub_sort(
 /// running entry counter is the record's global index.
 #[expect(
     clippy::indexing_slicing,
-    reason = "skip and offsets hold n + 1 entries (layout_v2 cuts them so), windows(2) yields \
-              2-element slices, and skip is checked monotone and ending at blob.len() before any \
-              run is cut"
+    reason = "skip and offsets hold n + 1 entries (plan cuts them so), windows(2) yields \
+              2-element slices, skip ends at blob.len() (plan sized the blob from it) and is \
+              checked monotone before any run is cut"
 )]
 fn validate_compressed_entries(
     skip: &[u64],
@@ -1399,17 +1366,8 @@ fn validate_compressed_entries(
             w[0], w[1]
         )));
     }
-    // layout_v2 sized the blob from skip[n], so this can only trip when the
-    // caller assembled the slices itself.
-    if skip[n] != blob.len() as u64 {
-        return Err(PersistError::Malformed(format!(
-            "final skip offset {} disagrees with the encoded blob length {}",
-            skip[n],
-            blob.len()
-        )));
-    }
     if let Some(sink) = sink.as_deref_mut() {
-        // offsets[n] is the validated entry count, which layout_v2 bounded
+        // offsets[n] is the validated entry count, which plan bounded
         // by the blob length.
         sink.reserve_exact(offsets[n] as usize);
     }
@@ -1502,8 +1460,7 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
 /// entries section (flags bit 0) when `options.compress` is set.
 #[expect(
     clippy::indexing_slicing,
-    reason = "writer-side slicing of a buffer this function sized and filled: the header is \
-              HEADER_LEN_V3 bytes and every section start was recorded as it was written"
+    reason = "the buffer is sized to the Layout its rows come from"
 )]
 #[expect(
     clippy::expect_used,
@@ -1511,123 +1468,85 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
               itself could not exist"
 )]
 pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
-    let n = index.num_vertices();
-    let m = index.total_labels();
+    let n = index.num_vertices() as u64;
+    let m = index.total_labels() as u64;
     let shard = index.shard();
     let parents = index.parents();
-    // Encoding up front makes the exact output size computable either way,
-    // so the buffer never reallocates mid-write.
+    // Encoding up front fixes the blob length the layout needs, so the
+    // buffer is sized once.
     let encoded = options
         .compress
         .then(|| encode_entries(index.offsets(), index.entries()));
-    let padded = |len: usize| pad_to_align(len as u64).expect("index fits in memory") as usize;
-    let entries_len = match &encoded {
-        Some((skip, blob)) => skip.len() * 8 + padded(blob.len()),
-        None => m * ENTRY_LEN_V2,
-    };
-    let capacity = HEADER_LEN_V3
-        + padded(n * 4)
-        + (n + 1) * 8
-        + entries_len
-        + parents.map_or(0, |p| padded(8 + p.len() * 4))
-        + shard.map_or(0, |s| padded(16 + s.owned.len() * 4));
-    let mut buf = Vec::with_capacity(capacity);
+    let flags = (FLAG_COMPRESSED_ENTRIES * u32::from(options.compress))
+        | (FLAG_SHARDED * u32::from(shard.is_some()))
+        | (FLAG_PATHS * u32::from(parents.is_some()));
+    let layout = plan(VERSION, n, m, flags, |section, _| {
+        Ok(match section {
+            Section::Shard => shard.map_or(0, |s| s.owned.len() as u64),
+            _ => encoded.as_ref().map_or(0, |(_, blob)| blob.len() as u64),
+        })
+    })
+    .expect("an index held in memory has a layout");
 
-    let mut flags = if options.compress {
-        FLAG_COMPRESSED_ENTRIES
-    } else {
-        0
-    };
-    if shard.is_some() {
-        flags |= FLAG_SHARDED;
-    }
-    if parents.is_some() {
-        flags |= FLAG_PATHS;
-    }
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    buf.extend_from_slice(&flags.to_le_bytes());
-    // CRC placeholders: three section CRCs, crc_shard and crc_header.
-    buf.resize(HEADER_LEN_V3, 0);
-
-    let ranking_start = buf.len();
-    for &v in index.ranking().order() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    while !buf.len().is_multiple_of(SECTION_ALIGN) {
-        buf.push(0);
-    }
-    let offsets_start = buf.len();
-    for &off in index.offsets() {
-        buf.extend_from_slice(&off.to_le_bytes());
-    }
-    let entries_start = buf.len();
-    if let Some((skip, blob)) = &encoded {
-        for &s in skip {
-            buf.extend_from_slice(&s.to_le_bytes());
+    let mut buf = MAGIC.to_vec();
+    buf.extend(VERSION.to_le_bytes());
+    buf.extend(n.to_le_bytes());
+    buf.extend(m.to_le_bytes());
+    buf.extend(flags.to_le_bytes());
+    // Checksums, padding and reserved words stay zero until sealed.
+    buf.resize(layout.len, 0);
+    put(
+        &mut buf,
+        &layout.ranking.data,
+        index.ranking().order(),
+        u32::to_le_bytes,
+    );
+    put(
+        &mut buf,
+        &layout.offsets.data,
+        index.offsets(),
+        u64::to_le_bytes,
+    );
+    let entries = &layout.entries;
+    match &encoded {
+        Some((skip, blob)) => {
+            put(&mut buf, &entries.prelude(), skip, u64::to_le_bytes);
+            buf[entries.data.clone()].copy_from_slice(blob);
         }
-        buf.extend_from_slice(blob);
-        while !buf.len().is_multiple_of(SECTION_ALIGN) {
-            buf.push(0);
-        }
-    } else {
-        for e in index.entries() {
-            buf.extend_from_slice(&e.hub.to_le_bytes());
-            buf.extend_from_slice(&0u32.to_le_bytes());
-            buf.extend_from_slice(&e.dist.to_le_bytes());
-        }
+        None => put(&mut buf, &entries.data, index.entries(), |e| {
+            let mut record = [0u8; ENTRY_LEN_V2];
+            record[..4].copy_from_slice(&e.hub.to_le_bytes());
+            record[8..].copy_from_slice(&e.dist.to_le_bytes());
+            record
+        }),
     }
-    let paths_start = buf.len();
-    if let Some(parents) = parents {
-        // Prelude: the section CRC (patched below, like the header CRCs)
-        // plus a reserved word held zero.
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        for &p in parents {
-            buf.extend_from_slice(&p.to_le_bytes());
-        }
-        while !buf.len().is_multiple_of(SECTION_ALIGN) {
-            buf.push(0);
-        }
+    if let (Some(row), Some(parents)) = (&layout.paths, parents) {
+        put(&mut buf, &row.data, parents, u32::to_le_bytes);
     }
-    let shard_start = buf.len();
-    if let Some(s) = shard {
-        buf.extend_from_slice(&s.shard_id.to_le_bytes());
-        buf.extend_from_slice(&s.shard_count.to_le_bytes());
-        buf.extend_from_slice(&s.zeta.to_le_bytes());
-        buf.extend_from_slice(&(s.owned.len() as u32).to_le_bytes());
-        for &v in &s.owned {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        while !buf.len().is_multiple_of(SECTION_ALIGN) {
-            buf.push(0);
-        }
+    if let (Some(row), Some(s)) = (&layout.shard, shard) {
+        let identity = [s.shard_id, s.shard_count, s.zeta, s.owned.len() as u32];
+        put(&mut buf, &row.prelude(), &identity, u32::to_le_bytes);
+        put(&mut buf, &row.data, &s.owned, u32::to_le_bytes);
     }
-
-    // Each section is checksummed independently — a writer streaming
-    // sections to disk can finalize each CRC as the section completes. The
-    // header CRC goes last: it covers the section CRCs themselves.
-    let crc_ranking = crc32(&buf[ranking_start..offsets_start]);
-    let crc_offsets = crc32(&buf[offsets_start..entries_start]);
-    let crc_entries = crc32(&buf[entries_start..paths_start]);
-    let crc_shard = if shard.is_some() {
-        crc32(&buf[shard_start..])
-    } else {
-        0
-    };
-    buf[28..32].copy_from_slice(&crc_ranking.to_le_bytes());
-    buf[32..36].copy_from_slice(&crc_offsets.to_le_bytes());
-    buf[36..40].copy_from_slice(&crc_entries.to_le_bytes());
-    buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
-    if parents.is_some() {
-        let crc_paths = crc32(&buf[paths_start + 8..shard_start]);
-        buf[paths_start..paths_start + 4].copy_from_slice(&crc_paths.to_le_bytes());
-    }
-    let crc_header = crc32(&buf[..HEADER_LEN_V3 - 4]);
-    buf[44..48].copy_from_slice(&crc_header.to_le_bytes());
+    seal(&mut buf, &layout);
     buf
+}
+
+/// Writes `items` encoded by `bytes` back to back from the start of
+/// `buf[range]`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "writer ranges are rows of the Layout the buffer was sized to"
+)]
+fn put<T: Copy, const W: usize>(
+    buf: &mut [u8],
+    range: &Range<usize>,
+    items: &[T],
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    for (slot, &item) in buf[range.clone()].chunks_exact_mut(W).zip(items) {
+        slot.copy_from_slice(&bytes(item));
+    }
 }
 
 /// Serializes `index` into the legacy v1 packed format. Kept for
@@ -1690,7 +1609,7 @@ impl<'a> Cursor<'a> {
     #[expect(
         clippy::indexing_slicing,
         reason = "Cursor only reads inside the header length parse_header checked or a section \
-                  range layout_v2 checked"
+                  row plan_file checked"
     )]
     fn take(&mut self, len: usize) -> &'a [u8] {
         let s = &self.data[self.pos..self.pos + len];
@@ -1717,7 +1636,8 @@ impl<'a> Cursor<'a> {
 
 /// Parses just the fixed header, validating magic, version, flags and (on
 /// v3) the header CRC, but not the payload. `data` must hold the full
-/// header for its version.
+/// header for its version; a compressed file's blob length is read too
+/// when `data` reaches it.
 #[expect(
     clippy::expect_used,
     reason = "take(4) returned exactly 4 bytes, so the fixed-size try_into cannot fail"
@@ -1792,7 +1712,7 @@ pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
         }
         (flags, checksums, crc_shard, crc_header)
     };
-    Ok(FileHeader {
+    let mut header = FileHeader {
         version,
         num_vertices,
         num_entries,
@@ -1800,7 +1720,12 @@ pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
         checksums,
         crc_shard,
         crc_header,
-    })
+        blob_len: None,
+    };
+    if header.is_compressed() {
+        header.blob_len = header.read_blob_len(|at| file_word(data, at));
+    }
+    Ok(header)
 }
 
 /// Deserializes an index from `.chl` bytes, accepting the current v3
@@ -1822,7 +1747,7 @@ pub fn from_bytes(data: &[u8]) -> Result<FlatIndex, PersistError> {
     }
     let mut decoded = Vec::new();
     let layout = validate_layout(data, Some(&mut decoded))?;
-    let decoded = layout.compressed.is_some().then_some(decoded);
+    let decoded = layout.compressed.then_some(decoded);
     Ok(assemble_view(data, &layout).to_owned_with(decoded))
 }
 
@@ -1929,7 +1854,7 @@ fn is_view_aligned(data: &[u8]) -> bool {
 fn cast_u32s(bytes: &[u8]) -> &[u32] {
     debug_assert!((bytes.as_ptr() as usize).is_multiple_of(4));
     debug_assert!(bytes.len().is_multiple_of(4));
-    // SAFETY: the caller (layout_v2 + is_view_aligned) guarantees 4-byte
+    // SAFETY: the caller (plan + is_view_aligned) guarantees 4-byte
     // alignment and a length that is a multiple of 4; any bit pattern is a
     // valid u32, and the lifetime is inherited from `bytes`.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, bytes.len() / 4) }
@@ -1977,25 +1902,27 @@ enum EntriesSection<'a> {
 }
 
 /// Cuts and casts every section `layout` describes out of `data`. Sound for
-/// any 8-byte-aligned `data` as long as `layout` came from [`layout_v2`]
-/// (the only constructor), whose ranges start on section boundaries and
-/// span whole records; out-of-bounds ranges panic rather than misread.
+/// any 8-byte-aligned `data` as long as `layout` came from [`plan`] (the
+/// only constructor), whose rows start on section boundaries and span whole
+/// records; out-of-bounds ranges panic rather than misread.
 #[cfg(target_endian = "little")]
 #[expect(
     clippy::indexing_slicing,
-    reason = "section ranges come from the LayoutV2 that layout_v2 checked against data.len()"
+    reason = "rows come from the Layout plan_file checked against data.len()"
 )]
-fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
+fn cast_sections<'a>(data: &'a [u8], layout: &Layout) -> Sections<'a> {
     assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
+    let entries = &layout.entries;
     Sections {
-        order: cast_u32s(&data[layout.ranking_data.clone()]),
-        offsets: cast_u64s(&data[layout.offsets.clone()]),
-        entries: match &layout.compressed {
-            None => EntriesSection::Flat(cast_entries(&data[layout.entries.clone()])),
-            Some(c) => EntriesSection::Compressed {
-                skip: cast_u64s(&data[c.skip.clone()]),
-                blob: &data[c.blob_data.clone()],
-            },
+        order: cast_u32s(&data[layout.ranking.data.clone()]),
+        offsets: cast_u64s(&data[layout.offsets.data.clone()]),
+        entries: if layout.compressed {
+            EntriesSection::Compressed {
+                skip: cast_u64s(&data[entries.prelude()]),
+                blob: &data[entries.data.clone()],
+            }
+        } else {
+            EntriesSection::Flat(cast_entries(&data[entries.data.clone()]))
         },
         parents: layout
             .paths
@@ -2005,27 +1932,28 @@ fn cast_sections<'a>(data: &'a [u8], layout: &LayoutV2) -> Sections<'a> {
     }
 }
 
-/// Casts the shard section out of `data`: the identity words plus the owned
-/// array in place. The fourth prelude word, owned_count, is implied by the
-/// array. Same soundness contract as [`cast_sections`].
+/// Casts the shard section out of `data`: the identity words of its
+/// prelude plus the owned array in place. The prelude's fourth word,
+/// owned_count, is implied by the array. Same soundness contract as
+/// [`cast_sections`].
 #[cfg(target_endian = "little")]
 #[expect(
     clippy::indexing_slicing,
-    reason = "the shard range comes from the LayoutV2 that layout_v2 checked against data.len()"
+    reason = "the shard row comes from the Layout plan_file checked against data.len()"
 )]
-fn cast_shard<'a>(data: &'a [u8], s: &ShardLayout) -> ShardView<'a> {
+fn cast_shard<'a>(data: &'a [u8], row: &Row) -> ShardView<'a> {
     let mut cur = Cursor::new(data);
-    cur.seek(s.data.start);
+    cur.seek(row.span.start);
     ShardView {
         shard_id: cur.get_u32(),
         shard_count: cur.get_u32(),
         zeta: cur.get_u32(),
-        owned: cast_u32s(&data[s.data.start + 16..s.data.end]),
+        owned: cast_u32s(&data[row.data.clone()]),
     }
 }
 
 /// Runs the whole [`open_view`] battery over `data` — the one validator of
-/// v2/v3 bytes behind every loader — and returns the section layout it
+/// v2/v3 bytes behind every loader — and returns the section table it
 /// validated. `MmapIndex` keeps that layout so per-query views are one
 /// [`assemble_view`] over ranges already known good. When `sink` is given,
 /// a compressed file's decoded entries are appended to it (the copying
@@ -2033,7 +1961,7 @@ fn cast_shard<'a>(data: &'a [u8], s: &ShardLayout) -> ShardView<'a> {
 pub(crate) fn validate_layout(
     data: &[u8],
     sink: Option<&mut Vec<LabelEntry>>,
-) -> Result<LayoutV2, PersistError> {
+) -> Result<Layout, PersistError> {
     let header = parse_header(data)?;
     if header.version == VERSION_V1 {
         return Err(PersistError::NotZeroCopy {
@@ -2054,17 +1982,8 @@ pub(crate) fn validate_layout(
     }
     #[cfg(target_endian = "little")]
     {
-        let checked = layout_v2(
-            header.num_vertices,
-            header.num_entries,
-            header.version,
-            header.is_compressed(),
-            header.is_paths(),
-            header.is_sharded(),
-            data,
-        )
-        .and_then(|layout| {
-            check_sections_v2(data, &header, &layout)?;
+        let checked = plan_file(&header, data).and_then(|layout| {
+            check_sections(data, &layout)?;
             let s = cast_sections(data, &layout);
             check_permutation(s.order)?;
             validate_offsets(layout.n, s.offsets, header.num_entries)?;
@@ -2102,7 +2021,7 @@ pub(crate) fn validate_layout(
 /// Assembles the borrowed view over `data` from a layout that
 /// [`validate_layout`] returned **for this same buffer** — a handful of
 /// slice cuts and pointer casts, no check repeated.
-pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &LayoutV2) -> IndexView<'a> {
+pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a> {
     #[cfg(target_endian = "little")]
     {
         let s = cast_sections(data, layout);
@@ -2114,14 +2033,8 @@ pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &LayoutV2) -> IndexView<
                 CompressedView::from_validated_compressed_parts(s.order, s.offsets, skip, blob),
             ),
         };
-        let view = match s.parents {
-            Some(parents) => view.with_parents(parents),
-            None => view,
-        };
-        match s.shard {
-            Some(shard) => view.with_shard(shard),
-            None => view,
-        }
+        let view = s.parents.map_or(view, |parents| view.with_parents(parents));
+        s.shard.map_or(view, |shard| view.with_shard(shard))
     }
     #[cfg(not(target_endian = "little"))]
     {
@@ -2258,21 +2171,58 @@ pub fn read_aligned<P: AsRef<Path>>(path: P) -> Result<AlignedBytes, PersistErro
     Ok(buf)
 }
 
-/// Writes `index` to `path` in the current (v3) `.chl` format, overwriting
-/// any existing file. The write is not atomic; writers that must never
-/// expose a torn file should write to a sibling temp path and rename.
+/// Writes `index` to `path` in the current (v3) `.chl` format, replacing
+/// any existing file whole; see [`save_with`].
 pub fn save<P: AsRef<Path>>(index: &FlatIndex, path: P) -> Result<(), PersistError> {
     save_with(index, path, &SaveOptions::default())
 }
 
 /// Writes `index` to `path` in the `.chl` v3 format under explicit
 /// [`SaveOptions`] (`compress: true` for the delta+varint entries section).
+///
+/// The bytes go to a sibling file in the same directory, which is synced
+/// and then renamed over `path`, and on Unix the directory is synced too. A
+/// reader opening `path` finds the old file or the new one, whole; a reader
+/// or mapping that already holds the old file keeps its bytes. The sibling
+/// is removed when a step fails.
 pub fn save_with<P: AsRef<Path>>(
     index: &FlatIndex,
     path: P,
     options: &SaveOptions,
 ) -> Result<(), PersistError> {
-    fs::write(path, to_bytes_with(index, options))?;
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let mut sibling = path.as_os_str().to_owned();
+    // ORDERING: the count only keeps sibling names unique; it orders no
+    // other memory.
+    let save = SAVES.fetch_add(1, Ordering::Relaxed);
+    sibling.push(format!(".{}-{save}.tmp", std::process::id()));
+    let written = fs::File::create(&sibling)
+        .and_then(|mut file| {
+            file.write_all(&to_bytes_with(index, options))?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&sibling, path))
+        .and_then(|()| sync_parent(path));
+    if written.is_err() {
+        let _ = fs::remove_file(&sibling);
+    }
+    Ok(written?)
+}
+
+/// Syncs the directory holding `path`, which makes a rename into it
+/// durable. Directories cannot be opened for syncing everywhere; on those
+/// platforms this is a no-op.
+fn sync_parent(path: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
     Ok(())
 }
 
@@ -2290,38 +2240,19 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<FlatIndex, PersistError> {
 /// self-describing with the skip table in hand — so this costs one file
 /// read, not a full validation pass. The identity is cut out through the
 /// same layout and cast the view uses.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the shard range comes from the LayoutV2 that layout_v2 checked against data.len()"
-)]
 pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, PersistError> {
     let data = read_aligned(path)?;
     let header = parse_header(&data)?;
     if !header.is_sharded() {
         return Ok(None);
     }
-    let layout = layout_v2(
-        header.num_vertices,
-        header.num_entries,
-        header.version,
-        header.is_compressed(),
-        header.is_paths(),
-        true,
-        &data,
-    )?;
+    let layout = plan_file(&header, &data)?;
     let Some(s) = &layout.shard else {
         return Ok(None);
     };
     // Verify the shard section's own CRC so a forged identity cannot pass,
     // without paying for the (much larger) label-section checksums.
-    let computed = crc32(&data[s.section.clone()]);
-    if computed != header.crc_shard {
-        return Err(PersistError::SectionChecksumMismatch {
-            section: Section::Shard,
-            stored: header.crc_shard,
-            computed,
-        });
-    }
+    check_crc(&data, s)?;
     #[cfg(not(target_endian = "little"))]
     return Err(PersistError::Unviewable {
         reason: "host is big-endian",
@@ -2334,23 +2265,26 @@ pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, Per
     }
 }
 
-/// Reads and validates just the header of a `.chl` file.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "read < buf.len() is the loop condition, so both slices are in bounds"
-)]
+/// Reads and validates just the header of a `.chl` file, plus, for a
+/// compressed file, the blob length in [`FileHeader::blob_len`].
 pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> {
-    use std::io::Read;
+    use std::io::{Read, Seek, SeekFrom};
     let mut file = fs::File::open(path)?;
-    let mut buf = [0u8; HEADER_LEN_V3];
-    let mut read = 0;
-    while read < HEADER_LEN_V3 {
-        match file.read(&mut buf[read..])? {
-            0 => break,
-            k => read += k,
-        }
+    let mut head = Vec::with_capacity(HEADER_LEN_V3);
+    (&mut file)
+        .take(HEADER_LEN_V3 as u64)
+        .read_to_end(&mut head)?;
+    let mut header = parse_header(&head)?;
+    if header.is_compressed() {
+        // One more 8-byte read: the skip table's last slot.
+        header.blob_len = header.read_blob_len(|at| {
+            let mut word = [0u8; 8];
+            file.seek(SeekFrom::Start(at.start as u64))?;
+            file.read_exact(&mut word)?;
+            Ok(u64::from_le_bytes(word))
+        });
     }
-    parse_header(&buf[..read])
+    Ok(header)
 }
 
 #[cfg(test)]
@@ -2374,47 +2308,22 @@ mod tests {
     /// pre-v3 buffers.
     fn reseal_header(buf: &mut [u8]) {
         if u32::from_le_bytes(buf[4..8].try_into().unwrap()) == VERSION {
-            let crc = crc32(&buf[..HEADER_LEN_V3 - 4]);
-            buf[HEADER_LEN_V3 - 4..HEADER_LEN_V3].copy_from_slice(&crc.to_le_bytes());
+            seal_header(buf);
         }
     }
 
+    /// The section table of a whole v2/v3 buffer.
+    fn layout_of(buf: &[u8]) -> Layout {
+        plan_file(&parse_header(buf).unwrap(), buf).unwrap()
+    }
+
     /// Recomputes and patches every checksum of a forged v2/v3 buffer —
-    /// section CRCs, and on v3 the shard and header CRCs — so corruption
-    /// tests can reach the post-checksum validators.
+    /// section CRCs, and on v3 the header CRC — so corruption tests can
+    /// reach the post-checksum validators.
     fn reseal(buf: &mut [u8]) {
         reseal_header(buf);
-        let header = parse_header(buf).unwrap();
-        let layout = layout_v2(
-            header.num_vertices,
-            header.num_entries,
-            header.version,
-            header.is_compressed(),
-            header.is_paths(),
-            header.is_sharded(),
-            buf,
-        )
-        .unwrap();
-        let crc_ranking = crc32(&buf[layout.ranking_section.clone()]);
-        let crc_offsets = crc32(&buf[layout.offsets.clone()]);
-        let crc_entries = crc32(&buf[layout.entries.clone()]);
-        buf[28..32].copy_from_slice(&crc_ranking.to_le_bytes());
-        buf[32..36].copy_from_slice(&crc_offsets.to_le_bytes());
-        buf[36..40].copy_from_slice(&crc_entries.to_le_bytes());
-        if let Some(p) = &layout.paths {
-            let crc_paths = crc32(&buf[p.payload.clone()]);
-            buf[p.section.start..p.section.start + 4].copy_from_slice(&crc_paths.to_le_bytes());
-        }
-        if header.version == VERSION {
-            let crc_shard = layout
-                .shard
-                .as_ref()
-                .map_or(0, |s| crc32(&buf[s.section.clone()]));
-            buf[40..44].copy_from_slice(&crc_shard.to_le_bytes());
-            // The header CRC covers the section CRCs patched above, so it
-            // goes last.
-            reseal_header(buf);
-        }
+        let layout = layout_of(buf);
+        seal(buf, &layout);
     }
 
     #[test]
@@ -2548,17 +2457,7 @@ mod tests {
     fn path_section_corruption_is_detected() {
         let flat = tiny_flat().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
         let bytes = to_bytes(&flat);
-        let header = parse_header(&bytes).unwrap();
-        let layout = layout_v2(
-            header.num_vertices,
-            header.num_entries,
-            header.version,
-            header.is_compressed(),
-            header.is_paths(),
-            header.is_sharded(),
-            &bytes,
-        )
-        .unwrap();
+        let layout = layout_of(&bytes);
         let paths = layout.paths.as_ref().expect("file carries a path section");
 
         // A flipped parent byte trips the section's own CRC, attributed to
@@ -2602,13 +2501,25 @@ mod tests {
         // Non-zero bytes in the section's reserved word or tail padding are
         // refused even when the CRC is resealed around them.
         let mut dirty_reserved = bytes.clone();
-        dirty_reserved[paths.section.start + 4] = 1;
+        dirty_reserved[paths.crc.end] = 1;
         reseal(&mut dirty_reserved);
         assert!(matches!(
             from_bytes(&dirty_reserved),
             Err(PersistError::NonZeroPadding { .. })
         ));
-        if paths.payload.end > paths.data.end {
+        // Every checksum is verified before any zero byte, in the order the
+        // format docs give: with a ranking byte flipped too, the ranking
+        // section's CRC reports first.
+        let mut also_flipped = dirty_reserved.clone();
+        also_flipped[layout.ranking.data.start] ^= 0x01;
+        assert!(matches!(
+            from_bytes(&also_flipped),
+            Err(PersistError::SectionChecksumMismatch {
+                section: Section::Ranking,
+                ..
+            })
+        ));
+        if paths.span.end > paths.data.end {
             let mut dirty_pad = bytes.clone();
             dirty_pad[paths.data.end] = 1;
             reseal(&mut dirty_pad);
@@ -2667,16 +2578,16 @@ mod tests {
         // n = 3: the ranking data is 12 bytes, so the section carries 4
         // padding bytes and the offsets section still starts aligned.
         let bytes = to_bytes(&tiny_flat());
-        let layout = layout_v2(3, 5, VERSION, false, false, false, &bytes).unwrap();
+        let layout = layout_of(&bytes);
         for start in [
-            layout.ranking_section.start,
-            layout.offsets.start,
-            layout.entries.start,
+            layout.ranking.span.start,
+            layout.offsets.span.start,
+            layout.entries.span.start,
         ] {
             assert!(start.is_multiple_of(SECTION_ALIGN), "offset {start}");
         }
-        assert_eq!(layout.ranking_section.len(), 16);
-        assert_eq!(layout.ranking_data.len(), 12);
+        assert_eq!(layout.ranking.span.len(), 16);
+        assert_eq!(layout.ranking.data.len(), 12);
     }
 
     #[test]
@@ -2865,15 +2776,15 @@ mod tests {
 
         // Non-zero reserved bytes inside an entry record.
         let mut forged = to_bytes(&tiny_flat());
-        let layout = layout_v2(3, 5, VERSION, false, false, false, &forged).unwrap();
-        forged[layout.entries.start + 5] = 0xCD;
+        let layout = layout_of(&forged);
+        forged[layout.entries.data.start + 5] = 0xCD;
         reseal(&mut forged);
         let err = from_bytes(&forged).unwrap_err();
         assert!(matches!(
             err,
             PersistError::NonZeroPadding {
                 offset
-            } if offset == layout.entries.start + 5
+            } if offset == layout.entries.data.start + 5
         ));
         let aligned = AlignedBytes::from_slice(&forged);
         assert!(matches!(
@@ -2926,6 +2837,41 @@ mod tests {
         assert_eq!(view_bytes(&aligned).unwrap().query(0, 2), flat.query(0, 2));
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(load(&path), Err(PersistError::Io(_))));
+    }
+
+    #[test]
+    fn save_replaces_the_file_and_leaves_open_handles_whole() {
+        use std::io::Read;
+        let dir = std::env::temp_dir().join(format!(
+            "chl-persist-save-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let path = dir.join("index.chl");
+        save(&tiny_flat(), &path).unwrap();
+        let mut old = std::fs::File::open(&path).unwrap();
+        // A reader holding the old file keeps reading the old bytes whole,
+        // while the path now names the new index.
+        let sharded = tiny_shardable().with_shard(tiny_shard_spec()).unwrap();
+        save_with(&sharded, &path, &SaveOptions::compressed()).unwrap();
+        let mut old_bytes = Vec::new();
+        old.read_to_end(&mut old_bytes).unwrap();
+        assert_eq!(old_bytes, to_bytes(&tiny_flat()));
+        assert_eq!(load(&path).unwrap(), sharded);
+        // A save whose rename fails (the target is a directory) leaves no
+        // sibling behind, and neither does a successful one.
+        assert!(matches!(
+            save(&tiny_flat(), dir.join("sub")),
+            Err(PersistError::Io(_))
+        ));
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["index.chl", "sub"]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -3102,22 +3048,9 @@ mod tests {
 
     #[test]
     fn forged_compressed_payloads_are_rejected_after_resealing() {
-        let header = parse_header(&tiny_compressed_bytes()).unwrap();
-        let layout = |buf: &[u8]| {
-            layout_v2(
-                header.num_vertices,
-                header.num_entries,
-                VERSION,
-                true,
-                false,
-                false,
-                buf,
-            )
-        };
-
         // A non-monotone skip table, checksums recomputed to match.
         let mut forged = tiny_compressed_bytes();
-        let skip = layout(&forged).unwrap().compressed.unwrap().skip;
+        let skip = layout_of(&forged).entries.prelude();
         forged[skip.start + 8..skip.start + 16].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal(&mut forged);
         let err = from_bytes(&forged).unwrap_err();
@@ -3176,9 +3109,9 @@ mod tests {
 
         // Non-zero blob tail padding, resealed: NonZeroPadding, as for flat.
         let mut forged = tiny_compressed_bytes();
-        let l = layout(&forged).unwrap();
-        if l.compressed.as_ref().unwrap().blob_data.end < l.entries.end {
-            let pad_at = l.compressed.unwrap().blob_data.end;
+        let l = layout_of(&forged);
+        if l.entries.data.end < l.entries.span.end {
+            let pad_at = l.entries.data.end;
             forged[pad_at] = 0xEE;
             reseal(&mut forged);
             assert!(matches!(
@@ -3401,23 +3334,13 @@ mod tests {
     fn shard_section_forgeries_are_rejected() {
         let flat = tiny_shardable().with_shard(tiny_shard_spec()).unwrap();
         let bytes = to_bytes(&flat);
-        let header = parse_header(&bytes).unwrap();
-        let layout = layout_v2(
-            header.num_vertices,
-            header.num_entries,
-            header.version,
-            header.is_compressed(),
-            header.is_paths(),
-            true,
-            &bytes,
-        )
-        .unwrap();
+        let layout = layout_of(&bytes);
         let shard = layout.shard.as_ref().expect("file is sharded");
 
         // Flip a shard-section byte, reseal only the header: the shard CRC
         // catches it with a typed section error.
         let mut forged = bytes.clone();
-        forged[shard.data.start] ^= 0xFF;
+        forged[shard.span.start] ^= 0xFF;
         reseal_header(&mut forged);
         assert!(matches!(
             from_bytes(&forged),
@@ -3429,7 +3352,7 @@ mod tests {
 
         // Non-increasing owned ids, fully resealed: Malformed.
         let mut forged = bytes.clone();
-        let owned_at = shard.data.start + 16;
+        let owned_at = shard.data.start;
         forged[owned_at..owned_at + 4].copy_from_slice(&2u32.to_le_bytes());
         forged[owned_at + 4..owned_at + 8].copy_from_slice(&2u32.to_le_bytes());
         reseal(&mut forged);
@@ -3452,7 +3375,7 @@ mod tests {
         assert!(open_view(&aligned).is_err());
 
         // Shard tail padding is covered by the shard CRC.
-        if shard.data.end < shard.section.end {
+        if shard.data.end < shard.span.end {
             let mut forged = bytes.clone();
             forged[shard.data.end] = 0xAA;
             reseal(&mut forged);

@@ -97,10 +97,10 @@ proptest! {
 
     /// paraPLL is not canonical in general but must still answer every query
     /// exactly (cover property). No per-run label-count bound is asserted
-    /// here: with adversarial tie-heavy graphs a rare interleaving can prune
-    /// a canonical label through a concurrently-planted equal-length path and
-    /// land *below* the CHL size, so "superset on realistic inputs" is
-    /// checked on the seeded datasets in the integration tests instead.
+    /// here: a less important root's finished tree can prune a more
+    /// important root's tree, so the count can land *below* the CHL size
+    /// (`para_pll`'s `label_count_can_fall_below_canonical_out_of_rank_order`
+    /// pins how).
     #[test]
     fn para_pll_covers((g, ranking) in arb_graph_and_ranking()) {
         let built = spara_pll(&g, &ranking, &config(4)).index;

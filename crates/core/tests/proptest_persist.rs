@@ -4,15 +4,16 @@
 //! byte-identically to the in-memory index it came from, for both entries
 //! encodings (flat records and delta+varint compressed); flat↔compressed
 //! round trips are lossless and re-encoding is byte-stable; and random
-//! single-byte corruption (anywhere in the file, skip table and padding
-//! included) never loads successfully and never panics, in either format
-//! version and either encoding.
+//! single-byte corruption (anywhere in the file, skip table, path and shard
+//! sections and padding included) never loads successfully and never
+//! panics, in either format version and either encoding.
 
 use proptest::prelude::*;
 
 use chl_core::flat::FlatIndex;
 use chl_core::mapped::MmapIndex;
-use chl_core::persist::{self, AlignedBytes, SaveOptions};
+use chl_core::paths::attach_parents;
+use chl_core::persist::{self, AlignedBytes, SaveOptions, ShardSpec};
 use chl_core::pll::sequential_pll;
 use chl_graph::{CsrGraph, GraphBuilder};
 use chl_ranking::degree_ranking;
@@ -30,6 +31,27 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
             }
             b.build().expect("positive weights")
         })
+}
+
+/// `g`'s index written under `options` in one of four shapes, so every
+/// section gets corrupted: bit 0 adds the path section (`chl build
+/// --paths`), bit 1 keeps one shard of two (the shard section).
+fn shaped_bytes(g: &CsrGraph, shape: u8, options: &SaveOptions) -> Vec<u8> {
+    let ranking = degree_ranking(g);
+    let mut flat = FlatIndex::from_index(&sequential_pll(g, &ranking).index);
+    if shape & 1 != 0 {
+        flat = attach_parents(g, flat).expect("parents of an exact index");
+    }
+    if shape & 2 != 0 {
+        let spec = ShardSpec {
+            shard_id: 0,
+            shard_count: 2,
+            zeta: 2,
+            owned: (0..g.num_vertices() as u32).step_by(2).collect(),
+        };
+        flat = flat.restrict_to_shard(spec).expect("a valid owned set");
+    }
+    flat.to_bytes_with(options)
 }
 
 fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -109,18 +131,18 @@ proptest! {
     }
 
     #[test]
-    fn single_byte_corruption_never_loads(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
-        let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let mut bytes = FlatIndex::from_index(&index).to_bytes();
+    fn single_byte_corruption_never_loads(g in arb_graph(), shape in 0u8..4, pos in 0usize..10_000, flip in 1u8..=255) {
+        let mut bytes = shaped_bytes(&g, shape, &SaveOptions::default());
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
 
-        // Whatever byte was flipped — header, section data, alignment
-        // padding — every loader must reject the file with a typed error:
-        // the copying path, the zero-copy view and the mmap open alike.
-        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, flip at byte {}", pos);
+        // Whatever byte was flipped — header, section data, path prelude,
+        // shard section, alignment padding — every loader must reject the
+        // file with a typed error: the copying path, the zero-copy views and
+        // the mmap open alike.
+        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, shape {}, flip at byte {}", shape, pos);
         let aligned = AlignedBytes::from_slice(&bytes);
+        prop_assert!(persist::open_view(&aligned).is_err(), "open_view, shape {}, flip at byte {}", shape, pos);
         prop_assert!(persist::view_bytes(&aligned).is_err(), "view, flip at byte {}", pos);
         let path = scratch_file("corrupt", &bytes);
         prop_assert!(MmapIndex::open(&path).is_err(), "mmap, flip at byte {}", pos);
@@ -182,19 +204,18 @@ proptest! {
     }
 
     #[test]
-    fn single_byte_corruption_never_loads_compressed(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
-        let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let mut bytes = FlatIndex::from_index(&index).to_bytes_with(&SaveOptions::compressed());
+    fn single_byte_corruption_never_loads_compressed(g in arb_graph(), shape in 0u8..4, pos in 0usize..10_000, flip in 1u8..=255) {
+        let mut bytes = shaped_bytes(&g, shape, &SaveOptions::compressed());
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
 
         // Whatever byte was flipped — header, flags word, skip table,
-        // encoded blob, alignment padding — every loader must reject the
-        // file with a typed error, never a panic.
-        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, flip at byte {}", pos);
+        // encoded blob, path prelude, shard section, alignment padding —
+        // every loader must reject the file with a typed error, never a
+        // panic.
+        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, shape {}, flip at byte {}", shape, pos);
         let aligned = AlignedBytes::from_slice(&bytes);
-        prop_assert!(persist::open_view(&aligned).is_err(), "open_view, flip at byte {}", pos);
+        prop_assert!(persist::open_view(&aligned).is_err(), "open_view, shape {}, flip at byte {}", shape, pos);
         prop_assert!(persist::view_bytes(&aligned).is_err(), "view_bytes, flip at byte {}", pos);
         let path = scratch_file("comp-corrupt", &bytes);
         prop_assert!(MmapIndex::open(&path).is_err(), "mmap, flip at byte {}", pos);

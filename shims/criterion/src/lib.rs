@@ -114,36 +114,6 @@ impl Criterion {
             "bench {:<50} {:>12.3?}  ({} samples)",
             name, bencher.mean, self.sample_size
         );
-        record_json(&name, bencher.mean, self.sample_size);
-    }
-}
-
-/// Appends one JSONL record per benchmark to the file named by the
-/// `CHL_BENCH_JSON` environment variable (no-op when unset), so scripts
-/// like `scripts/bench_snapshot.sh` can collect machine-readable results
-/// without parsing the human report.
-fn record_json(name: &str, mean: Duration, samples: usize) {
-    let Ok(path) = std::env::var("CHL_BENCH_JSON") else {
-        return;
-    };
-    let escaped: String = name
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            _ => vec![c],
-        })
-        .collect();
-    let line = format!(
-        "{{\"bench\":\"{escaped}\",\"mean_ns\":{},\"samples\":{samples}}}\n",
-        mean.as_nanos()
-    );
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    if let Err(e) = appended {
-        eprintln!("warning: cannot append bench record to {path}: {e}");
     }
 }
 

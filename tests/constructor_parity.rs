@@ -1,7 +1,7 @@
 //! Constructor parity: the paper's central claim, as one test. Every
 //! canonical `Algorithm` variant, driven through the unified `ChlBuilder`,
 //! must produce the *identical* labeling on both topology families the paper
-//! evaluates — and `SParaPll` a superset that answers identical distances.
+//! evaluates — and `SParaPll` a labeling that answers identical distances.
 
 use planted_hub_labeling::graph::sssp::dijkstra;
 use planted_hub_labeling::prelude::*;
@@ -9,8 +9,7 @@ use planted_hub_labeling::prelude::*;
 /// The two topology families of the paper's evaluation, seeded so runs are
 /// reproducible: a perturbed weighted grid (road-like) and a Barabási–Albert
 /// graph (scale-free). Weights are spread wide to keep shortest paths nearly
-/// tie-free, which makes even `SParaPll`'s size relation deterministic in
-/// practice.
+/// tie-free.
 fn testbeds() -> Vec<(&'static str, CsrGraph)> {
     let grid = grid_network(
         &GridOptions {
@@ -86,20 +85,31 @@ fn spara_pll_is_a_query_equivalent_superset() {
             .unwrap()
             .index;
         let para = builder
+            .clone()
             .algorithm(Algorithm::SParaPll)
             .build()
             .unwrap()
             .index;
 
-        // Superset in size (nearly tie-free weights make this robust to
-        // thread interleaving)...
-        assert!(
-            para.total_labels() >= canonical.total_labels(),
-            "SParaPll produced fewer labels than the CHL on {name}"
+        // No size claim at 4 threads: without rank queries a less important
+        // root's labels can prune a more important root's tree, so the count
+        // can fall below the CHL's (`para_pll`'s
+        // `label_count_can_fall_below_canonical_out_of_rank_order` shows
+        // how). At one thread the roots run in rank order and SParaPll is
+        // PLL...
+        let single = builder
+            .threads(1)
+            .algorithm(Algorithm::SParaPll)
+            .build()
+            .unwrap()
+            .index;
+        assert_eq!(
+            single, canonical,
+            "SParaPll at 1 thread must be PLL on {name}"
         );
 
-        // ...and identical distances everywhere, verified against Dijkstra
-        // through the shared DistanceOracle surface.
+        // ...and at any thread count the distances are exact, verified
+        // against Dijkstra through the shared DistanceOracle surface.
         let n = graph.num_vertices() as u32;
         for u in (0..n).step_by(17) {
             let truth = dijkstra(&graph, u);
