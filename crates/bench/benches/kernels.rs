@@ -13,9 +13,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use chl_core::cleaning::clean_labels;
-use chl_core::flat::FlatIndex;
 use chl_core::kernel;
-use chl_core::labels::{join_sorted_iters, LabelEntry};
+use chl_core::labels::{join_sorted_iters, LabelEntry, LabelSet};
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::persist::{save_with, SaveOptions};
@@ -50,9 +49,8 @@ fn query_pairs(n: u32, seed: u64) -> Vec<(u32, u32)> {
 
 fn query_kernels(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
+    let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let n = ds.graph.num_vertices() as u32;
-    let flat = FlatIndex::from_index(&index);
     let runs: Vec<&[LabelEntry]> = (0..n).map(|v| flat.labels_of(v)).collect();
     let pairs = query_pairs(n, 42);
 
@@ -100,14 +98,6 @@ fn query_kernels(c: &mut Criterion) {
         })
     });
     // Full oracle paths: bounds checks, storage dispatch, tie-break result.
-    group.bench_function("pointer_index_query", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let (u, v) = pairs[i & (PAIRS - 1)];
-            i += 1;
-            black_box(index.query(u, v))
-        })
-    });
     group.bench_function("flat_query", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -225,7 +215,9 @@ fn cleaning_kernel(c: &mut Criterion) {
     let ds = load(DatasetId::AUT, Scale::Tiny, 42);
     // An inflated labeling (rank queries only) gives the cleaner real work.
     let inflated = pll_with_restricted_pruning(&ds.graph, &ds.ranking, 0).index;
-    let sets = inflated.into_label_sets();
+    let sets: Vec<LabelSet> = (0..ds.graph.num_vertices() as u32)
+        .map(|v| LabelSet::from_entries(inflated.labels_of(v).to_vec()))
+        .collect();
 
     c.bench_function("clean_labels_inflated_labeling", |b| {
         b.iter(|| black_box(clean_labels(&sets, &ds.ranking)))

@@ -1,13 +1,11 @@
-//! Micro-benchmarks for the persistence subsystem: the contiguous
-//! [`FlatIndex`] query path against the pointer-per-vertex
-//! [`HubLabelIndex`] it was flattened from, the cost of a full
+//! Micro-benchmarks for the persistence subsystem: the cost of a full
 //! serialize → deserialize round trip of the `.chl` byte format, and the
 //! cold-serve comparison the zero-copy refactor exists for — time from
 //! "bytes/file in hand" to "first query answered" for the copying v1/v2
 //! loaders, the borrowed view and the mmap open, plus steady-state query
 //! parity between the owned and borrowed kernels.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use chl_core::flat::FlatIndex;
@@ -16,46 +14,12 @@ use chl_core::persist::{self, AlignedBytes, SaveOptions};
 use chl_core::pll::sequential_pll;
 use chl_datasets::{load, DatasetId, Scale};
 
-fn flat_vs_pointer_queries(c: &mut Criterion) {
-    let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
-    let flat = FlatIndex::from_index(&index);
-    let n = ds.graph.num_vertices() as u32;
-
-    // Identical pseudo-random access pattern for both layouts, so the only
-    // difference measured is pointer-chasing vs contiguous slices.
-    let mut group = c.benchmark_group("flat_vs_pointer");
-    group.bench_function("pointer_hub_label_index", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(2654435761);
-            let u = i % n;
-            let v = (i >> 8) % n;
-            black_box(index.query(u, v))
-        })
-    });
-    group.bench_function("flat_index", |b| {
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(2654435761);
-            let u = i % n;
-            let v = (i >> 8) % n;
-            black_box(flat.query(u, v))
-        })
-    });
-    group.finish();
-}
-
 fn persistence_round_trip(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
-    let flat = FlatIndex::from_index(&index);
+    let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let bytes = flat.to_bytes();
 
     let mut group = c.benchmark_group("persistence");
-    group.bench_function("flatten_from_pointer_index", |b| {
-        b.iter(|| black_box(FlatIndex::from_index(&index)))
-    });
     group.bench_function("serialize_to_bytes", |b| {
         b.iter(|| black_box(flat.to_bytes()))
     });
@@ -63,11 +27,7 @@ fn persistence_round_trip(c: &mut Criterion) {
         b.iter(|| black_box(FlatIndex::from_bytes(&bytes).expect("clean bytes")))
     });
     group.bench_function("full_round_trip", |b| {
-        b.iter_batched(
-            || FlatIndex::from_index(&index),
-            |f| FlatIndex::from_bytes(&f.to_bytes()).expect("clean bytes"),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| black_box(FlatIndex::from_bytes(&flat.to_bytes()).expect("clean bytes")))
     });
     group.finish();
 }
@@ -78,8 +38,7 @@ fn persistence_round_trip(c: &mut Criterion) {
 /// syscall but no read of the label payload.
 fn cold_serve(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
-    let flat = FlatIndex::from_index(&index);
+    let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let n = ds.graph.num_vertices() as u32;
     let (u, v) = (0u32, n - 1);
 
@@ -124,8 +83,7 @@ fn cold_serve(c: &mut Criterion) {
 /// path forwards through the same kernel.
 fn owned_vs_view_steady_state(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
-    let flat = FlatIndex::from_index(&index);
+    let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let aligned = AlignedBytes::from_slice(&flat.to_bytes());
     let view = persist::view_bytes(&aligned).expect("clean v2 bytes");
     let n = ds.graph.num_vertices() as u32;
@@ -155,8 +113,7 @@ fn owned_vs_view_steady_state(c: &mut Criterion) {
 /// kernel — the size-vs-latency trade-off `chl build --compress` buys into.
 fn compression(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
-    let index = sequential_pll(&ds.graph, &ds.ranking).index;
-    let flat = FlatIndex::from_index(&index);
+    let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let n = ds.graph.num_vertices() as u32;
     let (u, v) = (0u32, n - 1);
 
@@ -168,8 +125,8 @@ fn compression(c: &mut Criterion) {
     // Size is a property, not a timing: report it once alongside the group.
     let flat_header = persist::parse_header(&flat_bytes).expect("clean flat header");
     let comp_header = persist::parse_header(&compressed_bytes).expect("clean compressed header");
-    let flat_entries = flat_header.entries_section_len(flat_bytes.len() as u64);
-    let comp_entries = comp_header.entries_section_len(compressed_bytes.len() as u64);
+    let flat_entries = flat_header.entries_section_len();
+    let comp_entries = comp_header.entries_section_len();
     eprintln!(
         "compression/size: file {} -> {} bytes, entries section {} -> {} bytes ({:.2}x)",
         flat_bytes.len(),
@@ -233,7 +190,6 @@ fn compression(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    flat_vs_pointer_queries,
     persistence_round_trip,
     cold_serve,
     owned_vs_view_steady_state,

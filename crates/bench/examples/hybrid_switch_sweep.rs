@@ -13,9 +13,8 @@
 
 use std::time::{Duration, Instant};
 
-use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
+use chl_core::api::{Algorithm, ChlBuilder, LabelingResult, RankingStrategy};
 use chl_core::config::LabelingConfig;
-use chl_core::index::LabelingResult;
 use chl_core::stats::SptRecord;
 use chl_graph::csr::CsrGraph;
 use chl_graph::generators::{barabasi_albert, grid_network, GridOptions};

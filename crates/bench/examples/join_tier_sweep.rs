@@ -17,7 +17,6 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
-use chl_core::flat::FlatIndex;
 use chl_core::kernel;
 use chl_core::labels::{join_sorted_iters, LabelEntry};
 use chl_graph::csr::CsrGraph;
@@ -57,15 +56,15 @@ fn three_tier(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
 
 fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
     let n = g.num_vertices();
-    let result = ChlBuilder::new(g)
+    let flat = ChlBuilder::new(g)
         .ranking(RankingStrategy::Explicit(ranking.clone()))
         .algorithm(Algorithm::Hybrid)
         .threads(2)
         .validate()
         .expect("valid config")
         .build()
-        .expect("construction succeeds");
-    let flat = FlatIndex::from_index(&result.index);
+        .expect("construction succeeds")
+        .index;
     println!(
         "== {name}: {n} vertices, {} labels (avg {:.1}) ==",
         flat.total_labels(),

@@ -96,7 +96,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .algorithm(algorithm)
         .threads(threads)
         .validate()?
-        .build_flat()?;
+        .build()?
+        .index;
     let build_time = build_start.elapsed();
     // --paths re-walks the label set against the graph to record, for every
     // entry, the first hop of the hub-to-vertex shortest path; shard files
@@ -132,7 +133,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // already safely written, so a hiccup here only degrades the message.
     match (options.compress, persist::load_header(&out)) {
         (true, Ok(header)) => {
-            let encoded = header.entries_section_len(file_len);
+            let encoded = header.entries_section_len();
             let decoded = header.decoded_entries_len();
             let ratio = decoded as f64 / (encoded.max(1)) as f64;
             println!(

@@ -14,8 +14,9 @@ pub const USAGE: &str = "\
 usage: chl inspect <index.chl> [--histogram]
 
 Prints the on-disk header and footprint statistics of a saved index. The
-default reads only the fixed header (plus, for shard files, the small
-CRC-verified shard section), so inspecting a multi-GB file is instant;
+default reads only the fixed header, the words that fix the file's length
+(a truncated file fails) and, for shard files, the small CRC-verified
+shard section, so inspecting a multi-GB file is instant;
 --histogram additionally loads and fully validates the payload to print
 the label-size histogram. On a shard file the histogram covers only the
 vertices the shard owns.
@@ -35,13 +36,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .len();
     let header =
         persist::load_header(&path).map_err(|e| format!("cannot read header of {path}: {e}"))?;
+    // The length the header plans, from at most two words of the file: a
+    // truncated or padded file fails here, as its full load would.
+    persist::check_file_len(&path, &header).map_err(|e| format!("cannot inspect {path}: {e}"))?;
     println!("file:             {path} ({file_len} bytes)");
     println!("format version:   {}", header.version);
     println!("vertices:         {}", header.num_vertices);
     println!("label entries:    {}", header.num_entries);
     // The entries encoding and its on-disk vs decoded sizes come from the
     // header + file length alone, so this stays O(header) on multi-GB files.
-    let encoded = header.entries_section_len(file_len);
+    let encoded = header.entries_section_len();
     let decoded = header.decoded_entries_len();
     if header.is_compressed() {
         let ratio = decoded as f64 / encoded.max(1) as f64;
@@ -129,7 +133,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 
     if !opts.switch("histogram") {
-        println!("integrity:        header only (run with --histogram for a full check)");
+        println!(
+            "integrity:        header only, length ok (run with --histogram for a full check)"
+        );
         return Ok(());
     }
 
@@ -148,7 +154,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     );
     println!(
         "on-disk storage:  {} bytes in the entries section ({})",
-        header.entries_section_len(file_len),
+        header.entries_section_len(),
         if header.is_compressed() {
             "delta+varint compressed; --mmap serves this"
         } else {
@@ -240,21 +246,18 @@ fn label_size_histogram(index: &FlatIndex) -> Vec<(String, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chl_core::HubLabelIndex;
+    use chl_core::labels::{LabelEntry, LabelSet};
     use chl_ranking::Ranking;
 
     #[test]
     fn histogram_buckets_cover_doubling_ranges() {
         // Vertex label counts: 0, 1, 2, 3, 5, 9 across six vertices.
-        let ranking = Ranking::identity(16);
-        let mut triples = Vec::new();
-        for (v, count) in [(0u32, 0u32), (1, 1), (2, 2), (3, 3), (4, 5), (5, 9)] {
-            for h in 0..count {
-                triples.push((v, h, u64::from(h) + 1));
-            }
+        let mut labels = vec![LabelSet::new(); 16];
+        for (v, count) in [(0usize, 0u32), (1, 1), (2, 2), (3, 3), (4, 5), (5, 9)] {
+            let entries = (0..count).map(|h| LabelEntry::new(h, u64::from(h) + 1));
+            labels[v] = LabelSet::from_entries(entries.collect());
         }
-        let index = HubLabelIndex::from_triples(triples, ranking);
-        let flat = FlatIndex::from_index(&index);
+        let flat = FlatIndex::new(labels, Ranking::identity(16)).unwrap();
         let hist = label_size_histogram(&flat);
         let get = |label: &str| {
             hist.iter()

@@ -1,7 +1,7 @@
 //! End-to-end test of the build → save → load → serve lifecycle through the
 //! `chl` binary itself: the distances served from a `.chl` file written by
 //! `chl build` must be byte-identical to what the in-memory
-//! [`HubLabelIndex`] built from the same graph answers, and corrupted files
+//! [`FlatIndex`] built from the same graph answers, and corrupted files
 //! must fail with an error message, not a panic.
 
 use std::path::{Path, PathBuf};
@@ -265,6 +265,48 @@ fn inspect_reports_header_and_histogram() {
 }
 
 #[test]
+fn header_only_inspect_fails_on_truncated_files() {
+    // The header-only inspect reads the words that fix the file's length,
+    // so a cut file fails with the full load's error instead of printing a
+    // header whose sections are not there.
+    let dir = temp_dir("inspect-truncated");
+    let graph = dir.join("g.bin");
+    let (g, flat, compressed) = (
+        graph.to_str().unwrap(),
+        dir.join("f.chl"),
+        dir.join("c.chl"),
+    );
+    run_ok(chl().args(["gen", "grid", "--rows", "30", "--cols", "30", "--out", g]));
+    run_ok(chl().args(["build", g, "--out", flat.to_str().unwrap()]));
+    let c = compressed.to_str().unwrap();
+    run_ok(chl().args(["build", g, "--out", c, "--compress"]));
+    // A compressed file cut before its skip table's last slot, and a flat
+    // file cut inside its entries.
+    for (path, keep) in [(&compressed, 100), (&flat, 5_000)] {
+        let bytes = std::fs::read(path).unwrap();
+        let cut = dir.join("cut.chl");
+        std::fs::write(&cut, &bytes[..keep]).unwrap();
+        let cut = cut.to_str().unwrap();
+        let loaded = run_err(chl().args(["inspect", cut, "--histogram"]));
+        let needle = loaded
+            .split("truncated .chl file")
+            .nth(1)
+            .expect("typed truncation");
+        let stderr = run_err(chl().args(["inspect", cut]));
+        assert!(
+            stderr.contains(&format!("truncated .chl file{needle}")),
+            "{keep} bytes of {}: {stderr}",
+            path.display()
+        );
+        assert!(
+            stderr.contains(&format!("found {keep}")),
+            "stderr: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn mmap_serving_matches_copy_load_end_to_end() {
     let dir = temp_dir("mmap");
     let (_graph, index_path) = gen_and_build(&dir);
@@ -345,11 +387,10 @@ fn v1_files_still_serve_through_the_copying_path() {
         .build()
         .unwrap()
         .index;
-    let flat = FlatIndex::from_index(&index);
 
     // A file written by the legacy v1 writer...
     let v1_path = dir.join("legacy.chl");
-    std::fs::write(&v1_path, persist::to_bytes_v1(&flat)).unwrap();
+    std::fs::write(&v1_path, persist::to_bytes_v1(&index)).unwrap();
 
     // ...is inspectable and serves correct distances via the copying path.
     let stdout = run_ok(chl().args(["inspect", v1_path.to_str().unwrap()]));

@@ -31,6 +31,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Instant;
 
 use chl_graph::CsrGraph;
 use chl_ranking::{
@@ -39,7 +40,37 @@ use chl_ranking::{
 
 use crate::config::LabelingConfig;
 use crate::error::LabelingError;
-use crate::index::LabelingResult;
+use crate::flat::FlatIndex;
+use crate::labels::LabelSet;
+use crate::stats::ConstructionStats;
+
+/// What a labeling constructor returns: the index plus construction-time
+/// statistics (timings, per-SPT label counts, Ψ traces, ...).
+#[derive(Debug, Clone)]
+pub struct LabelingResult {
+    /// The constructed hub labeling.
+    pub index: FlatIndex,
+    /// Instrumentation collected while constructing it.
+    pub stats: ConstructionStats,
+}
+
+impl LabelingResult {
+    /// A constructor's final label sets as a result: the sets drain into
+    /// the index's CSR store ([`FlatIndex::new`]), `stats` gets the total
+    /// time since `start` and the label count after cleaning.
+    pub(crate) fn finish(
+        labels: Vec<LabelSet>,
+        ranking: &Ranking,
+        mut stats: ConstructionStats,
+        start: Instant,
+    ) -> Self {
+        let index = FlatIndex::new(labels, ranking.clone())
+            .expect("constructor produced one label set per vertex");
+        stats.labels_after_cleaning = index.total_labels();
+        stats.total_time = start.elapsed();
+        LabelingResult { index, stats }
+    }
+}
 
 /// The six labeling constructors of the paper, as values.
 ///
@@ -420,15 +451,6 @@ impl<'g> ChlBuilder<'g> {
         self.algorithm
             .labeler()
             .build(self.graph, &ranking, &self.config)
-    }
-
-    /// Like [`Self::build`], but flattens the result into the contiguous
-    /// serving layout — the build → persist pipeline of `chl build` as one
-    /// call: follow with [`FlatIndex::save`](crate::flat::FlatIndex::save)
-    /// or [`save_with`](crate::flat::FlatIndex::save_with) (e.g.
-    /// `SaveOptions::compressed()` for the delta+varint entries section).
-    pub fn build_flat(&self) -> Result<crate::flat::FlatIndex, LabelingError> {
-        Ok(crate::flat::FlatIndex::from_index(&self.build()?.index))
     }
 }
 

@@ -15,8 +15,8 @@ use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
-use crate::index::HubLabelIndex;
-use crate::labels::LabelSet;
+use crate::flat::FlatIndex;
+use crate::labels::{LabelEntry, LabelSet};
 
 /// For one source `u`, the distance to every vertex plus the most important
 /// vertex on the union of all shortest `u`-paths (including both endpoints).
@@ -82,7 +82,7 @@ pub fn shortest_path_maxima(g: &CsrGraph, ranking: &Ranking, source: VertexId) -
 
 /// Computes the Canonical Hub Labeling by brute force. Quadratic in the graph
 /// size — intended for tests and small reference runs only.
-pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> HubLabelIndex {
+pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> FlatIndex {
     let n = g.num_vertices();
     let mut per_vertex: Vec<std::collections::BTreeMap<u32, Distance>> =
         vec![std::collections::BTreeMap::new(); n];
@@ -109,13 +109,12 @@ pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> HubLabelIndex {
         .map(|m| {
             LabelSet::from_entries(
                 m.into_iter()
-                    .map(|(hub, dist)| crate::labels::LabelEntry::new(hub, dist))
+                    .map(|(hub, dist)| LabelEntry::new(hub, dist))
                     .collect(),
             )
         })
         .collect();
-    HubLabelIndex::new(labels, ranking.clone())
-        .expect("brute force produces one label set per vertex")
+    FlatIndex::new(labels, ranking.clone()).expect("brute force produces one label set per vertex")
 }
 
 /// Violations found by [`check_labeling`].
@@ -168,7 +167,7 @@ pub enum LabelingViolation {
 pub fn check_labeling(
     g: &CsrGraph,
     ranking: &Ranking,
-    index: &HubLabelIndex,
+    index: &FlatIndex,
 ) -> Vec<LabelingViolation> {
     let n = g.num_vertices();
     let mut violations = Vec::new();
@@ -178,7 +177,7 @@ pub fn check_labeling(
         let maxima = shortest_path_maxima(g, ranking, u);
 
         // Label distances must be exact.
-        for e in index.labels_of(u).entries() {
+        for e in index.labels_of(u) {
             let hub_vertex = ranking.vertex_at(e.hub);
             let true_d = maxima.dist[hub_vertex as usize];
             if e.dist != true_d {
@@ -207,9 +206,7 @@ pub fn check_labeling(
             if u != v && expected != INFINITY {
                 let hub = maxima.max_on_path[v as usize];
                 let hub_pos = ranking.position(hub);
-                if !index.labels_of(u).contains_hub(hub_pos)
-                    || !index.labels_of(v).contains_hub(hub_pos)
-                {
+                if !has_hub(index.labels_of(u), hub_pos) || !has_hub(index.labels_of(v), hub_pos) {
                     violations.push(LabelingViolation::DoesNotRespectHierarchy {
                         u,
                         v,
@@ -220,8 +217,8 @@ pub fn check_labeling(
         }
 
         // Minimality: every stored label must be canonical.
-        for e in index.labels_of(u).entries() {
-            if !canonical.labels_of(u).contains_hub(e.hub) {
+        for e in index.labels_of(u) {
+            if !has_hub(canonical.labels_of(u), e.hub) {
                 violations.push(LabelingViolation::RedundantLabel {
                     vertex: u,
                     hub: ranking.vertex_at(e.hub),
@@ -232,15 +229,20 @@ pub fn check_labeling(
     violations
 }
 
+/// Whether a hub-sorted run holds hub rank position `hub`.
+fn has_hub(run: &[LabelEntry], hub: u32) -> bool {
+    run.binary_search_by_key(&hub, |e| e.hub).is_ok()
+}
+
 /// Convenience wrapper: `true` iff `index` is exactly the CHL of `g` under
 /// `ranking`.
-pub fn is_canonical(g: &CsrGraph, ranking: &Ranking, index: &HubLabelIndex) -> bool {
+pub fn is_canonical(g: &CsrGraph, ranking: &Ranking, index: &FlatIndex) -> bool {
     check_labeling(g, ranking, index).is_empty()
 }
 
 /// Checks only the cover property (exact query answers), which is the
 /// correctness bar for non-canonical baselines such as paraPLL.
-pub fn satisfies_cover_property(g: &CsrGraph, index: &HubLabelIndex) -> bool {
+pub fn satisfies_cover_property(g: &CsrGraph, index: &FlatIndex) -> bool {
     let n = g.num_vertices();
     for u in 0..n as VertexId {
         let dist = chl_graph::sssp::dijkstra(g, u);
@@ -321,7 +323,7 @@ mod tests {
         let g = path_graph(3);
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
         // Missing the label (hub 1) at vertex 2 breaks cover + hierarchy.
-        let broken = HubLabelIndex::from_triples(
+        let broken = FlatIndex::from_triples(
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 2, 0)],
             ranking.clone(),
         );
@@ -334,7 +336,7 @@ mod tests {
             .any(|v| matches!(v, LabelingViolation::DoesNotRespectHierarchy { .. })));
 
         // An extra (redundant) label at vertex 2 with hub 0 violates minimality.
-        let redundant = HubLabelIndex::from_triples(
+        let redundant = FlatIndex::from_triples(
             vec![
                 (0, 0, 0),
                 (0, 1, 1),
@@ -358,8 +360,7 @@ mod tests {
     fn checker_detects_wrong_label_distance() {
         let g = path_graph(2);
         let ranking = Ranking::identity(2);
-        let wrong =
-            HubLabelIndex::from_triples(vec![(0, 0, 0), (1, 0, 5), (1, 1, 0)], ranking.clone());
+        let wrong = FlatIndex::from_triples(vec![(0, 0, 0), (1, 0, 5), (1, 1, 0)], ranking.clone());
         let violations = check_labeling(&g, &ranking, &wrong);
         assert!(violations.iter().any(|v| matches!(
             v,

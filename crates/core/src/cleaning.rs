@@ -241,7 +241,7 @@ impl ByHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HubLabelIndex;
+    use crate::flat::FlatIndex;
     use crate::para_pll::spara_pll;
     use crate::pll::{pruned_trees, sequential_pll};
     use crate::pruned_dijkstra::PruneOptions;
@@ -255,7 +255,7 @@ mod tests {
         let g = erdos_renyi(50, 0.1, 10, 4);
         let ranking = degree_ranking(&g);
         let canonical = sequential_pll(&g, &ranking).index;
-        let sets: Vec<LabelSet> = canonical.clone().into_label_sets();
+        let sets: Vec<LabelSet> = canonical.label_sets();
         let (cleaned, removed) = clean_labels(&sets, &ranking);
         assert_eq!(removed, 0);
         assert_eq!(cleaned, sets);
@@ -270,7 +270,7 @@ mod tests {
         let g = barabasi_albert(120, 3, 8);
         let ranking = degree_ranking(&g);
         let loose = spara_pll(&g, &ranking, &LabelingConfig::default().with_threads(8)).index;
-        let sets = loose.clone().into_label_sets();
+        let sets = loose.label_sets();
         let before: usize = sets.iter().map(LabelSet::len).sum();
         let (cleaned, removed) = clean_labels(&sets, &ranking);
         let after: usize = cleaned.iter().map(LabelSet::len).sum();
@@ -285,7 +285,7 @@ mod tests {
         // flags it: 1 is a more important common hub of 2 and 0 with
         // d(2,1)+d(0,1) = 2 <= 2.
         let ranking = chl_ranking::Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        let idx = HubLabelIndex::from_triples(
+        let idx = FlatIndex::from_triples(
             vec![
                 (0, 1, 1),
                 (0, 0, 0),
@@ -296,12 +296,12 @@ mod tests {
             ],
             ranking.clone(),
         );
-        let sets = idx.into_label_sets();
+        let sets = idx.label_sets();
         let (cleaned, removed) = clean_labels(&sets, &ranking);
         assert_eq!(removed, 1);
         assert!(!cleaned[2].contains_hub(ranking.position(0)));
         // Queries remain exact after cleaning.
-        let cleaned_idx = HubLabelIndex::new(cleaned, ranking).unwrap();
+        let cleaned_idx = FlatIndex::new(cleaned, ranking).unwrap();
         assert_eq!(cleaned_idx.query(0, 2), 2);
     }
 
@@ -420,7 +420,7 @@ mod tests {
             let ba = barabasi_albert(300, 3, seed);
             for (name, g) in [("grid", &grid), ("barabasi-albert", &ba)] {
                 let ranking = degree_ranking(g);
-                let reference = sequential_pll(g, &ranking).index.into_label_sets();
+                let reference = sequential_pll(g, &ranking).index.label_sets();
                 for threads in [6, 8] {
                     let (uncleaned, pass) =
                         pruned_trees(g, &ranking, threads, PruneOptions::default());
@@ -444,9 +444,9 @@ mod tests {
         let ranking = degree_ranking(&g);
         // Build an inflated labeling by disabling distance pruning.
         let inflated = crate::pll::pll_with_restricted_pruning(&g, &ranking, 0).index;
-        let sets = inflated.into_label_sets();
+        let sets = inflated.label_sets();
         let (cleaned, _) = clean_labels(&sets, &ranking);
-        let idx = HubLabelIndex::new(cleaned, ranking).unwrap();
+        let idx = FlatIndex::new(cleaned, ranking).unwrap();
         for src in [0u32, 33, 69] {
             let d = dijkstra(&g, src);
             for v in 0..70u32 {
@@ -458,9 +458,8 @@ mod tests {
     #[test]
     fn self_labels_are_never_removed() {
         let ranking = chl_ranking::Ranking::identity(2);
-        let idx =
-            HubLabelIndex::from_triples(vec![(0, 0, 0), (1, 1, 0), (1, 0, 5)], ranking.clone());
-        let sets = idx.into_label_sets();
+        let idx = FlatIndex::from_triples(vec![(0, 0, 0), (1, 1, 0), (1, 0, 5)], ranking.clone());
+        let sets = idx.label_sets();
         let (cleaned, removed) = clean_labels(&sets, &ranking);
         assert_eq!(removed, 0);
         assert!(cleaned[1].contains_hub(1));

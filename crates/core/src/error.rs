@@ -22,15 +22,6 @@ pub enum LabelingError {
         /// Vertices covered by the ranking.
         ranking_vertices: usize,
     },
-    /// Two indexes built over different rankings were merged; their labels
-    /// refer to different hub positions, so a union would silently corrupt
-    /// query answers.
-    MergeRankingMismatch {
-        /// Vertices covered by the left (destination) index.
-        left_vertices: usize,
-        /// Vertices covered by the right (source) index.
-        right_vertices: usize,
-    },
 }
 
 impl fmt::Display for LabelingError {
@@ -44,11 +35,6 @@ impl fmt::Display for LabelingError {
             LabelingError::LabelShapeMismatch { label_sets, ranking_vertices } => write!(
                 f,
                 "index assembled from {label_sets} label sets but the ranking covers {ranking_vertices} vertices"
-            ),
-            LabelingError::MergeRankingMismatch { left_vertices, right_vertices } => write!(
-                f,
-                "cannot merge hub-label indexes built over different rankings \
-                 ({left_vertices} vs {right_vertices} vertices, or same size with different order)"
             ),
         }
     }
@@ -75,10 +61,5 @@ mod tests {
             ranking_vertices: 5,
         };
         assert!(e.to_string().contains("4") && e.to_string().contains("5"));
-        let e = LabelingError::MergeRankingMismatch {
-            left_vertices: 2,
-            right_vertices: 3,
-        };
-        assert!(e.to_string().contains("different rankings"));
     }
 }

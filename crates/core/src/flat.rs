@@ -1,10 +1,10 @@
 //! Flat, cache-contiguous storage of a hub labeling — owned or borrowed.
 //!
-//! [`HubLabelIndex`] keeps one heap allocation per vertex (`Vec<LabelSet>`),
-//! which is the natural shape during construction — label sets grow
-//! independently — but a poor shape for serving: every query chases two
-//! pointers into unrelated heap regions, and the index cannot be written to
-//! or read from disk without walking every allocation.
+//! Every constructor grows its labels as per-vertex sets (the tables of
+//! [`crate::table`]), because label sets grow independently while trees run.
+//! A finished labeling leaves that shape at once: [`FlatIndex::new`] drains
+//! the sets vertex by vertex into two exactly sized CSR arrays, which is the
+//! shape every query, path, shard and file reads from here on.
 //!
 //! The serving layout lives here in several shapes, with one query kernel:
 //!
@@ -18,18 +18,18 @@
 //!   every query method defined once. [`FlatView`] and [`CompressedView`]
 //!   are its two instantiations; [`IndexView`] is the runtime-dispatched
 //!   either-of-them a `.chl` v2 file of unknown encoding serves through.
-//! * [`FlatIndex`] is the thin owning wrapper: the same three arrays in
-//!   `Vec`s plus the full [`Ranking`], delegating every query through
-//!   [`FlatIndex::as_view`]. (A literal `Deref<Target = FlatView>` is not
-//!   expressible — the view borrows from `self` — so the wrapper forwards
-//!   method by method instead.)
+//! * [`FlatIndex`] is the thin owning wrapper: the two arrays behind one
+//!   shared [`Arc`], so a clone is a reference-count bump, plus the full
+//!   [`Ranking`], delegating every query through [`FlatIndex::as_view`]. (A
+//!   literal `Deref<Target = FlatView>` is not expressible — the view
+//!   borrows from `self` — so the wrapper forwards method by method
+//!   instead.)
 //!
 //! The flat layout is what the `.chl` on-disk format (see [`crate::persist`])
 //! stores byte-for-byte, so loading an index is one read plus validation —
-//! and, for v2 files, querying needs no copy at all. Conversion to and from
-//! [`HubLabelIndex`] is lossless, and all layouts and encodings answer every
-//! query identically (asserted by the persistence proptests and the golden
-//! fixture corpus).
+//! and, for v2 files, querying needs no copy at all. All layouts and
+//! encodings answer every query identically (asserted by the persistence
+//! proptests and the golden fixture corpus).
 
 // Serving hot path: no panics outside tests. Exemptions are reasoned
 // `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
@@ -38,12 +38,14 @@
 #![deny(clippy::indexing_slicing, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use chl_graph::types::{Distance, VertexId};
 use chl_ranking::Ranking;
 
-use crate::index::HubLabelIndex;
+use crate::error::LabelingError;
 use crate::kernel;
 use crate::labels::{join_sorted_iters, LabelEntry, LabelSet};
 use crate::oracle::DistanceOracle;
@@ -830,13 +832,12 @@ impl<'a> IndexView<'a> {
         // is a copy of the same storage, so the cross-section invariants
         // already hold — attach parents and shard identity directly instead
         // of routing through the fallible `with_parents` / `with_shard`.
+        let ranking = Ranking::from_order(self.order().to_vec(), self.num_vertices())
+            .expect("views only exist over validated permutations");
         FlatIndex {
-            offsets: self.offsets().to_vec(),
-            entries,
-            ranking: Ranking::from_order(self.order().to_vec(), self.num_vertices())
-                .expect("views only exist over validated permutations"),
             shard: self.shard.as_ref().map(|s| s.to_spec()),
             parents: self.parents().map(<[u32]>::to_vec),
+            ..FlatIndex::from_validated_parts(self.offsets().to_vec(), entries, ranking)
         }
     }
 }
@@ -865,17 +866,18 @@ impl DistanceOracle for IndexView<'_> {
 /// A hub labeling stored as two contiguous CSR-style arrays, owned.
 ///
 /// This is a thin owning wrapper over the [`FlatView`] query kernel: the
-/// arrays live in `Vec`s (plus the full [`Ranking`], whose rank-position
-/// array the borrowed view does not need), and every query delegates through
-/// [`FlatIndex::as_view`].
+/// arrays sit behind one shared [`Arc`] (plus the full [`Ranking`], whose
+/// rank-position array the borrowed view does not need), and every query
+/// delegates through [`FlatIndex::as_view`]. A clone shares the arrays; the
+/// parent records and the shard identity belong to each handle, so
+/// attaching parents to a clone copies no label entry.
 ///
-/// Build one with [`FlatIndex::from_index`] (or `From<&HubLabelIndex>`),
+/// Every constructor returns one ([`crate::api::ChlBuilder::build`]);
 /// persist it with [`FlatIndex::save`] and reload it with
 /// [`FlatIndex::load`]:
 ///
 /// ```
 /// use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
-/// use chl_core::flat::FlatIndex;
 /// use chl_graph::generators::{grid_network, GridOptions};
 ///
 /// let g = grid_network(&GridOptions { rows: 5, cols: 5, ..GridOptions::default() }, 3);
@@ -884,14 +886,13 @@ impl DistanceOracle for IndexView<'_> {
 ///     .algorithm(Algorithm::Pll)
 ///     .build()
 ///     .unwrap();
-/// let flat = FlatIndex::from_index(&built.index);
-/// assert_eq!(flat.query(0, 24), built.index.query(0, 24));
-/// assert_eq!(flat.to_index().unwrap(), built.index);
+/// let shared = built.index.clone();
+/// assert_eq!(shared.query(0, 24), built.index.query(0, 24));
+/// assert_eq!(shared.labels_of(7).as_ptr(), built.index.labels_of(7).as_ptr());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlatIndex {
-    offsets: Vec<u64>,
-    entries: Vec<LabelEntry>,
+    labels: Arc<Csr>,
     ranking: Ranking,
     /// Shard identity when this index is one QDOL shard of a larger index
     /// (labels present only for the owned vertex set, empty runs
@@ -903,24 +904,44 @@ pub struct FlatIndex {
     parents: Option<Vec<u32>>,
 }
 
+/// The label arrays every clone of a [`FlatIndex`] shares: vertex `v`'s run
+/// is `entries[offsets[v]..offsets[v + 1]]`.
+#[derive(Debug, PartialEq)]
+struct Csr {
+    offsets: Vec<u64>,
+    entries: Vec<LabelEntry>,
+}
+
 impl FlatIndex {
-    /// Flattens a pointer-per-vertex index into contiguous storage.
-    pub fn from_index(index: &HubLabelIndex) -> Self {
-        let n = index.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut entries = Vec::with_capacity(index.total_labels());
+    /// Drains per-vertex label sets (indexed by vertex id) into the CSR
+    /// arrays, for the ranking whose positions the labels refer to. The
+    /// entries array is sized exactly once, and each set is dropped as soon
+    /// as it is copied, so the labeling never exists twice in full.
+    ///
+    /// The shape check runs in release builds too: an index whose label-set
+    /// count disagrees with its ranking corrupts every query that touches the
+    /// missing tail, so the mismatch is an error, not a debug assertion.
+    pub fn new(labels: Vec<LabelSet>, ranking: Ranking) -> Result<Self, LabelingError> {
+        if labels.len() != ranking.len() {
+            return Err(LabelingError::LabelShapeMismatch {
+                label_sets: labels.len(),
+                ranking_vertices: ranking.len(),
+            });
+        }
+        let mut offsets = Vec::with_capacity(labels.len() + 1);
+        let mut entries = Vec::with_capacity(labels.iter().map(LabelSet::len).sum());
         offsets.push(0);
-        for v in 0..n as VertexId {
-            entries.extend_from_slice(index.labels_of(v).entries());
+        for set in labels {
+            entries.extend_from_slice(set.entries());
             offsets.push(entries.len() as u64);
         }
-        FlatIndex {
-            offsets,
-            entries,
-            ranking: index.ranking().clone(),
-            shard: None,
-            parents: None,
-        }
+        Ok(FlatIndex::from_validated_parts(offsets, entries, ranking))
+    }
+
+    /// A handle sharing `index`'s label arrays: the same as
+    /// `index.clone()`, a reference-count bump that copies no entry.
+    pub fn from_index(index: &FlatIndex) -> Self {
+        index.clone()
     }
 
     /// Copies a borrowed view into owned storage (the inverse of
@@ -935,26 +956,17 @@ impl FlatIndex {
     /// and borrowed serving paths execute literally the same code.
     #[inline]
     pub fn as_view(&self) -> FlatView<'_> {
-        let view =
-            FlatView::from_validated_parts(self.ranking.order(), &self.offsets, &self.entries);
+        let Csr { offsets, entries } = &*self.labels;
+        let view = FlatView::from_validated_parts(self.ranking.order(), offsets, entries);
         match &self.parents {
             Some(p) => view.with_parents(p),
             None => view,
         }
     }
 
-    /// Rebuilds the pointer-per-vertex [`HubLabelIndex`]. The conversion is
-    /// lossless: `FlatIndex::from_index(&i).to_index().unwrap() == i`.
-    pub fn to_index(&self) -> Result<HubLabelIndex, crate::error::LabelingError> {
-        let labels = (0..self.num_vertices() as VertexId)
-            .map(|v| LabelSet::from_entries(self.labels_of(v).to_vec()))
-            .collect();
-        HubLabelIndex::new(labels, self.ranking.clone())
-    }
-
     /// Assembles a flat index from raw parts, without validating the CSR
     /// invariants. The persistence layer calls this after its own validation;
-    /// everything else should go through [`FlatIndex::from_index`].
+    /// everything else should go through [`FlatIndex::new`].
     pub(crate) fn from_validated_parts(
         offsets: Vec<u64>,
         entries: Vec<LabelEntry>,
@@ -963,8 +975,7 @@ impl FlatIndex {
         debug_assert_eq!(offsets.len(), ranking.len() + 1);
         debug_assert_eq!(*offsets.last().unwrap_or(&0), entries.len() as u64);
         FlatIndex {
-            offsets,
-            entries,
+            labels: Arc::new(Csr { offsets, entries }),
             ranking,
             shard: None,
             parents: None,
@@ -976,7 +987,7 @@ impl FlatIndex {
     /// [`crate::persist`]'s cross-section checks, or
     /// [`crate::paths::compute_parents`] which constructs them correct).
     pub(crate) fn with_validated_parents(mut self, parents: Vec<u32>) -> Self {
-        debug_assert_eq!(parents.len(), self.entries.len());
+        debug_assert_eq!(parents.len(), self.total_labels());
         self.parents = Some(parents);
         self
     }
@@ -985,7 +996,12 @@ impl FlatIndex {
     /// label entry, validating the structural invariants (in-range ids,
     /// zero-distance entries self-parented, positive-distance entries not).
     pub fn with_parents(self, parents: Vec<u32>) -> Result<Self, PersistError> {
-        persist::validate_parents(self.num_vertices(), &self.offsets, &self.entries, &parents)?;
+        persist::validate_parents(
+            self.num_vertices(),
+            self.offsets(),
+            self.entries(),
+            &parents,
+        )?;
         Ok(self.with_validated_parents(parents))
     }
 
@@ -1006,7 +1022,7 @@ impl FlatIndex {
     /// all shards the unsharded index.
     pub fn with_shard(mut self, shard: ShardSpec) -> Result<Self, PersistError> {
         shard.validate(self.num_vertices() as u64)?;
-        persist::check_shard_consistency(&shard.owned, &self.offsets)?;
+        persist::check_shard_consistency(&shard.owned, self.offsets())?;
         self.shard = Some(shard);
         Ok(self)
     }
@@ -1037,19 +1053,16 @@ impl FlatIndex {
             if spec.owns(v) {
                 entries.extend_from_slice(self.labels_of(v));
                 if let (Some(out), Some(all)) = (parents.as_mut(), self.parents.as_ref()) {
-                    let lo = self.offsets[v as usize] as usize;
-                    let hi = self.offsets[v as usize + 1] as usize;
+                    let lo = self.offsets()[v as usize] as usize;
+                    let hi = self.offsets()[v as usize + 1] as usize;
                     out.extend_from_slice(&all[lo..hi]);
                 }
             }
             offsets.push(entries.len() as u64);
         }
         FlatIndex {
-            offsets,
-            entries,
-            ranking: self.ranking.clone(),
-            shard: None,
             parents,
+            ..FlatIndex::from_validated_parts(offsets, entries, self.ranking.clone())
         }
         .with_shard(spec)
     }
@@ -1078,7 +1091,7 @@ impl FlatIndex {
 
     /// Number of vertices covered by the index.
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.offsets().len() - 1
     }
 
     /// The ranking the labeling respects.
@@ -1089,12 +1102,12 @@ impl FlatIndex {
     /// The CSR offsets array (`num_vertices + 1` entries, first `0`, last
     /// equal to [`Self::total_labels`]).
     pub fn offsets(&self) -> &[u64] {
-        &self.offsets
+        &self.labels.offsets
     }
 
     /// All label entries, concatenated in vertex order.
     pub fn entries(&self) -> &[LabelEntry] {
-        &self.entries
+        &self.labels.entries
     }
 
     /// Label slice of vertex `v`, sorted ascending by hub rank position.
@@ -1116,9 +1129,8 @@ impl FlatIndex {
 
     /// Answers a PPSD query: the exact shortest-path distance between `u` and
     /// `v`, or [`chl_graph::types::INFINITY`] when they are not connected.
-    /// Same contract as [`HubLabelIndex::query`], on contiguous storage: ids
-    /// outside `0..num_vertices()` are unreachable, including `query(u, u)`
-    /// for a nonexistent `u`.
+    /// Ids outside `0..num_vertices()` are unreachable, including
+    /// `query(u, u)` for a nonexistent `u`.
     pub fn query(&self, u: VertexId, v: VertexId) -> Distance {
         self.as_view().query(u, v)
     }
@@ -1132,7 +1144,7 @@ impl FlatIndex {
 
     /// Total number of labels stored.
     pub fn total_labels(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// Average label size per vertex (ALS).
@@ -1149,8 +1161,8 @@ impl FlatIndex {
     /// both direction arrays of the [`Ranking`] (order and rank position) —
     /// everything resident when this index serves.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.entries.len() * std::mem::size_of::<LabelEntry>()
+        std::mem::size_of_val(self.offsets())
+            + std::mem::size_of_val(self.entries())
             + self.ranking.memory_bytes()
     }
 
@@ -1180,18 +1192,20 @@ impl FlatIndex {
     ///
     /// ```
     /// use chl_core::flat::FlatIndex;
-    /// use chl_core::HubLabelIndex;
+    /// use chl_core::labels::{LabelEntry, LabelSet};
     /// use chl_ranking::Ranking;
     ///
-    /// // Label a 3-vertex path graph 0 - 1 - 2 by hand.
+    /// // Label a 3-vertex path graph 0 - 1 - 2 by hand: vertex 1 ranks
+    /// // first, so hub position 0 is vertex 1.
     /// let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-    /// let index = HubLabelIndex::from_triples(
-    ///     vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
-    ///     ranking,
-    /// );
+    /// let set = |runs: &[(u32, u64)]| {
+    ///     LabelSet::from_entries(runs.iter().map(|&(h, d)| LabelEntry::new(h, d)).collect())
+    /// };
+    /// let labels = vec![set(&[(0, 1), (1, 0)]), set(&[(0, 0)]), set(&[(0, 1), (2, 0)])];
+    /// let index = FlatIndex::new(labels, ranking).unwrap();
     ///
     /// let path = std::env::temp_dir().join(format!("chl-doctest-{}.chl", std::process::id()));
-    /// FlatIndex::from_index(&index).save(&path).unwrap();
+    /// index.save(&path).unwrap();
     ///
     /// let served = FlatIndex::load(&path).unwrap();
     /// assert_eq!(served.query(0, 2), 2);
@@ -1221,12 +1235,6 @@ impl FlatIndex {
     }
 }
 
-impl From<&HubLabelIndex> for FlatIndex {
-    fn from(index: &HubLabelIndex) -> Self {
-        FlatIndex::from_index(index)
-    }
-}
-
 impl From<FlatView<'_>> for FlatIndex {
     fn from(view: FlatView<'_>) -> Self {
         FlatIndex::from_view(view)
@@ -1252,14 +1260,40 @@ impl DistanceOracle for FlatIndex {
 }
 
 #[cfg(test)]
+impl FlatIndex {
+    /// A labeling written as `(vertex, hub vertex id, distance)` triples.
+    pub(crate) fn from_triples(
+        triples: impl IntoIterator<Item = (VertexId, VertexId, Distance)>,
+        ranking: Ranking,
+    ) -> Self {
+        let mut per_vertex = vec![Vec::new(); ranking.len()];
+        for (v, hub, dist) in triples {
+            per_vertex[v as usize].push(LabelEntry::new(ranking.position(hub), dist));
+        }
+        let sets = per_vertex.into_iter().map(LabelSet::from_entries).collect();
+        FlatIndex::new(sets, ranking).unwrap()
+    }
+
+    /// Each vertex's run as a growable set, for tests that clean or edit a
+    /// finished labeling.
+    pub(crate) fn label_sets(&self) -> Vec<LabelSet> {
+        (0..self.num_vertices() as VertexId)
+            .map(|v| LabelSet::from_entries(self.labels_of(v).to_vec()))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Algorithm, ChlBuilder, RankingStrategy};
+    use chl_graph::generators::{grid_network, GridOptions};
     use chl_graph::types::INFINITY;
 
-    fn tiny_index() -> HubLabelIndex {
+    fn tiny_index() -> FlatIndex {
         // Path 0 - 1 - 2, ranking 1 > 0 > 2 (see index.rs tests).
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        HubLabelIndex::from_triples(
+        FlatIndex::from_triples(
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
             ranking,
         )
@@ -1267,19 +1301,64 @@ mod tests {
 
     #[test]
     fn flat_answers_identically_to_pointer_layout() {
-        let idx = tiny_index();
-        let flat = FlatIndex::from_index(&idx);
+        // The per-vertex sets a constructor grows, and the CSR they drain
+        // into, answer alike.
+        let flat = tiny_index();
+        let sets = flat.label_sets();
         for u in 0..3 {
             for v in 0..3 {
-                assert_eq!(flat.query(u, v), idx.query(u, v), "({u}, {v})");
-                assert_eq!(flat.query_with_hub(u, v), idx.query_with_hub(u, v));
+                let (lu, lv) = (&sets[u as usize], &sets[v as usize]);
+                let expected = if u == v { 0 } else { lu.query_distance(lv) };
+                assert_eq!(flat.query(u, v), expected, "({u}, {v})");
+                if u != v {
+                    let hub = lu
+                        .query_join(lv)
+                        .map(|(h, d)| (flat.ranking().vertex_at(h), d));
+                    assert_eq!(flat.query_with_hub(u, v), hub);
+                }
             }
         }
     }
 
     #[test]
+    fn clones_share_one_label_store() {
+        let flat = tiny_index();
+        for copy in [FlatIndex::from_index(&flat), flat.clone()] {
+            for v in 0..3 {
+                assert_eq!(copy.labels_of(v).as_ptr(), flat.labels_of(v).as_ptr());
+            }
+            assert_eq!(copy.offsets().as_ptr(), flat.offsets().as_ptr());
+            assert_eq!(copy, flat);
+        }
+    }
+
+    #[test]
+    fn constructors_drain_into_an_exactly_sized_store() {
+        let g = grid_network(
+            &GridOptions {
+                rows: 6,
+                cols: 6,
+                ..GridOptions::default()
+            },
+            5,
+        );
+        for algorithm in Algorithm::ALL {
+            let result = ChlBuilder::new(&g)
+                .ranking(RankingStrategy::Degree)
+                .algorithm(algorithm)
+                .threads(2)
+                .build()
+                .unwrap();
+            let index = &result.index;
+            assert_eq!(index.labels.entries.capacity(), index.total_labels());
+            assert_eq!(index.labels.offsets.capacity(), g.num_vertices() + 1);
+            assert_eq!(result.stats.labels_after_cleaning, index.total_labels());
+        }
+    }
+
+    #[test]
     fn view_is_the_same_kernel_as_the_owned_index() {
-        let flat = FlatIndex::from_index(&tiny_index());
+        let flat = tiny_index();
         let view = flat.as_view();
         assert_eq!(view.num_vertices(), flat.num_vertices());
         assert_eq!(view.total_labels(), flat.total_labels());
@@ -1299,27 +1378,28 @@ mod tests {
 
     #[test]
     fn conversion_round_trips_losslessly() {
-        let idx = tiny_index();
-        let flat = FlatIndex::from(&idx);
-        assert_eq!(flat.to_index().unwrap(), idx);
+        let flat = tiny_index();
+        let sets = flat.label_sets();
+        let again = FlatIndex::new(sets.clone(), flat.ranking().clone()).unwrap();
+        assert_eq!(again, flat);
+        assert_eq!(again.label_sets(), sets);
     }
 
     #[test]
     fn csr_shape_and_statistics_match() {
-        let idx = tiny_index();
-        let flat = FlatIndex::from_index(&idx);
+        let flat = tiny_index();
         assert_eq!(flat.num_vertices(), 3);
         assert_eq!(flat.offsets(), &[0, 2, 3, 5]);
-        assert_eq!(flat.total_labels(), idx.total_labels());
-        assert_eq!(flat.max_label_size(), idx.max_label_size());
-        assert!((flat.average_label_size() - idx.average_label_size()).abs() < 1e-12);
+        assert_eq!(flat.total_labels(), 5);
+        assert_eq!(flat.max_label_size(), 2);
+        assert!((flat.average_label_size() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(flat.labels_of(1).len(), 1);
         assert!(flat.memory_bytes() > 0);
     }
 
     #[test]
     fn memory_bytes_accounts_for_the_ranking_too() {
-        let flat = FlatIndex::from_index(&tiny_index());
+        let flat = tiny_index();
         let n = flat.num_vertices();
         let arrays = std::mem::size_of_val(flat.offsets()) + std::mem::size_of_val(flat.entries());
         // The owned index keeps order + position (8 bytes per vertex)...
@@ -1330,7 +1410,7 @@ mod tests {
 
     #[test]
     fn empty_index_flattens() {
-        let flat = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(4)));
+        let flat = FlatIndex::new(vec![LabelSet::new(); 4], Ranking::identity(4)).unwrap();
         assert_eq!(flat.num_vertices(), 4);
         assert_eq!(flat.total_labels(), 0);
         assert_eq!(flat.query(0, 3), INFINITY);
@@ -1341,7 +1421,7 @@ mod tests {
 
     #[test]
     fn zero_vertex_index_flattens() {
-        let flat = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(0)));
+        let flat = FlatIndex::new(Vec::new(), Ranking::identity(0)).unwrap();
         assert_eq!(flat.num_vertices(), 0);
         assert_eq!(flat.average_label_size(), 0.0);
         assert_eq!(flat.offsets(), &[0]);
@@ -1351,7 +1431,7 @@ mod tests {
 
     #[test]
     fn oracle_surface_matches_direct_calls() {
-        let flat = FlatIndex::from_index(&tiny_index());
+        let flat = tiny_index();
         let oracle: &dyn DistanceOracle = &flat;
         assert_eq!(oracle.distance(0, 2), 2);
         assert_eq!(oracle.num_vertices(), 3);
@@ -1366,7 +1446,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_are_unreachable_not_a_panic() {
-        let flat = FlatIndex::from_index(&tiny_index()); // 3 vertices
+        let flat = tiny_index(); // 3 vertices
         for &(u, v) in &[(0, 3), (3, 0), (3, 3), (7, 9), (u32::MAX, 0)] {
             assert_eq!(flat.query(u, v), INFINITY, "({u}, {v})");
             assert_eq!(flat.query_with_hub(u, v), None, "({u}, {v})");

@@ -41,9 +41,9 @@ use std::time::Instant;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
+use crate::api::LabelingResult;
 use crate::cleaning::{clean_superstep, commit};
 use crate::config::LabelingConfig;
-use crate::index::LabelingResult;
 use crate::labels::{LabelEntry, LabelSet};
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use crate::schedule;

@@ -46,9 +46,9 @@ use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 use parking_lot::Mutex;
 
+use crate::api::LabelingResult;
 use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
-use crate::index::LabelingResult;
 use crate::plant::plant_trees;
 use crate::pll::pruned_pass;
 use crate::pruned_dijkstra::PruneOptions;

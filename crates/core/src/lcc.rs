@@ -24,9 +24,9 @@ use std::time::Instant;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
+use crate::api::LabelingResult;
 use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
-use crate::index::LabelingResult;
 use crate::pll::pruned_trees;
 use crate::pruned_dijkstra::PruneOptions;
 use crate::stats::ConstructionStats;

@@ -15,10 +15,10 @@
 //!
 //! All construction goes through one entry point, [`api::ChlBuilder`], which
 //! dispatches over the [`api::Algorithm`] enum via the object-safe
-//! [`api::Labeler`] trait; all querying goes through the
-//! [`oracle::DistanceOracle`] trait, implemented by [`HubLabelIndex`] here
-//! and by the distributed partitions and serving engines elsewhere in the
-//! workspace. Constructors and query backends can therefore be swapped
+//! [`api::Labeler`] trait, and every constructor returns its labeling as a
+//! [`FlatIndex`]; all querying goes through the [`oracle::DistanceOracle`]
+//! trait, implemented by [`FlatIndex`] and its views here and by the
+//! distributed partitions and serving engines elsewhere in the workspace. Constructors and query backends can therefore be swapped
 //! without touching call sites.
 //!
 //! ```
@@ -84,7 +84,7 @@
 //! view from the OS page cache. The lifecycle is
 //!
 //! ```text
-//! ChlBuilder::build -> HubLabelIndex -> FlatIndex::from_index -> save(path)
+//! ChlBuilder::build -> FlatIndex -> save(path)
 //!                                 ...any process, any time later...
 //! FlatIndex::load(path)  -> &dyn DistanceOracle   (owned, copying)
 //! MmapIndex::open(path)  -> &dyn DistanceOracle   (borrowed, zero-copy)
@@ -138,11 +138,11 @@ mod schedule;
 pub mod stats;
 pub mod table;
 
-pub use api::{Algorithm, ChlBuilder, Labeler, RankingStrategy};
+pub use api::{Algorithm, ChlBuilder, Labeler, LabelingResult, RankingStrategy};
 pub use config::LabelingConfig;
 pub use error::LabelingError;
 pub use flat::{FlatIndex, FlatView, IndexView, LabelStorage, LabelView};
-pub use index::{HubLabelIndex, LabelingResult};
+pub use index::HubLabelIndex;
 pub use labels::{LabelEntry, LabelSet};
 pub use mapped::MmapIndex;
 pub use oracle::DistanceOracle;

@@ -222,7 +222,6 @@ impl DistanceOracle for MmapIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
-    use crate::index::HubLabelIndex;
     use crate::paths::PathOracle;
     use crate::persist::SaveOptions;
     use chl_graph::types::INFINITY;
@@ -230,10 +229,10 @@ mod tests {
 
     fn tiny_flat() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        FlatIndex::from_index(&HubLabelIndex::from_triples(
+        FlatIndex::from_triples(
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
             ranking,
-        ))
+        )
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {

@@ -2,7 +2,7 @@
 //!
 //! Every structure that can answer exact point-to-point shortest-distance
 //! (PPSD) queries implements this trait — the shared-memory
-//! [`HubLabelIndex`], the distributed label partitions
+//! [`crate::flat::FlatIndex`] and its views, the distributed label partitions
 //! (`chl_distributed::DistributedLabeling`) and the three query-serving
 //! engines of `chl-query` (QLSN / QFDL / QDOL). Callers that only need
 //! distances can therefore be written once against `&dyn DistanceOracle` and
@@ -10,8 +10,6 @@
 //! memory accounting come with the trait.
 
 use chl_graph::types::{Distance, VertexId, INFINITY};
-
-use crate::index::HubLabelIndex;
 
 /// An exact PPSD distance oracle over a fixed vertex set `0..num_vertices`.
 ///
@@ -156,28 +154,15 @@ impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     }
 }
 
-impl DistanceOracle for HubLabelIndex {
-    fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.query(u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        HubLabelIndex::num_vertices(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        HubLabelIndex::memory_bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::FlatIndex;
     use chl_ranking::Ranking;
 
-    fn path_index() -> HubLabelIndex {
+    fn path_index() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        HubLabelIndex::from_triples(
+        FlatIndex::from_triples(
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
             ranking,
         )
@@ -196,7 +181,7 @@ mod tests {
 
     #[test]
     fn disconnected_pairs_are_reported() {
-        let idx = HubLabelIndex::from_triples(vec![(0, 0, 0), (1, 1, 0)], Ranking::identity(2));
+        let idx = FlatIndex::from_triples(vec![(0, 0, 0), (1, 1, 0)], Ranking::identity(2));
         let oracle: &dyn DistanceOracle = &idx;
         assert!(!oracle.connected(0, 1));
         assert_eq!(oracle.distance(0, 1), INFINITY);

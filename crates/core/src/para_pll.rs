@@ -16,8 +16,8 @@
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
+use crate::api::LabelingResult;
 use crate::config::LabelingConfig;
-use crate::index::LabelingResult;
 use crate::pll::pruned_labeling;
 use crate::pruned_dijkstra::PruneOptions;
 
@@ -49,7 +49,7 @@ pub(crate) fn spara_pll_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HubLabelIndex;
+    use crate::flat::FlatIndex;
     use crate::pll::sequential_pll;
     use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch};
     use crate::table::ConcurrentLabelTable;
@@ -97,7 +97,7 @@ mod tests {
         for root in [0, 1, 2, 3] {
             pruned_dijkstra(&g, &ranking, root, &table, opts, &mut scratch);
         }
-        let index = HubLabelIndex::new(table.into_label_sets(), ranking).unwrap();
+        let index = FlatIndex::new(table.into_label_sets(), ranking).unwrap();
         assert_eq!(index.total_labels(), 7);
         assert!(index.total_labels() < canonical.total_labels());
         for u in 0..4 {

@@ -313,7 +313,17 @@ mod tests {
             .algorithm(Algorithm::Pll)
             .build()
             .unwrap();
-        (g, FlatIndex::from_index(&built.index))
+        (g, built.index)
+    }
+
+    #[test]
+    fn parents_attach_to_a_clone_without_copying_its_labels() {
+        let (g, index) = grid_index();
+        let with = attach_parents(&g, index.clone()).unwrap();
+        assert_eq!(with.parents().map(<[u32]>::len), Some(index.total_labels()));
+        assert!(!index.has_path_data(), "the original keeps no parents");
+        assert_eq!(with.entries().as_ptr(), index.entries().as_ptr());
+        assert_eq!(with.offsets().as_ptr(), index.offsets().as_ptr());
     }
 
     #[test]

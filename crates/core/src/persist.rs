@@ -733,9 +733,8 @@ impl FileHeader {
     /// really touch. For v1 this is `m` times the record size; for v2/v3 it
     /// is the entries row of the layout, compressed files laid out from
     /// [`FileHeader::blob_len`], and 0 when that is unknown or the header's
-    /// dimensions are impossible. `_file_len` is no longer needed and stays
-    /// for existing callers.
-    pub fn entries_section_len(&self, _file_len: u64) -> u64 {
+    /// dimensions are impossible.
+    pub fn entries_section_len(&self) -> u64 {
         match self.version {
             VERSION_V1 => self.num_entries.saturating_mul(ENTRY_LEN_V1 as u64),
             // The owned count does not move the entries section.
@@ -1138,18 +1137,22 @@ fn plan(
 /// place, and checks that its length is exactly the planned one.
 fn plan_file(header: &FileHeader, data: &[u8]) -> Result<Layout, PersistError> {
     let layout = header.plan(|_, at| file_word(data, at))?;
-    if data.len() < layout.len {
-        return Err(PersistError::Truncated {
-            expected: layout.len,
-            found: data.len(),
-        });
-    }
-    if data.len() > layout.len {
-        return Err(PersistError::TrailingBytes {
-            extra: data.len() - layout.len,
-        });
-    }
+    check_len(layout.len, data.len())?;
     Ok(layout)
+}
+
+/// The length check every load makes: a file of `found` bytes whose header
+/// plans `expected`.
+fn check_len(expected: usize, found: usize) -> Result<(), PersistError> {
+    if found < expected {
+        return Err(PersistError::Truncated { expected, found });
+    }
+    if found > expected {
+        return Err(PersistError::TrailingBytes {
+            extra: found - expected,
+        });
+    }
+    Ok(())
 }
 
 /// The little-endian word stored at `at`, or [`PersistError::Truncated`]
@@ -1792,18 +1795,7 @@ fn from_bytes_v1(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistE
             "declared dimensions (n = {n64}, m = {m64}) overflow the addressable size"
         ))
     })?;
-    let expected = HEADER_LEN_V1 + payload_len;
-    if data.len() < expected {
-        return Err(PersistError::Truncated {
-            expected,
-            found: data.len(),
-        });
-    }
-    if data.len() > expected {
-        return Err(PersistError::TrailingBytes {
-            extra: data.len() - expected,
-        });
-    }
+    check_len(HEADER_LEN_V1 + payload_len, data.len())?;
 
     let computed = crc32(&data[HEADER_LEN_V1..]);
     let Checksums::WholePayload(stored) = header.checksums else {
@@ -2265,10 +2257,45 @@ pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, Per
     }
 }
 
+/// Checks that the file at `path` is exactly as long as `header` (its
+/// [`load_header`]) plans, with the error a full load would report
+/// ([`PersistError::Truncated`] or [`PersistError::TrailingBytes`]). Reads
+/// at most the file's two self-describing words — the compressed blob
+/// length and a shard's owned count — so it costs O(1) on any file size.
+pub fn check_file_len<P: AsRef<Path>>(path: P, header: &FileHeader) -> Result<(), PersistError> {
+    let mut file = fs::File::open(path)?;
+    let found = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+    let expected = match header.version {
+        VERSION_V1 => header.expected_file_len().ok_or_else(|| {
+            PersistError::Malformed("declared dimensions overflow the addressable size".into())
+        })?,
+        _ => {
+            let word = |_, at: Range<usize>| {
+                if at.end > found {
+                    let expected = at.end;
+                    return Err(PersistError::Truncated { expected, found });
+                }
+                read_word(&mut file, at)
+            };
+            header.plan(word)?.len
+        }
+    };
+    check_len(expected, found)
+}
+
+/// The little-endian word `file` stores at `at`: [`file_word`] on disk.
+fn read_word(file: &mut fs::File, at: Range<usize>) -> Result<u64, PersistError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut bytes = vec![0u8; at.len()];
+    file.seek(SeekFrom::Start(at.start as u64))?;
+    file.read_exact(&mut bytes)?;
+    file_word(&bytes, 0..bytes.len())
+}
+
 /// Reads and validates just the header of a `.chl` file, plus, for a
 /// compressed file, the blob length in [`FileHeader::blob_len`].
 pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> {
-    use std::io::{Read, Seek, SeekFrom};
+    use std::io::Read;
     let mut file = fs::File::open(path)?;
     let mut head = Vec::with_capacity(HEADER_LEN_V3);
     (&mut file)
@@ -2277,12 +2304,7 @@ pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> 
     let mut header = parse_header(&head)?;
     if header.is_compressed() {
         // One more 8-byte read: the skip table's last slot.
-        header.blob_len = header.read_blob_len(|at| {
-            let mut word = [0u8; 8];
-            file.seek(SeekFrom::Start(at.start as u64))?;
-            file.read_exact(&mut word)?;
-            Ok(u64::from_le_bytes(word))
-        });
+        header.blob_len = header.read_blob_len(|at| read_word(&mut file, at));
     }
     Ok(header)
 }
@@ -2290,17 +2312,17 @@ pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HubLabelIndex;
+    use crate::labels::LabelSet;
 
     /// The frozen v2 golden fixture: v2 is an input format, nothing writes it.
     const V2_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v2-flat.chl");
 
     fn tiny_flat() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        FlatIndex::from_index(&HubLabelIndex::from_triples(
+        FlatIndex::from_triples(
             vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
             ranking,
-        ))
+        )
     }
 
     /// Recomputes and patches a forged v3 buffer's header CRC so a test can
@@ -2592,9 +2614,9 @@ mod tests {
 
     #[test]
     fn empty_and_zero_vertex_indexes_round_trip() {
-        let empty = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(5)));
+        let empty = FlatIndex::new(vec![LabelSet::new(); 5], Ranking::identity(5)).unwrap();
         assert_eq!(from_bytes(&to_bytes(&empty)).unwrap(), empty);
-        let zero = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(0)));
+        let zero = FlatIndex::new(Vec::new(), Ranking::identity(0)).unwrap();
         assert_eq!(from_bytes(&to_bytes(&zero)).unwrap(), zero);
         // The degenerate shapes also view.
         let aligned = AlignedBytes::from_slice(&to_bytes(&zero));
@@ -2837,6 +2859,44 @@ mod tests {
         assert_eq!(view_bytes(&aligned).unwrap().query(0, 2), flat.query(0, 2));
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(load(&path), Err(PersistError::Io(_))));
+    }
+
+    #[test]
+    fn header_only_length_check_reports_what_the_full_load_does() {
+        let path = std::env::temp_dir().join(format!(
+            "chl-persist-len-test-{}-{:?}.chl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let flat = tiny_flat();
+        let sharded = tiny_shardable().with_shard(tiny_shard_spec()).unwrap();
+        let pathful = flat.clone().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
+        let files = [
+            to_bytes(&flat),
+            to_bytes_with(&flat, &SaveOptions::compressed()),
+            to_bytes_with(&sharded, &SaveOptions::compressed()),
+            to_bytes(&pathful),
+            to_bytes_v1(&flat),
+        ];
+        for bytes in files {
+            let mut padded = bytes.clone();
+            padded.extend_from_slice(&[0; 8]);
+            for cut in 0..=padded.len() {
+                std::fs::write(&path, &padded[..cut]).unwrap();
+                let quick = load_header(&path).and_then(|h| check_file_len(&path, &h));
+                match from_bytes(&padded[..cut]) {
+                    Ok(_) => assert!(quick.is_ok(), "{cut} of {} bytes", bytes.len()),
+                    Err(
+                        e @ (PersistError::Truncated { .. } | PersistError::TrailingBytes { .. }),
+                    ) => {
+                        let quick = quick.unwrap_err().to_string();
+                        assert_eq!(quick, e.to_string(), "{cut} of {} bytes", bytes.len());
+                    }
+                    Err(_) => assert!(quick.is_err(), "{cut} of {} bytes", bytes.len()),
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -3133,14 +3193,14 @@ mod tests {
             7,
         );
         let ranking = chl_ranking::degree_ranking(&g);
-        let flat = FlatIndex::from_index(&crate::pll::sequential_pll(&g, &ranking).index);
+        let flat = crate::pll::sequential_pll(&g, &ranking).index;
 
         let flat_bytes = to_bytes(&flat);
         let comp_bytes = to_bytes_with(&flat, &SaveOptions::compressed());
         let file_ratio = flat_bytes.len() as f64 / comp_bytes.len() as f64;
 
         let header = parse_header(&comp_bytes).unwrap();
-        let encoded = header.entries_section_len(comp_bytes.len() as u64);
+        let encoded = header.entries_section_len();
         let decoded = header.decoded_entries_len();
         assert_eq!(decoded, flat.total_labels() as u64 * 16);
         assert!(
@@ -3151,15 +3211,12 @@ mod tests {
 
         // And the flat header reports the flat section size.
         let flat_header = parse_header(&flat_bytes).unwrap();
-        assert_eq!(
-            flat_header.entries_section_len(flat_bytes.len() as u64),
-            decoded
-        );
+        assert_eq!(flat_header.entries_section_len(), decoded);
     }
 
     #[test]
     fn empty_and_zero_vertex_indexes_round_trip_compressed() {
-        let empty = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(5)));
+        let empty = FlatIndex::new(vec![LabelSet::new(); 5], Ranking::identity(5)).unwrap();
         let bytes = to_bytes_with(&empty, &SaveOptions::compressed());
         assert_eq!(from_bytes(&bytes).unwrap(), empty);
         let aligned = AlignedBytes::from_slice(&bytes);
@@ -3167,7 +3224,7 @@ mod tests {
         assert_eq!(view.query(0, 3), chl_graph::types::INFINITY);
         assert_eq!(view.query(2, 2), 0);
 
-        let zero = FlatIndex::from_index(&HubLabelIndex::empty(Ranking::identity(0)));
+        let zero = FlatIndex::new(Vec::new(), Ranking::identity(0)).unwrap();
         let bytes = to_bytes_with(&zero, &SaveOptions::compressed());
         assert_eq!(from_bytes(&bytes).unwrap(), zero);
         let aligned = AlignedBytes::from_slice(&bytes);
@@ -3223,10 +3280,7 @@ mod tests {
     /// 0-of-2 owning positions {0, 2} (foreign vertices have empty runs).
     fn tiny_shardable() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        FlatIndex::from_index(&HubLabelIndex::from_triples(
-            vec![(0, 0, 0), (0, 1, 1), (2, 1, 1), (2, 2, 0)],
-            ranking,
-        ))
+        FlatIndex::from_triples(vec![(0, 0, 0), (0, 1, 1), (2, 1, 1), (2, 2, 0)], ranking)
     }
 
     fn tiny_shard_spec() -> ShardSpec {

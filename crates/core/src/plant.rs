@@ -33,8 +33,8 @@ use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
+use crate::api::LabelingResult;
 use crate::config::LabelingConfig;
-use crate::index::LabelingResult;
 use crate::labels::{HubDistances, LabelEntry, LabelSet};
 use crate::schedule::{self, Pass};
 use crate::stats::SptRecord;
@@ -316,7 +316,7 @@ pub(crate) fn plant_trees(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::HubLabelIndex;
+    use crate::flat::FlatIndex;
     use crate::pll::sequential_pll;
     use chl_graph::generators::{barabasi_albert, erdos_renyi, grid_network, GridOptions};
     use chl_graph::GraphBuilder;
@@ -442,7 +442,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let canonical = sequential_pll(&g, &ranking).index;
         let eta = 16u32;
-        let common = CommonLabelTable::from_labels(&canonical.clone().into_label_sets(), eta);
+        let common = CommonLabelTable::from_labels(&canonical.label_sets(), eta);
 
         let n = g.num_vertices();
         let table = ConcurrentLabelTable::new(n);
@@ -456,7 +456,7 @@ mod tests {
                 table.append(v, LabelEntry::new(pos, d));
             }
         }
-        let pruned_index = HubLabelIndex::new(table.into_label_sets(), ranking.clone()).unwrap();
+        let pruned_index = FlatIndex::new(table.into_label_sets(), ranking.clone()).unwrap();
         assert_eq!(pruned_index, canonical);
 
         // Re-run without the table to compare exploration volume.

@@ -11,7 +11,7 @@ use std::time::Instant;
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
-use crate::index::LabelingResult;
+use crate::api::LabelingResult;
 use crate::labels::LabelSet;
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use crate::schedule::{self, Pass};

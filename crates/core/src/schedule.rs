@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use chl_ranking::Ranking;
 
-use crate::index::LabelingResult;
+use crate::api::LabelingResult;
 use crate::labels::LabelSet;
 use crate::stats::{ConstructionStats, SptRecord};
 

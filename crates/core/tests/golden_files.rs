@@ -57,7 +57,7 @@ fn golden_graph() -> CsrGraph {
 fn build_golden() -> FlatIndex {
     let g = golden_graph();
     let ranking = degree_ranking(&g);
-    FlatIndex::from_index(&sequential_pll(&g, &ranking).index)
+    sequential_pll(&g, &ranking).index
 }
 
 /// The corpus with per-entry parent records, derived at 1, 2 and 8

@@ -4,11 +4,10 @@
 //! singleton runs, disjoint hub sets, saturating `Distance::MAX` sums, tie
 //! distances, 1:1000 length skew — and every storage backend (flat,
 //! borrowed view, compressed view, mmap flat/compressed, sharded) must
-//! answer exactly like the pointer index.
+//! answer exactly like the owned index.
 
 use proptest::prelude::*;
 
-use chl_core::flat::FlatIndex;
 use chl_core::kernel;
 use chl_core::labels::{join_sorted_iters, LabelEntry};
 use chl_core::mapped::MmapIndex;
@@ -140,8 +139,7 @@ proptest! {
     #[test]
     fn all_backends_answer_identically(g in arb_graph()) {
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
 
         let flat_bytes = AlignedBytes::from_slice(&flat.to_bytes());
         let flat_view = persist::view_bytes(&flat_bytes).expect("flat bytes view");
@@ -156,8 +154,7 @@ proptest! {
         // Out-of-range ids included: every backend answers INFINITY there.
         for u in 0..n + 2 {
             for v in 0..n + 2 {
-                let expect = index.query(u, v);
-                prop_assert_eq!(flat.query(u, v), expect, "flat ({}, {})", u, v);
+                let expect = flat.query(u, v);
                 prop_assert_eq!(flat_view.query(u, v), expect, "view ({}, {})", u, v);
                 prop_assert_eq!(comp_view.query(u, v), expect, "comp view ({}, {})", u, v);
                 prop_assert_eq!(mmap_flat.view().query(u, v), expect, "mmap flat ({}, {})", u, v);
@@ -171,8 +168,7 @@ proptest! {
     #[test]
     fn sharded_backends_answer_identically(g in arb_graph(), stride in 2u32..4) {
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
         let n = g.num_vertices() as u32;
 
         // A shard owning every `stride`-th vertex: the owned and mmap
@@ -196,7 +192,7 @@ proptest! {
                 let expect = shard.query(u, v);
                 prop_assert_eq!(mapped.view().query(u, v), expect, "sharded mmap ({}, {})", u, v);
                 if owned(u) && owned(v) {
-                    prop_assert_eq!(expect, index.query(u, v), "owned pair ({}, {})", u, v);
+                    prop_assert_eq!(expect, flat.query(u, v), "owned pair ({}, {})", u, v);
                 }
             }
         }

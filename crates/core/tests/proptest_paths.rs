@@ -32,7 +32,6 @@ use chl_core::oracle::DistanceOracle;
 use chl_core::paths::{attach_parents, PathError, PathOracle};
 use chl_core::persist::{self, AlignedBytes, SaveOptions, ShardSpec};
 use chl_core::pll::sequential_pll;
-use chl_core::HubLabelIndex;
 use chl_graph::sssp::dijkstra;
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_graph::{CsrGraph, GraphBuilder};
@@ -190,11 +189,11 @@ fn assert_batch_ops_match_brute_force<O: DistanceOracle>(
 /// same parents. Returns the single-thread result.
 fn attach_parents_at_every_thread_count(
     g: &CsrGraph,
-    index: &HubLabelIndex,
+    index: &FlatIndex,
 ) -> Result<FlatIndex, TestCaseError> {
     let derive = |threads| {
         rayon::with_threads(threads, || {
-            attach_parents(g, FlatIndex::from_index(index)).expect("graph matches")
+            attach_parents(g, index.clone()).expect("graph matches")
         })
     };
     let flat = derive(1);
@@ -273,8 +272,7 @@ proptest! {
     #[test]
     fn hub_witness_parity_against_dijkstra(g in arb_graph()) {
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
         let n = g.num_vertices() as u32;
         let truth = ground_truth(&g);
 

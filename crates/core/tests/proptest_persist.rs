@@ -38,7 +38,7 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 /// --paths`), bit 1 keeps one shard of two (the shard section).
 fn shaped_bytes(g: &CsrGraph, shape: u8, options: &SaveOptions) -> Vec<u8> {
     let ranking = degree_ranking(g);
-    let mut flat = FlatIndex::from_index(&sequential_pll(g, &ranking).index);
+    let mut flat = sequential_pll(g, &ranking).index;
     if shape & 1 != 0 {
         flat = attach_parents(g, flat).expect("parents of an exact index");
     }
@@ -72,12 +72,10 @@ proptest! {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
 
-        let flat = FlatIndex::from_index(&index);
-        let bytes = flat.to_bytes();
+        let bytes = index.to_bytes();
         let reloaded = FlatIndex::from_bytes(&bytes).expect("clean bytes load");
 
-        prop_assert_eq!(&reloaded, &flat);
-        prop_assert_eq!(reloaded.to_index().expect("valid shape"), index.clone());
+        prop_assert_eq!(&reloaded, &index);
 
         let n = g.num_vertices() as u32;
         for u in 0..n {
@@ -92,8 +90,7 @@ proptest! {
     fn v1_round_trip_is_query_identical(g in arb_graph()) {
         // Legacy files keep loading through the copying path, losslessly.
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
         let reloaded = FlatIndex::from_bytes(&persist::to_bytes_v1(&flat))
             .expect("v1 bytes load");
         prop_assert_eq!(&reloaded, &flat);
@@ -103,7 +100,7 @@ proptest! {
     fn owned_view_and_mmap_backends_answer_byte_identically(g in arb_graph()) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let owned = FlatIndex::from_index(&index);
+        let owned = FlatIndex::from_bytes(&index.to_bytes()).expect("clean bytes load");
 
         // Zero-copy view borrowed straight from the serialized bytes.
         let aligned = AlignedBytes::from_slice(&owned.to_bytes());
@@ -153,14 +150,13 @@ proptest! {
     fn flat_and_compressed_round_trips_are_query_identical(g in arb_graph()) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
 
-        let flat_bytes = flat.to_bytes();
-        let comp_bytes = flat.to_bytes_with(&SaveOptions::compressed());
+        let flat_bytes = index.to_bytes();
+        let comp_bytes = index.to_bytes_with(&SaveOptions::compressed());
         // The compressed file decodes back to the identical index...
         let from_flat = FlatIndex::from_bytes(&flat_bytes).expect("flat bytes load");
         let from_comp = FlatIndex::from_bytes(&comp_bytes).expect("compressed bytes load");
-        prop_assert_eq!(&from_comp, &flat);
+        prop_assert_eq!(&from_comp, &index);
         prop_assert_eq!(&from_comp, &from_flat);
 
         // ...and every borrowed serving path over the compressed bytes
@@ -189,7 +185,7 @@ proptest! {
     #[test]
     fn compressed_re_encoding_is_byte_stable(g in arb_graph()) {
         let ranking = degree_ranking(&g);
-        let flat = FlatIndex::from_index(&sequential_pll(&g, &ranking).index);
+        let flat = sequential_pll(&g, &ranking).index;
         let comp = flat.to_bytes_with(&SaveOptions::compressed());
         // decode → re-encode reproduces the exact bytes (canonical varints
         // make the encoding injective), through both load paths.
@@ -226,7 +222,7 @@ proptest! {
     fn single_byte_corruption_never_loads_v1(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let mut bytes = persist::to_bytes_v1(&FlatIndex::from_index(&index));
+        let mut bytes = persist::to_bytes_v1(&index);
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
         prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "flip at byte {}", pos);

@@ -17,7 +17,7 @@
 //!
 //! The output of every constructor is a [`DistributedLabeling`]: the per-node
 //! label partitions plus run metrics. `assemble()` unions the partitions into
-//! a plain [`chl_core::HubLabelIndex`] for verification; the query crate
+//! a plain [`chl_core::FlatIndex`] for verification; the query crate
 //! (`chl-query`) instead consumes the partitions directly, the way the
 //! paper's QFDL/QDOL modes do.
 

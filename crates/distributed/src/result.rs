@@ -4,7 +4,7 @@
 use chl_cluster::{ClusterSpec, RunMetrics};
 use chl_core::labels::LabelSet;
 use chl_core::oracle::DistanceOracle;
-use chl_core::HubLabelIndex;
+use chl_core::FlatIndex;
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_ranking::Ranking;
 
@@ -91,9 +91,10 @@ impl DistributedLabeling {
     }
 
     /// Unions all partitions into a single queryable index (QLSN-style
-    /// storage). Duplicate hubs across nodes keep the smaller distance, so
-    /// this is also correct for DparaPLL's replicated partitions.
-    pub fn assemble(&self) -> HubLabelIndex {
+    /// storage), drained into one CSR store. Duplicate hubs across nodes
+    /// keep the smaller distance, so this is also correct for DparaPLL's
+    /// replicated partitions.
+    pub fn assemble(&self) -> FlatIndex {
         let n = self.ranking.len();
         let mut merged: Vec<LabelSet> = vec![LabelSet::new(); n];
         for partition in &self.partitions {
@@ -101,7 +102,7 @@ impl DistributedLabeling {
                 merged[v].merge(set);
             }
         }
-        HubLabelIndex::new(merged, self.ranking.clone())
+        FlatIndex::new(merged, self.ranking.clone())
             .expect("partitions hold one label set per ranked vertex")
     }
 

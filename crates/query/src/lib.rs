@@ -16,7 +16,7 @@
 //!   inside its pair via cheap point-to-point messages.
 //!
 //! All three modes answer queries through the workspace-wide
-//! [`DistanceOracle`] trait (shared with the plain [`chl_core::HubLabelIndex`]
+//! [`DistanceOracle`] trait (shared with the plain [`chl_core::FlatIndex`]
 //! and the distributed partitions), so exactness checks, batch evaluation and
 //! memory accounting are written once against `&dyn DistanceOracle`. The
 //! [`QueryEngine`] subtrait adds what only a serving engine has: a mode name,

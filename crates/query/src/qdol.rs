@@ -12,10 +12,9 @@
 use std::time::{Duration, Instant};
 
 use chl_cluster::ClusterSpec;
-use chl_core::labels::LabelSet;
 use chl_core::oracle::DistanceOracle;
 use chl_core::persist::ShardSpec;
-use chl_core::HubLabelIndex;
+use chl_core::FlatIndex;
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId};
 
@@ -28,10 +27,10 @@ const RESPONSE_WIRE_BYTES: usize = 8;
 
 /// The QDOL engine.
 pub struct QdolEngine {
-    /// Full (assembled) label sets, indexed by vertex. Shared storage for the
-    /// simulation; the per-node accounting below reflects what each node
-    /// would actually hold.
-    full: Vec<LabelSet>,
+    /// The full (assembled) labeling. Shared storage for the simulation;
+    /// the per-node accounting below reflects what each node would actually
+    /// hold.
+    full: FlatIndex,
     /// Partition geometry and the node ↔ partition-pair assignment.
     map: QdolShardMap,
     spec: ClusterSpec,
@@ -166,11 +165,10 @@ impl QdolEngine {
     }
 
     /// Builds the engine from an assembled index.
-    pub fn from_index(index: HubLabelIndex, spec: ClusterSpec) -> Self {
-        let num_vertices = index.num_vertices();
-        let map = QdolShardMap::new(spec.nodes.max(1), num_vertices);
+    pub fn from_index(index: FlatIndex, spec: ClusterSpec) -> Self {
+        let map = QdolShardMap::new(spec.nodes.max(1), index.num_vertices());
         QdolEngine {
-            full: index.into_label_sets(),
+            full: index,
             map,
             spec,
         }
@@ -192,18 +190,6 @@ impl QdolEngine {
     pub fn zeta(&self) -> usize {
         self.map.zeta()
     }
-
-    fn local_answer(&self, u: VertexId, v: VertexId) -> Distance {
-        let (Some(lu), Some(lv)) = (self.full.get(u as usize), self.full.get(v as usize)) else {
-            // Out-of-range ids name no vertex: unreachable, even for u == v
-            // (see the `DistanceOracle` contract).
-            return chl_graph::types::INFINITY;
-        };
-        if u == v {
-            return 0;
-        }
-        lu.query_distance(lv)
-    }
 }
 
 impl DistanceOracle for QdolEngine {
@@ -212,7 +198,7 @@ impl DistanceOracle for QdolEngine {
         // labels of both endpoints); evaluate it for the side effect of
         // exercising the routing table in debug builds.
         debug_assert!(self.node_for_query(u, v) < self.spec.nodes.max(1));
-        self.local_answer(u, v)
+        self.full.query(u, v)
     }
 
     fn num_vertices(&self) -> usize {
@@ -241,7 +227,8 @@ impl QueryEngine for QdolEngine {
         // Node {i,j} stores the full label sets of partitions i and j.
         let mut per_partition = vec![0usize; self.map.zeta()];
         for v in 0..self.map.num_vertices() {
-            per_partition[self.partition_of(v as VertexId)] += self.full[v].memory_bytes();
+            let labels = self.full.labels_of(v as VertexId);
+            per_partition[self.partition_of(v as VertexId)] += std::mem::size_of_val(labels);
         }
         (0..self.map.shard_count())
             .map(|node| {
@@ -270,7 +257,7 @@ impl QueryEngine for QdolEngine {
             let node_start = Instant::now();
             let mut acc = 0u64;
             for &(u, v) in &buckets[node] {
-                acc = acc.wrapping_add(self.local_answer(u, v));
+                acc = acc.wrapping_add(self.full.query(u, v));
             }
             std::hint::black_box(acc);
             node_start.elapsed()

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use chl_cluster::ClusterSpec;
 use chl_core::oracle::DistanceOracle;
-use chl_core::HubLabelIndex;
+use chl_core::FlatIndex;
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId};
 
@@ -20,7 +20,7 @@ use crate::QueryEngine;
 
 /// The QLSN engine: one fully assembled index, replicated per node.
 pub struct QlsnEngine {
-    index: HubLabelIndex,
+    index: FlatIndex,
     spec: ClusterSpec,
 }
 
@@ -35,12 +35,12 @@ impl QlsnEngine {
     }
 
     /// Builds the engine directly from an assembled index.
-    pub fn from_index(index: HubLabelIndex, spec: ClusterSpec) -> Self {
+    pub fn from_index(index: FlatIndex, spec: ClusterSpec) -> Self {
         QlsnEngine { index, spec }
     }
 
     /// Access to the underlying index (used by tests).
-    pub fn index(&self) -> &HubLabelIndex {
+    pub fn index(&self) -> &FlatIndex {
         &self.index
     }
 

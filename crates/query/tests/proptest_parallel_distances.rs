@@ -7,7 +7,6 @@
 use proptest::prelude::*;
 
 use chl_cluster::{ClusterSpec, SimulatedCluster};
-use chl_core::flat::FlatIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::pll::sequential_pll;
 use chl_distributed::{distributed_plant, DistributedConfig};
@@ -43,8 +42,7 @@ proptest! {
         q in 1usize..6,
     ) {
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
         let spec = ClusterSpec::with_nodes(q);
         let labeling = distributed_plant(
             &g,
@@ -62,8 +60,7 @@ proptest! {
         pairs.push((n, n)); // out-of-range self-query: INFINITY, not 0
         pairs.push((0, 0)); // in-range self-query: 0
 
-        let oracles: [(&str, &dyn DistanceOracle); 6] = [
-            ("HubLabelIndex", &index),
+        let oracles: [(&str, &dyn DistanceOracle); 5] = [
             ("FlatIndex", &flat),
             ("DistributedLabeling", &labeling),
             ("QLSN", &qlsn),

@@ -262,15 +262,22 @@ impl SharedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chl_core::index::HubLabelIndex;
+    use chl_core::labels::{LabelEntry, LabelSet};
     use chl_ranking::Ranking;
 
     fn tiny_flat() -> FlatIndex {
+        // Path 0 - 1 - 2, vertex 1 ranked first: hub positions 0, 1, 2 are
+        // vertices 1, 0, 2.
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
-        FlatIndex::from_index(&HubLabelIndex::from_triples(
-            vec![(0, 0, 0), (0, 1, 1), (1, 1, 0), (2, 1, 1), (2, 2, 0)],
-            ranking,
-        ))
+        let set = |runs: &[(u32, u64)]| {
+            LabelSet::from_entries(runs.iter().map(|&(h, d)| LabelEntry::new(h, d)).collect())
+        };
+        let labels = vec![
+            set(&[(0, 1), (1, 0)]),
+            set(&[(0, 0)]),
+            set(&[(0, 1), (2, 0)]),
+        ];
+        FlatIndex::new(labels, ranking).unwrap()
     }
 
     fn temp_path(tag: &str) -> PathBuf {

@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use chl_core::flat::FlatIndex;
 use chl_core::persist::SaveOptions;
 use chl_core::pll::sequential_pll;
 use chl_graph::types::INFINITY;
@@ -68,8 +67,7 @@ proptest! {
         pairs in arb_workload(),
     ) {
         let ranking = degree_ranking(&g);
-        let index = sequential_pll(&g, &ranking).index;
-        let flat = FlatIndex::from_index(&index);
+        let flat = sequential_pll(&g, &ranking).index;
         let n = flat.num_vertices() as u32;
 
         // Force the interesting degenerate shapes into every workload:
@@ -108,7 +106,7 @@ proptest! {
             prop_assert_eq!(responses.len(), pairs.len());
             for (&(u, v), response) in pairs.iter().zip(&responses) {
                 if u < n && v < n {
-                    let expect = index.query(u, v);
+                    let expect = flat.query(u, v);
                     match response {
                         Ok(ds) => prop_assert_eq!(
                             ds.as_slice(),
@@ -151,7 +149,7 @@ proptest! {
             if !valid.is_empty() {
                 let served = client.query_batch(&valid).expect("batch");
                 let expected: Vec<u64> =
-                    valid.iter().map(|&(u, v)| index.query(u, v)).collect();
+                    valid.iter().map(|&(u, v)| flat.query(u, v)).collect();
                 prop_assert_eq!(served, expected);
             }
 

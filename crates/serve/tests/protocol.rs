@@ -30,7 +30,7 @@ fn build_index(seed: u64) -> FlatIndex {
     };
     let graph = grid_network(&opts, seed);
     let ranking = degree_ranking(&graph);
-    FlatIndex::from_index(&sequential_pll(&graph, &ranking).index)
+    sequential_pll(&graph, &ranking).index
 }
 
 /// Same corpus with per-entry parent records, so PATH frames can answer.
@@ -42,7 +42,7 @@ fn build_paths_index(seed: u64) -> FlatIndex {
     };
     let graph = grid_network(&opts, seed);
     let ranking = degree_ranking(&graph);
-    let flat = FlatIndex::from_index(&sequential_pll(&graph, &ranking).index);
+    let flat = sequential_pll(&graph, &ranking).index;
     attach_parents(&graph, flat).expect("corpus graph matches its index")
 }
 

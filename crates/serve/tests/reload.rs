@@ -36,7 +36,7 @@ fn build_index(seed: u64) -> FlatIndex {
     };
     let graph = grid_network(&opts, seed);
     let ranking = degree_ranking(&graph);
-    FlatIndex::from_index(&sequential_pll(&graph, &ranking).index)
+    sequential_pll(&graph, &ranking).index
 }
 
 fn temp_path(tag: &str) -> std::path::PathBuf {

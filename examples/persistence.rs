@@ -33,12 +33,10 @@ fn main() {
         result.index.average_label_size()
     );
 
-    // 2. Persist: flatten the pointer-per-vertex index into two contiguous
-    //    CSR arrays and write the versioned, checksummed `.chl` file.
+    // 2. Persist: the index already holds its labels in two contiguous CSR
+    //    arrays; write them as the versioned, checksummed `.chl` file.
     let path = std::env::temp_dir().join(format!("chl-example-{}.chl", std::process::id()));
-    FlatIndex::from_index(&result.index)
-        .save(&path)
-        .expect("index saves");
+    result.index.save(&path).expect("index saves");
     let file_len = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("saved: {} ({file_len} bytes)", path.display());
 

@@ -31,8 +31,8 @@ fn main() {
         Algorithm::SParaPll,
     ];
     println!("\nconstruction comparison (road network):");
-    let mut canonical_index: Option<HubLabelIndex> = None;
-    let mut gll_index: Option<HubLabelIndex> = None;
+    let mut canonical_index: Option<FlatIndex> = None;
+    let mut gll_index: Option<FlatIndex> = None;
     for algo in algorithms {
         let res = ChlBuilder::new(graph)
             .ranking(RankingStrategy::Explicit(ranking.clone()))

@@ -55,12 +55,12 @@
 //! let oracle: &dyn DistanceOracle = &index;
 //! assert_eq!(oracle.distance(0, 143), reference[143]);
 //!
-//! // Flatten into the contiguous serving layout; `flat.save(path)` /
-//! // `FlatIndex::load(path)` persist it as a versioned `.chl` file (see
+//! // The index already is the contiguous serving layout: `index.save(path)`
+//! // / `FlatIndex::load(path)` persist it as a versioned `.chl` file (see
 //! // `chl_core::persist`), which is also what the `chl` CLI builds and
-//! // serves from.
-//! let flat = FlatIndex::from_index(&index);
-//! assert_eq!(flat.query(0, 143), reference[143]);
+//! // serves from. A clone shares its label arrays.
+//! let shared = index.clone();
+//! assert_eq!(shared.query(0, 143), reference[143]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -89,8 +89,7 @@ pub mod prelude {
     pub use chl_core::plant::plant_labeling;
     pub use chl_core::pll::sequential_pll;
     pub use chl_core::{
-        FlatIndex, FlatView, HubLabelIndex, LabelingConfig, LabelingError, LabelingResult,
-        MmapIndex, PersistError,
+        FlatIndex, FlatView, LabelingConfig, LabelingError, LabelingResult, MmapIndex, PersistError,
     };
     pub use chl_datasets::{load as load_dataset, DatasetId, Scale};
     pub use chl_distributed::{

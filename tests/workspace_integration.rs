@@ -171,12 +171,12 @@ fn end_to_end_serving_tier_gen_build_serve_bench_shutdown() {
         },
         21,
     );
-    let result = ChlBuilder::new(&graph)
+    let flat = ChlBuilder::new(&graph)
         .ranking(RankingStrategy::Auto { seed: 21 })
         .algorithm(Algorithm::Hybrid)
         .build()
-        .expect("construction succeeds");
-    let flat = FlatIndex::from_index(&result.index);
+        .expect("construction succeeds")
+        .index;
 
     // save → serve: persist, load through the shared handle, bind ephemeral.
     let path = std::env::temp_dir().join(format!("chl-workspace-serve-{}.chl", std::process::id()));
