@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the persistence subsystem: the cost of a full
 //! serialize → deserialize round trip of the `.chl` byte format, and the
 //! cold-serve comparison the zero-copy refactor exists for — time from
-//! "bytes/file in hand" to "first query answered" for the copying v1/v2
-//! loaders, the borrowed view and the mmap open, plus steady-state query
+//! "bytes/file in hand" to "first query answered" for the copying loader,
+//! the borrowed view and the mmap open, plus steady-state query
 //! parity between the owned and borrowed kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -33,7 +33,7 @@ fn persistence_round_trip(c: &mut Criterion) {
 }
 
 /// Time-to-first-query per serving path: what a process restart costs. The
-/// copying loaders pay deserialization + validation + allocation; the
+/// copying loader pays deserialization + validation + allocation; the
 /// zero-copy view pays validation only; the mmap open additionally pays the
 /// syscall but no read of the label payload.
 fn cold_serve(c: &mut Criterion) {
@@ -42,35 +42,28 @@ fn cold_serve(c: &mut Criterion) {
     let n = ds.graph.num_vertices() as u32;
     let (u, v) = (0u32, n - 1);
 
-    let v1_bytes = persist::to_bytes_v1(&flat);
-    let v2_bytes = flat.to_bytes();
-    let aligned = AlignedBytes::from_slice(&v2_bytes);
+    let v3_bytes = flat.to_bytes();
+    let aligned = AlignedBytes::from_slice(&v3_bytes);
     let path =
         std::env::temp_dir().join(format!("chl-bench-cold-serve-{}.chl", std::process::id()));
-    std::fs::write(&path, &v2_bytes).expect("bench scratch file");
+    std::fs::write(&path, &v3_bytes).expect("bench scratch file");
 
     let mut group = c.benchmark_group("cold_serve");
-    group.bench_function("copy_load_v1_first_query", |b| {
+    group.bench_function("copy_load_v3_first_query", |b| {
         b.iter(|| {
-            let idx = FlatIndex::from_bytes(&v1_bytes).expect("clean v1 bytes");
-            black_box(idx.query(u, v))
-        })
-    });
-    group.bench_function("copy_load_v2_first_query", |b| {
-        b.iter(|| {
-            let idx = FlatIndex::from_bytes(&v2_bytes).expect("clean v2 bytes");
+            let idx = FlatIndex::from_bytes(&v3_bytes).expect("clean v3 bytes");
             black_box(idx.query(u, v))
         })
     });
     group.bench_function("zero_copy_view_first_query", |b| {
         b.iter(|| {
-            let view = persist::view_bytes(&aligned).expect("clean v2 bytes");
+            let view = persist::view_bytes(&aligned).expect("clean v3 bytes");
             black_box(view.query(u, v))
         })
     });
     group.bench_function("mmap_open_first_query", |b| {
         b.iter(|| {
-            let idx = MmapIndex::open(&path).expect("clean v2 file");
+            let idx = MmapIndex::open(&path).expect("clean v3 file");
             black_box(idx.view().query(u, v))
         })
     });
@@ -85,7 +78,7 @@ fn owned_vs_view_steady_state(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
     let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let aligned = AlignedBytes::from_slice(&flat.to_bytes());
-    let view = persist::view_bytes(&aligned).expect("clean v2 bytes");
+    let view = persist::view_bytes(&aligned).expect("clean v3 bytes");
     let n = ds.graph.num_vertices() as u32;
 
     let mut group = c.benchmark_group("owned_vs_view");

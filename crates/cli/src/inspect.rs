@@ -3,7 +3,7 @@
 //! opt-in full integrity check and label-size histogram (`--histogram`).
 
 use chl_core::flat::FlatIndex;
-use chl_core::persist::{self, Checksums};
+use chl_core::persist;
 use chl_graph::types::VertexId;
 use chl_query::QdolShardMap;
 
@@ -59,7 +59,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     } else {
         println!(
             "entries encoding: flat ({} bytes per entry)",
-            if header.version >= 2 { 16 } else { 12 }
+            persist::ENTRY_LEN
         );
         println!("entries on disk:  {encoded} bytes");
     }
@@ -71,16 +71,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "absent (build with 'chl build --paths' to enable reconstruction)"
         }
     );
-    match header.checksums {
-        Checksums::WholePayload(crc) => println!("payload checksum: {crc:#010x}"),
-        Checksums::PerSection {
-            ranking,
-            offsets,
-            entries,
-        } => println!(
-            "section checksums: ranking {ranking:#010x}, offsets {offsets:#010x}, entries {entries:#010x}"
-        ),
-    }
+    println!(
+        "section checksums: ranking {:#010x}, offsets {:#010x}, entries {:#010x}",
+        header.crc_ranking, header.crc_offsets, header.crc_entries
+    );
     // A shard file identifies itself: one extra small read verifies the
     // shard section CRC and recovers which slice of the cluster this is,
     // without touching the (potentially huge) label payload.
@@ -122,15 +116,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         .saturating_add(m.saturating_mul(16))
         .saturating_add(n.saturating_mul(8));
     let mib = estimated as f64 / (1024.0 * 1024.0);
-    if header.version >= 2 {
-        println!(
-            "serving footprint: {estimated} bytes ({mib:.2} MiB owned; zero-copy --mmap \
-             serves the {file_len}-byte file image instead)"
-        );
-    } else {
-        // v1 files cannot back a zero-copy view; do not advertise --mmap.
-        println!("serving footprint: {estimated} bytes ({mib:.2} MiB owned)");
-    }
+    println!(
+        "serving footprint: {estimated} bytes ({mib:.2} MiB owned; zero-copy --mmap \
+         serves the {file_len}-byte file image instead)"
+    );
 
     if !opts.switch("histogram") {
         println!(

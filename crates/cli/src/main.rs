@@ -13,6 +13,7 @@
 //! chl topk g.chl 0 --targets 7,8,9 --k 2           # nearest targets
 //! chl inspect g.chl                                # header, O(1) in file size
 //! chl inspect g.chl --histogram                    # + full integrity check
+//! chl upgrade old.chl new.chl                      # legacy v1/v2 file -> v3
 //! chl serve g.chl --addr 127.0.0.1:0               # long-running TCP server
 //! chl serve g.shard-0-of-3.chl --shard ...         # one shard of a cluster
 //! chl route ADDR0 ADDR1 ADDR2 --addr 127.0.0.1:0   # scatter-gather front door
@@ -37,6 +38,7 @@ mod paths;
 mod query;
 mod route;
 mod serve;
+mod upgrade;
 
 /// Boxed error: every subcommand reports failures as displayable values
 /// (library errors stay typed; the CLI only prints them).
@@ -56,6 +58,7 @@ commands:
   matrix   evaluate a sources x targets distance block (pivoted kernel)
   topk     rank targets by distance from one source (--radius variant)
   inspect  show a .chl file's header and footprint (--histogram: full check)
+  upgrade  rewrite a v1/v2 .chl file, which no other command reads, as v3
   serve    keep an index loaded and answer queries over TCP (hot reload)
   route    front a cluster of shard servers with one scatter-gather endpoint
   bench-serve  load-test a running serve endpoint (throughput, p50/p99/p999)
@@ -100,6 +103,7 @@ fn run(args: &[String]) -> Result<(), Exit> {
         "matrix" => (paths::MATRIX_USAGE, paths::run_matrix),
         "topk" => (paths::TOPK_USAGE, paths::run_topk),
         "inspect" => (inspect::USAGE, inspect::run),
+        "upgrade" => (upgrade::USAGE, upgrade::run),
         "serve" => (serve::USAGE, serve::run),
         "route" => (route::USAGE, route::run),
         "bench-serve" => (bench_serve::USAGE, bench_serve::run),

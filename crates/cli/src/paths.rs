@@ -1,8 +1,8 @@
 //! `chl paths` / `chl matrix` / `chl topk`: the post-PPSD query verbs.
 //!
 //! All three serve from a saved `.chl` file through the same two backends
-//! as `chl query` (copy-loading [`FlatIndex`], zero-copy [`MmapIndex`]
-//! under `--mmap`) and print deterministic, line-oriented output:
+//! as `chl query` (copy-loaded, or zero-copy under `--mmap`) and print
+//! deterministic, line-oriented output:
 //!
 //! - `paths` reconstructs exact shortest paths from the index's parent
 //!   records (written by `chl build --paths`). An index without the path
@@ -15,15 +15,12 @@
 
 use std::time::Instant;
 
-use chl_core::flat::FlatIndex;
-use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
-use chl_core::paths::PathOracle;
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_query::workload::load_workload_checked;
 
 use crate::opts::Opts;
-use crate::query::{check_vertex, parse_explicit_pairs};
+use crate::query::{check_vertex, open_index, parse_explicit_pairs};
 use crate::CliError;
 
 pub const USAGE: &str = "\
@@ -72,9 +69,9 @@ options:
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["workload"], &["mmap"])?;
     let index_path = opts.positional(0, "index file argument")?.to_string();
-    let backend = Backend::open(&index_path, opts.switch("mmap"))?;
-    let n = backend.oracle().num_vertices();
-    if !backend.paths().has_path_data() {
+    let loaded = open_index(&index_path, opts.switch("mmap"))?;
+    let n = loaded.num_vertices();
+    if !loaded.has_path_data() {
         return Err(format!(
             "index {index_path} carries no path data (rebuild with 'chl build --paths')"
         )
@@ -96,9 +93,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     for &(u, v) in &pairs {
         check_vertex(u, n)?;
         check_vertex(v, n)?;
-        match backend.paths().path(u, v) {
+        match loaded.path(u, v) {
             Ok(Some(walk)) => {
-                let d = backend.oracle().distance(u, v);
+                let d = loaded.distance(u, v);
                 let rendered: Vec<String> = walk.iter().map(|x| x.to_string()).collect();
                 println!(
                     "path({u}, {v}) = {} ({} hops, dist {d})",
@@ -127,8 +124,8 @@ pub fn run_matrix(args: &[String]) -> Result<(), CliError> {
     )?;
     let index_path = opts.positional(0, "index file argument")?.to_string();
     opts.reject_extra_positionals(1)?;
-    let backend = Backend::open(&index_path, opts.switch("mmap"))?;
-    let oracle = backend.oracle();
+    let loaded = open_index(&index_path, opts.switch("mmap"))?;
+    let oracle = loaded.oracle();
     let n = oracle.num_vertices();
 
     let sources = id_list(&opts, "sources", n)?;
@@ -164,8 +161,8 @@ pub fn run_topk(args: &[String]) -> Result<(), CliError> {
         .parse()
         .map_err(|_| "invalid source vertex id".to_string())?;
     opts.reject_extra_positionals(2)?;
-    let backend = Backend::open(&index_path, opts.switch("mmap"))?;
-    let oracle = backend.oracle();
+    let loaded = open_index(&index_path, opts.switch("mmap"))?;
+    let oracle = loaded.oracle();
     let n = oracle.num_vertices();
     check_vertex(source, n)?;
     let targets = id_list(&opts, "targets", n)?;
@@ -193,42 +190,6 @@ pub fn run_topk(args: &[String]) -> Result<(), CliError> {
         eprintln!("no reachable targets matched");
     }
     Ok(())
-}
-
-/// The two serving backends, same pair as `chl query`.
-enum Backend {
-    Owned(FlatIndex),
-    Mapped(MmapIndex),
-}
-
-impl Backend {
-    fn open(index_path: &str, mmap: bool) -> Result<Backend, CliError> {
-        Ok(if mmap {
-            Backend::Mapped(
-                MmapIndex::open(index_path)
-                    .map_err(|e| format!("cannot map index {index_path}: {e}"))?,
-            )
-        } else {
-            Backend::Owned(
-                FlatIndex::load(index_path)
-                    .map_err(|e| format!("cannot load index {index_path}: {e}"))?,
-            )
-        })
-    }
-
-    fn oracle(&self) -> &dyn DistanceOracle {
-        match self {
-            Backend::Owned(index) => index,
-            Backend::Mapped(index) => index,
-        }
-    }
-
-    fn paths(&self) -> &dyn PathOracle {
-        match self {
-            Backend::Owned(index) => index,
-            Backend::Mapped(index) => index,
-        }
-    }
 }
 
 fn render_distance(d: Distance) -> String {

@@ -15,20 +15,21 @@
 //! known, so a stale file fails with an error naming the offending line —
 //! never a panic from the query kernel.
 //!
-//! `--mmap` swaps the copy-loading [`FlatIndex`] for a zero-copy
-//! [`MmapIndex`]: the file is validated once and served straight from the
-//! OS page cache through a borrowed view — reinterpreted in place for flat
-//! files, stream-decoded per label run for compressed ones (`chl build
-//! --compress`). Both backends answer through the same [`DistanceOracle`]
-//! surface, so every mode below works identically on either.
+//! The index is opened as a serving generation ([`LoadedIndex`]), the same
+//! as `chl serve` does: copy-loaded by default, while `--mmap` validates the
+//! file once and serves it straight from the OS page cache through a
+//! borrowed view — reinterpreted in place for flat files, stream-decoded
+//! per label run for compressed ones (`chl build --compress`). Both
+//! backends answer through the same [`DistanceOracle`] surface, so every
+//! mode below works identically on either.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use chl_core::flat::FlatIndex;
-use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_graph::types::{VertexId, INFINITY};
 use chl_query::workload::{load_workload_checked, random_pairs, QueryWorkload};
+use chl_serve::LoadedIndex;
 
 use crate::opts::Opts;
 use crate::CliError;
@@ -48,23 +49,13 @@ options:
   --random N          generate N uniform random pairs
   --seed N            seed for --random                           [42]
   --threads N         worker threads for batch queries       [all cores]
-  --mmap              serve zero-copy from the OS page cache (v2 files)";
+  --mmap              serve zero-copy from the OS page cache";
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["workload", "random", "seed", "threads"], &["mmap"])?;
     let index_path = opts.positional(0, "index file argument")?.to_string();
-    let backend: Backend = if opts.switch("mmap") {
-        Backend::Mapped(
-            MmapIndex::open(&index_path)
-                .map_err(|e| format!("cannot map index {index_path}: {e}"))?,
-        )
-    } else {
-        Backend::Owned(
-            FlatIndex::load(&index_path)
-                .map_err(|e| format!("cannot load index {index_path}: {e}"))?,
-        )
-    };
-    let index: &dyn DistanceOracle = backend.oracle();
+    let loaded = open_index(&index_path, opts.switch("mmap"))?;
+    let index = loaded.oracle();
     let n = index.num_vertices();
 
     if opts.value("seed").is_some() && opts.value("random").is_none() {
@@ -124,41 +115,19 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         return Err("the workload contains no query pairs".into());
     }
 
-    rayon::with_threads(threads, || run_batch(index, backend.name(), &workload));
+    rayon::with_threads(threads, || {
+        run_batch(index, loaded.backend_name(), &workload)
+    });
     Ok(())
 }
 
-/// The two serving backends behind one oracle surface. Holding the concrete
-/// enum (rather than a `Box<dyn ...>`) keeps the backend's name printable in
-/// the batch statistics.
-enum Backend {
-    Owned(FlatIndex),
-    Mapped(MmapIndex),
-}
-
-impl Backend {
-    fn oracle(&self) -> &dyn DistanceOracle {
-        match self {
-            Backend::Owned(index) => index,
-            Backend::Mapped(index) => index,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Backend::Owned(_) => "owned (copy-load)",
-            Backend::Mapped(m) => mapped_name(m),
-        }
-    }
-}
-
-fn mapped_name(m: &MmapIndex) -> &'static str {
-    match (m.is_mapped(), m.is_compressed()) {
-        (true, false) => "mmap (zero-copy view)",
-        (true, true) => "mmap (streamed varint decode)",
-        (false, false) => "mmap fallback (aligned buffered read)",
-        (false, true) => "mmap fallback (buffered streamed decode)",
-    }
+/// Opens `index_path` copy-loaded, or mapped under `--mmap`: the one
+/// backend switch of every query verb.
+pub(crate) fn open_index(index_path: &str, mmap: bool) -> Result<LoadedIndex, CliError> {
+    LoadedIndex::open(Path::new(index_path), mmap).map_err(|e| {
+        let verb = if mmap { "map" } else { "load" };
+        format!("cannot {verb} index {index_path}: {e}").into()
+    })
 }
 
 pub(crate) fn parse_explicit_pairs(

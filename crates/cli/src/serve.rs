@@ -35,7 +35,7 @@ options:
                       frames inline, so N bounds all compute threads
                       and one connection uses one core               [4]
   --max-frame BYTES   largest accepted request frame            [1 MiB]
-  --mmap              serve zero-copy from the OS page cache (v2 files)
+  --mmap              serve zero-copy from the OS page cache
   --shard             required to serve a .chl v3 shard file; the server
                       answers NOT_THIS_SHARD for unowned vertices and is
                       meant to sit behind 'chl route'";

@@ -368,45 +368,69 @@ fn mmap_serving_matches_copy_load_end_to_end() {
 }
 
 #[test]
-fn v1_files_still_serve_through_the_copying_path() {
-    use chl_core::persist;
-    use chl_graph::generators::{grid_network, GridOptions};
+fn legacy_files_are_refused_and_upgrade_to_v3() {
+    // The checked-in legacy fixtures of the golden corpus, a 4x4 grid, and
+    // the distance table they pin.
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    let table = std::fs::read_to_string(fixtures.join("golden.distances.txt")).unwrap();
+    let mut pairs = Vec::new();
+    let mut expected = String::new();
+    for (u, row) in table.lines().enumerate() {
+        for (v, d) in row.split_whitespace().enumerate() {
+            pairs.extend([u.to_string(), v.to_string()]);
+            expected += &match d {
+                "inf" => format!("dist({u}, {v}) = unreachable\n"),
+                d => format!("dist({u}, {v}) = {d}\n"),
+            };
+        }
+    }
 
-    let dir = temp_dir("v1-compat");
-    let graph = grid_network(
-        &GridOptions {
-            rows: 6,
-            cols: 6,
-            ..GridOptions::default()
-        },
-        7,
-    );
-    let index = ChlBuilder::new(&graph)
-        .ranking(RankingStrategy::Degree)
-        .algorithm(Algorithm::Hybrid)
-        .build()
-        .unwrap()
-        .index;
+    let dir = temp_dir("legacy");
+    for legacy in [
+        "golden.v1.chl",
+        "golden.v2-flat.chl",
+        "golden.v2-compressed.chl",
+    ] {
+        let path = fixtures.join(legacy);
+        let path = path.to_str().unwrap();
+        // Every loading verb refuses it with exit 1, naming the upgrade.
+        for args in [
+            vec!["query", path, "0", "15"],
+            vec!["query", path, "--mmap", "0", "15"],
+            vec!["inspect", path],
+        ] {
+            let out = chl().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains("chl upgrade"), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        }
 
-    // A file written by the legacy v1 writer...
-    let v1_path = dir.join("legacy.chl");
-    std::fs::write(&v1_path, persist::to_bytes_v1(&index)).unwrap();
+        // Upgraded, it is a v3 file answering the pinned distances, owned
+        // and mapped.
+        let upgraded = dir.join(legacy);
+        let upgraded = upgraded.to_str().unwrap();
+        run_ok(chl().args(["upgrade", path, upgraded]));
+        let stdout = run_ok(chl().args(["inspect", upgraded]));
+        assert!(stdout.contains("format version:   3"), "stdout: {stdout}");
+        for mmap in [&[][..], &["--mmap"]] {
+            let stdout = run_ok(chl().args(["query", upgraded]).args(mmap).args(&pairs));
+            assert_eq!(stdout, expected, "{legacy} {mmap:?}");
+        }
 
-    // ...is inspectable and serves correct distances via the copying path.
-    let stdout = run_ok(chl().args(["inspect", v1_path.to_str().unwrap()]));
-    assert!(stdout.contains("format version:   1"), "stdout: {stdout}");
-    assert!(stdout.contains("payload checksum:"), "stdout: {stdout}");
-    let stdout = run_ok(chl().args(["query", v1_path.to_str().unwrap(), "0", "35"]));
-    assert!(
-        stdout.contains(&format!("dist(0, 35) = {}", index.query(0, 35))),
-        "stdout: {stdout}"
-    );
-
-    // ...but cannot be served zero-copy: typed refusal, not a panic.
-    let stderr = run_err(chl().args(["query", v1_path.to_str().unwrap(), "--mmap", "0", "35"]));
-    assert!(stderr.contains("v1"), "stderr: {stderr}");
-    assert!(stderr.contains("zero-copy"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        // Upgrading a file onto itself works too, with the same result.
+        let in_place = dir.join(format!("in-place-{legacy}"));
+        std::fs::copy(path, &in_place).unwrap();
+        let in_place = in_place.to_str().unwrap();
+        run_ok(chl().args(["upgrade", in_place, in_place]));
+        assert_eq!(
+            std::fs::read(in_place).unwrap(),
+            std::fs::read(upgraded).unwrap()
+        );
+    }
+    // Exactly two positionals.
+    run_err(chl().args(["upgrade", "only-one.chl"]));
+    run_err(chl().args(["upgrade", "a.chl", "b.chl", "c.chl"]));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

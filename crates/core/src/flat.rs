@@ -11,13 +11,13 @@
 //! * [`LabelStorage`] abstracts **how a vertex's label run is materialized**:
 //!   [`RawStore`] hands out plain `&[LabelEntry]` slices, while
 //!   [`CompressedStore`] streams entries out of a delta+varint encoded byte
-//!   blob (see the compressed `.chl` v2 section in [`crate::persist`])
+//!   blob (see the compressed `.chl` section in [`crate::persist`])
 //!   through a [`DecodeCursor`] — no decompressed copy ever exists.
 //! * [`LabelView`] is the **ownership-agnostic query kernel**, generic over
 //!   the storage: ranking order, CSR offsets and a [`LabelStorage`], with
 //!   every query method defined once. [`FlatView`] and [`CompressedView`]
 //!   are its two instantiations; [`IndexView`] is the runtime-dispatched
-//!   either-of-them a `.chl` v2 file of unknown encoding serves through.
+//!   either-of-them a `.chl` file of unknown encoding serves through.
 //! * [`FlatIndex`] is the thin owning wrapper: the two arrays behind one
 //!   shared [`Arc`], so a clone is a reference-count bump, plus the full
 //!   [`Ranking`], delegating every query through [`FlatIndex::as_view`]. (A
@@ -27,7 +27,7 @@
 //!
 //! The flat layout is what the `.chl` on-disk format (see [`crate::persist`])
 //! stores byte-for-byte, so loading an index is one read plus validation —
-//! and, for v2 files, querying needs no copy at all. All layouts and
+//! and querying needs no copy at all. All layouts and
 //! encodings answer every query identically (asserted by the persistence
 //! proptests and the golden fixture corpus).
 
@@ -121,7 +121,7 @@ impl<'a> LabelStorage<'a> for RawStore<'a> {
 }
 
 /// [`LabelStorage`] over the delta+varint compressed entries section of a
-/// `.chl` v2 file (`FLAG_COMPRESSED_ENTRIES`): a per-vertex skip table into
+/// `.chl` file (`FLAG_COMPRESSED_ENTRIES`): a per-vertex skip table into
 /// a byte blob holding LEB128-encoded hub gaps and distances.
 ///
 /// Queries decode the two runs they touch on the fly ([`DecodeCursor`]);
@@ -462,7 +462,7 @@ impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
     }
 
     /// Bytes of backing storage the view's slices span — for a view over a
-    /// `.chl` v2 buffer, the file bytes actually touched by queries; for a
+    /// `.chl` buffer, the file bytes actually touched by queries; for a
     /// compressed view this is the *encoded* footprint, not the 16-byte-per-
     /// entry decoded one. Unlike an owned [`FlatIndex`], a view carries no
     /// rank-position array, so this is smaller than
@@ -628,7 +628,7 @@ pub(crate) enum StorageView<'a> {
     Compressed(CompressedView<'a>),
 }
 
-/// A borrowed view over a `.chl` v2/v3 buffer of either entries encoding —
+/// A borrowed view over a `.chl` buffer of either entries encoding —
 /// what [`crate::persist::open_view`] returns and what
 /// [`crate::mapped::MmapIndex`] hands out per query when the encoding is
 /// only known at run time. A v3 shard file additionally carries its
@@ -944,13 +944,6 @@ impl FlatIndex {
         index.clone()
     }
 
-    /// Copies a borrowed view into owned storage (the inverse of
-    /// [`FlatIndex::as_view`]); the only allocation a zero-copy load path
-    /// performs when a caller explicitly asks for ownership.
-    pub fn from_view(view: FlatView<'_>) -> Self {
-        IndexView::flat(view).to_owned_index()
-    }
-
     /// Borrows the index as the ownership-agnostic query kernel. All query
     /// methods on `FlatIndex` are thin forwards through this view, so owned
     /// and borrowed serving paths execute literally the same code.
@@ -1235,12 +1228,6 @@ impl FlatIndex {
     }
 }
 
-impl From<FlatView<'_>> for FlatIndex {
-    fn from(view: FlatView<'_>) -> Self {
-        FlatIndex::from_view(view)
-    }
-}
-
 impl DistanceOracle for FlatIndex {
     fn distance(&self, u: VertexId, v: VertexId) -> Distance {
         self.query(u, v)
@@ -1372,8 +1359,8 @@ mod tests {
         }
         // Views are Copy and round-trip to an equal owned index.
         let copy = view;
-        assert_eq!(FlatIndex::from_view(copy), flat);
-        assert_eq!(FlatIndex::from(view), flat);
+        assert_eq!(IndexView::flat(copy).to_owned_index(), flat);
+        assert_eq!(IndexView::flat(view).to_owned_index(), flat);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use chl_graph::types::{Distance, INFINITY};
 
 /// A single hub label: the hub's rank position and the distance to it.
 ///
-/// The layout is `#[repr(C)]` because the `.chl` v2 on-disk format (see
+/// The layout is `#[repr(C)]` because the `.chl` on-disk format (see
 /// [`crate::persist`]) stores entries byte-identically to this struct —
 /// `hub` at offset 0, four bytes of zero padding, `dist` at offset 8 — so a
 /// validated byte buffer can be reinterpreted in place as `&[LabelEntry]`

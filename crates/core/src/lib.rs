@@ -76,7 +76,7 @@
 //! (§6), so the two are decoupled by a durable index: [`flat::FlatIndex`]
 //! stores every label set in two contiguous CSR-style arrays (the serving
 //! layout), and [`persist`] defines the versioned, checksummed `.chl` file
-//! format it saves to and loads from. Since format v2 the on-disk layout is
+//! format it saves to and loads from. The on-disk layout is
 //! byte-identical to the in-memory one (8-byte-aligned sections), so serving
 //! does not even need the copy: [`persist::view_bytes`] borrows a
 //! [`flat::FlatView`] — the ownership-agnostic query kernel — straight from
@@ -90,7 +90,7 @@
 //! MmapIndex::open(path)  -> &dyn DistanceOracle   (borrowed, zero-copy)
 //! ```
 //!
-//! The entries section of a v2 file additionally supports a delta+varint
+//! The entries section of a file additionally supports a delta+varint
 //! **compressed encoding** (`chl build --compress` /
 //! [`persist::SaveOptions`]): labels are hub-sorted so hub gaps are small,
 //! and one label typically costs 2–4 bytes on disk instead of 16. The query

@@ -1,11 +1,11 @@
-//! Memory-mapped serving: a `.chl` v2/v3 file queried straight from the OS
+//! Memory-mapped serving: a `.chl` file queried straight from the OS
 //! page cache.
 //!
 //! [`MmapIndex`] is the third member of the serving-layout family (after the
 //! owned [`FlatIndex`](crate::flat::FlatIndex) and the borrowed
 //! [`FlatView`](crate::flat::FlatView)): it owns a read-only mapping of the
 //! index file, validates it **once** at open — with the one validator every
-//! v2/v3 loader runs — and then hands out [`IndexView`]s borrowed directly
+//! loader runs — and then hands out [`IndexView`]s borrowed directly
 //! from the mapped bytes. Nothing
 //! is deserialized and no heap copy of the payload is ever made: the kernel
 //! pages label data in on demand, cold-serve cost is one validation scan
@@ -22,11 +22,10 @@
 //! (`FLAG_COMPRESSED_ENTRIES`) stream-decode the two label runs each query
 //! intersects, directly from the mapped bytes at the compressed footprint.
 //!
-//! Only v2/v3 files can be mapped: the aligned layout is what makes
-//! in-place reinterpretation possible. Opening a v1 file reports
-//! [`PersistError::NotZeroCopy`]; load it through
-//! [`FlatIndex::load`](crate::flat::FlatIndex::load) instead. A v3 shard
-//! file maps like any other; its identity is cached at open
+//! The aligned layout is what makes in-place reinterpretation possible.
+//! Opening a file of an earlier format version reports
+//! [`PersistError::UpgradeRequired`], as every loader does. A shard file
+//! maps like any other; its identity is cached at open
 //! ([`MmapIndex::shard`]) and its views answer
 //! [`IndexView::try_query`] shard-honestly.
 
@@ -45,7 +44,7 @@ use crate::flat::IndexView;
 use crate::oracle::DistanceOracle;
 use crate::persist::{self, AlignedBytes, Layout, PersistError, ShardSpec};
 
-/// A `.chl` v2/v3 index served zero-copy from a file mapping (or, as a
+/// A `.chl` index served zero-copy from a file mapping (or, as a
 /// fallback, from one aligned buffered read of the file).
 ///
 /// ```no_run
@@ -114,13 +113,13 @@ fn open_backing(path: &Path) -> Result<Backing, PersistError> {
 }
 
 impl MmapIndex {
-    /// Opens and fully validates a `.chl` v2/v3 file for zero-copy serving.
+    /// Opens and fully validates a `.chl` file for zero-copy serving.
     ///
     /// Validation is the same function the copying loader runs (length,
     /// per-section checksums, padding, semantic invariants) and runs once;
     /// subsequent [`MmapIndex::view`] calls are a pointer cast. Every
-    /// corruption mode is a typed [`PersistError`]; v1 files report
-    /// [`PersistError::NotZeroCopy`].
+    /// corruption mode is a typed [`PersistError`]; a file of an earlier
+    /// format version is [`PersistError::UpgradeRequired`].
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
         let backing = open_backing(path.as_ref())?;
         let layout = persist::validate_layout(backing.as_slice(), None)?;
@@ -317,12 +316,11 @@ mod tests {
 
     #[test]
     fn v1_files_are_refused_with_a_typed_error() {
-        let flat = tiny_flat();
         let path = temp_path("v1");
-        std::fs::write(&path, persist::to_bytes_v1(&flat)).unwrap();
+        std::fs::write(&path, include_bytes!("../tests/fixtures/golden.v1.chl")).unwrap();
         assert!(matches!(
             MmapIndex::open(&path),
-            Err(PersistError::NotZeroCopy { version: 1 })
+            Err(PersistError::UpgradeRequired { version: 1 })
         ));
         std::fs::remove_file(&path).unwrap();
     }

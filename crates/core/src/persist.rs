@@ -2,14 +2,13 @@
 //!
 //! A `.chl` file is a byte-exact dump of a [`FlatIndex`]: the ranking that
 //! gives hub positions their meaning, the CSR offsets array and the
-//! contiguous label entries. Since version 2 the on-disk layout **is** the
-//! query-time layout: every section starts on an 8-byte boundary and stores
-//! its integers exactly as the in-memory arrays do, so a validated buffer can
-//! be served through a borrowed [`FlatView`] without copying a single label
-//! ([`view_bytes`]). Version 1 files (the original packed layout) keep
-//! loading through the copying path ([`from_bytes`] / [`load`]).
+//! contiguous label entries. The on-disk layout **is** the query-time
+//! layout: every section starts on an 8-byte boundary and stores its
+//! integers exactly as the in-memory arrays do, so a validated buffer can be
+//! served through a borrowed [`FlatView`] without copying a single label
+//! ([`view_bytes`]).
 //!
-//! ## Version 3 layout (current)
+//! ## Layout (version 3)
 //!
 //! All integers little-endian; every section 8-byte aligned and zero-padded
 //! to a multiple of 8 bytes:
@@ -20,7 +19,7 @@
 //! 4       4           version      u32, 3
 //! 8       8           n            u64, number of vertices (global, even in a shard file)
 //! 16      8           m            u64, number of label entries stored in this file
-//! 24      4           flags        u32, bit 0 = compressed entries, bit 1 = sharded
+//! 24      4           flags        u32, bit 0 = compressed entries, bit 1 = sharded, bit 2 = paths
 //! 28      4           crc_ranking  u32, CRC-32 of the ranking section (incl. padding)
 //! 32      4           crc_offsets  u32, CRC-32 of the offsets section
 //! 36      4           crc_entries  u32, CRC-32 of the entries section
@@ -29,13 +28,11 @@
 //! 48      n * 4 (+pad) ranking     vertex ids, most important first, zero-padded to 8
 //! ..      (n+1) * 8   offsets      entries[offsets[v]..offsets[v+1]] labels vertex v
 //! ..      m * 16      entries      (u32 hub rank position, u32 zero, u64 distance)
+//! ..      see below   paths        optional path section (flags bit 2)
 //! ..      see below   shard        optional shard section (flags bit 1)
 //! ```
 //!
-//! `crc_header` closes the corruption-detection gap v2 left open: the first
-//! 40 bytes of a v2 file sit outside all three section checksums, so a
-//! flipped header field surfaced as a confusing downstream section error. A
-//! v3 header is self-checking — any header flip is a precise
+//! The header is self-checking: any header flip is a precise
 //! [`PersistError::HeaderChecksumMismatch`] before a single payload byte is
 //! interpreted.
 //!
@@ -43,7 +40,7 @@
 //! offset 0, distance at offset 8, four padding bytes that must be zero), so
 //! `&[u8] -> &[LabelEntry]` is a pointer cast on little-endian hosts.
 //!
-//! ## Shard section (v3, flags bit 1)
+//! ## Shard section (flags bit 1)
 //!
 //! A sharded file holds one QDOL shard of an index: the **full** ranking and
 //! the **full** `(n+1)`-slot offsets array (foreign vertices simply have
@@ -68,14 +65,14 @@
 //! the owned set has an empty run, so the union of all shards' entries is
 //! exactly the unsharded index.
 //!
-//! ## Path section (v3, flags bit 2)
+//! ## Path section (flags bit 2)
 //!
 //! A file built with `chl build --paths` carries one parent record per label
 //! entry, sandwiched between the entries section and the optional shard
 //! section. `parents[i]` names the next vertex on the shortest path from the
 //! entry's owning vertex toward the entry's hub vertex (`parents[i] == v`
 //! exactly when the entry's distance is zero, i.e. the vertex is its own
-//! hub). The v3 header is a fixed 48 bytes, so unlike the other sections the
+//! hub). The header is a fixed 48 bytes, so unlike the other sections the
 //! path section carries its CRC in an 8-byte prelude of its own:
 //!
 //! ```text
@@ -93,12 +90,6 @@
 //! guarantees unpacking terminates is enforced per query (see
 //! [`crate::paths`]), so a hostile parents array yields a typed error, never
 //! a hang or a panic.
-//!
-//! ## Version 2 layout (legacy, read-only)
-//!
-//! Identical to v3 without the `crc_shard`/`crc_header` words (40-byte
-//! header) and without the shard section; the flags word knows only bit 0.
-//! v2 files keep loading through every path; nothing writes them any more.
 //!
 //! ## Compressed entries section (flags bit 0)
 //!
@@ -130,63 +121,44 @@
 //! flat files do: the copying loader decodes into a [`FlatIndex`], while
 //! [`open_view`] / `MmapIndex` serve them in place by streaming.
 //!
-//! ## Version 1 layout (legacy, read-only)
+//! ## Versioning and legacy inputs
 //!
-//! ```text
-//! offset  size        field
-//! 0       4           magic    "CHLI"
-//! 4       4           version  u32, 1
-//! 8       8           n        u64
-//! 16      8           m        u64
-//! 24      4           crc32    u32, CRC-32 of every byte after the header
-//! 28      n * 4       ranking
-//! ..      (n+1) * 8   offsets
-//! ..      m * 12      entries  (u32 hub, u64 distance) packed pairs
-//! ```
+//! `version` is bumped on **any** layout change, and every loader reads
+//! version 3 only: an earlier version is [`PersistError::UpgradeRequired`],
+//! any other [`PersistError::UnsupportedVersion`], an unknown flags bit
+//! [`PersistError::UnsupportedFlags`]. The v1 and v2 layouts are read by
+//! [`upgrade`] alone (`chl upgrade <in.chl> <out.chl>`), which rewrites
+//! them as v3 once; its module documents both.
 //!
-//! ## Versioning and compatibility policy
+//! ## One section table, one load path
 //!
-//! `version` is bumped on **any** layout change; readers reject versions they
-//! do not know ([`PersistError::UnsupportedVersion`]) rather than guessing.
-//! The flags word is validated per version: bit 1 (sharded) is only legal in
-//! v3, so a v2 reader keeps rejecting files it cannot represent. v1 files
-//! load (copying) but cannot back a zero-copy view
-//! ([`PersistError::NotZeroCopy`]); there is no in-place migration — an
-//! index is cheap to rebuild from its graph, so old files are regenerated,
-//! not converted. The writer emits only v3 ([`to_bytes`] / [`save`]); v2 is
-//! an input format, and [`to_bytes_v1`] remains for compatibility tests and
-//! old tooling.
+//! A private planner, `plan`, alone decides the section order, the 8-byte
+//! padding and where each CRC is stored. From the header and the file's two
+//! self-describing words (the compressed blob length in the skip table's
+//! last slot, the shard's owned count) it returns one row per section: the
+//! span its CRC covers, its array, its CRC word and the bytes besides
+//! padding that must be zero. The writer fills and seals the rows, the
+//! validator walks them, the zero-copy casts cut their arrays out.
 //!
-//! ## One section table
-//!
-//! A private planner, `plan`, alone decides the v2/v3 section order, the
-//! 8-byte padding and where each CRC is stored. From the header and the
-//! file's two self-describing words (the compressed blob length in the skip
-//! table's last slot, the shard's owned count) it returns one row per
-//! section: the span its CRC covers, its array, its CRC word and the bytes
-//! besides padding that must be zero. The writer fills and seals the rows,
-//! the validator walks them, the zero-copy casts cut their arrays out.
-//!
-//! ## One load path
-//!
-//! Every v2/v3 loader runs the same validator over the same bytes: the
-//! borrowed [`open_view`] and `MmapIndex` serve the validated buffer in
-//! place, and the copying [`from_bytes`] / [`load`] copy that validated view
-//! into a [`FlatIndex`] (a compressed file's entries are decoded once, by
-//! the validation pass itself). Only v1 has a reader of its own.
+//! Every loader runs that one validator over the same bytes: the borrowed
+//! [`open_view`] and `MmapIndex` serve the validated buffer in place, and
+//! the copying [`from_bytes`] / [`load`] copy that validated view into a
+//! [`FlatIndex`] (a compressed file's entries are decoded once, by the
+//! validation pass itself). [`upgrade`] runs it on every file it writes.
 //!
 //! ## Corruption detection
 //!
-//! Loading validates, in order: the magic, the version, the flags word, that
-//! the file length matches the header's dimensions exactly (truncation and
-//! trailing garbage are both rejected), the checksums — one CRC-32 per
-//! section in v2, so integrity can be checked (and was computed by the
-//! writer) incrementally, section by section, instead of in one pass over a
-//! multi-GB payload — that all padding bytes are zero, and finally the
-//! semantic invariants: the ranking is a permutation, the offsets start at
-//! zero and rise monotonically to `m`, and every vertex's entries are
-//! strictly hub-sorted with in-range hub positions. Every failure is a typed
-//! [`PersistError`]; no input, however mangled, panics the loader.
+//! Loading validates, in order: the magic, the version, the header CRC, the
+//! flags word, that the file length matches the header's dimensions exactly
+//! (truncation and trailing garbage are both rejected), the section
+//! checksums — one CRC-32 per section, so integrity can be checked (and was
+//! computed by the writer) incrementally, section by section, instead of in
+//! one pass over a multi-GB payload — that all padding bytes are zero, and
+//! finally the semantic invariants: the ranking is a permutation, the
+//! offsets start at zero and rise monotonically to `m`, and every vertex's
+//! entries are strictly hub-sorted with in-range hub positions. Every
+//! failure is a typed [`PersistError`]; no input, however mangled, panics
+//! the loader.
 
 // Serving hot path: no panics outside tests. Exemptions are reasoned
 // `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
@@ -201,64 +173,43 @@ use std::ops::Range;
 use std::path::Path;
 
 use chl_graph::types::VertexId;
-use chl_ranking::Ranking;
 use serde::{Deserialize, Serialize};
 
 use crate::flat::{CompressedView, FlatIndex, FlatView, IndexView, ShardView, StorageView};
 use crate::labels::LabelEntry;
 
+mod upgrade;
+pub use upgrade::upgrade;
+
 /// File magic: "Canonical Hub Label Index".
 pub const MAGIC: &[u8; 4] = b"CHLI";
-/// Current format version. Bumped on any layout change.
+/// The format version every loader reads and the writer emits. Bumped on
+/// any layout change; earlier versions go through [`upgrade`].
 pub const VERSION: u32 = 3;
-/// The previous aligned format version (no header CRC, no shard section),
-/// still readable on every load path but no longer written.
-pub const VERSION_V2: u32 = 2;
-/// The legacy packed format version, still readable via the copying path.
-pub const VERSION_V1: u32 = 1;
-/// Size of the v1 fixed header in bytes (`magic | version | n | m | crc32`).
-pub const HEADER_LEN_V1: usize = 28;
-/// Size of the v2 fixed header in bytes
-/// (`magic | version | n | m | flags | crc_ranking | crc_offsets | crc_entries`).
-pub const HEADER_LEN_V2: usize = 40;
-/// Size of the v3 fixed header in bytes: the v2 header plus `crc_shard` and
-/// `crc_header`. A multiple of [`SECTION_ALIGN`], so the ranking section
-/// still starts aligned with no pad between header and payload.
-pub const HEADER_LEN_V3: usize = 48;
-/// Size of one serialized v1 label entry in bytes (`u32 hub | u64 dist`).
-pub const ENTRY_LEN_V1: usize = 12;
-/// Size of one serialized v2/v3 label entry in bytes
+/// Size of the fixed header in bytes, a multiple of [`SECTION_ALIGN`], so
+/// the ranking section starts aligned with no pad between header and
+/// payload.
+pub const HEADER_LEN: usize = 48;
+/// Size of one serialized label entry in bytes
 /// (`u32 hub | u32 zero | u64 dist`), identical to `size_of::<LabelEntry>()`.
-pub const ENTRY_LEN_V2: usize = 16;
-/// Alignment every v2/v3 section start and length is padded to.
+pub const ENTRY_LEN: usize = 16;
+/// Alignment every section start and length is padded to.
 pub const SECTION_ALIGN: usize = 8;
 /// Flags bit 0: the entries section is delta+varint compressed (per-set
 /// skip table + LEB128 hub gaps and distances) instead of 16-byte records.
 pub const FLAG_COMPRESSED_ENTRIES: u32 = 1 << 0;
-/// Flags bit 1 (v3 only): the file holds one QDOL shard — labels for the
-/// owned vertex set recorded in the trailing shard section, empty runs for
-/// every other vertex.
+/// Flags bit 1: the file holds one QDOL shard — labels for the owned vertex
+/// set recorded in the trailing shard section, empty runs for every other
+/// vertex.
 pub const FLAG_SHARDED: u32 = 1 << 1;
-/// Flags bit 2 (v3 only): the file carries a per-entry parent/via-hub
-/// section between the entries and shard sections, enabling shortest-path
-/// reconstruction (see [`crate::paths`]). Files without it load fine;
-/// `path()` then reports a typed
-/// [`PathError::NoPathData`](crate::paths::PathError::NoPathData).
+/// Flags bit 2: the file carries a per-entry parent/via-hub section between
+/// the entries and shard sections, enabling shortest-path reconstruction
+/// (see [`crate::paths`]). Files without it load fine; `path()` then
+/// reports a typed [`PathError::NoPathData`](crate::paths::PathError::NoPathData).
 pub const FLAG_PATHS: u32 = 1 << 2;
-/// Every flag bit a v2 file may carry; bits 1 and 2 need v3 sections.
-pub const FLAGS_KNOWN_V2: u32 = FLAG_COMPRESSED_ENTRIES;
-/// Every flag bit this reader understands (in a v3 file); any other bit set
-/// is [`PersistError::UnsupportedFlags`].
+/// Every flag bit this reader understands; any other bit set is
+/// [`PersistError::UnsupportedFlags`].
 pub const FLAGS_KNOWN: u32 = FLAG_COMPRESSED_ENTRIES | FLAG_SHARDED | FLAG_PATHS;
-
-/// The flag bits legal for a given format version.
-fn flags_known(version: u32) -> u32 {
-    if version == VERSION_V2 {
-        FLAGS_KNOWN_V2
-    } else {
-        FLAGS_KNOWN
-    }
-}
 
 /// Writer knobs for [`to_bytes_with`] / [`save_with`]. The writer always
 /// emits v3; the default writes flat entries, and `compress` switches the
@@ -280,8 +231,8 @@ impl SaveOptions {
     }
 }
 
-/// The payload sections of a `.chl` file, in file order. v2/v3 store one
-/// checksum per section so corruption reports name the section hit.
+/// The payload sections of a `.chl` file, in file order. Each has a
+/// checksum of its own, so corruption reports name the section hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// The ranking order array (`order[pos] = vertex`).
@@ -290,9 +241,9 @@ pub enum Section {
     Offsets,
     /// The concatenated label entries.
     Entries,
-    /// The v3 per-entry parent records (path reconstruction data).
+    /// The per-entry parent records (path reconstruction data).
     Paths,
-    /// The trailing v3 shard section (shard identity + owned vertex set).
+    /// The trailing shard section (shard identity + owned vertex set).
     Shard,
 }
 
@@ -308,7 +259,7 @@ impl fmt::Display for Section {
     }
 }
 
-/// Which QDOL shard a `.chl` v3 shard file holds: its identity within the
+/// Which QDOL shard a `.chl` shard file holds: its identity within the
 /// cluster and the sorted set of vertex ids whose labels it carries.
 ///
 /// `zeta` is the QDOL partition count the layout was derived from
@@ -481,23 +432,21 @@ pub enum PersistError {
         /// Version stamped in the file.
         found: u32,
     },
-    /// The flags word carries bits this reader does not understand (or, for
-    /// a v2 file, bits only v3 defines — like the sharded bit).
+    /// The flags word carries bits this reader does not understand.
     UnsupportedFlags {
         /// Flags word stamped in the file.
         found: u32,
     },
-    /// The v3 header CRC does not match the header bytes: one of the first
-    /// 48 bytes was corrupted, so none of the header's dimensions or section
-    /// checksums can be trusted. (v2 headers carry no such check — see
-    /// [`PersistError::Malformed`] diagnostics on the v2 path.)
+    /// The header CRC does not match the header bytes: one of the first 48
+    /// bytes was corrupted, so none of the header's dimensions or section
+    /// checksums can be trusted.
     HeaderChecksumMismatch {
         /// `crc_header` stored in the file.
         stored: u32,
         /// CRC-32 computed over header bytes 0..44 as read.
         computed: u32,
     },
-    /// A v3 header passed its CRC but declares something no writer produces
+    /// A header passed its CRC but declares something no writer produces
     /// (impossible dimensions, a non-zero shard checksum on an unsharded
     /// file): the file was written wrong, not corrupted in transit.
     HeaderMalformed(String),
@@ -515,16 +464,16 @@ pub enum PersistError {
         /// Surplus bytes after the declared payload.
         extra: usize,
     },
-    /// The v1 whole-payload checksum does not match — the bytes were
-    /// corrupted after the header was written (bit rot, torn write, manual
-    /// edit).
+    /// A v1 file's whole-payload checksum does not match (reported by
+    /// [`upgrade`]) — the bytes were corrupted after the header was written
+    /// (bit rot, torn write, manual edit).
     ChecksumMismatch {
         /// Checksum stored in the header.
         stored: u32,
         /// Checksum computed over the payload actually read.
         computed: u32,
     },
-    /// A v2 per-section checksum does not match; the named section was
+    /// A per-section checksum does not match; the named section was
     /// corrupted after the header was written.
     SectionChecksumMismatch {
         /// The section whose bytes disagree with the header.
@@ -534,7 +483,7 @@ pub enum PersistError {
         /// Checksum computed over the section actually read.
         computed: u32,
     },
-    /// A v2 padding byte (section tail padding or the four reserved bytes
+    /// A padding byte (section tail padding or the four reserved bytes
     /// inside an entry record) is not zero — a forged or hand-edited file,
     /// since every padding flip in a written file already fails its section
     /// checksum.
@@ -542,20 +491,20 @@ pub enum PersistError {
         /// Absolute file offset of the offending byte.
         offset: usize,
     },
-    /// The bytes are a valid-looking v2/v3 file but cannot back a zero-copy
-    /// view in this process: the buffer's base address is not 8-byte
-    /// aligned, or the host is big-endian (sections are reinterpreted in
-    /// place as little-endian words). A misaligned buffer loads through
+    /// The bytes are a valid-looking file but cannot back a zero-copy view
+    /// in this process: the buffer's base address is not 8-byte aligned, or
+    /// the host is big-endian (sections are reinterpreted in place as
+    /// little-endian words). A misaligned buffer loads through
     /// [`from_bytes`] (which stages it aligned) or views from an
     /// [`AlignedBytes`] / mmap-backed buffer; a big-endian host loads no
-    /// v2/v3 file on any path.
+    /// file on any path.
     Unviewable {
         /// What the buffer or host lacks.
         reason: &'static str,
     },
-    /// The file's format version predates the aligned v2 layout: it can only
-    /// be loaded through the copying path ([`from_bytes`] / [`load`]).
-    NotZeroCopy {
+    /// The file is of an earlier format version, which no loader reads:
+    /// rewrite it once with [`upgrade`] (`chl upgrade <in.chl> <out.chl>`).
+    UpgradeRequired {
         /// Version stamped in the file.
         version: u32,
     },
@@ -619,10 +568,10 @@ impl fmt::Display for PersistError {
                 f,
                 "buffer cannot back a zero-copy .chl view ({reason}); load it with the copying reader instead"
             ),
-            PersistError::NotZeroCopy { version } => write!(
+            PersistError::UpgradeRequired { version } => write!(
                 f,
-                ".chl format v{version} predates the aligned zero-copy layout (v{VERSION}): \
-                 load it with the copying reader or rebuild the index"
+                ".chl format v{version} is no longer loaded: rewrite it as v{VERSION} once with \
+                 'chl upgrade <in.chl> <out.chl>'"
             ),
             PersistError::Malformed(msg) => write!(f, "malformed .chl index: {msg}"),
         }
@@ -644,44 +593,29 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// The checksums a `.chl` header stores: one CRC over the whole payload in
-/// v1, one CRC per section in v2 (the incremental mode — each section can be
-/// produced and verified independently).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Checksums {
-    /// v1: a single CRC-32 over every byte after the header.
-    WholePayload(u32),
-    /// v2: one CRC-32 per section, each covering the section's data bytes
-    /// and its tail padding.
-    PerSection {
-        /// CRC-32 of the ranking section.
-        ranking: u32,
-        /// CRC-32 of the offsets section.
-        offsets: u32,
-        /// CRC-32 of the entries section.
-        entries: u32,
-    },
-}
-
 /// The fixed-size header of a `.chl` file, readable without loading the
 /// payload (used by `chl inspect`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileHeader {
-    /// Format version stamped in the file.
+    /// Format version stamped in the file ([`VERSION`]).
     pub version: u32,
     /// Number of vertices the index covers.
     pub num_vertices: u64,
     /// Total number of label entries (decoded count, whatever the
     /// encoding).
     pub num_entries: u64,
-    /// The flags word (`0` for v1 files); see [`FLAG_COMPRESSED_ENTRIES`]
-    /// and [`FLAG_SHARDED`].
+    /// The flags word; see [`FLAG_COMPRESSED_ENTRIES`], [`FLAG_SHARDED`]
+    /// and [`FLAG_PATHS`].
     pub flags: u32,
-    /// The stored payload checksum(s).
-    pub checksums: Checksums,
-    /// v3: CRC-32 of the shard section (`0` when unsharded or pre-v3).
+    /// CRC-32 of the ranking section.
+    pub crc_ranking: u32,
+    /// CRC-32 of the offsets section.
+    pub crc_offsets: u32,
+    /// CRC-32 of the entries section.
+    pub crc_entries: u32,
+    /// CRC-32 of the shard section (`0` when unsharded).
     pub crc_shard: u32,
-    /// v3: CRC-32 of header bytes 0..44 (`0` for pre-v3 versions).
+    /// CRC-32 of header bytes 0..44.
     pub crc_header: u32,
     /// Compressed files: the encoded blob length stored in the skip table's
     /// last slot, when the parsed bytes reach it ([`load_header`] reads it
@@ -690,27 +624,18 @@ pub struct FileHeader {
 }
 
 impl FileHeader {
-    /// Size of this header on disk, in bytes (version-dependent).
-    pub fn header_len(&self) -> usize {
-        match self.version {
-            VERSION_V1 => HEADER_LEN_V1,
-            VERSION_V2 => HEADER_LEN_V2,
-            _ => HEADER_LEN_V3,
-        }
-    }
-
     /// `true` when the entries section is delta+varint compressed.
     pub fn is_compressed(&self) -> bool {
         self.flags & FLAG_COMPRESSED_ENTRIES != 0
     }
 
-    /// `true` when the file holds one shard of a QDOL layout (v3 only).
+    /// `true` when the file holds one shard of a QDOL layout.
     pub fn is_sharded(&self) -> bool {
         self.flags & FLAG_SHARDED != 0
     }
 
     /// `true` when the file carries the per-entry parent section that
-    /// enables shortest-path reconstruction (v3 only).
+    /// enables shortest-path reconstruction.
     pub fn is_paths(&self) -> bool {
         self.flags & FLAG_PATHS != 0
     }
@@ -721,36 +646,46 @@ impl FileHeader {
     /// table), sharded files carry a self-describing owned set, and hostile
     /// dimensions can overflow.
     pub fn expected_file_len(&self) -> Option<usize> {
-        let (n, m) = (self.num_vertices, self.num_entries);
-        match self.version {
-            VERSION_V1 => expected_payload_len_v1(n, m)?.checked_add(HEADER_LEN_V1),
-            _ if self.is_compressed() => None,
-            _ => self.plan_known(None).map(|layout| layout.len),
+        if self.is_compressed() {
+            return None;
         }
+        self.plan_known(None).map(|layout| layout.len)
     }
 
     /// On-disk size of the entries section in bytes: the storage queries
-    /// really touch. For v1 this is `m` times the record size; for v2/v3 it
-    /// is the entries row of the layout, compressed files laid out from
-    /// [`FileHeader::blob_len`], and 0 when that is unknown or the header's
-    /// dimensions are impossible.
+    /// really touch. The entries row of the layout, compressed files laid
+    /// out from [`FileHeader::blob_len`], and 0 when that is unknown or the
+    /// header's dimensions are impossible.
     pub fn entries_section_len(&self) -> u64 {
-        match self.version {
-            VERSION_V1 => self.num_entries.saturating_mul(ENTRY_LEN_V1 as u64),
-            // The owned count does not move the entries section.
-            _ => self
-                .plan_known(Some(0))
-                .map_or(0, |layout| layout.entries.span.len() as u64),
-        }
+        // The owned count does not move the entries section.
+        self.plan_known(Some(0))
+            .map_or(0, |layout| layout.entries.span.len() as u64)
     }
 
-    /// Lays out this header's v2/v3 file; see [`plan`].
+    /// Lays out this header's file; see [`plan`].
     fn plan(
         &self,
         word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
     ) -> Result<Layout, PersistError> {
-        let (n, m) = (self.num_vertices, self.num_entries);
-        plan(self.version, n, m, self.flags, word)
+        plan(self.num_vertices, self.num_entries, self.flags, word)
+    }
+
+    /// [`Self::plan`] for a file of `found` bytes whose self-describing words
+    /// `read` reads, checking that `found` is exactly the planned length.
+    fn plan_sized(
+        &self,
+        found: usize,
+        mut read: impl FnMut(Range<usize>) -> Result<u64, PersistError>,
+    ) -> Result<Layout, PersistError> {
+        let layout = self.plan(|_, at| {
+            if at.end > found {
+                let expected = at.end;
+                return Err(PersistError::Truncated { expected, found });
+            }
+            read(at)
+        })?;
+        check_len(layout.len, found)?;
+        Ok(layout)
     }
 
     /// The layout with [`Self::blob_len`] and `owned` for the file's own
@@ -769,7 +704,8 @@ impl FileHeader {
     }
 
     /// The compressed blob length, read through `read` from the skip-table
-    /// slot the layout places it in; `None` when the read fails.
+    /// slot the layout places it in; `None` for a flat file, which has no
+    /// such slot, or when the read fails.
     fn read_blob_len(
         &self,
         mut read: impl FnMut(Range<usize>) -> Result<u64, PersistError>,
@@ -786,7 +722,7 @@ impl FileHeader {
     /// In-memory size of the decoded entries in bytes (`m * 16`), the
     /// denominator of the compression ratio.
     pub fn decoded_entries_len(&self) -> u64 {
-        self.num_entries.saturating_mul(ENTRY_LEN_V2 as u64)
+        self.num_entries.saturating_mul(ENTRY_LEN as u64)
     }
 }
 
@@ -918,23 +854,13 @@ fn read_uvarint_canonical(bytes: &[u8], pos: &mut usize) -> Result<u64, &'static
     }
 }
 
-/// v1 payload size implied by the header dimensions, `None` on overflow
-/// (which can only arise from a corrupt or hostile header).
-fn expected_payload_len_v1(n: u64, m: u64) -> Option<usize> {
-    let ranking = n.checked_mul(4)?;
-    let offsets = n.checked_add(1)?.checked_mul(8)?;
-    let entries = m.checked_mul(ENTRY_LEN_V1 as u64)?;
-    let total = ranking.checked_add(offsets)?.checked_add(entries)?;
-    usize::try_from(total).ok()
-}
-
 // --- The section table ----------------------------------------------------
 //
-// `plan` alone decides where a v2/v3 section starts, how far it is padded
+// `plan` alone decides where a section starts, how far it is padded
 // and where its checksum is stored. The writer fills and seals its rows,
 // the validator walks them, the casts cut their arrays out.
 
-/// One section of a v2/v3 file, as [`plan`] lays it out.
+/// One section of a file, as [`plan`] lays it out.
 #[derive(Debug, Clone)]
 pub(crate) struct Row {
     section: Section,
@@ -989,13 +915,12 @@ impl Row {
     }
 }
 
-/// The section table of one v2/v3 file. Every section starts on a multiple
+/// The section table of one file. Every section starts on a multiple
 /// of [`SECTION_ALIGN`], so in an 8-byte-aligned buffer it is aligned too.
 #[derive(Debug, Clone)]
 pub(crate) struct Layout {
     pub(crate) n: usize,
     pub(crate) m: usize,
-    version: u32,
     pub(crate) compressed: bool,
     ranking: Row,
     offsets: Row,
@@ -1016,34 +941,25 @@ impl Layout {
     }
 }
 
-/// Lays out a v2/v3 file from its header fields. Two sections size
-/// themselves: `word` is asked for the compressed entries' blob length (the
-/// skip table's last slot) and the shard's owned count (the shard prelude's
-/// last word), with the bytes each is stored in, once the sections before
-/// them are placed. A v3 header passed its CRC before this runs, so
-/// impossible dimensions are the writer's doing
-/// ([`PersistError::HeaderMalformed`]); in v2 they may be header corruption
-/// ([`PersistError::Malformed`], which `validate_layout` annotates).
+/// Lays out a file from its header fields. Two sections size themselves:
+/// `word` is asked for the compressed entries' blob length (the skip
+/// table's last slot) and the shard's owned count (the shard prelude's last
+/// word), with the bytes each is stored in, once the sections before them
+/// are placed. The header passed its CRC before this runs, so impossible
+/// dimensions are the writer's doing ([`PersistError::HeaderMalformed`]).
 fn plan(
-    version: u32,
     n64: u64,
     m64: u64,
     flags: u32,
     mut word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
 ) -> Result<Layout, PersistError> {
-    let v2 = version == VERSION_V2;
-    let dims_err = if v2 {
-        PersistError::Malformed
-    } else {
-        PersistError::HeaderMalformed
-    };
     if n64 > VertexId::MAX as u64 {
-        return Err(dims_err(format!(
+        return Err(PersistError::HeaderMalformed(format!(
             "{n64} vertices exceeds the u32 vertex id space"
         )));
     }
     let overflow = || {
-        dims_err(format!(
+        PersistError::HeaderMalformed(format!(
             "declared dimensions (n = {n64}, m = {m64}) overflow the addressable size"
         ))
     };
@@ -1053,7 +969,7 @@ fn plan(
     };
     let cut = |section, at, data| Row::new(section, at, data).ok_or_else(overflow);
 
-    let at = if v2 { HEADER_LEN_V2 } else { HEADER_LEN_V3 };
+    let at = HEADER_LEN;
     let ranking = cut(Section::Ranking, at, at..add(at, Some(n64 * 4))?)?;
     let at = ranking.span.end;
     let offsets = cut(Section::Offsets, at, at..add(at, Some((n64 + 1) * 8))?)?;
@@ -1080,13 +996,13 @@ fn plan(
         // varint). A forged header whose m cannot fit in the blob must be
         // rejected here, before any loader allocates m-sized buffers.
         if m64.checked_mul(2).is_none_or(|min| min > blob_len) {
-            return Err(dims_err(format!(
+            return Err(PersistError::HeaderMalformed(format!(
                 "declared entry count {m64} cannot fit in a {blob_len}-byte encoded blob"
             )));
         }
         entries
     } else {
-        let end = add(at, m64.checked_mul(ENTRY_LEN_V2 as u64))?;
+        let end = add(at, m64.checked_mul(ENTRY_LEN as u64))?;
         let zeros = Zeros::EntryWords;
         Row {
             zeros,
@@ -1122,7 +1038,6 @@ fn plan(
     Ok(Layout {
         n: n64 as usize,
         m: m64 as usize,
-        version,
         compressed,
         ranking,
         offsets,
@@ -1131,14 +1046,6 @@ fn plan(
         shard,
         len: at,
     })
-}
-
-/// Lays out `data` as a v2/v3 file, reading its self-describing words in
-/// place, and checks that its length is exactly the planned one.
-fn plan_file(header: &FileHeader, data: &[u8]) -> Result<Layout, PersistError> {
-    let layout = header.plan(|_, at| file_word(data, at))?;
-    check_len(layout.len, data.len())?;
-    Ok(layout)
 }
 
 /// The length check every load makes: a file of `found` bytes whose header
@@ -1165,14 +1072,20 @@ fn file_word(data: &[u8], at: Range<usize>) -> Result<u64, PersistError> {
     Ok(bytes.iter().rev().fold(0, |x, &b| x << 8 | u64::from(b)))
 }
 
-/// The whole-payload integrity check of v2/v3, one section at a time in
+/// The whole-payload integrity check, one section at a time in
 /// file order: every CRC first, then every byte a row says must be zero.
 #[expect(
     clippy::indexing_slicing,
-    reason = "rows of the Layout plan_file checked against data.len(); 16-byte chunks"
+    reason = "rows of the Layout plan_sized checked against data.len(); 16-byte chunks"
 )]
 fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
-    layout.rows().try_for_each(|row| check_crc(data, row))?;
+    for row in layout.rows() {
+        check_crc(
+            row,
+            file_word(data, row.crc.clone())? as u32,
+            &data[row.span.clone()],
+        )?;
+    }
     for row in layout.rows() {
         match row.zeros {
             Zeros::None => {}
@@ -1180,9 +1093,9 @@ fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
             // Keeps serialization deterministic: a forged record cannot
             // smuggle data the view cannot see.
             Zeros::EntryWords => {
-                let mut records = data[row.data.clone()].chunks_exact(ENTRY_LEN_V2);
+                let mut records = data[row.data.clone()].chunks_exact(ENTRY_LEN);
                 if let Some(i) = records.position(|r| r[4..8] != [0; 4]) {
-                    let at = row.data.start + i * ENTRY_LEN_V2;
+                    let at = row.data.start + i * ENTRY_LEN;
                     zero_bytes(data, at + 4..at + 8)?;
                 }
             }
@@ -1192,10 +1105,10 @@ fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Compares the CRC stored for `row` with the CRC of its span.
-fn check_crc(data: &[u8], row: &Row) -> Result<(), PersistError> {
-    let stored = file_word(data, row.crc.clone())? as u32;
-    let computed = crc32(data.get(row.span.clone()).unwrap_or_default());
+/// Compares `stored`, the CRC kept for `row`, with the CRC of `span`, the
+/// bytes of its span.
+fn check_crc(row: &Row, stored: u32, span: &[u8]) -> Result<(), PersistError> {
+    let computed = crc32(span);
     if computed != stored {
         return Err(PersistError::SectionChecksumMismatch {
             section: row.section,
@@ -1217,8 +1130,8 @@ fn zero_bytes(data: &[u8], range: Range<usize>) -> Result<(), PersistError> {
     }
 }
 
-/// Stores every section's CRC where its row says and then, in v3, the
-/// header CRC, which covers them: the one writer of checksums.
+/// Stores every section's CRC where its row says and then the header CRC,
+/// which covers them: the one writer of checksums.
 #[expect(
     clippy::indexing_slicing,
     reason = "rows of the Layout planned for this buffer's length"
@@ -1228,19 +1141,17 @@ fn seal(buf: &mut [u8], layout: &Layout) {
         let crc = crc32(&buf[row.span.clone()]);
         buf[row.crc.clone()].copy_from_slice(&crc.to_le_bytes());
     }
-    if layout.version == VERSION {
-        seal_header(buf);
-    }
+    seal_header(buf);
 }
 
-/// Stores the v3 header CRC, the CRC of header bytes 0..44.
+/// Stores the header CRC, the CRC of header bytes 0..44.
 #[expect(
     clippy::indexing_slicing,
-    reason = "callers pass at least the HEADER_LEN_V3-byte header"
+    reason = "callers pass at least the HEADER_LEN-byte header"
 )]
 fn seal_header(buf: &mut [u8]) {
-    let crc = crc32(&buf[..HEADER_LEN_V3 - 4]);
-    buf[HEADER_LEN_V3 - 4..HEADER_LEN_V3].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&buf[..HEADER_LEN - 4]);
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Checks that `order` lists every vertex in `0..order.len()` exactly once.
@@ -1272,8 +1183,8 @@ fn check_permutation(order: &[VertexId]) -> Result<(), PersistError> {
 /// start at 0, rise monotonically, end at `m`.
 #[expect(
     clippy::indexing_slicing,
-    reason = "the offsets array holds exactly n + 1 entries (the v1 reader builds it so and \
-              plan cuts the section so), and windows(2) yields 2-element slices"
+    reason = "the offsets array holds exactly n + 1 entries (plan cuts the section so), and \
+              windows(2) yields 2-element slices"
 )]
 fn validate_offsets(n: usize, offsets: &[u64], m64: u64) -> Result<(), PersistError> {
     debug_assert_eq!(offsets.len(), n + 1);
@@ -1483,7 +1394,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     let flags = (FLAG_COMPRESSED_ENTRIES * u32::from(options.compress))
         | (FLAG_SHARDED * u32::from(shard.is_some()))
         | (FLAG_PATHS * u32::from(parents.is_some()));
-    let layout = plan(VERSION, n, m, flags, |section, _| {
+    let layout = plan(n, m, flags, |section, _| {
         Ok(match section {
             Section::Shard => shard.map_or(0, |s| s.owned.len() as u64),
             _ => encoded.as_ref().map_or(0, |(_, blob)| blob.len() as u64),
@@ -1491,13 +1402,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     })
     .expect("an index held in memory has a layout");
 
-    let mut buf = MAGIC.to_vec();
-    buf.extend(VERSION.to_le_bytes());
-    buf.extend(n.to_le_bytes());
-    buf.extend(m.to_le_bytes());
-    buf.extend(flags.to_le_bytes());
-    // Checksums, padding and reserved words stay zero until sealed.
-    buf.resize(layout.len, 0);
+    let mut buf = blank_file(&layout, flags);
     put(
         &mut buf,
         &layout.ranking.data,
@@ -1517,7 +1422,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
             buf[entries.data.clone()].copy_from_slice(blob);
         }
         None => put(&mut buf, &entries.data, index.entries(), |e| {
-            let mut record = [0u8; ENTRY_LEN_V2];
+            let mut record = [0u8; ENTRY_LEN];
             record[..4].copy_from_slice(&e.hub.to_le_bytes());
             record[8..].copy_from_slice(&e.dist.to_le_bytes());
             record
@@ -1532,6 +1437,19 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
         put(&mut buf, &row.data, &s.owned, u32::to_le_bytes);
     }
     seal(&mut buf, &layout);
+    buf
+}
+
+/// A file of `layout.len` bytes that holds only its header's first five
+/// fields, naming `flags`: checksums, padding and reserved words stay zero
+/// until sealed. What a writer fills and then [`seal`]s.
+fn blank_file(layout: &Layout, flags: u32) -> Vec<u8> {
+    let mut buf = MAGIC.to_vec();
+    buf.extend(VERSION.to_le_bytes());
+    buf.extend((layout.n as u64).to_le_bytes());
+    buf.extend((layout.m as u64).to_le_bytes());
+    buf.extend(flags.to_le_bytes());
+    buf.resize(layout.len, 0);
     buf
 }
 
@@ -1552,199 +1470,84 @@ fn put<T: Copy, const W: usize>(
     }
 }
 
-/// Serializes `index` into the legacy v1 packed format. Kept for
-/// compatibility tests and for producing files older readers understand; new
-/// files should use [`to_bytes`].
+/// Parses just the fixed header, validating magic, version, the header
+/// CRC and the flags word, but not the payload. `data` must hold the whole
+/// header; a compressed file's blob length is read too when `data` reaches
+/// it.
 #[expect(
     clippy::indexing_slicing,
-    reason = "the buffer starts with the HEADER_LEN_V1-byte header this function wrote"
-)]
-#[expect(
-    clippy::expect_used,
-    reason = "sizes derive from vectors already resident in memory; overflow would mean the index \
-              itself could not exist"
-)]
-pub fn to_bytes_v1(index: &FlatIndex) -> Vec<u8> {
-    let n = index.num_vertices();
-    let m = index.total_labels();
-    let payload_len =
-        expected_payload_len_v1(n as u64, m as u64).expect("in-memory index fits in memory");
-    let mut buf = Vec::with_capacity(HEADER_LEN_V1 + payload_len);
-
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION_V1.to_le_bytes());
-    buf.extend_from_slice(&(n as u64).to_le_bytes());
-    buf.extend_from_slice(&(m as u64).to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes()); // crc placeholder
-
-    for &v in index.ranking().order() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    for &off in index.offsets() {
-        buf.extend_from_slice(&off.to_le_bytes());
-    }
-    for e in index.entries() {
-        buf.extend_from_slice(&e.hub.to_le_bytes());
-        buf.extend_from_slice(&e.dist.to_le_bytes());
-    }
-
-    let crc = crc32(&buf[HEADER_LEN_V1..]);
-    buf[24..28].copy_from_slice(&crc.to_le_bytes());
-    buf
-}
-
-/// Little-endian cursor over a byte slice. All reads are bounds-checked by
-/// the caller having verified the total length up front.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    fn seek(&mut self, pos: usize) {
-        self.pos = pos;
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "Cursor only reads inside the header length parse_header checked or a section \
-                  row plan_file checked"
-    )]
-    fn take(&mut self, len: usize) -> &'a [u8] {
-        let s = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        s
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "take returned exactly 4 bytes, so the fixed-size try_into cannot fail"
-    )]
-    fn get_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().expect("length checked"))
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "take returned exactly 8 bytes, so the fixed-size try_into cannot fail"
-    )]
-    fn get_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().expect("length checked"))
-    }
-}
-
-/// Parses just the fixed header, validating magic, version, flags and (on
-/// v3) the header CRC, but not the payload. `data` must hold the full
-/// header for its version; a compressed file's blob length is read too
-/// when `data` reaches it.
-#[expect(
-    clippy::expect_used,
-    reason = "take(4) returned exactly 4 bytes, so the fixed-size try_into cannot fail"
-)]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "data.len() >= HEADER_LEN_V3 was checked above for every v3 header"
+    reason = "data.len() >= HEADER_LEN was checked above"
 )]
 pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
+    let word = |at: Range<usize>| file_word(data, at).map(|w| w as u32);
+    let truncated = || PersistError::Truncated {
+        expected: HEADER_LEN,
+        found: data.len(),
+    };
     if data.len() < 8 {
-        return Err(PersistError::Truncated {
-            expected: HEADER_LEN_V1,
-            found: data.len(),
-        });
+        return Err(truncated());
     }
-    let mut cur = Cursor::new(data);
-    let magic: [u8; 4] = cur.take(4).try_into().expect("length checked");
-    if &magic != MAGIC {
-        return Err(PersistError::BadMagic { found: magic });
+    if let Some(magic) = data.first_chunk::<4>().filter(|magic| *magic != MAGIC) {
+        return Err(PersistError::BadMagic { found: *magic });
     }
-    let version = cur.get_u32();
-    let header_len = match version {
-        VERSION_V1 => HEADER_LEN_V1,
-        VERSION_V2 => HEADER_LEN_V2,
-        VERSION => HEADER_LEN_V3,
+    match word(4..8)? {
+        VERSION => {}
+        version if upgrade::LEGACY.contains(&version) => {
+            return Err(PersistError::UpgradeRequired { version })
+        }
         found => return Err(PersistError::UnsupportedVersion { found }),
-    };
-    if data.len() < header_len {
-        return Err(PersistError::Truncated {
-            expected: header_len,
-            found: data.len(),
+    }
+    if data.len() < HEADER_LEN {
+        return Err(truncated());
+    }
+    // The header CRC is verified before any other field is interpreted, so
+    // a damaged flags or dimensions byte reports as header corruption
+    // instead of whatever downstream error the garbage value trips.
+    let crc_header = word(44..48)?;
+    let computed = crc32(&data[..HEADER_LEN - 4]);
+    if computed != crc_header {
+        return Err(PersistError::HeaderChecksumMismatch {
+            stored: crc_header,
+            computed,
         });
     }
-    let num_vertices = cur.get_u64();
-    let num_entries = cur.get_u64();
-    let (flags, checksums, crc_shard, crc_header) = if version == VERSION_V1 {
-        (0, Checksums::WholePayload(cur.get_u32()), 0, 0)
-    } else {
-        let flags = cur.get_u32();
-        let checksums = Checksums::PerSection {
-            ranking: cur.get_u32(),
-            offsets: cur.get_u32(),
-            entries: cur.get_u32(),
-        };
-        let (crc_shard, crc_header) = if version == VERSION_V2 {
-            (0, 0)
-        } else {
-            (cur.get_u32(), cur.get_u32())
-        };
-        // The v3 header CRC is verified before any other field is
-        // interpreted, so a damaged flags or dimensions byte reports as
-        // header corruption instead of whatever downstream error the
-        // garbage value happens to trip.
-        if version != VERSION_V2 {
-            let computed = crc32(&data[..HEADER_LEN_V3 - 4]);
-            if computed != crc_header {
-                return Err(PersistError::HeaderChecksumMismatch {
-                    stored: crc_header,
-                    computed,
-                });
-            }
-        }
-        if flags & !flags_known(version) != 0 {
-            return Err(PersistError::UnsupportedFlags { found: flags });
-        }
-        // From here on the header is CRC-proven (v3), so inconsistencies
-        // between its fields are writer bugs, not corruption.
-        if version != VERSION_V2 && flags & FLAG_SHARDED == 0 && crc_shard != 0 {
-            return Err(PersistError::HeaderMalformed(format!(
-                "crc_shard is {crc_shard:#010x} but the sharded flag is clear"
-            )));
-        }
-        (flags, checksums, crc_shard, crc_header)
-    };
+    let flags = word(24..28)?;
+    if flags & !FLAGS_KNOWN != 0 {
+        return Err(PersistError::UnsupportedFlags { found: flags });
+    }
+    // From here on the header is CRC-proven, so inconsistencies between its
+    // fields are writer bugs, not corruption.
+    let crc_shard = word(40..44)?;
+    if flags & FLAG_SHARDED == 0 && crc_shard != 0 {
+        return Err(PersistError::HeaderMalformed(format!(
+            "crc_shard is {crc_shard:#010x} but the sharded flag is clear"
+        )));
+    }
     let mut header = FileHeader {
-        version,
-        num_vertices,
-        num_entries,
+        version: VERSION,
+        num_vertices: file_word(data, 8..16)?,
+        num_entries: file_word(data, 16..24)?,
         flags,
-        checksums,
+        crc_ranking: word(28..32)?,
+        crc_offsets: word(32..36)?,
+        crc_entries: word(36..40)?,
         crc_shard,
         crc_header,
         blob_len: None,
     };
-    if header.is_compressed() {
-        header.blob_len = header.read_blob_len(|at| file_word(data, at));
-    }
+    header.blob_len = header.read_blob_len(|at| file_word(data, at));
     Ok(header)
 }
 
-/// Deserializes an index from `.chl` bytes, accepting the current v3
-/// layout and legacy v1/v2 files. This is the **copying** path: every
-/// section lands in a fresh allocation. For serving without the copy, see
-/// [`open_view`].
+/// Deserializes an index from `.chl` bytes. This is the **copying** path:
+/// every section lands in a fresh allocation. For serving without the
+/// copy, see [`open_view`].
 ///
-/// v2/v3 bytes go through the validator every zero-copy loader runs and
-/// the validated view is copied out; a buffer that is not 8-byte aligned
-/// is first staged in an [`AlignedBytes`]. A compressed file's entries are
+/// The bytes go through the validator every zero-copy loader runs and the
+/// validated view is copied out; a buffer that is not 8-byte aligned is
+/// first staged in an [`AlignedBytes`]. A compressed file's entries are
 /// kept from the validation pass, so the blob is decoded once.
 pub fn from_bytes(data: &[u8]) -> Result<FlatIndex, PersistError> {
-    let header = parse_header(data)?;
-    if header.version == VERSION_V1 {
-        return from_bytes_v1(data, &header);
-    }
     if !is_view_aligned(data) {
         return from_bytes(&AlignedBytes::from_slice(data));
     }
@@ -1754,80 +1557,9 @@ pub fn from_bytes(data: &[u8]) -> Result<FlatIndex, PersistError> {
     Ok(assemble_view(data, &layout).to_owned_with(decoded))
 }
 
-/// Folds the v2 header-trust gap into payload-shaped errors: a v2 header
-/// is not covered by any checksum, so a corrupted `n`/`m`/`flags` field
-/// surfaces as exactly the length / section-checksum / semantic errors a
-/// damaged payload would produce. Spelling that out in the message saves
-/// the reader from debugging the payload when the header is the culprit.
-/// v3 closes the gap with a real header CRC.
-fn add_v2_header_caveat(e: PersistError) -> PersistError {
-    match e {
-        PersistError::Truncated { .. }
-        | PersistError::TrailingBytes { .. }
-        | PersistError::SectionChecksumMismatch { .. }
-        | PersistError::Malformed(_) => PersistError::Malformed(format!(
-            "{e} (note: v2 headers carry no checksum of their own, so a corrupted \
-             header field such as n, m or flags produces exactly this class of \
-             error; re-save the index as v3 to get a header CRC)"
-        )),
-        other => other,
-    }
-}
-
-#[expect(
-    clippy::unreachable,
-    reason = "parse_header builds a whole-payload checksum for every v1 header"
-)]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "data.len() == HEADER_LEN_V1 + payload_len was checked just above"
-)]
-fn from_bytes_v1(data: &[u8], header: &FileHeader) -> Result<FlatIndex, PersistError> {
-    let n64 = header.num_vertices;
-    let m64 = header.num_entries;
-    if n64 > VertexId::MAX as u64 {
-        return Err(PersistError::Malformed(format!(
-            "{n64} vertices exceeds the u32 vertex id space"
-        )));
-    }
-    let payload_len = expected_payload_len_v1(n64, m64).ok_or_else(|| {
-        PersistError::Malformed(format!(
-            "declared dimensions (n = {n64}, m = {m64}) overflow the addressable size"
-        ))
-    })?;
-    check_len(HEADER_LEN_V1 + payload_len, data.len())?;
-
-    let computed = crc32(&data[HEADER_LEN_V1..]);
-    let Checksums::WholePayload(stored) = header.checksums else {
-        unreachable!("v1 headers always parse a whole-payload checksum");
-    };
-    if computed != stored {
-        return Err(PersistError::ChecksumMismatch { stored, computed });
-    }
-
-    let n = n64 as usize;
-    let m = m64 as usize;
-    let mut cur = Cursor::new(data);
-    cur.seek(HEADER_LEN_V1);
-
-    let order: Vec<VertexId> = (0..n).map(|_| cur.get_u32()).collect();
-    let offsets: Vec<u64> = (0..=n).map(|_| cur.get_u64()).collect();
-    let mut entries = Vec::with_capacity(m);
-    for _ in 0..m {
-        let hub = cur.get_u32();
-        let dist = cur.get_u64();
-        entries.push(LabelEntry::new(hub, dist));
-    }
-    let ranking = Ranking::from_order(order, n)
-        .map_err(|e| PersistError::Malformed(format!("ranking section: {e}")))?;
-    validate_offsets(n, &offsets, m64)?;
-    validate_hub_sort(n, &offsets, &entries)?;
-    Ok(FlatIndex::from_validated_parts(offsets, entries, ranking))
-}
-
 // --- Zero-copy views -----------------------------------------------------
 //
-// On little-endian hosts a validated v2/v3 buffer is reinterpreted in place:
+// On little-endian hosts a validated buffer is reinterpreted in place:
 // the ranking section becomes `&[u32]`, the offsets section `&[u64]` and the
 // entries section `&[LabelEntry]` (whose #[repr(C)] layout matches the
 // 16-byte record exactly). Alignment holds because every section offset is a
@@ -1863,20 +1595,17 @@ fn cast_u64s(bytes: &[u8]) -> &[u64] {
 #[cfg(target_endian = "little")]
 fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
     debug_assert!((bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<LabelEntry>()));
-    debug_assert!(bytes.len().is_multiple_of(ENTRY_LEN_V2));
+    debug_assert!(bytes.len().is_multiple_of(ENTRY_LEN));
     // SAFETY: LabelEntry is #[repr(C)] with size 16 and align 8 (asserted at
     // compile time in labels.rs); the record layout matches field-for-field,
     // both integer fields accept any bit pattern, and the four bytes the
     // cast lands on LabelEntry's internal padding are never read.
     unsafe {
-        std::slice::from_raw_parts(
-            bytes.as_ptr() as *const LabelEntry,
-            bytes.len() / ENTRY_LEN_V2,
-        )
+        std::slice::from_raw_parts(bytes.as_ptr() as *const LabelEntry, bytes.len() / ENTRY_LEN)
     }
 }
 
-/// The sections of a v2/v3 buffer reinterpreted in place: what the
+/// The sections of a buffer reinterpreted in place: what the
 /// validation pass reads and what [`assemble_view`] welds into a view.
 #[cfg(target_endian = "little")]
 struct Sections<'a> {
@@ -1900,7 +1629,7 @@ enum EntriesSection<'a> {
 #[cfg(target_endian = "little")]
 #[expect(
     clippy::indexing_slicing,
-    reason = "rows come from the Layout plan_file checked against data.len()"
+    reason = "rows come from the Layout plan_sized checked against data.len()"
 )]
 fn cast_sections<'a>(data: &'a [u8], layout: &Layout) -> Sections<'a> {
     assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
@@ -1920,32 +1649,36 @@ fn cast_sections<'a>(data: &'a [u8], layout: &Layout) -> Sections<'a> {
             .paths
             .as_ref()
             .map(|p| cast_u32s(&data[p.data.clone()])),
-        shard: layout.shard.as_ref().map(|s| cast_shard(data, s)),
+        shard: layout
+            .shard
+            .as_ref()
+            .map(|s| cast_shard(&data[s.span.clone()], s)),
     }
 }
 
-/// Casts the shard section out of `data`: the identity words of its
-/// prelude plus the owned array in place. The prelude's fourth word,
-/// owned_count, is implied by the array. Same soundness contract as
-/// [`cast_sections`].
+/// Casts the shard section `row` out of `span`, the bytes its CRC covers:
+/// the identity words of its prelude plus the owned array in place. The
+/// prelude's fourth word, owned_count, is implied by the array. Same
+/// soundness contract as [`cast_sections`], for a `span` that starts 8-byte
+/// aligned.
 #[cfg(target_endian = "little")]
 #[expect(
     clippy::indexing_slicing,
-    reason = "the shard row comes from the Layout plan_file checked against data.len()"
+    reason = "the prelude and the owned array lie inside the span of the row they come from"
 )]
-fn cast_shard<'a>(data: &'a [u8], row: &Row) -> ShardView<'a> {
-    let mut cur = Cursor::new(data);
-    cur.seek(row.span.start);
+fn cast_shard<'a>(span: &'a [u8], row: &Row) -> ShardView<'a> {
+    let word = |i: usize| file_word(span, 4 * i..4 * i + 4).unwrap_or_default() as u32;
+    let owned = row.prelude().len();
     ShardView {
-        shard_id: cur.get_u32(),
-        shard_count: cur.get_u32(),
-        zeta: cur.get_u32(),
-        owned: cast_u32s(&data[row.data.clone()]),
+        shard_id: word(0),
+        shard_count: word(1),
+        zeta: word(2),
+        owned: cast_u32s(&span[owned..owned + row.data.len()]),
     }
 }
 
 /// Runs the whole [`open_view`] battery over `data` — the one validator of
-/// v2/v3 bytes behind every loader — and returns the section table it
+/// `.chl` bytes behind every loader — and returns the section table it
 /// validated. `MmapIndex` keeps that layout so per-query views are one
 /// [`assemble_view`] over ranges already known good. When `sink` is given,
 /// a compressed file's decoded entries are appended to it (the copying
@@ -1955,11 +1688,6 @@ pub(crate) fn validate_layout(
     sink: Option<&mut Vec<LabelEntry>>,
 ) -> Result<Layout, PersistError> {
     let header = parse_header(data)?;
-    if header.version == VERSION_V1 {
-        return Err(PersistError::NotZeroCopy {
-            version: header.version,
-        });
-    }
     if !is_view_aligned(data) {
         return Err(PersistError::Unviewable {
             reason: "base address is not 8-byte aligned",
@@ -1974,39 +1702,33 @@ pub(crate) fn validate_layout(
     }
     #[cfg(target_endian = "little")]
     {
-        let checked = plan_file(&header, data).and_then(|layout| {
-            check_sections(data, &layout)?;
-            let s = cast_sections(data, &layout);
-            check_permutation(s.order)?;
-            validate_offsets(layout.n, s.offsets, header.num_entries)?;
-            if let Some(shard) = &s.shard {
-                validate_shard_meta(
-                    shard.shard_id,
-                    shard.shard_count,
-                    shard.zeta,
-                    shard.owned,
-                    header.num_vertices,
-                )?;
-                check_shard_consistency(shard.owned, s.offsets)?;
-            }
-            match s.entries {
-                EntriesSection::Flat(entries) => {
-                    validate_hub_sort(layout.n, s.offsets, entries)?;
-                    if let Some(parents) = s.parents {
-                        validate_parents(layout.n, s.offsets, entries, parents)?;
-                    }
-                }
-                EntriesSection::Compressed { skip, blob } => {
-                    validate_compressed_entries(skip, blob, s.offsets, s.parents, sink)?;
-                }
-            }
-            Ok(layout)
-        });
-        if header.version == VERSION_V2 {
-            checked.map_err(add_v2_header_caveat)
-        } else {
-            checked
+        let layout = header.plan_sized(data.len(), |at| file_word(data, at))?;
+        check_sections(data, &layout)?;
+        let s = cast_sections(data, &layout);
+        check_permutation(s.order)?;
+        validate_offsets(layout.n, s.offsets, header.num_entries)?;
+        if let Some(shard) = &s.shard {
+            validate_shard_meta(
+                shard.shard_id,
+                shard.shard_count,
+                shard.zeta,
+                shard.owned,
+                header.num_vertices,
+            )?;
+            check_shard_consistency(shard.owned, s.offsets)?;
         }
+        match s.entries {
+            EntriesSection::Flat(entries) => {
+                validate_hub_sort(layout.n, s.offsets, entries)?;
+                if let Some(parents) = s.parents {
+                    validate_parents(layout.n, s.offsets, entries, parents)?;
+                }
+            }
+            EntriesSection::Compressed { skip, blob } => {
+                validate_compressed_entries(skip, blob, s.offsets, s.parents, sink)?;
+            }
+        }
+        Ok(layout)
     }
 }
 
@@ -2035,13 +1757,13 @@ pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a
     }
 }
 
-/// Validates `.chl` v2/v3 bytes of **either entries encoding** and returns
+/// Validates `.chl` bytes of **either entries encoding** and returns
 /// a borrowed [`IndexView`] served straight from `data`: flat files
 /// reinterpret their sections in place exactly like [`view_bytes`], while
 /// compressed files borrow the skip table and encoded blob and stream-decode
-/// the two label runs each query touches. A v3 shard file's identity and
+/// the two label runs each query touches. A shard file's identity and
 /// owned set are exposed through [`IndexView::shard`]. Validation is the
-/// one battery every v2/v3 loader runs, the copying loader included
+/// one battery every loader runs, the copying loader included
 /// (length, per-section checksums, padding, semantic invariants — including
 /// a full decode pass over every compressed run); the only transient
 /// allocation is the permutation-check scratch.
@@ -2049,13 +1771,13 @@ pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a
 /// Requirements beyond [`from_bytes`]: the buffer's base address must be
 /// 8-byte aligned (use [`AlignedBytes`] or an mmap, both of which guarantee
 /// it) and the host little-endian; otherwise [`PersistError::Unviewable`] is
-/// returned. v1 files report [`PersistError::NotZeroCopy`].
+/// returned.
 pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
     let layout = validate_layout(data, None)?;
     Ok(assemble_view(data, &layout))
 }
 
-/// Validates `.chl` v2/v3 bytes and returns a [`FlatView`] whose ranking,
+/// Validates `.chl` bytes and returns a [`FlatView`] whose ranking,
 /// offsets and entries slices are **borrowed from `data` in place** — no
 /// label byte is copied. This is the flat-only, unsharded strict form of
 /// [`open_view`]: a compressed file cannot back a `FlatView` (its entries
@@ -2170,18 +1892,25 @@ pub fn save<P: AsRef<Path>>(index: &FlatIndex, path: P) -> Result<(), PersistErr
 }
 
 /// Writes `index` to `path` in the `.chl` v3 format under explicit
-/// [`SaveOptions`] (`compress: true` for the delta+varint entries section).
-///
-/// The bytes go to a sibling file in the same directory, which is synced
-/// and then renamed over `path`, and on Unix the directory is synced too. A
-/// reader opening `path` finds the old file or the new one, whole; a reader
-/// or mapping that already holds the old file keeps its bytes. The sibling
-/// is removed when a step fails.
+/// [`SaveOptions`] (`compress: true` for the delta+varint entries section),
+/// replacing any existing file whole through [`write_bytes`].
 pub fn save_with<P: AsRef<Path>>(
     index: &FlatIndex,
     path: P,
     options: &SaveOptions,
 ) -> Result<(), PersistError> {
+    write_bytes(path, &to_bytes_with(index, options))
+}
+
+/// Writes `bytes` to `path`, replacing any existing file whole.
+///
+/// The bytes go to a sibling file in the same directory, which is synced
+/// and then renamed over `path`, and on Unix the directory is synced too. A
+/// reader opening `path` finds the old file or the new one, whole; a reader
+/// or mapping that already holds the old file keeps its bytes, so `path`
+/// may be the file `bytes` were read from. The sibling is removed when a
+/// step fails.
+pub fn write_bytes<P: AsRef<Path>>(path: P, bytes: &[u8]) -> Result<(), PersistError> {
     use std::io::Write;
     use std::sync::atomic::{AtomicU64, Ordering};
     static SAVES: AtomicU64 = AtomicU64::new(0);
@@ -2193,7 +1922,7 @@ pub fn save_with<P: AsRef<Path>>(
     sibling.push(format!(".{}-{save}.tmp", std::process::id()));
     let written = fs::File::create(&sibling)
         .and_then(|mut file| {
-            file.write_all(&to_bytes_with(index, options))?;
+            file.write_all(bytes)?;
             file.sync_all()
         })
         .and_then(|()| fs::rename(&sibling, path))
@@ -2218,40 +1947,40 @@ fn sync_parent(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads an index from a `.chl` file of any version through the copying
-/// path ([`from_bytes`]). The file is read into an [`AlignedBytes`], so a
-/// v2/v3 file is validated in place with no staging copy.
+/// Reads an index from a `.chl` file through the copying path
+/// ([`from_bytes`]). The file is read into an [`AlignedBytes`], so it is
+/// validated in place with no staging copy.
 pub fn load<P: AsRef<Path>>(path: P) -> Result<FlatIndex, PersistError> {
     from_bytes(&read_aligned(path)?)
 }
 
 /// Reads a `.chl` file's shard identity without decoding its labels:
 /// `Ok(None)` for a whole-index file, the CRC-verified [`ShardSpec`] for a
-/// v3 shard file. Reads (but does not decode or checksum) the label
-/// payload — the shard section trails it and compressed files are only
-/// self-describing with the skip table in hand — so this costs one file
-/// read, not a full validation pass. The identity is cut out through the
-/// same layout and cast the view uses.
+/// shard file. Reads the header, the words that fix the file's length and
+/// the shard section, nothing of the label payload, so it costs O(shard
+/// section) on any file size. The identity is cut out through the same
+/// layout and cast the view uses.
 pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, PersistError> {
-    let data = read_aligned(path)?;
-    let header = parse_header(&data)?;
+    let mut file = fs::File::open(path)?;
+    let header = header_of(&mut file)?;
     if !header.is_sharded() {
         return Ok(None);
     }
-    let layout = plan_file(&header, &data)?;
-    let Some(s) = &layout.shard else {
+    let layout = plan_on_disk(&mut file, &header)?;
+    let Some(row) = &layout.shard else {
         return Ok(None);
     };
     // Verify the shard section's own CRC so a forged identity cannot pass,
     // without paying for the (much larger) label-section checksums.
-    check_crc(&data, s)?;
+    let span = read_at(&mut file, row.span.clone())?;
+    check_crc(row, read_word(&mut file, row.crc.clone())? as u32, &span)?;
     #[cfg(not(target_endian = "little"))]
     return Err(PersistError::Unviewable {
         reason: "host is big-endian",
     });
     #[cfg(target_endian = "little")]
     {
-        let spec = cast_shard(&data, s).to_spec();
+        let spec = cast_shard(&span, row).to_spec();
         spec.validate(header.num_vertices)?;
         Ok(Some(spec))
     }
@@ -2263,49 +1992,48 @@ pub fn load_shard_spec<P: AsRef<Path>>(path: P) -> Result<Option<ShardSpec>, Per
 /// at most the file's two self-describing words — the compressed blob
 /// length and a shard's owned count — so it costs O(1) on any file size.
 pub fn check_file_len<P: AsRef<Path>>(path: P, header: &FileHeader) -> Result<(), PersistError> {
-    let mut file = fs::File::open(path)?;
+    plan_on_disk(&mut fs::File::open(path)?, header).map(drop)
+}
+
+/// The layout of `file`, its length checked: [`FileHeader::plan_sized`] on
+/// disk.
+fn plan_on_disk(file: &mut fs::File, header: &FileHeader) -> Result<Layout, PersistError> {
     let found = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
-    let expected = match header.version {
-        VERSION_V1 => header.expected_file_len().ok_or_else(|| {
-            PersistError::Malformed("declared dimensions overflow the addressable size".into())
-        })?,
-        _ => {
-            let word = |_, at: Range<usize>| {
-                if at.end > found {
-                    let expected = at.end;
-                    return Err(PersistError::Truncated { expected, found });
-                }
-                read_word(&mut file, at)
-            };
-            header.plan(word)?.len
-        }
-    };
-    check_len(expected, found)
+    header.plan_sized(found, |at| read_word(file, at))
+}
+
+/// The bytes `file` stores at `at`, read into an aligned buffer.
+fn read_at(file: &mut fs::File, at: Range<usize>) -> Result<AlignedBytes, PersistError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let mut bytes = AlignedBytes::zeroed(at.len());
+    file.seek(SeekFrom::Start(at.start as u64))?;
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// The little-endian word `file` stores at `at`: [`file_word`] on disk.
 fn read_word(file: &mut fs::File, at: Range<usize>) -> Result<u64, PersistError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let mut bytes = vec![0u8; at.len()];
-    file.seek(SeekFrom::Start(at.start as u64))?;
-    file.read_exact(&mut bytes)?;
+    let bytes = read_at(file, at)?;
     file_word(&bytes, 0..bytes.len())
 }
 
 /// Reads and validates just the header of a `.chl` file, plus, for a
 /// compressed file, the blob length in [`FileHeader::blob_len`].
 pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> {
+    header_of(&mut fs::File::open(path)?)
+}
+
+/// [`load_header`] on an open file.
+fn header_of(file: &mut fs::File) -> Result<FileHeader, PersistError> {
     use std::io::Read;
-    let mut file = fs::File::open(path)?;
-    let mut head = Vec::with_capacity(HEADER_LEN_V3);
-    (&mut file)
-        .take(HEADER_LEN_V3 as u64)
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    file.by_ref()
+        .take(HEADER_LEN as u64)
         .read_to_end(&mut head)?;
     let mut header = parse_header(&head)?;
-    if header.is_compressed() {
-        // One more 8-byte read: the skip table's last slot.
-        header.blob_len = header.read_blob_len(|at| read_word(&mut file, at));
-    }
+    // A compressed file costs one more 8-byte read: the skip table's last
+    // slot.
+    header.blob_len = header.read_blob_len(|at| read_word(file, at));
     Ok(header)
 }
 
@@ -2313,8 +2041,11 @@ pub fn load_header<P: AsRef<Path>>(path: P) -> Result<FileHeader, PersistError> 
 mod tests {
     use super::*;
     use crate::labels::LabelSet;
+    use chl_ranking::Ranking;
 
-    /// The frozen v2 golden fixture: v2 is an input format, nothing writes it.
+    /// Frozen legacy golden fixtures: inputs of `upgrade`, nothing writes
+    /// them.
+    const V1: &[u8] = include_bytes!("../tests/fixtures/golden.v1.chl");
     const V2_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v2-flat.chl");
 
     fn tiny_flat() -> FlatIndex {
@@ -2325,25 +2056,21 @@ mod tests {
         )
     }
 
-    /// Recomputes and patches a forged v3 buffer's header CRC so a test can
-    /// prove a deeper guard fires after the header checks pass. No-op for
-    /// pre-v3 buffers.
-    fn reseal_header(buf: &mut [u8]) {
-        if u32::from_le_bytes(buf[4..8].try_into().unwrap()) == VERSION {
-            seal_header(buf);
-        }
-    }
-
-    /// The section table of a whole v2/v3 buffer.
+    /// The section table of a whole buffer.
     fn layout_of(buf: &[u8]) -> Layout {
-        plan_file(&parse_header(buf).unwrap(), buf).unwrap()
+        let header = parse_header(buf).unwrap();
+        header
+            .plan_sized(buf.len(), |at| file_word(buf, at))
+            .unwrap()
     }
 
-    /// Recomputes and patches every checksum of a forged v2/v3 buffer —
-    /// section CRCs, and on v3 the header CRC — so corruption tests can
-    /// reach the post-checksum validators.
+    /// Recomputes and patches every checksum of a forged buffer — section
+    /// CRCs, then the header CRC — so corruption tests can reach the
+    /// post-checksum validators. (`seal_header` alone patches the header
+    /// CRC, so a test can prove a deeper guard fires after the header
+    /// checks pass.)
     fn reseal(buf: &mut [u8]) {
-        reseal_header(buf);
+        seal_header(buf);
         let layout = layout_of(buf);
         seal(buf, &layout);
     }
@@ -2364,7 +2091,7 @@ mod tests {
         ));
         // ...and once resealed, the CRC-proven header's impossible m is a
         // HeaderMalformed from the layout bound, before any allocation.
-        reseal_header(&mut bytes);
+        seal_header(&mut bytes);
         assert!(matches!(
             from_bytes(&bytes),
             Err(PersistError::HeaderMalformed(msg)) if msg.contains("cannot fit")
@@ -2377,7 +2104,7 @@ mod tests {
         // m = u64::MAX must trip the same guard, not overflow the bound
         // arithmetic.
         bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-        reseal_header(&mut bytes);
+        seal_header(&mut bytes);
         assert!(matches!(
             from_bytes(&bytes),
             Err(PersistError::HeaderMalformed(_))
@@ -2553,17 +2280,36 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_still_load_through_the_copying_path() {
-        let flat = tiny_flat();
-        let v1 = to_bytes_v1(&flat);
-        let back = from_bytes(&v1).unwrap();
-        assert_eq!(back, flat);
-        assert_eq!(parse_header(&v1).unwrap().version, VERSION_V1);
-        // ...but cannot back a zero-copy view.
-        let aligned = AlignedBytes::from_slice(&v1);
+    fn legacy_bytes_are_refused_until_upgraded() {
+        // No loader reads v1 or v2; each refusal names the upgrade.
+        for (legacy, version) in [(V1, 1), (V2_FLAT, 2)] {
+            let aligned = AlignedBytes::from_slice(legacy);
+            for refused in [
+                parse_header(legacy).err(),
+                from_bytes(legacy).err(),
+                open_view(&aligned).err(),
+                view_bytes(&aligned).err(),
+            ] {
+                assert!(
+                    matches!(refused, Some(PersistError::UpgradeRequired { version: v }) if v == version),
+                    "v{version}: {refused:?}"
+                );
+            }
+            // The upgrade is the v3 file of the same index, which loads and
+            // re-serializes to itself.
+            let upgraded = upgrade(legacy).unwrap();
+            assert_eq!(parse_header(&upgraded).unwrap().version, VERSION);
+            assert_eq!(to_bytes(&from_bytes(&upgraded).unwrap()), upgraded);
+        }
+        // A v3 file upgrades to itself.
+        let bytes = to_bytes(&tiny_flat());
+        assert_eq!(upgrade(&bytes).unwrap(), bytes);
+        // A flipped v1 payload byte fails the whole-payload CRC.
+        let mut flipped = V1.to_vec();
+        *flipped.last_mut().unwrap() ^= 1;
         assert!(matches!(
-            view_bytes(&aligned),
-            Err(PersistError::NotZeroCopy { version: 1 })
+            upgrade(&flipped),
+            Err(PersistError::ChecksumMismatch { .. })
         ));
     }
 
@@ -2575,24 +2321,14 @@ mod tests {
         assert_eq!(header.version, VERSION);
         assert_eq!(header.num_vertices, 3);
         assert_eq!(header.num_entries, 5);
-        assert_eq!(header.header_len(), HEADER_LEN_V3);
         assert_eq!(header.expected_file_len(), Some(bytes.len()));
-        assert!(matches!(header.checksums, Checksums::PerSection { .. }));
+        let layout = layout_of(&bytes);
+        assert_eq!(header.crc_ranking, crc32(&bytes[layout.ranking.span]));
+        assert_eq!(header.crc_offsets, crc32(&bytes[layout.offsets.span]));
+        assert_eq!(header.crc_entries, crc32(&bytes[layout.entries.span]));
         assert_eq!(header.crc_shard, 0);
-        assert_eq!(header.crc_header, crc32(&bytes[..HEADER_LEN_V3 - 4]));
+        assert_eq!(header.crc_header, crc32(&bytes[..HEADER_LEN - 4]));
         assert!(!header.is_sharded());
-
-        let header = parse_header(V2_FLAT).unwrap();
-        assert_eq!(header.version, VERSION_V2);
-        assert_eq!(header.header_len(), HEADER_LEN_V2);
-        assert_eq!(header.expected_file_len(), Some(V2_FLAT.len()));
-        assert_eq!(header.crc_header, 0);
-
-        let v1 = to_bytes_v1(&flat);
-        let header = parse_header(&v1).unwrap();
-        assert_eq!(header.header_len(), HEADER_LEN_V1);
-        assert_eq!(header.expected_file_len(), Some(v1.len()));
-        assert!(matches!(header.checksums, Checksums::WholePayload(_)));
     }
 
     #[test]
@@ -2647,7 +2383,7 @@ mod tests {
                 assert_eq!(view.query_with_hub(u, v), flat.query_with_hub(u, v));
             }
         }
-        assert_eq!(FlatIndex::from_view(view), flat);
+        assert_eq!(IndexView::flat(view).to_owned_index(), flat);
     }
 
     #[test]
@@ -2693,7 +2429,7 @@ mod tests {
         ));
         // Resealed (a CRC-valid header from a hypothetical future writer),
         // the unknown bit is a typed UnsupportedFlags.
-        reseal_header(&mut bad_flags);
+        seal_header(&mut bad_flags);
         assert!(matches!(
             from_bytes(&bad_flags),
             Err(PersistError::UnsupportedFlags { found: 8 })
@@ -2704,7 +2440,7 @@ mod tests {
         // depends on what the reinterpreted skip table claims), never load.
         let mut forged_compressed = bytes.clone();
         forged_compressed[24] = 1;
-        reseal_header(&mut forged_compressed);
+        seal_header(&mut forged_compressed);
         assert!(from_bytes(&forged_compressed).is_err());
 
         let truncated = &bytes[..bytes.len() - 1];
@@ -2740,7 +2476,7 @@ mod tests {
         // Flip a ranking padding byte (n = 3 leaves 4 pad bytes): the
         // ranking checksum covers its padding.
         let mut pad_flip = bytes.clone();
-        pad_flip[HEADER_LEN_V3 + 12] ^= 0xFF;
+        pad_flip[HEADER_LEN + 12] ^= 0xFF;
         assert!(matches!(
             from_bytes(&pad_flip),
             Err(PersistError::SectionChecksumMismatch {
@@ -2758,7 +2494,7 @@ mod tests {
             from_bytes(&bad_crc),
             Err(PersistError::HeaderChecksumMismatch { .. })
         ));
-        reseal_header(&mut bad_crc);
+        seal_header(&mut bad_crc);
         assert!(matches!(
             from_bytes(&bad_crc),
             Err(PersistError::SectionChecksumMismatch { .. })
@@ -2789,7 +2525,7 @@ mod tests {
     fn forged_padding_is_rejected_even_with_valid_checksums() {
         // Non-zero ranking tail padding, checksums recomputed to match.
         let mut forged = to_bytes(&tiny_flat());
-        forged[HEADER_LEN_V3 + 12] = 0xAB;
+        forged[HEADER_LEN + 12] = 0xAB;
         reseal(&mut forged);
         assert!(matches!(
             from_bytes(&forged),
@@ -2817,7 +2553,7 @@ mod tests {
 
     #[test]
     fn semantically_invalid_payloads_are_malformed() {
-        // Hand-craft a v2 file whose checksums are valid but whose ranking
+        // Hand-craft a file whose checksums are valid but whose ranking
         // is not a permutation (vertex 0 listed twice).
         let n = 2u64;
         let mut buf = Vec::new();
@@ -2876,7 +2612,7 @@ mod tests {
             to_bytes_with(&flat, &SaveOptions::compressed()),
             to_bytes_with(&sharded, &SaveOptions::compressed()),
             to_bytes(&pathful),
-            to_bytes_v1(&flat),
+            V1.to_vec(),
         ];
         for bytes in files {
             let mut padded = bytes.clone();
@@ -2955,7 +2691,7 @@ mod tests {
         let mut bytes = to_bytes(&sharded);
         let shard_byte = bytes.len() - 1; // high byte of the last owned id
         bytes[shard_byte] ^= 1;
-        reseal_header(&mut bytes);
+        seal_header(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
             load_shard_spec(&path),
@@ -3259,8 +2995,8 @@ mod tests {
         assert!(e.to_string().contains("44"));
         let e = PersistError::Unviewable { reason: "why" };
         assert!(e.to_string().contains("why"));
-        let e = PersistError::NotZeroCopy { version: 1 };
-        assert!(e.to_string().contains("v1"));
+        let e = PersistError::UpgradeRequired { version: 1 };
+        assert!(e.to_string().contains("v1") && e.to_string().contains("chl upgrade"));
         let e = PersistError::TrailingBytes { extra: 3 };
         assert!(e.to_string().contains("trailing"));
         let e = PersistError::Malformed("oops".into());
@@ -3395,7 +3131,7 @@ mod tests {
         // catches it with a typed section error.
         let mut forged = bytes.clone();
         forged[shard.span.start] ^= 0xFF;
-        reseal_header(&mut forged);
+        seal_header(&mut forged);
         assert!(matches!(
             from_bytes(&forged),
             Err(PersistError::SectionChecksumMismatch {
@@ -3442,7 +3178,7 @@ mod tests {
         // A nonzero crc_shard on an unsharded header is HeaderMalformed.
         let mut unsharded = to_bytes(&tiny_flat());
         unsharded[40..44].copy_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        reseal_header(&mut unsharded);
+        seal_header(&mut unsharded);
         assert!(matches!(
             from_bytes(&unsharded),
             Err(PersistError::HeaderMalformed(_))
@@ -3450,29 +3186,35 @@ mod tests {
     }
 
     #[test]
-    fn v2_header_corruption_reports_the_caveat() {
-        // Corrupt a header byte of a genuine v2 file (no header CRC): every
-        // loader returns the same typed error, and its message points at the
-        // v2 gap.
-        assert_eq!(parse_header(V2_FLAT).unwrap().version, VERSION_V2);
-        let mut bad = AlignedBytes::from_slice(V2_FLAT);
-        bad[8] ^= 0x01; // n's low byte
-        let copied = from_bytes(&bad).unwrap_err().to_string();
-        assert!(
-            copied.contains("v2 headers carry no checksum"),
-            "unexpected: {copied}"
-        );
-        assert_eq!(open_view(&bad).unwrap_err().to_string(), copied);
-        let path = std::env::temp_dir().join(format!(
-            "chl-persist-v2-caveat-test-{}-{:?}.chl",
-            std::process::id(),
-            std::thread::current().id()
+    fn v2_header_corruption_fails_the_upgrade_typed() {
+        // A v2 header carries no CRC of its own: its damage shows as the
+        // typed error the upgrade's output fails with, never as a file.
+        let corrupt = |at: usize, flip: u8| {
+            let mut bad = V2_FLAT.to_vec();
+            bad[at] ^= flip;
+            upgrade(&bad).unwrap_err()
+        };
+        // n's low byte: the planned file outgrows the bytes.
+        assert!(matches!(corrupt(8, 0x01), PersistError::Truncated { .. }));
+        // The sharded bit, which v2 does not define.
+        assert!(matches!(
+            corrupt(24, 0x02),
+            PersistError::UnsupportedFlags { found: 2 }
         ));
-        std::fs::write(&path, &*bad).unwrap();
-        let mapped = crate::mapped::MmapIndex::open(&path).unwrap_err();
-        std::fs::remove_file(&path).unwrap();
-        assert_eq!(mapped.to_string(), copied);
-        // Uncorrupted v2 still loads cleanly.
-        assert!(from_bytes(V2_FLAT).is_ok());
+        // A stored section CRC.
+        assert!(matches!(
+            corrupt(28, 0xFF),
+            PersistError::SectionChecksumMismatch {
+                section: Section::Ranking,
+                ..
+            }
+        ));
+        // m, the compressed bit, the other section CRCs: typed, whatever
+        // they trip.
+        for (at, flip) in [(16, 0x01), (24, 0x01), (32, 0x10), (36, 0x80)] {
+            assert!(!matches!(corrupt(at, flip), PersistError::Io(_)), "{at}");
+        }
+        // Whole, it upgrades.
+        assert!(upgrade(V2_FLAT).is_ok());
     }
 }

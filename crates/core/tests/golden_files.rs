@@ -1,15 +1,16 @@
 //! Golden-file corpus for the `.chl` format: one small deterministic graph,
-//! checked in as v1, v2-flat, v2-compressed, v3-flat, v3-compressed and
-//! three v3 shard files together with its full pinned distance table. Every
+//! checked in as v3-flat, v3-compressed, three v3 shard files and two v3
+//! path-section files together with its full pinned distance table, plus
+//! the same index as legacy v1, v2-flat and v2-compressed files. Every v3
 //! fixture must keep loading through every applicable path and answering
 //! the pinned table byte-identically, and re-serializing a loaded fixture
 //! must reproduce its bytes exactly — so any accidental format drift in a
-//! future PR fails here before it ships.
+//! future change fails here before it ships.
 //!
-//! Compat policy: v1 and v2 are frozen inputs. The checked-in v1/v2 byte
-//! streams never change and keep loading forever; the writer emits only v3,
-//! so a loaded v2 fixture re-serializes to exactly its v3 sibling's bytes.
-//! New capabilities (header CRC, shard section) exist only in v3.
+//! Compat policy: v1 and v2 are frozen inputs of `persist::upgrade` (`chl
+//! upgrade`) and nothing else. Their checked-in bytes never change; every
+//! loader refuses them with `UpgradeRequired`, and upgrading each yields
+//! exactly its v3 sibling's bytes.
 //!
 //! The shard fixtures pin the QDOL layout for 3 shards over 16 vertices
 //! (ζ = 3, contiguous chunks of 6). The owned sets hard-coded here are
@@ -30,7 +31,7 @@ use std::path::{Path, PathBuf};
 use chl_core::flat::{FlatIndex, NotThisShard};
 use chl_core::mapped::MmapIndex;
 use chl_core::paths::{attach_parents, PathError, PathOracle};
-use chl_core::persist::{self, AlignedBytes, SaveOptions, ShardSpec};
+use chl_core::persist::{self, AlignedBytes, PersistError, SaveOptions, ShardSpec};
 use chl_core::pll::sequential_pll;
 use chl_graph::generators::{grid_network, GridOptions};
 use chl_graph::types::{VertexId, INFINITY};
@@ -248,53 +249,37 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     let table = pinned_table(&dir);
     assert_eq!(table.len(), 16, "4x4 grid corpus");
 
-    // v1: the copying path only.
-    let v1_bytes = std::fs::read(dir.join("golden.v1.chl")).unwrap();
-    let v1 = FlatIndex::from_bytes(&v1_bytes).expect("v1 fixture loads");
-    assert_answers(&table, "v1 copy-load", |u, v| v1.query(u, v));
-    assert_eq!(
-        persist::to_bytes_v1(&v1),
-        v1_bytes,
-        "re-serializing the loaded v1 fixture must be byte-identical"
-    );
-
-    // v2 flat: copy-load, zero-copy view and mmap. The frozen v2 stream
-    // keeps loading, and the writer turns it into the v3 fixture.
-    let flat_path = dir.join("golden.v2-flat.chl");
-    let flat_bytes = std::fs::read(&flat_path).unwrap();
-    let flat = FlatIndex::from_bytes(&flat_bytes).expect("v2-flat fixture loads");
-    assert_answers(&table, "v2-flat copy-load", |u, v| flat.query(u, v));
-    let aligned = AlignedBytes::from_slice(&flat_bytes);
-    let view = persist::view_bytes(&aligned).expect("v2-flat fixture views");
-    assert_answers(&table, "v2-flat view", |u, v| view.query(u, v));
-    let mapped = MmapIndex::open(&flat_path).expect("v2-flat fixture maps");
-    assert!(!mapped.is_compressed());
-    assert_answers(&table, "v2-flat mmap", |u, v| mapped.view().query(u, v));
-    assert_eq!(
-        flat.to_bytes(),
-        std::fs::read(dir.join("golden.v3-flat.chl")).unwrap(),
-        "the loaded v2-flat fixture must re-serialize to the v3-flat fixture"
-    );
-
-    // v2 compressed: decode-on-load, streaming view and mmap.
-    let comp_path = dir.join("golden.v2-compressed.chl");
-    let comp_bytes = std::fs::read(&comp_path).unwrap();
-    let comp = FlatIndex::from_bytes(&comp_bytes).expect("v2-compressed fixture loads");
-    assert_answers(&table, "v2-compressed copy-load", |u, v| comp.query(u, v));
-    let aligned = AlignedBytes::from_slice(&comp_bytes);
-    let view = persist::open_view(&aligned).expect("v2-compressed fixture views");
-    assert!(view.is_compressed());
-    assert_answers(&table, "v2-compressed view", |u, v| view.query(u, v));
-    let mapped = MmapIndex::open(&comp_path).expect("v2-compressed fixture maps");
-    assert!(mapped.is_compressed());
-    assert_answers(&table, "v2-compressed mmap", |u, v| {
-        mapped.view().query(u, v)
-    });
-    assert_eq!(
-        comp.to_bytes_with(&SaveOptions::compressed()),
-        std::fs::read(dir.join("golden.v3-compressed.chl")).unwrap(),
-        "the loaded v2-compressed fixture must re-serialize to the v3-compressed fixture"
-    );
+    // The legacy fixtures: every loader refuses them, naming the upgrade,
+    // and the upgrade is their v3 sibling byte for byte.
+    for (legacy, version, sibling) in [
+        ("golden.v1.chl", 1, "golden.v3-flat.chl"),
+        ("golden.v2-flat.chl", 2, "golden.v3-flat.chl"),
+        ("golden.v2-compressed.chl", 2, "golden.v3-compressed.chl"),
+    ] {
+        let path = dir.join(legacy);
+        let bytes = std::fs::read(&path).unwrap();
+        let aligned = AlignedBytes::from_slice(&bytes);
+        let refusals = [
+            ("from_bytes", FlatIndex::from_bytes(&bytes).err()),
+            ("load", persist::load(&path).err()),
+            ("open_view", persist::open_view(&aligned).err()),
+            ("view_bytes", persist::view_bytes(&aligned).err()),
+            ("mmap", MmapIndex::open(&path).err()),
+            ("load_header", persist::load_header(&path).err()),
+            ("load_shard_spec", persist::load_shard_spec(&path).err()),
+        ];
+        for (loader, refused) in refusals {
+            assert!(
+                matches!(refused, Some(PersistError::UpgradeRequired { version: v }) if v == version),
+                "{legacy} through {loader}: {refused:?}"
+            );
+        }
+        assert_eq!(
+            persist::upgrade(&bytes).expect("legacy fixture upgrades"),
+            std::fs::read(dir.join(sibling)).unwrap(),
+            "upgrading {legacy} must yield {sibling}"
+        );
+    }
 
     // v3 flat: the default writer's output, with the header CRC.
     let v3_path = dir.join("golden.v3-flat.chl");
@@ -336,25 +321,20 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
         "re-serializing the loaded v3-compressed fixture must be byte-identical"
     );
 
-    // The whole-index fixtures are one index in five coats.
-    assert_eq!(v1, flat);
-    assert_eq!(flat, comp);
-    assert_eq!(comp, v3);
+    // The whole-index fixtures are one index in two coats.
     assert_eq!(v3, v3c);
 
     // Sanity on the corpus itself: the headers disagree only where the
     // format does.
-    let flat_header = persist::parse_header(&flat_bytes).unwrap();
-    let comp_header = persist::parse_header(&comp_bytes).unwrap();
-    assert_eq!(flat_header.version, persist::VERSION_V2);
-    assert!(!flat_header.is_compressed());
-    assert!(comp_header.is_compressed());
-    assert_eq!(flat_header.num_entries, comp_header.num_entries);
+    let v3c_header = persist::parse_header(&v3c_bytes).unwrap();
+    assert!(!v3_header.is_compressed());
+    assert!(v3c_header.is_compressed());
+    assert_eq!(v3_header.num_entries, v3c_header.num_entries);
     assert!(
-        comp_bytes.len() < flat_bytes.len(),
+        v3c_bytes.len() < v3_bytes.len(),
         "compressed fixture must be smaller ({} vs {} bytes)",
-        comp_bytes.len(),
-        flat_bytes.len()
+        v3c_bytes.len(),
+        v3_bytes.len()
     );
 }
 
@@ -500,7 +480,7 @@ fn shard_fixtures_union_to_the_unsharded_index() {
         let aligned = AlignedBytes::from_slice(&bytes);
         assert!(matches!(
             persist::view_bytes(&aligned),
-            Err(persist::PersistError::Unviewable { .. })
+            Err(PersistError::Unviewable { .. })
         ));
         let view = persist::open_view(&aligned).expect("shard fixture views");
         for u in 0..full.num_vertices() as u32 {

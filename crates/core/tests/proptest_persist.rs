@@ -6,7 +6,9 @@
 //! round trips are lossless and re-encoding is byte-stable; and random
 //! single-byte corruption (anywhere in the file, skip table, path and shard
 //! sections and padding included) never loads successfully and never
-//! panics, in either format version and either encoding.
+//! panics, in either encoding. A legacy v1 file, written by the reference
+//! writer below, upgrades to exactly the current writer's bytes, and never
+//! upgrades once a byte of it is flipped.
 
 use proptest::prelude::*;
 
@@ -54,6 +56,30 @@ fn shaped_bytes(g: &CsrGraph, shape: u8, options: &SaveOptions) -> Vec<u8> {
     flat.to_bytes_with(options)
 }
 
+/// The v1 writer, kept as the reference the upgrade is checked against:
+/// `CHLI | 1 | n | m | crc`, then the ranking, the offsets and the packed
+/// 12-byte `(hub, distance)` entries, the CRC covering all three.
+fn v1_bytes(index: &FlatIndex) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for &v in index.ranking().order() {
+        payload.extend(v.to_le_bytes());
+    }
+    for &offset in index.offsets() {
+        payload.extend(offset.to_le_bytes());
+    }
+    for e in index.entries() {
+        payload.extend(e.hub.to_le_bytes());
+        payload.extend(e.dist.to_le_bytes());
+    }
+    let mut bytes = persist::MAGIC.to_vec();
+    bytes.extend(1u32.to_le_bytes());
+    bytes.extend((index.num_vertices() as u64).to_le_bytes());
+    bytes.extend((index.total_labels() as u64).to_le_bytes());
+    bytes.extend(persist::crc32(&payload).to_le_bytes());
+    bytes.extend(payload);
+    bytes
+}
+
 fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!(
         "chl-proptest-{}-{:?}-{tag}.chl",
@@ -87,13 +113,13 @@ proptest! {
     }
 
     #[test]
-    fn v1_round_trip_is_query_identical(g in arb_graph()) {
-        // Legacy files keep loading through the copying path, losslessly.
+    fn v1_upgrade_equals_the_current_writer(g in arb_graph()) {
+        // A legacy file upgrades to exactly the bytes the writer produces
+        // for the same index.
         let ranking = degree_ranking(&g);
         let flat = sequential_pll(&g, &ranking).index;
-        let reloaded = FlatIndex::from_bytes(&persist::to_bytes_v1(&flat))
-            .expect("v1 bytes load");
-        prop_assert_eq!(&reloaded, &flat);
+        let upgraded = persist::upgrade(&v1_bytes(&flat)).expect("v1 bytes upgrade");
+        prop_assert_eq!(upgraded, flat.to_bytes());
     }
 
     #[test]
@@ -219,12 +245,12 @@ proptest! {
     }
 
     #[test]
-    fn single_byte_corruption_never_loads_v1(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
+    fn single_byte_corruption_never_upgrades_v1(g in arb_graph(), pos in 0usize..10_000, flip in 1u8..=255) {
         let ranking = degree_ranking(&g);
         let index = sequential_pll(&g, &ranking).index;
-        let mut bytes = persist::to_bytes_v1(&index);
+        let mut bytes = v1_bytes(&index);
         let pos = pos % bytes.len();
         bytes[pos] ^= flip;
-        prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "flip at byte {}", pos);
+        prop_assert!(persist::upgrade(&bytes).is_err(), "flip at byte {}", pos);
     }
 }

@@ -28,10 +28,10 @@ use crate::protocol::ServerInfo;
 /// The two load backends a generation can serve from.
 #[derive(Debug)]
 enum Backend {
-    /// Copy-loaded, heap-owned index (any format version).
+    /// Copy-loaded, heap-owned index.
     Owned(FlatIndex),
-    /// Zero-copy mapped index (v2/v3 files; buffered fallback off-Unix or
-    /// with the `mmap` feature disabled).
+    /// Zero-copy mapped index (buffered fallback off-Unix or with the
+    /// `mmap` feature disabled).
     Mapped(MmapIndex),
 }
 
@@ -327,5 +327,33 @@ mod tests {
 
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(shared.reload(), Err(PersistError::Io(_))));
+    }
+
+    #[test]
+    fn legacy_files_are_refused_until_upgraded() {
+        let v1 = include_bytes!("../../core/tests/fixtures/golden.v1.chl");
+        let v2 = include_bytes!("../../core/tests/fixtures/golden.v2-flat.chl");
+        let path = temp_path("legacy");
+        for mmap in [false, true] {
+            // Replaced by rename, as a mapped file must be.
+            let replace = |bytes: &[u8]| chl_core::persist::write_bytes(&path, bytes).unwrap();
+            replace(v1);
+            assert!(matches!(
+                SharedIndex::open(&path, mmap),
+                Err(PersistError::UpgradeRequired { version: 1 })
+            ));
+            tiny_flat().save(&path).unwrap();
+            let shared = SharedIndex::open(&path, mmap).unwrap();
+            replace(v2);
+            assert!(matches!(
+                shared.reload(),
+                Err(PersistError::UpgradeRequired { version: 2 })
+            ));
+            assert_eq!(shared.generation(), 0);
+            replace(&chl_core::persist::upgrade(v2).unwrap());
+            assert_eq!(shared.reload().unwrap(), 1);
+            assert_eq!(shared.info().num_vertices, 16);
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -52,11 +52,11 @@ fn main() {
         println!("dist(0, {v}) = {d}");
     }
 
-    // 4. Zero-copy serve: `.chl` v2 sections are 8-byte aligned, so the
+    // 4. Zero-copy serve: `.chl` sections are 8-byte aligned, so the
     //    file can also be mapped and queried in place — validated once at
     //    open, no label byte deserialized. Same `DistanceOracle` surface,
     //    same answers; `chl query --mmap` is this path from the shell.
-    let mapped = MmapIndex::open(&path).expect("v2 index maps");
+    let mapped = MmapIndex::open(&path).expect("v3 index maps");
     let oracle: &dyn DistanceOracle = &mapped;
     for v in [1u32, 300, 624] {
         assert_eq!(oracle.distance(0, v), reference[v as usize]);
