@@ -57,7 +57,7 @@ fn cold_serve(c: &mut Criterion) {
     });
     group.bench_function("zero_copy_view_first_query", |b| {
         b.iter(|| {
-            let view = persist::view_bytes(&aligned).expect("clean v3 bytes");
+            let view = persist::open_view(&aligned).expect("clean v3 bytes");
             black_box(view.query(u, v))
         })
     });
@@ -78,7 +78,7 @@ fn owned_vs_view_steady_state(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
     let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let aligned = AlignedBytes::from_slice(&flat.to_bytes());
-    let view = persist::view_bytes(&aligned).expect("clean v3 bytes");
+    let view = persist::open_view(&aligned).expect("clean v3 bytes");
     let n = ds.graph.num_vertices() as u32;
 
     let mut group = c.benchmark_group("owned_vs_view");

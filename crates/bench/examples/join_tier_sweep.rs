@@ -80,14 +80,13 @@ fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
         .collect();
 
     type JoinFn = fn(&[LabelEntry], &[LabelEntry]) -> Option<(u32, Distance)>;
-    let view = flat.as_view();
     let time_join = |join: JoinFn| {
         let mut best = Duration::MAX;
         for _ in 0..REPS {
             let t = Instant::now();
             let mut s = 0u64;
             for &(u, v) in &pairs {
-                let d = join(view.labels_of(u), view.labels_of(v)).map_or(INFINITY, |(_, d)| d);
+                let d = join(flat.labels_of(u), flat.labels_of(v)).map_or(INFINITY, |(_, d)| d);
                 s = s.wrapping_add(black_box(d));
             }
             best = best.min(t.elapsed());

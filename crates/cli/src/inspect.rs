@@ -78,6 +78,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // A shard file identifies itself: one extra small read verifies the
     // shard section CRC and recovers which slice of the cluster this is,
     // without touching the (potentially huge) label payload.
+    let mut owned = 0u64;
     if header.is_sharded() {
         let spec = persist::load_shard_spec(&path)
             .map_err(|e| format!("cannot read shard section of {path}: {e}"))?
@@ -100,21 +101,27 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             spec.owned_count(),
             header.num_vertices
         );
+        owned = spec.owned_count() as u64;
     }
     let n = header.num_vertices;
     let m = header.num_entries;
     if n > 0 {
         println!("avg label size:   {:.2} per vertex", m as f64 / n as f64);
     }
-    // Footprint when served owned, derived from the header alone: offsets
-    // (n+1) * 8, entries m * 16 (decoded, whatever the on-disk encoding),
-    // ranking order + position 8 per vertex. Saturating: a hostile header
-    // must not wrap the arithmetic here.
+    // Footprint when served owned, derived from the header alone — the sum
+    // `FlatIndex::memory_bytes` reports after a load: offsets (n+1) * 8,
+    // entries m * 16 (decoded, whatever the on-disk encoding), ranking order
+    // + position 8 per vertex, parent records 4 per label when the file has
+    // path data, and a shard's owned list 4 per owned vertex. Saturating: a
+    // hostile header must not wrap the arithmetic here.
+    let parents = if header.is_paths() { m } else { 0 };
     let estimated = n
         .saturating_add(1)
         .saturating_mul(8)
         .saturating_add(m.saturating_mul(16))
-        .saturating_add(n.saturating_mul(8));
+        .saturating_add(n.saturating_mul(8))
+        .saturating_add(parents.saturating_mul(4))
+        .saturating_add(owned.saturating_mul(4));
     let mib = estimated as f64 / (1024.0 * 1024.0);
     println!(
         "serving footprint: {estimated} bytes ({mib:.2} MiB owned; zero-copy --mmap \

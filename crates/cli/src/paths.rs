@@ -15,7 +15,6 @@
 
 use std::time::Instant;
 
-use chl_core::oracle::DistanceOracle;
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_query::workload::load_workload_checked;
 
@@ -95,7 +94,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         check_vertex(v, n)?;
         match loaded.path(u, v) {
             Ok(Some(walk)) => {
-                let d = loaded.distance(u, v);
+                let d = loaded.oracle().distance(u, v);
                 let rendered: Vec<String> = walk.iter().map(|x| x.to_string()).collect();
                 println!(
                     "path({u}, {v}) = {} ({} hops, dist {d})",

@@ -265,6 +265,39 @@ fn inspect_reports_header_and_histogram() {
 }
 
 #[test]
+fn header_estimate_matches_the_loaded_footprint() {
+    // The header-only "serving footprint" must be what the loaded index
+    // reports resident, parent records and a shard's owned list included.
+    let dir = temp_dir("inspect-footprint");
+    let graph = dir.join("g.bin");
+    let g = graph.to_str().unwrap();
+    let index = dir.join("g.chl");
+    run_ok(chl().args(["gen", "grid", "--rows", "30", "--cols", "30", "--out", g]));
+    let out = index.to_str().unwrap();
+    run_ok(chl().args(["build", g, "--out", out, "--paths", "--shards", "3"]));
+    let bytes_after = |stdout: &str, key: &str| -> u64 {
+        let line = stdout.lines().find(|l| l.starts_with(key)).unwrap();
+        let rest = line[key.len()..].trim_start();
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+    let footprints = |path: &Path| {
+        let path = path.to_str().unwrap();
+        let header = run_ok(chl().args(["inspect", path]));
+        let loaded = run_ok(chl().args(["inspect", path, "--histogram"]));
+        (
+            bytes_after(&header, "serving footprint:"),
+            bytes_after(&loaded, "memory footprint:"),
+        )
+    };
+    // 900 vertices, 26 518 labels: offsets 7 208 + entries 424 288 +
+    // ranking 7 200 + parents 106 072.
+    assert_eq!(footprints(&index), (544_768, 544_768));
+    let (estimate, loaded) = footprints(&dir.join("g.shard-0-of-3.chl"));
+    assert_eq!(estimate, loaded);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn header_only_inspect_fails_on_truncated_files() {
     // The header-only inspect reads the words that fix the file's length,
     // so a cut file fails with the full load's error instead of printing a

@@ -6,24 +6,21 @@
 //! the sets vertex by vertex into two exactly sized CSR arrays, which is the
 //! shape every query, path, shard and file reads from here on.
 //!
-//! The serving layout lives here in several shapes, with one query kernel:
+//! Two types serve that layout, with one query kernel:
 //!
-//! * [`LabelStorage`] abstracts **how a vertex's label run is materialized**:
-//!   [`RawStore`] hands out plain `&[LabelEntry]` slices, while
-//!   [`CompressedStore`] streams entries out of a delta+varint encoded byte
-//!   blob (see the compressed `.chl` section in [`crate::persist`])
-//!   through a [`DecodeCursor`] — no decompressed copy ever exists.
-//! * [`LabelView`] is the **ownership-agnostic query kernel**, generic over
-//!   the storage: ranking order, CSR offsets and a [`LabelStorage`], with
-//!   every query method defined once. [`FlatView`] and [`CompressedView`]
-//!   are its two instantiations; [`IndexView`] is the runtime-dispatched
-//!   either-of-them a `.chl` file of unknown encoding serves through.
-//! * [`FlatIndex`] is the thin owning wrapper: the two arrays behind one
-//!   shared [`Arc`], so a clone is a reference-count bump, plus the full
-//!   [`Ranking`], delegating every query through [`FlatIndex::as_view`]. (A
-//!   literal `Deref<Target = FlatView>` is not expressible — the view
-//!   borrows from `self` — so the wrapper forwards method by method
-//!   instead.)
+//! * [`IndexView`] is the borrowed index and the only home of the query
+//!   logic: ranking order, CSR offsets and label entries, plus the optional
+//!   parent records and shard identity, all borrowed. Its entries are flat
+//!   16-byte records or the delta+varint encoding of the compressed `.chl`
+//!   section (see [`crate::persist`]); a join branches on that once, as
+//!   does each walk over one label run. Flat runs are slices for the tiered
+//!   join ([`kernel::join_adaptive`]); compressed runs stream through a
+//!   `DecodeCursor` into the iterator join, so no decompressed copy ever
+//!   exists.
+//! * [`FlatIndex`] is the owning wrapper: the two arrays behind one shared
+//!   [`Arc`], so a clone is a reference-count bump, plus the full
+//!   [`Ranking`]. It answers every query through
+//!   [`FlatIndex::as_index_view`], exactly as the zero-copy load paths do.
 //!
 //! The flat layout is what the `.chl` on-disk format (see [`crate::persist`])
 //! stores byte-for-byte, so loading an index is one read plus validation —
@@ -38,11 +35,13 @@
 #![deny(clippy::indexing_slicing, clippy::allow_attributes)]
 #![deny(clippy::allow_attributes_without_reason)]
 
+use std::mem::size_of_val;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use chl_graph::types::{Distance, VertexId};
+use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_ranking::Ranking;
 
 use crate::error::LabelingError;
@@ -51,127 +50,51 @@ use crate::labels::{join_sorted_iters, LabelEntry, LabelSet};
 use crate::oracle::DistanceOracle;
 use crate::persist::{self, PersistError, SaveOptions, ShardSpec};
 
-/// How one vertex's label run is materialized out of a storage encoding.
-///
-/// The query kernel ([`LabelView`]) owns the CSR *shape* — the offsets array
-/// saying how many labels each vertex has — while the storage owns the
-/// *bytes* those labels live in. A storage only has to produce a cheap
-/// cloneable cursor over one vertex's run, sorted strictly ascending by hub
-/// rank position; the merge-join never learns whether the entries came from
-/// a slice or a streaming decoder.
-///
-/// Implementations are `Copy` bundles of shared references, so views stay
-/// cheap to pass around and hand to worker threads.
-pub trait LabelStorage<'a>: Copy + Sync {
-    /// Streaming iterator over one vertex's label run.
-    type Cursor: Iterator<Item = LabelEntry> + Clone;
-
-    /// The labels of vertex `v`, whose entry-index CSR bounds are
-    /// `lo..hi` (taken from the validated offsets array).
-    fn run(&self, v: usize, lo: usize, hi: usize) -> Self::Cursor;
-
-    /// The same run as a plain contiguous slice, when this storage keeps
-    /// entries decoded in memory; `None` for streaming encodings. This is
-    /// what routes slice-backed storages into the tiered
-    /// branchless/gallop join ([`crate::kernel::join_adaptive`]) while
-    /// streaming decoders keep the iterator kernel.
-    #[inline]
-    fn raw_run(&self, _v: usize, _lo: usize, _hi: usize) -> Option<&'a [LabelEntry]> {
-        None
-    }
-
-    /// Bytes of backing storage the entries occupy in this encoding.
-    fn storage_bytes(&self) -> usize;
-
-    /// Human-readable encoding name for diagnostics.
-    fn encoding(&self) -> &'static str;
-}
-
-/// [`LabelStorage`] over plain `LabelEntry` records: the flat encoding,
-/// where a run is literally a subslice.
+/// Where an [`IndexView`]'s label entries live — the one storage branch of
+/// the query kernel.
 #[derive(Debug, Clone, Copy)]
-pub struct RawStore<'a> {
-    entries: &'a [LabelEntry],
+pub(crate) enum Entries<'a> {
+    /// Flat 16-byte records: vertex `v`'s run is
+    /// `entries[offsets[v]..offsets[v + 1]]`.
+    Flat(&'a [LabelEntry]),
+    /// The delta+varint compressed entries section
+    /// (`FLAG_COMPRESSED_ENTRIES`): `skip[v]` is the byte offset of vertex
+    /// `v`'s run in `blob`, `skip[n]` the blob length.
+    Compressed { skip: &'a [u64], blob: &'a [u8] },
 }
 
-impl<'a> LabelStorage<'a> for RawStore<'a> {
-    type Cursor = std::iter::Copied<std::slice::Iter<'a, LabelEntry>>;
+/// One vertex's label run, sorted strictly ascending by hub rank position:
+/// a slice of flat records, or a cursor decoding compressed ones.
+#[derive(Debug, Clone)]
+pub(crate) enum Run<'a> {
+    Flat(std::slice::Iter<'a, LabelEntry>),
+    Compressed(DecodeCursor<'a>),
+}
+
+impl Iterator for Run<'_> {
+    type Item = LabelEntry;
 
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "lo/hi come from a monotone offsets array validated at construction or open"
-    )]
-    fn run(&self, _v: usize, lo: usize, hi: usize) -> Self::Cursor {
-        self.entries[lo..hi].iter().copied()
+    fn next(&mut self) -> Option<LabelEntry> {
+        match self {
+            Run::Flat(run) => run.next().copied(),
+            Run::Compressed(cursor) => cursor.next(),
+        }
     }
 
-    #[inline]
-    fn raw_run(&self, _v: usize, lo: usize, hi: usize) -> Option<&'a [LabelEntry]> {
-        self.entries.get(lo..hi)
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Run::Flat(run) => run.size_hint(),
+            Run::Compressed(cursor) => cursor.size_hint(),
+        }
     }
 
-    fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.entries)
-    }
-
-    fn encoding(&self) -> &'static str {
-        "flat"
-    }
-}
-
-/// [`LabelStorage`] over the delta+varint compressed entries section of a
-/// `.chl` file (`FLAG_COMPRESSED_ENTRIES`): a per-vertex skip table into
-/// a byte blob holding LEB128-encoded hub gaps and distances.
-///
-/// Queries decode the two runs they touch on the fly ([`DecodeCursor`]);
-/// nothing else of the blob is ever expanded, so a mapped compressed index
-/// serves straight from the page cache at the compressed footprint.
-#[derive(Debug, Clone, Copy)]
-pub struct CompressedStore<'a> {
-    /// `skip[v]` is the byte offset of vertex `v`'s run in `blob`;
-    /// `skip[n]` is the blob length. `n + 1` entries.
-    skip: &'a [u64],
-    /// Concatenated encoded runs, without tail padding.
-    blob: &'a [u8],
-}
-
-impl<'a> CompressedStore<'a> {
-    /// Assembles a compressed store from parts the persistence layer has
-    /// fully validated (skip table monotone and consistent with the CSR
-    /// offsets, every run decoding cleanly with canonical varints).
-    pub(crate) fn from_validated_parts(skip: &'a [u64], blob: &'a [u8]) -> Self {
-        debug_assert_eq!(*skip.last().unwrap_or(&0), blob.len() as u64);
-        CompressedStore { skip, blob }
-    }
-
-    /// Encoded size of the entry payload in bytes (excluding the skip
-    /// table), for compression-ratio reporting.
-    pub fn encoded_len(&self) -> usize {
-        self.blob.len()
-    }
-}
-
-impl<'a> LabelStorage<'a> for CompressedStore<'a> {
-    type Cursor = DecodeCursor<'a>;
-
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "skip is validated monotone with skip[n] == blob.len() at open; v < n is \
-                  range-checked by the caller"
-    )]
-    fn run(&self, v: usize, lo: usize, hi: usize) -> Self::Cursor {
-        let bytes = &self.blob[self.skip[v] as usize..self.skip[v + 1] as usize];
-        DecodeCursor::new(bytes, hi - lo)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(self.skip) + self.blob.len()
-    }
-
-    fn encoding(&self) -> &'static str {
-        "compressed (delta+varint)"
+    // Internal iteration (`for_each`) branches once per run, not per entry.
+    fn fold<B, F: FnMut(B, LabelEntry) -> B>(self, init: B, f: F) -> B {
+        match self {
+            Run::Flat(run) => run.copied().fold(init, f),
+            Run::Compressed(cursor) => cursor.fold(init, f),
+        }
     }
 }
 
@@ -182,7 +105,7 @@ impl<'a> LabelStorage<'a> for CompressedStore<'a> {
 /// unconditional arithmetic; the defensive `Option` handling below only
 /// exists so that a misuse can never panic, merely end the run early.
 #[derive(Debug, Clone)]
-pub struct DecodeCursor<'a> {
+pub(crate) struct DecodeCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     remaining: usize,
@@ -226,343 +149,6 @@ impl Iterator for DecodeCursor<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
-    }
-}
-
-/// A borrowed hub labeling in the CSR serving layout: the query kernel
-/// shared by every storage backend and entries encoding.
-///
-/// The label run of vertex `v` spans CSR entry indexes
-/// `offsets[v] .. offsets[v + 1]`, sorted ascending by hub rank position,
-/// and is materialized by the [`LabelStorage`] `S`; `order[pos]` is the
-/// vertex at rank position `pos` (most important first). Construction is
-/// restricted to this crate — a view always comes from a validated source,
-/// either [`FlatIndex::as_view`] or the persistence layer
-/// ([`view_bytes`](crate::persist::view_bytes) /
-/// [`open_view`](crate::persist::open_view)) — so the query methods can
-/// index with the CSR invariants taken as given.
-///
-/// Views are `Copy`: a few fat pointers, cheap to pass around and to send
-/// to worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct LabelView<'a, S: LabelStorage<'a>> {
-    offsets: &'a [u64],
-    store: S,
-    order: &'a [VertexId],
-    /// Per-entry parent records (`.chl` path section): `parents[i]` is the
-    /// next vertex on the shortest path from entry `i`'s owner toward its
-    /// hub, the owner itself for zero-distance entries. `None` when the
-    /// source carried no path section.
-    parents: Option<&'a [u32]>,
-}
-
-/// A [`LabelView`] over plain `LabelEntry` slices — the flat encoding.
-pub type FlatView<'a> = LabelView<'a, RawStore<'a>>;
-
-/// A [`LabelView`] streaming out of a delta+varint compressed entries
-/// section — same kernel, decoded on the fly.
-pub type CompressedView<'a> = LabelView<'a, CompressedStore<'a>>;
-
-impl<'a, S: LabelStorage<'a>> LabelView<'a, S> {
-    pub(crate) fn from_parts(order: &'a [VertexId], offsets: &'a [u64], store: S) -> Self {
-        debug_assert_eq!(offsets.len(), order.len() + 1);
-        LabelView {
-            offsets,
-            store,
-            order,
-            parents: None,
-        }
-    }
-
-    /// Attaches validated per-entry parent records (one per label entry,
-    /// validated by the persistence layer or [`crate::paths`]).
-    pub(crate) fn with_parents(mut self, parents: &'a [u32]) -> Self {
-        debug_assert_eq!(parents.len() as u64, *self.offsets.last().unwrap_or(&0));
-        self.parents = Some(parents);
-        self
-    }
-
-    /// The per-entry parent records, when the view carries path data.
-    pub fn parents(&self) -> Option<&'a [u32]> {
-        self.parents
-    }
-
-    /// `true` when [`Self::parents`] is present, i.e. path reconstruction
-    /// is available on this view.
-    pub fn has_path_data(&self) -> bool {
-        self.parents.is_some()
-    }
-
-    /// Number of vertices covered by the view.
-    pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The ranking's order array: `order()[pos]` is the vertex at rank
-    /// position `pos`, most important first.
-    pub fn order(&self) -> &'a [VertexId] {
-        self.order
-    }
-
-    /// Vertex at rank position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pos >= num_vertices()`.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented panic on pos >= n; validated hubs are rank positions < n"
-    )]
-    pub fn vertex_at(&self, pos: u32) -> VertexId {
-        self.order[pos as usize]
-    }
-
-    /// The CSR offsets array (`num_vertices + 1` entries, first `0`, last
-    /// equal to [`Self::total_labels`]).
-    pub fn offsets(&self) -> &'a [u64] {
-        self.offsets
-    }
-
-    /// Streaming cursor over the labels of vertex `v`, or `None` when `v`
-    /// is out of range. This is the storage-agnostic sibling of
-    /// [`FlatView::try_labels_of`]: a flat store iterates a slice, a
-    /// compressed store decodes as it goes.
-    #[inline]
-    pub fn label_run(&self, v: VertexId) -> Option<S::Cursor> {
-        let lo = *self.offsets.get(v as usize)? as usize;
-        let hi = *self.offsets.get(v as usize + 1)? as usize;
-        Some(self.store.run(v as usize, lo, hi))
-    }
-
-    /// The run of vertex `v` as a plain slice, when the storage keeps
-    /// entries decoded ([`LabelStorage::raw_run`]); `None` for streaming
-    /// encodings or an out-of-range `v`.
-    #[inline]
-    fn raw_run_of(&self, v: VertexId) -> Option<&'a [LabelEntry]> {
-        let lo = *self.offsets.get(v as usize)? as usize;
-        let hi = *self.offsets.get(v as usize + 1)? as usize;
-        self.store.raw_run(v as usize, lo, hi)
-    }
-
-    /// The merge join behind [`Self::query`] / [`Self::query_with_hub`]:
-    /// slice-backed storages take the tiered branchless/gallop kernel,
-    /// streaming storages keep the iterator join. Both runs must be in
-    /// range.
-    #[inline]
-    fn join_runs(
-        &self,
-        lu: S::Cursor,
-        lv: S::Cursor,
-        u: VertexId,
-        v: VertexId,
-    ) -> Option<(u32, Distance)> {
-        match (self.raw_run_of(u), self.raw_run_of(v)) {
-            (Some(ra), Some(rb)) => kernel::join_adaptive(ra, rb),
-            _ => join_sorted_iters(lu, lv),
-        }
-    }
-
-    /// The minimizing `(hub rank position, distance)` of a PPSD query —
-    /// [`Self::query_with_hub`] before the position is mapped to a vertex
-    /// id. Path unpacking needs the raw position to look entries up on the
-    /// parent chain. `None` for disconnected or out-of-range pairs.
-    pub(crate) fn join_hub_pos(&self, u: VertexId, v: VertexId) -> Option<(u32, Distance)> {
-        let (mut lu, lv) = (self.label_run(u)?, self.label_run(v)?);
-        if u == v {
-            // A vertex carries its own zero-distance entry in any canonical
-            // labeling; report it so callers get a real (position, 0)
-            // witness. An (invalid) empty run yields None, not a panic.
-            return lu.find(|e| e.dist == 0).map(|e| (e.hub, 0));
-        }
-        self.join_runs(lu, lv, u, v)
-    }
-
-    /// Locates vertex `v`'s label entry for hub rank position `hub_pos`:
-    /// `Some((global_entry_index, (hub_pos, dist)))` when present. The
-    /// global index addresses the parallel [`Self::parents`] array. Flat
-    /// storages binary-search the run; streaming storages scan the sorted
-    /// cursor and stop early.
-    pub(crate) fn entry_of(&self, v: VertexId, hub_pos: u32) -> Option<(usize, (u32, Distance))> {
-        let lo = *self.offsets.get(v as usize)? as usize;
-        if let Some(run) = self.raw_run_of(v) {
-            let i = run.partition_point(|e| e.hub < hub_pos);
-            let e = run.get(i)?;
-            return (e.hub == hub_pos).then_some((lo + i, (e.hub, e.dist)));
-        }
-        for (i, e) in self.label_run(v)?.enumerate() {
-            if e.hub == hub_pos {
-                return Some((lo + i, (e.hub, e.dist)));
-            }
-            if e.hub > hub_pos {
-                return None;
-            }
-        }
-        None
-    }
-
-    /// Answers a PPSD query: the exact shortest-path distance between `u` and
-    /// `v`, or [`chl_graph::types::INFINITY`] when they are not connected.
-    /// Ids outside `0..num_vertices()` are unreachable, including
-    /// `query(u, u)` for a nonexistent `u`.
-    pub fn query(&self, u: VertexId, v: VertexId) -> Distance {
-        let (Some(lu), Some(lv)) = (self.label_run(u), self.label_run(v)) else {
-            return chl_graph::types::INFINITY;
-        };
-        if u == v {
-            return 0;
-        }
-        self.join_runs(lu, lv, u, v)
-            .map(|(_, d)| d)
-            .unwrap_or(chl_graph::types::INFINITY)
-    }
-
-    /// Like [`Self::query`] but also reports the hub (as a vertex id) through
-    /// which the minimum distance is achieved. `None` for disconnected pairs
-    /// and for out-of-range ids.
-    pub fn query_with_hub(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Distance)> {
-        let (lu, lv) = (self.label_run(u)?, self.label_run(v)?);
-        if u == v {
-            return Some((u, 0));
-        }
-        self.join_runs(lu, lv, u, v)
-            .map(|(hub_pos, d)| (self.vertex_at(hub_pos), d))
-    }
-
-    /// Total number of labels stored.
-    pub fn total_labels(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0) as usize
-    }
-
-    /// Average label size per vertex (ALS).
-    pub fn average_label_size(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            self.total_labels() as f64 / self.num_vertices() as f64
-        }
-    }
-
-    /// Maximum label-set size over all vertices.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "windows(2) yields exactly-2-element slices by construction"
-    )]
-    pub fn max_label_size(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Human-readable name of the entries encoding backing this view.
-    pub fn encoding(&self) -> &'static str {
-        self.store.encoding()
-    }
-
-    /// Bytes of backing storage the view's slices span — for a view over a
-    /// `.chl` buffer, the file bytes actually touched by queries; for a
-    /// compressed view this is the *encoded* footprint, not the 16-byte-per-
-    /// entry decoded one. Unlike an owned [`FlatIndex`], a view carries no
-    /// rank-position array, so this is smaller than
-    /// [`FlatIndex::memory_bytes`] by `4 * n`.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.offsets)
-            + self.store.storage_bytes()
-            + std::mem::size_of_val(self.order)
-    }
-}
-
-impl<'a> FlatView<'a> {
-    /// Assembles a flat view from raw parts, without validating the CSR
-    /// invariants. Callers (the owning wrapper and the persistence layer)
-    /// must have established them.
-    pub(crate) fn from_validated_parts(
-        order: &'a [VertexId],
-        offsets: &'a [u64],
-        entries: &'a [LabelEntry],
-    ) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), entries.len() as u64);
-        LabelView::from_parts(order, offsets, RawStore { entries })
-    }
-
-    /// All label entries, concatenated in vertex order.
-    pub fn entries(&self) -> &'a [LabelEntry] {
-        self.store.entries
-    }
-
-    /// Label slice of vertex `v`, sorted ascending by hub rank position.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `v >= num_vertices()`; use [`Self::try_labels_of`] for
-    /// ids that may come from untrusted input.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented panic on v >= n; lo..hi come from validated monotone offsets"
-    )]
-    pub fn labels_of(&self, v: VertexId) -> &'a [LabelEntry] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.store.entries[lo..hi]
-    }
-
-    /// Label slice of vertex `v`, or `None` when `v` is out of range.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "lo/hi come from a monotone offsets array validated at construction or open"
-    )]
-    pub fn try_labels_of(&self, v: VertexId) -> Option<&'a [LabelEntry]> {
-        let lo = *self.offsets.get(v as usize)? as usize;
-        let hi = *self.offsets.get(v as usize + 1)? as usize;
-        Some(&self.store.entries[lo..hi])
-    }
-}
-
-impl<'a> CompressedView<'a> {
-    /// Assembles a compressed view from parts the persistence layer has
-    /// fully validated.
-    pub(crate) fn from_validated_compressed_parts(
-        order: &'a [VertexId],
-        offsets: &'a [u64],
-        skip: &'a [u64],
-        blob: &'a [u8],
-    ) -> Self {
-        debug_assert_eq!(skip.len(), offsets.len());
-        LabelView::from_parts(
-            order,
-            offsets,
-            CompressedStore::from_validated_parts(skip, blob),
-        )
-    }
-
-    /// Encoded size of the entry payload in bytes (excluding the skip
-    /// table), for compression-ratio reporting.
-    pub fn encoded_len(&self) -> usize {
-        self.store.encoded_len()
-    }
-}
-
-impl<'a, S: LabelStorage<'a>> DistanceOracle for LabelView<'a, S> {
-    fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.query(u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        LabelView::num_vertices(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        LabelView::memory_bytes(self)
-    }
-
-    // S×T blocks pivot on the hub side instead of running |S|·|T| point
-    // queries; answers are identical per cell (property-tested).
-    fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {
-        kernel::matrix_pivot(self, sources, targets)
     }
 }
 
@@ -616,74 +202,167 @@ impl ShardView<'_> {
     }
 }
 
-/// The two entries encodings an [`IndexView`] can be backed by. Both arms
-/// run the identical [`LabelView`] kernel; the enum is one match deep, not
-/// a second implementation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum StorageView<'a> {
-    /// Flat 16-byte-record entries, reinterpreted in place (zero-copy).
-    Flat(FlatView<'a>),
-    /// Delta+varint compressed entries, decoded per label run as queries
-    /// stream them.
-    Compressed(CompressedView<'a>),
-}
-
-/// A borrowed view over a `.chl` buffer of either entries encoding —
-/// what [`crate::persist::open_view`] returns and what
-/// [`crate::mapped::MmapIndex`] hands out per query when the encoding is
-/// only known at run time. A v3 shard file additionally carries its
-/// [`ShardView`]; [`Self::try_query`] is the shard-honest query surface,
-/// refusing foreign endpoints with a typed [`NotThisShard`] instead of the
-/// silently wrong `INFINITY` the shard-blind [`Self::query`] would produce.
+/// A borrowed hub labeling in the CSR serving layout — the query kernel of
+/// every backend: [`FlatIndex::as_index_view`], the zero-copy
+/// [`crate::persist::open_view`] and [`crate::mapped::MmapIndex::view`].
+///
+/// The label run of vertex `v` spans CSR entry indexes
+/// `offsets[v] .. offsets[v + 1]`, sorted ascending by hub rank position,
+/// and lives in flat or compressed entries; `order[pos]` is the vertex at
+/// rank position `pos` (most important first). A view only comes from a
+/// validated source, so the query methods take the CSR invariants as
+/// given. A v3 shard file additionally carries its [`ShardView`];
+/// [`Self::try_query`] is the shard-honest query surface, refusing foreign
+/// endpoints with a typed [`NotThisShard`] instead of the silently wrong
+/// `INFINITY` the shard-blind [`Self::query`] would produce.
+///
+/// Views are `Copy`: a few fat pointers, cheap to pass around and to send
+/// to worker threads.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexView<'a> {
-    pub(crate) storage: StorageView<'a>,
+    pub(crate) order: &'a [VertexId],
+    pub(crate) offsets: &'a [u64],
+    pub(crate) entries: Entries<'a>,
+    /// Per-entry parent records (`.chl` path section): `parents[i]` is the
+    /// next vertex on the shortest path from entry `i`'s owner toward its
+    /// hub, the owner itself for zero-distance entries.
+    pub(crate) parents: Option<&'a [u32]>,
     pub(crate) shard: Option<ShardView<'a>>,
 }
 
 impl<'a> IndexView<'a> {
-    /// Wraps a flat view (no shard identity).
-    pub(crate) fn flat(view: FlatView<'a>) -> Self {
-        IndexView {
-            storage: StorageView::Flat(view),
-            shard: None,
+    /// The CSR entry range of vertex `v`, or `None` when `v` is out of
+    /// range.
+    #[inline]
+    fn span(&self, v: VertexId) -> Option<Range<usize>> {
+        let v = v as usize;
+        Some(*self.offsets.get(v)? as usize..*self.offsets.get(v + 1)? as usize)
+    }
+
+    /// The decoder over vertex `v`'s run in compressed entries.
+    #[inline]
+    fn cursor(&self, skip: &'a [u64], blob: &'a [u8], v: VertexId) -> Option<DecodeCursor<'a>> {
+        let count = self.span(v)?.len();
+        let v = v as usize;
+        let bytes = blob.get(*skip.get(v)? as usize..*skip.get(v + 1)? as usize)?;
+        Some(DecodeCursor::new(bytes, count))
+    }
+
+    /// The label run of vertex `v`, or `None` when `v` is out of range.
+    #[inline]
+    pub(crate) fn run(&self, v: VertexId) -> Option<Run<'a>> {
+        Some(match self.entries {
+            Entries::Flat(entries) => Run::Flat(entries.get(self.span(v)?)?.iter()),
+            Entries::Compressed { skip, blob } => Run::Compressed(self.cursor(skip, blob, v)?),
+        })
+    }
+
+    /// The merge join of the runs of `u` and `v`, branching on the encoding
+    /// once: flat runs take the tiered slice kernel, compressed runs the
+    /// iterator join. `None` also when either id is out of range.
+    #[inline]
+    fn join(&self, u: VertexId, v: VertexId) -> Option<(u32, Distance)> {
+        match self.entries {
+            Entries::Flat(entries) => {
+                kernel::join_adaptive(entries.get(self.span(u)?)?, entries.get(self.span(v)?)?)
+            }
+            Entries::Compressed { skip, blob } => {
+                join_sorted_iters(self.cursor(skip, blob, u)?, self.cursor(skip, blob, v)?)
+            }
         }
     }
 
-    /// Wraps a compressed view (no shard identity).
-    pub(crate) fn compressed(view: CompressedView<'a>) -> Self {
-        IndexView {
-            storage: StorageView::Compressed(view),
-            shard: None,
+    /// The minimizing `(hub rank position, distance)` of a PPSD query —
+    /// [`Self::query_with_hub`] before the position is mapped to a vertex
+    /// id. Path unpacking needs the raw position to look entries up on the
+    /// parent chain. `None` for disconnected or out-of-range pairs.
+    pub(crate) fn join_hub_pos(&self, u: VertexId, v: VertexId) -> Option<(u32, Distance)> {
+        if u == v {
+            // A vertex carries its own zero-distance entry in any canonical
+            // labeling; report it so callers get a real (position, 0)
+            // witness. An (invalid) empty run yields None, not a panic.
+            return self.run(u)?.find(|e| e.dist == 0).map(|e| (e.hub, 0));
         }
+        self.join(u, v)
     }
 
-    /// Attaches a validated shard identity.
-    pub(crate) fn with_shard(mut self, shard: ShardView<'a>) -> Self {
-        self.shard = Some(shard);
-        self
-    }
-
-    /// Attaches validated per-entry parent records to the inner view.
-    pub(crate) fn with_parents(mut self, parents: &'a [u32]) -> Self {
-        self.storage = match self.storage {
-            StorageView::Flat(view) => StorageView::Flat(view.with_parents(parents)),
-            StorageView::Compressed(view) => StorageView::Compressed(view.with_parents(parents)),
+    /// Locates vertex `v`'s label entry for hub rank position `hub_pos`:
+    /// `Some((global entry index, distance))` when present. The global
+    /// index addresses the parallel [`Self::parents`] array. Flat runs are
+    /// binary-searched; compressed runs are scanned, stopping early.
+    pub(crate) fn entry_of(&self, v: VertexId, hub_pos: u32) -> Option<(usize, Distance)> {
+        let lo = self.span(v)?.start;
+        let (i, e) = match self.run(v)? {
+            Run::Flat(run) => {
+                let run = run.as_slice();
+                let i = run.partition_point(|e| e.hub < hub_pos);
+                (i, *run.get(i)?)
+            }
+            run => run.enumerate().find(|(_, e)| e.hub >= hub_pos)?,
         };
-        self
+        (e.hub == hub_pos).then_some((lo + i, e.dist))
+    }
+
+    /// Answers a PPSD query: the exact shortest-path distance between `u` and
+    /// `v`, or [`INFINITY`] when they are not connected. Ids outside
+    /// `0..num_vertices()` are unreachable, including `query(u, u)` for a
+    /// nonexistent `u`.
+    ///
+    /// This surface is shard-blind: on a shard file a foreign endpoint
+    /// produces `INFINITY` because its label run is stored empty. Callers
+    /// serving a shard must use [`Self::try_query`].
+    #[inline]
+    pub fn query(&self, u: VertexId, v: VertexId) -> Distance {
+        if u == v {
+            return self.span(u).map_or(INFINITY, |_| 0);
+        }
+        self.join(u, v).map_or(INFINITY, |(_, d)| d)
+    }
+
+    /// Like [`Self::query`] but also reports the hub (as a vertex id) through
+    /// which the minimum distance is achieved. `None` for disconnected pairs
+    /// and for out-of-range ids.
+    pub fn query_with_hub(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Distance)> {
+        if u == v {
+            return self.span(u).map(|_| (u, 0));
+        }
+        let (hub_pos, d) = self.join(u, v)?;
+        Some((*self.order.get(hub_pos as usize)?, d))
+    }
+
+    /// The shard-ownership rule: the first of `u`, `v` that is in range
+    /// but owned by a different shard, or `None` when the pair is
+    /// answerable here — always on a whole index, and for out-of-range ids,
+    /// which are data (unreachable) on every server.
+    #[inline]
+    pub fn foreign_endpoint(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
+        let shard = self.shard.as_ref()?;
+        let n = self.num_vertices();
+        [u, v]
+            .into_iter()
+            .find(|&id| (id as usize) < n && !shard.owns(id))
+    }
+
+    /// Shard-honest query: `Ok` with the exact distance (out-of-range ids
+    /// stay `INFINITY`, exactly like [`Self::query`]), `Err(NotThisShard)`
+    /// when either endpoint is in range but owned by a different shard
+    /// ([`Self::foreign_endpoint`]). On an unsharded view this never errs.
+    #[inline]
+    pub fn try_query(&self, u: VertexId, v: VertexId) -> Result<Distance, NotThisShard> {
+        match self.foreign_endpoint(u, v) {
+            Some(vertex) => Err(NotThisShard { vertex }),
+            None => Ok(self.query(u, v)),
+        }
     }
 
     /// The per-entry parent records, when the view carries path data.
     pub fn parents(&self) -> Option<&'a [u32]> {
-        match &self.storage {
-            StorageView::Flat(view) => view.parents(),
-            StorageView::Compressed(view) => view.parents(),
-        }
+        self.parents
     }
 
     /// `true` when path reconstruction is available on this view.
     pub fn has_path_data(&self) -> bool {
-        self.parents().is_some()
+        self.parents.is_some()
     }
 
     /// The shard identity of a v3 shard file; `None` for a whole index.
@@ -696,113 +375,78 @@ impl<'a> IndexView<'a> {
         self.shard.is_some()
     }
 
-    /// Exact PPSD distance, [`chl_graph::types::INFINITY`] for disconnected
-    /// or out-of-range pairs — same contract as [`LabelView::query`].
-    ///
-    /// This surface is shard-blind: on a shard file a foreign endpoint
-    /// produces `INFINITY` because its label run is stored empty. Callers
-    /// serving a shard must use [`Self::try_query`].
-    #[inline]
-    pub fn query(&self, u: VertexId, v: VertexId) -> Distance {
-        match &self.storage {
-            StorageView::Flat(view) => view.query(u, v),
-            StorageView::Compressed(view) => view.query(u, v),
-        }
-    }
-
-    /// Shard-honest query: `Ok` with the exact distance (out-of-range ids
-    /// stay `INFINITY`, exactly like [`Self::query`]), `Err(NotThisShard)`
-    /// when either endpoint is in range but owned by a different shard.
-    /// On an unsharded view this never errs.
-    #[inline]
-    pub fn try_query(&self, u: VertexId, v: VertexId) -> Result<Distance, NotThisShard> {
-        if let Some(shard) = &self.shard {
-            let n = self.num_vertices() as u64;
-            for id in [u, v] {
-                if (id as u64) < n && !shard.owns(id) {
-                    return Err(NotThisShard { vertex: id });
-                }
-            }
-        }
-        Ok(self.query(u, v))
-    }
-
-    /// Like [`Self::query`] but also reports the hub achieving the minimum.
-    #[inline]
-    pub fn query_with_hub(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Distance)> {
-        match &self.storage {
-            StorageView::Flat(view) => view.query_with_hub(u, v),
-            StorageView::Compressed(view) => view.query_with_hub(u, v),
-        }
-    }
-
     /// Number of vertices covered by the view. For a shard file this is the
     /// **global** vertex count of the unsharded index, not the owned count.
     pub fn num_vertices(&self) -> usize {
-        match &self.storage {
-            StorageView::Flat(view) => view.num_vertices(),
-            StorageView::Compressed(view) => view.num_vertices(),
-        }
+        self.offsets.len() - 1
     }
 
     /// Total number of labels stored (decoded count). For a shard file,
     /// only this shard's labels.
     pub fn total_labels(&self) -> usize {
-        match &self.storage {
-            StorageView::Flat(view) => view.total_labels(),
-            StorageView::Compressed(view) => view.total_labels(),
-        }
+        *self.offsets.last().unwrap_or(&0) as usize
     }
 
-    /// The CSR offsets array (`num_vertices + 1` entries).
+    /// The CSR offsets array (`num_vertices + 1` entries, first `0`, last
+    /// equal to [`Self::total_labels`]).
     pub fn offsets(&self) -> &'a [u64] {
-        match &self.storage {
-            StorageView::Flat(view) => view.offsets(),
-            StorageView::Compressed(view) => view.offsets(),
-        }
+        self.offsets
     }
 
-    /// The ranking's order array.
+    /// The ranking's order array: `order()[pos]` is the vertex at rank
+    /// position `pos`, most important first.
     pub fn order(&self) -> &'a [VertexId] {
-        match &self.storage {
-            StorageView::Flat(view) => view.order(),
-            StorageView::Compressed(view) => view.order(),
-        }
+        self.order
     }
 
     /// Maximum label-set size over all vertices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields exactly-2-element slices by construction"
+    )]
     pub fn max_label_size(&self) -> usize {
-        match &self.storage {
-            StorageView::Flat(view) => view.max_label_size(),
-            StorageView::Compressed(view) => view.max_label_size(),
-        }
+        self.offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// `true` when the underlying entries section is delta+varint
     /// compressed.
     pub fn is_compressed(&self) -> bool {
-        matches!(self.storage, StorageView::Compressed(_))
+        matches!(self.entries, Entries::Compressed { .. })
     }
 
     /// Human-readable name of the entries encoding.
     pub fn encoding(&self) -> &'static str {
-        match &self.storage {
-            StorageView::Flat(view) => view.encoding(),
-            StorageView::Compressed(view) => view.encoding(),
+        match self.entries {
+            Entries::Flat(_) => "flat",
+            Entries::Compressed { .. } => "compressed (delta+varint)",
         }
     }
 
-    /// Bytes of backing storage the view spans in its on-disk encoding.
+    /// Bytes of backing storage the view spans in its on-disk encoding —
+    /// for a view over a `.chl` buffer, the file bytes queries touch: the
+    /// order, offsets and entries arrays (a compressed view counts its
+    /// *encoded* skip table and blob, not the 16-byte-per-entry decoded
+    /// size), the parent records and a shard's owned-vertex list. Unlike an
+    /// owned [`FlatIndex`], a view carries no rank-position array, so this
+    /// is smaller than [`FlatIndex::memory_bytes`] by `4 * n`.
     pub fn memory_bytes(&self) -> usize {
-        let storage = match &self.storage {
-            StorageView::Flat(view) => view.memory_bytes(),
-            StorageView::Compressed(view) => view.memory_bytes(),
+        let entries = match self.entries {
+            Entries::Flat(entries) => size_of_val(entries),
+            Entries::Compressed { skip, blob } => size_of_val(skip) + blob.len(),
         };
-        storage + self.shard.map_or(0, |s| std::mem::size_of_val(s.owned))
+        size_of_val(self.offsets)
+            + entries
+            + size_of_val(self.order)
+            + self.parents.map_or(0, size_of_val)
+            + self.shard.map_or(0, |s| size_of_val(s.owned))
     }
 
     /// Copies the view into an owned [`FlatIndex`], decoding if compressed
-    /// and preserving the shard identity if present.
+    /// and preserving the parent records and shard identity if present.
     pub fn to_owned_index(&self) -> FlatIndex {
         self.to_owned_with(None)
     }
@@ -813,16 +457,16 @@ impl<'a> IndexView<'a> {
     /// are decoded here. Flat views copy their entries and ignore it.
     #[expect(
         clippy::expect_used,
-        reason = "v iterates 0..n of this view, and views only exist over validated permutations"
+        reason = "views only exist over validated permutations"
     )]
     pub(crate) fn to_owned_with(self, decoded: Option<Vec<LabelEntry>>) -> FlatIndex {
-        let entries = match (&self.storage, decoded) {
-            (StorageView::Flat(view), _) => view.entries().to_vec(),
-            (StorageView::Compressed(_), Some(entries)) => entries,
-            (StorageView::Compressed(view), None) => {
-                let mut entries = Vec::with_capacity(view.total_labels());
-                for v in 0..view.num_vertices() as VertexId {
-                    entries.extend(view.label_run(v).expect("v in range"));
+        let entries = match (self.entries, decoded) {
+            (Entries::Flat(entries), _) => entries.to_vec(),
+            (Entries::Compressed { .. }, Some(entries)) => entries,
+            (Entries::Compressed { .. }, None) => {
+                let mut entries = Vec::with_capacity(self.total_labels());
+                for v in 0..self.num_vertices() as VertexId {
+                    entries.extend(self.run(v).into_iter().flatten());
                 }
                 entries
             }
@@ -832,12 +476,12 @@ impl<'a> IndexView<'a> {
         // is a copy of the same storage, so the cross-section invariants
         // already hold — attach parents and shard identity directly instead
         // of routing through the fallible `with_parents` / `with_shard`.
-        let ranking = Ranking::from_order(self.order().to_vec(), self.num_vertices())
+        let ranking = Ranking::from_order(self.order.to_vec(), self.num_vertices())
             .expect("views only exist over validated permutations");
         FlatIndex {
-            shard: self.shard.as_ref().map(|s| s.to_spec()),
-            parents: self.parents().map(<[u32]>::to_vec),
-            ..FlatIndex::from_validated_parts(self.offsets().to_vec(), entries, ranking)
+            shard: self.shard.as_ref().map(ShardView::to_spec),
+            parents: self.parents.map(<[u32]>::to_vec),
+            ..FlatIndex::from_validated_parts(self.offsets.to_vec(), entries, ranking)
         }
     }
 }
@@ -855,20 +499,18 @@ impl DistanceOracle for IndexView<'_> {
         IndexView::memory_bytes(self)
     }
 
+    // S×T blocks pivot on the hub side instead of running |S|·|T| point
+    // queries; answers are identical per cell (property-tested).
     fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {
-        match &self.storage {
-            StorageView::Flat(view) => kernel::matrix_pivot(view, sources, targets),
-            StorageView::Compressed(view) => kernel::matrix_pivot(view, sources, targets),
-        }
+        kernel::matrix_pivot(self, sources, targets)
     }
 }
 
 /// A hub labeling stored as two contiguous CSR-style arrays, owned.
 ///
-/// This is a thin owning wrapper over the [`FlatView`] query kernel: the
-/// arrays sit behind one shared [`Arc`] (plus the full [`Ranking`], whose
-/// rank-position array the borrowed view does not need), and every query
-/// delegates through [`FlatIndex::as_view`]. A clone shares the arrays; the
+/// The arrays sit behind one shared [`Arc`], next to the full [`Ranking`]
+/// (whose rank-position array a borrowed view does not need); every query
+/// runs on [`FlatIndex::as_index_view`]. A clone shares the arrays; the
 /// parent records and the shard identity belong to each handle, so
 /// attaching parents to a clone copies no label entry.
 ///
@@ -944,16 +586,23 @@ impl FlatIndex {
         index.clone()
     }
 
-    /// Borrows the index as the ownership-agnostic query kernel. All query
-    /// methods on `FlatIndex` are thin forwards through this view, so owned
-    /// and borrowed serving paths execute literally the same code.
+    /// Borrows the index as the [`IndexView`] query kernel, parent records
+    /// and shard identity included — the same shape the zero-copy load
+    /// paths serve, so owned and borrowed serving run literally the same
+    /// code.
     #[inline]
-    pub fn as_view(&self) -> FlatView<'_> {
-        let Csr { offsets, entries } = &*self.labels;
-        let view = FlatView::from_validated_parts(self.ranking.order(), offsets, entries);
-        match &self.parents {
-            Some(p) => view.with_parents(p),
-            None => view,
+    pub fn as_index_view(&self) -> IndexView<'_> {
+        IndexView {
+            order: self.ranking.order(),
+            offsets: &self.labels.offsets,
+            entries: Entries::Flat(&self.labels.entries),
+            parents: self.parents.as_deref(),
+            shard: self.shard.as_ref().map(|s| ShardView {
+                shard_id: s.shard_id,
+                shard_count: s.shard_count,
+                zeta: s.zeta,
+                owned: &s.owned,
+            }),
         }
     }
 
@@ -1060,28 +709,6 @@ impl FlatIndex {
         .with_shard(spec)
     }
 
-    /// Shard-honest query — same contract as [`IndexView::try_query`]: on
-    /// a shard, an in-range endpoint owned by another shard is a typed
-    /// [`NotThisShard`] instead of a silently wrong `INFINITY`.
-    pub fn try_query(&self, u: VertexId, v: VertexId) -> Result<Distance, NotThisShard> {
-        self.as_index_view().try_query(u, v)
-    }
-
-    /// Borrows the index as the runtime-dispatched [`IndexView`], shard
-    /// identity included — the same shape the zero-copy load paths serve.
-    pub fn as_index_view(&self) -> IndexView<'_> {
-        let view = IndexView::flat(self.as_view());
-        match &self.shard {
-            Some(s) => view.with_shard(ShardView {
-                shard_id: s.shard_id,
-                shard_count: s.shard_count,
-                zeta: s.zeta,
-                owned: &s.owned,
-            }),
-            None => view,
-        }
-    }
-
     /// Number of vertices covered by the index.
     pub fn num_vertices(&self) -> usize {
         self.offsets().len() - 1
@@ -1110,29 +737,31 @@ impl FlatIndex {
     /// Panics when `v >= num_vertices()`; use [`Self::try_labels_of`] for
     /// ids that may come from untrusted input.
     #[inline]
+    #[expect(clippy::expect_used, reason = "documented panic on v >= n")]
     pub fn labels_of(&self, v: VertexId) -> &[LabelEntry] {
-        self.as_view().labels_of(v)
+        self.try_labels_of(v).expect("vertex id out of range")
     }
 
     /// Label slice of vertex `v`, or `None` when `v` is out of range.
     #[inline]
     pub fn try_labels_of(&self, v: VertexId) -> Option<&[LabelEntry]> {
-        self.as_view().try_labels_of(v)
+        let lo = *self.offsets().get(v as usize)? as usize;
+        let hi = *self.offsets().get(v as usize + 1)? as usize;
+        self.entries().get(lo..hi)
     }
 
-    /// Answers a PPSD query: the exact shortest-path distance between `u` and
-    /// `v`, or [`chl_graph::types::INFINITY`] when they are not connected.
-    /// Ids outside `0..num_vertices()` are unreachable, including
-    /// `query(u, u)` for a nonexistent `u`.
+    /// [`IndexView::query`] on this index: the exact shortest-path distance
+    /// between `u` and `v`, [`INFINITY`] when they are not connected or
+    /// either id is out of range.
     pub fn query(&self, u: VertexId, v: VertexId) -> Distance {
-        self.as_view().query(u, v)
+        self.as_index_view().query(u, v)
     }
 
-    /// Like [`Self::query`] but also reports the hub (as a vertex id) through
-    /// which the minimum distance is achieved. `None` for disconnected pairs
-    /// and for out-of-range ids.
+    /// [`IndexView::query_with_hub`] on this index: the distance and the
+    /// hub achieving it. `None` for disconnected pairs and for out-of-range
+    /// ids.
     pub fn query_with_hub(&self, u: VertexId, v: VertexId) -> Option<(VertexId, Distance)> {
-        self.as_view().query_with_hub(u, v)
+        self.as_index_view().query_with_hub(u, v)
     }
 
     /// Total number of labels stored.
@@ -1142,21 +771,28 @@ impl FlatIndex {
 
     /// Average label size per vertex (ALS).
     pub fn average_label_size(&self) -> f64 {
-        self.as_view().average_label_size()
+        match self.num_vertices() {
+            0 => 0.0,
+            n => self.total_labels() as f64 / n as f64,
+        }
     }
 
     /// Maximum label-set size over all vertices.
     pub fn max_label_size(&self) -> usize {
-        self.as_view().max_label_size()
+        self.as_index_view().max_label_size()
     }
 
-    /// Approximate heap memory consumed, in bytes: the two flat arrays plus
-    /// both direction arrays of the [`Ranking`] (order and rank position) —
-    /// everything resident when this index serves.
+    /// Heap memory consumed, in bytes — everything resident when this index
+    /// serves: the two flat arrays, both direction arrays of the
+    /// [`Ranking`] (order and rank position), the parent records (4 bytes
+    /// per label) and a shard's owned-vertex list (4 bytes per owned
+    /// vertex).
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.offsets())
-            + std::mem::size_of_val(self.entries())
+        size_of_val(self.offsets())
+            + size_of_val(self.entries())
             + self.ranking.memory_bytes()
+            + self.parents().map_or(0, size_of_val)
+            + self.shard().map_or(0, |s| size_of_val(s.owned.as_slice()))
     }
 
     /// Serializes the index into the versioned `.chl` byte format
@@ -1228,9 +864,10 @@ impl FlatIndex {
     }
 }
 
+/// Every call answers from one [`IndexView`] borrowed for that call.
 impl DistanceOracle for FlatIndex {
     fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.query(u, v)
+        self.as_index_view().distance(u, v)
     }
 
     fn num_vertices(&self) -> usize {
@@ -1241,8 +878,12 @@ impl DistanceOracle for FlatIndex {
         FlatIndex::memory_bytes(self)
     }
 
+    fn distances(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Distance> {
+        self.as_index_view().distances(pairs)
+    }
+
     fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {
-        kernel::matrix_pivot(&self.as_view(), sources, targets)
+        self.as_index_view().matrix(sources, targets)
     }
 }
 
@@ -1346,7 +987,7 @@ mod tests {
     #[test]
     fn view_is_the_same_kernel_as_the_owned_index() {
         let flat = tiny_index();
-        let view = flat.as_view();
+        let view = flat.as_index_view();
         assert_eq!(view.num_vertices(), flat.num_vertices());
         assert_eq!(view.total_labels(), flat.total_labels());
         assert_eq!(view.max_label_size(), flat.max_label_size());
@@ -1359,8 +1000,8 @@ mod tests {
         }
         // Views are Copy and round-trip to an equal owned index.
         let copy = view;
-        assert_eq!(IndexView::flat(copy).to_owned_index(), flat);
-        assert_eq!(IndexView::flat(view).to_owned_index(), flat);
+        assert_eq!(copy.to_owned_index(), flat);
+        assert_eq!(view.to_owned_index(), flat);
     }
 
     #[test]
@@ -1392,7 +1033,40 @@ mod tests {
         // The owned index keeps order + position (8 bytes per vertex)...
         assert_eq!(flat.memory_bytes(), arrays + 8 * n);
         // ...while a borrowed view only spans the order array (4 per vertex).
-        assert_eq!(flat.as_view().memory_bytes(), arrays + 4 * n);
+        assert_eq!(flat.as_index_view().memory_bytes(), arrays + 4 * n);
+    }
+
+    #[test]
+    fn memory_bytes_counts_parent_records_and_the_owned_list() {
+        // One parent per entry: self for distance 0, else vertex 1.
+        let pathful = tiny_index().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
+        let (n, m) = (3, 5);
+        // offsets (n + 1) * 8 + entries 16 m + order and position 8 n +
+        // parents 4 m.
+        assert_eq!(pathful.memory_bytes(), 8 * (n + 1) + 16 * m + 8 * n + 4 * m);
+        assert_eq!(
+            pathful.as_index_view().memory_bytes(),
+            8 * (n + 1) + 16 * m + 4 * n + 4 * m
+        );
+        let spec = ShardSpec {
+            shard_id: 0,
+            shard_count: 3,
+            zeta: 2,
+            owned: vec![0, 1],
+        };
+        let shard = pathful.restrict_to_shard(spec).unwrap();
+        // Vertex 2's two labels are gone; the owned list adds 4 per vertex.
+        let (m, owned) = (3, 2);
+        assert_eq!(shard.total_labels(), m);
+        assert_eq!(
+            shard.memory_bytes(),
+            8 * (n + 1) + 16 * m + 8 * n + 4 * m + 4 * owned
+        );
+        assert_eq!(
+            shard.as_index_view().memory_bytes(),
+            8 * (n + 1) + 16 * m + 4 * n + 4 * m + 4 * owned
+        );
+        assert_eq!(DistanceOracle::memory_bytes(&shard), shard.memory_bytes());
     }
 
     #[test]
@@ -1412,8 +1086,7 @@ mod tests {
         assert_eq!(flat.num_vertices(), 0);
         assert_eq!(flat.average_label_size(), 0.0);
         assert_eq!(flat.offsets(), &[0]);
-        assert_eq!(flat.as_view().num_vertices(), 0);
-        assert_eq!(flat.as_view().average_label_size(), 0.0);
+        assert_eq!(flat.as_index_view().num_vertices(), 0);
     }
 
     #[test]
@@ -1425,7 +1098,7 @@ mod tests {
         assert!(oracle.memory_bytes() > 0);
         assert_eq!(oracle.distances(&[(0, 1), (0, 2)]), vec![1, 2]);
         // The borrowed view serves through the same trait.
-        let view = flat.as_view();
+        let view = flat.as_index_view();
         let oracle: &dyn DistanceOracle = &view;
         assert_eq!(oracle.distance(0, 2), 2);
         assert_eq!(oracle.distances(&[(0, 1), (0, 2)]), vec![1, 2]);
@@ -1434,17 +1107,18 @@ mod tests {
     #[test]
     fn out_of_range_ids_are_unreachable_not_a_panic() {
         let flat = tiny_index(); // 3 vertices
+        let view = flat.as_index_view();
         for &(u, v) in &[(0, 3), (3, 0), (3, 3), (7, 9), (u32::MAX, 0)] {
             assert_eq!(flat.query(u, v), INFINITY, "({u}, {v})");
             assert_eq!(flat.query_with_hub(u, v), None, "({u}, {v})");
-            assert_eq!(flat.as_view().query(u, v), INFINITY, "view ({u}, {v})");
-            assert_eq!(flat.as_view().query_with_hub(u, v), None);
+            assert_eq!(view.query(u, v), INFINITY, "view ({u}, {v})");
+            assert_eq!(view.query_with_hub(u, v), None);
         }
         // A self-query on a nonexistent vertex is NOT 0.
         assert_eq!(flat.query(3, 3), INFINITY);
         assert!(flat.try_labels_of(2).is_some());
         assert!(flat.try_labels_of(3).is_none());
-        assert!(flat.as_view().try_labels_of(3).is_none());
+        assert!(view.run(3).is_none());
         // Batch queries go through the same checked path.
         let oracle: &dyn DistanceOracle = &flat;
         assert_eq!(

@@ -15,9 +15,9 @@
 //!   of the shorter one; selected when the runs' lengths differ by
 //!   [`GALLOP_FACTOR`] or more (hub vertices carry runs orders of magnitude
 //!   longer than leaf vertices).
-//! * [`join_adaptive`] — the tier selector [`crate::flat::LabelView`] calls
-//!   for every decoded (slice-backed) storage; streaming compressed runs
-//!   keep the iterator kernel.
+//! * [`join_adaptive`] — the tier selector [`crate::flat::IndexView`] calls
+//!   for every pair of flat (slice) runs; streaming compressed runs keep
+//!   the iterator kernel.
 //!
 //! All tiers return **exactly** what the reference join returns — same
 //! `Option`, same hub on ties (the first, i.e. highest-ranked, hub achieving
@@ -33,7 +33,7 @@
 
 use chl_graph::types::{Distance, VertexId, INFINITY};
 
-use crate::flat::{LabelStorage, LabelView};
+use crate::flat::IndexView;
 use crate::labels::LabelEntry;
 
 /// Length ratio at which [`join_adaptive`] switches from block scanning to
@@ -169,9 +169,9 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
     best.into_option()
 }
 
-/// The tier selector: the merge join [`crate::flat::LabelView`] (and, via
+/// The tier selector: the merge join [`crate::flat::IndexView`] (and, via
 /// [`crate::labels::join_sorted_slices`], the pointer-per-vertex
-/// [`crate::labels::LabelSet`]) runs for every slice-backed storage.
+/// [`crate::labels::LabelSet`]) runs for every pair of flat runs.
 ///
 /// Selection uses only the two lengths: heavily skewed pairs gallop, every
 /// other pair takes the branchless scan, whose conditional-move loop never
@@ -201,14 +201,14 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
 /// `O(|L(s)| + hits)` per row rather than `O(Σ_t(|L(s)| + |L(t)|))`. Rows
 /// are computed in parallel (`rayon::map`).
 ///
-/// Answers are exactly [`LabelView::query`] per cell: same saturating adds,
+/// Answers are exactly [`IndexView::query`] per cell: same saturating adds,
 /// same `INFINITY` for disconnected/out-of-range cells, and the same
 /// `s == t → 0` self-distance rule (which on a shard file applies to
 /// foreign vertices too, matching the shard-blind point query).
 ///
 /// [`DistanceOracle::matrix`]: crate::oracle::DistanceOracle::matrix
-pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
-    view: &LabelView<'a, S>,
+pub(crate) fn matrix_pivot(
+    view: &IndexView<'_>,
     sources: &[VertexId],
     targets: &[VertexId],
 ) -> Vec<Distance> {
@@ -219,8 +219,9 @@ pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
     // therefore stay INFINITY in every row.
     let mut pool: Vec<(u32, u32, Distance)> = Vec::new();
     for (j, &t) in targets.iter().enumerate() {
-        if let Some(run) = view.label_run(t) {
-            pool.extend(run.map(|e| (e.hub, j as u32, e.dist)));
+        if let Some(run) = view.run(t) {
+            pool.reserve(run.size_hint().0);
+            run.for_each(|e| pool.push((e.hub, j as u32, e.dist)));
         }
     }
     pool.sort_unstable_by_key(|&(h, j, _)| (h, j));
@@ -230,8 +231,8 @@ pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
         let Some(&s) = sources.get(i) else {
             return row;
         };
-        if let Some(run) = view.label_run(s) {
-            for e in run {
+        if let Some(run) = view.run(s) {
+            run.for_each(|e| {
                 let lo = pool.partition_point(|&(h, _, _)| h < e.hub);
                 for &(h, j, d) in pool.iter().skip(lo) {
                     if h != e.hub {
@@ -244,7 +245,7 @@ pub(crate) fn matrix_pivot<'a, S: LabelStorage<'a>>(
                         }
                     }
                 }
-            }
+            });
         }
         if (s as usize) < n {
             for (cell, &t) in row.iter_mut().zip(targets) {

@@ -78,8 +78,8 @@ pub fn join_sorted_slices(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Di
 ///
 /// Generalizing over `Iterator<Item = LabelEntry>` is what lets one query
 /// kernel serve every storage encoding: plain slices iterate by copy, while
-/// the delta+varint compressed store (see [`crate::flat::CompressedStore`])
-/// decodes entries on the fly — the join itself never knows the difference.
+/// a compressed run (see [`crate::flat::IndexView`]) decodes delta+varint
+/// entries on the fly — the join itself never knows the difference.
 /// Both inputs must be sorted strictly ascending by hub rank position.
 pub fn join_sorted_iters<A, B>(mut a: A, mut b: B) -> Option<(u32, Distance)>
 where

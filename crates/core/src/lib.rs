@@ -78,10 +78,10 @@
 //! layout), and [`persist`] defines the versioned, checksummed `.chl` file
 //! format it saves to and loads from. The on-disk layout is
 //! byte-identical to the in-memory one (8-byte-aligned sections), so serving
-//! does not even need the copy: [`persist::view_bytes`] borrows a
-//! [`flat::FlatView`] — the ownership-agnostic query kernel — straight from
-//! a validated buffer, and [`mapped::MmapIndex`] serves a file through that
-//! view from the OS page cache. The lifecycle is
+//! does not even need the copy: [`persist::open_view`] borrows a
+//! [`flat::IndexView`] — the query kernel every backend answers through —
+//! straight from a validated buffer, and [`mapped::MmapIndex`] serves a file
+//! through that view from the OS page cache. The lifecycle is
 //!
 //! ```text
 //! ChlBuilder::build -> FlatIndex -> save(path)
@@ -93,11 +93,10 @@
 //! The entries section of a file additionally supports a delta+varint
 //! **compressed encoding** (`chl build --compress` /
 //! [`persist::SaveOptions`]): labels are hub-sorted so hub gaps are small,
-//! and one label typically costs 2–4 bytes on disk instead of 16. The query
-//! kernel is generic over the storage ([`flat::LabelStorage`]), so
-//! compressed files serve through exactly the same merge-join — decoded
-//! into a [`flat::FlatIndex`] on load, or streamed straight out of the
-//! mapped bytes ([`flat::IndexView`]) under `--mmap`.
+//! and one label typically costs 2–4 bytes on disk instead of 16.
+//! Compressed files serve through the same [`flat::IndexView`] kernel —
+//! decoded into a [`flat::FlatIndex`] on load, or streamed straight out of
+//! the mapped bytes under `--mmap`.
 //!
 //! Conversion between the layouts is lossless, every corruption mode
 //! (truncation, bit flips, wrong magic/version) loads as a typed
@@ -141,7 +140,7 @@ pub mod table;
 pub use api::{Algorithm, ChlBuilder, Labeler, LabelingResult, RankingStrategy};
 pub use config::LabelingConfig;
 pub use error::LabelingError;
-pub use flat::{FlatIndex, FlatView, IndexView, LabelStorage, LabelView};
+pub use flat::{FlatIndex, IndexView};
 pub use index::HubLabelIndex;
 pub use labels::{LabelEntry, LabelSet};
 pub use mapped::MmapIndex;

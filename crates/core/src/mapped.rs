@@ -1,26 +1,25 @@
 //! Memory-mapped serving: a `.chl` file queried straight from the OS
 //! page cache.
 //!
-//! [`MmapIndex`] is the third member of the serving-layout family (after the
-//! owned [`FlatIndex`](crate::flat::FlatIndex) and the borrowed
-//! [`FlatView`](crate::flat::FlatView)): it owns a read-only mapping of the
-//! index file, validates it **once** at open — with the one validator every
-//! loader runs — and then hands out [`IndexView`]s borrowed directly
-//! from the mapped bytes. Nothing
-//! is deserialized and no heap copy of the payload is ever made: the kernel
-//! pages label data in on demand, cold-serve cost is one validation scan
-//! instead of scan + allocate + rebuild, and several processes serving the
-//! same file share one physical copy of it.
+//! [`MmapIndex`] is the zero-copy member of the serving-layout family (next
+//! to the owned [`FlatIndex`](crate::flat::FlatIndex)): it owns a read-only
+//! mapping of the index file, validates it **once** at open — with the one
+//! validator every loader runs — and then hands out [`IndexView`]s borrowed
+//! directly from the mapped bytes. Nothing is deserialized and no heap copy
+//! of the payload is ever made: the kernel pages label data in on demand,
+//! cold-serve cost is one validation scan instead of scan + allocate +
+//! rebuild, and several processes serving the same file share one physical
+//! copy of it.
 //!
 //! With the `mmap` feature (default) the backing is a real `mmap(2)` via the
 //! vendored `memmap2` shim; without it — or when mapping the file fails at
 //! runtime — the same type transparently falls back to one buffered read
 //! into an 8-byte-aligned heap buffer, preserving behavior everywhere at the
-//! cost of the copy. Either way the query path is the identical
-//! ownership-agnostic [`LabelView`](crate::flat::LabelView) kernel: flat
-//! files reinterpret their entries in place, while compressed files
-//! (`FLAG_COMPRESSED_ENTRIES`) stream-decode the two label runs each query
-//! intersects, directly from the mapped bytes at the compressed footprint.
+//! cost of the copy. Either way every query runs on the one [`IndexView`]
+//! kernel: flat files reinterpret their entries in place, while compressed
+//! files (`FLAG_COMPRESSED_ENTRIES`) stream-decode the two label runs each
+//! query intersects, directly from the mapped bytes at the compressed
+//! footprint.
 //!
 //! The aligned layout is what makes in-place reinterpretation possible.
 //! Opening a file of an earlier format version reports
@@ -136,8 +135,7 @@ impl MmapIndex {
     /// The borrowed query kernel over the mapped bytes. Cheap enough to call
     /// per query: assembling the view is a few slice cuts and pointer casts
     /// over the layout [`MmapIndex::open`] validated and kept. Flat files
-    /// serve a [`FlatView`](crate::flat::FlatView) arm, compressed files a
-    /// streaming [`CompressedView`](crate::flat::CompressedView) arm — the
+    /// serve their records in place, compressed files stream-decode — the
     /// query kernel is the same either way.
     #[inline]
     pub fn view(&self) -> IndexView<'_> {
@@ -197,9 +195,10 @@ impl MmapIndex {
     }
 }
 
+/// Every call answers from one [`IndexView`] assembled for that call.
 impl DistanceOracle for MmapIndex {
     fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.view().query(u, v)
+        self.view().distance(u, v)
     }
 
     fn num_vertices(&self) -> usize {
@@ -210,6 +209,10 @@ impl DistanceOracle for MmapIndex {
     /// decides residency); the fallback holds the same bytes on the heap.
     fn memory_bytes(&self) -> usize {
         self.file_len()
+    }
+
+    fn distances(&self, pairs: &[(VertexId, VertexId)]) -> Vec<Distance> {
+        self.view().distances(pairs)
     }
 
     fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {

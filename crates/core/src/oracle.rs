@@ -1,8 +1,10 @@
 //! The [`DistanceOracle`] trait: the workspace's single query surface.
 //!
 //! Every structure that can answer exact point-to-point shortest-distance
-//! (PPSD) queries implements this trait — the shared-memory
-//! [`crate::flat::FlatIndex`] and its views, the distributed label partitions
+//! (PPSD) queries implements this trait — the borrowed
+//! [`crate::flat::IndexView`] every hub-label backend answers through, the
+//! owned [`crate::flat::FlatIndex`] and the mapped
+//! [`crate::mapped::MmapIndex`], the distributed label partitions
 //! (`chl_distributed::DistributedLabeling`) and the three query-serving
 //! engines of `chl-query` (QLSN / QFDL / QDOL). Callers that only need
 //! distances can therefore be written once against `&dyn DistanceOracle` and
@@ -109,10 +111,10 @@ pub trait DistanceOracle: Sync {
     }
 }
 
-/// Shared references serve like the oracle they point at, so borrowed
-/// storage (a [`crate::flat::FlatView`] handed out by an mmap-backed index,
-/// a `&FlatIndex` shared across request handlers) can flow anywhere a
-/// `DistanceOracle` is expected without taking ownership.
+/// Shared references serve like the oracle they point at, so a borrowed
+/// index (a `&FlatIndex` or `&MmapIndex` shared across request handlers)
+/// can flow anywhere a `DistanceOracle` is expected without taking
+/// ownership.
 impl<T: DistanceOracle + ?Sized> DistanceOracle for &T {
     fn distance(&self, u: VertexId, v: VertexId) -> Distance {
         (**self).distance(u, v)

@@ -19,7 +19,7 @@
 use chl_graph::csr::CsrGraph;
 use chl_graph::types::{dist_add, VertexId};
 
-use crate::flat::{FlatIndex, IndexView, LabelStorage, LabelView};
+use crate::flat::{FlatIndex, IndexView};
 use crate::mapped::MmapIndex;
 
 /// Why a `path()` call could not produce an answer. Disconnected or
@@ -106,21 +106,21 @@ impl<T: PathOracle + ?Sized> PathOracle for &T {
 /// when `x` is the hub). Distances strictly decrease along a valid chain —
 /// weights are positive — which bounds the loop and turns any forged cycle
 /// into a typed error.
-fn climb<'a, S: LabelStorage<'a>>(
-    view: &LabelView<'a, S>,
+fn climb(
+    view: &IndexView<'_>,
     parents: &[u32],
     start: VertexId,
     hub_pos: u32,
 ) -> Result<Vec<VertexId>, PathError> {
     let mut chain = Vec::new();
     let mut x = start;
-    let (mut idx, (_, mut d)) = view
+    let (mut idx, mut d) = view
         .entry_of(x, hub_pos)
         .ok_or(PathError::MissingLabel { vertex: x, hub_pos })?;
     while d != 0 {
         let p = parents[idx];
         chain.push(p);
-        let (pidx, (_, pd)) = view
+        let (pidx, pd) = view
             .entry_of(p, hub_pos)
             .ok_or(PathError::MissingLabel { vertex: p, hub_pos })?;
         if pd >= d {
@@ -134,10 +134,10 @@ fn climb<'a, S: LabelStorage<'a>>(
     Ok(chain)
 }
 
-/// The whole reconstruction over any [`LabelView`] storage: witness-hub
-/// join, two parent climbs, splice at the hub.
-fn view_path<'a, S: LabelStorage<'a>>(
-    view: &LabelView<'a, S>,
+/// The whole reconstruction: witness-hub join, two parent climbs, splice
+/// at the hub.
+fn view_path(
+    view: &IndexView<'_>,
     u: VertexId,
     v: VertexId,
 ) -> Result<Option<Vec<VertexId>>, PathError> {
@@ -168,16 +168,6 @@ fn view_path<'a, S: LabelStorage<'a>>(
     Ok(Some(path))
 }
 
-impl<'a, S: LabelStorage<'a>> PathOracle for LabelView<'a, S> {
-    fn has_path_data(&self) -> bool {
-        LabelView::has_path_data(self)
-    }
-
-    fn path(&self, u: VertexId, v: VertexId) -> Result<Option<Vec<VertexId>>, PathError> {
-        view_path(self, u, v)
-    }
-}
-
 impl PathOracle for IndexView<'_> {
     fn has_path_data(&self) -> bool {
         IndexView::has_path_data(self)
@@ -188,19 +178,10 @@ impl PathOracle for IndexView<'_> {
     /// vertices can escape the owned set even when both endpoints are
     /// owned — the witness hub may live on another shard).
     fn path(&self, u: VertexId, v: VertexId) -> Result<Option<Vec<VertexId>>, PathError> {
-        if let Some(shard) = self.shard() {
-            let n = self.num_vertices();
-            for id in [u, v] {
-                if (id as usize) < n && !shard.owns(id) {
-                    return Err(PathError::NotThisShard { vertex: id });
-                }
-            }
+        if let Some(vertex) = self.foreign_endpoint(u, v) {
+            return Err(PathError::NotThisShard { vertex });
         }
-        let result = match &self.storage {
-            crate::flat::StorageView::Flat(view) => view_path(view, u, v),
-            crate::flat::StorageView::Compressed(view) => view_path(view, u, v),
-        };
-        match (result, self.shard()) {
+        match (view_path(self, u, v), self.shard()) {
             // A chain vertex with no labels on this shard is not corruption
             // of a sharded file — it is the shard boundary.
             (Err(PathError::MissingLabel { vertex, .. }), Some(shard)) if !shard.owns(vertex) => {
@@ -249,10 +230,10 @@ pub fn compute_parents(graph: &CsrGraph, index: &FlatIndex) -> Result<Vec<u32>, 
             graph.num_vertices()
         )));
     }
-    let view = index.as_view();
+    let view = index.as_index_view();
     let per_vertex: Vec<Result<Vec<u32>, PathError>> = rayon::map(n, |v| {
         let v = v as VertexId;
-        let run = view.labels_of(v);
+        let run = index.labels_of(v);
         let mut parents = Vec::with_capacity(run.len());
         for e in run {
             if e.dist == 0 {
@@ -263,7 +244,7 @@ pub fn compute_parents(graph: &CsrGraph, index: &FlatIndex) -> Result<Vec<u32>, 
                 .neighbors(v)
                 .find(|&(w, wt)| {
                     view.entry_of(w, e.hub)
-                        .is_some_and(|(_, (_, dw))| dist_add(dw, wt) == e.dist)
+                        .is_some_and(|(_, dw)| dist_add(dw, wt) == e.dist)
                 })
                 .map(|(w, _)| w);
             match parent {

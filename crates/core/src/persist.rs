@@ -5,8 +5,8 @@
 //! contiguous label entries. The on-disk layout **is** the query-time
 //! layout: every section starts on an 8-byte boundary and stores its
 //! integers exactly as the in-memory arrays do, so a validated buffer can be
-//! served through a borrowed [`FlatView`] without copying a single label
-//! ([`view_bytes`]).
+//! served through a borrowed [`IndexView`] without copying a single label
+//! ([`open_view`]).
 //!
 //! ## Layout (version 3)
 //!
@@ -114,7 +114,7 @@
 //!
 //! The skip table is what keeps decode O(label set): a query seeks straight
 //! to the two runs it intersects and streams them through the
-//! [`CompressedView`] kernel. `crc_entries`
+//! [`IndexView`] kernel. `crc_entries`
 //! covers the whole section (skip table, blob and tail padding), and the
 //! expected file length is self-describing via `skip[n]` — validated with
 //! the same exactness as the flat layout. Compressed files load everywhere
@@ -175,7 +175,7 @@ use std::path::Path;
 use chl_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
 
-use crate::flat::{CompressedView, FlatIndex, FlatView, IndexView, ShardView, StorageView};
+use crate::flat::{Entries, FlatIndex, IndexView, ShardView};
 use crate::labels::LabelEntry;
 
 mod upgrade;
@@ -1605,45 +1605,30 @@ fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
     }
 }
 
-/// The sections of a buffer reinterpreted in place: what the
-/// validation pass reads and what [`assemble_view`] welds into a view.
-#[cfg(target_endian = "little")]
-struct Sections<'a> {
-    order: &'a [VertexId],
-    offsets: &'a [u64],
-    entries: EntriesSection<'a>,
-    parents: Option<&'a [u32]>,
-    shard: Option<ShardView<'a>>,
-}
-
-#[cfg(target_endian = "little")]
-enum EntriesSection<'a> {
-    Flat(&'a [LabelEntry]),
-    Compressed { skip: &'a [u64], blob: &'a [u8] },
-}
-
-/// Cuts and casts every section `layout` describes out of `data`. Sound for
-/// any 8-byte-aligned `data` as long as `layout` came from [`plan`] (the
-/// only constructor), whose rows start on section boundaries and span whole
-/// records; out-of-bounds ranges panic rather than misread.
+/// Cuts and casts every section `layout` describes out of `data` into the
+/// view over them: what the validation pass reads and what
+/// [`assemble_view`] serves. Sound for any 8-byte-aligned `data` as long as
+/// `layout` came from [`plan`] (the only constructor), whose rows start on
+/// section boundaries and span whole records; out-of-bounds ranges panic
+/// rather than misread.
 #[cfg(target_endian = "little")]
 #[expect(
     clippy::indexing_slicing,
     reason = "rows come from the Layout plan_sized checked against data.len()"
 )]
-fn cast_sections<'a>(data: &'a [u8], layout: &Layout) -> Sections<'a> {
+fn cast_sections<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a> {
     assert!(is_view_aligned(data), "view buffer is not 8-byte aligned");
     let entries = &layout.entries;
-    Sections {
+    IndexView {
         order: cast_u32s(&data[layout.ranking.data.clone()]),
         offsets: cast_u64s(&data[layout.offsets.data.clone()]),
         entries: if layout.compressed {
-            EntriesSection::Compressed {
+            Entries::Compressed {
                 skip: cast_u64s(&data[entries.prelude()]),
                 blob: &data[entries.data.clone()],
             }
         } else {
-            EntriesSection::Flat(cast_entries(&data[entries.data.clone()]))
+            Entries::Flat(cast_entries(&data[entries.data.clone()]))
         },
         parents: layout
             .paths
@@ -1718,13 +1703,13 @@ pub(crate) fn validate_layout(
             check_shard_consistency(shard.owned, s.offsets)?;
         }
         match s.entries {
-            EntriesSection::Flat(entries) => {
+            Entries::Flat(entries) => {
                 validate_hub_sort(layout.n, s.offsets, entries)?;
                 if let Some(parents) = s.parents {
                     validate_parents(layout.n, s.offsets, entries, parents)?;
                 }
             }
-            EntriesSection::Compressed { skip, blob } => {
+            Entries::Compressed { skip, blob } => {
                 validate_compressed_entries(skip, blob, s.offsets, s.parents, sink)?;
             }
         }
@@ -1738,17 +1723,7 @@ pub(crate) fn validate_layout(
 pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a> {
     #[cfg(target_endian = "little")]
     {
-        let s = cast_sections(data, layout);
-        let view = match s.entries {
-            EntriesSection::Flat(entries) => {
-                IndexView::flat(FlatView::from_validated_parts(s.order, s.offsets, entries))
-            }
-            EntriesSection::Compressed { skip, blob } => IndexView::compressed(
-                CompressedView::from_validated_compressed_parts(s.order, s.offsets, skip, blob),
-            ),
-        };
-        let view = s.parents.map_or(view, |parents| view.with_parents(parents));
-        s.shard.map_or(view, |shard| view.with_shard(shard))
+        cast_sections(data, layout)
     }
     #[cfg(not(target_endian = "little"))]
     {
@@ -1759,7 +1734,7 @@ pub(crate) fn assemble_view<'a>(data: &'a [u8], layout: &Layout) -> IndexView<'a
 
 /// Validates `.chl` bytes of **either entries encoding** and returns
 /// a borrowed [`IndexView`] served straight from `data`: flat files
-/// reinterpret their sections in place exactly like [`view_bytes`], while
+/// reinterpret their sections in place — no label byte is copied — while
 /// compressed files borrow the skip table and encoded blob and stream-decode
 /// the two label runs each query touches. A shard file's identity and
 /// owned set are exposed through [`IndexView::shard`]. Validation is the
@@ -1777,33 +1752,8 @@ pub fn open_view(data: &[u8]) -> Result<IndexView<'_>, PersistError> {
     Ok(assemble_view(data, &layout))
 }
 
-/// Validates `.chl` bytes and returns a [`FlatView`] whose ranking,
-/// offsets and entries slices are **borrowed from `data` in place** — no
-/// label byte is copied. This is the flat-only, unsharded strict form of
-/// [`open_view`]: a compressed file cannot back a `FlatView` (its entries
-/// are not 16-byte records), and a shard file would silently answer
-/// `INFINITY` for foreign vertices through the shard-blind `FlatView` API —
-/// both report [`PersistError::Unviewable`]; serve them through
-/// [`open_view`] / `MmapIndex`, or decode with [`from_bytes`].
-pub fn view_bytes(data: &[u8]) -> Result<FlatView<'_>, PersistError> {
-    let view = open_view(data)?;
-    if view.shard().is_some() {
-        return Err(PersistError::Unviewable {
-            reason: "file is one shard of a sharded index; serve it through \
-                     open_view / MmapIndex so foreign vertices stay typed",
-        });
-    }
-    match view.storage {
-        StorageView::Flat(flat) => Ok(flat),
-        StorageView::Compressed(_) => Err(PersistError::Unviewable {
-            reason: "entries section is delta+varint compressed; serve it through \
-                     open_view / MmapIndex or load it with the copying reader",
-        }),
-    }
-}
-
 /// An owned byte buffer whose base address is guaranteed 8-byte aligned —
-/// the backing [`view_bytes`] needs when the bytes do not come from an mmap.
+/// the backing [`open_view`] needs when the bytes do not come from an mmap.
 /// `Vec<u8>` makes no alignment promise, so serialized bytes destined for a
 /// zero-copy view are staged here instead.
 pub struct AlignedBytes {
@@ -2288,7 +2238,6 @@ mod tests {
                 parse_header(legacy).err(),
                 from_bytes(legacy).err(),
                 open_view(&aligned).err(),
-                view_bytes(&aligned).err(),
             ] {
                 assert!(
                     matches!(refused, Some(PersistError::UpgradeRequired { version: v }) if v == version),
@@ -2356,21 +2305,24 @@ mod tests {
         assert_eq!(from_bytes(&to_bytes(&zero)).unwrap(), zero);
         // The degenerate shapes also view.
         let aligned = AlignedBytes::from_slice(&to_bytes(&zero));
-        assert_eq!(view_bytes(&aligned).unwrap().num_vertices(), 0);
+        assert_eq!(open_view(&aligned).unwrap().num_vertices(), 0);
     }
 
     #[test]
     fn view_borrows_the_buffer_in_place() {
         let flat = tiny_flat();
         let aligned = AlignedBytes::from_slice(&to_bytes(&flat));
-        let view = view_bytes(&aligned).unwrap();
+        let view = open_view(&aligned).unwrap();
+        let Entries::Flat(entries) = view.entries else {
+            panic!("a flat file views flat entries");
+        };
 
         // The view's slices point INTO the serialized buffer: zero copy.
         let base = aligned.as_slice().as_ptr() as usize;
         let end = base + aligned.len();
         for ptr in [
             view.offsets().as_ptr() as usize,
-            view.entries().as_ptr() as usize,
+            entries.as_ptr() as usize,
             view.order().as_ptr() as usize,
         ] {
             assert!((base..end).contains(&ptr), "slice escaped the buffer");
@@ -2383,7 +2335,7 @@ mod tests {
                 assert_eq!(view.query_with_hub(u, v), flat.query_with_hub(u, v));
             }
         }
-        assert_eq!(IndexView::flat(view).to_owned_index(), flat);
+        assert_eq!(view.to_owned_index(), flat);
     }
 
     #[test]
@@ -2393,7 +2345,7 @@ mod tests {
         staging.as_mut_slice()[1..].copy_from_slice(&bytes);
         let misaligned = &staging.as_slice()[1..];
         assert!(matches!(
-            view_bytes(misaligned),
+            open_view(misaligned),
             Err(PersistError::Unviewable { .. })
         ));
         // The copying loader does not care about alignment: it stages the
@@ -2516,7 +2468,7 @@ mod tests {
         // The view path reports the identical errors.
         let aligned = AlignedBytes::from_slice(&flipped);
         assert!(matches!(
-            view_bytes(&aligned),
+            open_view(&aligned),
             Err(PersistError::SectionChecksumMismatch { .. })
         ));
     }
@@ -2546,7 +2498,7 @@ mod tests {
         ));
         let aligned = AlignedBytes::from_slice(&forged);
         assert!(matches!(
-            view_bytes(&aligned),
+            open_view(&aligned),
             Err(PersistError::NonZeroPadding { .. })
         ));
     }
@@ -2572,7 +2524,7 @@ mod tests {
         assert!(matches!(from_bytes(&buf), Err(PersistError::Malformed(_))));
         let aligned = AlignedBytes::from_slice(&buf);
         assert!(matches!(
-            view_bytes(&aligned),
+            open_view(&aligned),
             Err(PersistError::Malformed(_))
         ));
     }
@@ -2592,7 +2544,7 @@ mod tests {
         let back = load(&path).unwrap();
         assert_eq!(back, flat);
         let aligned = read_aligned(&path).unwrap();
-        assert_eq!(view_bytes(&aligned).unwrap().query(0, 2), flat.query(0, 2));
+        assert_eq!(open_view(&aligned).unwrap().query(0, 2), flat.query(0, 2));
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(load(&path), Err(PersistError::Io(_))));
     }
@@ -2799,12 +2751,7 @@ mod tests {
         }
         assert_eq!(view.to_owned_index(), flat);
 
-        // The strict flat view cannot back a compressed file...
-        assert!(matches!(
-            view_bytes(&aligned),
-            Err(PersistError::Unviewable { .. })
-        ));
-        // ...while flat files also serve through open_view.
+        // Flat files serve through the same open_view.
         let flat_aligned = AlignedBytes::from_slice(&to_bytes(&flat));
         let flat_view = open_view(&flat_aligned).unwrap();
         assert!(!flat_view.is_compressed());
@@ -3073,16 +3020,9 @@ mod tests {
         let owned = view.to_owned_index();
         assert_eq!(owned.shard(), Some(&tiny_shard_spec()));
         assert_eq!(
-            owned.try_query(0, 1),
+            owned.as_index_view().try_query(0, 1),
             Err(crate::flat::NotThisShard { vertex: 1 })
         );
-
-        // view_bytes refuses shard files: FlatView has no shard channel, so
-        // foreign vertices would silently read as unreachable.
-        assert!(matches!(
-            view_bytes(&aligned),
-            Err(PersistError::Unviewable { .. })
-        ));
 
         // Compressed + sharded composes.
         let comp = to_bytes_with(&flat, &SaveOptions::compressed());

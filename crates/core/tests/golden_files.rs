@@ -263,7 +263,6 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
             ("from_bytes", FlatIndex::from_bytes(&bytes).err()),
             ("load", persist::load(&path).err()),
             ("open_view", persist::open_view(&aligned).err()),
-            ("view_bytes", persist::view_bytes(&aligned).err()),
             ("mmap", MmapIndex::open(&path).err()),
             ("load_header", persist::load_header(&path).err()),
             ("load_shard_spec", persist::load_shard_spec(&path).err()),
@@ -290,7 +289,7 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     let v3 = FlatIndex::from_bytes(&v3_bytes).expect("v3-flat fixture loads");
     assert_answers(&table, "v3-flat copy-load", |u, v| v3.query(u, v));
     let aligned = AlignedBytes::from_slice(&v3_bytes);
-    let view = persist::view_bytes(&aligned).expect("v3-flat fixture views");
+    let view = persist::open_view(&aligned).expect("v3-flat fixture views");
     assert_answers(&table, "v3-flat view", |u, v| view.query(u, v));
     let mapped = MmapIndex::open(&v3_path).expect("v3-flat fixture maps");
     assert!(!mapped.is_sharded());
@@ -384,7 +383,7 @@ fn path_fixtures_answer_the_pinned_walk_table() {
     // the pivoted matrix over all vertices ties the batch kernel to the
     // same pin.
     let flat_aligned = AlignedBytes::from_slice(&flat_bytes);
-    let flat_view = persist::view_bytes(&flat_aligned).expect("paths fixture views");
+    let flat_view = persist::open_view(&flat_aligned).expect("paths fixture views");
     let comp_aligned = AlignedBytes::from_slice(&comp_bytes);
     let comp_view = persist::open_view(&comp_aligned).expect("compressed paths fixture views");
     let mapped_flat = MmapIndex::open(&flat_path).expect("paths fixture maps");
@@ -472,16 +471,12 @@ fn shard_fixtures_union_to_the_unsharded_index() {
             }
         }
 
-        // Zero-copy paths: mmap serves the shard with typed foreign answers;
-        // the shard-blind borrowed view is refused outright.
+        // Zero-copy paths: mmap and the borrowed view serve the shard with
+        // typed foreign answers.
         let mapped = MmapIndex::open(&path).expect("shard fixture maps");
         assert!(mapped.is_sharded());
         assert_eq!(mapped.shard(), Some(spec));
         let aligned = AlignedBytes::from_slice(&bytes);
-        assert!(matches!(
-            persist::view_bytes(&aligned),
-            Err(PersistError::Unviewable { .. })
-        ));
         let view = persist::open_view(&aligned).expect("shard fixture views");
         for u in 0..full.num_vertices() as u32 {
             for v in 0..full.num_vertices() as u32 {
@@ -524,7 +519,7 @@ fn shard_fixtures_union_to_the_unsharded_index() {
                 .find(|(_, s)| s.owns(u) && s.owns(v))
                 .expect("every partition pair is covered by some shard");
             assert_eq!(
-                shards[i].try_query(u, v),
+                shards[i].as_index_view().try_query(u, v),
                 Ok(table[u as usize][v as usize]),
                 "shard {i} ({u}, {v})"
             );

@@ -142,7 +142,7 @@ proptest! {
         let flat = sequential_pll(&g, &ranking).index;
 
         let flat_bytes = AlignedBytes::from_slice(&flat.to_bytes());
-        let flat_view = persist::view_bytes(&flat_bytes).expect("flat bytes view");
+        let flat_view = persist::open_view(&flat_bytes).expect("flat bytes view");
         let comp_bytes = AlignedBytes::from_slice(&flat.to_bytes_with(&SaveOptions::compressed()));
         let comp_view = persist::open_view(&comp_bytes).expect("compressed bytes view");
         let flat_path = scratch_file("flat", &flat_bytes);

@@ -130,7 +130,7 @@ proptest! {
 
         // Zero-copy view borrowed straight from the serialized bytes.
         let aligned = AlignedBytes::from_slice(&owned.to_bytes());
-        let view = persist::view_bytes(&aligned).expect("clean v2 bytes view");
+        let view = persist::open_view(&aligned).expect("clean bytes view");
 
         // Mmap-backed index over the same bytes written to a real file.
         let path = scratch_file("parity", &aligned);
@@ -166,7 +166,6 @@ proptest! {
         prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, shape {}, flip at byte {}", shape, pos);
         let aligned = AlignedBytes::from_slice(&bytes);
         prop_assert!(persist::open_view(&aligned).is_err(), "open_view, shape {}, flip at byte {}", shape, pos);
-        prop_assert!(persist::view_bytes(&aligned).is_err(), "view, flip at byte {}", pos);
         let path = scratch_file("corrupt", &bytes);
         prop_assert!(MmapIndex::open(&path).is_err(), "mmap, flip at byte {}", pos);
         std::fs::remove_file(&path).ok();
@@ -238,7 +237,6 @@ proptest! {
         prop_assert!(FlatIndex::from_bytes(&bytes).is_err(), "copy-load, shape {}, flip at byte {}", shape, pos);
         let aligned = AlignedBytes::from_slice(&bytes);
         prop_assert!(persist::open_view(&aligned).is_err(), "open_view, shape {}, flip at byte {}", shape, pos);
-        prop_assert!(persist::view_bytes(&aligned).is_err(), "view_bytes, flip at byte {}", pos);
         let path = scratch_file("comp-corrupt", &bytes);
         prop_assert!(MmapIndex::open(&path).is_err(), "mmap, flip at byte {}", pos);
         std::fs::remove_file(&path).ok();

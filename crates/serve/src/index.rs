@@ -16,12 +16,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use chl_core::flat::FlatIndex;
+use chl_core::flat::{FlatIndex, IndexView};
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::paths::{PathError, PathOracle};
 use chl_core::persist::{PersistError, ShardSpec};
-use chl_graph::types::{Distance, VertexId};
+use chl_graph::types::VertexId;
 
 use crate::protocol::ServerInfo;
 
@@ -36,8 +36,8 @@ enum Backend {
 }
 
 /// One fully validated, immutable index serving generation. Both load
-/// backends answer through the same [`DistanceOracle`] surface, which the
-/// generation itself implements.
+/// backends answer every query through their [`IndexView`]; the
+/// generation only reports what differs between them.
 #[derive(Debug)]
 pub struct LoadedIndex {
     backend: Backend,
@@ -54,26 +54,31 @@ impl LoadedIndex {
         Ok(LoadedIndex { backend })
     }
 
-    /// The query surface of this generation (the generation itself: the
-    /// [`DistanceOracle`] impl below).
+    /// The query surface of this generation: the backend's
+    /// [`DistanceOracle`], which answers each call from one view.
     pub fn oracle(&self) -> &dyn DistanceOracle {
-        self
+        match &self.backend {
+            Backend::Owned(index) => index,
+            Backend::Mapped(index) => index,
+        }
+    }
+
+    /// The backend's borrowed query kernel.
+    fn view(&self) -> IndexView<'_> {
+        match &self.backend {
+            Backend::Owned(index) => index.as_index_view(),
+            Backend::Mapped(index) => index.view(),
+        }
     }
 
     /// Vertices covered (valid ids are `0..n`).
     pub fn num_vertices(&self) -> usize {
-        match &self.backend {
-            Backend::Owned(index) => index.num_vertices(),
-            Backend::Mapped(index) => index.num_vertices(),
-        }
+        self.oracle().num_vertices()
     }
 
     /// Total label entries stored.
     pub fn total_labels(&self) -> usize {
-        match &self.backend {
-            Backend::Owned(index) => index.total_labels(),
-            Backend::Mapped(index) => index.total_labels(),
-        }
+        self.view().total_labels()
     }
 
     /// Human-readable backend name for logs and stats.
@@ -89,20 +94,8 @@ impl LoadedIndex {
         }
     }
 
-    fn is_compressed(&self) -> bool {
-        match &self.backend {
-            // A copy-loaded index is decoded at load time; it serves raw
-            // entries regardless of the file's encoding.
-            Backend::Owned(_) => false,
-            Backend::Mapped(m) => m.is_compressed(),
-        }
-    }
-
     fn is_mapped(&self) -> bool {
-        match &self.backend {
-            Backend::Owned(_) => false,
-            Backend::Mapped(m) => m.is_mapped(),
-        }
+        matches!(&self.backend, Backend::Mapped(m) if m.is_mapped())
     }
 
     /// The shard identity when the loaded file is one QDOL shard of a
@@ -118,66 +111,25 @@ impl LoadedIndex {
     /// `true` when the loaded file carries a path section, i.e. PATH frames
     /// can be answered from this generation.
     pub fn has_path_data(&self) -> bool {
-        match &self.backend {
-            Backend::Owned(index) => index.has_path_data(),
-            Backend::Mapped(index) => index.has_path_data(),
-        }
+        self.view().has_path_data()
     }
 
     /// Reconstructs one shortest path from this generation's parent records
     /// (`Ok(None)` = disconnected). Same semantics as the in-process
     /// [`PathOracle::path`] on the underlying backend.
     pub fn path(&self, u: VertexId, v: VertexId) -> Result<Option<Vec<VertexId>>, PathError> {
-        self.backend.view().path(u, v)
+        self.view().path(u, v)
     }
 
-    /// Shard-honesty check for one query: the first **in-range** endpoint
-    /// this shard does not own, or `None` when the query is answerable here
-    /// (including on a whole index, and including out-of-range ids, which
-    /// are data — unreachable — on every server).
+    /// Shard-honesty check for one query: [`IndexView::foreign_endpoint`],
+    /// the first **in-range** endpoint this shard does not own, or `None`
+    /// when the query is answerable here (including on a whole index, and
+    /// including out-of-range ids, which are data — unreachable — on every
+    /// server). A whole index answers from the cached spec without
+    /// assembling a view.
     pub fn foreign_endpoint(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
-        let shard = self.shard()?;
-        let n = self.num_vertices();
-        let foreign = |id: VertexId| (id as usize) < n && !shard.owns(id);
-        if foreign(u) {
-            Some(u)
-        } else if foreign(v) {
-            Some(v)
-        } else {
-            None
-        }
-    }
-}
-
-impl Backend {
-    /// Borrowed runtime-dispatched view of the loaded index.
-    fn view(&self) -> chl_core::flat::IndexView<'_> {
-        match self {
-            Backend::Owned(index) => index.as_index_view(),
-            Backend::Mapped(index) => index.view(),
-        }
-    }
-}
-
-impl DistanceOracle for LoadedIndex {
-    fn distance(&self, u: VertexId, v: VertexId) -> Distance {
-        self.backend.view().query(u, v)
-    }
-
-    fn num_vertices(&self) -> usize {
-        LoadedIndex::num_vertices(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Owned(index) => index.memory_bytes(),
-            Backend::Mapped(index) => index.memory_bytes(),
-        }
-    }
-
-    /// Distance blocks go through the hub-pivoted kernel on the view.
-    fn matrix(&self, sources: &[VertexId], targets: &[VertexId]) -> Vec<Distance> {
-        self.backend.view().matrix(sources, targets)
+        self.shard()?;
+        self.view().foreign_endpoint(u, v)
     }
 }
 
@@ -252,7 +204,8 @@ impl SharedIndex {
             num_vertices: snapshot.num_vertices() as u64,
             total_labels: snapshot.total_labels() as u64,
             generation: self.generation(),
-            compressed: snapshot.is_compressed(),
+            // A copy-loaded index serves decoded entries, whatever the file.
+            compressed: snapshot.view().is_compressed(),
             mapped: snapshot.is_mapped(),
             shard: snapshot.shard().map(|s| (s.shard_id, s.shard_count)),
         }
@@ -309,6 +262,81 @@ mod tests {
             assert_eq!(before.oracle().distance(0, 2), 2);
             assert_eq!(shared.info().generation, 1);
             assert_eq!(shared.info().num_vertices, 3);
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_backend_answers_like_the_saved_index() {
+        use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
+        use chl_core::paths::attach_parents;
+        use chl_core::persist::SaveOptions;
+        use chl_graph::generators::{grid_network, GridOptions};
+
+        let options = GridOptions {
+            rows: 4,
+            cols: 4,
+            ..GridOptions::default()
+        };
+        let g = grid_network(&options, 7);
+        let plain = ChlBuilder::new(&g)
+            .ranking(RankingStrategy::Degree)
+            .algorithm(Algorithm::Pll)
+            .build()
+            .unwrap()
+            .index;
+        let pathful = attach_parents(&g, plain.clone()).unwrap();
+        let spec = ShardSpec {
+            shard_id: 1,
+            shard_count: 3,
+            zeta: 2,
+            owned: (0..16).filter(|v| v % 3 != 0).collect(),
+        };
+        let shard = pathful.restrict_to_shard(spec).unwrap();
+        // Two ids past the 16 vertices: out of range is data everywhere.
+        let ids: Vec<VertexId> = (0..18).collect();
+        let pairs: Vec<(VertexId, VertexId)> = ids
+            .iter()
+            .flat_map(|&u| ids.iter().map(move |&v| (u, v)))
+            .collect();
+        let path = temp_path("parity");
+        for (name, saved) in [("plain", &plain), ("paths", &pathful), ("shard", &shard)] {
+            for compress in [false, true] {
+                saved.save_with(&path, &SaveOptions { compress }).unwrap();
+                let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+                for mmap in [false, true] {
+                    let tag = format!("{name}, compress {compress}, mmap {mmap}");
+                    let loaded = LoadedIndex::open(&path, mmap).unwrap();
+                    assert_eq!(loaded.num_vertices(), saved.num_vertices(), "{tag}");
+                    assert_eq!(loaded.total_labels(), saved.total_labels(), "{tag}");
+                    assert_eq!(loaded.has_path_data(), saved.has_path_data(), "{tag}");
+                    assert_eq!(loaded.shard(), saved.shard(), "{tag}");
+                    let oracle = loaded.oracle();
+                    let resident = if mmap { file_len } else { saved.memory_bytes() };
+                    assert_eq!(oracle.memory_bytes(), resident, "{tag}");
+                    assert_eq!(oracle.distances(&pairs), saved.distances(&pairs), "{tag}");
+                    assert_eq!(oracle.matrix(&ids, &ids), saved.matrix(&ids, &ids), "{tag}");
+                    let view = saved.as_index_view();
+                    for &(u, v) in &pairs {
+                        assert_eq!(oracle.distance(u, v), saved.query(u, v), "{tag} ({u}, {v})");
+                        assert_eq!(loaded.path(u, v), saved.path(u, v), "{tag} ({u}, {v})");
+                        assert_eq!(
+                            loaded.foreign_endpoint(u, v),
+                            view.foreign_endpoint(u, v),
+                            "{tag} ({u}, {v})"
+                        );
+                    }
+                    if saved.shard().is_some() {
+                        // Vertices 0 and 3 live on other shards; 17 is no
+                        // vertex at all.
+                        assert_eq!(loaded.foreign_endpoint(1, 3), Some(3), "{tag}");
+                        assert_eq!(loaded.foreign_endpoint(0, 3), Some(0), "{tag}");
+                        assert_eq!(loaded.foreign_endpoint(17, 1), None, "{tag}");
+                    } else {
+                        assert_eq!(loaded.foreign_endpoint(0, 3), None, "{tag}");
+                    }
+                }
+            }
         }
         std::fs::remove_file(&path).unwrap();
     }

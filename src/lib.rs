@@ -89,7 +89,7 @@ pub mod prelude {
     pub use chl_core::plant::plant_labeling;
     pub use chl_core::pll::sequential_pll;
     pub use chl_core::{
-        FlatIndex, FlatView, LabelingConfig, LabelingError, LabelingResult, MmapIndex, PersistError,
+        FlatIndex, LabelingConfig, LabelingError, LabelingResult, MmapIndex, PersistError,
     };
     pub use chl_datasets::{load as load_dataset, DatasetId, Scale};
     pub use chl_distributed::{
