@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use chl_core::cleaning::clean_labels;
 use chl_core::kernel;
-use chl_core::labels::{join_sorted_iters, LabelEntry, LabelSet};
+use chl_core::labels::{join_sorted_iters, FlatEntry, LabelSet};
 use chl_core::mapped::MmapIndex;
 use chl_core::oracle::DistanceOracle;
 use chl_core::persist::{save_with, SaveOptions};
@@ -51,7 +51,7 @@ fn query_kernels(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
     let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let n = ds.graph.num_vertices() as u32;
-    let runs: Vec<&[LabelEntry]> = (0..n).map(|v| flat.labels_of(v)).collect();
+    let runs: Vec<&[FlatEntry]> = (0..n).map(|v| flat.labels_of(v)).collect();
     let pairs = query_pairs(n, 42);
 
     // The compressed backend streams varint-decoded runs from a saved file.
@@ -123,15 +123,15 @@ fn query_kernels(c: &mut Criterion) {
     // scan of the large side). Tiny-scale dataset labels top out at ~14
     // entries, so the skewed runs are synthesized: 4096 even hubs on the
     // large side, 4 probes on the small side (two hits, two misses).
-    let long: Vec<LabelEntry> = (0..4096u32)
-        .map(|i| LabelEntry {
+    let long: Vec<FlatEntry> = (0..4096u32)
+        .map(|i| FlatEntry {
             hub: i * 2,
-            dist: u64::from(i) + 1,
+            dist: i + 1,
         })
         .collect();
-    let short: Vec<LabelEntry> = [40u32, 1_001, 4_000, 8_190]
+    let short: Vec<FlatEntry> = [40u32, 1_001, 4_000, 8_190]
         .into_iter()
-        .map(|hub| LabelEntry { hub, dist: 7 })
+        .map(|hub| FlatEntry { hub, dist: 7 })
         .collect();
 
     let mut skew = c.benchmark_group(format!("query_skew_{}x{}", long.len(), short.len()));
@@ -216,7 +216,7 @@ fn cleaning_kernel(c: &mut Criterion) {
     // An inflated labeling (rank queries only) gives the cleaner real work.
     let inflated = pll_with_restricted_pruning(&ds.graph, &ds.ranking, 0).index;
     let sets: Vec<LabelSet> = (0..ds.graph.num_vertices() as u32)
-        .map(|v| LabelSet::from_entries(inflated.labels_of(v).to_vec()))
+        .map(|v| LabelSet::from_entries(inflated.labels_of(v).iter().map(|&e| e.into()).collect()))
         .collect();
 
     c.bench_function("clean_labels_inflated_labeling", |b| {

@@ -42,28 +42,28 @@ fn cold_serve(c: &mut Criterion) {
     let n = ds.graph.num_vertices() as u32;
     let (u, v) = (0u32, n - 1);
 
-    let v3_bytes = flat.to_bytes();
-    let aligned = AlignedBytes::from_slice(&v3_bytes);
+    let bytes = flat.to_bytes();
+    let aligned = AlignedBytes::from_slice(&bytes);
     let path =
         std::env::temp_dir().join(format!("chl-bench-cold-serve-{}.chl", std::process::id()));
-    std::fs::write(&path, &v3_bytes).expect("bench scratch file");
+    std::fs::write(&path, &bytes).expect("bench scratch file");
 
     let mut group = c.benchmark_group("cold_serve");
-    group.bench_function("copy_load_v3_first_query", |b| {
+    group.bench_function("copy_load_first_query", |b| {
         b.iter(|| {
-            let idx = FlatIndex::from_bytes(&v3_bytes).expect("clean v3 bytes");
+            let idx = FlatIndex::from_bytes(&bytes).expect("clean bytes");
             black_box(idx.query(u, v))
         })
     });
     group.bench_function("zero_copy_view_first_query", |b| {
         b.iter(|| {
-            let view = persist::open_view(&aligned).expect("clean v3 bytes");
+            let view = persist::open_view(&aligned).expect("clean bytes");
             black_box(view.query(u, v))
         })
     });
     group.bench_function("mmap_open_first_query", |b| {
         b.iter(|| {
-            let idx = MmapIndex::open(&path).expect("clean v3 file");
+            let idx = MmapIndex::open(&path).expect("clean file");
             black_box(idx.view().query(u, v))
         })
     });
@@ -78,7 +78,7 @@ fn owned_vs_view_steady_state(c: &mut Criterion) {
     let ds = load(DatasetId::SKIT, Scale::Tiny, 42);
     let flat = sequential_pll(&ds.graph, &ds.ranking).index;
     let aligned = AlignedBytes::from_slice(&flat.to_bytes());
-    let view = persist::open_view(&aligned).expect("clean v3 bytes");
+    let view = persist::open_view(&aligned).expect("clean bytes");
     let n = ds.graph.num_vertices() as u32;
 
     let mut group = c.benchmark_group("owned_vs_view");

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use chl_core::api::{Algorithm, ChlBuilder, RankingStrategy};
 use chl_core::kernel;
-use chl_core::labels::{join_sorted_iters, LabelEntry};
+use chl_core::labels::{join_sorted_iters, FlatEntry};
 use chl_graph::csr::CsrGraph;
 use chl_graph::generators::{barabasi_albert, grid_network, GridOptions};
 use chl_graph::types::{Distance, INFINITY};
@@ -37,11 +37,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn seed_iters(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+fn seed_iters(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
     join_sorted_iters(a.iter().copied(), b.iter().copied())
 }
 
-fn three_tier(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+fn three_tier(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
     let (s, l) = (a.len().min(b.len()), a.len().max(b.len()));
     if s == 0 {
         None
@@ -79,7 +79,7 @@ fn measure(name: &str, g: &CsrGraph, ranking: &Ranking) {
         })
         .collect();
 
-    type JoinFn = fn(&[LabelEntry], &[LabelEntry]) -> Option<(u32, Distance)>;
+    type JoinFn = fn(&[FlatEntry], &[FlatEntry]) -> Option<(u32, Distance)>;
     let time_join = |join: JoinFn| {
         let mut best = Duration::MAX;
         for _ in 0..REPS {

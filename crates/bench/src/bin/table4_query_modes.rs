@@ -49,9 +49,9 @@ fn main() {
         let workload = random_pairs(ds.graph.num_vertices(), batch, seed);
 
         let engines: Vec<Box<dyn QueryEngine>> = vec![
-            Box::new(QlsnEngine::new(&labeling, spec)),
+            Box::new(QlsnEngine::new(&labeling, spec).expect("distances fit a stored label")),
             Box::new(QfdlEngine::new(&labeling, spec)),
-            Box::new(QdolEngine::new(&labeling, spec)),
+            Box::new(QdolEngine::new(&labeling, spec).expect("distances fit a stored label")),
         ];
         for engine in engines {
             let report = engine.evaluate(&workload);

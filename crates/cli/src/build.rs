@@ -29,7 +29,7 @@ options:
                       queries stream-decode under --mmap)
   --paths             also record per-entry parent pointers so 'chl paths'
                       and the PATH protocol op can reconstruct shortest
-                      paths (adds 4 bytes per label, forces .chl v3)
+                      paths (adds 4 bytes per label)
   --shards Q          additionally write Q QDOL shard files
                       (<out-stem>.shard-I-of-Q.chl) whose union is exactly
                       the unsharded index; serve each with
@@ -120,7 +120,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         flat.max_label_size()
     );
 
-    // save_with() writes the current v3 format: 8-byte-aligned sections
+    // save_with() writes the current format: 8-byte-aligned sections
     // served zero-copy (`chl query --mmap`), a header CRC, and the entries
     // section delta+varint encoded under --compress.
     let options = SaveOptions {

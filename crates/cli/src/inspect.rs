@@ -110,7 +110,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
     // Footprint when served owned, derived from the header alone — the sum
     // `FlatIndex::memory_bytes` reports after a load: offsets (n+1) * 8,
-    // entries m * 16 (decoded, whatever the on-disk encoding), ranking order
+    // entries m * ENTRY_LEN (decoded, whatever the on-disk encoding), ranking order
     // + position 8 per vertex, parent records 4 per label when the file has
     // path data, and a shard's owned list 4 per owned vertex. Saturating: a
     // hostile header must not wrap the arithmetic here.
@@ -118,7 +118,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let estimated = n
         .saturating_add(1)
         .saturating_mul(8)
-        .saturating_add(m.saturating_mul(16))
+        .saturating_add(m.saturating_mul(persist::ENTRY_LEN as u64))
         .saturating_add(n.saturating_mul(8))
         .saturating_add(parents.saturating_mul(4))
         .saturating_add(owned.saturating_mul(4));

@@ -1,6 +1,6 @@
 //! `chl route`: scatter-gather front door for a cluster of shard servers.
 //!
-//! Each backend is a `chl serve --shard` process holding one `.chl` v3
+//! Each backend is a `chl serve --shard` process holding one `.chl`
 //! QDOL shard. The router speaks the same binary protocol as a single
 //! server, so clients (and `chl bench-serve`) cannot tell a routed
 //! cluster from one whole-index process: per-query QDOL placement picks

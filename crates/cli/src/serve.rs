@@ -36,7 +36,7 @@ options:
                       and one connection uses one core               [4]
   --max-frame BYTES   largest accepted request frame            [1 MiB]
   --mmap              serve zero-copy from the OS page cache
-  --shard             required to serve a .chl v3 shard file; the server
+  --shard             required to serve a .chl shard file; the server
                       answers NOT_THIS_SHARD for unowned vertices and is
                       meant to sit behind 'chl route'";
 

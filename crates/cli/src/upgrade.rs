@@ -9,8 +9,10 @@ use crate::CliError;
 pub const USAGE: &str = "\
 usage: chl upgrade <in.chl> <out.chl>
 
-Rewrites a .chl index of an earlier format version (v1, v2), which no other
-command reads, as the current version (v3); a v3 file is copied unchanged.
+Rewrites a .chl index of an earlier format version (v1, v2, v3), which no
+other command reads, as the current version (v4); a v4 file is copied
+unchanged. A label distance the current format cannot hold (past 2^32 - 1)
+is refused, never truncated.
 The result is fully validated before it is written, and it replaces
 <out.chl> whole, so <out.chl> may be <in.chl>.";
 

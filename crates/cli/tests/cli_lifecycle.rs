@@ -238,7 +238,7 @@ fn inspect_reports_header_and_histogram() {
     // neither claim full integrity nor walk the payload for a histogram.
     let stdout = run_ok(chl().args(["inspect", index_path.to_str().unwrap()]));
     for needle in [
-        "format version:   3",
+        "format version:   4",
         "vertices:         64",
         "section checksums:",
         "serving footprint:",
@@ -254,7 +254,7 @@ fn inspect_reports_header_and_histogram() {
     // --histogram opts into the full load: integrity check + histogram.
     let stdout = run_ok(chl().args(["inspect", index_path.to_str().unwrap(), "--histogram"]));
     for needle in [
-        "format version:   3",
+        "format version:   4",
         "integrity:        ok",
         "max label size:",
         "label-size histogram",
@@ -289,9 +289,9 @@ fn header_estimate_matches_the_loaded_footprint() {
             bytes_after(&loaded, "memory footprint:"),
         )
     };
-    // 900 vertices, 26 518 labels: offsets 7 208 + entries 424 288 +
-    // ranking 7 200 + parents 106 072.
-    assert_eq!(footprints(&index), (544_768, 544_768));
+    // 900 vertices, 26 518 labels: offsets 7 208 + entries 212 144 (8 per
+    // label) + ranking 7 200 + parents 106 072.
+    assert_eq!(footprints(&index), (332_624, 332_624));
     let (estimate, loaded) = footprints(&dir.join("g.shard-0-of-3.chl"));
     assert_eq!(estimate, loaded);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -401,7 +401,7 @@ fn mmap_serving_matches_copy_load_end_to_end() {
 }
 
 #[test]
-fn legacy_files_are_refused_and_upgrade_to_v3() {
+fn legacy_files_are_refused_and_upgrade_to_v4() {
     // The checked-in legacy fixtures of the golden corpus, a 4x4 grid, and
     // the distance table they pin.
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
@@ -423,6 +423,8 @@ fn legacy_files_are_refused_and_upgrade_to_v3() {
         "golden.v1.chl",
         "golden.v2-flat.chl",
         "golden.v2-compressed.chl",
+        "golden.v3-flat.chl",
+        "golden.v3-compressed.chl",
     ] {
         let path = fixtures.join(legacy);
         let path = path.to_str().unwrap();
@@ -439,13 +441,13 @@ fn legacy_files_are_refused_and_upgrade_to_v3() {
             assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         }
 
-        // Upgraded, it is a v3 file answering the pinned distances, owned
+        // Upgraded, it is a v4 file answering the pinned distances, owned
         // and mapped.
         let upgraded = dir.join(legacy);
         let upgraded = upgraded.to_str().unwrap();
         run_ok(chl().args(["upgrade", path, upgraded]));
         let stdout = run_ok(chl().args(["inspect", upgraded]));
-        assert!(stdout.contains("format version:   3"), "stdout: {stdout}");
+        assert!(stdout.contains("format version:   4"), "stdout: {stdout}");
         for mmap in [&[][..], &["--mmap"]] {
             let stdout = run_ok(chl().args(["query", upgraded]).args(mmap).args(&pairs));
             assert_eq!(stdout, expected, "{legacy} {mmap:?}");
@@ -465,6 +467,68 @@ fn legacy_files_are_refused_and_upgrade_to_v3() {
     run_err(chl().args(["upgrade", "only-one.chl"]));
     run_err(chl().args(["upgrade", "a.chl", "b.chl", "c.chl"]));
 
+    // A v3 record whose distance needs 33 bits, every checksum resealed:
+    // the upgrade refuses it, typed, and writes nothing.
+    let mut forged = std::fs::read(fixtures.join("golden.v3-flat.chl")).unwrap();
+    let word = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let (n, m) = (word(&forged, 8) as usize, word(&forged, 16) as usize);
+    // Header, ranking padded to 8, offsets, then 16-byte records.
+    let entries = 48 + (4 * n).next_multiple_of(8) + 8 * (n + 1);
+    forged[entries + 8..entries + 16].copy_from_slice(&(1u64 << 32).to_le_bytes());
+    let crc = chl_core::persist::crc32(&forged[entries..entries + 16 * m]);
+    forged[36..40].copy_from_slice(&crc.to_le_bytes());
+    let crc = chl_core::persist::crc32(&forged[..44]);
+    forged[44..48].copy_from_slice(&crc.to_le_bytes());
+    let forged_path = dir.join("forged.v3.chl");
+    std::fs::write(&forged_path, &forged).unwrap();
+    let out_path = dir.join("forged.v4.chl");
+    let out = chl()
+        .args([
+            "upgrade",
+            forged_path.to_str().unwrap(),
+            out_path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("distance overflow"), "{stderr}");
+    assert!(stderr.contains("4294967296"), "{stderr}");
+    assert!(!out_path.exists());
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn build_refuses_a_distance_no_stored_label_holds() {
+    // Vertex 0 has the highest degree, so it ranks first and vertex 4's
+    // label for it lies two u32::MAX edges away: 2^33 - 2, which a stored
+    // 32-bit distance cannot hold.
+    let dir = temp_dir("overflow");
+    let graph = dir.join("heavy.txt");
+    std::fs::write(&graph, "0 1 1\n0 2 1\n0 3 4294967295\n3 4 4294967295\n").unwrap();
+    let index = dir.join("heavy.chl");
+    for algorithm in ["pll", "sparapll", "lcc", "gll", "plant", "hybrid"] {
+        let out = chl()
+            .args([
+                "build",
+                graph.to_str().unwrap(),
+                "--out",
+                index.to_str().unwrap(),
+            ])
+            .args(["--ranking", "degree", "--algorithm", algorithm])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{algorithm}: {stderr}");
+        assert!(
+            stderr.contains("distance overflow"),
+            "{algorithm}: {stderr}"
+        );
+        assert!(stderr.contains("8589934590"), "{algorithm}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{algorithm}: {stderr}");
+        assert!(!index.exists(), "{algorithm} wrote an index");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -769,7 +833,7 @@ fn sharded_build_serves_through_real_processes_behind_the_router() {
     // inspect knows what a shard file is, without loading the payload.
     let stdout = run_ok(chl().args(["inspect", shard_paths[0].to_str().unwrap()]));
     for needle in [
-        "format version:   3",
+        "format version:   4",
         "shard:            0 of 3",
         "owned positions:",
         "vertices:         64",

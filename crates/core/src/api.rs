@@ -57,18 +57,18 @@ pub struct LabelingResult {
 impl LabelingResult {
     /// A constructor's final label sets as a result: the sets drain into
     /// the index's CSR store ([`FlatIndex::new`]), `stats` gets the total
-    /// time since `start` and the label count after cleaning.
+    /// time since `start` and the label count after cleaning. A distance
+    /// no stored label holds is [`LabelingError::DistanceOverflow`].
     pub(crate) fn finish(
         labels: Vec<LabelSet>,
         ranking: &Ranking,
         mut stats: ConstructionStats,
         start: Instant,
-    ) -> Self {
-        let index = FlatIndex::new(labels, ranking.clone())
-            .expect("constructor produced one label set per vertex");
+    ) -> Result<Self, LabelingError> {
+        let index = FlatIndex::new(labels, ranking.clone())?;
         stats.labels_after_cleaning = index.total_labels();
         stats.total_time = start.elapsed();
-        LabelingResult { index, stats }
+        Ok(LabelingResult { index, stats })
     }
 }
 
@@ -303,7 +303,7 @@ macro_rules! declare_labeler {
                 $c: &LabelingConfig,
             ) -> Result<LabelingResult, LabelingError> {
                 validate_inputs($g, $r, $c)?;
-                Ok($call)
+                $call
             }
         }
     };

@@ -15,8 +15,9 @@ use chl_graph::types::{dist_add, Distance, VertexId, INFINITY};
 use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
+use crate::error::LabelingError;
 use crate::flat::FlatIndex;
-use crate::labels::{LabelEntry, LabelSet};
+use crate::labels::{FlatEntry, LabelEntry, LabelSet};
 
 /// For one source `u`, the distance to every vertex plus the most important
 /// vertex on the union of all shortest `u`-paths (including both endpoints).
@@ -81,8 +82,15 @@ pub fn shortest_path_maxima(g: &CsrGraph, ranking: &Ranking, source: VertexId) -
 }
 
 /// Computes the Canonical Hub Labeling by brute force. Quadratic in the graph
-/// size — intended for tests and small reference runs only.
-pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> FlatIndex {
+/// size — intended for tests and small reference runs only. A distance no
+/// stored label holds is [`LabelingError::DistanceOverflow`], as for every
+/// constructor.
+pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> Result<FlatIndex, LabelingError> {
+    FlatIndex::new(canonical_label_sets(g, ranking), ranking.clone())
+}
+
+/// The canonical label set of every vertex, at full distance width.
+fn canonical_label_sets(g: &CsrGraph, ranking: &Ranking) -> Vec<LabelSet> {
     let n = g.num_vertices();
     let mut per_vertex: Vec<std::collections::BTreeMap<u32, Distance>> =
         vec![std::collections::BTreeMap::new(); n];
@@ -104,7 +112,7 @@ pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> FlatIndex {
         }
     }
 
-    let labels: Vec<LabelSet> = per_vertex
+    per_vertex
         .into_iter()
         .map(|m| {
             LabelSet::from_entries(
@@ -113,8 +121,7 @@ pub fn brute_force_chl(g: &CsrGraph, ranking: &Ranking) -> FlatIndex {
                     .collect(),
             )
         })
-        .collect();
-    FlatIndex::new(labels, ranking.clone()).expect("brute force produces one label set per vertex")
+        .collect()
 }
 
 /// Violations found by [`check_labeling`].
@@ -171,7 +178,7 @@ pub fn check_labeling(
 ) -> Vec<LabelingViolation> {
     let n = g.num_vertices();
     let mut violations = Vec::new();
-    let canonical = brute_force_chl(g, ranking);
+    let canonical = canonical_label_sets(g, ranking);
 
     for u in 0..n as VertexId {
         let maxima = shortest_path_maxima(g, ranking, u);
@@ -180,11 +187,11 @@ pub fn check_labeling(
         for e in index.labels_of(u) {
             let hub_vertex = ranking.vertex_at(e.hub);
             let true_d = maxima.dist[hub_vertex as usize];
-            if e.dist != true_d {
+            if Distance::from(e.dist) != true_d {
                 violations.push(LabelingViolation::WrongLabelDistance {
                     vertex: u,
                     hub: hub_vertex,
-                    stored: e.dist,
+                    stored: Distance::from(e.dist),
                     expected: true_d,
                 });
             }
@@ -218,7 +225,7 @@ pub fn check_labeling(
 
         // Minimality: every stored label must be canonical.
         for e in index.labels_of(u) {
-            if !has_hub(canonical.labels_of(u), e.hub) {
+            if !canonical[u as usize].contains_hub(e.hub) {
                 violations.push(LabelingViolation::RedundantLabel {
                     vertex: u,
                     hub: ranking.vertex_at(e.hub),
@@ -230,7 +237,7 @@ pub fn check_labeling(
 }
 
 /// Whether a hub-sorted run holds hub rank position `hub`.
-fn has_hub(run: &[LabelEntry], hub: u32) -> bool {
+fn has_hub(run: &[FlatEntry], hub: u32) -> bool {
     run.binary_search_by_key(&hub, |e| e.hub).is_ok()
 }
 
@@ -296,7 +303,7 @@ mod tests {
     fn brute_force_chl_on_star() {
         let g = star_graph(5);
         let ranking = Ranking::identity(5);
-        let chl = brute_force_chl(&g, &ranking);
+        let chl = brute_force_chl(&g, &ranking).unwrap();
         // Center: one label; each leaf: center + itself.
         assert_eq!(chl.labels_of(0).len(), 1);
         for leaf in 1..5u32 {
@@ -309,7 +316,7 @@ mod tests {
     fn pll_and_lcc_match_brute_force() {
         let g = erdos_renyi(40, 0.12, 10, 17);
         let ranking = degree_ranking(&g);
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         assert_eq!(sequential_pll(&g, &ranking).index, reference);
         assert_eq!(
             lcc(&g, &ranking, &LabelingConfig::default().with_threads(4)).index,
@@ -377,7 +384,7 @@ mod tests {
     fn empty_graph_is_trivially_canonical() {
         let g = chl_graph::GraphBuilder::new_undirected().build().unwrap();
         let ranking = Ranking::identity(0);
-        let chl = brute_force_chl(&g, &ranking);
+        let chl = brute_force_chl(&g, &ranking).unwrap();
         assert!(is_canonical(&g, &ranking, &chl));
         assert_eq!(chl.total_labels(), 0);
     }

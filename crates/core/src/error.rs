@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use chl_graph::types::{Distance, VertexId};
+
 /// Errors produced by the labeling constructors.
 #[derive(Debug)]
 pub enum LabelingError {
@@ -22,6 +24,17 @@ pub enum LabelingError {
         /// Vertices covered by the ranking.
         ranking_vertices: usize,
     },
+    /// A finished label's distance does not fit the 32-bit distance of a
+    /// stored [`crate::labels::FlatEntry`]. The labeling is refused whole,
+    /// never truncated.
+    DistanceOverflow {
+        /// The labeled vertex.
+        vertex: VertexId,
+        /// The hub's rank position.
+        hub: u32,
+        /// The label's distance, past `u32::MAX`.
+        dist: Distance,
+    },
 }
 
 impl fmt::Display for LabelingError {
@@ -35,6 +48,12 @@ impl fmt::Display for LabelingError {
             LabelingError::LabelShapeMismatch { label_sets, ranking_vertices } => write!(
                 f,
                 "index assembled from {label_sets} label sets but the ranking covers {ranking_vertices} vertices"
+            ),
+            LabelingError::DistanceOverflow { vertex, hub, dist } => write!(
+                f,
+                "distance overflow: vertex {vertex}'s label at hub position {hub} has distance \
+                 {dist}, more than a stored label holds ({})",
+                u32::MAX
             ),
         }
     }
@@ -61,5 +80,11 @@ mod tests {
             ranking_vertices: 5,
         };
         assert!(e.to_string().contains("4") && e.to_string().contains("5"));
+        let e = LabelingError::DistanceOverflow {
+            vertex: 2,
+            hub: 0,
+            dist: 1 << 32,
+        };
+        assert!(e.to_string().contains("4294967296") && e.to_string().contains("4294967295"));
     }
 }

@@ -11,19 +11,20 @@
 //! * [`IndexView`] is the borrowed index and the only home of the query
 //!   logic: ranking order, CSR offsets and label entries, plus the optional
 //!   parent records and shard identity, all borrowed. Its entries are flat
-//!   16-byte records or the delta+varint encoding of the compressed `.chl`
-//!   section (see [`crate::persist`]); a join branches on that once, as
-//!   does each walk over one label run. Flat runs are slices for the tiered
-//!   join ([`kernel::join_adaptive`]); compressed runs stream through a
-//!   `DecodeCursor` into the iterator join, so no decompressed copy ever
-//!   exists.
+//!   8-byte [`FlatEntry`] records or the delta+varint encoding of the
+//!   compressed `.chl` section (see [`crate::persist`]); a join branches on
+//!   that once, as does each walk over one label run. Flat runs are slices
+//!   for the tiered join ([`kernel::join_adaptive`]); compressed runs stream
+//!   through a `DecodeCursor` into the iterator join, so no decompressed
+//!   copy ever exists.
 //! * [`FlatIndex`] is the owning wrapper: the two arrays behind one shared
 //!   [`Arc`], so a clone is a reference-count bump, plus the full
 //!   [`Ranking`]. It answers every query through
 //!   [`FlatIndex::as_index_view`], exactly as the zero-copy load paths do.
 //!
 //! The flat layout is what the `.chl` on-disk format (see [`crate::persist`])
-//! stores byte-for-byte, so loading an index is one read plus validation —
+//! stores byte-for-byte (8 bytes a label, the distance narrowed to `u32`
+//! once, in [`FlatIndex::new`]), so loading an index is one read plus validation —
 //! and querying needs no copy at all. All layouts and
 //! encodings answer every query identically (asserted by the persistence
 //! proptests and the golden fixture corpus).
@@ -46,7 +47,7 @@ use chl_ranking::Ranking;
 
 use crate::error::LabelingError;
 use crate::kernel;
-use crate::labels::{join_sorted_iters, LabelEntry, LabelSet};
+use crate::labels::{join_sorted_iters, FlatEntry, LabelSet};
 use crate::oracle::DistanceOracle;
 use crate::persist::{self, PersistError, SaveOptions, ShardSpec};
 
@@ -54,9 +55,9 @@ use crate::persist::{self, PersistError, SaveOptions, ShardSpec};
 /// the query kernel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Entries<'a> {
-    /// Flat 16-byte records: vertex `v`'s run is
+    /// Flat 8-byte records: vertex `v`'s run is
     /// `entries[offsets[v]..offsets[v + 1]]`.
-    Flat(&'a [LabelEntry]),
+    Flat(&'a [FlatEntry]),
     /// The delta+varint compressed entries section
     /// (`FLAG_COMPRESSED_ENTRIES`): `skip[v]` is the byte offset of vertex
     /// `v`'s run in `blob`, `skip[n]` the blob length.
@@ -67,15 +68,15 @@ pub(crate) enum Entries<'a> {
 /// a slice of flat records, or a cursor decoding compressed ones.
 #[derive(Debug, Clone)]
 pub(crate) enum Run<'a> {
-    Flat(std::slice::Iter<'a, LabelEntry>),
+    Flat(std::slice::Iter<'a, FlatEntry>),
     Compressed(DecodeCursor<'a>),
 }
 
 impl Iterator for Run<'_> {
-    type Item = LabelEntry;
+    type Item = FlatEntry;
 
     #[inline]
-    fn next(&mut self) -> Option<LabelEntry> {
+    fn next(&mut self) -> Option<FlatEntry> {
         match self {
             Run::Flat(run) => run.next().copied(),
             Run::Compressed(cursor) => cursor.next(),
@@ -90,7 +91,7 @@ impl Iterator for Run<'_> {
     }
 
     // Internal iteration (`for_each`) branches once per run, not per entry.
-    fn fold<B, F: FnMut(B, LabelEntry) -> B>(self, init: B, f: F) -> B {
+    fn fold<B, F: FnMut(B, FlatEntry) -> B>(self, init: B, f: F) -> B {
         match self {
             Run::Flat(run) => run.copied().fold(init, f),
             Run::Compressed(cursor) => cursor.fold(init, f),
@@ -101,9 +102,10 @@ impl Iterator for Run<'_> {
 /// Streaming decoder over one vertex's delta+varint encoded label run.
 ///
 /// The bytes it walks were fully validated at load time (canonical varints,
-/// strictly positive hub gaps, exact run length), so decoding is
-/// unconditional arithmetic; the defensive `Option` handling below only
-/// exists so that a misuse can never panic, merely end the run early.
+/// strictly positive hub gaps, distances within `u32`, exact run length),
+/// so decoding is unconditional arithmetic; the defensive `Option` handling
+/// below only exists so that a misuse can never panic, merely end the run
+/// early.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodeCursor<'a> {
     bytes: &'a [u8],
@@ -126,16 +128,20 @@ impl<'a> DecodeCursor<'a> {
 }
 
 impl Iterator for DecodeCursor<'_> {
-    type Item = LabelEntry;
+    type Item = FlatEntry;
 
     #[inline]
-    fn next(&mut self) -> Option<LabelEntry> {
+    fn next(&mut self) -> Option<FlatEntry> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
         let gap = persist::read_uvarint(self.bytes, &mut self.pos)?;
         let dist = persist::read_uvarint(self.bytes, &mut self.pos)?;
+        // Exact: the validator refused any distance past u32::MAX, and a
+        // checked conversion here costs ~8 % of a compressed query.
+        debug_assert!(dist <= u64::from(u32::MAX), "validated distance");
+        let dist = dist as u32;
         let hub = if self.first {
             self.first = false;
             gap as u32
@@ -144,7 +150,7 @@ impl Iterator for DecodeCursor<'_> {
             self.prev_hub.wrapping_add(gap as u32)
         };
         self.prev_hub = hub;
-        Some(LabelEntry::new(hub, dist))
+        Some(FlatEntry::new(hub, dist))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -169,7 +175,7 @@ impl std::fmt::Display for NotThisShard {
 
 impl std::error::Error for NotThisShard {}
 
-/// Borrowed shard identity of a `.chl` v3 shard file: which shard this is,
+/// Borrowed shard identity of a `.chl` shard file: which shard this is,
 /// how the QDOL layout was derived, and the sorted vertex set whose label
 /// runs the file actually carries.
 #[derive(Debug, Clone, Copy)]
@@ -211,7 +217,7 @@ impl ShardView<'_> {
 /// and lives in flat or compressed entries; `order[pos]` is the vertex at
 /// rank position `pos` (most important first). A view only comes from a
 /// validated source, so the query methods take the CSR invariants as
-/// given. A v3 shard file additionally carries its [`ShardView`];
+/// given. A shard file additionally carries its [`ShardView`];
 /// [`Self::try_query`] is the shard-honest query surface, refusing foreign
 /// endpoints with a typed [`NotThisShard`] instead of the silently wrong
 /// `INFINITY` the shard-blind [`Self::query`] would produce.
@@ -300,7 +306,7 @@ impl<'a> IndexView<'a> {
             }
             run => run.enumerate().find(|(_, e)| e.hub >= hub_pos)?,
         };
-        (e.hub == hub_pos).then_some((lo + i, e.dist))
+        (e.hub == hub_pos).then_some((lo + i, Distance::from(e.dist)))
     }
 
     /// Answers a PPSD query: the exact shortest-path distance between `u` and
@@ -365,7 +371,7 @@ impl<'a> IndexView<'a> {
         self.parents.is_some()
     }
 
-    /// The shard identity of a v3 shard file; `None` for a whole index.
+    /// The shard identity of a shard file; `None` for a whole index.
     pub fn shard(&self) -> Option<&ShardView<'a>> {
         self.shard.as_ref()
     }
@@ -429,7 +435,7 @@ impl<'a> IndexView<'a> {
     /// Bytes of backing storage the view spans in its on-disk encoding —
     /// for a view over a `.chl` buffer, the file bytes queries touch: the
     /// order, offsets and entries arrays (a compressed view counts its
-    /// *encoded* skip table and blob, not the 16-byte-per-entry decoded
+    /// *encoded* skip table and blob, not the 8-byte-per-entry decoded
     /// size), the parent records and a shard's owned-vertex list. Unlike an
     /// owned [`FlatIndex`], a view carries no rank-position array, so this
     /// is smaller than [`FlatIndex::memory_bytes`] by `4 * n`.
@@ -459,7 +465,7 @@ impl<'a> IndexView<'a> {
         clippy::expect_used,
         reason = "views only exist over validated permutations"
     )]
-    pub(crate) fn to_owned_with(self, decoded: Option<Vec<LabelEntry>>) -> FlatIndex {
+    pub(crate) fn to_owned_with(self, decoded: Option<Vec<FlatEntry>>) -> FlatIndex {
         let entries = match (self.entries, decoded) {
             (Entries::Flat(entries), _) => entries.to_vec(),
             (Entries::Compressed { .. }, Some(entries)) => entries,
@@ -551,18 +557,22 @@ pub struct FlatIndex {
 #[derive(Debug, PartialEq)]
 struct Csr {
     offsets: Vec<u64>,
-    entries: Vec<LabelEntry>,
+    entries: Vec<FlatEntry>,
 }
 
 impl FlatIndex {
     /// Drains per-vertex label sets (indexed by vertex id) into the CSR
     /// arrays, for the ranking whose positions the labels refer to. The
     /// entries array is sized exactly once, and each set is dropped as soon
-    /// as it is copied, so the labeling never exists twice in full.
+    /// as it is copied, so the labeling never exists twice in full. This is
+    /// where a labeling narrows: each wide entry becomes an 8-byte
+    /// [`FlatEntry`].
     ///
     /// The shape check runs in release builds too: an index whose label-set
     /// count disagrees with its ranking corrupts every query that touches the
-    /// missing tail, so the mismatch is an error, not a debug assertion.
+    /// missing tail, so the mismatch is an error, not a debug assertion. A
+    /// distance past `u32::MAX` is [`LabelingError::DistanceOverflow`]; no
+    /// entry is ever truncated.
     pub fn new(labels: Vec<LabelSet>, ranking: Ranking) -> Result<Self, LabelingError> {
         if labels.len() != ranking.len() {
             return Err(LabelingError::LabelShapeMismatch {
@@ -573,8 +583,14 @@ impl FlatIndex {
         let mut offsets = Vec::with_capacity(labels.len() + 1);
         let mut entries = Vec::with_capacity(labels.iter().map(LabelSet::len).sum());
         offsets.push(0);
-        for set in labels {
-            entries.extend_from_slice(set.entries());
+        for (v, set) in labels.into_iter().enumerate() {
+            for &e in set.entries() {
+                entries.push(FlatEntry::narrow(e).ok_or(LabelingError::DistanceOverflow {
+                    vertex: v as VertexId,
+                    hub: e.hub,
+                    dist: e.dist,
+                })?);
+            }
             offsets.push(entries.len() as u64);
         }
         Ok(FlatIndex::from_validated_parts(offsets, entries, ranking))
@@ -611,7 +627,7 @@ impl FlatIndex {
     /// everything else should go through [`FlatIndex::new`].
     pub(crate) fn from_validated_parts(
         offsets: Vec<u64>,
-        entries: Vec<LabelEntry>,
+        entries: Vec<FlatEntry>,
         ranking: Ranking,
     ) -> Self {
         debug_assert_eq!(offsets.len(), ranking.len() + 1);
@@ -726,7 +742,7 @@ impl FlatIndex {
     }
 
     /// All label entries, concatenated in vertex order.
-    pub fn entries(&self) -> &[LabelEntry] {
+    pub fn entries(&self) -> &[FlatEntry] {
         &self.labels.entries
     }
 
@@ -738,13 +754,13 @@ impl FlatIndex {
     /// ids that may come from untrusted input.
     #[inline]
     #[expect(clippy::expect_used, reason = "documented panic on v >= n")]
-    pub fn labels_of(&self, v: VertexId) -> &[LabelEntry] {
+    pub fn labels_of(&self, v: VertexId) -> &[FlatEntry] {
         self.try_labels_of(v).expect("vertex id out of range")
     }
 
     /// Label slice of vertex `v`, or `None` when `v` is out of range.
     #[inline]
-    pub fn try_labels_of(&self, v: VertexId) -> Option<&[LabelEntry]> {
+    pub fn try_labels_of(&self, v: VertexId) -> Option<&[FlatEntry]> {
         let lo = *self.offsets().get(v as usize)? as usize;
         let hi = *self.offsets().get(v as usize + 1)? as usize;
         self.entries().get(lo..hi)
@@ -801,7 +817,7 @@ impl FlatIndex {
         persist::to_bytes(self)
     }
 
-    /// Serializes the index into `.chl` v3 bytes with explicit
+    /// Serializes the index into `.chl` bytes with explicit
     /// [`SaveOptions`] — `compress: true` writes the entries section
     /// delta+varint encoded (see [`crate::persist`]).
     pub fn to_bytes_with(&self, options: &SaveOptions) -> Vec<u8> {
@@ -896,7 +912,8 @@ impl FlatIndex {
     ) -> Self {
         let mut per_vertex = vec![Vec::new(); ranking.len()];
         for (v, hub, dist) in triples {
-            per_vertex[v as usize].push(LabelEntry::new(ranking.position(hub), dist));
+            per_vertex[v as usize]
+                .push(crate::labels::LabelEntry::new(ranking.position(hub), dist));
         }
         let sets = per_vertex.into_iter().map(LabelSet::from_entries).collect();
         FlatIndex::new(sets, ranking).unwrap()
@@ -906,7 +923,7 @@ impl FlatIndex {
     /// finished labeling.
     pub(crate) fn label_sets(&self) -> Vec<LabelSet> {
         (0..self.num_vertices() as VertexId)
-            .map(|v| LabelSet::from_entries(self.labels_of(v).to_vec()))
+            .map(|v| LabelSet::from_entries(self.labels_of(v).iter().map(|&e| e.into()).collect()))
             .collect()
     }
 }
@@ -985,6 +1002,45 @@ mod tests {
     }
 
     #[test]
+    fn every_constructor_refuses_a_distance_past_u32() {
+        use chl_graph::GraphBuilder;
+        // Path 0 - 1 - 2 with both edges u32::MAX and vertex 0 ranked
+        // first: vertex 2's label for hub 0 is 2 * u32::MAX.
+        let mut b = GraphBuilder::new_undirected();
+        b.add_edge(0, 1, u32::MAX);
+        b.add_edge(1, 2, u32::MAX);
+        let g = b.build().unwrap();
+        let wide = 2 * Distance::from(u32::MAX);
+        let refused = |result: Result<FlatIndex, LabelingError>| {
+            matches!(
+                result,
+                Err(LabelingError::DistanceOverflow { vertex: 2, hub: 0, dist }) if dist == wide
+            )
+        };
+        for algorithm in Algorithm::ALL {
+            let built = ChlBuilder::new(&g)
+                .ranking(RankingStrategy::Explicit(Ranking::identity(3)))
+                .algorithm(algorithm)
+                .threads(1)
+                .build();
+            assert!(refused(built.map(|r| r.index)), "{algorithm}");
+        }
+        let brute = crate::canonical::brute_force_chl(&g, &Ranking::identity(3));
+        assert!(refused(brute));
+        // With the middle vertex first every label fits, u32::MAX included.
+        let fits = ChlBuilder::new(&g)
+            .ranking(RankingStrategy::Explicit(
+                Ranking::from_order(vec![1, 0, 2], 3).unwrap(),
+            ))
+            .algorithm(Algorithm::Pll)
+            .build()
+            .unwrap()
+            .index;
+        assert_eq!(fits.query(0, 2), wide);
+        assert_eq!(fits.labels_of(0)[0], FlatEntry::new(0, u32::MAX));
+    }
+
+    #[test]
     fn view_is_the_same_kernel_as_the_owned_index() {
         let flat = tiny_index();
         let view = flat.as_index_view();
@@ -1041,12 +1097,12 @@ mod tests {
         // One parent per entry: self for distance 0, else vertex 1.
         let pathful = tiny_index().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
         let (n, m) = (3, 5);
-        // offsets (n + 1) * 8 + entries 16 m + order and position 8 n +
+        // offsets (n + 1) * 8 + entries 8 m + order and position 8 n +
         // parents 4 m.
-        assert_eq!(pathful.memory_bytes(), 8 * (n + 1) + 16 * m + 8 * n + 4 * m);
+        assert_eq!(pathful.memory_bytes(), 8 * (n + 1) + 8 * m + 8 * n + 4 * m);
         assert_eq!(
             pathful.as_index_view().memory_bytes(),
-            8 * (n + 1) + 16 * m + 4 * n + 4 * m
+            8 * (n + 1) + 8 * m + 4 * n + 4 * m
         );
         let spec = ShardSpec {
             shard_id: 0,
@@ -1060,11 +1116,11 @@ mod tests {
         assert_eq!(shard.total_labels(), m);
         assert_eq!(
             shard.memory_bytes(),
-            8 * (n + 1) + 16 * m + 8 * n + 4 * m + 4 * owned
+            8 * (n + 1) + 8 * m + 8 * n + 4 * m + 4 * owned
         );
         assert_eq!(
             shard.as_index_view().memory_bytes(),
-            8 * (n + 1) + 16 * m + 4 * n + 4 * m + 4 * owned
+            8 * (n + 1) + 8 * m + 4 * n + 4 * m + 4 * owned
         );
         assert_eq!(DistanceOracle::memory_bytes(&shard), shard.memory_bytes());
     }

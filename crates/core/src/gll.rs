@@ -44,6 +44,7 @@ use chl_ranking::Ranking;
 use crate::api::LabelingResult;
 use crate::cleaning::{clean_superstep, commit};
 use crate::config::LabelingConfig;
+use crate::error::LabelingError;
 use crate::labels::{LabelEntry, LabelSet};
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use crate::schedule;
@@ -61,7 +62,11 @@ pub fn gll(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> Labeling
         .unwrap_or_else(|e| panic!("gll: {e}"))
 }
 
-pub(crate) fn gll_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> LabelingResult {
+pub(crate) fn gll_impl(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    config: &LabelingConfig,
+) -> Result<LabelingResult, LabelingError> {
     let start = Instant::now();
     let n = g.num_vertices();
     let threads = config.effective_threads();

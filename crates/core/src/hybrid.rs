@@ -49,6 +49,7 @@ use parking_lot::Mutex;
 use crate::api::LabelingResult;
 use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
+use crate::error::LabelingError;
 use crate::plant::plant_trees;
 use crate::pll::pruned_pass;
 use crate::pruned_dijkstra::PruneOptions;
@@ -70,7 +71,7 @@ pub(crate) fn shared_hybrid_impl(
     g: &CsrGraph,
     ranking: &Ranking,
     config: &LabelingConfig,
-) -> LabelingResult {
+) -> Result<LabelingResult, LabelingError> {
     let start = Instant::now();
     let n = g.num_vertices();
     let threads = config.effective_threads();

@@ -5,7 +5,7 @@
 //! `d(u,h) + d(v,h)` over common hubs `h` (and the first hub achieving it).
 //! The reference implementation is the branchy two-pointer iterator join in
 //! [`crate::labels::join_sorted_iters`]; this module supplies drop-in
-//! replacements over plain `&[LabelEntry]` slices that trade generality for
+//! replacements over plain `&[FlatEntry]` slices that trade generality for
 //! throughput, plus the dispatch that picks between them:
 //!
 //! * [`join_branchless`] — two-pointer scan with conditional-move advance
@@ -21,8 +21,10 @@
 //!
 //! All tiers return **exactly** what the reference join returns — same
 //! `Option`, same hub on ties (the first, i.e. highest-ranked, hub achieving
-//! the minimal sum), same `Distance::MAX` saturation — a property pinned
-//! down by the differential proptests in `tests/proptest_kernels.rs`.
+//! the minimal sum) — a property pinned down by the differential proptests
+//! in `tests/proptest_kernels.rs`. A stored distance is a `u32`, and each
+//! sum is taken in `u64`: it is exact, at most `2 * u32::MAX`, and so
+//! always below `INFINITY`, which therefore marks "no common hub yet".
 
 // Serving hot path: no panics outside tests. Exemptions are reasoned
 // `#[expect]`s (docs/ARCHITECTURE.md, "Safety & concurrency invariants").
@@ -34,7 +36,7 @@
 use chl_graph::types::{Distance, VertexId, INFINITY};
 
 use crate::flat::IndexView;
-use crate::labels::LabelEntry;
+use crate::labels::FlatEntry;
 
 /// Length ratio at which [`join_adaptive`] switches from block scanning to
 /// galloping: the longer run must be at least this many times the shorter.
@@ -47,14 +49,10 @@ use crate::labels::LabelEntry;
 pub const GALLOP_FACTOR: usize = 16;
 
 /// The running best of a merge join: first (highest-ranked) hub achieving
-/// the strictly minimal `d(u,h) + d(v,h)` seen so far.
-///
-/// `found` is tracked separately from the distance because `Distance::MAX`
-/// is a legitimate saturated sum — the reference join can return
-/// `Some((h, MAX))` — so `MAX` cannot double as the "nothing yet" sentinel.
+/// the strictly minimal `d(u,h) + d(v,h)` seen so far, `INFINITY` until a
+/// common hub is found.
 #[derive(Clone, Copy)]
 struct Best {
-    found: bool,
     hub: u32,
     dist: Distance,
 }
@@ -63,7 +61,6 @@ impl Best {
     #[inline(always)]
     fn new() -> Best {
         Best {
-            found: false,
             hub: 0,
             dist: INFINITY,
         }
@@ -74,38 +71,37 @@ impl Best {
     /// smaller sum.
     #[inline(always)]
     fn update(&mut self, hub: u32, total: Distance) {
-        let take = !self.found | (total < self.dist);
+        let take = total < self.dist;
         self.hub = if take { hub } else { self.hub };
         self.dist = if take { total } else { self.dist };
-        self.found = true;
     }
 
     #[inline(always)]
     fn into_option(self) -> Option<(u32, Distance)> {
-        if self.found {
-            Some((self.hub, self.dist))
-        } else {
-            None
-        }
+        (self.dist != INFINITY).then_some((self.hub, self.dist))
     }
+}
+
+/// The exact `u64` sum of two stored distances.
+#[inline(always)]
+fn sum(a: FlatEntry, b: FlatEntry) -> Distance {
+    Distance::from(a.dist) + Distance::from(b.dist)
 }
 
 /// The branchless two-pointer core of [`join_branchless`], folding hits
 /// into a caller-supplied [`Best`].
 #[inline(always)]
-fn join_branchless_into(a: &[LabelEntry], b: &[LabelEntry], best: &mut Best) {
+fn join_branchless_into(a: &[FlatEntry], b: &[FlatEntry], best: &mut Best) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         // SAFETY: `i < a.len()` holds by the loop condition just checked.
         let x = unsafe { *a.get_unchecked(i) };
         // SAFETY: `j < b.len()` holds by the loop condition just checked.
         let y = unsafe { *b.get_unchecked(j) };
-        let total = x.dist.saturating_add(y.dist);
-        let eq = x.hub == y.hub;
-        let take = eq & (!best.found | (total < best.dist));
+        let total = sum(x, y);
+        let take = (x.hub == y.hub) & (total < best.dist);
         best.hub = if take { x.hub } else { best.hub };
         best.dist = if take { total } else { best.dist };
-        best.found |= eq;
         // <= / >= advance both pointers on a hub match and exactly one
         // otherwise — the whole step compiles to conditional moves.
         i += usize::from(x.hub <= y.hub);
@@ -114,9 +110,9 @@ fn join_branchless_into(a: &[LabelEntry], b: &[LabelEntry], best: &mut Best) {
 }
 
 /// Branchless two-pointer merge join over hub-sorted slices. Equivalent to
-/// [`crate::labels::join_sorted_slices`] on every input (both runs sorted
+/// [`crate::labels::join_sorted_iters`] on every input (both runs sorted
 /// strictly ascending by hub).
-pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+pub fn join_branchless(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
     let mut best = Best::new();
     join_branchless_into(a, b, &mut best);
     best.into_option()
@@ -126,7 +122,7 @@ pub fn join_branchless(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Dista
 /// entry of the shorter run probes the longer one with a doubling search
 /// followed by a binary search of the bracketed window, so the cost is
 /// `O(short · log long)` instead of `O(short + long)`.
-pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+pub fn join_gallop(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
     // Swapping the sides never changes the answer: the common-hub set and
     // the per-hub sums are symmetric, and matches are still visited in
     // ascending hub order, so the tie-break picks the same hub.
@@ -157,7 +153,7 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
         };
         match rest.get(p) {
             Some(y) if y.hub == x.hub => {
-                best.update(x.hub, x.dist.saturating_add(y.dist));
+                best.update(x.hub, sum(*x, *y));
                 base += p + 1;
             }
             Some(_) => base += p,
@@ -169,15 +165,14 @@ pub fn join_gallop(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)
     best.into_option()
 }
 
-/// The tier selector: the merge join [`crate::flat::IndexView`] (and, via
-/// [`crate::labels::join_sorted_slices`], the pointer-per-vertex
-/// [`crate::labels::LabelSet`]) runs for every pair of flat runs.
+/// The tier selector: the merge join [`crate::flat::IndexView`] runs for
+/// every pair of flat runs.
 ///
 /// Selection uses only the two lengths: heavily skewed pairs gallop, every
 /// other pair takes the branchless scan, whose conditional-move loop never
 /// mispredicts a hub comparison.
 #[inline]
-pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+pub fn join_adaptive(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
     let (s, l) = if a.len() <= b.len() {
         (a.len(), b.len())
     } else {
@@ -201,8 +196,8 @@ pub fn join_adaptive(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distanc
 /// `O(|L(s)| + hits)` per row rather than `O(Σ_t(|L(s)| + |L(t)|))`. Rows
 /// are computed in parallel (`rayon::map`).
 ///
-/// Answers are exactly [`IndexView::query`] per cell: same saturating adds,
-/// same `INFINITY` for disconnected/out-of-range cells, and the same
+/// Answers are exactly [`IndexView::query`] per cell: same exact `u64`
+/// sums, same `INFINITY` for disconnected/out-of-range cells, and the same
 /// `s == t → 0` self-distance rule (which on a shard file applies to
 /// foreign vertices too, matching the shard-blind point query).
 ///
@@ -215,9 +210,9 @@ pub(crate) fn matrix_pivot(
     let n = view.num_vertices();
     let cols = targets.len();
     // Pool every target label once: (hub position, column, distance),
-    // sorted by (hub, column). Out-of-range targets contribute nothing and
-    // therefore stay INFINITY in every row.
-    let mut pool: Vec<(u32, u32, Distance)> = Vec::new();
+    // sorted by (hub, column), 12 bytes a label. Out-of-range targets
+    // contribute nothing and therefore stay INFINITY in every row.
+    let mut pool: Vec<(u32, u32, u32)> = Vec::new();
     for (j, &t) in targets.iter().enumerate() {
         if let Some(run) = view.run(t) {
             pool.reserve(run.size_hint().0);
@@ -238,7 +233,7 @@ pub(crate) fn matrix_pivot(
                     if h != e.hub {
                         break;
                     }
-                    let cand = e.dist.saturating_add(d);
+                    let cand = Distance::from(e.dist) + Distance::from(d);
                     if let Some(cell) = row.get_mut(j as usize) {
                         if cand < *cell {
                             *cell = cand;
@@ -266,32 +261,27 @@ pub(crate) fn matrix_pivot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels::join_sorted_slices;
 
-    fn run(entries: &[(u32, Distance)]) -> Vec<LabelEntry> {
-        entries
-            .iter()
-            .map(|&(h, d)| LabelEntry::new(h, d))
-            .collect()
+    fn run(entries: &[(u32, u32)]) -> Vec<FlatEntry> {
+        entries.iter().map(|&(h, d)| FlatEntry::new(h, d)).collect()
     }
 
-    fn reference(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
+    fn reference(a: &[FlatEntry], b: &[FlatEntry]) -> Option<(u32, Distance)> {
         crate::labels::join_sorted_iters(a.iter().copied(), b.iter().copied())
     }
 
-    fn assert_all_tiers(a: &[LabelEntry], b: &[LabelEntry]) {
+    fn assert_all_tiers(a: &[FlatEntry], b: &[FlatEntry]) {
         let want = reference(a, b);
         assert_eq!(join_branchless(a, b), want, "branchless");
         assert_eq!(join_gallop(a, b), want, "gallop");
         assert_eq!(join_adaptive(a, b), want, "adaptive");
-        assert_eq!(join_sorted_slices(a, b), want, "join_sorted_slices front");
         // Symmetric in the distance (the hub is too — same common set).
         assert_eq!(join_adaptive(b, a).map(|(_, d)| d), want.map(|(_, d)| d));
     }
 
     #[test]
     fn empty_and_singleton_runs() {
-        let e: Vec<LabelEntry> = Vec::new();
+        let e: Vec<FlatEntry> = Vec::new();
         let s = run(&[(3, 7)]);
         assert_all_tiers(&e, &e);
         assert_all_tiers(&e, &s);
@@ -318,20 +308,22 @@ mod tests {
     }
 
     #[test]
-    fn distance_max_saturates_without_losing_the_hub() {
-        let a = run(&[(2, Distance::MAX), (7, Distance::MAX - 1)]);
-        let b = run(&[(2, 5), (7, Distance::MAX)]);
+    fn distance_max_sums_exactly_without_losing_the_hub() {
+        let max = u32::MAX;
+        let a = run(&[(2, max), (7, max)]);
+        let b = run(&[(2, max), (7, max)]);
         assert_all_tiers(&a, &b);
-        // Both common hubs saturate to MAX; the first one is reported.
-        assert_eq!(join_adaptive(&a, &b), Some((2, Distance::MAX)));
+        // Both common hubs sum to 2 * u32::MAX, exactly and below INFINITY;
+        // the first one is reported.
+        let widened = 2 * Distance::from(max);
+        assert_eq!(join_adaptive(&a, &b), Some((2, widened)));
+        assert_eq!(join_gallop(&a, &b), Some((2, widened)));
     }
 
     #[test]
     fn long_skewed_runs_agree_across_tiers() {
         // 1:1000-style skew with matches sprinkled through the long run.
-        let long: Vec<LabelEntry> = (0..1000)
-            .map(|h| LabelEntry::new(h * 3, (h as u64) % 97))
-            .collect();
+        let long: Vec<FlatEntry> = (0..1000).map(|h| FlatEntry::new(h * 3, h % 97)).collect();
         let short = run(&[(0, 5), (2997, 1), (1500, 2), (901, 3)]);
         let mut short = short;
         short.sort_unstable_by_key(|e| e.hub);
@@ -343,14 +335,10 @@ mod tests {
     fn block_boundary_lengths_are_covered() {
         // Every small length pair on both sides of the gallop switch at a
         // 16x length ratio.
-        for la in 0..=17usize {
-            for lb in 0..=17usize {
-                let a: Vec<LabelEntry> = (0..la)
-                    .map(|h| LabelEntry::new(h as u32 * 2, h as u64 + 1))
-                    .collect();
-                let b: Vec<LabelEntry> = (0..lb)
-                    .map(|h| LabelEntry::new(h as u32 * 3, h as u64 + 1))
-                    .collect();
+        for la in 0..=17u32 {
+            for lb in 0..=17u32 {
+                let a: Vec<FlatEntry> = (0..la).map(|h| FlatEntry::new(h * 2, h + 1)).collect();
+                let b: Vec<FlatEntry> = (0..lb).map(|h| FlatEntry::new(h * 3, h + 1)).collect();
                 assert_all_tiers(&a, &b);
             }
         }
@@ -359,7 +347,7 @@ mod tests {
     #[test]
     fn adaptive_picks_gallop_on_skew() {
         let short = run(&[(64, 1)]);
-        let long: Vec<LabelEntry> = (0..64).map(|h| LabelEntry::new(h, 2)).collect();
+        let long: Vec<FlatEntry> = (0..64).map(|h| FlatEntry::new(h, 2)).collect();
         // 64 >= 16 * 1: gallop tier; result still matches.
         assert_eq!(join_adaptive(&short, &long), reference(&short, &long));
         assert_eq!(join_gallop(&short, &long), reference(&short, &long));

@@ -19,16 +19,14 @@ use serde::{Deserialize, Serialize};
 
 use chl_graph::types::{Distance, INFINITY};
 
-/// A single hub label: the hub's rank position and the distance to it.
+/// A construction-time hub label: the hub's rank position and the distance
+/// to it, at full [`Distance`] width.
 ///
-/// The layout is `#[repr(C)]` because the `.chl` on-disk format (see
-/// [`crate::persist`]) stores entries byte-identically to this struct —
-/// `hub` at offset 0, four bytes of zero padding, `dist` at offset 8 — so a
-/// validated byte buffer can be reinterpreted in place as `&[LabelEntry]`
-/// without copying. Every bit pattern of the two integer fields is a valid
-/// value, which is what makes that reinterpretation sound.
+/// Constructors grow their per-vertex sets ([`LabelSet`], the tables of
+/// [`crate::table`]) and run their pruning and cleaning kernels on these.
+/// A finished labeling narrows every entry once into a [`FlatEntry`]
+/// ([`crate::flat::FlatIndex::new`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[repr(C)]
 pub struct LabelEntry {
     /// Rank position of the hub (0 = most important vertex).
     pub hub: u32,
@@ -36,19 +34,62 @@ pub struct LabelEntry {
     pub dist: Distance,
 }
 
-// The persistence layer depends on this exact layout; fail the build, not
-// the loader, if it ever drifts.
-const _: () = {
-    assert!(std::mem::size_of::<LabelEntry>() == 16);
-    assert!(std::mem::align_of::<LabelEntry>() == 8);
-    assert!(std::mem::offset_of!(LabelEntry, hub) == 0);
-    assert!(std::mem::offset_of!(LabelEntry, dist) == 8);
-};
-
 impl LabelEntry {
     /// Creates a new label entry.
     pub fn new(hub: u32, dist: Distance) -> Self {
         LabelEntry { hub, dist }
+    }
+}
+
+/// A stored hub label: the hub's rank position and a 32-bit distance,
+/// eight bytes with no padding. The only record a finished index holds.
+///
+/// The layout is `#[repr(C)]` because the `.chl` on-disk format (see
+/// [`crate::persist`]) stores entries byte-identically to this struct —
+/// `hub` at offset 0, `dist` at offset 4 — so a validated byte buffer can
+/// be reinterpreted in place as `&[FlatEntry]` without copying. Every bit
+/// pattern of the two integer fields is a valid value, which is what makes
+/// that reinterpretation sound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(C)]
+pub struct FlatEntry {
+    /// Rank position of the hub (0 = most important vertex).
+    pub hub: u32,
+    /// Shortest distance from the labeled vertex to the hub.
+    pub dist: u32,
+}
+
+// The persistence layer depends on this exact layout; fail the build, not
+// the loader, if it ever drifts.
+const _: () = {
+    assert!(std::mem::size_of::<FlatEntry>() == 8);
+    assert!(std::mem::align_of::<FlatEntry>() == 4);
+    assert!(std::mem::offset_of!(FlatEntry, hub) == 0);
+    assert!(std::mem::offset_of!(FlatEntry, dist) == 4);
+};
+
+impl FlatEntry {
+    /// Creates a new stored entry.
+    pub fn new(hub: u32, dist: u32) -> Self {
+        FlatEntry { hub, dist }
+    }
+
+    /// Narrows a construction-time entry, or `None` when its distance does
+    /// not fit in 32 bits. Never truncates.
+    #[inline]
+    pub fn narrow(entry: LabelEntry) -> Option<Self> {
+        Some(FlatEntry {
+            hub: entry.hub,
+            dist: u32::try_from(entry.dist).ok()?,
+        })
+    }
+}
+
+/// Widening is lossless.
+impl From<FlatEntry> for LabelEntry {
+    #[inline]
+    fn from(e: FlatEntry) -> Self {
+        LabelEntry::new(e.hub, Distance::from(e.dist))
     }
 }
 
@@ -58,36 +99,28 @@ pub struct LabelSet {
     entries: Vec<LabelEntry>,
 }
 
-/// PPSD merge-join over two hub-sorted label slices: the minimum
-/// `d(u,h) + d(v,h)` over common hubs, together with the hub achieving it.
+/// PPSD merge-join over two hub-sorted label streams: the minimum
+/// `d(u,h) + d(v,h)` over common hubs, together with the first (highest
+/// ranked) hub achieving it.
 ///
-/// This is the query kernel shared by [`LabelSet`] (pointer-per-vertex
-/// storage) and [`crate::flat::FlatIndex`] (contiguous CSR storage): both
-/// hold their entries sorted ascending by hub rank position, so the same
-/// join serves either layout. Slice inputs route through the tiered
-/// branchless/gallop kernels of [`crate::kernel`] (selected by run
-/// length); [`join_sorted_iters`] remains the streaming reference the tiers
-/// are differentially tested against, and the kernel streaming label
-/// decoders still use.
-pub fn join_sorted_slices(a: &[LabelEntry], b: &[LabelEntry]) -> Option<(u32, Distance)> {
-    crate::kernel::join_adaptive(a, b)
-}
-
-/// PPSD merge-join over two hub-sorted label *streams*: the iterator form of
-/// [`join_sorted_slices`], and the single kernel both compile down to.
-///
-/// Generalizing over `Iterator<Item = LabelEntry>` is what lets one query
-/// kernel serve every storage encoding: plain slices iterate by copy, while
-/// a compressed run (see [`crate::flat::IndexView`]) decodes delta+varint
-/// entries on the fly — the join itself never knows the difference.
-/// Both inputs must be sorted strictly ascending by hub rank position.
-pub fn join_sorted_iters<A, B>(mut a: A, mut b: B) -> Option<(u32, Distance)>
+/// This is the reference join. The slice tiers of [`crate::kernel`] are
+/// differentially tested against it; compressed runs (see
+/// [`crate::flat::IndexView`]) stream through it as they decode, and
+/// [`LabelSet::query_join`] runs it on construction-time sets. Either side
+/// may yield stored [`FlatEntry`] records or wide [`LabelEntry`]s: both
+/// widen losslessly, and a wide sum saturates at `Distance::MAX`. Both
+/// inputs must be sorted strictly ascending by hub rank position.
+pub fn join_sorted_iters<A, B>(a: A, b: B) -> Option<(u32, Distance)>
 where
-    A: Iterator<Item = LabelEntry>,
-    B: Iterator<Item = LabelEntry>,
+    A: Iterator,
+    A::Item: Into<LabelEntry>,
+    B: Iterator,
+    B::Item: Into<LabelEntry>,
 {
-    let mut x = a.next()?;
-    let mut y = b.next()?;
+    let mut a = a.map(Into::into);
+    let mut b = b.map(Into::into);
+    let mut x: LabelEntry = a.next()?;
+    let mut y: LabelEntry = b.next()?;
     let mut best: Option<(u32, Distance)> = None;
     loop {
         if x.hub < y.hub {
@@ -239,7 +272,7 @@ impl LabelSet {
     /// PPSD merge-join: the minimum `d(u,h) + d(v,h)` over common hubs of the
     /// two sets, together with the hub achieving it.
     pub fn query_join(&self, other: &LabelSet) -> Option<(u32, Distance)> {
-        join_sorted_slices(&self.entries, &other.entries)
+        join_sorted_iters(self.entries.iter().copied(), other.entries.iter().copied())
     }
 
     /// PPSD distance between the owners of the two label sets

@@ -27,6 +27,7 @@ use chl_ranking::Ranking;
 use crate::api::LabelingResult;
 use crate::cleaning::clean_window;
 use crate::config::LabelingConfig;
+use crate::error::LabelingError;
 use crate::pll::pruned_trees;
 use crate::pruned_dijkstra::PruneOptions;
 use crate::stats::ConstructionStats;
@@ -42,7 +43,11 @@ pub fn lcc(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> Labeling
         .unwrap_or_else(|e| panic!("lcc: {e}"))
 }
 
-pub(crate) fn lcc_impl(g: &CsrGraph, ranking: &Ranking, config: &LabelingConfig) -> LabelingResult {
+pub(crate) fn lcc_impl(
+    g: &CsrGraph,
+    ranking: &Ranking,
+    config: &LabelingConfig,
+) -> Result<LabelingResult, LabelingError> {
     let start = Instant::now();
     let threads = config.effective_threads();
     let mut stats = ConstructionStats::new("LCC");

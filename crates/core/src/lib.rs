@@ -93,7 +93,7 @@
 //! The entries section of a file additionally supports a delta+varint
 //! **compressed encoding** (`chl build --compress` /
 //! [`persist::SaveOptions`]): labels are hub-sorted so hub gaps are small,
-//! and one label typically costs 2–4 bytes on disk instead of 16.
+//! and one label typically costs 2–4 bytes on disk instead of 8.
 //! Compressed files serve through the same [`flat::IndexView`] kernel —
 //! decoded into a [`flat::FlatIndex`] on load, or streamed straight out of
 //! the mapped bytes under `--mmap`.
@@ -142,7 +142,7 @@ pub use config::LabelingConfig;
 pub use error::LabelingError;
 pub use flat::{FlatIndex, IndexView};
 pub use index::HubLabelIndex;
-pub use labels::{LabelEntry, LabelSet};
+pub use labels::{FlatEntry, LabelEntry, LabelSet};
 pub use mapped::MmapIndex;
 pub use oracle::DistanceOracle;
 pub use paths::{compute_parents, PathError, PathOracle};

@@ -50,7 +50,7 @@ use crate::persist::{self, AlignedBytes, Layout, PersistError, ShardSpec};
 /// use chl_core::mapped::MmapIndex;
 /// use chl_core::oracle::DistanceOracle;
 ///
-/// let index = MmapIndex::open("graph.chl").expect("valid v3 index file");
+/// let index = MmapIndex::open("graph.chl").expect("valid index file");
 /// let oracle: &dyn DistanceOracle = &index;
 /// println!("dist = {}", oracle.distance(0, 42));
 /// ```

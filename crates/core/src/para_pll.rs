@@ -18,6 +18,7 @@ use chl_ranking::Ranking;
 
 use crate::api::LabelingResult;
 use crate::config::LabelingConfig;
+use crate::error::LabelingError;
 use crate::pll::pruned_labeling;
 use crate::pruned_dijkstra::PruneOptions;
 
@@ -38,7 +39,7 @@ pub(crate) fn spara_pll_impl(
     g: &CsrGraph,
     ranking: &Ranking,
     config: &LabelingConfig,
-) -> LabelingResult {
+) -> Result<LabelingResult, LabelingError> {
     let opts = PruneOptions {
         rank_query: false,
         ..Default::default()

@@ -17,7 +17,7 @@
 //! mismatched parent data yields [`PathError::Corrupt`], never a hang.
 
 use chl_graph::csr::CsrGraph;
-use chl_graph::types::{dist_add, VertexId};
+use chl_graph::types::{dist_add, Distance, VertexId};
 
 use crate::flat::{FlatIndex, IndexView};
 use crate::mapped::MmapIndex;
@@ -244,7 +244,7 @@ pub fn compute_parents(graph: &CsrGraph, index: &FlatIndex) -> Result<Vec<u32>, 
                 .neighbors(v)
                 .find(|&(w, wt)| {
                     view.entry_of(w, e.hub)
-                        .is_some_and(|(_, dw)| dist_add(dw, wt) == e.dist)
+                        .is_some_and(|(_, dw)| dist_add(dw, wt) == Distance::from(e.dist))
                 })
                 .map(|(w, _)| w);
             match parent {

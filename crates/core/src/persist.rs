@@ -8,7 +8,7 @@
 //! served through a borrowed [`IndexView`] without copying a single label
 //! ([`open_view`]).
 //!
-//! ## Layout (version 3)
+//! ## Layout (version 4)
 //!
 //! All integers little-endian; every section 8-byte aligned and zero-padded
 //! to a multiple of 8 bytes:
@@ -16,7 +16,7 @@
 //! ```text
 //! offset  size        field
 //! 0       4           magic        "CHLI"
-//! 4       4           version      u32, 3
+//! 4       4           version      u32, 4
 //! 8       8           n            u64, number of vertices (global, even in a shard file)
 //! 16      8           m            u64, number of label entries stored in this file
 //! 24      4           flags        u32, bit 0 = compressed entries, bit 1 = sharded, bit 2 = paths
@@ -27,7 +27,7 @@
 //! 44      4           crc_header   u32, CRC-32 of header bytes 0..44
 //! 48      n * 4 (+pad) ranking     vertex ids, most important first, zero-padded to 8
 //! ..      (n+1) * 8   offsets      entries[offsets[v]..offsets[v+1]] labels vertex v
-//! ..      m * 16      entries      (u32 hub rank position, u32 zero, u64 distance)
+//! ..      m * 8       entries      (u32 hub rank position, u32 distance)
 //! ..      see below   paths        optional path section (flags bit 2)
 //! ..      see below   shard        optional shard section (flags bit 1)
 //! ```
@@ -36,9 +36,14 @@
 //! [`PersistError::HeaderChecksumMismatch`] before a single payload byte is
 //! interpreted.
 //!
-//! The 16-byte entry record mirrors `#[repr(C)] LabelEntry` exactly (hub at
-//! offset 0, distance at offset 8, four padding bytes that must be zero), so
-//! `&[u8] -> &[LabelEntry]` is a pointer cast on little-endian hosts.
+//! The 8-byte entry record mirrors `#[repr(C)] FlatEntry` exactly (hub at
+//! offset 0, distance at offset 4, no padding), so `&[u8] -> &[FlatEntry]`
+//! is a pointer cast on little-endian hosts. Every bit pattern is a record,
+//! so the entries section carries no zero run to check, and `m * 8` keeps
+//! the section a multiple of 8 bytes with no tail padding. A labeling whose
+//! distances do not fit in 32 bits is refused when it is built
+//! ([`LabelingError::DistanceOverflow`](crate::error::LabelingError::DistanceOverflow)),
+//! so it never reaches a file.
 //!
 //! ## Shard section (flags bit 1)
 //!
@@ -95,7 +100,7 @@
 //!
 //! With [`FLAG_COMPRESSED_ENTRIES`] set in the flags word, the header,
 //! ranking and offsets sections are unchanged but the entries section stores
-//! delta+varint encoded label runs instead of 16-byte records:
+//! delta+varint encoded label runs instead of 8-byte records:
 //!
 //! ```text
 //! ..      (n+1) * 8        skip   u64 byte offsets: vertex v's encoded run is
@@ -105,12 +110,13 @@
 //!
 //! Within a run the first entry stores its hub rank position directly and
 //! every later entry stores the gap to the previous hub (>= 1, since runs
-//! are strictly hub-sorted); distances are plain LEB128 u64s. Both use
-//! canonical (minimal-length) little-endian base-128 varints — overlong
-//! encodings are rejected, which is what makes re-encoding byte-stable.
-//! Because labels are hub-sorted, gaps are small and one entry typically
-//! costs 2–4 bytes instead of 16 (the paper names the aggregate label store
-//! as the memory bottleneck at scale).
+//! are strictly hub-sorted); distances are plain LEB128 integers, at most
+//! `u32::MAX` (a larger one is [`PersistError::Malformed`], as a flat record
+//! could not hold it). Both use canonical (minimal-length) little-endian
+//! base-128 varints — overlong encodings are rejected, which is what makes
+//! re-encoding byte-stable. Because labels are hub-sorted, gaps are small
+//! and one entry typically costs 2–4 bytes instead of 8 (the paper names
+//! the aggregate label store as the memory bottleneck at scale).
 //!
 //! The skip table is what keeps decode O(label set): a query seeks straight
 //! to the two runs it intersects and streams them through the
@@ -124,11 +130,12 @@
 //! ## Versioning and legacy inputs
 //!
 //! `version` is bumped on **any** layout change, and every loader reads
-//! version 3 only: an earlier version is [`PersistError::UpgradeRequired`],
+//! version 4 only: an earlier version is [`PersistError::UpgradeRequired`],
 //! any other [`PersistError::UnsupportedVersion`], an unknown flags bit
-//! [`PersistError::UnsupportedFlags`]. The v1 and v2 layouts are read by
+//! [`PersistError::UnsupportedFlags`]. The v1, v2 and v3 layouts are read by
 //! [`upgrade`] alone (`chl upgrade <in.chl> <out.chl>`), which rewrites
-//! them as v3 once; its module documents both.
+//! them as v4 once; its module documents all three. Version 3 is version 4
+//! with 16-byte entry records (`u32 hub | u32 zero | u64 distance`).
 //!
 //! ## One section table, one load path
 //!
@@ -176,7 +183,7 @@ use chl_graph::types::VertexId;
 use serde::{Deserialize, Serialize};
 
 use crate::flat::{Entries, FlatIndex, IndexView, ShardView};
-use crate::labels::LabelEntry;
+use crate::labels::FlatEntry;
 
 mod upgrade;
 pub use upgrade::upgrade;
@@ -185,18 +192,18 @@ pub use upgrade::upgrade;
 pub const MAGIC: &[u8; 4] = b"CHLI";
 /// The format version every loader reads and the writer emits. Bumped on
 /// any layout change; earlier versions go through [`upgrade`].
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Size of the fixed header in bytes, a multiple of [`SECTION_ALIGN`], so
 /// the ranking section starts aligned with no pad between header and
 /// payload.
 pub const HEADER_LEN: usize = 48;
-/// Size of one serialized label entry in bytes
-/// (`u32 hub | u32 zero | u64 dist`), identical to `size_of::<LabelEntry>()`.
-pub const ENTRY_LEN: usize = 16;
+/// Size of one serialized label entry in bytes (`u32 hub | u32 dist`),
+/// identical to `size_of::<FlatEntry>()`.
+pub const ENTRY_LEN: usize = 8;
 /// Alignment every section start and length is padded to.
 pub const SECTION_ALIGN: usize = 8;
 /// Flags bit 0: the entries section is delta+varint compressed (per-set
-/// skip table + LEB128 hub gaps and distances) instead of 16-byte records.
+/// skip table + LEB128 hub gaps and distances) instead of 8-byte records.
 pub const FLAG_COMPRESSED_ENTRIES: u32 = 1 << 0;
 /// Flags bit 1: the file holds one QDOL shard — labels for the owned vertex
 /// set recorded in the trailing shard section, empty runs for every other
@@ -212,8 +219,8 @@ pub const FLAG_PATHS: u32 = 1 << 2;
 pub const FLAGS_KNOWN: u32 = FLAG_COMPRESSED_ENTRIES | FLAG_SHARDED | FLAG_PATHS;
 
 /// Writer knobs for [`to_bytes_with`] / [`save_with`]. The writer always
-/// emits v3; the default writes flat entries, and `compress` switches the
-/// entries section to the delta+varint encoding behind
+/// emits [`VERSION`]; the default writes flat entries, and `compress`
+/// switches the entries section to the delta+varint encoding behind
 /// [`FLAG_COMPRESSED_ENTRIES`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SaveOptions {
@@ -376,7 +383,7 @@ pub(crate) fn check_shard_consistency(
 pub(crate) fn validate_parents(
     n: usize,
     offsets: &[u64],
-    entries: &[LabelEntry],
+    entries: &[FlatEntry],
     parents: &[u32],
 ) -> Result<(), PersistError> {
     if parents.len() != entries.len() {
@@ -390,7 +397,7 @@ pub(crate) fn validate_parents(
         let lo = offsets[v] as usize;
         let hi = offsets[v + 1] as usize;
         for (e, &p) in entries[lo..hi].iter().zip(&parents[lo..hi]) {
-            check_parent_entry(n, v as VertexId, e.dist, p)?;
+            check_parent_entry(n, v as VertexId, u64::from(e.dist), p)?;
         }
     }
     Ok(())
@@ -483,10 +490,10 @@ pub enum PersistError {
         /// Checksum computed over the section actually read.
         computed: u32,
     },
-    /// A padding byte (section tail padding or the four reserved bytes
-    /// inside an entry record) is not zero — a forged or hand-edited file,
-    /// since every padding flip in a written file already fails its section
-    /// checksum.
+    /// A padding byte (section tail padding, the path section's reserved
+    /// word, or a v3 entry record's padding word) is not zero — a forged or
+    /// hand-edited file, since every padding flip in a written file already
+    /// fails its section checksum.
     NonZeroPadding {
         /// Absolute file offset of the offending byte.
         offset: usize,
@@ -510,8 +517,20 @@ pub enum PersistError {
     },
     /// The bytes checksum correctly but violate a semantic invariant
     /// (non-permutation ranking, non-monotonic offsets, unsorted or
-    /// out-of-range hubs) — a writer bug or a forged file.
+    /// out-of-range hubs, a compressed distance past `u32::MAX`) — a
+    /// writer bug or a forged file.
     Malformed(String),
+    /// A v1 or v3 entry record holds a distance past `u32::MAX`, which a
+    /// current file cannot store: [`upgrade`] refuses the file rather than
+    /// truncate the label.
+    DistanceOverflow {
+        /// The labeled vertex.
+        vertex: VertexId,
+        /// The hub's rank position.
+        hub: u32,
+        /// The record's distance.
+        dist: u64,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -574,6 +593,12 @@ impl fmt::Display for PersistError {
                  'chl upgrade <in.chl> <out.chl>'"
             ),
             PersistError::Malformed(msg) => write!(f, "malformed .chl index: {msg}"),
+            PersistError::DistanceOverflow { vertex, hub, dist } => write!(
+                f,
+                "distance overflow: vertex {vertex}'s label at hub position {hub} has distance \
+                 {dist}, more than a stored label holds ({}); the file cannot be upgraded",
+                u32::MAX
+            ),
         }
     }
 }
@@ -667,7 +692,13 @@ impl FileHeader {
         &self,
         word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
     ) -> Result<Layout, PersistError> {
-        plan(self.num_vertices, self.num_entries, self.flags, word)
+        plan(
+            self.num_vertices,
+            self.num_entries,
+            self.flags,
+            ENTRY_LEN,
+            word,
+        )
     }
 
     /// [`Self::plan`] for a file of `found` bytes whose self-describing words
@@ -719,8 +750,8 @@ impl FileHeader {
         blob_len
     }
 
-    /// In-memory size of the decoded entries in bytes (`m * 16`), the
-    /// denominator of the compression ratio.
+    /// In-memory size of the decoded entries in bytes (`m * ENTRY_LEN`),
+    /// the denominator of the compression ratio.
     pub fn decoded_entries_len(&self) -> u64 {
         self.num_entries.saturating_mul(ENTRY_LEN as u64)
     }
@@ -871,19 +902,9 @@ pub(crate) struct Row {
     data: Range<usize>,
     /// Where the CRC is stored: a header word or the path prelude's first.
     crc: Range<usize>,
-    /// Bytes besides the padding that must be zero.
-    zeros: Zeros,
-}
-
-/// The record-level zero checks of a [`Row`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Zeros {
-    None,
-    /// Bytes 4..8 of every 16-byte entry record: `LabelEntry`'s padding.
-    EntryWords,
-    /// The bytes between the CRC word and the span: the path prelude's
-    /// reserved word.
-    Reserved,
+    /// Bytes besides the padding that must be zero: the path prelude's
+    /// reserved word, between its CRC word and the span; empty elsewhere.
+    zeros: Range<usize>,
 }
 
 impl Row {
@@ -892,14 +913,18 @@ impl Row {
     /// header word, or the path section's 8-byte prelude just before `at`.
     fn new(section: Section, at: usize, data: Range<usize>) -> Option<Row> {
         let span = at..data.end.checked_next_multiple_of(SECTION_ALIGN)?;
-        let (crc, zeros) = match section {
-            Section::Ranking => (28, Zeros::None),
-            Section::Offsets => (32, Zeros::None),
-            Section::Entries => (36, Zeros::None),
-            Section::Paths => (at - 8, Zeros::Reserved),
-            Section::Shard => (40, Zeros::None),
+        let crc = match section {
+            Section::Ranking => 28,
+            Section::Offsets => 32,
+            Section::Entries => 36,
+            Section::Paths => at - 8,
+            Section::Shard => 40,
         };
         let crc = crc..crc + 4;
+        let zeros = match section {
+            Section::Paths => crc.end..at,
+            _ => at..at,
+        };
         Some(Row {
             section,
             span,
@@ -941,7 +966,8 @@ impl Layout {
     }
 }
 
-/// Lays out a file from its header fields. Two sections size themselves:
+/// Lays out a file from its header fields, for entry records of `record`
+/// bytes ([`ENTRY_LEN`] but in [`upgrade`]). Two sections size themselves:
 /// `word` is asked for the compressed entries' blob length (the skip
 /// table's last slot) and the shard's owned count (the shard prelude's last
 /// word), with the bytes each is stored in, once the sections before them
@@ -951,6 +977,7 @@ fn plan(
     n64: u64,
     m64: u64,
     flags: u32,
+    record: usize,
     mut word: impl FnMut(Section, Range<usize>) -> Result<u64, PersistError>,
 ) -> Result<Layout, PersistError> {
     if n64 > VertexId::MAX as u64 {
@@ -990,7 +1017,7 @@ fn plan(
         }
         let blob = start..add(start, Some(blob_len))?;
         let entries = cut(Section::Entries, at, blob)?;
-        // The flat arm bounds m against the file length via `m * 16`; the
+        // The flat arm bounds m against the file length via `m * record`; the
         // compressed equivalent is that every encoded entry costs at least
         // two bytes (a one-byte hub-gap varint plus a one-byte distance
         // varint). A forged header whose m cannot fit in the blob must be
@@ -1002,12 +1029,8 @@ fn plan(
         }
         entries
     } else {
-        let end = add(at, m64.checked_mul(ENTRY_LEN as u64))?;
-        let zeros = Zeros::EntryWords;
-        Row {
-            zeros,
-            ..cut(Section::Entries, at, at..end)?
-        }
+        let end = add(at, m64.checked_mul(record as u64))?;
+        cut(Section::Entries, at, at..end)?
     };
     let mut at = entries.span.end;
     let paths = if flags & FLAG_PATHS != 0 {
@@ -1076,7 +1099,7 @@ fn file_word(data: &[u8], at: Range<usize>) -> Result<u64, PersistError> {
 /// file order: every CRC first, then every byte a row says must be zero.
 #[expect(
     clippy::indexing_slicing,
-    reason = "rows of the Layout plan_sized checked against data.len(); 16-byte chunks"
+    reason = "rows of a Layout whose length was checked against data.len()"
 )]
 fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
     for row in layout.rows() {
@@ -1087,19 +1110,7 @@ fn check_sections(data: &[u8], layout: &Layout) -> Result<(), PersistError> {
         )?;
     }
     for row in layout.rows() {
-        match row.zeros {
-            Zeros::None => {}
-            Zeros::Reserved => zero_bytes(data, row.crc.end..row.span.start)?,
-            // Keeps serialization deterministic: a forged record cannot
-            // smuggle data the view cannot see.
-            Zeros::EntryWords => {
-                let mut records = data[row.data.clone()].chunks_exact(ENTRY_LEN);
-                if let Some(i) = records.position(|r| r[4..8] != [0; 4]) {
-                    let at = row.data.start + i * ENTRY_LEN;
-                    zero_bytes(data, at + 4..at + 8)?;
-                }
-            }
-        }
+        zero_bytes(data, row.zeros.clone())?;
         zero_bytes(data, row.data.end..row.span.end)?;
     }
     Ok(())
@@ -1216,11 +1227,7 @@ fn validate_offsets(n: usize, offsets: &[u64], m64: u64) -> Result<(), PersistEr
     clippy::indexing_slicing,
     reason = "runs after validate_offsets: n + 1 monotone offsets ending at entries.len()"
 )]
-fn validate_hub_sort(
-    n: usize,
-    offsets: &[u64],
-    entries: &[LabelEntry],
-) -> Result<(), PersistError> {
+fn validate_hub_sort(n: usize, offsets: &[u64], entries: &[FlatEntry]) -> Result<(), PersistError> {
     for v in 0..n {
         let slice = &entries[offsets[v] as usize..offsets[v + 1] as usize];
         let mut prev: Option<u32> = None;
@@ -1244,10 +1251,11 @@ fn validate_hub_sort(
 
 /// Validates a compressed entries section against already-validated CSR
 /// offsets: the skip table starts at 0 and rises monotonically (it ends at
-/// the blob length, which `plan` read from it); every vertex's run decodes to exactly its declared label
-/// count with canonical varints, strictly increasing in-range hubs, and
-/// consumes exactly its skip-table byte span. When `sink` is given the
-/// decoded entries are appended to it (the copying loader keeps them, so
+/// the blob length, which `plan` read from it); every vertex's run decodes
+/// to exactly its declared label count with canonical varints, strictly
+/// increasing in-range hubs and distances within `u32`, and consumes exactly
+/// its skip-table byte span. When `sink` is given the decoded entries are
+/// appended to it (the copying loader keeps them, so
 /// the blob is decoded once); the view path validates without
 /// materializing anything. When `parents` is given (a file with a path
 /// section), each decoded entry is checked against its parent record in the
@@ -1264,7 +1272,7 @@ fn validate_compressed_entries(
     blob: &[u8],
     offsets: &[u64],
     parents: Option<&[u32]>,
-    mut sink: Option<&mut Vec<LabelEntry>>,
+    mut sink: Option<&mut Vec<FlatEntry>>,
 ) -> Result<(), PersistError> {
     let n = offsets.len() - 1;
     debug_assert_eq!(skip.len(), n + 1);
@@ -1296,6 +1304,12 @@ fn validate_compressed_entries(
         for _ in 0..count {
             let gap = read_uvarint_canonical(run, &mut pos).map_err(&malformed)?;
             let dist = read_uvarint_canonical(run, &mut pos).map_err(&malformed)?;
+            let dist = u32::try_from(dist).map_err(|_| {
+                malformed(&format!(
+                    "distance {dist} exceeds the {} a stored label holds",
+                    u32::MAX
+                ))
+            })?;
             let hub64 = match prev {
                 None => gap,
                 Some(p) => {
@@ -1318,11 +1332,11 @@ fn validate_compressed_entries(
                     .get(entry_index)
                     .copied()
                     .ok_or_else(|| malformed("more label entries than parent records"))?;
-                check_parent_entry(n, v as VertexId, dist, p)?;
+                check_parent_entry(n, v as VertexId, u64::from(dist), p)?;
             }
             entry_index += 1;
             if let Some(sink) = sink.as_deref_mut() {
-                sink.push(LabelEntry::new(hub, dist));
+                sink.push(FlatEntry::new(hub, dist));
             }
             prev = Some(hub);
         }
@@ -1333,8 +1347,8 @@ fn validate_compressed_entries(
     Ok(())
 }
 
-/// Serializes `index` into the current (v3) `.chl` byte format with the
-/// default options (flat entries).
+/// Serializes `index` into the current `.chl` byte format ([`VERSION`])
+/// with the default options (flat entries).
 pub fn to_bytes(index: &FlatIndex) -> Vec<u8> {
     to_bytes_with(index, &SaveOptions::default())
 }
@@ -1346,7 +1360,7 @@ pub fn to_bytes(index: &FlatIndex) -> Vec<u8> {
     clippy::indexing_slicing,
     reason = "offsets of an in-memory FlatIndex: n + 1 monotone entries ending at entries.len()"
 )]
-fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>) {
+fn encode_entries(offsets: &[u64], entries: &[FlatEntry]) -> (Vec<u64>, Vec<u8>) {
     let n = offsets.len() - 1;
     let mut skip = Vec::with_capacity(n + 1);
     // Labels average a few bytes each once delta+varint encoded.
@@ -1361,7 +1375,7 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
                 Some(p) => u64::from(e.hub - p),
             };
             write_uvarint(&mut blob, gap);
-            write_uvarint(&mut blob, e.dist);
+            write_uvarint(&mut blob, u64::from(e.dist));
             prev = Some(e.hub);
         }
         skip.push(blob.len() as u64);
@@ -1369,8 +1383,8 @@ fn encode_entries(offsets: &[u64], entries: &[LabelEntry]) -> (Vec<u64>, Vec<u8>
     (skip, blob)
 }
 
-/// Serializes `index` into the `.chl` v3 byte format under `options`:
-/// flat 16-byte entry records by default, the delta+varint compressed
+/// Serializes `index` into the current `.chl` byte format under `options`:
+/// flat 8-byte entry records by default, the delta+varint compressed
 /// entries section (flags bit 0) when `options.compress` is set.
 #[expect(
     clippy::indexing_slicing,
@@ -1394,7 +1408,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     let flags = (FLAG_COMPRESSED_ENTRIES * u32::from(options.compress))
         | (FLAG_SHARDED * u32::from(shard.is_some()))
         | (FLAG_PATHS * u32::from(parents.is_some()));
-    let layout = plan(n, m, flags, |section, _| {
+    let layout = plan(n, m, flags, ENTRY_LEN, |section, _| {
         Ok(match section {
             Section::Shard => shard.map_or(0, |s| s.owned.len() as u64),
             _ => encoded.as_ref().map_or(0, |(_, blob)| blob.len() as u64),
@@ -1402,7 +1416,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     })
     .expect("an index held in memory has a layout");
 
-    let mut buf = blank_file(&layout, flags);
+    let mut buf = blank_file(&layout, VERSION, flags);
     put(
         &mut buf,
         &layout.ranking.data,
@@ -1421,12 +1435,7 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
             put(&mut buf, &entries.prelude(), skip, u64::to_le_bytes);
             buf[entries.data.clone()].copy_from_slice(blob);
         }
-        None => put(&mut buf, &entries.data, index.entries(), |e| {
-            let mut record = [0u8; ENTRY_LEN];
-            record[..4].copy_from_slice(&e.hub.to_le_bytes());
-            record[8..].copy_from_slice(&e.dist.to_le_bytes());
-            record
-        }),
+        None => put(&mut buf, &entries.data, index.entries(), flat_record),
     }
     if let (Some(row), Some(parents)) = (&layout.paths, parents) {
         put(&mut buf, &row.data, parents, u32::to_le_bytes);
@@ -1440,12 +1449,21 @@ pub fn to_bytes_with(index: &FlatIndex, options: &SaveOptions) -> Vec<u8> {
     buf
 }
 
+/// The on-disk bytes of one flat entry record: `u32 hub | u32 dist`.
+fn flat_record(e: FlatEntry) -> [u8; ENTRY_LEN] {
+    let mut record = [0u8; ENTRY_LEN];
+    let (hub, dist) = record.split_at_mut(4);
+    hub.copy_from_slice(&e.hub.to_le_bytes());
+    dist.copy_from_slice(&e.dist.to_le_bytes());
+    record
+}
+
 /// A file of `layout.len` bytes that holds only its header's first five
-/// fields, naming `flags`: checksums, padding and reserved words stay zero
-/// until sealed. What a writer fills and then [`seal`]s.
-fn blank_file(layout: &Layout, flags: u32) -> Vec<u8> {
+/// fields, naming `version` and `flags`: checksums, padding and reserved
+/// words stay zero until sealed. What a writer fills and then [`seal`]s.
+fn blank_file(layout: &Layout, version: u32, flags: u32) -> Vec<u8> {
     let mut buf = MAGIC.to_vec();
-    buf.extend(VERSION.to_le_bytes());
+    buf.extend(version.to_le_bytes());
     buf.extend((layout.n as u64).to_le_bytes());
     buf.extend((layout.m as u64).to_le_bytes());
     buf.extend(flags.to_le_bytes());
@@ -1474,31 +1492,39 @@ fn put<T: Copy, const W: usize>(
 /// CRC and the flags word, but not the payload. `data` must hold the whole
 /// header; a compressed file's blob length is read too when `data` reaches
 /// it.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "data.len() >= HEADER_LEN was checked above"
-)]
 pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
-    let word = |at: Range<usize>| file_word(data, at).map(|w| w as u32);
-    let truncated = || PersistError::Truncated {
-        expected: HEADER_LEN,
-        found: data.len(),
-    };
     if data.len() < 8 {
-        return Err(truncated());
+        return Err(PersistError::Truncated {
+            expected: HEADER_LEN,
+            found: data.len(),
+        });
     }
     if let Some(magic) = data.first_chunk::<4>().filter(|magic| *magic != MAGIC) {
         return Err(PersistError::BadMagic { found: *magic });
     }
-    match word(4..8)? {
-        VERSION => {}
+    match file_word(data, 4..8)? as u32 {
+        VERSION => parse_fields(data),
         version if upgrade::LEGACY.contains(&version) => {
-            return Err(PersistError::UpgradeRequired { version })
+            Err(PersistError::UpgradeRequired { version })
         }
-        found => return Err(PersistError::UnsupportedVersion { found }),
+        found => Err(PersistError::UnsupportedVersion { found }),
     }
+}
+
+/// The 48-byte header after its magic, whatever its version word: the
+/// header CRC, the flags word and the fields. Version 3 shares it, which is
+/// how [`upgrade`] reads one.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "data.len() >= HEADER_LEN was checked above"
+)]
+fn parse_fields(data: &[u8]) -> Result<FileHeader, PersistError> {
+    let word = |at: Range<usize>| file_word(data, at).map(|w| w as u32);
     if data.len() < HEADER_LEN {
-        return Err(truncated());
+        return Err(PersistError::Truncated {
+            expected: HEADER_LEN,
+            found: data.len(),
+        });
     }
     // The header CRC is verified before any other field is interpreted, so
     // a damaged flags or dimensions byte reports as header corruption
@@ -1524,7 +1550,7 @@ pub fn parse_header(data: &[u8]) -> Result<FileHeader, PersistError> {
         )));
     }
     let mut header = FileHeader {
-        version: VERSION,
+        version: word(4..8)?,
         num_vertices: file_word(data, 8..16)?,
         num_entries: file_word(data, 16..24)?,
         flags,
@@ -1561,8 +1587,8 @@ pub fn from_bytes(data: &[u8]) -> Result<FlatIndex, PersistError> {
 //
 // On little-endian hosts a validated buffer is reinterpreted in place:
 // the ranking section becomes `&[u32]`, the offsets section `&[u64]` and the
-// entries section `&[LabelEntry]` (whose #[repr(C)] layout matches the
-// 16-byte record exactly). Alignment holds because every section offset is a
+// entries section `&[FlatEntry]` (whose #[repr(C)] layout matches the
+// 8-byte record exactly). Alignment holds because every section offset is a
 // multiple of 8 and the caller's buffer base is checked to be 8-byte
 // aligned; every bit pattern of the underlying integers is a valid value, so
 // the casts cannot manufacture invalid data — semantic validation happens on
@@ -1593,15 +1619,15 @@ fn cast_u64s(bytes: &[u8]) -> &[u64] {
 }
 
 #[cfg(target_endian = "little")]
-fn cast_entries(bytes: &[u8]) -> &[LabelEntry] {
-    debug_assert!((bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<LabelEntry>()));
+fn cast_entries(bytes: &[u8]) -> &[FlatEntry] {
+    debug_assert!((bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<FlatEntry>()));
     debug_assert!(bytes.len().is_multiple_of(ENTRY_LEN));
-    // SAFETY: LabelEntry is #[repr(C)] with size 16 and align 8 (asserted at
-    // compile time in labels.rs); the record layout matches field-for-field,
-    // both integer fields accept any bit pattern, and the four bytes the
-    // cast lands on LabelEntry's internal padding are never read.
+    // SAFETY: FlatEntry is #[repr(C)] with size 8, align 4 and no padding
+    // (asserted at compile time in labels.rs); the record layout matches
+    // field-for-field, both integer fields accept any bit pattern, and the
+    // caller guarantees 8-byte alignment and a whole number of records.
     unsafe {
-        std::slice::from_raw_parts(bytes.as_ptr() as *const LabelEntry, bytes.len() / ENTRY_LEN)
+        std::slice::from_raw_parts(bytes.as_ptr() as *const FlatEntry, bytes.len() / ENTRY_LEN)
     }
 }
 
@@ -1670,7 +1696,7 @@ fn cast_shard<'a>(span: &'a [u8], row: &Row) -> ShardView<'a> {
 /// loader keeps them instead of decoding the blob a second time).
 pub(crate) fn validate_layout(
     data: &[u8],
-    sink: Option<&mut Vec<LabelEntry>>,
+    sink: Option<&mut Vec<FlatEntry>>,
 ) -> Result<Layout, PersistError> {
     let header = parse_header(data)?;
     if !is_view_aligned(data) {
@@ -1835,13 +1861,13 @@ pub fn read_aligned<P: AsRef<Path>>(path: P) -> Result<AlignedBytes, PersistErro
     Ok(buf)
 }
 
-/// Writes `index` to `path` in the current (v3) `.chl` format, replacing
+/// Writes `index` to `path` in the current `.chl` format, replacing
 /// any existing file whole; see [`save_with`].
 pub fn save<P: AsRef<Path>>(index: &FlatIndex, path: P) -> Result<(), PersistError> {
     save_with(index, path, &SaveOptions::default())
 }
 
-/// Writes `index` to `path` in the `.chl` v3 format under explicit
+/// Writes `index` to `path` in the current `.chl` format under explicit
 /// [`SaveOptions`] (`compress: true` for the delta+varint entries section),
 /// replacing any existing file whole through [`write_bytes`].
 pub fn save_with<P: AsRef<Path>>(
@@ -1997,6 +2023,7 @@ mod tests {
     /// them.
     const V1: &[u8] = include_bytes!("../tests/fixtures/golden.v1.chl");
     const V2_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v2-flat.chl");
+    const V3_FLAT: &[u8] = include_bytes!("../tests/fixtures/golden.v3-flat.chl");
 
     fn tiny_flat() -> FlatIndex {
         let ranking = Ranking::from_order(vec![1, 0, 2], 3).unwrap();
@@ -2231,8 +2258,8 @@ mod tests {
 
     #[test]
     fn legacy_bytes_are_refused_until_upgraded() {
-        // No loader reads v1 or v2; each refusal names the upgrade.
-        for (legacy, version) in [(V1, 1), (V2_FLAT, 2)] {
+        // No loader reads v1, v2 or v3; each refusal names the upgrade.
+        for (legacy, version) in [(V1, 1), (V2_FLAT, 2), (V3_FLAT, 3)] {
             let aligned = AlignedBytes::from_slice(legacy);
             for refused in [
                 parse_header(legacy).err(),
@@ -2244,13 +2271,13 @@ mod tests {
                     "v{version}: {refused:?}"
                 );
             }
-            // The upgrade is the v3 file of the same index, which loads and
-            // re-serializes to itself.
+            // The upgrade is the current file of the same index, which loads
+            // and re-serializes to itself.
             let upgraded = upgrade(legacy).unwrap();
             assert_eq!(parse_header(&upgraded).unwrap().version, VERSION);
             assert_eq!(to_bytes(&from_bytes(&upgraded).unwrap()), upgraded);
         }
-        // A v3 file upgrades to itself.
+        // A current file upgrades to itself.
         let bytes = to_bytes(&tiny_flat());
         assert_eq!(upgrade(&bytes).unwrap(), bytes);
         // A flipped v1 payload byte fails the whole-payload CRC.
@@ -2484,17 +2511,19 @@ mod tests {
             Err(PersistError::NonZeroPadding { .. })
         ));
 
-        // Non-zero reserved bytes inside an entry record.
-        let mut forged = to_bytes(&tiny_flat());
+        // Non-zero bytes in the path section's reserved word.
+        let pathful = tiny_flat().with_parents(vec![1, 0, 1, 1, 2]).unwrap();
+        let mut forged = to_bytes(&pathful);
         let layout = layout_of(&forged);
-        forged[layout.entries.data.start + 5] = 0xCD;
+        let reserved = layout.paths.as_ref().unwrap().zeros.start + 1;
+        forged[reserved] = 0xCD;
         reseal(&mut forged);
         let err = from_bytes(&forged).unwrap_err();
         assert!(matches!(
             err,
             PersistError::NonZeroPadding {
                 offset
-            } if offset == layout.entries.data.start + 5
+            } if offset == reserved
         ));
         let aligned = AlignedBytes::from_slice(&forged);
         assert!(matches!(
@@ -2808,37 +2837,11 @@ mod tests {
         // rewrite it as the same value in two groups.
         assert!(blob[0] & 0x80 == 0);
         blob.splice(0..1, [0x80 | blob[0], 0x00]);
-        let mut skip2: Vec<u64> = skip_table
+        let skip: Vec<u64> = skip_table
             .iter()
             .map(|&s| if s > 0 { s + 1 } else { 0 })
             .collect();
-        // Rebuild the file by hand around the forged blob.
-        let n = flat.num_vertices() as u64;
-        let m = flat.total_labels() as u64;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&n.to_le_bytes());
-        buf.extend_from_slice(&m.to_le_bytes());
-        buf.extend_from_slice(&FLAG_COMPRESSED_ENTRIES.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 20]);
-        for &v in flat.ranking().order() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        while !buf.len().is_multiple_of(SECTION_ALIGN) {
-            buf.push(0);
-        }
-        for &off in flat.offsets() {
-            buf.extend_from_slice(&off.to_le_bytes());
-        }
-        for s in skip2.drain(..) {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-        buf.extend_from_slice(&blob);
-        while !buf.len().is_multiple_of(SECTION_ALIGN) {
-            buf.push(0);
-        }
-        reseal(&mut buf);
+        let buf = compressed_file(&flat, &skip, &blob);
         let err = from_bytes(&buf).unwrap_err();
         assert!(
             err.to_string().contains("overlong"),
@@ -2864,6 +2867,68 @@ mod tests {
         }
     }
 
+    /// A sealed compressed file of `flat`'s ranking and offsets around a
+    /// hand-made skip table and blob, laid out by the writer's own planner.
+    fn compressed_file(flat: &FlatIndex, skip: &[u64], blob: &[u8]) -> Vec<u8> {
+        let (n, m) = (flat.num_vertices() as u64, flat.total_labels() as u64);
+        let flags = FLAG_COMPRESSED_ENTRIES;
+        let layout = plan(n, m, flags, ENTRY_LEN, |_, _| Ok(blob.len() as u64)).unwrap();
+        let mut buf = blank_file(&layout, VERSION, flags);
+        let order = flat.ranking().order();
+        put(&mut buf, &layout.ranking.data, order, u32::to_le_bytes);
+        put(
+            &mut buf,
+            &layout.offsets.data,
+            flat.offsets(),
+            u64::to_le_bytes,
+        );
+        put(&mut buf, &layout.entries.prelude(), skip, u64::to_le_bytes);
+        buf[layout.entries.data.clone()].copy_from_slice(blob);
+        seal(&mut buf, &layout);
+        buf
+    }
+
+    #[test]
+    fn a_compressed_distance_past_u32_is_malformed_on_every_loader() {
+        let flat = tiny_flat();
+        let (skip, mut blob) = encode_entries(flat.offsets(), flat.entries());
+        // Vertex 0's run starts (gap 0, distance 1): respell the distance
+        // as the canonical five-byte varint of 2^32.
+        assert_eq!(&blob[..2], &[0, 1]);
+        let wide = [0x80, 0x80, 0x80, 0x80, 0x10];
+        let mut pos = 0;
+        assert_eq!(read_uvarint_canonical(&wide, &mut pos), Ok(1 << 32));
+        blob.splice(1..2, wide);
+        let skip: Vec<u64> = skip
+            .iter()
+            .map(|&s| if s > 0 { s + 4 } else { 0 })
+            .collect();
+        let bytes = compressed_file(&flat, &skip, &blob);
+        let path = std::env::temp_dir().join(format!(
+            "chl-persist-wide-test-{}-{:?}.chl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let aligned = AlignedBytes::from_slice(&bytes);
+        for refused in [
+            from_bytes(&bytes).err(),
+            load(&path).err(),
+            open_view(&aligned).err(),
+            crate::mapped::MmapIndex::open(&path).err(),
+        ] {
+            assert!(
+                matches!(&refused, Some(PersistError::Malformed(msg)) if msg.contains("4294967296")),
+                "{refused:?}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+        // The same blob holding 2^32 - 1 loads.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        blob.splice(1..6, max);
+        assert!(from_bytes(&compressed_file(&flat, &skip, &blob)).is_ok());
+    }
+
     #[test]
     fn compressed_entries_section_is_at_least_2x_smaller_on_a_grid() {
         use chl_graph::generators::{grid_network, GridOptions};
@@ -2885,7 +2950,7 @@ mod tests {
         let header = parse_header(&comp_bytes).unwrap();
         let encoded = header.entries_section_len();
         let decoded = header.decoded_entries_len();
-        assert_eq!(decoded, flat.total_labels() as u64 * 16);
+        assert_eq!(decoded, (flat.total_labels() * ENTRY_LEN) as u64);
         assert!(
             encoded * 2 <= decoded,
             "entries section must shrink >= 2x: {encoded} encoded vs {decoded} decoded \

@@ -35,6 +35,7 @@ use chl_ranking::Ranking;
 
 use crate::api::LabelingResult;
 use crate::config::LabelingConfig;
+use crate::error::LabelingError;
 use crate::labels::{HubDistances, LabelEntry, LabelSet};
 use crate::schedule::{self, Pass};
 use crate::stats::SptRecord;
@@ -278,14 +279,14 @@ pub(crate) fn plant_labeling_impl(
     g: &CsrGraph,
     ranking: &Ranking,
     config: &LabelingConfig,
-) -> LabelingResult {
+) -> Result<LabelingResult, LabelingError> {
     let start = Instant::now();
     let table = ConcurrentLabelTable::new(g.num_vertices());
     let pass = plant_trees(g, ranking, config, &table, |_| false);
     let threads = config.effective_threads();
-    let mut result = pass.uncleaned("PLaNT", threads, table.into_label_sets(), ranking, start);
+    let mut result = pass.uncleaned("PLaNT", threads, table.into_label_sets(), ranking, start)?;
     result.stats.planted_trees = g.num_vertices();
-    result
+    Ok(result)
 }
 
 /// PLaNTs roots in rank order from position 0 on `config`'s thread count,

@@ -12,6 +12,7 @@ use chl_graph::CsrGraph;
 use chl_ranking::Ranking;
 
 use crate::api::LabelingResult;
+use crate::error::LabelingError;
 use crate::labels::LabelSet;
 use crate::pruned_dijkstra::{pruned_dijkstra, DijkstraScratch, PruneOptions};
 use crate::schedule::{self, Pass};
@@ -21,7 +22,8 @@ use crate::table::ConcurrentLabelTable;
 /// order, each pruned by distance queries against all previously generated
 /// labels.
 ///
-/// Thin wrapper over [`crate::api::PllLabeler`]; panics on invalid inputs.
+/// Thin wrapper over [`crate::api::PllLabeler`]; panics on invalid inputs
+/// and on a distance no stored label holds.
 /// Prefer [`crate::api::ChlBuilder`] (or the [`crate::api::Labeler`] trait)
 /// in new code, which reports problems as [`crate::error::LabelingError`].
 pub fn sequential_pll(g: &CsrGraph, ranking: &Ranking) -> LabelingResult {
@@ -31,7 +33,10 @@ pub fn sequential_pll(g: &CsrGraph, ranking: &Ranking) -> LabelingResult {
         .unwrap_or_else(|e| panic!("sequential_pll: {e}"))
 }
 
-pub(crate) fn sequential_pll_impl(g: &CsrGraph, ranking: &Ranking) -> LabelingResult {
+pub(crate) fn sequential_pll_impl(
+    g: &CsrGraph,
+    ranking: &Ranking,
+) -> Result<LabelingResult, LabelingError> {
     // The rank query is redundant for the sequential schedule (every more
     // important vertex already has its SPT and prunes via the distance
     // query), but harmless; we keep the distance-query-only configuration to
@@ -47,7 +52,8 @@ pub(crate) fn sequential_pll_impl(g: &CsrGraph, ranking: &Ranking) -> LabelingRe
 /// rank position strictly below `max_pruning_hub`. `0` disables distance
 /// pruning altogether (rank queries only). This reproduces the sweep of
 /// Figure 4 ("# labels generated if pruning queries use few highest ranked
-/// hubs").
+/// hubs"). Panics, like [`sequential_pll`], where a builder would return
+/// [`LabelingError::DistanceOverflow`].
 pub fn pll_with_restricted_pruning(
     g: &CsrGraph,
     ranking: &Ranking,
@@ -60,6 +66,7 @@ pub fn pll_with_restricted_pruning(
         max_pruning_hub,
     };
     pruned_labeling(g, ranking, 1, opts, "seqPLL-restricted")
+        .unwrap_or_else(|e| panic!("pll_with_restricted_pruning: {e}"))
 }
 
 /// PLL and SparaPLL: [`pruned_trees`] with no clean.
@@ -69,7 +76,7 @@ pub(crate) fn pruned_labeling(
     threads: usize,
     opts: PruneOptions,
     algorithm: &str,
-) -> LabelingResult {
+) -> Result<LabelingResult, LabelingError> {
     let start = Instant::now();
     let (labels, pass) = pruned_trees(g, ranking, threads, opts);
     pass.uncleaned(algorithm, threads, labels, ranking, start)

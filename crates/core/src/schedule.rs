@@ -35,6 +35,7 @@ use std::time::Instant;
 use chl_ranking::Ranking;
 
 use crate::api::LabelingResult;
+use crate::error::LabelingError;
 use crate::labels::LabelSet;
 use crate::stats::{ConstructionStats, SptRecord};
 
@@ -62,15 +63,15 @@ impl Pass {
         labels: Vec<LabelSet>,
         ranking: &Ranking,
         start: Instant,
-    ) -> LabelingResult {
+    ) -> Result<LabelingResult, LabelingError> {
         let mut stats = ConstructionStats::new(algorithm);
         stats.threads = threads;
         stats.spt_records = self.records;
         stats.distance_queries = self.queries;
         stats.construction_time = start.elapsed();
-        let mut result = LabelingResult::finish(labels, ranking, stats, start);
+        let mut result = LabelingResult::finish(labels, ranking, stats, start)?;
         result.stats.labels_before_cleaning = result.stats.labels_after_cleaning;
-        result
+        Ok(result)
     }
 }
 

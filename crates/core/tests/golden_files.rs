@@ -1,16 +1,17 @@
 //! Golden-file corpus for the `.chl` format: one small deterministic graph,
-//! checked in as v3-flat, v3-compressed, three v3 shard files and two v3
-//! path-section files together with its full pinned distance table, plus
-//! the same index as legacy v1, v2-flat and v2-compressed files. Every v3
+//! checked in as v4-flat, v4-compressed, three v4 shard files and two v4
+//! path-section files together with its full pinned distance and path
+//! tables, plus the same index as legacy v1, v2 and v3 files. Every v4
 //! fixture must keep loading through every applicable path and answering
-//! the pinned table byte-identically, and re-serializing a loaded fixture
+//! the pinned tables byte-identically, and re-serializing a loaded fixture
 //! must reproduce its bytes exactly — so any accidental format drift in a
 //! future change fails here before it ships.
 //!
-//! Compat policy: v1 and v2 are frozen inputs of `persist::upgrade` (`chl
-//! upgrade`) and nothing else. Their checked-in bytes never change; every
-//! loader refuses them with `UpgradeRequired`, and upgrading each yields
-//! exactly its v3 sibling's bytes.
+//! Compat policy: v1, v2 and v3 are frozen inputs of `persist::upgrade`
+//! (`chl upgrade`) and nothing else. Their checked-in bytes never change
+//! (their lengths and CRC-32s are pinned below); every loader refuses them
+//! with `UpgradeRequired`, and upgrading each yields exactly its v4
+//! sibling's bytes.
 //!
 //! The shard fixtures pin the QDOL layout for 3 shards over 16 vertices
 //! (ζ = 3, contiguous chunks of 6). The owned sets hard-coded here are
@@ -19,8 +20,8 @@
 //! which keeps this crate free of a dev-dependency cycle while tying the
 //! fixtures to the code that produces real shard files.
 //!
-//! Regenerating (only when the format changes *on purpose*) rewrites the v3
-//! fixtures and the pinned tables; the v1/v2 inputs are left untouched:
+//! Regenerating (only when the format changes *on purpose*) rewrites the v4
+//! fixtures; the legacy inputs and the pinned tables are left untouched:
 //!
 //! ```text
 //! CHL_REGEN_FIXTURES=1 cargo test -p chl-core --test golden_files
@@ -106,7 +107,7 @@ fn shard_specs() -> Vec<ShardSpec> {
 }
 
 fn shard_path(dir: &Path, i: usize) -> PathBuf {
-    dir.join(format!("golden.v3-shard-{i}-of-3.chl"))
+    dir.join(format!("golden.v4-shard-{i}-of-3.chl"))
 }
 
 fn distance_table(index: &FlatIndex) -> String {
@@ -155,9 +156,9 @@ fn path_table(index: &FlatIndex) -> String {
 fn regen(dir: &Path) {
     let golden = build_golden();
     std::fs::create_dir_all(dir).unwrap();
-    std::fs::write(dir.join("golden.v3-flat.chl"), golden.to_bytes()).unwrap();
+    std::fs::write(dir.join("golden.v4-flat.chl"), golden.to_bytes()).unwrap();
     std::fs::write(
-        dir.join("golden.v3-compressed.chl"),
+        dir.join("golden.v4-compressed.chl"),
         golden.to_bytes_with(&SaveOptions::compressed()),
     )
     .unwrap();
@@ -167,17 +168,105 @@ fn regen(dir: &Path) {
             .expect("pinned specs are consistent with the corpus");
         std::fs::write(shard_path(dir, i), shard.to_bytes()).unwrap();
     }
-    std::fs::write(dir.join("golden.distances.txt"), distance_table(&golden)).unwrap();
+    // The tables the fixtures answer are pinned, not regenerated: the
+    // rebuilt index must still produce them.
+    assert_eq!(
+        distance_table(&golden),
+        std::fs::read_to_string(dir.join("golden.distances.txt")).unwrap()
+    );
     // The path-section fixtures: the same corpus with per-entry parent
-    // records, in both entry encodings, plus its pinned walk table.
+    // records, in both entry encodings.
     let with_paths = golden_with_paths();
-    std::fs::write(dir.join("golden.v3-paths.chl"), with_paths.to_bytes()).unwrap();
+    assert_eq!(
+        path_table(&with_paths),
+        std::fs::read_to_string(dir.join("golden.paths.txt")).unwrap()
+    );
+    std::fs::write(dir.join("golden.v4-paths.chl"), with_paths.to_bytes()).unwrap();
     std::fs::write(
-        dir.join("golden.v3-paths-compressed.chl"),
+        dir.join("golden.v4-paths-compressed.chl"),
         with_paths.to_bytes_with(&SaveOptions::compressed()),
     )
     .unwrap();
-    std::fs::write(dir.join("golden.paths.txt"), path_table(&with_paths)).unwrap();
+}
+
+/// The legacy fixtures, frozen inputs of `upgrade`: each file, its format
+/// version, the v4 fixture its upgrade must equal, and its pinned length and
+/// CRC-32, so that no regeneration or edit touches one unnoticed.
+const LEGACY: [(&str, u32, &str, usize, u32); 10] = [
+    ("golden.v1.chl", 1, "golden.v4-flat.chl", 1032, 0xdb82_3f69),
+    (
+        "golden.v2-flat.chl",
+        2,
+        "golden.v4-flat.chl",
+        1312,
+        0xc88c_1fba,
+    ),
+    (
+        "golden.v2-compressed.chl",
+        2,
+        "golden.v4-compressed.chl",
+        512,
+        0xab7f_654a,
+    ),
+    (
+        "golden.v3-flat.chl",
+        3,
+        "golden.v4-flat.chl",
+        1320,
+        0xc6cd_cc37,
+    ),
+    (
+        "golden.v3-compressed.chl",
+        3,
+        "golden.v4-compressed.chl",
+        520,
+        0x37d2_9126,
+    ),
+    (
+        "golden.v3-paths.chl",
+        3,
+        "golden.v4-paths.chl",
+        1600,
+        0xcf33_78ce,
+    ),
+    (
+        "golden.v3-paths-compressed.chl",
+        3,
+        "golden.v4-paths-compressed.chl",
+        800,
+        0xf64c_6e63,
+    ),
+    (
+        "golden.v3-shard-0-of-3.chl",
+        3,
+        "golden.v4-shard-0-of-3.chl",
+        1016,
+        0xa593_9c89,
+    ),
+    (
+        "golden.v3-shard-1-of-3.chl",
+        3,
+        "golden.v4-shard-1-of-3.chl",
+        1008,
+        0x08b7_78f2,
+    ),
+    (
+        "golden.v3-shard-2-of-3.chl",
+        3,
+        "golden.v4-shard-2-of-3.chl",
+        1040,
+        0x4795_e31e,
+    ),
+];
+
+#[test]
+fn legacy_fixture_bytes_are_pinned() {
+    let dir = fixtures_dir();
+    for (legacy, _, _, len, crc) in LEGACY {
+        let bytes = std::fs::read(dir.join(legacy)).unwrap();
+        assert_eq!(bytes.len(), len, "{legacy} length");
+        assert_eq!(persist::crc32(&bytes), crc, "{legacy} CRC-32");
+    }
 }
 
 fn pinned_table(dir: &Path) -> Vec<Vec<u64>> {
@@ -250,12 +339,8 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
     assert_eq!(table.len(), 16, "4x4 grid corpus");
 
     // The legacy fixtures: every loader refuses them, naming the upgrade,
-    // and the upgrade is their v3 sibling byte for byte.
-    for (legacy, version, sibling) in [
-        ("golden.v1.chl", 1, "golden.v3-flat.chl"),
-        ("golden.v2-flat.chl", 2, "golden.v3-flat.chl"),
-        ("golden.v2-compressed.chl", 2, "golden.v3-compressed.chl"),
-    ] {
+    // and the upgrade is their v4 sibling byte for byte.
+    for (legacy, version, sibling, _, _) in LEGACY {
         let path = dir.join(legacy);
         let bytes = std::fs::read(&path).unwrap();
         let aligned = AlignedBytes::from_slice(&bytes);
@@ -280,60 +365,60 @@ fn fixtures_load_everywhere_and_answer_the_pinned_distance_table() {
         );
     }
 
-    // v3 flat: the default writer's output, with the header CRC.
-    let v3_path = dir.join("golden.v3-flat.chl");
-    let v3_bytes = std::fs::read(&v3_path).unwrap();
-    let v3_header = persist::parse_header(&v3_bytes).unwrap();
-    assert_eq!(v3_header.version, persist::VERSION);
-    assert!(!v3_header.is_sharded());
-    let v3 = FlatIndex::from_bytes(&v3_bytes).expect("v3-flat fixture loads");
-    assert_answers(&table, "v3-flat copy-load", |u, v| v3.query(u, v));
-    let aligned = AlignedBytes::from_slice(&v3_bytes);
-    let view = persist::open_view(&aligned).expect("v3-flat fixture views");
-    assert_answers(&table, "v3-flat view", |u, v| view.query(u, v));
-    let mapped = MmapIndex::open(&v3_path).expect("v3-flat fixture maps");
+    // v4 flat: the default writer's output, with the header CRC.
+    let v4_path = dir.join("golden.v4-flat.chl");
+    let v4_bytes = std::fs::read(&v4_path).unwrap();
+    let v4_header = persist::parse_header(&v4_bytes).unwrap();
+    assert_eq!(v4_header.version, persist::VERSION);
+    assert!(!v4_header.is_sharded());
+    let v4 = FlatIndex::from_bytes(&v4_bytes).expect("v4-flat fixture loads");
+    assert_answers(&table, "v4-flat copy-load", |u, v| v4.query(u, v));
+    let aligned = AlignedBytes::from_slice(&v4_bytes);
+    let view = persist::open_view(&aligned).expect("v4-flat fixture views");
+    assert_answers(&table, "v4-flat view", |u, v| view.query(u, v));
+    let mapped = MmapIndex::open(&v4_path).expect("v4-flat fixture maps");
     assert!(!mapped.is_sharded());
-    assert_answers(&table, "v3-flat mmap", |u, v| mapped.view().query(u, v));
+    assert_answers(&table, "v4-flat mmap", |u, v| mapped.view().query(u, v));
     assert_eq!(
-        v3.to_bytes(),
-        v3_bytes,
-        "re-serializing the loaded v3-flat fixture must be byte-identical"
+        v4.to_bytes(),
+        v4_bytes,
+        "re-serializing the loaded v4-flat fixture must be byte-identical"
     );
 
-    // v3 compressed.
-    let v3c_path = dir.join("golden.v3-compressed.chl");
-    let v3c_bytes = std::fs::read(&v3c_path).unwrap();
-    let v3c = FlatIndex::from_bytes(&v3c_bytes).expect("v3-compressed fixture loads");
-    assert_answers(&table, "v3-compressed copy-load", |u, v| v3c.query(u, v));
-    let aligned = AlignedBytes::from_slice(&v3c_bytes);
-    let view = persist::open_view(&aligned).expect("v3-compressed fixture views");
+    // v4 compressed.
+    let v4c_path = dir.join("golden.v4-compressed.chl");
+    let v4c_bytes = std::fs::read(&v4c_path).unwrap();
+    let v4c = FlatIndex::from_bytes(&v4c_bytes).expect("v4-compressed fixture loads");
+    assert_answers(&table, "v4-compressed copy-load", |u, v| v4c.query(u, v));
+    let aligned = AlignedBytes::from_slice(&v4c_bytes);
+    let view = persist::open_view(&aligned).expect("v4-compressed fixture views");
     assert!(view.is_compressed());
-    assert_answers(&table, "v3-compressed view", |u, v| view.query(u, v));
-    let mapped = MmapIndex::open(&v3c_path).expect("v3-compressed fixture maps");
+    assert_answers(&table, "v4-compressed view", |u, v| view.query(u, v));
+    let mapped = MmapIndex::open(&v4c_path).expect("v4-compressed fixture maps");
     assert!(mapped.is_compressed());
-    assert_answers(&table, "v3-compressed mmap", |u, v| {
+    assert_answers(&table, "v4-compressed mmap", |u, v| {
         mapped.view().query(u, v)
     });
     assert_eq!(
-        v3c.to_bytes_with(&SaveOptions::compressed()),
-        v3c_bytes,
-        "re-serializing the loaded v3-compressed fixture must be byte-identical"
+        v4c.to_bytes_with(&SaveOptions::compressed()),
+        v4c_bytes,
+        "re-serializing the loaded v4-compressed fixture must be byte-identical"
     );
 
     // The whole-index fixtures are one index in two coats.
-    assert_eq!(v3, v3c);
+    assert_eq!(v4, v4c);
 
     // Sanity on the corpus itself: the headers disagree only where the
     // format does.
-    let v3c_header = persist::parse_header(&v3c_bytes).unwrap();
-    assert!(!v3_header.is_compressed());
-    assert!(v3c_header.is_compressed());
-    assert_eq!(v3_header.num_entries, v3c_header.num_entries);
+    let v4c_header = persist::parse_header(&v4c_bytes).unwrap();
+    assert!(!v4_header.is_compressed());
+    assert!(v4c_header.is_compressed());
+    assert_eq!(v4_header.num_entries, v4c_header.num_entries);
     assert!(
-        v3c_bytes.len() < v3_bytes.len(),
+        v4c_bytes.len() < v4_bytes.len(),
         "compressed fixture must be smaller ({} vs {} bytes)",
-        v3c_bytes.len(),
-        v3_bytes.len()
+        v4c_bytes.len(),
+        v4_bytes.len()
     );
 }
 
@@ -349,7 +434,7 @@ fn path_fixtures_answer_the_pinned_walk_table() {
 
     // Byte stability first: loading and re-serializing each paths fixture
     // must reproduce its bytes, in both entry encodings.
-    let flat_path = dir.join("golden.v3-paths.chl");
+    let flat_path = dir.join("golden.v4-paths.chl");
     let flat_bytes = std::fs::read(&flat_path).unwrap();
     let header = persist::parse_header(&flat_bytes).unwrap();
     assert_eq!(header.version, persist::VERSION);
@@ -361,7 +446,7 @@ fn path_fixtures_answer_the_pinned_walk_table() {
         flat_bytes,
         "re-serializing the paths fixture must be byte-identical"
     );
-    let comp_path = dir.join("golden.v3-paths-compressed.chl");
+    let comp_path = dir.join("golden.v4-paths-compressed.chl");
     let comp_bytes = std::fs::read(&comp_path).unwrap();
     let comp = FlatIndex::from_bytes(&comp_bytes).expect("compressed paths fixture loads");
     assert!(comp.has_path_data());
@@ -423,7 +508,7 @@ fn path_fixtures_answer_the_pinned_walk_table() {
 
     // The path-less corpus answers the typed error, not a guess.
     let plain =
-        FlatIndex::from_bytes(&std::fs::read(dir.join("golden.v3-flat.chl")).unwrap()).unwrap();
+        FlatIndex::from_bytes(&std::fs::read(dir.join("golden.v4-flat.chl")).unwrap()).unwrap();
     assert!(!plain.has_path_data());
     assert_eq!(plain.path(0, 5), Err(PathError::NoPathData));
 }
@@ -435,8 +520,8 @@ fn shard_fixtures_union_to_the_unsharded_index() {
         regen(&dir);
     }
     let table = pinned_table(&dir);
-    let full = FlatIndex::from_bytes(&std::fs::read(dir.join("golden.v3-flat.chl")).unwrap())
-        .expect("v3-flat fixture loads");
+    let full = FlatIndex::from_bytes(&std::fs::read(dir.join("golden.v4-flat.chl")).unwrap())
+        .expect("v4-flat fixture loads");
     let specs = shard_specs();
 
     let mut shards = Vec::new();

@@ -55,7 +55,7 @@ proptest! {
     /// Sequential PLL equals the brute-force canonical labeling.
     #[test]
     fn pll_is_canonical((g, ranking) in arb_graph_and_ranking()) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let built = sequential_pll(&g, &ranking).index;
         prop_assert_eq!(&built, &reference);
         prop_assert!(is_canonical(&g, &ranking, &built));
@@ -64,7 +64,7 @@ proptest! {
     /// LCC (parallel construction + cleaning) equals the CHL.
     #[test]
     fn lcc_is_canonical((g, ranking) in arb_graph_and_ranking()) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let built = lcc(&g, &ranking, &config(4)).index;
         prop_assert_eq!(built, reference);
     }
@@ -72,7 +72,7 @@ proptest! {
     /// GLL with a small synchronization threshold equals the CHL.
     #[test]
     fn gll_is_canonical((g, ranking) in arb_graph_and_ranking()) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let built = gll(&g, &ranking, &config(3).with_alpha(1.0)).index;
         prop_assert_eq!(built, reference);
     }
@@ -80,7 +80,7 @@ proptest! {
     /// PLaNT (no pruning queries at all) equals the CHL.
     #[test]
     fn plant_is_canonical((g, ranking) in arb_graph_and_ranking()) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let built = plant_labeling(&g, &ranking, &config(4)).index;
         prop_assert_eq!(built, reference);
     }
@@ -88,7 +88,7 @@ proptest! {
     /// The shared-memory Hybrid equals the CHL for an aggressive switch point.
     #[test]
     fn hybrid_is_canonical((g, ranking) in arb_graph_and_ranking()) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let mut cfg = config(3).with_psi_threshold(0.05);
         cfg.psi_window = 4;
         let built = shared_hybrid(&g, &ranking, &cfg).index;

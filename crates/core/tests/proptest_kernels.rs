@@ -1,7 +1,7 @@
 //! Differential property tests for the tiered merge-join kernels: every
 //! tier (branchless, gallop, adaptive) must return exactly what the
 //! streaming reference join returns on adversarial run shapes — empty and
-//! singleton runs, disjoint hub sets, saturating `Distance::MAX` sums, tie
+//! singleton runs, disjoint hub sets, `u32::MAX + u32::MAX` sums, tie
 //! distances, 1:1000 length skew — and every storage backend (flat,
 //! borrowed view, compressed view, mmap flat/compressed, sharded) must
 //! answer exactly like the owned index.
@@ -9,26 +9,25 @@
 use proptest::prelude::*;
 
 use chl_core::kernel;
-use chl_core::labels::{join_sorted_iters, LabelEntry};
+use chl_core::labels::{join_sorted_iters, FlatEntry};
 use chl_core::mapped::MmapIndex;
 use chl_core::persist::{self, AlignedBytes, SaveOptions, ShardSpec};
 use chl_core::pll::sequential_pll;
-use chl_graph::types::INFINITY;
 use chl_graph::{CsrGraph, GraphBuilder};
 use chl_ranking::degree_ranking;
 
 /// One generated item of a run pair: a hub gap (strict ascent), the two
 /// sides' distances for that hub, and which side(s) get the entry.
-type RunItem = (u32, u64, u64, u8);
+type RunItem = (u32, u32, u32, u8);
 
-/// Maps a distance selector to an adversarial distance: small values for
-/// ties and realistic sums, near-MAX and MAX values so `saturating_add`
-/// and the `Some((h, MAX))` result shape are both exercised.
-fn pick_dist(selector: u64, small: u64) -> u64 {
+/// Maps a distance selector to an adversarial stored distance: small values
+/// for ties and realistic sums, `u32::MAX` and near it so the widest sums
+/// (up to `2 * u32::MAX`, exact in `u64`) are exercised.
+fn pick_dist(selector: u32, small: u32) -> u32 {
     match selector % 8 {
-        0 => INFINITY,
-        1 => INFINITY - 1,
-        2 => INFINITY / 2 + small % 1024,
+        0 => u32::MAX,
+        1 => u32::MAX - 1,
+        2 => u32::MAX / 2 + small % 1024,
         // Duplicated small values make equal sums common, so the
         // first-hub-wins tie-break is actually load-bearing.
         _ => small % 4,
@@ -39,19 +38,19 @@ fn pick_dist(selector: u64, small: u64) -> u64 {
 /// 0 => left only, 1 => right only, 2.. => both (shared hub, distinct
 /// distances) — so common and disjoint hub ranges both occur, including
 /// fully disjoint and fully shared runs.
-fn build_runs(items: &[RunItem]) -> (Vec<LabelEntry>, Vec<LabelEntry>) {
+fn build_runs(items: &[RunItem]) -> (Vec<FlatEntry>, Vec<FlatEntry>) {
     let (mut a, mut b) = (Vec::new(), Vec::new());
     let mut hub = 0u32;
     for &(gap, da, db, side) in items {
         hub += gap.max(1);
         if side % 4 != 1 {
-            a.push(LabelEntry {
+            a.push(FlatEntry {
                 hub,
                 dist: pick_dist(da, da),
             });
         }
         if side % 4 != 0 {
-            b.push(LabelEntry {
+            b.push(FlatEntry {
                 hub,
                 dist: pick_dist(db, db),
             });
@@ -61,7 +60,7 @@ fn build_runs(items: &[RunItem]) -> (Vec<LabelEntry>, Vec<LabelEntry>) {
 }
 
 /// Asserts every kernel tier against the streaming reference on one pair.
-fn assert_tiers_match(a: &[LabelEntry], b: &[LabelEntry]) -> Result<(), TestCaseError> {
+fn assert_tiers_match(a: &[FlatEntry], b: &[FlatEntry]) -> Result<(), TestCaseError> {
     let expect = join_sorted_iters(a.iter().copied(), b.iter().copied());
     prop_assert_eq!(kernel::join_branchless(a, b), expect, "branchless");
     prop_assert_eq!(kernel::join_gallop(a, b), expect, "gallop");
@@ -103,7 +102,7 @@ proptest! {
 
     #[test]
     fn kernel_tiers_match_reference_on_adversarial_runs(
-        items in proptest::collection::vec((1u32..50, any::<u64>(), any::<u64>(), 0u8..4), 0..64),
+        items in proptest::collection::vec((1u32..50, any::<u32>(), any::<u32>(), 0u8..4), 0..64),
     ) {
         let (a, b) = build_runs(&items);
         assert_tiers_match(&a, &b)?;
@@ -119,15 +118,15 @@ proptest! {
     fn kernel_tiers_match_reference_on_skewed_runs(
         // ~1:1000 length skew: a long run against a handful of probes —
         // the shape that routes join_adaptive to the galloping tier.
-        long_items in proptest::collection::vec((1u32..4, any::<u64>(), any::<u64>(), 0u8..1), 500..1000),
-        probes in proptest::collection::vec((0u32..4000, any::<u64>()), 0..3),
+        long_items in proptest::collection::vec((1u32..4, any::<u32>(), any::<u32>(), 0u8..1), 500..1000),
+        probes in proptest::collection::vec((0u32..4000, any::<u32>()), 0..3),
     ) {
         let (long, _) = build_runs(&long_items);
-        let mut short: Vec<LabelEntry> = Vec::new();
+        let mut short: Vec<FlatEntry> = Vec::new();
         for (hub, d) in probes {
             // Keep the short run strictly ascending by construction.
             let hub = short.last().map_or(hub % 97, |e| e.hub + 1 + hub % 97);
-            short.push(LabelEntry { hub, dist: pick_dist(d, d) });
+            short.push(FlatEntry { hub, dist: pick_dist(d, d) });
         }
         assert_tiers_match(&long, &short)?;
     }

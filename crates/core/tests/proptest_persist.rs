@@ -69,7 +69,7 @@ fn v1_bytes(index: &FlatIndex) -> Vec<u8> {
     }
     for e in index.entries() {
         payload.extend(e.hub.to_le_bytes());
-        payload.extend(e.dist.to_le_bytes());
+        payload.extend(u64::from(e.dist).to_le_bytes());
     }
     let mut bytes = persist::MAGIC.to_vec();
     bytes.extend(1u32.to_le_bytes());

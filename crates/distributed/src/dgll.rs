@@ -224,7 +224,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let canonical = sequential_pll(&g, &ranking).index;
         let d = distributed_gll(&g, &ranking, &cluster(4), &config());
-        assert_eq!(d.assemble(), canonical);
+        assert_eq!(d.assemble().unwrap(), canonical);
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
             9,
         );
         let d = distributed_gll(&g, &ranking, &cluster(6), &config());
-        assert!(is_canonical(&g, &ranking, &d.assemble()));
+        assert!(is_canonical(&g, &ranking, &d.assemble().unwrap()));
     }
 
     #[test]
@@ -255,7 +255,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let d = distributed_gll(&g, &ranking, &cluster(4), &config());
         let per_node = d.labels_per_node();
-        let assembled = d.assemble().total_labels();
+        let assembled = d.assemble().unwrap().total_labels();
         assert_eq!(per_node.iter().sum::<usize>(), assembled);
         // Several nodes must hold a non-trivial share.
         assert!(per_node.iter().filter(|&&c| c > 0).count() >= 2);
@@ -291,7 +291,7 @@ mod tests {
         assert!(comm.broadcast_bytes > 0);
         assert!(comm.allreduces as usize >= d.metrics.supersteps.len());
         // DGLL produces redundant labels that cleaning removes.
-        assert!(d.metrics.labels_generated() >= d.assemble().total_labels());
+        assert!(d.metrics.labels_generated() >= d.assemble().unwrap().total_labels());
     }
 
     #[test]
@@ -333,7 +333,7 @@ mod tests {
         }
         assert!(!own[1][2].contains_hub(1));
         let d = DistributedLabeling::new(own, ranking.clone(), RunMetrics::new("DGLL", 2));
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
     }
 
     #[test]
@@ -341,6 +341,6 @@ mod tests {
         let g = erdos_renyi(40, 0.1, 6, 2);
         let ranking = degree_ranking(&g);
         let d = distributed_gll(&g, &ranking, &cluster(1), &config());
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
     }
 }

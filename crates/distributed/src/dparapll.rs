@@ -125,7 +125,7 @@ mod tests {
         let g = erdos_renyi(60, 0.08, 12, 5);
         let ranking = degree_ranking(&g);
         let d = distributed_parapll(&g, &ranking, &cluster(4), &DistributedConfig::default());
-        assert!(satisfies_cover_property(&g, &d.assemble()));
+        assert!(satisfies_cover_property(&g, &d.assemble().unwrap()));
     }
 
     #[test]
@@ -150,7 +150,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let d = distributed_parapll(&g, &ranking, &cluster(4), &DistributedConfig::default());
         let per_node = d.labels_per_node();
-        let assembled = d.assemble().total_labels();
+        let assembled = d.assemble().unwrap().total_labels();
         for &count in &per_node {
             assert_eq!(
                 count, assembled,
@@ -175,6 +175,6 @@ mod tests {
         let g = erdos_renyi(40, 0.12, 6, 13);
         let ranking = degree_ranking(&g);
         let d = distributed_parapll(&g, &ranking, &cluster(1), &DistributedConfig::default());
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
     }
 }

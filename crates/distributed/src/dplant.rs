@@ -81,7 +81,7 @@ mod tests {
         let g = erdos_renyi(70, 0.08, 10, 41);
         let ranking = degree_ranking(&g);
         let d = distributed_plant(&g, &ranking, &cluster(4), &DistributedConfig::default());
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
     }
 
     #[test]
@@ -103,7 +103,7 @@ mod tests {
             2,
         );
         let d = distributed_plant(&g, &ranking, &cluster(8), &DistributedConfig::default());
-        assert!(is_canonical(&g, &ranking, &d.assemble()));
+        assert!(is_canonical(&g, &ranking, &d.assemble().unwrap()));
     }
 
     #[test]
@@ -132,7 +132,7 @@ mod tests {
         }
         assert_eq!(
             d.labels_per_node().iter().sum::<usize>(),
-            d.assemble().total_labels()
+            d.assemble().unwrap().total_labels()
         );
     }
 
@@ -144,9 +144,9 @@ mod tests {
         let ranking = degree_ranking(&g);
         let d1 = distributed_plant(&g, &ranking, &cluster(1), &DistributedConfig::default());
         let d8 = distributed_plant(&g, &ranking, &cluster(8), &DistributedConfig::default());
-        assert_eq!(d1.assemble(), d8.assemble());
+        assert_eq!(d1.assemble().unwrap(), d8.assemble().unwrap());
         let max_share_8 = *d8.labels_per_node().iter().max().unwrap();
-        let total = d1.assemble().total_labels();
+        let total = d1.assemble().unwrap().total_labels();
         assert!(max_share_8 < total, "labels must spread across the 8 nodes");
     }
 }

@@ -146,7 +146,7 @@ mod tests {
         let g = erdos_renyi(70, 0.08, 12, 53);
         let ranking = degree_ranking(&g);
         let d = distributed_hybrid(&g, &ranking, &cluster(4), &config());
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let cfg = config().with_psi_threshold(1.5);
         let d = distributed_hybrid(&g, &ranking, &cluster(4), &cfg);
-        assert!(is_canonical(&g, &ranking, &d.assemble()));
+        assert!(is_canonical(&g, &ranking, &d.assemble().unwrap()));
         // The aggressive threshold must actually force a switch: later
         // supersteps show cleaning activity (a DGLL-only phenomenon).
         assert!(d.metrics.supersteps.len() > 1);
@@ -167,7 +167,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let cfg = config().with_psi_threshold(f64::MAX);
         let d = distributed_hybrid(&g, &ranking, &cluster(4), &cfg);
-        assert_eq!(d.assemble(), sequential_pll(&g, &ranking).index);
+        assert_eq!(d.assemble().unwrap(), sequential_pll(&g, &ranking).index);
         // Only common-table broadcasts and Ψ all-reduces, no label cleaning.
         assert_eq!(d.metrics.labels_deleted(), 0);
     }
@@ -192,7 +192,7 @@ mod tests {
         );
         let cfg = config().with_psi_threshold(3.0);
         let d = distributed_hybrid(&g, &ranking, &cluster(6), &cfg);
-        assert!(is_canonical(&g, &ranking, &d.assemble()));
+        assert!(is_canonical(&g, &ranking, &d.assemble().unwrap()));
     }
 
     #[test]
@@ -201,7 +201,7 @@ mod tests {
         let ranking = degree_ranking(&g);
         let dgll = crate::dgll::distributed_gll(&g, &ranking, &cluster(4), &config());
         let hybrid = distributed_hybrid(&g, &ranking, &cluster(4), &config());
-        assert_eq!(dgll.assemble(), hybrid.assemble());
+        assert_eq!(dgll.assemble().unwrap(), hybrid.assemble().unwrap());
         assert!(
             hybrid.metrics.total_comm().broadcast_bytes
                 <= dgll.metrics.total_comm().broadcast_bytes,

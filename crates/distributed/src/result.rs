@@ -4,7 +4,7 @@
 use chl_cluster::{ClusterSpec, RunMetrics};
 use chl_core::labels::LabelSet;
 use chl_core::oracle::DistanceOracle;
-use chl_core::FlatIndex;
+use chl_core::{FlatIndex, LabelingError};
 use chl_graph::types::{Distance, VertexId, INFINITY};
 use chl_ranking::Ranking;
 
@@ -86,24 +86,30 @@ impl DistributedLabeling {
 
     /// Average label size per vertex of the *assembled* labeling.
     pub fn average_label_size(&self) -> f64 {
-        let assembled = self.assemble();
-        assembled.average_label_size()
+        let labels: usize = self.merged().iter().map(LabelSet::len).sum();
+        labels as f64 / self.ranking.len().max(1) as f64
     }
 
     /// Unions all partitions into a single queryable index (QLSN-style
     /// storage), drained into one CSR store. Duplicate hubs across nodes
     /// keep the smaller distance, so this is also correct for DparaPLL's
-    /// replicated partitions.
-    pub fn assemble(&self) -> FlatIndex {
-        let n = self.ranking.len();
-        let mut merged: Vec<LabelSet> = vec![LabelSet::new(); n];
+    /// replicated partitions. The partitions keep full-width distances; a
+    /// label distance past `u32::MAX` is
+    /// [`LabelingError::DistanceOverflow`], as for every shared-memory
+    /// constructor.
+    pub fn assemble(&self) -> Result<FlatIndex, LabelingError> {
+        FlatIndex::new(self.merged(), self.ranking.clone())
+    }
+
+    /// Every vertex's labels, unioned over the nodes.
+    fn merged(&self) -> Vec<LabelSet> {
+        let mut merged: Vec<LabelSet> = vec![LabelSet::new(); self.ranking.len()];
         for partition in &self.partitions {
             for (v, set) in partition.iter().enumerate() {
                 merged[v].merge(set);
             }
         }
-        FlatIndex::new(merged, self.ranking.clone())
-            .expect("partitions hold one label set per ranked vertex")
+        merged
     }
 
     /// Answers a PPSD query the way QFDL does: every node computes the best
@@ -189,7 +195,7 @@ mod tests {
     #[test]
     fn assemble_unions_partitions() {
         let d = tiny();
-        let idx = d.assemble();
+        let idx = d.assemble().unwrap();
         assert_eq!(idx.total_labels(), 5);
         assert_eq!(idx.query(0, 2), 2);
         assert!((d.average_label_size() - 5.0 / 3.0).abs() < 1e-9);
@@ -198,11 +204,51 @@ mod tests {
     #[test]
     fn distributed_query_equals_assembled_query() {
         let d = tiny();
-        let idx = d.assemble();
+        let idx = d.assemble().unwrap();
         for u in 0..3u32 {
             for v in 0..3u32 {
                 assert_eq!(d.query_distributed(u, v), idx.query(u, v));
             }
+        }
+    }
+
+    #[test]
+    fn every_distributed_constructor_assembles_a_typed_overflow() {
+        use crate::{
+            distributed_gll, distributed_hybrid, distributed_parapll, distributed_plant,
+            DistributedConfig,
+        };
+        use chl_cluster::SimulatedCluster;
+        use chl_graph::GraphBuilder;
+        // Path 0 - 1 - 2 with both edges u32::MAX and vertex 0 ranked
+        // first: vertex 2's label for hub 0 is 2 * u32::MAX.
+        let mut b = GraphBuilder::new_undirected();
+        b.add_edge(0, 1, u32::MAX);
+        b.add_edge(1, 2, u32::MAX);
+        let g = b.build().unwrap();
+        let ranking = Ranking::identity(3);
+        let cluster = SimulatedCluster::new(ClusterSpec::with_nodes(2));
+        let config = DistributedConfig::default();
+        let wide = 2 * Distance::from(u32::MAX);
+        for d in [
+            distributed_gll(&g, &ranking, &cluster, &config),
+            distributed_plant(&g, &ranking, &cluster, &config),
+            distributed_hybrid(&g, &ranking, &cluster, &config),
+            distributed_parapll(&g, &ranking, &cluster, &config),
+        ] {
+            let name = d.metrics.algorithm.clone();
+            assert!(
+                matches!(
+                    d.assemble(),
+                    Err(LabelingError::DistanceOverflow { vertex: 2, hub: 0, dist }) if dist == wide
+                ),
+                "{name}"
+            );
+            // The partitions keep the full width, so QFDL-style queries
+            // still answer exactly, and the label count needs no narrowing:
+            // at least the CHL's 1 + 2 + 3 (DparaPLL keeps redundant ones).
+            assert_eq!(d.query_distributed(0, 2), wide, "{name}");
+            assert!(d.average_label_size() >= 2.0, "{name}");
         }
     }
 

@@ -55,17 +55,17 @@ proptest! {
     /// DGLL equals the brute-force CHL for any cluster size.
     #[test]
     fn dgll_is_canonical((g, ranking) in arb_graph_and_ranking(), q in 1usize..6) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let d = distributed_gll(&g, &ranking, &cluster(q), &config());
-        prop_assert_eq!(d.assemble(), reference);
+        prop_assert_eq!(d.assemble().unwrap(), reference);
     }
 
     /// Distributed PLaNT equals the CHL and never communicates.
     #[test]
     fn plant_is_canonical_and_silent((g, ranking) in arb_graph_and_ranking(), q in 1usize..6) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let d = distributed_plant(&g, &ranking, &cluster(q), &config());
-        prop_assert_eq!(d.assemble(), reference);
+        prop_assert_eq!(d.assemble().unwrap(), reference);
         prop_assert_eq!(d.metrics.total_comm().total_bytes(), 0);
     }
 
@@ -73,18 +73,18 @@ proptest! {
     /// thresholds alike.
     #[test]
     fn hybrid_is_canonical((g, ranking) in arb_graph_and_ranking(), q in 1usize..6, psi in 1.0f64..200.0) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let d = distributed_hybrid(&g, &ranking, &cluster(q), &config().with_psi_threshold(psi));
-        prop_assert_eq!(d.assemble(), reference);
+        prop_assert_eq!(d.assemble().unwrap(), reference);
     }
 
     /// DparaPLL satisfies the cover property (exact queries) and produces at
     /// least as many labels as the CHL.
     #[test]
     fn dparapll_covers((g, ranking) in arb_graph_and_ranking(), q in 1usize..6) {
-        let reference = brute_force_chl(&g, &ranking);
+        let reference = brute_force_chl(&g, &ranking).unwrap();
         let d = distributed_parapll(&g, &ranking, &cluster(q), &config());
-        let assembled = d.assemble();
+        let assembled = d.assemble().unwrap();
         prop_assert!(satisfies_cover_property(&g, &assembled));
         prop_assert!(assembled.total_labels() >= reference.total_labels());
     }
@@ -102,7 +102,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(d.labels_per_node().iter().sum::<usize>(), d.assemble().total_labels());
+        prop_assert_eq!(d.labels_per_node().iter().sum::<usize>(), d.assemble().unwrap().total_labels());
     }
 
     /// The QFDL-style distributed query over partitions equals the assembled
@@ -110,7 +110,7 @@ proptest! {
     #[test]
     fn distributed_query_matches_assembled((g, ranking) in arb_graph_and_ranking(), q in 1usize..6) {
         let d = distributed_hybrid(&g, &ranking, &cluster(q), &config());
-        let assembled = d.assemble();
+        let assembled = d.assemble().unwrap();
         let n = g.num_vertices() as u32;
         for u in 0..n {
             for v in 0..n {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use chl_cluster::ClusterSpec;
 use chl_core::oracle::DistanceOracle;
 use chl_core::persist::ShardSpec;
-use chl_core::FlatIndex;
+use chl_core::{FlatIndex, LabelingError};
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId};
 
@@ -159,9 +159,10 @@ impl QdolShardMap {
 }
 
 impl QdolEngine {
-    /// Builds the engine from a distributed labeling.
-    pub fn new(labeling: &DistributedLabeling, spec: ClusterSpec) -> Self {
-        Self::from_index(labeling.assemble(), spec)
+    /// Builds the engine from a distributed labeling; fails as
+    /// [`DistributedLabeling::assemble`] does.
+    pub fn new(labeling: &DistributedLabeling, spec: ClusterSpec) -> Result<Self, LabelingError> {
+        Ok(Self::from_index(labeling.assemble()?, spec))
     }
 
     /// Builds the engine from an assembled index.
@@ -309,7 +310,10 @@ mod tests {
         let ranking = degree_ranking(&g);
         let cluster = SimulatedCluster::new(ClusterSpec::with_nodes(q));
         let labeling = distributed_plant(&g, &ranking, &cluster, &DistributedConfig::default());
-        (g, QdolEngine::new(&labeling, ClusterSpec::with_nodes(q)))
+        (
+            g,
+            QdolEngine::new(&labeling, ClusterSpec::with_nodes(q)).unwrap(),
+        )
     }
 
     #[test]
@@ -379,7 +383,7 @@ mod tests {
 
     #[test]
     fn shard_map_covers_every_query_and_pins_the_q3_layout() {
-        // The exact layout the golden v3 shard fixtures in chl-core pin:
+        // The exact layout the golden shard fixtures in chl-core pin:
         // 3 shards over 16 vertices → ζ = 3, chunk = 6.
         let map = QdolShardMap::new(3, 16);
         assert_eq!(map.zeta(), 3);

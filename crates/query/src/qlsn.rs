@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use chl_cluster::ClusterSpec;
 use chl_core::oracle::DistanceOracle;
-use chl_core::FlatIndex;
+use chl_core::{FlatIndex, LabelingError};
 use chl_distributed::DistributedLabeling;
 use chl_graph::types::{Distance, VertexId};
 
@@ -26,12 +26,13 @@ pub struct QlsnEngine {
 
 impl QlsnEngine {
     /// Builds the engine from a distributed labeling by assembling (and
-    /// conceptually replicating) the full index.
-    pub fn new(labeling: &DistributedLabeling, spec: ClusterSpec) -> Self {
-        QlsnEngine {
-            index: labeling.assemble(),
+    /// conceptually replicating) the full index; fails as
+    /// [`DistributedLabeling::assemble`] does.
+    pub fn new(labeling: &DistributedLabeling, spec: ClusterSpec) -> Result<Self, LabelingError> {
+        Ok(QlsnEngine {
+            index: labeling.assemble()?,
             spec,
-        }
+        })
     }
 
     /// Builds the engine directly from an assembled index.

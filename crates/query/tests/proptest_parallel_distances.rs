@@ -50,9 +50,9 @@ proptest! {
             &SimulatedCluster::new(spec),
             &DistributedConfig::default(),
         );
-        let qlsn = QlsnEngine::new(&labeling, spec);
+        let qlsn = QlsnEngine::new(&labeling, spec).unwrap();
         let qfdl = QfdlEngine::new(&labeling, spec);
-        let qdol = QdolEngine::new(&labeling, spec);
+        let qdol = QdolEngine::new(&labeling, spec).unwrap();
 
         let n = g.num_vertices() as u32;
         let mut pairs = raw;

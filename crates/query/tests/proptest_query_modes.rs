@@ -36,9 +36,9 @@ proptest! {
         let labeling =
             distributed_plant(&g, &ranking, &SimulatedCluster::new(spec), &DistributedConfig::default());
 
-        let qlsn = QlsnEngine::new(&labeling, spec);
+        let qlsn = QlsnEngine::new(&labeling, spec).unwrap();
         let qfdl = QfdlEngine::new(&labeling, spec);
-        let qdol = QdolEngine::new(&labeling, spec);
+        let qdol = QdolEngine::new(&labeling, spec).unwrap();
 
         let n = g.num_vertices() as u32;
         for u in (0..n).step_by(3) {
@@ -59,9 +59,9 @@ proptest! {
         let labeling =
             distributed_plant(&g, &ranking, &SimulatedCluster::new(spec), &DistributedConfig::default());
 
-        let qlsn = QlsnEngine::new(&labeling, spec);
+        let qlsn = QlsnEngine::new(&labeling, spec).unwrap();
         let qfdl = QfdlEngine::new(&labeling, spec);
-        let qdol = QdolEngine::new(&labeling, spec);
+        let qdol = QdolEngine::new(&labeling, spec).unwrap();
 
         let total_qlsn: usize = qlsn.memory_per_node().iter().sum();
         let total_qfdl: usize = qfdl.memory_per_node().iter().sum();

@@ -361,6 +361,7 @@ mod tests {
     fn legacy_files_are_refused_until_upgraded() {
         let v1 = include_bytes!("../../core/tests/fixtures/golden.v1.chl");
         let v2 = include_bytes!("../../core/tests/fixtures/golden.v2-flat.chl");
+        let v3 = include_bytes!("../../core/tests/fixtures/golden.v3-flat.chl");
         let path = temp_path("legacy");
         for mmap in [false, true] {
             // Replaced by rename, as a mapped file must be.
@@ -376,6 +377,12 @@ mod tests {
             assert!(matches!(
                 shared.reload(),
                 Err(PersistError::UpgradeRequired { version: 2 })
+            ));
+            assert_eq!(shared.generation(), 0);
+            replace(v3);
+            assert!(matches!(
+                shared.reload(),
+                Err(PersistError::UpgradeRequired { version: 3 })
             ));
             assert_eq!(shared.generation(), 0);
             replace(&chl_core::persist::upgrade(v2).unwrap());

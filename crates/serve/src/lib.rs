@@ -23,7 +23,7 @@
 //!   becomes one batched [`DistanceOracle::distances`] call over the current
 //!   snapshot.
 //! * [`router`] — the scatter-gather service (`chl route`) in front of a
-//!   cluster of shard servers (one `.chl` v3 shard file each): same client
+//!   cluster of shard servers (one `.chl` shard file each): same client
 //!   protocol on both sides, per-query QDOL placement, typed per-frame
 //!   degradation when a backend dies.
 //! * [`client`] / [`loadgen`] — a blocking protocol client and the

@@ -28,7 +28,7 @@
 //! contract over the wire.
 //!
 //! The INFO shard tail is present exactly when the `flags` byte has
-//! [`INFO_FLAG_SHARDED`] set — a server loading one `.chl` v3 shard file
+//! [`INFO_FLAG_SHARDED`] set — a server loading one `.chl` shard file
 //! announces which shard it is; whole-index servers (and pre-shard peers)
 //! emit the original 25-byte body unchanged.
 //!

@@ -108,7 +108,7 @@ impl std::fmt::Display for RouterError {
                     f,
                     "backend {addr} serves a whole index, not a shard \
                      (chl route expects every backend to be `chl serve` over \
-                     one `.chl` v3 shard file)"
+                     one `.chl` shard file)"
                 )
             }
             RouterError::Inconsistent(msg) => write!(f, "inconsistent cluster: {msg}"),

@@ -1,5 +1,5 @@
 //! End-to-end scatter-gather test harness: a real TCP cluster — three
-//! in-process shard servers (each loading one `.chl` v3 shard file) behind
+//! in-process shard servers (each loading one `.chl` shard file) behind
 //! a [`Router`] — asserted byte-identical to one unsharded oracle server
 //! over the same wire protocol. Covers exact distances over every vertex
 //! pair, pipelined frames spanning shards, typed out-of-range and

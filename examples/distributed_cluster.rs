@@ -41,7 +41,7 @@ fn main() {
         let cluster = SimulatedCluster::new(spec);
         let labeling = runner(graph, ranking, &cluster, &config);
         let comm = labeling.metrics.total_comm();
-        let assembled = labeling.assemble();
+        let assembled = labeling.assemble().expect("distances fit a stored label");
         let canonical = assembled == reference;
         println!(
             "{:>9} | {:>10.1} | {:>12.1} | {:>14.3?} | {:>14.1} | {:>9}",

@@ -56,7 +56,7 @@ fn main() {
     //    file can also be mapped and queried in place — validated once at
     //    open, no label byte deserialized. Same `DistanceOracle` surface,
     //    same answers; `chl query --mmap` is this path from the shell.
-    let mapped = MmapIndex::open(&path).expect("v3 index maps");
+    let mapped = MmapIndex::open(&path).expect("index maps");
     let oracle: &dyn DistanceOracle = &mapped;
     for v in [1u32, 300, 624] {
         assert_eq!(oracle.distance(0, v), reference[v as usize]);

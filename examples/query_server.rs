@@ -27,15 +27,15 @@ fn main() {
     println!(
         "labeling: ALS {:.1}, {} labels across {} nodes",
         labeling.average_label_size(),
-        labeling.assemble().total_labels(),
+        labeling.total_labels(),
         labeling.nodes()
     );
 
     let workload = random_pairs(graph.num_vertices(), 500_000, 9);
     let engines: Vec<Box<dyn QueryEngine>> = vec![
-        Box::new(QlsnEngine::new(&labeling, spec)),
+        Box::new(QlsnEngine::new(&labeling, spec).expect("distances fit a stored label")),
         Box::new(QfdlEngine::new(&labeling, spec)),
-        Box::new(QdolEngine::new(&labeling, spec)),
+        Box::new(QdolEngine::new(&labeling, spec).expect("distances fit a stored label")),
     ];
 
     println!(

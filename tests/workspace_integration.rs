@@ -52,7 +52,7 @@ fn end_to_end_scale_free_pipeline_all_constructors_agree() {
             "{algo} must reproduce the canonical labeling"
         );
     }
-    assert_eq!(brute_force_chl(&ds.graph, &ds.ranking), reference);
+    assert_eq!(brute_force_chl(&ds.graph, &ds.ranking).unwrap(), reference);
 }
 
 #[test]
@@ -67,15 +67,15 @@ fn end_to_end_distributed_pipeline_with_queries() {
         &DistributedConfig::default(),
     );
     let reference = sequential_pll(&ds.graph, &ds.ranking).index;
-    assert_eq!(labeling.assemble(), reference);
+    assert_eq!(labeling.assemble().unwrap(), reference);
 
     // All three query modes agree with the reference on a random workload —
     // checked uniformly through the DistanceOracle surface they share.
     let workload = random_pairs(ds.graph.num_vertices(), 3_000, 5);
     let oracles: Vec<Box<dyn DistanceOracle>> = vec![
-        Box::new(QlsnEngine::new(&labeling, spec)),
+        Box::new(QlsnEngine::new(&labeling, spec).unwrap()),
         Box::new(QfdlEngine::new(&labeling, spec)),
-        Box::new(QdolEngine::new(&labeling, spec)),
+        Box::new(QdolEngine::new(&labeling, spec).unwrap()),
     ];
     let expected = reference.distances(&workload.pairs);
     for oracle in &oracles {
@@ -88,9 +88,9 @@ fn end_to_end_distributed_pipeline_with_queries() {
 
     // Memory ordering of the three modes matches §6: QFDL < QDOL < QLSN,
     // per node and in oracle-level totals.
-    let qlsn = QlsnEngine::new(&labeling, spec);
+    let qlsn = QlsnEngine::new(&labeling, spec).unwrap();
     let qfdl = QfdlEngine::new(&labeling, spec);
-    let qdol = QdolEngine::new(&labeling, spec);
+    let qdol = QdolEngine::new(&labeling, spec).unwrap();
     let qlsn_max = *qlsn.memory_per_node().iter().max().unwrap();
     let qfdl_max = *qfdl.memory_per_node().iter().max().unwrap();
     let qdol_max = *qdol.memory_per_node().iter().max().unwrap();
